@@ -148,8 +148,8 @@ def _entry_weights(code, s, d, sets, lam, eps):
             ws -= inv_full
 
         elif code == objectives.OBJ_CODE["fl"]:
-            for i in comp:
-                ws[i, a[np.argmax(s[i, a])]] += 1.0
+            # Each outside row's weight goes to its first (lowest-index) max.
+            ws[comp, a[np.argmax(s[np.ix_(comp, a)], axis=1)]] += 1.0
 
         else:
             raise ValueError(f"no gradient rule for objective code {code}")
@@ -157,23 +157,27 @@ def _entry_weights(code, s, d, sets, lam, eps):
     return ws, wd, wd2
 
 
-def loss_gradient(batch: EmbeddingBatch, config: losses.LossConfig) -> GradientMatrix:
-    """Analytic dL/dZ under the config's objective and kernel."""
-    s, d = losses.matrices(batch, config)
-    losses.check_preconditions(batch, config, s)
-    sets = list(partition_from_labels(batch.labels))
+def evaluation_gradient(ev: losses.Evaluation) -> GradientMatrix:
+    """Analytic dL/dZ from the matrices and partition one evaluation used."""
+    config = ev.config
     code = objectives.OBJ_CODE[config.objective]
-    ws, wd, wd2 = _entry_weights(code, s, d, sets, config.lam, config.margin)
+    ws, wd, wd2 = _entry_weights(code, ev.s, ev.d, ev.sets, config.lam, config.margin)
 
-    z = batch.vectors
+    z = ev.batch.vectors
     grad = np.zeros_like(z)
     if np.any(ws):
-        grad += kernels.similarity_pullback(z, ws, config.kernel, config.bandwidth)
+        grad += kernels.similarity_pullback(z, ws, config.kernel, config.bandwidth,
+                                            s=ev.s)
     if wd is not None:
-        grad += kernels.distance_pullback(z, wd)
+        grad += kernels.distance_pullback(z, wd, ev.d)
     if wd2 is not None:
         grad += kernels.sqdist_pullback(z, wd2)
     return GradientMatrix(grad)
+
+
+def loss_gradient(batch: EmbeddingBatch, config: losses.LossConfig) -> GradientMatrix:
+    """Analytic dL/dZ under the config's objective and kernel."""
+    return evaluation_gradient(losses.evaluate(batch, config))
 
 
 def finite_difference_gradient(batch: EmbeddingBatch, config: losses.LossConfig,

@@ -14,7 +14,8 @@ Properties enforced here rather than assumed downstream:
   * cosine refuses embeddings with norm below 1e-12 (ZeroVector).
 
 The *_pullback helpers implement the chain rule from per-entry loss weights
-back to embeddings and are the only gradient route the loss module uses; the
+back to embeddings and are the only gradient route the loss module uses. They
+take the forward matrix the loss was scored on rather than rebuilding it; the
 single-entry kernel_gradient form exists for spot checks against finite
 differences.
 """
@@ -163,10 +164,9 @@ def cosine_pullback(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return grad / np.linalg.norm(z, axis=1)[:, None]
 
 
-def rbf_pullback(z: np.ndarray, weights: np.ndarray, bandwidth: float) -> np.ndarray:
-    """dL/dZ for L = sum_ij weights_ij * S_ij under the RBF kernel."""
-    d2 = squared_distances(z)
-    s = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
+def rbf_pullback(z: np.ndarray, weights: np.ndarray, s: np.ndarray,
+                 bandwidth: float) -> np.ndarray:
+    """dL/dZ for L = sum_ij weights_ij * S_ij, given the forward RBF matrix S."""
     m = _doubled(weights) * s / (bandwidth * bandwidth)
     # row i: sum_j m_ij (z_j - z_i)
     return m @ z - np.sum(m, axis=1)[:, None] * z
@@ -179,9 +179,8 @@ def sqdist_pullback(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return 2.0 * (np.sum(m, axis=1)[:, None] * z - m @ z)
 
 
-def distance_pullback(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """dL/dZ for L = sum_ij weights_ij * D_ij (Euclidean)."""
-    d = np.sqrt(squared_distances(z))
+def distance_pullback(z: np.ndarray, weights: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """dL/dZ for L = sum_ij weights_ij * D_ij, given the forward distances D."""
     m = _doubled(weights)
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.where(d > NORM_FLOOR, m / d, 0.0)
@@ -189,11 +188,16 @@ def distance_pullback(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def similarity_pullback(z: np.ndarray, weights: np.ndarray, kind: str,
-                        bandwidth: float = 1.0) -> np.ndarray:
+                        bandwidth: float = 1.0, *, s: np.ndarray) -> np.ndarray:
+    """dL/dZ for L = sum_ij weights_ij * S_ij, given the forward matrix S of `kind`.
+
+    Cosine works from the raw Gram matrix of unit rows instead: the forward
+    S is clipped to [-1, 1], and the chain rule needs the unclipped entries.
+    """
     if kind == "cosine":
         return cosine_pullback(z, weights)
     if kind == "rbf":
-        return rbf_pullback(z, weights, bandwidth)
+        return rbf_pullback(z, weights, s, bandwidth)
     if kind == "neg-euclidean":
-        return distance_pullback(z, -np.asarray(weights))
+        return distance_pullback(z, -np.asarray(weights), -s)
     raise ValidationError(f"unknown kernel kind {kind!r}")

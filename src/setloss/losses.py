@@ -105,7 +105,7 @@ def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray
             warnings.warn(
                 f"{obj}: batch has a single class; cross-class terms are all zero",
                 SingleClassBatch,
-                stacklevel=3,
+                stacklevel=4,
             )
             return
         raise DegenerateBatch(obj, "needs >= 2 classes")
@@ -126,14 +126,36 @@ def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray
             )
 
 
-def total_loss(batch: EmbeddingBatch, config: LossConfig) -> LossResult:
-    """L(theta) = sum_k L(theta, A_k) over the batch's class partition."""
+@dataclass
+class Evaluation:
+    """One scoring of a batch, with the matrices and partition it used.
+
+    The gradient is taken from these same S, D and class sets, so a
+    training step builds its kernel once.
+    """
+
+    batch: EmbeddingBatch
+    config: LossConfig
+    s: np.ndarray
+    d: np.ndarray | None
+    sets: list
+    result: LossResult
+
+
+def evaluate(batch: EmbeddingBatch, config: LossConfig) -> Evaluation:
+    """Build S (and D if needed), check the domain, partition, and score."""
     s, d = matrices(batch, config)
     check_preconditions(batch, config, s)
-    parts = partition_from_labels(batch.labels)
+    sets = list(partition_from_labels(batch.labels))
     code = objectives.OBJ_CODE[config.objective]
-    total, per = backend.total_value(code, s, d, list(parts), config.lam, config.margin)
-    return LossResult(config.objective, total, per, config)
+    total, per = backend.total_value(code, s, d, sets, config.lam, config.margin)
+    return Evaluation(batch, config, s, d, sets,
+                      LossResult(config.objective, total, per, config))
+
+
+def total_loss(batch: EmbeddingBatch, config: LossConfig) -> LossResult:
+    """L(theta) = sum_k L(theta, A_k) over the batch's class partition."""
+    return evaluate(batch, config).result
 
 
 def _variant_config(config: LossConfig, objective: str) -> LossConfig:

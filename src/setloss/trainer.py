@@ -4,8 +4,10 @@ Stage 1 learns a single matrix W by plain gradient descent on one of the
 objectives, embedding raw inputs as z = W x with optional projection to
 the unit sphere (on by default; the kernels see unit vectors either way
 under cosine, but normalization also conditions the distance-based
-terms). The gradient chains the analytic dL/dz from `grads` through the
-normalization Jacobian and the linear map; no momentum, no schedule.
+terms). Each step scores the batch once and takes the analytic dL/dz
+from that same evaluation, so the kernel is built once per step. The
+gradient chains dL/dz through the normalization Jacobian and the linear
+map; no momentum, no schedule.
 
 Stage 2 freezes W, computes class centroids of the embedded training
 split, and classifies the held-out split by nearest centroid. That stands
@@ -158,14 +160,16 @@ def train_stage1(data: EmbeddingBatch, config: TrainConfig):
         z = y / norms if config.normalize else y
         embedded = EmbeddingBatch(z, batch.labels)
 
-        value = losses.total_loss(embedded, config.loss).total
+        ev = losses.evaluate(embedded, config.loss)
+        value = ev.result.total
         if not np.isfinite(value):
             raise DivergedLoss(step, value)
         curve.append(value)
         if step == config.steps:
             break
 
-        g = grads.loss_gradient(embedded, config.loss).entries
+        g = grads.evaluation_gradient(ev).entries
+        del ev  # free S before the next step builds its own
         if config.normalize:
             g = (g - np.sum(g * z, axis=1, keepdims=True) * z) / norms
         params.W -= config.lr * (g.T @ batch.vectors)

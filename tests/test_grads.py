@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from setloss import grads, kernels, losses, objectives
-from setloss.batch import EmbeddingBatch
+from setloss._backend import backend
+from setloss.batch import EmbeddingBatch, partition_from_labels
+from setloss.errors import PreconditionError
 
 
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
@@ -126,3 +128,88 @@ def test_fd_rejects_nonpositive_step():
     b = grads.check_batch(6, 3, 0)
     with pytest.raises(ValueError):
         grads.finite_difference_gradient(b, losses.LossConfig("fl"), h=0.0)
+
+
+# The value and gradient as computed before a training step shared one
+# evaluation: fresh matrices for every pullback and a per-row argmax for fl.
+
+def _fresh_rbf_pullback(z, weights, bandwidth):
+    s = np.exp(-kernels.squared_distances(z) / (2.0 * bandwidth * bandwidth))
+    m = kernels._doubled(weights) * s / (bandwidth * bandwidth)
+    return m @ z - np.sum(m, axis=1)[:, None] * z
+
+
+def _fresh_distance_pullback(z, weights):
+    d = np.sqrt(kernels.squared_distances(z))
+    m = kernels._doubled(weights)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(d > kernels.NORM_FLOOR, m / d, 0.0)
+    return np.sum(m, axis=1)[:, None] * z - m @ z
+
+
+def _unshared_value_and_gradient(batch, cfg):
+    s, d = losses.matrices(batch, cfg)
+    losses.check_preconditions(batch, cfg, s)
+    sets = list(partition_from_labels(batch.labels))
+    code = objectives.OBJ_CODE[cfg.objective]
+    total, per = backend.total_value(code, s, d, sets, cfg.lam, cfg.margin)
+    if cfg.objective == "fl":
+        ws, wd, wd2 = np.zeros((batch.n, batch.n)), None, None
+        for a in sets:
+            for i in np.setdiff1d(np.arange(batch.n), a):
+                ws[i, a[np.argmax(s[i, a])]] += 1.0
+    else:
+        ws, wd, wd2 = grads._entry_weights(code, s, d, sets, cfg.lam, cfg.margin)
+    z = batch.vectors
+    g = np.zeros_like(z)
+    if np.any(ws):
+        if cfg.kernel == "cosine":
+            g += kernels.cosine_pullback(z, ws)
+        elif cfg.kernel == "rbf":
+            g += _fresh_rbf_pullback(z, ws, cfg.bandwidth)
+        else:
+            g += _fresh_distance_pullback(z, -ws)
+    if wd is not None:
+        g += _fresh_distance_pullback(z, wd)
+    if wd2 is not None:
+        g += kernels.sqdist_pullback(z, wd2)
+    return total, per, g
+
+
+@pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
+@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+def test_shared_evaluation_is_bit_identical_to_fresh_matrices(name, kernel):
+    cfg = losses.LossConfig(name, kernel=kernel, bandwidth=0.7)
+    for seed in range(3):
+        b = grads.check_batch(12, 8, seed)
+        try:
+            total, per, g = _unshared_value_and_gradient(b, cfg)
+        except PreconditionError as exc:
+            # Outside the objective's domain (n-pairs and supcon log
+            # arguments, log-det blocks under neg-euclidean): the shared
+            # path must refuse it the same way.
+            with pytest.raises(type(exc)):
+                losses.evaluate(b, cfg)
+            continue
+        ev = losses.evaluate(b, cfg)
+        assert ev.result.total == total
+        assert np.array_equal(ev.result.per_class, per)
+        assert np.array_equal(grads.evaluation_gradient(ev).entries, g)
+        assert np.array_equal(grads.loss_gradient(b, cfg).entries, g)
+        assert losses.total_loss(b, cfg).total == total
+
+
+def test_fl_tie_goes_to_lowest_index_member():
+    # Row 1 (class 1) is equally similar to members 2 and 3 of class 0, and
+    # member 0 sits between them in the label order.
+    v = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0],
+                  [0.0, 0.0, 1.0]])
+    b = EmbeddingBatch(v, np.array([0, 1, 0, 0]))
+    cfg = losses.LossConfig("fl")
+    ev = losses.evaluate(b, cfg)
+    assert ev.s[1, 2] == ev.s[1, 3] > ev.s[1, 0]
+    ws, _, _ = grads._entry_weights(objectives.OBJ_CODE["fl"], ev.s, ev.d,
+                                    ev.sets, cfg.lam, cfg.margin)
+    assert np.array_equal(ws[1], [0.0, 0.0, 1.0, 0.0])
+    expected = kernels.cosine_pullback(b.vectors, ws)
+    assert np.array_equal(grads.loss_gradient(b, cfg).entries, expected)

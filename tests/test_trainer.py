@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from setloss import losses, synthlab, trainer
+from setloss import grads, kernels, losses, synthlab, trainer
 from setloss.batch import EmbeddingBatch
-from setloss.errors import MissingClass, ValidationError
+from setloss.errors import DivergedLoss, MissingClass, ValidationError
 
 
 def small_data(seed=0, spread=0.3):
@@ -183,3 +183,48 @@ def test_minibatch_covers_every_class():
     report = trainer.run_objective(data, cfg)
     assert len(report.loss_curve) == 9
     assert math.isfinite(report.accuracy)
+
+
+def test_each_step_builds_the_kernel_once(monkeypatch):
+    # One loss evaluation per curve entry, and the gradient reuses it.
+    calls = []
+    real = kernels.squared_distances
+
+    def counted(z):
+        calls.append(1)
+        return real(z)
+
+    monkeypatch.setattr(kernels, "squared_distances", counted)
+    tr, _ = trainer.split_batch(small_data(), 0.25, seed=0)
+    steps = 4
+    _, curve = trainer.train_stage1(tr, quick_config(steps=steps))
+    assert len(curve) == steps + 1
+    assert len(calls) == steps + 1
+
+
+def test_non_finite_loss_stops_before_any_gradient(monkeypatch):
+    bad_step = 3
+    evaluations = []
+    real_total = losses.backend.total_value
+
+    def total_value(*args):
+        total, per = real_total(*args)
+        evaluations.append(1)
+        return (float("nan") if len(evaluations) == bad_step + 1 else total), per
+
+    gradients = []
+    real_gradient = grads.evaluation_gradient
+
+    def gradient(ev):
+        gradients.append(1)
+        return real_gradient(ev)
+
+    monkeypatch.setattr(losses.backend, "total_value", total_value)
+    monkeypatch.setattr(grads, "evaluation_gradient", gradient)
+    tr, _ = trainer.split_batch(small_data(), 0.25, seed=0)
+    with pytest.raises(DivergedLoss) as info:
+        trainer.train_stage1(tr, quick_config(steps=10))
+    assert info.value.step == bad_step
+    assert math.isnan(info.value.value)
+    assert len(evaluations) == bad_step + 1
+    assert len(gradients) == bad_step
