@@ -17,7 +17,6 @@ from .losses import (
     loss_fl,
     loss_gc,
     loss_logdet,
-    loss_submod_variant,
     total_loss,
 )
 from .objectives import EXPECTED_PROPERTY, OBJECTIVES
@@ -40,7 +39,6 @@ __all__ = [
     "loss_fl",
     "loss_gc",
     "loss_logdet",
-    "loss_submod_variant",
     "partition_from_labels",
     "rbf_similarity",
     "similarity",

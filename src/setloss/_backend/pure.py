@@ -5,6 +5,23 @@ scans used by the submodularity checker. The compiled backend in fastcore.pyx
 mirrors this surface exactly; parity is enforced by tests, so any change here
 must land there too.
 
+Every formula is written once, in `term_values`, over a stack of equal-size
+index sets: a (count, m) array whose rows are the subsets A. `term_value`
+is its one-row case, and `value_table` calls it once per cardinality
+m = 1..n rather than once per subset, reading each cardinality's bitmasks,
+members and complements from an index cached per n. `dr_scan` visits the
+triples of the nested submask loop it replaced, in the same order, as array
+arithmetic over a cached index of the submask pairs (A, B) on the n - 1 bits
+other than x; bit x is inserted for each x.
+
+The batched forms keep the bits of the per-subset loops they replaced. Each
+block is gathered in the loop's order and summed as one contiguous row, so
+numpy's pairwise summation sees the same sequence; per-anchor sums run as a
+column loop from the same starting value; log-sum-exp takes its logarithm
+with math.log, element by element, because np.log can differ from it in the
+last place. tests/test_pure_backend.py keeps those loops as a frozen oracle
+and pins the tables, scan results and totals to them bit for bit.
+
 Conventions shared by both backends:
   * the empty set evaluates to 0 for every objective;
   * an empty log-sum-exp over an anchor's own class (singleton set under
@@ -17,6 +34,7 @@ Conventions shared by both backends:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,132 +43,159 @@ from ..errors import NotPositiveDefinite
 
 BACKEND_NAME = "pure"
 
+# Subset tables are indexed by bitmask; the compiled core has the same cap.
+MAX_TABLE_N = 24
+
 # Objective codes, kept in sync with setloss.objectives.OBJ_CODE.
 TRIPLET, NPAIRS, OPL, SNN, SUPCON = 0, 1, 2, 3, 4
 SUB_TRIPLET, SUB_SNN, SUB_SUPCON = 5, 6, 7
 GC_SF, GC_CF, LOGDET_SF, LOGDET_CF, FL = 8, 9, 10, 11, 12
 
-
-def _lse(x: np.ndarray) -> float:
-    """Stabilized log(sum(exp(x))); -inf for an empty vector."""
-    if x.size == 0:
-        return -math.inf
-    m = float(np.max(x))
-    return m + math.log(float(np.sum(np.exp(x - m))))
+_math_log = np.frompyfunc(math.log, 1, 1)
 
 
-def _logdet_spd(m: np.ndarray) -> float:
-    """log det via symmetric positive-definite factorization."""
-    if m.shape[0] == 0:
+def _lse(x: np.ndarray) -> np.ndarray:
+    """Stabilized log(sum(exp(x))) over the last axis; -inf where it is empty."""
+    if x.shape[-1] == 0:
+        return np.full(x.shape[:-1], -math.inf)
+    top = np.max(x, axis=-1)
+    total = np.sum(np.exp(x - top[..., None]), axis=-1)
+    return top + _math_log(total).astype(float)
+
+
+def _logdet_spd(m: np.ndarray):
+    """log det via symmetric positive-definite factorization.
+
+    Takes one matrix or a stack of them over the last two axes.
+    """
+    if m.shape[-1] == 0:
         return 0.0
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(
-            f"{m.shape[0]}x{m.shape[0]} regularized block is not positive definite"
+            f"{m.shape[-1]}x{m.shape[-1]} regularized block is not positive definite"
         ) from None
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
-def term_value(code: int, s: np.ndarray, d: np.ndarray | None,
-               members: np.ndarray, lam: float, eps: float,
-               logdet_full: float | None = None) -> float:
-    """Per-class (or per-subset) term of one objective.
+def _block_sum(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sum of each row's s[rows_r x cols_r] block, read in row-major order."""
+    block = s[rows[:, :, None], cols[:, None, :]]
+    return np.sum(block.reshape(rows.shape[0], rows.shape[1] * cols.shape[1]),
+                  axis=1)
 
-    s is the similarity matrix, d the Euclidean distance matrix (only read by
-    the triplet and submod-snn codes), members the index set A. logdet_full
-    lets callers amortize log det(S_V + lam I) across logdet-cf calls.
-    """
-    members = np.asarray(members, dtype=np.int64)
-    m = members.size
-    n = s.shape[0]
+
+def _terms(code: int, s: np.ndarray, d: np.ndarray | None, mem: np.ndarray,
+           comp: np.ndarray, lam: float, eps: float,
+           logdet_full: float | None) -> np.ndarray:
+    """The formulas behind `term_values`; comp holds each row's complement."""
+    count, m = mem.shape
     if m == 0:
-        return 0.0
-    mask = np.zeros(n, dtype=bool)
-    mask[members] = True
-    comp = np.flatnonzero(~mask)
+        return np.zeros(count)
 
     if code == FL:
-        if comp.size == 0:
-            return 0.0
-        return float(np.sum(np.max(s[np.ix_(comp, members)], axis=1)))
+        nearest = np.max(s[comp[:, :, None], mem[:, None, :]], axis=2)
+        return np.sum(nearest, axis=1)
 
     if code == GC_SF:
-        cross = float(np.sum(s[np.ix_(members, comp)]))
-        within = float(np.sum(s[np.ix_(members, members)]))
-        return cross - lam * within
+        return _block_sum(s, mem, comp) - lam * _block_sum(s, mem, mem)
 
     if code == GC_CF:
-        return lam * float(np.sum(s[np.ix_(members, comp)]))
+        return lam * _block_sum(s, mem, comp)
 
     if code == LOGDET_SF or code == LOGDET_CF:
-        block = s[np.ix_(members, members)] + lam * np.eye(m)
-        val = _logdet_spd(block)
+        val = _logdet_spd(s[mem[:, :, None], mem[:, None, :]] + lam * np.eye(m))
         if code == LOGDET_CF:
             if logdet_full is None:
-                logdet_full = _logdet_spd(s + lam * np.eye(n))
+                logdet_full = _logdet_spd(s + lam * np.eye(s.shape[0]))
             val -= logdet_full
         return val
 
     if code == OPL:
-        within = float(np.sum(s[np.ix_(members, members)]))
-        cross = float(np.sum(s[np.ix_(members, comp)]))
-        return (1.0 - within) + cross
+        return (1.0 - _block_sum(s, mem, mem)) + _block_sum(s, mem, comp)
 
     if code == NPAIRS or code == SUPCON:
-        within = float(np.sum(s[np.ix_(members, members)]))
-        row = np.sum(s[members], axis=1) - 1.0
+        within = _block_sum(s, mem, mem)
+        row = np.sum(s[mem], axis=2) - 1.0
         # Rowsums at or below 1 push the log outside its domain; the scan
         # layers treat the resulting inf/nan as off-domain, not as values.
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = float(np.sum(np.log(row)))
+            logs = np.sum(np.log(row), axis=1)
         if code == NPAIRS:
             return -(within + logs)
         return -within / m + logs
 
     if code == SUB_TRIPLET:
         s2 = s * s
-        cross = float(np.sum(s2[np.ix_(members, comp)]))
-        within = float(np.sum(s2[np.ix_(members, members)]))
-        return cross - within
+        return _block_sum(s2, mem, comp) - _block_sum(s2, mem, mem)
 
+    anchors = mem[:, :, None]
     if code == SUB_SUPCON:
-        within = float(np.sum(s[np.ix_(members, members)]))
-        total = -within
-        for i in members:
-            total += _lse(s[i, comp])
+        total = -_block_sum(s, mem, mem)
+        neg = _lse(s[anchors, comp[:, None, :]])
+        for a in range(m):
+            total += neg[:, a]
         return total
 
-    if code == SNN:
-        total = 0.0
-        for i in members:
-            own = members[members != i]
-            pos = _lse(s[i, own]) if own.size else 0.0
-            neg = _lse(s[i, comp])
-            total += neg - pos
-        return total
-
-    if code == SUB_SNN:
-        total = 0.0
-        for i in members:
-            own = members[members != i]
-            pos = _lse(d[i, own]) if own.size else 0.0
-            total += pos + _lse(s[i, comp])
+    if code == SNN or code == SUB_SNN:
+        # Row a of `others` lists every position but a, in order, so
+        # own[r, a] holds anchor a's classmates in row r.
+        idx = np.arange(m - 1)
+        others = idx + (idx >= np.arange(m)[:, None])
+        own = mem[:, others]
+        if m > 1:
+            pos = _lse((s if code == SNN else d)[anchors, own])
+        else:
+            pos = np.zeros((count, m))
+        neg = _lse(s[anchors, comp[:, None, :]])
+        total = np.zeros(count)
+        for a in range(m):
+            if code == SNN:
+                total += neg[:, a] - pos[:, a]
+            else:
+                total += pos[:, a] + neg[:, a]
         return total
 
     if code == TRIPLET:
-        if comp.size == 0 or m < 2:
-            return 0.0
-        d2m = d[np.ix_(members, members)] ** 2
-        d2c = d[np.ix_(members, comp)] ** 2
-        total = 0.0
+        d2m = d[anchors, mem[:, None, :]] ** 2
+        d2c = d[anchors, comp[:, None, :]] ** 2
+        total = np.zeros(count)
         for a in range(m):
-            hinge = np.maximum(d2m[a][:, None] - d2c[a][None, :] + eps, 0.0)
-            hinge[a, :] = 0.0
-            total += float(np.sum(hinge))
+            hinge = d2m[:, a, :, None] - d2c[:, a, None, :]
+            hinge += eps
+            np.maximum(hinge, 0.0, out=hinge)
+            hinge[:, a, :] = 0.0
+            total += np.sum(hinge.reshape(count, m * comp.shape[1]), axis=1)
         return total
 
     raise ValueError(f"unknown objective code {code}")
+
+
+def term_values(code: int, s: np.ndarray, d: np.ndarray | None,
+                members: np.ndarray, lam: float, eps: float,
+                logdet_full: float | None = None) -> np.ndarray:
+    """Per-subset terms of one objective, one per row of a stack of sets.
+
+    members is a (count, m) array whose rows are index sets A of equal size
+    m, each of distinct indices; the result holds count values. s is the
+    similarity matrix, d the Euclidean distance matrix (only read by the
+    triplet and submod-snn codes). logdet_full lets callers amortize
+    log det(S_V + lam I) across logdet-cf calls.
+    """
+    members = np.asarray(members, dtype=np.int64)
+    count, m = members.shape
+    inside = np.zeros((count, s.shape[0]), dtype=bool)
+    inside[np.arange(count)[:, None], members] = True
+    comp = np.nonzero(~inside)[1].reshape(count, s.shape[0] - m)
+    return _terms(code, s, d, members, comp, lam, eps, logdet_full)
+
+
+def term_value(code: int, s: np.ndarray, d: np.ndarray | None,
+               members: np.ndarray, lam: float, eps: float,
+               logdet_full: float | None = None) -> float:
+    """Per-class (or per-subset) term of one objective: `term_values` of one row."""
+    return float(term_values(code, s, d, [members], lam, eps, logdet_full)[0])
 
 
 def total_value(code: int, s: np.ndarray, d: np.ndarray | None,
@@ -166,19 +211,87 @@ def total_value(code: int, s: np.ndarray, d: np.ndarray | None,
     return float(np.sum(per)), per
 
 
+def _frozen(*arrays):
+    """Mark cached index arrays read-only: every caller shares them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=8)
+def _lattice(n: int):
+    """(bitmasks, members, complements) of every subset of size m, m = 1..n.
+
+    Bitmasks ascend within each size, and so do each row's indices.
+    """
+    bits = np.arange(1 << n)
+    inside = (bits[:, None] >> np.arange(n)) & 1 == 1
+    size = np.sum(inside, axis=1)
+    out = []
+    for m in range(1, n + 1):
+        sub = inside[size == m]
+        out.append(_frozen(bits[size == m],
+                           np.nonzero(sub)[1].reshape(len(sub), m),
+                           np.nonzero(~sub)[1].reshape(len(sub), n - m)))
+    return tuple(out)
+
+
 def value_table(code: int, s: np.ndarray, d: np.ndarray | None,
                 lam: float, eps: float) -> np.ndarray:
-    """Objective value for every subset of V, indexed by bitmask."""
+    """Objective value for every subset of V, indexed by bitmask.
+
+    The cached index and the largest cardinality's gathered blocks grow as
+    n 2^n, so tables stay cheap up to n of about 16; the submodularity
+    checker stops at 12.
+    """
     n = s.shape[0]
+    if n > MAX_TABLE_N:
+        raise ValueError(f"subset table limited to {MAX_TABLE_N} points, got {n}")
     logdet_full = None
     if code == LOGDET_CF:
         logdet_full = _logdet_spd(s + lam * np.eye(n))
-    out = np.empty(1 << n)
-    idx = np.arange(n)
-    for bits in range(1 << n):
-        members = idx[(bits >> idx) & 1 == 1]
-        out[bits] = term_value(code, s, d, members, lam, eps, logdet_full)
+    out = np.zeros(1 << n)
+    for bits, members, comp in _lattice(n):
+        out[bits] = _terms(code, s, d, members, comp, lam, eps, logdet_full)
     return out
+
+
+# A scan judges its margins in blocks of whole x rows holding about this many
+# triples, so the margins it holds at once stay near half a megabyte.
+_SCAN_BLOCK = 1 << 16
+
+
+@functools.lru_cache(maxsize=8)
+def _scan_index(n: int, include_empty: bool):
+    """(sets, a_low, b_low): what `dr_scan` compares, in the loop's order.
+
+    Row x of sets lists every subset of V\\{x}, ascending: bit x inserted
+    into each (n-1)-bit mask. a_low and b_low index those rows with every
+    pair (A, B) of (n-1)-bit masks where A is a proper submask of B, B
+    descending and then A descending over the submasks of B; A = 0 appears
+    only with include_empty. One index of at most 3^(n-1) pairs serves
+    every x.
+    """
+    w = max(n - 1, 0)
+    low = np.arange(1 << w)
+    x = np.arange(n)[:, None]
+    sets = (low >> x << (x + 1)) | (low & ((1 << x) - 1))
+    b = low[::-1]
+    size = 1 << np.sum((b[:, None] >> np.arange(w)) & 1, axis=1)
+    bb = np.repeat(b, size)
+    # Within B's run, t counts down from 2^|B| - 1 to 0; depositing its
+    # bits into B's set bits, lowest first, lists B's submasks descending.
+    t = np.repeat(np.cumsum(size) - 1, size) - np.arange(bb.size)
+    aa = np.zeros_like(bb)
+    used = np.zeros_like(bb)
+    for j in range(w):
+        has = (bb >> j) & 1
+        aa |= ((t >> used) & has) << j
+        used += has
+    keep = aa != bb
+    if not include_empty:
+        keep &= aa != 0
+    return _frozen(sets, aa[keep], bb[keep])
 
 
 def dr_scan(table: np.ndarray, n: int, tol: float, include_empty: bool,
@@ -188,43 +301,44 @@ def dr_scan(table: np.ndarray, n: int, tol: float, include_empty: bool,
     Returns (min_margin, compared, skipped, violation_count, violations)
     where each stored violation is (A_bits, B_bits, x, gain_A, gain_B).
     Triples where either gain is non-finite lie outside the objective's
-    domain; they are skipped and tallied rather than judged.
+    domain; they are skipped and tallied rather than judged. Triples are
+    taken x by x; for each x, B runs down the subsets of V\\{x} and A down
+    the proper subsets of B, and violations are stored in that order.
     """
-    t = table
-    full = (1 << n) - 1
+    t = np.asarray(table, dtype=np.float64)
+    sets, a_low, b_low = _scan_index(n, include_empty)
+    # Non-finite values only mark off-domain subsets; their gains are
+    # tallied as skipped below, so nan from inf - inf is expected.
+    with np.errstate(invalid="ignore"):
+        gain = t[sets | (1 << np.arange(n))[:, None]] - t[sets]
     min_margin = math.inf
     compared = 0
     skipped = 0
     count = 0
     viols = []
-    for x in range(n):
-        xb = 1 << x
-        rest = full & ~xb
-        b = rest
-        while True:
-            # Plain floats: inf arithmetic without numpy scalar warnings.
-            gain_b = float(t[b | xb]) - float(t[b])
-            a = b
-            while True:
-                if a != b and (include_empty or a != 0):
-                    gain_a = float(t[a | xb]) - float(t[a])
-                    margin = gain_a - gain_b
-                    if math.isfinite(margin):
-                        compared += 1
-                        if margin < min_margin:
-                            min_margin = margin
-                        if margin < -tol:
-                            count += 1
-                            if len(viols) < max_stored:
-                                viols.append((a, b, x, float(gain_a), float(gain_b)))
-                    else:
-                        skipped += 1
-                if a == 0:
-                    break
-                a = (a - 1) & b
-            if b == 0:
-                break
-            b = (b - 1) & rest
+    pairs = max(a_low.size, 1)
+    step = max(1, _SCAN_BLOCK // pairs)
+    for x0 in range(0, n, step):
+        g = gain[x0:x0 + step]
+        with np.errstate(invalid="ignore"):
+            margin = g[:, a_low] - g[:, b_low]
+        finite = np.isfinite(margin)
+        judged = int(np.count_nonzero(finite))
+        compared += judged
+        skipped += margin.size - judged
+        if judged:
+            # argmin keeps the first of equal minima, as the loop did, so a
+            # zero minimum keeps the sign the loop met first.
+            first = np.argmin(np.where(finite, margin, math.inf))
+            if margin.flat[first] < min_margin:
+                min_margin = float(margin.flat[first])
+        bad = np.flatnonzero(finite & (margin < -tol))
+        count += bad.size
+        rows, cols = np.divmod(bad[:max(0, max_stored - len(viols))], pairs)
+        a, b = a_low[cols], b_low[cols]
+        viols.extend(zip(sets[x0 + rows, a].tolist(), sets[x0 + rows, b].tolist(),
+                         (x0 + rows).tolist(), g[rows, a].tolist(),
+                         g[rows, b].tolist()))
     return min_margin, compared, skipped, count, viols
 
 

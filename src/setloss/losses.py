@@ -188,9 +188,3 @@ def loss_baseline(batch: EmbeddingBatch, config: LossConfig) -> LossResult:
     if config.objective not in ("triplet", "n-pairs", "opl", "snn", "supcon"):
         raise ValidationError(f"{config.objective!r} is not a baseline objective")
     return total_loss(batch, config)
-
-
-def loss_submod_variant(batch: EmbeddingBatch, config: LossConfig) -> LossResult:
-    if config.objective not in ("submod-triplet", "submod-snn", "submod-supcon"):
-        raise ValidationError(f"{config.objective!r} is not a submodular variant")
-    return total_loss(batch, config)
