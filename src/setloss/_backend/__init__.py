@@ -1,34 +1,11 @@
-"""Computation backend selection.
+"""The computation core: per-class term values and subset-lattice scans.
 
-The compiled core (fastcore, Cython) and the numpy reference (pure) expose
-the same surface; the compiled one wins when importable. Set
-SCORE_KIT_BACKEND=pure or =fast to force a choice; forcing fast without the
-extension built is an ImportError rather than a silent downgrade.
+Library modules call it as `backend.<fn>`, looking the function up on each
+call, so wrapping or patching an attribute of `pure` reaches every caller.
 """
 
-import os
-
-from . import pure
-
-_choice = os.environ.get("SCORE_KIT_BACKEND", "").strip().lower()
-
-if _choice == "pure":
-    backend = pure
-elif _choice in ("", "fast"):
-    try:
-        from . import fastcore as backend
-
-        if not hasattr(backend, "total_value"):
-            raise ImportError("compiled core present but incomplete")
-    except ImportError:
-        if _choice == "fast":
-            raise
-        backend = pure
-else:
-    raise ValueError(
-        f"SCORE_KIT_BACKEND must be 'pure' or 'fast', got {_choice!r}"
-    )
+from . import pure as backend
 
 
 def backend_name() -> str:
-    return backend.BACKEND_NAME
+    return "pure"

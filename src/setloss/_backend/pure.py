@@ -1,9 +1,7 @@
-"""Numpy reference backend.
+"""The computation core: per-class terms and subset-lattice scans, in numpy.
 
 Implements per-class term values for every objective plus the subset-lattice
-scans used by the submodularity checker. The compiled backend in fastcore.pyx
-mirrors this surface exactly; parity is enforced by tests, so any change here
-must land there too.
+scans used by the submodularity checker.
 
 Every formula is written once, in `term_values`, over a stack of equal-size
 index sets: a (count, m) array whose rows are the subsets A. `term_value`
@@ -22,14 +20,17 @@ with math.log, element by element, because np.log can differ from it in the
 last place. tests/test_pure_backend.py keeps those loops as a frozen oracle
 and pins the tables, scan results and totals to them bit for bit.
 
-Conventions shared by both backends:
+Conventions:
   * the empty set evaluates to 0 for every objective;
   * an empty log-sum-exp over an anchor's own class (singleton set under
     self-exclusion) contributes 0 -- the term is dropped;
   * an empty log-sum-exp over the complement (A = V) yields -inf: the value
     genuinely diverges at the top of the lattice;
   * log-sum-exp uses max-shift stabilization;
-  * graph-cut style double sums over a class include the diagonal.
+  * graph-cut style double sums over a class include the diagonal;
+  * both lattice scans leave out comparisons that touch the empty set (the
+    DR scan unless asked, the pairwise scan always), so they judge the
+    same lattice.
 """
 
 from __future__ import annotations
@@ -39,17 +40,20 @@ import math
 
 import numpy as np
 
+from .. import objectives
 from ..errors import NotPositiveDefinite
 
-BACKEND_NAME = "pure"
-
-# Subset tables are indexed by bitmask; the compiled core has the same cap.
+# value_table refuses larger ground sets before it builds anything: a table
+# and its cached index grow as n 2^n, several GB at n = 24 already.
 MAX_TABLE_N = 24
 
-# Objective codes, kept in sync with setloss.objectives.OBJ_CODE.
-TRIPLET, NPAIRS, OPL, SNN, SUPCON = 0, 1, 2, 3, 4
-SUB_TRIPLET, SUB_SNN, SUB_SUPCON = 5, 6, 7
-GC_SF, GC_CF, LOGDET_SF, LOGDET_CF, FL = 8, 9, 10, 11, 12
+# Objective codes, looked up by name in the registry.
+(TRIPLET, NPAIRS, OPL, SNN, SUPCON, SUB_TRIPLET, SUB_SNN, SUB_SUPCON,
+ GC_SF, GC_CF, LOGDET_SF, LOGDET_CF, FL) = (
+    objectives.OBJ_CODE[name] for name in (
+        "triplet", "n-pairs", "opl", "snn", "supcon", "submod-triplet",
+        "submod-snn", "submod-supcon", "gc-sf", "gc-cf", "logdet-sf",
+        "logdet-cf", "fl"))
 
 _math_log = np.frompyfunc(math.log, 1, 1)
 
@@ -345,8 +349,11 @@ def dr_scan(table: np.ndarray, n: int, tol: float, include_empty: bool,
 def pair_scan(table: np.ndarray, n: int, tol: float, max_stored: int = 1000):
     """Scan the lattice inequality f(X)+f(Y) >= f(X|Y)+f(X&Y) over all pairs.
 
-    Same return shape and off-domain convention as dr_scan, with stored
-    violations recorded as (X_bits, Y_bits, lhs, rhs).
+    Pairs with X & Y empty are left out and not tallied, just as dr_scan
+    leaves out A = empty by default, so the two scans judge the same
+    lattice and agree in verdict on finite tables. Same return shape and
+    off-domain convention as dr_scan, with stored violations recorded as
+    (X_bits, Y_bits, lhs, rhs).
     """
     t = table
     size = 1 << n
@@ -358,6 +365,8 @@ def pair_scan(table: np.ndarray, n: int, tol: float, max_stored: int = 1000):
     for x_bits in range(size):
         fx = float(t[x_bits])
         for y_bits in range(x_bits + 1, size):
+            if not x_bits & y_bits:
+                continue
             lhs = fx + float(t[y_bits])
             rhs = float(t[x_bits | y_bits]) + float(t[x_bits & y_bits])
             margin = lhs - rhs

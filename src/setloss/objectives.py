@@ -1,7 +1,9 @@
 """Registry of the thirteen loss objectives.
 
-Integer codes are the contract between the high-level modules and the two
-interchangeable computation backends; keep them stable.
+`OBJ_CODE` gives each objective the integer code the computation core
+dispatches on; `setloss._backend.pure` reads its constants from here. The
+frozen oracle in tests/test_pure_backend.py spells the codes as literals,
+so keep the order of `OBJECTIVES` stable.
 """
 
 OBJECTIVES = (

@@ -5,15 +5,17 @@ an arbitrary subset A of the batch, with the batch's labels ignored and
 f(empty) = 0. Two exhaustive scans over the subset lattice then judge it:
 the diminishing-returns form checks f(x|A) >= f(x|B) for all A <= B <=
 V \\ {x}, and the pairwise form checks f(X) + f(Y) >= f(X u Y) + f(X n Y).
-Both agree in verdict for any set function; both are run in tests as a
-cross-check.
+Both leave out the comparisons that touch the empty set, so they judge the
+same lattice and agree in verdict for any finite-valued set function; both
+are run in tests as a cross-check.
 
 Conventions the scans rely on:
-  * Triples touching the empty set are skipped by default. The formulas
+  * Comparisons touching the empty set are left out: DR triples with
+    A = empty by default, pairs with X n Y = empty always. The formulas
     give the empty set no boundary semantics, and several objectives that
     are well-behaved everywhere else fail a naive f(empty) = 0 reading
     (the facility-location loss among them); `include_empty` restores
-    those triples for auditing.
+    those triples to the DR scan for auditing.
   * Subsets where a term leaves its domain (log of a nonpositive number,
     an empty complement's log-sum-exp) produce non-finite gains; such
     comparisons are tallied as skipped, never judged.

@@ -154,8 +154,9 @@ def test_criterion_5_imbalance_robustness():
         )
 
     # The run must land exactly on the committed reference. Counts and
-    # count-derived metrics are bit-stable; the loss value alone passes
-    # through the selectable backend, so it gets an ulp-level allowance.
+    # count-derived metrics are bit-stable; the loss value alone is summed
+    # by the computation core (`backend.total_value`), so it gets an
+    # ulp-level allowance.
     for name, rep in reports.items():
         ref = fixture["reports"][name]
         assert rep.accuracy == ref["accuracy"], name

@@ -362,6 +362,12 @@ def test_max_stored_caps_the_violation_list():
             assert len(capped[4]) == 2
             assert capped[4] == full[4][:2]
             assert capped[4] == dr_scan(table, 6, 1e-9, False)[4][:2]
+            pairs = pure.pair_scan(table, 6, 1e-9)
+            assert pairs[3] > 2
+            assert all(x & y for x, y, _, _ in pairs[4])
+            capped = pure.pair_scan(table, 6, 1e-9, 2)
+            assert capped[:4] == pairs[:4]
+            assert capped[4] == pairs[4][:2]
             break
     else:
         pytest.fail("no violating instance found in 50 seeds")

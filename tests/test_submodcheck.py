@@ -1,10 +1,11 @@
 import io
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from setloss import losses, submodcheck
+from setloss import losses, objectives, submodcheck
 from setloss.batch import EmbeddingBatch
 from setloss.errors import GroundSetTooLarge
 from setloss.sampling import Rng
@@ -133,19 +134,34 @@ def test_claimed_nonsubmodular_violations_found(name):
 
 
 def test_dr_and_pairwise_lattice_forms_agree():
-    picks = [
-        ("fl", RBF),
-        ("gc-cf", RBF),
-        ("logdet-sf", RBF),
-        ("supcon", COSINE),
-        ("triplet", COSINE),
-    ]
-    rng = Rng(9)
-    for i, (name, cfg) in enumerate(picks):
-        b = submodcheck.draw_batch(rng.derive(i), 5)
-        dr = submodcheck.exhaustive_dr_check(name, b, cfg)
-        lat = submodcheck.exhaustive_lattice_check(name, b, cfg)
-        assert (dr.violation_count > 0) == (lat.violation_count > 0), name
+    judged = violated = 0
+    for name in objectives.OBJECTIVES:
+        for cfg in (COSINE, RBF):
+            for n in (4, 5):
+                # Pairs X < Y that intersect: all pairs minus the disjoint ones.
+                intersecting = 2 ** n * (2 ** n - 1) // 2 - (3 ** n - 1) // 2
+                for seed in range(3):
+                    b = submodcheck.draw_batch(Rng(seed).derive(n), n)
+                    if not np.all(np.isfinite(submodcheck._table(name, b, cfg))):
+                        continue
+                    dr = submodcheck.exhaustive_dr_check(name, b, cfg)
+                    lat = submodcheck.exhaustive_lattice_check(name, b, cfg)
+                    where = (name, cfg.kernel, n, seed)
+                    assert (dr.violation_count > 0) == (lat.violation_count > 0), where
+                    assert lat.compared + lat.skipped == intersecting, where
+                    judged += 1
+                    violated += dr.violation_count > 0
+    assert judged >= 100 and violated >= 30
+
+    # Every violation of this draw involves the empty set: DR triples with
+    # A = empty, or disjoint pairs such as ({0}, {1}). Neither scan judges
+    # them, so both find none.
+    b = submodcheck.draw_batch(Rng(0).derive(4), 4)
+    assert submodcheck.exhaustive_dr_check("logdet-cf", b, RBF).violation_count == 0
+    assert submodcheck.exhaustive_dr_check(
+        "logdet-cf", b, RBF, include_empty=True).violation_count == 28
+    lat = submodcheck.exhaustive_lattice_check("logdet-cf", b, RBF)
+    assert (lat.violation_count, lat.compared, lat.skipped) == (0, 80, 0)
 
 
 def test_include_empty_expands_the_scan():
@@ -166,6 +182,31 @@ def test_scan_results_deterministic():
     y = submodcheck.counterexample_search("supcon", seed=7)
     assert x.violations == y.violations
     assert x.trials == y.trials
+
+
+def test_thread_pool_matches_the_serial_scan(monkeypatch):
+    # supcon under cosine: the first draw is clean and later ones violate,
+    # so the kept violation list depends on draws being merged in order.
+    def scan():
+        r = submodcheck.consistency_scan("supcon", n=6, draws=12, seed=3,
+                                         config=COSINE)
+        return repr((r.violation_count, r.compared, r.skipped, r.min_margin,
+                     r.violations))
+
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(submodcheck, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.delenv("SCORE_KIT_THREADS", raising=False)
+    serial = scan()
+    assert pools == []
+    monkeypatch.setenv("SCORE_KIT_THREADS", "2")
+    assert scan() == serial
+    assert pools == [2]
 
 
 def test_enumeration_bound_enforced():
