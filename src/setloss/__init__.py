@@ -10,15 +10,7 @@ from .kernels import (
     rbf_similarity,
     similarity,
 )
-from .losses import (
-    LossConfig,
-    LossResult,
-    loss_baseline,
-    loss_fl,
-    loss_gc,
-    loss_logdet,
-    total_loss,
-)
+from .losses import LossConfig, LossResult, total_loss
 from .objectives import EXPECTED_PROPERTY, OBJECTIVES
 
 __version__ = "0.1.0"
@@ -35,10 +27,6 @@ __all__ = [
     "cosine_similarity",
     "euclidean_distance",
     "kernel_gradient",
-    "loss_baseline",
-    "loss_fl",
-    "loss_gc",
-    "loss_logdet",
     "partition_from_labels",
     "rbf_similarity",
     "similarity",

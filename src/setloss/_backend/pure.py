@@ -1,16 +1,15 @@
-"""The computation core: per-class terms and subset-lattice scans, in numpy.
+"""The computation core: the subset lattice behind term values and scans.
 
-Implements per-class term values for every objective plus the subset-lattice
-scans used by the submodularity checker.
-
-Every formula is written once, in `term_values`, over a stack of equal-size
-index sets: a (count, m) array whose rows are the subsets A. `term_value`
-is its one-row case, and `value_table` calls it once per cardinality
-m = 1..n rather than once per subset, reading each cardinality's bitmasks,
-members and complements from an index cached per n. `dr_scan` visits the
-triples of the nested submask loop it replaced, in the same order, as array
-arithmetic over a cached index of the submask pairs (A, B) on the n - 1 bits
-other than x; bit x is inserted for each x.
+Each objective's formula lives in its `objectives` record; this module
+only dispatches to it, by the integer code the record's position gives.
+`term_values` evaluates a record's term over a stack of equal-size index
+sets: a (count, m) array whose rows are the subsets A. `term_value` is its
+one-row case, and `value_table` evaluates once per cardinality m = 1..n
+rather than once per subset, reading each cardinality's bitmasks, members
+and complements from an index cached per n. `dr_scan` visits the triples
+of the nested submask loop it replaced, in the same order, as array
+arithmetic over a cached index of the submask pairs (A, B) on the n - 1
+bits other than x; bit x is inserted for each x.
 
 The batched forms keep the bits of the per-subset loops they replaced. Each
 block is gathered in the loop's order and summed as one contiguous row, so
@@ -41,177 +40,53 @@ import math
 import numpy as np
 
 from .. import objectives
-from ..errors import NotPositiveDefinite
 
 # value_table refuses larger ground sets before it builds anything: a table
 # and its cached index grow as n 2^n, several GB at n = 24 already.
 MAX_TABLE_N = 24
 
-# Objective codes, looked up by name in the registry.
-(TRIPLET, NPAIRS, OPL, SNN, SUPCON, SUB_TRIPLET, SUB_SNN, SUB_SUPCON,
- GC_SF, GC_CF, LOGDET_SF, LOGDET_CF, FL) = (
-    objectives.OBJ_CODE[name] for name in (
-        "triplet", "n-pairs", "opl", "snn", "supcon", "submod-triplet",
-        "submod-snn", "submod-supcon", "gc-sf", "gc-cf", "logdet-sf",
-        "logdet-cf", "fl"))
 
-_math_log = np.frompyfunc(math.log, 1, 1)
-
-
-def _lse(x: np.ndarray) -> np.ndarray:
-    """Stabilized log(sum(exp(x))) over the last axis; -inf where it is empty."""
-    if x.shape[-1] == 0:
-        return np.full(x.shape[:-1], -math.inf)
-    top = np.max(x, axis=-1)
-    total = np.sum(np.exp(x - top[..., None]), axis=-1)
-    return top + _math_log(total).astype(float)
-
-
-def _logdet_spd(m: np.ndarray):
-    """log det via symmetric positive-definite factorization.
-
-    Takes one matrix or a stack of them over the last two axes.
-    """
-    if m.shape[-1] == 0:
-        return 0.0
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            f"{m.shape[-1]}x{m.shape[-1]} regularized block is not positive definite"
-        ) from None
-    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-
-
-def _block_sum(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sum of each row's s[rows_r x cols_r] block, read in row-major order."""
-    block = s[rows[:, :, None], cols[:, None, :]]
-    return np.sum(block.reshape(rows.shape[0], rows.shape[1] * cols.shape[1]),
-                  axis=1)
-
-
-def _terms(code: int, s: np.ndarray, d: np.ndarray | None, mem: np.ndarray,
-           comp: np.ndarray, lam: float, eps: float,
-           logdet_full: float | None) -> np.ndarray:
-    """The formulas behind `term_values`; comp holds each row's complement."""
-    count, m = mem.shape
-    if m == 0:
-        return np.zeros(count)
-
-    if code == FL:
-        nearest = np.max(s[comp[:, :, None], mem[:, None, :]], axis=2)
-        return np.sum(nearest, axis=1)
-
-    if code == GC_SF:
-        return _block_sum(s, mem, comp) - lam * _block_sum(s, mem, mem)
-
-    if code == GC_CF:
-        return lam * _block_sum(s, mem, comp)
-
-    if code == LOGDET_SF or code == LOGDET_CF:
-        val = _logdet_spd(s[mem[:, :, None], mem[:, None, :]] + lam * np.eye(m))
-        if code == LOGDET_CF:
-            if logdet_full is None:
-                logdet_full = _logdet_spd(s + lam * np.eye(s.shape[0]))
-            val -= logdet_full
-        return val
-
-    if code == OPL:
-        return (1.0 - _block_sum(s, mem, mem)) + _block_sum(s, mem, comp)
-
-    if code == NPAIRS or code == SUPCON:
-        within = _block_sum(s, mem, mem)
-        row = np.sum(s[mem], axis=2) - 1.0
-        # Rowsums at or below 1 push the log outside its domain; the scan
-        # layers treat the resulting inf/nan as off-domain, not as values.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.sum(np.log(row), axis=1)
-        if code == NPAIRS:
-            return -(within + logs)
-        return -within / m + logs
-
-    if code == SUB_TRIPLET:
-        s2 = s * s
-        return _block_sum(s2, mem, comp) - _block_sum(s2, mem, mem)
-
-    anchors = mem[:, :, None]
-    if code == SUB_SUPCON:
-        total = -_block_sum(s, mem, mem)
-        neg = _lse(s[anchors, comp[:, None, :]])
-        for a in range(m):
-            total += neg[:, a]
-        return total
-
-    if code == SNN or code == SUB_SNN:
-        # Row a of `others` lists every position but a, in order, so
-        # own[r, a] holds anchor a's classmates in row r.
-        idx = np.arange(m - 1)
-        others = idx + (idx >= np.arange(m)[:, None])
-        own = mem[:, others]
-        if m > 1:
-            pos = _lse((s if code == SNN else d)[anchors, own])
-        else:
-            pos = np.zeros((count, m))
-        neg = _lse(s[anchors, comp[:, None, :]])
-        total = np.zeros(count)
-        for a in range(m):
-            if code == SNN:
-                total += neg[:, a] - pos[:, a]
-            else:
-                total += pos[:, a] + neg[:, a]
-        return total
-
-    if code == TRIPLET:
-        d2m = d[anchors, mem[:, None, :]] ** 2
-        d2c = d[anchors, comp[:, None, :]] ** 2
-        total = np.zeros(count)
-        for a in range(m):
-            hinge = d2m[:, a, :, None] - d2c[:, a, None, :]
-            hinge += eps
-            np.maximum(hinge, 0.0, out=hinge)
-            hinge[:, a, :] = 0.0
-            total += np.sum(hinge.reshape(count, m * comp.shape[1]), axis=1)
-        return total
-
-    raise ValueError(f"unknown objective code {code}")
+def _terms(obj, s: np.ndarray, d: np.ndarray | None, mem: np.ndarray,
+           comp: np.ndarray, lam: float, eps: float, whole) -> np.ndarray:
+    """The record's term over mem; comp holds each row's complement."""
+    if mem.shape[1] == 0:
+        return np.zeros(mem.shape[0])
+    if whole is None:
+        whole = obj.whole_value(s, lam)
+    return obj.term(s, d, mem, comp, lam, eps, whole)
 
 
 def term_values(code: int, s: np.ndarray, d: np.ndarray | None,
                 members: np.ndarray, lam: float, eps: float,
-                logdet_full: float | None = None) -> np.ndarray:
+                whole=None) -> np.ndarray:
     """Per-subset terms of one objective, one per row of a stack of sets.
 
     members is a (count, m) array whose rows are index sets A of equal size
-    m, each of distinct indices; the result holds count values. s is the
-    similarity matrix, d the Euclidean distance matrix (only read by the
-    triplet and submod-snn codes). logdet_full lets callers amortize
-    log det(S_V + lam I) across logdet-cf calls.
+    m, each of distinct indices. s is the similarity matrix, d the distance
+    matrix that records with a `distance` read. whole lets callers amortize
+    the record's `whole_value` across calls.
     """
+    obj = objectives.by_code(code)
     members = np.asarray(members, dtype=np.int64)
     count, m = members.shape
     inside = np.zeros((count, s.shape[0]), dtype=bool)
     inside[np.arange(count)[:, None], members] = True
     comp = np.nonzero(~inside)[1].reshape(count, s.shape[0] - m)
-    return _terms(code, s, d, members, comp, lam, eps, logdet_full)
+    return _terms(obj, s, d, members, comp, lam, eps, whole)
 
 
 def term_value(code: int, s: np.ndarray, d: np.ndarray | None,
                members: np.ndarray, lam: float, eps: float,
-               logdet_full: float | None = None) -> float:
+               whole=None) -> float:
     """Per-class (or per-subset) term of one objective: `term_values` of one row."""
-    return float(term_values(code, s, d, [members], lam, eps, logdet_full)[0])
+    return float(term_values(code, s, d, [members], lam, eps, whole)[0])
 
 
 def total_value(code: int, s: np.ndarray, d: np.ndarray | None,
                 sets, lam: float, eps: float):
     """Sum of per-class terms; returns (total, per-class array)."""
-    logdet_full = None
-    if code == LOGDET_CF:
-        n = s.shape[0]
-        logdet_full = _logdet_spd(s + lam * np.eye(n))
-    per = np.array(
-        [term_value(code, s, d, a, lam, eps, logdet_full) for a in sets]
-    )
+    whole = objectives.by_code(code).whole_value(s, lam)
+    per = np.array([term_value(code, s, d, a, lam, eps, whole) for a in sets])
     return float(np.sum(per)), per
 
 
@@ -248,15 +123,14 @@ def value_table(code: int, s: np.ndarray, d: np.ndarray | None,
     n 2^n, so tables stay cheap up to n of about 16; the submodularity
     checker stops at 12.
     """
+    obj = objectives.by_code(code)
     n = s.shape[0]
     if n > MAX_TABLE_N:
         raise ValueError(f"subset table limited to {MAX_TABLE_N} points, got {n}")
-    logdet_full = None
-    if code == LOGDET_CF:
-        logdet_full = _logdet_spd(s + lam * np.eye(n))
+    whole = obj.whole_value(s, lam)
     out = np.zeros(1 << n)
     for bits, members, comp in _lattice(n):
-        out[bits] = _terms(code, s, d, members, comp, lam, eps, logdet_full)
+        out[bits] = _terms(obj, s, d, members, comp, lam, eps, whole)
     return out
 
 

@@ -226,9 +226,6 @@ def cmd_submodcheck(args) -> int:
             f"--n {n} exceeds the enumeration bound {submodcheck.ENUMERATION_BOUND}"
         )
     names = objectives.OBJECTIVES if args.objective == "all" else (args.objective,)
-    for name in names:
-        if name not in objectives.OBJ_CODE:
-            raise ValidationError(f"unknown objective {name!r}")
     seed = _seed(args, cfg)
 
     results = submodcheck.verdict_table(names, n, trials, budget, seed, tol)
@@ -237,7 +234,7 @@ def cmd_submodcheck(args) -> int:
     for res in results:
         lines.append(res.csv_row())
         # A "refuted" claim is judged like "not-submodular": violations expected.
-        expected = objectives.EXPECTED_PROPERTY[res.objective] == "submodular"
+        expected = objectives.get(res.objective).claim == "submodular"
         if expected != (res.verdict == "submodular-consistent"):
             mismatched.append(res)
     text = "\n".join(lines) + "\n"
@@ -250,7 +247,7 @@ def cmd_submodcheck(args) -> int:
             print(f"counterexample: {res.objective}: A={a} B={b} x={x} "
                   f"gain_A={ga!r} gain_B={gb!r}", file=sys.stderr)
     for res in mismatched:
-        print(f"MISMATCH: {res.objective} is claimed {objectives.EXPECTED_PROPERTY[res.objective]} "
+        print(f"MISMATCH: {res.objective} is claimed {objectives.get(res.objective).claim} "
               f"but the scan says {res.verdict} "
               f"({res.violation_count} violations, min margin {res.min_margin!r})",
               file=sys.stderr)
@@ -276,8 +273,7 @@ def cmd_sweep(args) -> int:
     if not names or not kinds or not ks:
         raise ValidationError("sweep grid must name at least one objective, kernel, and K")
     for name in names:
-        if name not in objectives.OBJ_CODE:
-            raise ValidationError(f"unknown objective {name!r} in sweep grid")
+        objectives.get(name)
     seeds = _int_list(args.seeds, "--seeds") if args.seeds is not None \
         else [_seed(args, cfg)]
 
@@ -343,8 +339,7 @@ def cmd_train(args) -> int:
     names = args.objectives.split(",") if args.objectives else \
         section.get("objectives", ["fl", "gc-cf", "supcon"])
     for name in names:
-        if name not in objectives.OBJ_CODE:
-            raise ValidationError(f"unknown objective {name!r}")
+        objectives.get(name)
 
     # lam may be a grid; per-value validity is judged per objective, so a
     # value below the graph-cut bound becomes a failure row, not an abort.

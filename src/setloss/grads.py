@@ -1,19 +1,18 @@
 """Analytic embedding gradients for every objective, with an FD verifier.
 
-Each objective is linear in a set of per-entry weights: collect dL/dS_ij,
-dL/dD_ij, and dL/dD^2_ij over the class partition, then pull each weight
-matrix back to the embeddings through the kernel chain rules in `kernels`.
-The weight builders mirror the value formulas in `losses` term for term,
-including the conventions that matter for agreement with finite
-differences: anchors are excluded from their own soft-nearest-neighbor
-sums, empty sums contribute nothing, and double sums keep the diagonal
-(which the pullbacks then discard, every kernel diagonal being constant).
+Each objective is linear in a set of per-entry weights. Its record's weight
+rule (see `objectives`) collects dL/dS_ij, and dL/dD_ij or dL/dD^2_ij, class
+by class; this module pulls each weight matrix back to the embeddings
+through the kernel chain rules in `kernels`. Double sums keep their
+diagonal weights, which the pullbacks discard, every kernel diagonal being
+constant.
 
 Nonsmooth points are handled by fixed subgradient choices: the
 facility-location max takes the lowest-index argmax, and a triplet hinge
 sitting exactly at zero contributes zero. The checker excludes coordinates
-near either kind of kink (gap or hinge argument within 1e-3) instead of
-pretending finite differences mean something there.
+that a record's kink rule marks (gap or hinge argument within
+`objectives.TIE_GAP`) instead of pretending finite differences mean
+something there.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ import numpy as np
 from . import kernels, losses, objectives
 from .batch import EmbeddingBatch, partition_from_labels
 from .sampling import Rng
-
-TIE_GAP = 1e-3
 
 
 def check_batch(n: int, dim: int, seed: int) -> EmbeddingBatch:
@@ -59,102 +56,18 @@ class GradCheckReport:
     excluded: int = 0
 
 
-def _softmax(v: np.ndarray) -> np.ndarray:
-    shifted = np.exp(v - np.max(v))
-    return shifted / np.sum(shifted)
-
-
 def _entry_weights(code, s, d, sets, lam, eps):
     """(dL/dS, dL/dD, dL/dD^2) as n x n matrices, or None where unused."""
+    obj = objectives.by_code(code)
     n = s.shape[0]
-    everything = np.arange(n)
     ws = np.zeros((n, n))
-    wd = wd2 = None
-
-    if code == objectives.OBJ_CODE["logdet-cf"]:
-        inv_full = np.linalg.inv(s + lam * np.eye(n))
-
+    wdist = np.zeros((n, n)) if obj.distance is not None else None
+    whole = obj.whole_weight(s, lam)
     for members in sets:
         a = np.asarray(members, dtype=np.intp)
-        comp = np.setdiff1d(everything, a, assume_unique=True)
-        aa = np.ix_(a, a)
-
-        if code == objectives.OBJ_CODE["triplet"]:
-            if wd2 is None:
-                wd2 = np.zeros((n, n))
-            d2 = d * d
-            for i in a:
-                for p in a:
-                    if p == i or comp.size == 0:
-                        continue
-                    active = d2[i, p] - d2[i, comp] + eps > 0.0
-                    wd2[i, p] += float(np.sum(active))
-                    wd2[i, comp] -= active.astype(float)
-
-        elif code == objectives.OBJ_CODE["n-pairs"]:
-            ws[aa] -= 1.0
-            inv_row = 1.0 / (np.sum(s[a], axis=1) - 1.0)
-            ws[a] -= inv_row[:, None]
-
-        elif code == objectives.OBJ_CODE["opl"]:
-            ws[aa] -= 1.0
-            ws[np.ix_(a, comp)] += 1.0
-
-        elif code == objectives.OBJ_CODE["snn"]:
-            for i in a:
-                own = a[a != i]
-                if own.size:
-                    ws[i, own] -= _softmax(s[i, own])
-                if comp.size:
-                    ws[i, comp] += _softmax(s[i, comp])
-
-        elif code == objectives.OBJ_CODE["supcon"]:
-            ws[aa] -= 1.0 / a.size
-            inv_row = 1.0 / (np.sum(s[a], axis=1) - 1.0)
-            ws[a] += inv_row[:, None]
-
-        elif code == objectives.OBJ_CODE["submod-triplet"]:
-            ws[np.ix_(a, comp)] += 2.0 * s[np.ix_(a, comp)]
-            ws[aa] -= 2.0 * s[aa]
-
-        elif code == objectives.OBJ_CODE["submod-snn"]:
-            if wd is None:
-                wd = np.zeros((n, n))
-            for i in a:
-                own = a[a != i]
-                if own.size:
-                    wd[i, own] += _softmax(d[i, own])
-                if comp.size:
-                    ws[i, comp] += _softmax(s[i, comp])
-
-        elif code == objectives.OBJ_CODE["submod-supcon"]:
-            ws[aa] -= 1.0
-            for i in a:
-                if comp.size:
-                    ws[i, comp] += _softmax(s[i, comp])
-
-        elif code == objectives.OBJ_CODE["gc-sf"]:
-            ws[np.ix_(a, comp)] += 1.0
-            ws[aa] -= lam
-
-        elif code == objectives.OBJ_CODE["gc-cf"]:
-            ws[np.ix_(a, comp)] += lam
-
-        elif code == objectives.OBJ_CODE["logdet-sf"]:
-            ws[aa] += np.linalg.inv(s[aa] + lam * np.eye(a.size))
-
-        elif code == objectives.OBJ_CODE["logdet-cf"]:
-            ws[aa] += np.linalg.inv(s[aa] + lam * np.eye(a.size))
-            ws -= inv_full
-
-        elif code == objectives.OBJ_CODE["fl"]:
-            # Each outside row's weight goes to its first (lowest-index) max.
-            ws[comp, a[np.argmax(s[np.ix_(comp, a)], axis=1)]] += 1.0
-
-        else:
-            raise ValueError(f"no gradient rule for objective code {code}")
-
-    return ws, wd, wd2
+        comp = np.setdiff1d(np.arange(n), a, assume_unique=True)
+        obj.weights(ws, wdist, s, d, a, comp, lam, eps, whole)
+    return (ws, wdist, None) if obj.distance == "d" else (ws, None, wdist)
 
 
 def evaluation_gradient(ev: losses.Evaluation) -> GradientMatrix:
@@ -206,38 +119,13 @@ def finite_difference_gradient(batch: EmbeddingBatch, config: losses.LossConfig,
 
 def _excluded_rows(batch: EmbeddingBatch, config: losses.LossConfig,
                    s: np.ndarray, d: np.ndarray | None) -> np.ndarray:
-    """Rows too close to a kink for finite differences to be trusted."""
+    """Rows too close to one of the objective's kinks for finite differences."""
     rows = np.zeros(batch.n, dtype=bool)
-    sets = list(partition_from_labels(batch.labels))
-    everything = np.arange(batch.n)
-
-    if config.objective == "fl":
-        for a in sets:
-            a = np.asarray(a)
-            if a.size < 2:
-                continue
-            for i in np.setdiff1d(everything, a, assume_unique=True):
-                vals = s[i, a]
-                order = np.argsort(vals)
-                if vals[order[-1]] - vals[order[-2]] < TIE_GAP:
-                    rows[i] = True
-                    rows[a[order[-1]]] = True
-                    rows[a[order[-2]]] = True
-
-    if config.objective == "triplet":
-        d2 = d * d
-        for a in sets:
-            a = np.asarray(a)
-            comp = np.setdiff1d(everything, a, assume_unique=True)
-            for i in a:
-                for p in a:
-                    if p == i:
-                        continue
-                    near = np.abs(d2[i, p] - d2[i, comp] + config.margin) < TIE_GAP
-                    if np.any(near):
-                        rows[i] = True
-                        rows[p] = True
-                        rows[comp[near]] = True
+    kinks = objectives.get(config.objective).kinks
+    for a in partition_from_labels(batch.labels):
+        a = np.asarray(a)
+        comp = np.setdiff1d(np.arange(batch.n), a, assume_unique=True)
+        kinks(rows, s, d, a, comp, config.margin)
     return rows
 
 

@@ -1,27 +1,9 @@
 """Objective values over labeled batches.
 
 Thirteen objectives share one evaluation path: build the kernel matrices,
-split the batch into its class partition, evaluate one term per class, and
-sum. Per-class terms, written for class A (complement O = V \\ A, |V| = n,
-similarity S, squared distance D^2, margin eps, weight lam):
-
-    triplet         sum_{i,p in A, i!=p} sum_{n in O} max(0, D^2_ip - D^2_in + eps)
-    n-pairs         -[ sum_{i,j in A} S_ij + sum_{i in A} log(sum_{j in V} S_ij - 1) ]
-    opl             (1 - sum_{i,j in A} S_ij) + sum_{i in A, j in O} S_ij
-    snn             -sum_{i in A} [ log sum_{j in A\\{i}} e^{S_ij} - log sum_{j in O} e^{S_ij} ]
-    supcon          -(1/|A|) sum_{i,j in A} S_ij + sum_{i in A} log(sum_{j in V} S_ij - 1)
-    submod-triplet  sum_{i in A, n in O} S^2_in - sum_{i,p in A} S^2_ip
-    submod-snn      sum_{i in A} [ log sum_{j in A\\{i}} e^{D_ij} + log sum_{j in O} e^{S_ij} ]
-    submod-supcon   -sum_{i,j in A} S_ij + sum_{i in A} log sum_{j in O} e^{S_ij}
-    gc-sf           sum_{i in A, j in O} S_ij - lam * sum_{i,j in A} S_ij
-    gc-cf           lam * sum_{i in A, j in O} S_ij
-    logdet-sf       log det(S_A + lam I)
-    logdet-cf       log det(S_A + lam I) - log det(S_V + lam I)
-    fl              sum_{i in O} max_{j in A} S_ij        (+ n for the "sf" variant)
-
-Double sums over a class run over all ordered pairs including i = j; the
-"- 1" inside the n-pairs and supcon logarithms is a literal scalar; snn-style
-inner sums exclude the anchor itself. There is no temperature parameter.
+check the batch against the objective's domain, split the batch into its
+class partition, evaluate one term per class, and sum. The terms, and the
+domain each objective declares, live in its `objectives` record.
 """
 
 from __future__ import annotations
@@ -36,7 +18,6 @@ from ._backend import backend
 from .batch import EmbeddingBatch, partition_from_labels
 from .errors import (
     DegenerateBatch,
-    LambdaBelowOne,
     NonPositiveBandwidth,
     SingleClassBatch,
     ValidationError,
@@ -58,11 +39,7 @@ class LossConfig:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if self.objective not in objectives.OBJ_CODE:
-            raise ValidationError(
-                f"unknown objective {self.objective!r}; "
-                f"choose from {', '.join(objectives.OBJECTIVES)}"
-            )
+        obj = objectives.get(self.objective)
         if self.kernel not in kernels.SIMILARITY_KINDS:
             raise ValidationError(
                 f"unknown kernel {self.kernel!r}; choose from "
@@ -72,12 +49,7 @@ class LossConfig:
             raise NonPositiveBandwidth(self.bandwidth)
         if self.margin < 0:
             raise ValidationError(f"margin must be >= 0, got {self.margin}")
-        if self.objective in objectives.GC_OBJECTIVES and self.lam < 1.0:
-            raise LambdaBelowOne(self.lam)
-        if self.objective in objectives.LOGDET_OBJECTIVES and not (self.lam > 0):
-            raise ValidationError(
-                f"log-det objectives need lam > 0, got {self.lam}"
-            )
+        obj.check_lam(self.lam)
 
 
 @dataclass
@@ -91,37 +63,36 @@ class LossResult:
 def matrices(batch: EmbeddingBatch, config: LossConfig):
     """(similarity, distance) matrices for one batch under one config."""
     s = kernels.similarity(batch, config.kernel, config.bandwidth).entries
-    need_d = config.objective in objectives.NEEDS_DISTANCE
+    need_d = objectives.get(config.objective).distance is not None
     d = kernels.euclidean_distance(batch).entries if need_d else None
     return s, d
 
 
 def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray) -> None:
     """Raise DegenerateBatch for batches the objective cannot score."""
-    obj = config.objective
-    c = batch.num_classes
-    if c < 2:
-        if obj in objectives.SINGLE_CLASS_OK:
+    obj = objectives.get(config.objective)
+    if batch.num_classes < 2:
+        if obj.single_class_ok:
             warnings.warn(
-                f"{obj}: batch has a single class; cross-class terms are all zero",
+                f"{obj.name}: batch has a single class; cross-class terms are all zero",
                 SingleClassBatch,
                 stacklevel=4,
             )
             return
-        raise DegenerateBatch(obj, "needs >= 2 classes")
-    if obj == "triplet":
+        raise DegenerateBatch(obj.name, "needs >= 2 classes")
+    if obj.min_class_size > 1:
         sizes = np.bincount(batch.labels)
-        if sizes.min() < 2:
+        if sizes.min() < obj.min_class_size:
             raise DegenerateBatch(
-                obj, f"every anchor needs a positive pair; class {int(sizes.argmin())} "
-                     f"has {int(sizes.min())} sample"
+                obj.name, f"every anchor needs a positive pair; class "
+                          f"{int(sizes.argmin())} has {int(sizes.min())} sample"
             )
-    if obj in objectives.NEEDS_POSITIVE_ROWSUM:
+    if obj.positive_rowsum:
         row = np.sum(s, axis=1) - 1.0
         bad = np.flatnonzero(row <= 0)
         if bad.size:
             raise DegenerateBatch(
-                obj,
+                obj.name,
                 f"log argument sum_j S_ij - 1 = {row[bad[0]]:.6g} <= 0 at row {int(bad[0])}",
             )
 
@@ -156,35 +127,3 @@ def evaluate(batch: EmbeddingBatch, config: LossConfig) -> Evaluation:
 def total_loss(batch: EmbeddingBatch, config: LossConfig) -> LossResult:
     """L(theta) = sum_k L(theta, A_k) over the batch's class partition."""
     return evaluate(batch, config).result
-
-
-def _variant_config(config: LossConfig, objective: str) -> LossConfig:
-    return LossConfig(objective, config.lam, config.margin, config.kernel, config.bandwidth)
-
-
-def loss_fl(batch: EmbeddingBatch, config: LossConfig, variant: str = "cf") -> LossResult:
-    """Facility-location loss; the "sf" variant adds |V| to every class term."""
-    res = total_loss(batch, _variant_config(config, "fl"))
-    if variant == "sf":
-        per = res.per_class + batch.n
-        return LossResult("fl", float(per.sum()), per, res.config)
-    if variant != "cf":
-        raise ValidationError(f"fl variant must be 'sf' or 'cf', got {variant!r}")
-    return res
-
-def loss_gc(batch: EmbeddingBatch, config: LossConfig, variant: str = "sf") -> LossResult:
-    if variant not in ("sf", "cf"):
-        raise ValidationError(f"gc variant must be 'sf' or 'cf', got {variant!r}")
-    return total_loss(batch, _variant_config(config, f"gc-{variant}"))
-
-
-def loss_logdet(batch: EmbeddingBatch, config: LossConfig, variant: str = "sf") -> LossResult:
-    if variant not in ("sf", "cf"):
-        raise ValidationError(f"logdet variant must be 'sf' or 'cf', got {variant!r}")
-    return total_loss(batch, _variant_config(config, f"logdet-{variant}"))
-
-
-def loss_baseline(batch: EmbeddingBatch, config: LossConfig) -> LossResult:
-    if config.objective not in ("triplet", "n-pairs", "opl", "snn", "supcon"):
-        raise ValidationError(f"{config.objective!r} is not a baseline objective")
-    return total_loss(batch, config)

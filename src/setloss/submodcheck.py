@@ -21,7 +21,7 @@ Conventions the scans rely on:
     comparisons are tallied as skipped, never judged.
 
 Two search flows feed the verdict table, routed by what the paper claims
-(`objectives.EXPECTED_PROPERTY`), not by what has since been proved.
+(each `objectives` record's claim), not by what has since been proved.
 Claimed-submodular objectives, "refuted" ones included, run a consistency
 scan over RBF kernels of random unit embeddings, the regime where the
 graph-cut and coverage arguments behind those claims hold (nonnegative
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,27 +82,17 @@ class LatticeCheckResult:
                 f"{self.violation_count},{self.min_margin!r},{self.verdict}")
 
 
-def _scan_config(objective: str, config: losses.LossConfig) -> losses.LossConfig:
-    return losses.LossConfig(objective, config.lam, config.margin,
-                             config.kernel, config.bandwidth)
-
-
 def as_set_function(objective: str, batch: EmbeddingBatch,
                     config: losses.LossConfig):
     """A |-> L(theta, A) with the batch fixed and classes ignored."""
-    cfg = _scan_config(objective, config)
+    cfg = replace(config, objective=objective)
     s, d = losses.matrices(batch, cfg)
     code = objectives.OBJ_CODE[objective]
-    logdet_full = None
-    if objective == "logdet-cf":
-        from .setfuncs import logdet_psd
-
-        logdet_full = logdet_psd(s + cfg.lam * np.eye(batch.n))
+    whole = objectives.get(objective).whole_value(s, cfg.lam)
 
     def evaluate(a) -> float:
         members = np.asarray(sorted(int(i) for i in a), dtype=np.intp)
-        return backend.term_value(code, s, d, members, cfg.lam, cfg.margin,
-                                  logdet_full)
+        return backend.term_value(code, s, d, members, cfg.lam, cfg.margin, whole)
 
     return evaluate
 
@@ -114,10 +104,21 @@ def _bits_to_tuple(bits: int, n: int) -> tuple[int, ...]:
 def _table(objective: str, batch: EmbeddingBatch, config: losses.LossConfig):
     if batch.n > ENUMERATION_BOUND:
         raise GroundSetTooLarge(batch.n, ENUMERATION_BOUND)
-    cfg = _scan_config(objective, config)
+    cfg = replace(config, objective=objective)
     s, d = losses.matrices(batch, cfg)
     code = objectives.OBJ_CODE[objective]
     return backend.value_table(code, s, d, cfg.lam, cfg.margin)
+
+
+def _dr_check(objective: str, batch: EmbeddingBatch, config: losses.LossConfig,
+              tolerance: float, include_empty: bool) -> LatticeCheckResult:
+    """One DR scan, with its stored violations' sets still as bitmasks."""
+    table = _table(objective, batch, config)
+    mm, compared, skipped, count, viols = backend.dr_scan(
+        table, batch.n, tolerance, include_empty
+    )
+    return LatticeCheckResult(objective, batch.n, 1, viols, count,
+                              float(mm), compared, skipped)
 
 
 def exhaustive_dr_check(objective: str, batch: EmbeddingBatch,
@@ -125,17 +126,8 @@ def exhaustive_dr_check(objective: str, batch: EmbeddingBatch,
                         tolerance: float = DEFAULT_TOLERANCE,
                         include_empty: bool = False) -> LatticeCheckResult:
     """Scan every diminishing-returns triple of the batch's subset lattice."""
-    table = _table(objective, batch, config)
-    n = batch.n
-    mm, compared, skipped, count, viols = backend.dr_scan(
-        table, n, tolerance, include_empty
-    )
-    decoded = [
-        (_bits_to_tuple(a, n), _bits_to_tuple(b, n), x, ga, gb)
-        for a, b, x, ga, gb in viols
-    ]
-    return LatticeCheckResult(objective, n, 1, decoded, count,
-                              float(mm), compared, skipped)
+    return _merge(objective, batch.n,
+                  [_dr_check(objective, batch, config, tolerance, include_empty)])
 
 
 def exhaustive_lattice_check(objective: str, batch: EmbeddingBatch,
@@ -174,9 +166,8 @@ def _scan_draws(objective: str, config: losses.LossConfig, n: int,
     rng = Rng(seed)
 
     def one(i: int):
-        return exhaustive_dr_check(
-            objective, draw_batch(rng.derive(i), n), config, tolerance
-        )
+        return _dr_check(objective, draw_batch(rng.derive(i), n), config,
+                         tolerance, False)
 
     cap = _thread_cap()
     results = []
@@ -193,6 +184,7 @@ def _scan_draws(objective: str, config: losses.LossConfig, n: int,
 
 
 def _merge(objective: str, n: int, per_draw) -> LatticeCheckResult:
+    """Sum the draws' tallies and decode the first violating draw's list."""
     out = LatticeCheckResult(objective, n, len(per_draw))
     for res in per_draw:
         out.violation_count += res.violation_count
@@ -201,6 +193,8 @@ def _merge(objective: str, n: int, per_draw) -> LatticeCheckResult:
         out.min_margin = min(out.min_margin, res.min_margin)
         out.compared += res.compared
         out.skipped += res.skipped
+    out.violations = [(_bits_to_tuple(a, n), _bits_to_tuple(b, n), x, ga, gb)
+                      for a, b, x, ga, gb in out.violations]
     return out
 
 
@@ -230,11 +224,11 @@ def verdict_table(names=objectives.OBJECTIVES, n: int = 6, draws: int = 200,
     "refuted" ones: the paper claims them submodular too, and scanning
     every draw in full counts all their violations. Claimed non-submodular
     ones get the counterexample search. The caller compares each verdict
-    against `objectives.EXPECTED_PROPERTY`.
+    against the record's claim.
     """
     out = []
     for name in names:
-        if objectives.EXPECTED_PROPERTY[name] != "not-submodular":
+        if objectives.get(name).claim != "not-submodular":
             out.append(consistency_scan(name, n, draws, seed, tolerance))
         else:
             out.append(counterexample_search(name, n=n, max_draws=max_draws,

@@ -213,3 +213,14 @@ def test_fl_tie_goes_to_lowest_index_member():
     assert np.array_equal(ws[1], [0.0, 0.0, 1.0, 0.0])
     expected = kernels.cosine_pullback(b.vectors, ws)
     assert np.array_equal(grads.loss_gradient(b, cfg).entries, expected)
+
+
+def test_triplet_kink_rule_marks_the_rows_of_a_hinge_at_zero():
+    # Anchor 0, positive 1 and negative 2 sit on the hinge:
+    # D^2_01 - D^2_02 + eps = 1 - 1.2 + 0.2 = 0. Row 3 is far from any.
+    v = np.array([[0.0, 1.0], [1.0, 1.0], [np.sqrt(1.2), 1.0], [10.0, 1.0]])
+    b = EmbeddingBatch(v, np.array([0, 0, 1, 1]))
+    cfg = losses.LossConfig("triplet", margin=0.2)
+    s, d = losses.matrices(b, cfg)
+    rows = grads._excluded_rows(b, cfg, s, d)
+    assert rows.tolist() == [True, True, True, False]

@@ -141,13 +141,6 @@ def test_permutation_invariance():
         )
 
 
-def test_fl_sf_cf_differ_by_ground_set_size():
-    b = random_batch(seed=7)
-    cf = losses.loss_fl(b, losses.LossConfig("fl"), variant="cf")
-    sf = losses.loss_fl(b, losses.LossConfig("fl"), variant="sf")
-    assert np.allclose(sf.per_class - cf.per_class, b.n)
-
-
 def test_opl_equals_gc_sf_plus_one():
     for seed in range(5):
         b = random_batch(seed=seed)
@@ -203,21 +196,3 @@ def test_npairs_rejects_nonpositive_rowsum():
     b = EmbeddingBatch(v, np.array([0, 0, 1, 1]))
     with pytest.raises(DegenerateBatch, match="log argument"):
         losses.total_loss(b, losses.LossConfig("n-pairs"))
-
-
-def test_wrapper_entry_points_agree_with_total_loss():
-    b = random_batch(seed=11)
-    cfg = losses.LossConfig("fl")
-    assert losses.loss_gc(b, cfg, "cf").total == pytest.approx(
-        losses.total_loss(b, losses.LossConfig("gc-cf")).total
-    )
-    assert losses.loss_logdet(b, cfg, "sf").total == pytest.approx(
-        losses.total_loss(b, losses.LossConfig("logdet-sf")).total
-    )
-    assert losses.loss_baseline(
-        b, losses.LossConfig("supcon")
-    ).total == pytest.approx(losses.total_loss(b, losses.LossConfig("supcon")).total)
-    with pytest.raises(ValidationError):
-        losses.loss_baseline(b, losses.LossConfig("fl"))
-    with pytest.raises(ValidationError):
-        losses.loss_fl(b, cfg, variant="xx")

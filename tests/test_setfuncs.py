@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from setloss import kernels, setfuncs
+from setloss import grads, kernels, losses, setfuncs, submodcheck
 from setloss.batch import EmbeddingBatch, partition_from_labels
 from setloss.errors import NotPositiveDefinite, ValidationError
 from setloss.sampling import Rng
@@ -187,3 +187,39 @@ def test_cofactor_oracle_small_sets():
             assert setfuncs.eval_set_function(f, s, a) == pytest.approx(
                 expected, rel=1e-9, abs=1e-11
             )
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.7])
+@pytest.mark.parametrize("kernel", ["cosine", "rbf"])
+def test_loss_terms_match_textbook_forms(kernel, lam):
+    # The loss forms against the textbook ones on every nonempty subset.
+    # Both kernels have unit diagonals, so each member of A is its own
+    # nearest element and the fl term misses exactly |A| from textbook FL.
+    n = 7
+    b = submodcheck.draw_batch(Rng(5), n)
+    cfg = losses.LossConfig(kernel=kernel, lam=lam)
+    s, _ = losses.matrices(b, cfg)
+    fl = submodcheck.as_set_function("fl", b, cfg)
+    gc = submodcheck.as_set_function("gc-cf", b, cfg)
+    ld = submodcheck.as_set_function("logdet-sf", b, cfg)
+    kinds = {kind: setfuncs.SetFunctionKind(kind, lam)
+             for kind in setfuncs.SET_FUNCTION_KINDS}
+    for size in range(1, n + 1):
+        for a in itertools.combinations(range(n), size):
+            book = {kind: setfuncs.eval_set_function(f, s, a)
+                    for kind, f in kinds.items()}
+            assert abs(fl(a) + size - book["facility-location"]) <= 1e-12
+            assert abs(gc(a) - lam * book["graph-cut"]) <= 1e-12
+            assert abs(ld(a) - book["log-det"]) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.7])
+@pytest.mark.parametrize("kernel", ["cosine", "rbf"])
+def test_logdet_cf_is_sf_minus_classes_times_full_logdet(kernel, lam):
+    b = grads.check_batch(12, 8, 0)
+    sf = losses.total_loss(b, losses.LossConfig("logdet-sf", lam, kernel=kernel))
+    cf = losses.total_loss(b, losses.LossConfig("logdet-cf", lam, kernel=kernel))
+    s, _ = losses.matrices(b, losses.LossConfig(kernel=kernel))
+    full = setfuncs.logdet_psd(s + lam * np.eye(b.n))
+    assert abs(cf.total - (sf.total - b.num_classes * full)) <= 1e-12
+

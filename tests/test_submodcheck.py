@@ -184,6 +184,21 @@ def test_scan_results_deterministic():
     assert x.trials == y.trials
 
 
+def test_multi_draw_scan_decodes_only_the_kept_violations(monkeypatch):
+    # Every submod-snn draw violates, but only the first one's list is kept.
+    calls = []
+    decode = submodcheck._bits_to_tuple
+
+    def counting(bits, n):
+        calls.append(bits)
+        return decode(bits, n)
+
+    monkeypatch.setattr(submodcheck, "_bits_to_tuple", counting)
+    res = submodcheck.consistency_scan("submod-snn", n=6, draws=5)
+    assert res.violations and isinstance(res.violations[0][0], tuple)
+    assert len(calls) <= 2 * len(res.violations)
+
+
 def test_thread_pool_matches_the_serial_scan(monkeypatch):
     # supcon under cosine: the first draw is clean and later ones violate,
     # so the kept violation list depends on draws being merged in order.
