@@ -17,8 +17,11 @@ Exit codes, stable and script-friendly:
 
 A JSON config file can stand in for flags via ``--config``; sections are
 ``dataset``, ``loss``, ``train``, ``sweep``, ``check``, plus a top-level
-``seed``. Unknown sections or keys are rejected rather than ignored, and
-explicit flags win over config values.
+``seed``. Unknown sections or keys, and values of the wrong JSON type, are
+rejected with an error naming the ``section.key``; ``loss.lam`` may be a
+list (a grid) only under ``train``. Every setting resolves one way: the
+flag if given, else the config value, else the library's own default.
+``sweep`` also reads ``loss.lam``, ``loss.margin`` and ``loss.bandwidth``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -43,18 +47,57 @@ EXIT_GRADCHECK = 4
 EXIT_VERDICT = 5
 EXIT_IO = 6
 
+# Each config key's JSON type, as named in error messages.
 CONFIG_KEYS = {
-    "dataset": {"kind", "c", "d", "base_count", "decay", "ratio", "spread",
-                "separation", "k", "points_per_cluster"},
-    "loss": {"objective", "lam", "margin", "kernel", "bandwidth"},
-    "train": {"lr", "steps", "batch_size", "eval_split", "out_dim",
-              "normalize", "objectives"},
-    "sweep": {"ks", "objectives", "kernels", "points_per_cluster", "spread"},
-    "check": {"n", "trials", "budget", "tolerance"},
+    "dataset": {"kind": "string", "c": "integer", "d": "integer",
+                "base_count": "integer", "decay": "number", "ratio": "number",
+                "spread": "number", "separation": "number or null",
+                "k": "integer", "points_per_cluster": "integer"},
+    "loss": {"objective": "string", "lam": "number", "margin": "number",
+             "kernel": "string", "bandwidth": "number"},
+    "train": {"lr": "number", "steps": "integer", "batch_size": "integer or null",
+              "eval_split": "number", "out_dim": "integer or null",
+              "normalize": "boolean", "objectives": "list of strings"},
+    "sweep": {"ks": "list of integers", "objectives": "list of strings",
+              "kernels": "list of strings", "points_per_cluster": "integer",
+              "spread": "number"},
+    "check": {"n": "integer", "trials": "integer", "budget": "integer",
+              "tolerance": "number"},
 }
+LAM_GRID = "number or list of numbers"
+
+# json.load gives exact types, so `type(v) in` keeps booleans out of numbers.
+JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,),
+              "boolean": (bool,), "null": (type(None),)}
+
+# The loss section's keys other than the objective.
+LOSS_PARAMS = ("lam", "margin", "kernel", "bandwidth")
+
+# check-section key -> verdict_table keyword
+VERDICT_PARAMS = {"n": "n", "trials": "draws", "budget": "max_draws",
+                  "tolerance": "tolerance"}
+
+# Settings the library leaves to its caller: the sweep grid, the objectives
+# train compares, and the imbalanced dataset.
+SWEEP_GRID = {"objectives": ["fl", "gc-cf"], "kernels": ["cosine", "rbf"],
+              "ks": [0, 2, 4, 5, 7]}
+TRAIN_OBJECTIVES = ["fl", "gc-cf", "supcon"]
+IMBALANCED_DATASET = {"kind": "longtail", "c": 4, "d": 10, "base_count": 600,
+                      "decay": 0.1, "ratio": 10.0, "spread": 1.0}
 
 
-def load_config(path) -> dict:
+def _check_type(path, name: str, value, spec: str) -> None:
+    """Reject a loaded value unless it has type `spec`, e.g. "number or null"."""
+    if not any(
+        type(value) is list and all(type(v) in JSON_TYPES[alt[8:-1]] for v in value)
+        if alt.startswith("list of ") else type(value) in JSON_TYPES[alt]
+        for alt in spec.split(" or ")
+    ):
+        raise ValidationError(f"{path}: {name} must be of type {spec}, got {value!r}")
+
+
+def load_config(path, lam_grid: bool = False) -> dict:
+    """Read and check a config file; `lam_grid` admits a list for loss.lam."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -64,6 +107,7 @@ def load_config(path) -> dict:
         raise ValidationError(f"{path}: config must be a JSON object")
     for section, content in doc.items():
         if section == "seed":
+            _check_type(path, "seed", content, "integer")
             continue
         allowed = CONFIG_KEYS.get(section)
         if allowed is None:
@@ -73,12 +117,31 @@ def load_config(path) -> dict:
             )
         if not isinstance(content, dict):
             raise ValidationError(f"{path}: section {section!r} must be an object")
-        unknown = set(content) - allowed
+        unknown = set(content) - set(allowed)
         if unknown:
             raise ValidationError(
                 f"{path}: unknown key {sorted(unknown)[0]!r} in section {section!r}"
             )
+        for key, value in content.items():
+            grid = lam_grid and section == "loss" and key == "lam"
+            _check_type(path, f"{section}.{key}", value,
+                        LAM_GRID if grid else allowed[key])
     return doc
+
+
+def resolve(args, values: dict, keys) -> dict:
+    """Each key's setting: its flag if one was given, else its entry in
+    `values` (a config section). Keys set by neither are left out, so the
+    library's own default applies when the result is passed as keywords.
+    """
+    out = {}
+    for key in keys:
+        value = getattr(args, key, None)
+        if value is None:
+            value = values.get(key)
+        if value is not None:
+            out[key] = value
+    return out
 
 
 def write_text(path, text: str) -> None:
@@ -109,51 +172,31 @@ class GradCheckFailed(Exception):
     pass
 
 
-def _loss_config(args, cfg: dict) -> losses.LossConfig:
-    section = cfg.get("loss", {})
-
-    def pick(flag, key, default):
-        return flag if flag is not None else section.get(key, default)
-
-    return losses.LossConfig(
-        objective=pick(getattr(args, "objective", None), "objective", "fl"),
-        lam=pick(getattr(args, "lam", None), "lam", 1.0),
-        margin=pick(getattr(args, "margin", None), "margin", 0.2),
-        kernel=pick(getattr(args, "kernel", None), "kernel", "cosine"),
-        bandwidth=pick(getattr(args, "bandwidth", None), "bandwidth", 1.0),
-    )
+def _comma_list(raw: str) -> list[str]:
+    return raw.split(",")
 
 
-def _int_list(raw: str, flag: str) -> list[int]:
+def _comma_ints(raw: str) -> list[int]:
     try:
         return [int(v) for v in raw.split(",")]
     except ValueError:
-        raise ValidationError(f"{flag} expects a comma list of integers, got {raw!r}")
+        raise argparse.ArgumentTypeError(
+            f"expects a comma list of integers, got {raw!r}") from None
 
 
 def _seed(args, cfg: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    return 0
+    return resolve(args, cfg, ("seed",)).get("seed", 0)
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
+def cmd_eval(args, cfg: dict) -> int:
     batch = read_embedding_file(args.input)
-    config = _loss_config(args, cfg)
+    config = losses.LossConfig(**resolve(args, cfg.get("loss", {}), CONFIG_KEYS["loss"]))
     result = losses.total_loss(batch, config)
     payload = {
         "objective": result.objective,
         "total": result.total,
         "per_class": [float(v) for v in result.per_class],
-        "config": {
-            "lam": config.lam,
-            "margin": config.margin,
-            "kernel": config.kernel,
-            "bandwidth": config.bandwidth,
-        },
+        "config": {key: getattr(config, key) for key in LOSS_PARAMS},
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -162,29 +205,19 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
+def cmd_gradcheck(args, cfg: dict) -> int:
     if not args.h > 0:
         raise ValidationError(f"--h must be positive, got {args.h}")
     if args.n < 2 or args.d < 1:
         raise ValidationError(f"need n >= 2 and d >= 1, got n={args.n}, d={args.d}")
     names = objectives.OBJECTIVES if args.objective == "all" else (args.objective,)
     seed = _seed(args, cfg)
-    section = cfg.get("loss", {})
-
-    def pick(flag, key, default):
-        return flag if flag is not None else section.get(key, default)
+    loss = resolve(args, cfg.get("loss", {}), LOSS_PARAMS)
 
     reports = []
     failed = []
     for name in names:
-        config = losses.LossConfig(
-            name,
-            pick(args.lam, "lam", 1.0),
-            pick(args.margin, "margin", 0.2),
-            pick(args.kernel, "kernel", "cosine"),
-            pick(args.bandwidth, "bandwidth", 1.0),
-        )
+        config = losses.LossConfig(name, **loss)
         batch = grads.check_batch(args.n, args.d, seed)
         report = grads.grad_check(batch, config, args.h, args.tol)
         reports.append(report)
@@ -195,52 +228,29 @@ def cmd_gradcheck(args) -> int:
         if not report.passed:
             failed.append(name)
     if args.out:
-        payload = [
-            {
-                "objective": r.objective,
-                "max_abs_error": r.max_abs_error,
-                "max_rel_error": r.max_rel_error,
-                "worst_coordinate": list(r.worst_coordinate),
-                "excluded": r.excluded,
-                "passed": r.passed,
-            }
-            for r in reports
-        ]
+        payload = [asdict(r) for r in reports]
         write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if failed:
         raise GradCheckFailed(", ".join(failed))
     return EXIT_OK
 
 
-def cmd_submodcheck(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    section = cfg.get("check", {})
-    n = args.n if args.n is not None else section.get("n", 6)
-    trials = args.trials if args.trials is not None else section.get("trials", 200)
-    budget = args.budget if args.budget is not None else section.get("budget", 1000)
-    tol = args.tol if args.tol is not None else section.get(
-        "tolerance", submodcheck.DEFAULT_TOLERANCE
-    )
-    if n > submodcheck.ENUMERATION_BOUND:
-        raise ValidationError(
-            f"--n {n} exceeds the enumeration bound {submodcheck.ENUMERATION_BOUND}"
-        )
+def cmd_submodcheck(args, cfg: dict) -> int:
     names = objectives.OBJECTIVES if args.objective == "all" else (args.objective,)
-    seed = _seed(args, cfg)
-
-    results = submodcheck.verdict_table(names, n, trials, budget, seed, tol)
-    lines = [submodcheck.VERDICT_HEADER]
-    mismatched = []
-    for res in results:
-        lines.append(res.csv_row())
-        # A "refuted" claim is judged like "not-submodular": violations expected.
-        expected = objectives.get(res.objective).claim == "submodular"
-        if expected != (res.verdict == "submodular-consistent"):
-            mismatched.append(res)
-    text = "\n".join(lines) + "\n"
+    check = resolve(args, cfg.get("check", {}), VERDICT_PARAMS)
+    results = submodcheck.verdict_table(
+        names, seed=_seed(args, cfg),
+        **{VERDICT_PARAMS[key]: value for key, value in check.items()},
+    )
+    # A "refuted" claim is judged like "not-submodular": violations expected.
+    mismatched = [res for res in results
+                  if (objectives.get(res.objective).claim == "submodular")
+                  != (res.verdict == "submodular-consistent")]
+    buf = io.StringIO()
+    submodcheck.write_verdict_csv(results, buf)
     if args.out:
-        write_text(args.out, text)
-    sys.stdout.write(text)
+        write_text(args.out, buf.getvalue())
+    sys.stdout.write(buf.getvalue())
     for res in results:
         if res.verdict == "violated" and res not in mismatched and res.violations:
             a, b, x, ga, gb = res.violations[0]
@@ -259,27 +269,19 @@ def cmd_submodcheck(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    section = cfg.get("sweep", {})
-    names = args.objectives.split(",") if args.objectives is not None else \
-        section.get("objectives", ["fl", "gc-cf"])
-    kinds = args.kernels.split(",") if args.kernels is not None else \
-        section.get("kernels", ["cosine", "rbf"])
-    ks = _int_list(args.ks, "--ks") if args.ks is not None else \
-        section.get("ks", [0, 2, 4, 5, 7])
-    points = section.get("points_per_cluster", 100)
-    spread = section.get("spread", 0.3)
+def cmd_sweep(args, cfg: dict) -> int:
+    grid = {**SWEEP_GRID, **resolve(args, cfg.get("sweep", {}), CONFIG_KEYS["sweep"])}
+    names, kinds, ks = grid.pop("objectives"), grid.pop("kernels"), grid.pop("ks")
     if not names or not kinds or not ks:
         raise ValidationError("sweep grid must name at least one objective, kernel, and K")
     for name in names:
         objectives.get(name)
-    seeds = _int_list(args.seeds, "--seeds") if args.seeds is not None \
-        else [_seed(args, cfg)]
+    loss = resolve(args, cfg.get("loss", {}), ("lam", "margin", "bandwidth"))
+    seeds = args.seeds or [_seed(args, cfg)]
 
     all_ok = True
     for seed in seeds:
-        result = synthlab.k_sweep(names, kinds, ks, points, spread, seed)
+        result = synthlab.k_sweep(names, kinds, ks, seed=seed, **grid, **loss)
         out = args.out
         if out and len(seeds) > 1:
             root, ext = os.path.splitext(out)
@@ -307,65 +309,40 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _dataset_from_config(section: dict, seed: int):
-    kind = section.get("kind", "longtail")
-    if kind == "k":
+def _dataset(args, section: dict, seed: int):
+    if section.get("kind") == "k":
         return synthlab.make_k_dataset(
-            section.get("k", 0),
-            section.get("points_per_cluster", 100),
-            section.get("spread", 0.3),
-            seed,
+            section.get("k", 0), seed=seed,
+            **resolve(args, section, ("points_per_cluster", "spread")),
         )
-    ratio_or_decay = section.get("decay", 0.1) if kind == "longtail" \
-        else section.get("ratio", 10.0)
+    v = {**IMBALANCED_DATASET, **resolve(args, section, CONFIG_KEYS["dataset"])}
     return synthlab.make_imbalanced_dataset(
-        kind,
-        section.get("c", 4),
-        section.get("d", 10),
-        section.get("base_count", 600),
-        ratio_or_decay,
-        section.get("spread", 1.0),
-        seed,
-        section.get("separation"),
+        v["kind"], v["c"], v["d"], v["base_count"],
+        v["decay"] if v["kind"] == "longtail" else v["ratio"],
+        v["spread"], seed, v.get("separation"),
     )
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
+def cmd_train(args, cfg: dict) -> int:
     seed = _seed(args, cfg)
-    data = _dataset_from_config(cfg.get("dataset", {}), seed)
-    loss_section = cfg.get("loss", {})
-    section = cfg.get("train", {})
-    names = args.objectives.split(",") if args.objectives else \
-        section.get("objectives", ["fl", "gc-cf", "supcon"])
+    data = _dataset(args, cfg.get("dataset", {}), seed)
+    settings = resolve(args, cfg.get("train", {}), CONFIG_KEYS["train"])
+    names = settings.pop("objectives", TRAIN_OBJECTIVES)
     for name in names:
         objectives.get(name)
 
     # lam may be a grid; per-value validity is judged per objective, so a
     # value below the graph-cut bound becomes a failure row, not an abort.
-    lam_spec = loss_section.get("lam", 1.0)
-    lams = list(lam_spec) if isinstance(lam_spec, list) else [lam_spec]
+    loss = resolve(args, cfg.get("loss", {}), LOSS_PARAMS)
+    grid = loss.pop("lam") if isinstance(loss.get("lam"), list) else None
+    base = trainer.TrainConfig(losses.LossConfig(**loss), seed=seed, **settings)
+    lams = [base.loss.lam] if grid is None else grid
     if not lams:
         raise ValidationError("loss.lam grid is empty")
 
     reports = []
     for lam in lams:
-        template = losses.LossConfig(
-            "fl", lam,
-            loss_section.get("margin", 0.2),
-            loss_section.get("kernel", "cosine"),
-            loss_section.get("bandwidth", 1.0),
-        )
-        config = trainer.TrainConfig(
-            loss=template,
-            lr=section.get("lr", 0.1),
-            steps=section.get("steps", 500),
-            batch_size=section.get("batch_size"),
-            seed=seed,
-            eval_split=section.get("eval_split", 0.25),
-            out_dim=section.get("out_dim"),
-            normalize=section.get("normalize", True),
-        )
+        config = replace(base, loss=replace(base.loss, lam=lam))
         batch_reports = trainer.compare_objectives(names, data, config)
         if len(lams) > 1:
             for rep in batch_reports:
@@ -433,33 +410,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", dest="tolerance", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_submodcheck)
 
     p = sub.add_parser("sweep", help="loss versus cluster-separation K")
     common(p)
-    p.add_argument("--objectives", default=None, help="comma list")
-    p.add_argument("--kernels", default=None, help="comma list")
-    p.add_argument("--ks", default=None, help="comma list of K in 0..7")
-    p.add_argument("--seeds", default=None, help="comma list; one file per seed")
+    p.add_argument("--objectives", type=_comma_list, default=None, help="comma list")
+    p.add_argument("--kernels", type=_comma_list, default=None, help="comma list")
+    p.add_argument("--ks", type=_comma_ints, default=None, help="comma list of K in 0..7")
+    p.add_argument("--seeds", type=_comma_ints, default=None,
+                   help="comma list; one file per seed")
     p.add_argument("--assert-ordering", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("train", help="two-stage comparison over objectives")
     common(p)
-    p.add_argument("--objectives", default=None, help="comma list")
+    p.add_argument("--objectives", type=_comma_list, default=None, help="comma list")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(args.config, lam_grid=args.command == "train") if args.config else {}
+        return args.func(args, cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -472,10 +450,7 @@ def main(argv=None) -> int:
     except VerdictMismatch as exc:
         print(f"verdict mismatch: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except IOFailure as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (IOFailure, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SetLossError as exc:

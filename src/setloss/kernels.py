@@ -87,13 +87,17 @@ def euclidean_distance(batch) -> DistanceMatrix:
     return DistanceMatrix(np.sqrt(squared_distances(_vectors(batch))))
 
 
+def _rbf_entries(d2: np.ndarray, bandwidth: float) -> np.ndarray:
+    s = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
+    np.fill_diagonal(s, 1.0)
+    return s
+
+
 def rbf_similarity(batch, bandwidth: float = 1.0) -> SimilarityMatrix:
     if not (bandwidth > 0):
         raise NonPositiveBandwidth(bandwidth)
-    d2 = squared_distances(_vectors(batch))
-    s = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
-    np.fill_diagonal(s, 1.0)
-    return SimilarityMatrix(s, "rbf", bandwidth)
+    return SimilarityMatrix(_rbf_entries(squared_distances(_vectors(batch)), bandwidth),
+                            "rbf", bandwidth)
 
 
 def similarity(batch, kind: str = "cosine", bandwidth: float = 1.0) -> SimilarityMatrix:
@@ -104,6 +108,18 @@ def similarity(batch, kind: str = "cosine", bandwidth: float = 1.0) -> Similarit
     if kind == "neg-euclidean":
         return SimilarityMatrix(-euclidean_distance(batch).entries, "neg-euclidean")
     raise ValidationError(f"unknown kernel kind {kind!r}")
+
+
+def similarity_and_distance(batch, kind: str = "cosine", bandwidth: float = 1.0):
+    """(S, D) entries, equal to `similarity` and `euclidean_distance` but
+    with one squared-distance pass under rbf and neg-euclidean."""
+    if kind == "rbf" and bandwidth > 0:
+        d2 = squared_distances(_vectors(batch))
+        return _rbf_entries(d2, bandwidth), np.sqrt(d2)
+    if kind == "neg-euclidean":
+        d = euclidean_distance(batch).entries
+        return -d, d
+    return similarity(batch, kind, bandwidth).entries, euclidean_distance(batch).entries
 
 
 def kernel_gradient(batch, kind: str, i: int, j: int, bandwidth: float = 1.0):

@@ -61,11 +61,14 @@ class LossResult:
 
 
 def matrices(batch: EmbeddingBatch, config: LossConfig):
-    """(similarity, distance) matrices for one batch under one config."""
-    s = kernels.similarity(batch, config.kernel, config.bandwidth).entries
-    need_d = objectives.get(config.objective).distance is not None
-    d = kernels.euclidean_distance(batch).entries if need_d else None
-    return s, d
+    """(similarity, distance) matrices for one batch under one config.
+
+    D is built only for objectives that read it, from the same squared
+    distances as S where the kernel uses them.
+    """
+    if objectives.get(config.objective).distance is None:
+        return kernels.similarity(batch, config.kernel, config.bandwidth).entries, None
+    return kernels.similarity_and_distance(batch, config.kernel, config.bandwidth)
 
 
 def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray) -> None:

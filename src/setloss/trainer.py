@@ -25,7 +25,7 @@ identical initial W.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -250,12 +250,7 @@ def compare_objectives(names, data: EmbeddingBatch,
     out = []
     for name in names:
         try:
-            cfg = TrainConfig(
-                losses.LossConfig(name, config.loss.lam, config.loss.margin,
-                                  config.loss.kernel, config.loss.bandwidth),
-                config.lr, config.steps, config.batch_size, config.seed,
-                config.eval_split, config.out_dim, config.normalize,
-            )
+            cfg = replace(config, loss=replace(config.loss, objective=name))
             out.append(run_objective(data, cfg))
         except SetLossError as exc:
             nan = float("nan")

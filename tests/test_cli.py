@@ -1,10 +1,13 @@
+import inspect
+import io
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from setloss import cli
+from setloss import cli, grads, losses, submodcheck, synthlab, trainer
 from setloss.errors import SingleClassBatch
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -229,4 +232,184 @@ def test_train_unwritable_out_is_io_failure(tmp_path, capsys):
     code = cli.main(["train", "--config", str(train_config(tmp_path, 1.0)),
                      "--out", str(blocker)])
     assert code == 6
+    capsys.readouterr()
+
+
+# Settings resolve the same way in every command: a flag beats the config
+# file, and a key set by neither falls through to the library's default.
+# Each observer runs one command with the library call it ends in replaced
+# by a recorder, and returns the settings that call received.
+
+LOSS_FIELDS = ("lam", "margin", "kernel", "bandwidth")
+TRAIN_FIELDS = ("lr", "steps", "batch_size", "seed", "eval_split", "out_dim",
+                "normalize")
+
+
+def _bound(fn, args, kwargs):
+    bound = inspect.signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return bound.arguments
+
+
+def _train_settings(names, config):
+    out = {"names": list(names)}
+    out.update({key: getattr(config, key) for key in TRAIN_FIELDS})
+    out.update({f"loss.{key}": getattr(config.loss, key) for key in LOSS_FIELDS})
+    return out
+
+
+def _observe_gradcheck(monkeypatch, argv, tmp_path):
+    seen = []
+    real = grads.grad_check
+    monkeypatch.setattr(grads, "grad_check",
+                        lambda batch, config, *a: seen.append(config) or real(batch, config, *a))
+    cli.main(["gradcheck", "--objective", "fl"] + argv)
+    return {key: getattr(seen[0], key) for key in LOSS_FIELDS}
+
+
+def _observe_submodcheck(monkeypatch, argv, tmp_path):
+    seen = {}
+    real = submodcheck.verdict_table
+    monkeypatch.setattr(submodcheck, "verdict_table",
+                        lambda *a, **kw: seen.update(_bound(real, a, kw)) or [])
+    cli.main(["submodcheck", "--objective", "fl"] + argv)
+    return {key: seen[key] for key in ("n", "draws", "max_draws", "seed", "tolerance")}
+
+
+def _observe_sweep(monkeypatch, argv, tmp_path):
+    seen = {}
+    real = synthlab.k_sweep
+    monkeypatch.setattr(synthlab, "k_sweep",
+                        lambda *a, **kw: seen.update(_bound(real, a, kw))
+                        or synthlab.SweepResult([]))
+    cli.main(["sweep"] + argv)
+    return {key: list(seen[key]) if key in ("names", "kinds", "ks") else seen[key]
+            for key in ("names", "kinds", "ks", "points_per_cluster", "spread", "seed")}
+
+
+def _observe_train(monkeypatch, argv, tmp_path):
+    seen = {}
+
+    def record(names, data, config):
+        seen.update(_train_settings(names, config))
+        c = data.num_classes
+        return [trainer.TrainReport(name, [0.0], 1.0, np.ones(c),
+                                    np.eye(c, dtype=np.int64), 0.0, 1.0)
+                for name in names]
+
+    monkeypatch.setattr(trainer, "compare_objectives", record)
+    cli.main(["train", "--out", str(tmp_path / "run")] + argv)
+    return seen
+
+
+def _library_defaults(command):
+    loss = losses.LossConfig()
+    if command == "gradcheck":
+        return {key: getattr(loss, key) for key in LOSS_FIELDS}
+    if command == "submodcheck":
+        return _bound(submodcheck.verdict_table, (), {})
+    if command == "sweep":
+        # the grid itself is the CLI's; the rest falls to k_sweep
+        return _bound(synthlab.k_sweep, (["fl", "gc-cf"], ["cosine", "rbf"],
+                                         [0, 2, 4, 5, 7]), {})
+    return _train_settings(["fl", "gc-cf", "supcon"], trainer.TrainConfig())
+
+
+PRECEDENCE = {
+    "gradcheck": (
+        {"loss": {"lam": 2.0, "margin": 0.3, "kernel": "rbf", "bandwidth": 0.5}},
+        {"lam": 2.0, "margin": 0.3, "kernel": "rbf", "bandwidth": 0.5},
+        ["--lam", "3.0", "--margin", "0.1", "--kernel", "cosine", "--bandwidth", "2.0"],
+        {"lam": 3.0, "margin": 0.1, "kernel": "cosine", "bandwidth": 2.0},
+    ),
+    "submodcheck": (
+        {"check": {"n": 5, "trials": 7, "budget": 9, "tolerance": 1e-6}, "seed": 3},
+        {"n": 5, "draws": 7, "max_draws": 9, "seed": 3, "tolerance": 1e-6},
+        ["--n", "4", "--trials", "8", "--budget", "10", "--tol", "1e-7", "--seed", "4"],
+        {"n": 4, "draws": 8, "max_draws": 10, "seed": 4, "tolerance": 1e-7},
+    ),
+    "sweep": (
+        {"sweep": {"objectives": ["gc-cf"], "kernels": ["rbf"], "ks": [1, 3],
+                   "points_per_cluster": 20, "spread": 0.5}, "seed": 2},
+        {"names": ["gc-cf"], "kinds": ["rbf"], "ks": [1, 3],
+         "points_per_cluster": 20, "spread": 0.5, "seed": 2},
+        ["--objectives", "fl", "--kernels", "cosine", "--ks", "2", "--seed", "5"],
+        {"names": ["fl"], "kinds": ["cosine"], "ks": [2],
+         "points_per_cluster": 20, "spread": 0.5, "seed": 5},
+    ),
+    "train": (
+        {"dataset": {"kind": "step", "c": 3, "d": 4, "base_count": 30, "ratio": 3.0},
+         "train": {"lr": 0.01, "steps": 3, "batch_size": 16, "eval_split": 0.3,
+                   "out_dim": 2, "normalize": False, "objectives": ["gc-cf"]},
+         "loss": {"lam": 2.0, "margin": 0.3, "kernel": "rbf", "bandwidth": 0.7},
+         "seed": 4},
+        {"names": ["gc-cf"], "lr": 0.01, "steps": 3, "batch_size": 16, "seed": 4,
+         "eval_split": 0.3, "out_dim": 2, "normalize": False, "loss.lam": 2.0,
+         "loss.margin": 0.3, "loss.kernel": "rbf", "loss.bandwidth": 0.7},
+        ["--objectives", "fl,supcon", "--seed", "6"],
+        {"names": ["fl", "supcon"], "lr": 0.01, "steps": 3, "batch_size": 16,
+         "seed": 6, "eval_split": 0.3, "out_dim": 2, "normalize": False,
+         "loss.lam": 2.0, "loss.margin": 0.3, "loss.kernel": "rbf",
+         "loss.bandwidth": 0.7},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ["config", "flag", "default"])
+@pytest.mark.parametrize("command", sorted(PRECEDENCE))
+def test_settings_flag_then_config_then_library_default(command, case, tmp_path,
+                                                        monkeypatch, capsys):
+    config, from_config, flags, from_flags = PRECEDENCE[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv, want = {
+        "config": (["--config", str(cfg)], from_config),
+        "flag": (["--config", str(cfg)] + flags, from_flags),
+        "default": ([], _library_defaults(command)),
+    }[case]
+    got = globals()[f"_observe_{command}"](monkeypatch, argv, tmp_path)
+    assert got == {key: want[key] for key in got}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["submodcheck", "--objective", "fl"], {"check": {"n": "6"}}, "check.n"),
+    (["submodcheck", "--objective", "fl"], {"seed": "abc"}, "seed"),
+    (["gradcheck", "--objective", "gc-cf"], {"loss": {"lam": "x"}}, "loss.lam"),
+    (["eval", "--input", FOUR_POINT, "--objective", "fl"], {"loss": {"lam": "x"}},
+     "loss.lam"),
+    (["train"], {"train": {"steps": "5"}}, "train.steps"),
+    (["sweep"], {"sweep": {"ks": "0,4"}}, "sweep.ks"),
+    (["eval", "--input", FOUR_POINT], {"loss": {"lam": [1.0, 2.0]}}, "loss.lam"),
+], ids=["check.n", "seed", "lam-gc-cf", "lam-fl", "train.steps", "sweep.ks",
+        "lam-list-eval"])
+def test_mistyped_config_value_is_rejected_by_name(argv, config, key, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = ["--out", str(tmp_path / "run")] if argv[0] == "train" else []
+    assert cli.main(argv + out + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f" {key} must be " in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_reads_loss_section(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"loss": {"lam": 2.0, "margin": 0.5, "bandwidth": 0.3}}))
+    code = cli.main(["sweep", "--objectives", "gc-cf,triplet", "--kernels", "rbf",
+                     "--ks", "0", "--config", str(cfg)])
+    assert code == 0
+    want = io.StringIO()
+    synthlab.k_sweep(["gc-cf", "triplet"], ["rbf"], [0], lam=2.0, margin=0.5,
+                     bandwidth=0.3).write_csv(want)
+    assert capsys.readouterr().out == want.getvalue()
+
+
+def test_train_empty_objectives_flag_rejected(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = cli.main(["train", "--config", str(train_config(tmp_path, 1.0)),
+                     "--objectives", "", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
     capsys.readouterr()

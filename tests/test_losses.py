@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from setloss import losses, objectives
+from setloss import kernels, losses, objectives
 from setloss.batch import EmbeddingBatch
 from setloss.errors import (DegenerateBatch, LambdaBelowOne, SingleClassBatch,
                             ValidationError)
@@ -196,3 +196,20 @@ def test_npairs_rejects_nonpositive_rowsum():
     b = EmbeddingBatch(v, np.array([0, 0, 1, 1]))
     with pytest.raises(DegenerateBatch, match="log argument"):
         losses.total_loss(b, losses.LossConfig("n-pairs"))
+
+
+@pytest.mark.parametrize("kernel", ["rbf", "neg-euclidean"])
+@pytest.mark.parametrize("name", ["triplet", "submod-snn"])
+def test_matrices_build_squared_distances_once(name, kernel, monkeypatch):
+    batch = random_batch()
+    config = losses.LossConfig(name, kernel=kernel, bandwidth=0.7)
+    want_s = kernels.similarity(batch, kernel, 0.7).entries
+    want_d = kernels.euclidean_distance(batch).entries
+    calls = []
+    real = kernels.squared_distances
+    monkeypatch.setattr(kernels, "squared_distances",
+                        lambda z: calls.append(1) or real(z))
+    s, d = losses.matrices(batch, config)
+    assert len(calls) == 1
+    assert np.array_equal(s, want_s)
+    assert np.array_equal(d, want_d)
