@@ -51,13 +51,12 @@ def main():
     print(f"value_table and dr_scan n={args.n} ({1 << args.n} subsets); "
           f"total_value n={args.batch}, 4 classes; best of {args.repeat}")
     print(f"{'objective':<16} {'table':>11} {'scan':>11} {'total':>11}")
-    for name in objectives.OBJECTIVES:
-        code = objectives.OBJ_CODE[name]
-        table = pure.value_table(code, s, d, 1.0, 0.2)
-        tp = best_of(args.repeat, lambda: pure.value_table(code, s, d, 1.0, 0.2))
+    for obj in objectives.REGISTRY:
+        table = pure.value_table(obj, s, d, 1.0, 0.2)
+        tp = best_of(args.repeat, lambda: pure.value_table(obj, s, d, 1.0, 0.2))
         sp = best_of(args.repeat, lambda: pure.dr_scan(table, args.n, 1e-9, False))
-        vp = best_of(args.repeat, lambda: pure.total_value(code, sb, db, sets, 1.0, 0.2))
-        print(f"{name:<16} {tp * 1e3:>9.2f}ms {sp * 1e3:>9.2f}ms {vp * 1e6:>9.1f}us")
+        vp = best_of(args.repeat, lambda: pure.total_value(obj, sb, db, sets, 1.0, 0.2))
+        print(f"{obj.name:<16} {tp * 1e3:>9.2f}ms {sp * 1e3:>9.2f}ms {vp * 1e6:>9.1f}us")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """The computation core: the subset lattice behind term values and scans.
 
-Each objective's formula lives in its `objectives` record; this module
-only dispatches to it, by the integer code the record's position gives.
-`term_values` evaluates a record's term over a stack of equal-size index
+Each objective's formula lives in its `objectives` record, which callers
+pass in as `obj`; this module only supplies the index sets it is evaluated
+on. `term_values` evaluates a record's term over a stack of equal-size index
 sets: a (count, m) array whose rows are the subsets A. `term_value` is its
 one-row case, and `value_table` evaluates once per cardinality m = 1..n
 rather than once per subset, reading each cardinality's bitmasks, members
@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .. import objectives
+from ..objectives import Objective
 
 # value_table refuses larger ground sets before it builds anything: a table
 # and its cached index grow as n 2^n, several GB at n = 24 already.
@@ -56,7 +56,7 @@ def _terms(obj, s: np.ndarray, d: np.ndarray | None, mem: np.ndarray,
     return obj.term(s, d, mem, comp, lam, eps, whole)
 
 
-def term_values(code: int, s: np.ndarray, d: np.ndarray | None,
+def term_values(obj: Objective, s: np.ndarray, d: np.ndarray | None,
                 members: np.ndarray, lam: float, eps: float,
                 whole=None) -> np.ndarray:
     """Per-subset terms of one objective, one per row of a stack of sets.
@@ -66,7 +66,6 @@ def term_values(code: int, s: np.ndarray, d: np.ndarray | None,
     matrix that records with a `distance` read. whole lets callers amortize
     the record's `whole_value` across calls.
     """
-    obj = objectives.by_code(code)
     members = np.asarray(members, dtype=np.int64)
     count, m = members.shape
     inside = np.zeros((count, s.shape[0]), dtype=bool)
@@ -75,18 +74,18 @@ def term_values(code: int, s: np.ndarray, d: np.ndarray | None,
     return _terms(obj, s, d, members, comp, lam, eps, whole)
 
 
-def term_value(code: int, s: np.ndarray, d: np.ndarray | None,
+def term_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
                members: np.ndarray, lam: float, eps: float,
                whole=None) -> float:
     """Per-class (or per-subset) term of one objective: `term_values` of one row."""
-    return float(term_values(code, s, d, [members], lam, eps, whole)[0])
+    return float(term_values(obj, s, d, [members], lam, eps, whole)[0])
 
 
-def total_value(code: int, s: np.ndarray, d: np.ndarray | None,
+def total_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
                 sets, lam: float, eps: float):
     """Sum of per-class terms; returns (total, per-class array)."""
-    whole = objectives.by_code(code).whole_value(s, lam)
-    per = np.array([term_value(code, s, d, a, lam, eps, whole) for a in sets])
+    whole = obj.whole_value(s, lam)
+    per = np.array([term_value(obj, s, d, a, lam, eps, whole) for a in sets])
     return float(np.sum(per)), per
 
 
@@ -115,7 +114,7 @@ def _lattice(n: int):
     return tuple(out)
 
 
-def value_table(code: int, s: np.ndarray, d: np.ndarray | None,
+def value_table(obj: Objective, s: np.ndarray, d: np.ndarray | None,
                 lam: float, eps: float) -> np.ndarray:
     """Objective value for every subset of V, indexed by bitmask.
 
@@ -123,7 +122,6 @@ def value_table(code: int, s: np.ndarray, d: np.ndarray | None,
     n 2^n, so tables stay cheap up to n of about 16; the submodularity
     checker stops at 12.
     """
-    obj = objectives.by_code(code)
     n = s.shape[0]
     if n > MAX_TABLE_N:
         raise ValueError(f"subset table limited to {MAX_TABLE_N} points, got {n}")

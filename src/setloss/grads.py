@@ -56,9 +56,8 @@ class GradCheckReport:
     excluded: int = 0
 
 
-def _entry_weights(code, s, d, sets, lam, eps):
+def _entry_weights(obj, s, d, sets, lam, eps):
     """(dL/dS, dL/dD, dL/dD^2) as n x n matrices, or None where unused."""
-    obj = objectives.by_code(code)
     n = s.shape[0]
     ws = np.zeros((n, n))
     wdist = np.zeros((n, n)) if obj.distance is not None else None
@@ -73,8 +72,8 @@ def _entry_weights(code, s, d, sets, lam, eps):
 def evaluation_gradient(ev: losses.Evaluation) -> GradientMatrix:
     """Analytic dL/dZ from the matrices and partition one evaluation used."""
     config = ev.config
-    code = objectives.OBJ_CODE[config.objective]
-    ws, wd, wd2 = _entry_weights(code, ev.s, ev.d, ev.sets, config.lam, config.margin)
+    ws, wd, wd2 = _entry_weights(objectives.get(config.objective), ev.s, ev.d,
+                                 ev.sets, config.lam, config.margin)
 
     z = ev.batch.vectors
     grad = np.zeros_like(z)
@@ -138,11 +137,11 @@ def grad_check(batch: EmbeddingBatch, config: losses.LossConfig,
     tolerance), so tiny coordinates are judged against the absolute floor
     and the pass condition stays exactly max_rel_error <= tolerance.
     """
-    analytic = loss_gradient(batch, config).entries
+    ev = losses.evaluate(batch, config)
+    analytic = evaluation_gradient(ev).entries
     fd = finite_difference_gradient(batch, config, h).entries
 
-    s, d = losses.matrices(batch, config)
-    rows = _excluded_rows(batch, config, s, d)
+    rows = _excluded_rows(batch, config, ev.s, ev.d)
     keep = ~rows
 
     diff = np.abs(analytic - fd)

@@ -34,6 +34,14 @@ NORM_FLOOR = 1e-12
 SIMILARITY_KINDS = ("cosine", "rbf", "neg-euclidean")
 
 
+def check_kind(kind: str) -> str:
+    """`kind` if it names a kernel; else ValidationError listing the choices."""
+    if kind not in SIMILARITY_KINDS:
+        raise ValidationError(
+            f"unknown kernel {kind!r}; choose from {', '.join(SIMILARITY_KINDS)}")
+    return kind
+
+
 @dataclass
 class SimilarityMatrix:
     entries: np.ndarray

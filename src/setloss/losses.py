@@ -40,11 +40,7 @@ class LossConfig:
 
     def __post_init__(self):
         obj = objectives.get(self.objective)
-        if self.kernel not in kernels.SIMILARITY_KINDS:
-            raise ValidationError(
-                f"unknown kernel {self.kernel!r}; choose from "
-                + ", ".join(kernels.SIMILARITY_KINDS)
-            )
+        kernels.check_kind(self.kernel)
         if self.kernel == "rbf" and not (self.bandwidth > 0):
             raise NonPositiveBandwidth(self.bandwidth)
         if self.margin < 0:
@@ -121,8 +117,8 @@ def evaluate(batch: EmbeddingBatch, config: LossConfig) -> Evaluation:
     s, d = matrices(batch, config)
     check_preconditions(batch, config, s)
     sets = list(partition_from_labels(batch.labels))
-    code = objectives.OBJ_CODE[config.objective]
-    total, per = backend.total_value(code, s, d, sets, config.lam, config.margin)
+    obj = objectives.get(config.objective)
+    total, per = backend.total_value(obj, s, d, sets, config.lam, config.margin)
     return Evaluation(batch, config, s, d, sets,
                       LossResult(config.objective, total, per, config))
 

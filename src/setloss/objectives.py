@@ -33,11 +33,10 @@ Claims, which the lattice checker compares its verdict against:
                     submod-snn is the one case; the proof is
                     tests/test_submodcheck.py::
                     test_submod_snn_orthonormal_counterexample_closed_form.
-Only "submodular" expects a scan to find no violations.
+Only "submodular" expects a scan to find no violations (`expected_verdict`).
 
-An objective's integer code is its position in `REGISTRY`. The frozen
-oracles in tests/test_pure_backend.py spell the codes as literals, so keep
-the order stable.
+Modules pass the records, resolving a name once with `get`. `REGISTRY`
+order is the order of `OBJECTIVES` and of verdict and sweep rows; keep it.
 """
 
 from __future__ import annotations
@@ -335,6 +334,11 @@ class Objective:
     whole_value: Callable = lambda s, lam: None
     whole_weight: Callable = lambda s, lam: None
 
+    @property
+    def expected_verdict(self) -> str:
+        """What a lattice scan should find: violations unless claimed "submodular"."""
+        return "submodular-consistent" if self.claim == "submodular" else "violated"
+
 
 REGISTRY = (
     Objective("triplet", "not-submodular", _triplet_term, _triplet_weights,
@@ -366,22 +370,15 @@ REGISTRY = (
 )
 
 OBJECTIVES = tuple(obj.name for obj in REGISTRY)
-OBJ_CODE = {name: i for i, name in enumerate(OBJECTIVES)}
 EXPECTED_PROPERTY = {obj.name: obj.claim for obj in REGISTRY}
+_BY_NAME = {obj.name: obj for obj in REGISTRY}
 
 
 def get(name: str) -> Objective:
     """The record for an objective name; ValidationError lists the choices."""
     try:
-        return REGISTRY[OBJ_CODE[name]]
+        return _BY_NAME[name]
     except KeyError:
         raise ValidationError(
             f"unknown objective {name!r}; choose from {', '.join(OBJECTIVES)}"
         ) from None
-
-
-def by_code(code: int) -> Objective:
-    """The record behind an integer code; ValueError for any other value."""
-    if not 0 <= code < len(REGISTRY):
-        raise ValueError(f"unknown objective code {code}")
-    return REGISTRY[code]

@@ -87,12 +87,12 @@ def as_set_function(objective: str, batch: EmbeddingBatch,
     """A |-> L(theta, A) with the batch fixed and classes ignored."""
     cfg = replace(config, objective=objective)
     s, d = losses.matrices(batch, cfg)
-    code = objectives.OBJ_CODE[objective]
-    whole = objectives.get(objective).whole_value(s, cfg.lam)
+    obj = objectives.get(objective)
+    whole = obj.whole_value(s, cfg.lam)
 
     def evaluate(a) -> float:
         members = np.asarray(sorted(int(i) for i in a), dtype=np.intp)
-        return backend.term_value(code, s, d, members, cfg.lam, cfg.margin, whole)
+        return backend.term_value(obj, s, d, members, cfg.lam, cfg.margin, whole)
 
     return evaluate
 
@@ -106,8 +106,7 @@ def _table(objective: str, batch: EmbeddingBatch, config: losses.LossConfig):
         raise GroundSetTooLarge(batch.n, ENUMERATION_BOUND)
     cfg = replace(config, objective=objective)
     s, d = losses.matrices(batch, cfg)
-    code = objectives.OBJ_CODE[objective]
-    return backend.value_table(code, s, d, cfg.lam, cfg.margin)
+    return backend.value_table(objectives.get(objective), s, d, cfg.lam, cfg.margin)
 
 
 def _dr_check(objective: str, batch: EmbeddingBatch, config: losses.LossConfig,

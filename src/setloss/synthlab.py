@@ -188,10 +188,13 @@ def k_sweep(names, kinds, ks, points_per_cluster: int = 100,
     """Evaluate each objective/kernel on each K's dataset.
 
     Rows come out sorted by (K, objective order, kernel order) regardless
-    of argument order, so repeated sweeps serialize identically.
+    of argument order, so repeated sweeps serialize identically. Unknown
+    objective or kernel names raise ValidationError before any work.
     """
-    names = sorted(set(names), key=objectives.OBJECTIVES.index)
-    kinds = sorted(set(kinds), key=kernels.SIMILARITY_KINDS.index)
+    names = sorted({objectives.get(n).name for n in names},
+                   key=objectives.OBJECTIVES.index)
+    kinds = sorted({kernels.check_kind(k) for k in kinds},
+                   key=kernels.SIMILARITY_KINDS.index)
     rows = []
     for k in sorted(set(int(k) for k in ks)):
         batch = make_k_dataset(k, points_per_cluster, spread, seed)

@@ -181,6 +181,10 @@ def test_sweep_unknown_objective_rejected(capsys):
     assert cli.main(["sweep", "--objectives", ""]) == 2
     assert cli.main(["sweep", "--objectives", "fl,bogus"]) == 2
     capsys.readouterr()
+    assert cli.main(["sweep", "--kernels", "cosine,bogus"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown kernel 'bogus'; choose from cosine, ")
+    assert "Traceback" not in err
 
 
 def train_config(tmp_path, lam):

@@ -7,13 +7,20 @@ record rules must reproduce exactly -- every weight matrix, and None where
 an objective writes no weights of that kind -- and is not to be edited.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from setloss import grads, kernels, losses, objectives
-from setloss._backend import pure
+from setloss import grads, kernels, losses
+from setloss import objectives as registry
 from setloss.batch import partition_from_labels
 from setloss.errors import PreconditionError
+
+# The oracle names each objective by its position in the registry, as
+# `objectives.OBJ_CODE[name]`; the library itself passes records.
+objectives = SimpleNamespace(
+    OBJ_CODE={name: i for i, name in enumerate(registry.OBJECTIVES)})
 
 # ---- Frozen oracle -------------------------------------------------------
 
@@ -122,7 +129,7 @@ BATCHES = [(12, 8, 0), (12, 8, 1), (12, 8, 2), (240, 8, 1)]
 
 @pytest.mark.parametrize("lam", [1.0, 1.7])
 @pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
-@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+@pytest.mark.parametrize("name", registry.OBJECTIVES)
 def test_entry_weights_match_frozen_oracle(name, kernel, lam):
     cfg = losses.LossConfig(name, lam, kernel=kernel, bandwidth=0.7)
     code = objectives.OBJ_CODE[name]
@@ -138,7 +145,8 @@ def test_entry_weights_match_frozen_oracle(name, kernel, lam):
             # Outside the objective's domain (n-pairs and supcon log
             # arguments, log-det blocks under neg-euclidean).
             continue
-        new = grads._entry_weights(code, s, d, list(partition_from_labels(b.labels)),
+        new = grads._entry_weights(registry.get(name), s, d,
+                                   list(partition_from_labels(b.labels)),
                                    cfg.lam, cfg.margin)
         for got, want in zip(new, old):
             if want is None:
@@ -148,17 +156,3 @@ def test_entry_weights_match_frozen_oracle(name, kernel, lam):
         judged += 1
     assert judged or kernel == "neg-euclidean"
 
-
-@pytest.mark.parametrize("code", [-1, len(objectives.OBJECTIVES)])
-def test_unknown_objective_code_raises(code):
-    b = grads.check_batch(12, 8, 0)
-    s, d = losses.matrices(b, losses.LossConfig("triplet"))
-    sets = list(partition_from_labels(b.labels))
-    with pytest.raises(ValueError):
-        pure.term_values(code, s, d, [sets[0]], 1.0, 0.2)
-    with pytest.raises(ValueError):
-        pure.value_table(code, s[:4, :4], d[:4, :4], 1.0, 0.2)
-    with pytest.raises(ValueError):
-        pure.total_value(code, s, d, sets, 1.0, 0.2)
-    with pytest.raises(ValueError):
-        grads._entry_weights(code, s, d, sets, 1.0, 0.2)

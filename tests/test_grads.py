@@ -35,14 +35,14 @@ def test_check_batch_stays_in_log_domain():
 
 def test_fault_injection_is_caught(monkeypatch):
     b = grads.check_batch(8, 5, 1)
-    real = grads.loss_gradient
+    real = grads.evaluation_gradient
 
-    def biased(batch, config):
-        g = real(batch, config)
+    def biased(ev):
+        g = real(ev)
         g.entries[0, 0] += 0.1
         return g
 
-    monkeypatch.setattr(grads, "loss_gradient", biased)
+    monkeypatch.setattr(grads, "evaluation_gradient", biased)
     rep = grads.grad_check(b, losses.LossConfig("gc-cf"))
     assert not rep.passed
     assert rep.worst_coordinate == (0, 0)
@@ -151,15 +151,15 @@ def _unshared_value_and_gradient(batch, cfg):
     s, d = losses.matrices(batch, cfg)
     losses.check_preconditions(batch, cfg, s)
     sets = list(partition_from_labels(batch.labels))
-    code = objectives.OBJ_CODE[cfg.objective]
-    total, per = backend.total_value(code, s, d, sets, cfg.lam, cfg.margin)
+    obj = objectives.get(cfg.objective)
+    total, per = backend.total_value(obj, s, d, sets, cfg.lam, cfg.margin)
     if cfg.objective == "fl":
         ws, wd, wd2 = np.zeros((batch.n, batch.n)), None, None
         for a in sets:
             for i in np.setdiff1d(np.arange(batch.n), a):
                 ws[i, a[np.argmax(s[i, a])]] += 1.0
     else:
-        ws, wd, wd2 = grads._entry_weights(code, s, d, sets, cfg.lam, cfg.margin)
+        ws, wd, wd2 = grads._entry_weights(obj, s, d, sets, cfg.lam, cfg.margin)
     z = batch.vectors
     g = np.zeros_like(z)
     if np.any(ws):
@@ -208,7 +208,7 @@ def test_fl_tie_goes_to_lowest_index_member():
     cfg = losses.LossConfig("fl")
     ev = losses.evaluate(b, cfg)
     assert ev.s[1, 2] == ev.s[1, 3] > ev.s[1, 0]
-    ws, _, _ = grads._entry_weights(objectives.OBJ_CODE["fl"], ev.s, ev.d,
+    ws, _, _ = grads._entry_weights(objectives.get("fl"), ev.s, ev.d,
                                     ev.sets, cfg.lam, cfg.margin)
     assert np.array_equal(ws[1], [0.0, 0.0, 1.0, 0.0])
     expected = kernels.cosine_pullback(b.vectors, ws)

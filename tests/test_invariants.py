@@ -1,0 +1,95 @@
+"""Invariants of totals and gradients on random batches (Hypothesis).
+
+Relabeling the classes only reorders the per-class terms; permuting the rows
+of a batch only permutes the rows of its gradient; and the two log-det forms
+differ by one log det(S_V + lam I) per class. Batches outside an objective's
+domain must be refused the same way before and after the transformation.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from setloss import grads, kernels, losses, objectives
+from setloss.batch import EmbeddingBatch
+from setloss.errors import PreconditionError
+
+EXAMPLES = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+
+def _batches(min_n=4, max_n=15):
+    """A `check_batch` draw: round-robin labels over 2 (n < 6) or 3 classes."""
+    return st.builds(grads.check_batch, st.integers(min_n, max_n),
+                     st.integers(2, 6), st.integers(0, 2 ** 16))
+
+
+def _config(name, kernel):
+    return losses.LossConfig(name, kernel=kernel, bandwidth=0.9)
+
+
+def _same_refusal(fn, *inputs):
+    """Each input's result, or None when the first input's batch is refused;
+    every input must then be refused with the same error type."""
+    try:
+        first = fn(inputs[0])
+    except PreconditionError as exc:
+        for other in inputs[1:]:
+            with pytest.raises(type(exc)):
+                fn(other)
+        return None
+    return [first] + [fn(other) for other in inputs[1:]]
+
+
+@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+@EXAMPLES
+@given(_batches(), st.sampled_from(kernels.SIMILARITY_KINDS),
+       st.randoms(use_true_random=False))
+def test_relabeling_classes_permutes_per_class_terms(name, batch, kernel, rnd):
+    c = int(batch.labels.max()) + 1
+    perm = np.array(rnd.sample(range(c), c))
+    relabeled = EmbeddingBatch(batch.vectors, perm[batch.labels])
+    cfg = _config(name, kernel)
+    results = _same_refusal(lambda b: losses.total_loss(b, cfg), batch, relabeled)
+    if results is None:
+        return
+    old, new = results
+    # Class k's members, and so its term, are the new labeling's class perm[k].
+    assert np.array_equal(new.per_class[perm], old.per_class, equal_nan=True)
+    scale = max(1.0, float(np.sum(np.abs(old.per_class))))
+    assert math.isclose(new.total, old.total, rel_tol=0.0, abs_tol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+@EXAMPLES
+@given(_batches(), st.sampled_from(kernels.SIMILARITY_KINDS),
+       st.randoms(use_true_random=False))
+def test_permuting_rows_permutes_gradient_rows(name, batch, kernel, rnd):
+    perm = np.array(rnd.sample(range(batch.n), batch.n))
+    permuted = EmbeddingBatch(batch.vectors[perm], batch.labels[perm])
+    cfg = _config(name, kernel)
+    results = _same_refusal(lambda b: grads.loss_gradient(b, cfg).entries,
+                            batch, permuted)
+    if results is None:
+        return
+    old, new = results
+    # Row j of the permuted batch is row perm[j] of the original.
+    scale = max(1.0, float(np.max(np.abs(old))))
+    np.testing.assert_allclose(new, old[perm], rtol=1e-9, atol=1e-9 * scale)
+
+
+@settings(EXAMPLES, max_examples=40)
+@given(_batches(max_n=20), st.sampled_from(("cosine", "rbf")),
+       st.floats(0.05, 4.0))
+def test_logdet_cf_total_is_sf_total_minus_c_whole_logdets(batch, kernel, lam):
+    sf = losses.total_loss(batch, losses.LossConfig("logdet-sf", lam, kernel=kernel))
+    cf = losses.total_loss(batch, losses.LossConfig("logdet-cf", lam, kernel=kernel))
+    s, _ = losses.matrices(batch, losses.LossConfig("logdet-sf", lam, kernel=kernel))
+    sign, whole = np.linalg.slogdet(s + lam * np.eye(batch.n))
+    assert sign > 0
+    classes = len(sf.per_class)
+    scale = max(1.0, abs(sf.total), classes * abs(whole))
+    assert math.isclose(cf.total, sf.total - classes * whole,
+                        rel_tol=0.0, abs_tol=1e-10 * scale)

@@ -230,6 +230,9 @@ def dr_scan(table: np.ndarray, n: int, tol: float, include_empty: bool,
 
 LAM, EPS = 1.0, 0.2
 KERNELS = ("cosine", "rbf")
+# The oracle spells each objective as its position in the registry; the
+# library takes the records themselves.
+CODE = {name: i for i, name in enumerate(objectives.OBJECTIVES)}
 
 
 def instance(seed, n, kernel):
@@ -254,18 +257,18 @@ def new_without_warnings(fn, *args):
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
 def test_value_table_matches_oracle(name, kernel):
-    code = objectives.OBJ_CODE[name]
+    obj = objectives.get(name)
     for n in (1, 2, 6, 9):
         s, d = instance(n, n, kernel)
-        old = value_table(code, s, d, LAM, EPS)
-        new = new_without_warnings(pure.value_table, code, s, d, LAM, EPS)
+        old = value_table(CODE[name], s, d, LAM, EPS)
+        new = new_without_warnings(pure.value_table, obj, s, d, LAM, EPS)
         assert same_bits(new, old), n
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
 def test_dr_scan_matches_oracle(name, kernel):
-    code = objectives.OBJ_CODE[name]
+    code = CODE[name]
     for n, seed in ((1, 0), (2, 0), (6, 0), (6, 1)):
         s, d = instance(seed, n, kernel)
         table = value_table(code, s, d, LAM, EPS)
@@ -283,7 +286,7 @@ def test_dr_scan_matches_oracle_across_blocks():
     n = 10
     s, d = instance(5, n, "cosine")
     for name in ("supcon", "submod-snn"):
-        table = value_table(objectives.OBJ_CODE[name], s, d, LAM, EPS)
+        table = value_table(CODE[name], s, d, LAM, EPS)
         for max_stored in (3, 1000):
             old = dr_scan(table, n, 1e-9, False, max_stored)
             new = new_without_warnings(pure.dr_scan, table, n, 1e-9, False,
@@ -305,7 +308,7 @@ def test_dr_scan_keeps_the_sign_of_the_first_zero_minimum():
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
 def test_total_value_matches_oracle(name, kernel):
-    code = objectives.OBJ_CODE[name]
+    code, obj = CODE[name], objectives.get(name)
     cfg = losses.LossConfig("triplet", kernel=kernel, bandwidth=0.8)
     # 240 rows gives 80-member classes: blocks past numpy's 8-element
     # unrolled sums and rows past its 128-element pairwise split.
@@ -313,7 +316,7 @@ def test_total_value_matches_oracle(name, kernel):
         s, d = losses.matrices(batch, cfg)
         sets = list(partition_from_labels(batch.labels))
         old_total, old_per = total_value(code, s, d, sets, LAM, EPS)
-        new_total, new_per = new_without_warnings(pure.total_value, code, s, d,
+        new_total, new_per = new_without_warnings(pure.total_value, obj, s, d,
                                                   sets, LAM, EPS)
         assert same_bits(new_per, old_per), batch.n
         assert same_bits(new_total, old_total), batch.n
@@ -323,38 +326,38 @@ def test_term_values_rows_match_oracle_terms():
     s, d = instance(2, 7, "cosine")
     rows = np.array([[0, 3, 5], [1, 2, 6], [4, 5, 6], [0, 1, 2]])
     for name in objectives.OBJECTIVES:
-        code = objectives.OBJ_CODE[name]
-        new = pure.term_values(code, s, d, rows, LAM, EPS)
-        old = [term_value(code, s, d, r, LAM, EPS) for r in rows]
+        new = pure.term_values(objectives.get(name), s, d, rows, LAM, EPS)
+        old = [term_value(CODE[name], s, d, r, LAM, EPS) for r in rows]
         assert same_bits(new, old), name
 
 
 def test_logdet_rejects_an_indefinite_block():
     s = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    code = objectives.OBJ_CODE["logdet-sf"]
+    obj = objectives.get("logdet-sf")
     with pytest.raises(NotPositiveDefinite):
-        term_value(code, s, None, [0, 1], 0.0, EPS)
+        term_value(CODE["logdet-sf"], s, None, [0, 1], 0.0, EPS)
     with pytest.raises(NotPositiveDefinite):
-        pure.term_value(code, s, None, [0, 1], 0.0, EPS)
+        pure.term_value(obj, s, None, [0, 1], 0.0, EPS)
     with pytest.raises(NotPositiveDefinite):
-        pure.term_values(code, s, None, [[0, 2], [0, 1]], 0.0, EPS)
+        pure.term_values(obj, s, None, [[0, 2], [0, 1]], 0.0, EPS)
     with pytest.raises(NotPositiveDefinite):
-        pure.value_table(code, s, None, 0.0, EPS)
+        pure.value_table(obj, s, None, 0.0, EPS)
 
 
 def test_table_guard_above_word_width():
     cached = pure._lattice.cache_info().currsize
     with pytest.raises(ValueError):
-        pure.value_table(0, np.eye(25), np.zeros((25, 25)), 1.0, 0.2)
+        pure.value_table(objectives.get("triplet"), np.eye(25), np.zeros((25, 25)),
+                         1.0, 0.2)
     assert pure._lattice.cache_info().currsize == cached
 
 
 def test_max_stored_caps_the_violation_list():
-    code = objectives.OBJ_CODE["supcon"]
+    obj = objectives.get("supcon")
     # find a violating instance, then cap storage at 2
     for seed in range(50):
         s, d = instance(seed, 6, "cosine")
-        table = pure.value_table(code, s, d, LAM, EPS)
+        table = pure.value_table(obj, s, d, LAM, EPS)
         full = pure.dr_scan(table, 6, 1e-9, False)
         if full[3] > 2:
             capped = pure.dr_scan(table, 6, 1e-9, False, 2)
@@ -394,11 +397,11 @@ def permuted_draws(draw):
        st.sampled_from(KERNELS))
 def test_relabeling_the_ground_set_permutes_the_table(draw, name, kernel):
     seed, n, perm = draw
-    code = objectives.OBJ_CODE[name]
+    obj = objectives.get(name)
     s, d = instance(seed, n, kernel)
-    table = pure.value_table(code, s, d, LAM, EPS)
+    table = pure.value_table(obj, s, d, LAM, EPS)
     # Point j of the permuted ground set is point perm[j] of the original.
-    table_p = pure.value_table(code, s[np.ix_(perm, perm)],
+    table_p = pure.value_table(obj, s[np.ix_(perm, perm)],
                                d[np.ix_(perm, perm)], LAM, EPS)
     remapped = table[[_remap(bits, perm) for bits in range(1 << n)]]
     np.testing.assert_allclose(table_p, remapped, rtol=1e-12, atol=1e-12)

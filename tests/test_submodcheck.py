@@ -14,6 +14,14 @@ RBF = losses.LossConfig(kernel="rbf", bandwidth=1.0)
 COSINE = losses.LossConfig(kernel="cosine")
 
 
+def test_expected_verdict_follows_the_claim():
+    want = {"submodular": "submodular-consistent", "not-submodular": "violated",
+            "refuted": "violated"}
+    for obj in objectives.REGISTRY:
+        assert obj.expected_verdict == want[obj.claim], obj.name
+    assert objectives.get("submod-snn").expected_verdict == "violated"
+
+
 def test_full_set_fl_is_zero():
     b = submodcheck.draw_batch(Rng(0), 6)
     f = submodcheck.as_set_function("fl", b, RBF)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from setloss import synthlab
+from setloss import losses, synthlab
 from setloss.errors import BadK, EmptyClass, ParseError, ValidationError
 
 
@@ -100,6 +100,18 @@ def test_sweep_grid_order_and_csv_round_trip(tmp_path):
     assert back.value(1, "fl", "cosine") == res.value(1, "fl", "cosine")
     with pytest.raises(KeyError):
         back.value(5, "fl", "cosine")
+
+
+@pytest.mark.parametrize("names, kinds, config", [
+    (["fl", "bogus"], ["cosine"], {"objective": "bogus"}),
+    (["fl"], ["rbf", "bogus"], {"kernel": "bogus"}),
+])
+def test_sweep_rejects_unknown_names_as_loss_config_does(names, kinds, config):
+    with pytest.raises(ValidationError) as want:
+        losses.LossConfig(**config)
+    with pytest.raises(ValidationError) as got:
+        synthlab.k_sweep(names, kinds, [0], points_per_cluster=5)
+    assert str(got.value) == str(want.value)
 
 
 def test_single_cell_sweep_has_one_row():
