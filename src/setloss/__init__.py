@@ -2,8 +2,6 @@
 
 from .batch import ClassPartition, EmbeddingBatch, partition_from_labels
 from .kernels import (
-    DistanceMatrix,
-    SimilarityMatrix,
     cosine_similarity,
     euclidean_distance,
     kernel_gradient,
@@ -17,13 +15,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassPartition",
-    "DistanceMatrix",
     "EmbeddingBatch",
     "EXPECTED_PROPERTY",
     "LossConfig",
     "LossResult",
     "OBJECTIVES",
-    "SimilarityMatrix",
     "cosine_similarity",
     "euclidean_distance",
     "kernel_gradient",

@@ -40,13 +40,6 @@ def check_batch(n: int, dim: int, seed: int) -> EmbeddingBatch:
 
 
 @dataclass
-class GradientMatrix:
-    """dL/dZ, one row per embedding."""
-
-    entries: np.ndarray
-
-
-@dataclass
 class GradCheckReport:
     objective: str
     max_abs_error: float
@@ -69,7 +62,7 @@ def _entry_weights(obj, s, d, sets, lam, eps):
     return (ws, wdist, None) if obj.distance == "d" else (ws, None, wdist)
 
 
-def evaluation_gradient(ev: losses.Evaluation) -> GradientMatrix:
+def evaluation_gradient(ev: losses.Evaluation) -> np.ndarray:
     """Analytic dL/dZ from the matrices and partition one evaluation used."""
     config = ev.config
     ws, wd, wd2 = _entry_weights(objectives.get(config.objective), ev.s, ev.d,
@@ -84,16 +77,17 @@ def evaluation_gradient(ev: losses.Evaluation) -> GradientMatrix:
         grad += kernels.distance_pullback(z, wd, ev.d)
     if wd2 is not None:
         grad += kernels.sqdist_pullback(z, wd2)
-    return GradientMatrix(grad)
+    return grad
 
 
-def loss_gradient(batch: EmbeddingBatch, config: losses.LossConfig) -> GradientMatrix:
-    """Analytic dL/dZ under the config's objective and kernel."""
+def loss_gradient(batch: EmbeddingBatch, config: losses.LossConfig) -> np.ndarray:
+    """Analytic dL/dZ under the config's objective and kernel, one row per
+    embedding."""
     return evaluation_gradient(losses.evaluate(batch, config))
 
 
 def finite_difference_gradient(batch: EmbeddingBatch, config: losses.LossConfig,
-                               h: float = 1e-5) -> GradientMatrix:
+                               h: float = 1e-5) -> np.ndarray:
     """Central differences of the total loss, one coordinate at a time."""
     if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
@@ -113,7 +107,7 @@ def finite_difference_gradient(batch: EmbeddingBatch, config: losses.LossConfig,
             ).total
             work[i, j] = orig
             out[i, j] = (up - down) / (2.0 * h)
-    return GradientMatrix(out)
+    return out
 
 
 def _excluded_rows(batch: EmbeddingBatch, config: losses.LossConfig,
@@ -138,8 +132,8 @@ def grad_check(batch: EmbeddingBatch, config: losses.LossConfig,
     and the pass condition stays exactly max_rel_error <= tolerance.
     """
     ev = losses.evaluate(batch, config)
-    analytic = evaluation_gradient(ev).entries
-    fd = finite_difference_gradient(batch, config, h).entries
+    analytic = evaluation_gradient(ev)
+    fd = finite_difference_gradient(batch, config, h)
 
     rows = _excluded_rows(batch, config, ev.s, ev.d)
     keep = ~rows

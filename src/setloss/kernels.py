@@ -1,6 +1,7 @@
 """Pairwise similarity and distance kernels with analytic entry gradients.
 
-All kernels map a batch of n embeddings to a symmetric n x n matrix:
+All kernels map a batch of n embeddings (an EmbeddingBatch or an n x d
+array) to a symmetric n x n numpy array:
 
     cosine         S_ij = <z_i, z_j> / (|z_i| |z_j|)        entries in [-1, 1]
     rbf            S_ij = exp(-|z_i - z_j|^2 / (2 bw^2))    entries in (0, 1]
@@ -22,8 +23,6 @@ differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .batch import EmbeddingBatch
@@ -40,18 +39,6 @@ def check_kind(kind: str) -> str:
         raise ValidationError(
             f"unknown kernel {kind!r}; choose from {', '.join(SIMILARITY_KINDS)}")
     return kind
-
-
-@dataclass
-class SimilarityMatrix:
-    entries: np.ndarray
-    kind: str
-    bandwidth: float | None = None
-
-
-@dataclass
-class DistanceMatrix:
-    entries: np.ndarray
 
 
 def _vectors(batch) -> np.ndarray:
@@ -73,13 +60,13 @@ def unit_rows(z: np.ndarray) -> np.ndarray:
     return z / norms[:, None]
 
 
-def cosine_similarity(batch) -> SimilarityMatrix:
+def cosine_similarity(batch) -> np.ndarray:
     z = _vectors(batch)
     zh = unit_rows(z)
     s = _symmetrized(zh @ zh.T)
     np.clip(s, -1.0, 1.0, out=s)
     np.fill_diagonal(s, 1.0)
-    return SimilarityMatrix(s, "cosine")
+    return s
 
 
 def squared_distances(z: np.ndarray) -> np.ndarray:
@@ -91,8 +78,8 @@ def squared_distances(z: np.ndarray) -> np.ndarray:
     return d2
 
 
-def euclidean_distance(batch) -> DistanceMatrix:
-    return DistanceMatrix(np.sqrt(squared_distances(_vectors(batch))))
+def euclidean_distance(batch) -> np.ndarray:
+    return np.sqrt(squared_distances(_vectors(batch)))
 
 
 def _rbf_entries(d2: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -101,33 +88,32 @@ def _rbf_entries(d2: np.ndarray, bandwidth: float) -> np.ndarray:
     return s
 
 
-def rbf_similarity(batch, bandwidth: float = 1.0) -> SimilarityMatrix:
+def rbf_similarity(batch, bandwidth: float = 1.0) -> np.ndarray:
     if not (bandwidth > 0):
         raise NonPositiveBandwidth(bandwidth)
-    return SimilarityMatrix(_rbf_entries(squared_distances(_vectors(batch)), bandwidth),
-                            "rbf", bandwidth)
+    return _rbf_entries(squared_distances(_vectors(batch)), bandwidth)
 
 
-def similarity(batch, kind: str = "cosine", bandwidth: float = 1.0) -> SimilarityMatrix:
+def similarity(batch, kind: str = "cosine", bandwidth: float = 1.0) -> np.ndarray:
     if kind == "cosine":
         return cosine_similarity(batch)
     if kind == "rbf":
         return rbf_similarity(batch, bandwidth)
     if kind == "neg-euclidean":
-        return SimilarityMatrix(-euclidean_distance(batch).entries, "neg-euclidean")
+        return -euclidean_distance(batch)
     raise ValidationError(f"unknown kernel kind {kind!r}")
 
 
 def similarity_and_distance(batch, kind: str = "cosine", bandwidth: float = 1.0):
-    """(S, D) entries, equal to `similarity` and `euclidean_distance` but
-    with one squared-distance pass under rbf and neg-euclidean."""
+    """(S, D), equal to `similarity` and `euclidean_distance` but with one
+    squared-distance pass under rbf and neg-euclidean."""
     if kind == "rbf" and bandwidth > 0:
         d2 = squared_distances(_vectors(batch))
         return _rbf_entries(d2, bandwidth), np.sqrt(d2)
     if kind == "neg-euclidean":
-        d = euclidean_distance(batch).entries
+        d = euclidean_distance(batch)
         return -d, d
-    return similarity(batch, kind, bandwidth).entries, euclidean_distance(batch).entries
+    return similarity(batch, kind, bandwidth), euclidean_distance(batch)
 
 
 def kernel_gradient(batch, kind: str, i: int, j: int, bandwidth: float = 1.0):

@@ -9,7 +9,7 @@ domain each objective declares, live in its `objectives` record.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,9 @@ class LossConfig:
     def __post_init__(self):
         obj = objectives.get(self.objective)
         kernels.check_kind(self.kernel)
+        for key in ("lam", "margin", "bandwidth"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValidationError(f"{key} must be finite, got {getattr(self, key)}")
         if self.kernel == "rbf" and not (self.bandwidth > 0):
             raise NonPositiveBandwidth(self.bandwidth)
         if self.margin < 0:
@@ -53,7 +56,6 @@ class LossResult:
     objective: str
     total: float
     per_class: np.ndarray
-    config: LossConfig = field(repr=False, default=None)
 
 
 def matrices(batch: EmbeddingBatch, config: LossConfig):
@@ -63,7 +65,7 @@ def matrices(batch: EmbeddingBatch, config: LossConfig):
     distances as S where the kernel uses them.
     """
     if objectives.get(config.objective).distance is None:
-        return kernels.similarity(batch, config.kernel, config.bandwidth).entries, None
+        return kernels.similarity(batch, config.kernel, config.bandwidth), None
     return kernels.similarity_and_distance(batch, config.kernel, config.bandwidth)
 
 
@@ -120,7 +122,7 @@ def evaluate(batch: EmbeddingBatch, config: LossConfig) -> Evaluation:
     obj = objectives.get(config.objective)
     total, per = backend.total_value(obj, s, d, sets, config.lam, config.margin)
     return Evaluation(batch, config, s, d, sets,
-                      LossResult(config.objective, total, per, config))
+                      LossResult(config.objective, total, per))
 
 
 def total_loss(batch: EmbeddingBatch, config: LossConfig) -> LossResult:

@@ -71,12 +71,6 @@ class Rng:
         out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:total]
         return out.reshape(shape)
 
-    def integers(self, k: int, bound: int) -> np.ndarray:
-        """k integers uniform over [0, bound) by 64-bit rejection-free scaling."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        return (self._raw(k) % np.uint64(bound)).astype(np.int64)
-
     def permutation(self, k: int) -> np.ndarray:
         """Deterministic permutation of range(k) by sorting one raw draw each."""
         return np.argsort(self._raw(k), kind="stable").astype(np.int64)

@@ -57,8 +57,7 @@ class SetFunctionKind:
 
 
 def _matrix(s) -> np.ndarray:
-    entries = getattr(s, "entries", s)
-    m = np.asarray(entries, dtype=np.float64)
+    m = np.asarray(s, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"similarity matrix must be square, got {m.shape}")
     if m.shape[0] == 0:

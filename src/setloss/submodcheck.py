@@ -49,7 +49,7 @@ import numpy as np
 from . import losses, objectives
 from ._backend import backend
 from .batch import EmbeddingBatch
-from .errors import GroundSetTooLarge
+from .errors import GroundSetTooLarge, ValidationError
 from .sampling import Rng
 
 ENUMERATION_BOUND = 12
@@ -223,8 +223,16 @@ def verdict_table(names=objectives.OBJECTIVES, n: int = 6, draws: int = 200,
     "refuted" ones: the paper claims them submodular too, and scanning
     every draw in full counts all their violations. Claimed non-submodular
     ones get the counterexample search. The caller compares each verdict
-    against the record's claim.
+    against the record's claim. A table that could compare nothing is
+    refused: below n = 3 no triple A < B with A nonempty exists, and a
+    scan of zero draws judges no triple at all.
     """
+    if n < 3:
+        raise ValidationError(f"n must be >= 3 to compare any triple, got {n}")
+    if draws < 1 or max_draws < 1:
+        raise ValidationError(
+            f"draws (--trials) and max_draws (--budget) must be >= 1, "
+            f"got {draws} and {max_draws}")
     out = []
     for name in names:
         if objectives.get(name).claim != "not-submodular":

@@ -32,11 +32,10 @@ import numpy as np
 from . import grads, losses
 from .batch import EmbeddingBatch
 from .errors import DivergedLoss, MissingClass, SetLossError, ValidationError
+from .kernels import NORM_FLOOR
 from .sampling import Rng
 
 STAGE2_NOTE = "stage 2 = nearest-centroid over frozen embeddings (linear-head stand-in)"
-
-NORM_FLOOR = 1e-12
 
 
 @dataclass
@@ -53,12 +52,14 @@ class ExtractorParams:
                 f"W must be (out_dim >= 2) x in_dim, got shape {self.W.shape}"
             )
 
-    def embed(self, x: np.ndarray) -> np.ndarray:
+    def embed(self, x: np.ndarray):
+        """(z, norms): z = W x, scaled to unit rows when normalizing, and
+        the floored (n, 1) row norms it was divided by (None if not)."""
         y = np.asarray(x, dtype=np.float64) @ self.W.T
         if not self.normalize:
-            return y
+            return y, None
         norms = np.maximum(np.linalg.norm(y, axis=1, keepdims=True), NORM_FLOOR)
-        return y / norms
+        return y / norms, norms
 
 
 @dataclass
@@ -73,8 +74,8 @@ class TrainConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if not self.lr >= 0:
-            raise ValidationError(f"learning rate must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < np.inf:
+            raise ValidationError(f"learning rate must be finite and >= 0, got {self.lr}")
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
         if not 0 < self.eval_split < 1:
@@ -155,9 +156,7 @@ def train_stage1(data: EmbeddingBatch, config: TrainConfig):
     curve = []
     for step in range(config.steps + 1):
         batch = data if full else _minibatch(data, config.batch_size, rng)
-        y = np.asarray(batch.vectors) @ params.W.T
-        norms = np.maximum(np.linalg.norm(y, axis=1, keepdims=True), NORM_FLOOR)
-        z = y / norms if config.normalize else y
+        z, norms = params.embed(batch.vectors)
         embedded = EmbeddingBatch(z, batch.labels)
 
         ev = losses.evaluate(embedded, config.loss)
@@ -168,7 +167,7 @@ def train_stage1(data: EmbeddingBatch, config: TrainConfig):
         if step == config.steps:
             break
 
-        g = grads.evaluation_gradient(ev).entries
+        g = grads.evaluation_gradient(ev)
         del ev  # free S before the next step builds its own
         if config.normalize:
             g = (g - np.sum(g * z, axis=1, keepdims=True) * z) / norms
@@ -191,9 +190,9 @@ def evaluate_stage2(params: ExtractorParams, train_data: EmbeddingBatch,
                     objective: str = "", loss_curve=()) -> TrainReport:
     """Nearest-centroid classification of the eval split."""
     c = max(train_data.num_classes, eval_data.num_classes)
-    centroids = _centroids(params.embed(train_data.vectors),
+    centroids = _centroids(params.embed(train_data.vectors)[0],
                            train_data.labels, c)
-    z = params.embed(eval_data.vectors)
+    z, _ = params.embed(eval_data.vectors)
     dists = np.linalg.norm(z[:, None, :] - centroids[None, :, :], axis=2)
     predicted = np.argmin(dists, axis=1)
 

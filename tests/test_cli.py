@@ -44,6 +44,21 @@ def test_eval_flag_overrides_config(tmp_path, capsys):
     assert payload["config"]["lam"] == 2.0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--objective", "gc-cf", "--lam", "nan"],
+    ["--objective", "gc-sf", "--lam", "inf"],
+    ["--objective", "triplet", "--margin", "nan"],
+    ["--kernel", "rbf", "--bandwidth", "inf"],
+])
+def test_eval_non_finite_hyperparameter_rejected(flags, tmp_path, capsys):
+    # NaN or infinity would otherwise reach the JSON output, which cannot
+    # represent them.
+    out = tmp_path / "e.json"
+    assert cli.main(["eval", "--input", FOUR_POINT, "--out", str(out), *flags]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"loss": {"objektive": "fl"}}))
@@ -150,6 +165,22 @@ def test_submodcheck_n_above_bound_rejected(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--objective", "fl", "--trials", "0"],
+    ["--objective", "fl", "--trials", "-3"],
+    ["--objective", "fl", "--n", "1"],
+    ["--objective", "fl", "--n", "2"],
+    ["--objective", "all", "--trials", "0", "--budget", "0"],
+])
+def test_submodcheck_without_evidence_rejected(flags, capsys):
+    # Each of these would compare no triple at all, so no verdict is printed.
+    assert cli.main(["submodcheck", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "MISMATCH" not in captured.err
+
+
 def test_sweep_default_grid(capsys):
     assert cli.main(["sweep"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -175,6 +206,14 @@ def test_sweep_ordering_assertion_passes_for_fl(capsys):
                      "--ks", "0,1,2,3,4,5,6,7", "--assert-ordering"])
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("ks", ["5,7", "0,2,5,7"])
+def test_sweep_ordering_assertion_without_the_peak(ks, capsys):
+    # With K = 4 left out, the loss still rises below it and falls above it;
+    # the step across the gap is not judged.
+    assert cli.main(["sweep", "--ks", ks, "--assert-ordering"]) == 0
+    assert "ordering violated" not in capsys.readouterr().err
 
 
 def test_sweep_unknown_objective_rejected(capsys):

@@ -20,14 +20,14 @@ def _random_batch(n, d, seed=0):
 
 def test_cosine_pinned_values():
     b = _batch([[1, 0], [1, 0], [0, 1], [1, 1]])
-    s = kernels.cosine_similarity(b).entries
+    s = kernels.cosine_similarity(b)
     assert s[0, 1] == pytest.approx(1.0)
     assert s[0, 2] == pytest.approx(0.0)
     assert s[0, 3] == pytest.approx(1.0 / np.sqrt(2.0))
 
 
 def test_cosine_diagonal_and_symmetry():
-    s = kernels.cosine_similarity(_random_batch(7, 3)).entries
+    s = kernels.cosine_similarity(_random_batch(7, 3))
     assert np.allclose(np.diag(s), 1.0)
     assert np.array_equal(s, s.T)
     assert np.max(np.abs(s)) <= 1.0 + 1e-12
@@ -42,20 +42,20 @@ def test_rbf_pinned_values():
     bw = 0.7
     # ||z_i - z_j||^2 = 2 bw^2 lands exactly on exp(-1).
     z = np.array([[0.0, 0.0], [bw * np.sqrt(2.0), 0.0]])
-    s = kernels.rbf_similarity(_batch(z), bw).entries
+    s = kernels.rbf_similarity(_batch(z), bw)
     assert s[0, 0] == pytest.approx(1.0)
     assert s[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
 def test_rbf_bandwidth_limit_is_monotone():
     b = _random_batch(5, 3)
-    prev = kernels.rbf_similarity(b, 1.0).entries
+    prev = kernels.rbf_similarity(b, 1.0)
     for bw in (2.0, 4.0, 8.0):
-        cur = kernels.rbf_similarity(b, bw).entries
+        cur = kernels.rbf_similarity(b, bw)
         off = ~np.eye(5, dtype=bool)
         assert np.all(cur[off] >= prev[off])
         prev = cur
-    assert np.allclose(kernels.rbf_similarity(b, 1e6).entries, 1.0)
+    assert np.allclose(kernels.rbf_similarity(b, 1e6), 1.0)
 
 
 def test_rbf_rejects_bad_bandwidth():
@@ -64,7 +64,7 @@ def test_rbf_rejects_bad_bandwidth():
 
 
 def test_distance_pinned():
-    d = kernels.euclidean_distance(_batch([[0, 0], [3, 4], [3, 4]])).entries
+    d = kernels.euclidean_distance(_batch([[0, 0], [3, 4], [3, 4]]))
     assert d[0, 1] == pytest.approx(5.0)
     assert d[1, 2] == pytest.approx(0.0)
     assert np.array_equal(d, d.T)
@@ -102,7 +102,7 @@ def test_kernel_gradient_matches_fd(kind):
                 up = kernels.similarity(EmbeddingBatch(z, b.labels), kind, 0.9)
                 z[row, c] -= 2 * h
                 dn = kernels.similarity(EmbeddingBatch(z, b.labels), kind, 0.9)
-                fd = (up.entries[i, j] - dn.entries[i, j]) / (2 * h)
+                fd = (up[i, j] - dn[i, j]) / (2 * h)
                 assert grad[c] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
@@ -115,9 +115,9 @@ def test_similarity_pullback_matches_fd(kind):
 
     def value(zz):
         b = EmbeddingBatch(zz, np.zeros(6, dtype=int))
-        return float(np.sum(w * kernels.similarity(b, kind, bw).entries))
+        return float(np.sum(w * kernels.similarity(b, kind, bw)))
 
-    s = kernels.similarity(EmbeddingBatch(z, np.zeros(6, dtype=int)), kind, bw).entries
+    s = kernels.similarity(EmbeddingBatch(z, np.zeros(6, dtype=int)), kind, bw)
     g = kernels.similarity_pullback(z, w, kind, bw, s=s)
     h = 1e-6
     for i in range(6):

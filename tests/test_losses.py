@@ -41,6 +41,17 @@ def test_config_validation():
         losses.LossConfig("fl", kernel="unknown")
 
 
+@pytest.mark.parametrize("name, key, kernel", [
+    ("gc-cf", "lam", "cosine"), ("gc-sf", "lam", "cosine"),
+    ("logdet-sf", "lam", "cosine"), ("triplet", "margin", "cosine"),
+    ("fl", "bandwidth", "rbf"), ("fl", "bandwidth", "cosine"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_hyperparameters(name, key, kernel, value):
+    with pytest.raises(ValidationError):
+        losses.LossConfig(name, kernel=kernel, **{key: value})
+
+
 def test_fl_four_point_hand_value():
     res = losses.total_loss(four_point_batch(), losses.LossConfig("fl"))
     assert res.per_class[0] == pytest.approx(0.6, abs=1e-12)
@@ -203,8 +214,8 @@ def test_npairs_rejects_nonpositive_rowsum():
 def test_matrices_build_squared_distances_once(name, kernel, monkeypatch):
     batch = random_batch()
     config = losses.LossConfig(name, kernel=kernel, bandwidth=0.7)
-    want_s = kernels.similarity(batch, kernel, 0.7).entries
-    want_d = kernels.euclidean_distance(batch).entries
+    want_s = kernels.similarity(batch, kernel, 0.7)
+    want_d = kernels.euclidean_distance(batch)
     calls = []
     real = kernels.squared_distances
     monkeypatch.setattr(kernels, "squared_distances",

@@ -14,7 +14,7 @@ def _sim(n, seed=0, kind="cosine"):
     rng = Rng(seed)
     v = rng.normals((n, 4))
     b = EmbeddingBatch(v, np.zeros(n, dtype=int))
-    return kernels.similarity(b, kind, 1.0).entries
+    return kernels.similarity(b, kind, 1.0)
 
 
 FOUR_POINT = np.array([

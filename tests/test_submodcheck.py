@@ -7,7 +7,7 @@ import pytest
 
 from setloss import losses, objectives, submodcheck
 from setloss.batch import EmbeddingBatch
-from setloss.errors import GroundSetTooLarge
+from setloss.errors import GroundSetTooLarge, ValidationError
 from setloss.sampling import Rng
 
 RBF = losses.LossConfig(kernel="rbf", bandwidth=1.0)
@@ -251,3 +251,13 @@ def test_verdict_table_and_csv_round_trip():
     fields = lines[1].split(",")
     assert fields[0] == "fl"
     assert float(fields[4]) == by_name["fl"].min_margin
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n": 1}, {"n": 2}, {"draws": 0}, {"draws": -3}, {"max_draws": 0},
+])
+def test_verdict_table_refuses_a_scan_that_compares_nothing(kwargs):
+    # Below n = 3 no triple with a nonempty A exists, and zero draws scan
+    # nothing; either way a "consistent" verdict would rest on no evidence.
+    with pytest.raises(ValidationError):
+        submodcheck.verdict_table(["fl", "supcon"], **kwargs)

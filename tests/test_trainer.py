@@ -31,6 +31,12 @@ def test_config_validation():
         trainer.TrainConfig(eval_split=1.0)
 
 
+@pytest.mark.parametrize("lr", [math.nan, math.inf])
+def test_config_rejects_non_finite_learning_rate(lr):
+    with pytest.raises(ValidationError):
+        trainer.TrainConfig(lr=lr)
+
+
 def test_orthogonal_init_is_an_isometry():
     p = trainer.initial_params(8, 5, seed=3)
     assert np.allclose(p.W @ p.W.T, np.eye(5), atol=1e-12)
