@@ -6,10 +6,13 @@ on. `term_values` evaluates a record's term over a stack of equal-size index
 sets: a (count, m) array whose rows are the subsets A. `term_value` is its
 one-row case, and `value_table` evaluates once per cardinality m = 1..n
 rather than once per subset, reading each cardinality's bitmasks, members
-and complements from an index cached per n. `dr_scan` visits the triples
-of the nested submask loop it replaced, in the same order, as array
-arithmetic over a cached index of the submask pairs (A, B) on the n - 1
-bits other than x; bit x is inserted for each x.
+and complements from an index cached per n. Both lattice scans run one
+engine, `_scan`: it takes each x's gains f(x|A) over every subset A of
+V\\{x} and judges f(x|A) >= f(x|B) over a cached index of (A, B) pairs on
+the n - 1 bits other than x; bit x is inserted for each x. `dr_scan`'s
+index holds every submask pair A < B, in the order of the nested submask
+loop it replaced. `local_scan`'s holds only the pairs B = A + j, the local
+form f(A+i) + f(A+j) >= f(A+i+j) + f(A) with i = x.
 
 The batched forms keep the bits of the per-subset loops they replaced. Each
 block is gathered in the loop's order and summed as one contiguous row, so
@@ -27,9 +30,9 @@ Conventions:
     genuinely diverges at the top of the lattice;
   * log-sum-exp uses max-shift stabilization;
   * graph-cut style double sums over a class include the diagonal;
-  * both lattice scans leave out comparisons that touch the empty set (the
-    DR scan unless asked, the pairwise scan always), so they judge the
-    same lattice.
+  * both lattice scans leave out comparisons with A empty (the DR scan
+    unless asked, the local scan always), so they judge the same lattice:
+    every chain from a nonempty A up to B stays nonempty.
 """
 
 from __future__ import annotations
@@ -137,22 +140,26 @@ def value_table(obj: Objective, s: np.ndarray, d: np.ndarray | None,
 _SCAN_BLOCK = 1 << 16
 
 
+def _row_sets(n: int) -> np.ndarray:
+    """Row x lists every subset of V\\{x}, ascending: bit x inserted into
+    each (n-1)-bit mask, so column `low` of every row is the same mask."""
+    low = np.arange(1 << max(n - 1, 0))
+    x = np.arange(n)[:, None]
+    return (low >> x << (x + 1)) | (low & ((1 << x) - 1))
+
+
 @functools.lru_cache(maxsize=8)
 def _scan_index(n: int, include_empty: bool):
     """(sets, a_low, b_low): what `dr_scan` compares, in the loop's order.
 
-    Row x of sets lists every subset of V\\{x}, ascending: bit x inserted
-    into each (n-1)-bit mask. a_low and b_low index those rows with every
+    sets is `_row_sets(n)`. a_low and b_low index its columns with every
     pair (A, B) of (n-1)-bit masks where A is a proper submask of B, B
     descending and then A descending over the submasks of B; A = 0 appears
     only with include_empty. One index of at most 3^(n-1) pairs serves
     every x.
     """
     w = max(n - 1, 0)
-    low = np.arange(1 << w)
-    x = np.arange(n)[:, None]
-    sets = (low >> x << (x + 1)) | (low & ((1 << x) - 1))
-    b = low[::-1]
+    b = np.arange(1 << w)[::-1]
     size = 1 << np.sum((b[:, None] >> np.arange(w)) & 1, axis=1)
     bb = np.repeat(b, size)
     # Within B's run, t counts down from 2^|B| - 1 to 0; depositing its
@@ -167,22 +174,33 @@ def _scan_index(n: int, include_empty: bool):
     keep = aa != bb
     if not include_empty:
         keep &= aa != 0
-    return _frozen(sets, aa[keep], bb[keep])
+    return _frozen(_row_sets(n), aa[keep], bb[keep])
 
 
-def dr_scan(table: np.ndarray, n: int, tol: float, include_empty: bool,
-            max_stored: int = 1000):
-    """Scan every diminishing-returns triple x, A <= B <= V\\{x}.
+@functools.lru_cache(maxsize=8)
+def _local_index(n: int):
+    """(sets, a_low, b_low): what `local_scan` compares, the (n-1)-bit mask
+    pairs (A, A | bit j) with A nonempty and j not in A, A ascending and
+    then j ascending."""
+    w = max(n - 1, 0)
+    a = np.repeat(np.arange(1 << w), w)
+    j = np.tile(np.arange(w), 1 << w)
+    keep = (a != 0) & ((a >> j) & 1 == 0)
+    return _frozen(_row_sets(n), a[keep], (a | 1 << j)[keep])
+
+
+def _scan(table: np.ndarray, n: int, tol: float, index, max_stored: int):
+    """Judge f(x|A) >= f(x|B) for each x and each pair (A, B) of `index`.
 
     Returns (min_margin, compared, skipped, violation_count, violations)
     where each stored violation is (A_bits, B_bits, x, gain_A, gain_B).
-    Triples where either gain is non-finite lie outside the objective's
-    domain; they are skipped and tallied rather than judged. Triples are
-    taken x by x; for each x, B runs down the subsets of V\\{x} and A down
-    the proper subsets of B, and violations are stored in that order.
+    Comparisons where either gain is non-finite lie outside the objective's
+    domain; they are skipped and tallied rather than judged. Comparisons
+    are taken x by x and, for each x, in the index's order; violations are
+    stored in that order.
     """
     t = np.asarray(table, dtype=np.float64)
-    sets, a_low, b_low = _scan_index(n, include_empty)
+    sets, a_low, b_low = index
     # Non-finite values only mark off-domain subsets; their gains are
     # tallied as skipped below, so nan from inf - inf is expected.
     with np.errstate(invalid="ignore"):
@@ -218,38 +236,19 @@ def dr_scan(table: np.ndarray, n: int, tol: float, include_empty: bool,
     return min_margin, compared, skipped, count, viols
 
 
-def pair_scan(table: np.ndarray, n: int, tol: float, max_stored: int = 1000):
-    """Scan the lattice inequality f(X)+f(Y) >= f(X|Y)+f(X&Y) over all pairs.
+def dr_scan(table: np.ndarray, n: int, tol: float, include_empty: bool,
+            max_stored: int = 1000):
+    """Scan every diminishing-returns triple x, A <= B <= V\\{x} with `_scan`:
+    for each x, B runs down the subsets of V\\{x} and A down those of B."""
+    return _scan(table, n, tol, _scan_index(n, include_empty), max_stored)
 
-    Pairs with X & Y empty are left out and not tallied, just as dr_scan
-    leaves out A = empty by default, so the two scans judge the same
-    lattice and agree in verdict on finite tables. Same return shape and
-    off-domain convention as dr_scan, with stored violations recorded as
-    (X_bits, Y_bits, lhs, rhs).
+
+def local_scan(table: np.ndarray, n: int, tol: float, max_stored: int = 1000):
+    """Scan f(A+i) + f(A+j) >= f(A+i+j) + f(A), A nonempty, i != j outside A.
+
+    Each comparison is the DR triple x = i, B = A + j, judged by `_scan`.
+    A function is submodular exactly when all of them hold (Schrijver,
+    Combinatorial Optimization, 2003), so this gives `dr_scan`'s default
+    verdict from n(n-1)(2^(n-2) - 1) comparisons, each pair {i, j} twice.
     """
-    t = table
-    size = 1 << n
-    min_margin = math.inf
-    compared = 0
-    skipped = 0
-    count = 0
-    viols = []
-    for x_bits in range(size):
-        fx = float(t[x_bits])
-        for y_bits in range(x_bits + 1, size):
-            if not x_bits & y_bits:
-                continue
-            lhs = fx + float(t[y_bits])
-            rhs = float(t[x_bits | y_bits]) + float(t[x_bits & y_bits])
-            margin = lhs - rhs
-            if not math.isfinite(margin):
-                skipped += 1
-                continue
-            compared += 1
-            if margin < min_margin:
-                min_margin = margin
-            if margin < -tol:
-                count += 1
-                if len(viols) < max_stored:
-                    viols.append((x_bits, y_bits, float(lhs), float(rhs)))
-    return min_margin, compared, skipped, count, viols
+    return _scan(table, n, tol, _local_index(n), max_stored)

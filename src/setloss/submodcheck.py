@@ -2,20 +2,21 @@
 
 Every objective becomes a set function by evaluating its per-class term on
 an arbitrary subset A of the batch, with the batch's labels ignored and
-f(empty) = 0. Two exhaustive scans over the subset lattice then judge it:
-the diminishing-returns form checks f(x|A) >= f(x|B) for all A <= B <=
-V \\ {x}, and the pairwise form checks f(X) + f(Y) >= f(X u Y) + f(X n Y).
-Both leave out the comparisons that touch the empty set, so they judge the
-same lattice and agree in verdict for any finite-valued set function; both
-are run in tests as a cross-check.
+f(empty) = 0. Two exhaustive scans over the subset lattice then judge it,
+both on the backend's one scan engine: the diminishing-returns form checks
+f(x|A) >= f(x|B) for all A <= B <= V \\ {x}, and the local form checks
+f(A+i) + f(A+j) >= f(A+i+j) + f(A) for all i != j outside A, which is the
+triple x = i, B = A + j. Both leave out the comparisons with A empty, so
+they judge the same lattice and agree in verdict for any finite-valued set
+function; both are run in tests as a cross-check.
 
 Conventions the scans rely on:
-  * Comparisons touching the empty set are left out: DR triples with
-    A = empty by default, pairs with X n Y = empty always. The formulas
-    give the empty set no boundary semantics, and several objectives that
-    are well-behaved everywhere else fail a naive f(empty) = 0 reading
-    (the facility-location loss among them); `include_empty` restores
-    those triples to the DR scan for auditing.
+  * Comparisons with A empty are left out: by default in the DR scan,
+    always in the local one. The formulas give the empty set no boundary
+    semantics, and several objectives that are well-behaved everywhere
+    else fail a naive f(empty) = 0 reading (the facility-location loss
+    among them); `include_empty` restores those triples to the DR scan
+    for auditing.
   * Subsets where a term leaves its domain (log of a nonpositive number,
     an empty complement's log-sum-exp) produce non-finite gains; such
     comparisons are tallied as skipped, never judged.
@@ -40,8 +41,7 @@ draws.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -101,6 +101,12 @@ def _bits_to_tuple(bits: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if bits >> i & 1)
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """A NaN tolerance would pass every margin, a negative one flag ties."""
+    if not 0 <= tolerance < math.inf:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
+
+
 def _table(objective: str, batch: EmbeddingBatch, config: losses.LossConfig):
     if batch.n > ENUMERATION_BOUND:
         raise GroundSetTooLarge(batch.n, ENUMERATION_BOUND)
@@ -109,13 +115,12 @@ def _table(objective: str, batch: EmbeddingBatch, config: losses.LossConfig):
     return backend.value_table(objectives.get(objective), s, d, cfg.lam, cfg.margin)
 
 
-def _dr_check(objective: str, batch: EmbeddingBatch, config: losses.LossConfig,
-              tolerance: float, include_empty: bool) -> LatticeCheckResult:
-    """One DR scan, with its stored violations' sets still as bitmasks."""
-    table = _table(objective, batch, config)
-    mm, compared, skipped, count, viols = backend.dr_scan(
-        table, batch.n, tolerance, include_empty
-    )
+def _scan_batch(objective: str, batch: EmbeddingBatch, config: losses.LossConfig,
+                scan, *args) -> LatticeCheckResult:
+    """One backend scan of the batch's table, its violations' sets still
+    as bitmasks."""
+    mm, compared, skipped, count, viols = scan(_table(objective, batch, config),
+                                               batch.n, *args)
     return LatticeCheckResult(objective, batch.n, 1, viols, count,
                               float(mm), compared, skipped)
 
@@ -125,23 +130,23 @@ def exhaustive_dr_check(objective: str, batch: EmbeddingBatch,
                         tolerance: float = DEFAULT_TOLERANCE,
                         include_empty: bool = False) -> LatticeCheckResult:
     """Scan every diminishing-returns triple of the batch's subset lattice."""
-    return _merge(objective, batch.n,
-                  [_dr_check(objective, batch, config, tolerance, include_empty)])
+    _check_tolerance(tolerance)
+    res = _scan_batch(objective, batch, config, backend.dr_scan, tolerance, include_empty)
+    return _merge(objective, batch.n, [res])
 
 
 def exhaustive_lattice_check(objective: str, batch: EmbeddingBatch,
                              config: losses.LossConfig,
                              tolerance: float = DEFAULT_TOLERANCE) -> LatticeCheckResult:
-    """Scan the pairwise form f(X)+f(Y) >= f(X u Y)+f(X n Y) instead."""
-    table = _table(objective, batch, config)
-    n = batch.n
-    mm, compared, skipped, count, viols = backend.pair_scan(table, n, tolerance)
-    decoded = [
-        (_bits_to_tuple(x, n), _bits_to_tuple(y, n), lhs, rhs)
-        for x, y, lhs, rhs in viols
-    ]
-    return LatticeCheckResult(objective, n, 1, decoded, count,
-                              float(mm), compared, skipped)
+    """Scan the local form f(A+i) + f(A+j) >= f(A+i+j) + f(A) instead.
+
+    Same verdict as the default DR scan, from n(n-1)(2^(n-2) - 1) ordered
+    comparisons; violations take the DR shape (A, B = A + j, x = i, gain_A,
+    gain_B).
+    """
+    _check_tolerance(tolerance)
+    res = _scan_batch(objective, batch, config, backend.local_scan, tolerance)
+    return _merge(objective, batch.n, [res])
 
 
 def draw_batch(rng: Rng, n: int, dim: int = DRAW_DIM) -> EmbeddingBatch:
@@ -151,34 +156,19 @@ def draw_batch(rng: Rng, n: int, dim: int = DRAW_DIM) -> EmbeddingBatch:
     return EmbeddingBatch(z, np.zeros(n, dtype=np.int64))
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("SCORE_KIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _scan_draws(objective: str, config: losses.LossConfig, n: int,
                 draws: int, seed: int, tolerance: float, stop_early: bool):
-    """DR-scan `draws` seeded batches; results ordered by draw index."""
+    """DR-scan `draws` seeded batches in order, or up to the first violating
+    one when stopping early."""
+    _check_tolerance(tolerance)
     rng = Rng(seed)
-
-    def one(i: int):
-        return _dr_check(objective, draw_batch(rng.derive(i), n), config,
-                         tolerance, False)
-
-    cap = _thread_cap()
     results = []
-    if cap == 1 or stop_early:
-        for i in range(draws):
-            res = one(i)
-            results.append(res)
-            if stop_early and res.violation_count:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(one, range(draws)))
+    for i in range(draws):
+        res = _scan_batch(objective, draw_batch(rng.derive(i), n), config,
+                          backend.dr_scan, tolerance, False)
+        results.append(res)
+        if stop_early and res.violation_count:
+            break
     return results
 
 
@@ -225,7 +215,8 @@ def verdict_table(names=objectives.OBJECTIVES, n: int = 6, draws: int = 200,
     ones get the counterexample search. The caller compares each verdict
     against the record's claim. A table that could compare nothing is
     refused: below n = 3 no triple A < B with A nonempty exists, and a
-    scan of zero draws judges no triple at all.
+    scan of zero draws judges no triple at all. The scans refuse a
+    tolerance that is NaN, infinite or negative.
     """
     if n < 3:
         raise ValidationError(f"n must be >= 3 to compare any triple, got {n}")

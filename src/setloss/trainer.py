@@ -82,6 +82,10 @@ class TrainConfig:
             raise ValidationError(
                 f"eval split must lie in (0, 1), got {self.eval_split}"
             )
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.out_dim is not None and self.out_dim < 2:
+            raise ValidationError(f"out_dim must be >= 2, got {self.out_dim}")
 
 
 @dataclass
@@ -148,7 +152,7 @@ def train_stage1(data: EmbeddingBatch, config: TrainConfig):
     """
     if data.num_classes < 2:
         raise MissingClass(1, "stage-1 training data")
-    out_dim = config.out_dim or data.dim
+    out_dim = data.dim if config.out_dim is None else config.out_dim
     params = initial_params(data.dim, out_dim, config.seed, config.normalize)
     rng = Rng(config.seed).derive(202)
     full = config.batch_size is None or config.batch_size >= data.n

@@ -1,4 +1,4 @@
-"""Classical set functions over similarity kernels, and their per-class sums.
+"""Textbook set functions over similarity kernels: the tests' oracle.
 
 Three function families, each mapping a subset A of the ground set V to a
 real score under a fixed similarity matrix S:
@@ -10,7 +10,8 @@ real score under a fixed similarity matrix S:
 These are the textbook forms. The per-class objective terms in `losses`
 differ where the training formulas differ (the facility-location loss sums
 over V \\ A only, and graph-cut terms place lam per variant); both views
-exist on purpose, and the submodularity checker exercises the loss forms.
+exist on purpose: the submodularity checker exercises the loss forms, and
+the tests pin those forms against these.
 
 Two combinators aggregate a function over a class partition: the summed
 within-class score sum_k f(A_k), and that sum minus f(V), which trades
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import ClassPartition
-from .errors import EmptyGroundSet, NotPositiveDefinite, ValidationError
+from setloss.batch import ClassPartition
+from setloss.errors import EmptyGroundSet, NotPositiveDefinite, ValidationError
 
 SET_FUNCTION_KINDS = ("facility-location", "graph-cut", "log-det")
 

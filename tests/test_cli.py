@@ -181,6 +181,30 @@ def test_submodcheck_without_evidence_rejected(flags, capsys):
     assert "MISMATCH" not in captured.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_submodcheck_tolerance_flag_must_be_finite_and_nonnegative(tol, capsys):
+    # NaN once passed every margin, so supcon read submodular-consistent
+    # and exited 5; -1 flagged fl's exact ties as violations.
+    for name in ("supcon", "fl"):
+        assert cli.main(["submodcheck", "--objective", name, "--tol", tol,
+                         "--budget", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tolerance must be finite and >= 0")
+
+
+def test_submodcheck_nan_tolerance_in_config_rejected(tmp_path, capsys):
+    # json.load admits the bare NaN token, and it is a float, so the type
+    # check lets it through; the scan itself refuses it.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"check": {"tolerance": NaN, "budget": 50}}')
+    assert cli.main(["submodcheck", "--objective", "supcon",
+                     "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance must be finite" in captured.err
+
+
 def test_sweep_default_grid(capsys):
     assert cli.main(["sweep"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -267,6 +291,25 @@ def test_train_lambda_grid_keeps_failure_rows(tmp_path, capsys):
     assert "nan" not in rows["fl@lam=0.5"]
     assert "nan" not in rows["gc-cf@lam=1"]
     assert "gc-cf@lam=0.5" in captured.err
+
+
+@pytest.mark.parametrize("setting", [
+    {"batch_size": 0}, {"batch_size": -5}, {"out_dim": 0}, {"out_dim": 1},
+    {"out_dim": -3},
+])
+def test_train_rejects_degenerate_sizes(setting, tmp_path, capsys):
+    # batch_size 0 and -5 once trained full-batch, out_dim 0 fell back to
+    # the data dimension, and out_dim -3 became a failure row (exit 3).
+    cfg = json.loads(train_config(tmp_path, 1.0).read_text())
+    cfg["train"].update(setting)
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_train_unwritable_out_is_io_failure(tmp_path, capsys):

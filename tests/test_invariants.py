@@ -4,6 +4,8 @@ Relabeling the classes only reorders the per-class terms; permuting the rows
 of a batch only permutes the rows of its gradient; and the two log-det forms
 differ by one log det(S_V + lam I) per class. Batches outside an objective's
 domain must be refused the same way before and after the transformation.
+A scoring never returns inf or nan: it either refuses the batch or gives a
+finite total, finite per-class terms and a finite gradient.
 """
 
 import math
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 
 from setloss import grads, kernels, losses, objectives
 from setloss.batch import EmbeddingBatch
-from setloss.errors import PreconditionError
+from setloss.errors import PreconditionError, SetLossError
+from setloss.sampling import Rng
 
 EXAMPLES = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
@@ -93,3 +96,32 @@ def test_logdet_cf_total_is_sf_total_minus_c_whole_logdets(batch, kernel, lam):
     scale = max(1.0, abs(sf.total), classes * abs(whole))
     assert math.isclose(cf.total, sf.total - classes * whole,
                         rel_tol=0.0, abs_tol=1e-10 * scale)
+
+
+@st.composite
+def _spread_batches(draw):
+    """Gaussian rows, centered or shifted, tight or wide, over 2 or 3 classes:
+    unlike `check_batch`, many of them leave some objective's domain."""
+    n, dim = draw(st.integers(4, 14)), draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2 ** 16))
+    shift = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    scale = draw(st.sampled_from((0.1, 0.6, 3.0)))
+    vectors = shift + scale * Rng(seed).normals((n, dim))
+    return EmbeddingBatch(vectors, np.arange(n) % draw(st.integers(2, 3)))
+
+
+@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+@settings(EXAMPLES, max_examples=30)
+@given(_spread_batches(), st.sampled_from(kernels.SIMILARITY_KINDS),
+       st.floats(0.2, 3.0), st.floats(1.0, 3.0))
+def test_scoring_refuses_or_returns_finite_values(name, batch, kernel,
+                                                  bandwidth, lam):
+    config = losses.LossConfig(name, lam=lam, kernel=kernel, bandwidth=bandwidth)
+    try:
+        ev = losses.evaluate(batch, config)
+        grad = grads.evaluation_gradient(ev)
+    except SetLossError:
+        return
+    assert math.isfinite(ev.result.total)
+    assert np.all(np.isfinite(ev.result.per_class))
+    assert np.all(np.isfinite(grad))

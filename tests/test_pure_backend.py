@@ -365,15 +365,50 @@ def test_max_stored_caps_the_violation_list():
             assert len(capped[4]) == 2
             assert capped[4] == full[4][:2]
             assert capped[4] == dr_scan(table, 6, 1e-9, False)[4][:2]
-            pairs = pure.pair_scan(table, 6, 1e-9)
-            assert pairs[3] > 2
-            assert all(x & y for x, y, _, _ in pairs[4])
-            capped = pure.pair_scan(table, 6, 1e-9, 2)
-            assert capped[:4] == pairs[:4]
-            assert capped[4] == pairs[4][:2]
+            local = pure.local_scan(table, 6, 1e-9)
+            assert local[3] > 2
+            # A nonempty, B = A plus one point, x outside B
+            assert all(a and (b & a) == a and bin(b ^ a).count("1") == 1
+                       and not b >> x & 1 for a, b, x, _, _ in local[4])
+            capped = pure.local_scan(table, 6, 1e-9, 2)
+            assert capped[:4] == local[:4]
+            assert capped[4] == local[4][:2]
             break
     else:
         pytest.fail("no violating instance found in 50 seeds")
+
+
+def _local_triples(n):
+    """Brute force: (i, A, A+j) for nonempty A and i != j outside A, taken
+    i first, then A ascending, then j ascending."""
+    return [(i, a, a | 1 << j)
+            for i in range(n)
+            for a in range(1, 1 << n) if not a >> i & 1
+            for j in range(n) if j != i and not a >> j & 1]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_local_scan_matches_brute_force_enumeration(n):
+    triples = _local_triples(n)
+    assert len(triples) == n * (n - 1) * (2 ** (n - 2) - 1)
+    sets, a_low, b_low = pure._local_index(n)
+    assert [(x, sets[x, a], sets[x, b]) for x in range(n)
+            for a, b in zip(a_low.tolist(), b_low.tolist())] == triples
+
+    rng = np.random.default_rng(n)
+    table = rng.normal(size=1 << n)
+    table[:4] = [0.0, math.inf, table[2], math.nan]  # {0} and {0, 1} off-domain
+    t = table.tolist()
+    margins, viols = [], []
+    for x, a, b in triples:
+        ga, gb = t[a | 1 << x] - t[a], t[b | 1 << x] - t[b]
+        margins.append(ga - gb)
+        if math.isfinite(ga - gb) and ga - gb < 0.0:
+            viols.append((a, b, x, ga, gb))
+    finite = [m for m in margins if math.isfinite(m)]
+    assert 0 < len(finite) < len(margins)
+    want = (min(finite), len(finite), len(margins) - len(finite), len(viols), viols)
+    assert new_without_warnings(pure.local_scan, table, n, 0.0) == want
 
 
 def _remap(bits, perm):

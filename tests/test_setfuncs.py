@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from setloss import grads, kernels, losses, setfuncs, submodcheck
+import setfuncs
+from setloss import grads, kernels, losses, submodcheck
 from setloss.batch import EmbeddingBatch, partition_from_labels
 from setloss.errors import NotPositiveDefinite, ValidationError
 from setloss.sampling import Rng

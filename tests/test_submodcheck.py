@@ -1,6 +1,5 @@
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -56,6 +55,10 @@ def test_identity_kernel_makes_gc_modular():
     assert res.min_margin == 0.0
     cf = submodcheck.exhaustive_dr_check("gc-cf", b, COSINE)
     assert cf.violation_count == 0
+    # A zero tolerance is allowed, and judges those exact ties as holding.
+    for check in (submodcheck.exhaustive_dr_check, submodcheck.exhaustive_lattice_check):
+        res = check("gc-sf", b, COSINE, 0.0)
+        assert (res.violation_count, res.min_margin) == (0, 0.0)
 
 
 def test_fl_submodular_on_random_kernels():
@@ -146,8 +149,8 @@ def test_dr_and_pairwise_lattice_forms_agree():
     for name in objectives.OBJECTIVES:
         for cfg in (COSINE, RBF):
             for n in (4, 5):
-                # Pairs X < Y that intersect: all pairs minus the disjoint ones.
-                intersecting = 2 ** n * (2 ** n - 1) // 2 - (3 ** n - 1) // 2
+                # Ordered (i, j) and nonempty A outside both.
+                local = n * (n - 1) * (2 ** (n - 2) - 1)
                 for seed in range(3):
                     b = submodcheck.draw_batch(Rng(seed).derive(n), n)
                     if not np.all(np.isfinite(submodcheck._table(name, b, cfg))):
@@ -156,20 +159,35 @@ def test_dr_and_pairwise_lattice_forms_agree():
                     lat = submodcheck.exhaustive_lattice_check(name, b, cfg)
                     where = (name, cfg.kernel, n, seed)
                     assert (dr.violation_count > 0) == (lat.violation_count > 0), where
-                    assert lat.compared + lat.skipped == intersecting, where
+                    assert lat.compared + lat.skipped == local, where
                     judged += 1
                     violated += dr.violation_count > 0
     assert judged >= 100 and violated >= 30
 
-    # Every violation of this draw involves the empty set: DR triples with
-    # A = empty, or disjoint pairs such as ({0}, {1}). Neither scan judges
-    # them, so both find none.
+    # Every violation of this draw is a DR triple with A = empty. Neither
+    # scan judges those, so both find none.
     b = submodcheck.draw_batch(Rng(0).derive(4), 4)
     assert submodcheck.exhaustive_dr_check("logdet-cf", b, RBF).violation_count == 0
     assert submodcheck.exhaustive_dr_check(
         "logdet-cf", b, RBF, include_empty=True).violation_count == 28
     lat = submodcheck.exhaustive_lattice_check("logdet-cf", b, RBF)
-    assert (lat.violation_count, lat.compared, lat.skipped) == (0, 80, 0)
+    assert (lat.violation_count, lat.compared, lat.skipped) == (0, 36, 0)
+
+
+def test_local_violations_take_the_dr_shape():
+    # The first supcon draw that violates under cosine; the local scan finds
+    # it too, and each kept violation is a DR triple with B = A + j.
+    res = submodcheck.counterexample_search("supcon")
+    b = submodcheck.draw_batch(Rng(0).derive(res.trials - 1), 6)
+    lat = submodcheck.exhaustive_lattice_check("supcon", b, COSINE)
+    assert lat.violation_count and lat.violations
+    f = submodcheck.as_set_function("supcon", b, COSINE)
+    for a, bset, x, gain_a, gain_b in lat.violations[:5]:
+        assert a and set(a) < set(bset) and len(bset) == len(a) + 1
+        assert x not in bset
+        assert f(list(a) + [x]) - f(list(a)) == pytest.approx(gain_a, rel=1e-12)
+        assert f(list(bset) + [x]) - f(list(bset)) == pytest.approx(gain_b, rel=1e-12)
+        assert gain_a - gain_b < -submodcheck.DEFAULT_TOLERANCE
 
 
 def test_include_empty_expands_the_scan():
@@ -207,31 +225,6 @@ def test_multi_draw_scan_decodes_only_the_kept_violations(monkeypatch):
     assert len(calls) <= 2 * len(res.violations)
 
 
-def test_thread_pool_matches_the_serial_scan(monkeypatch):
-    # supcon under cosine: the first draw is clean and later ones violate,
-    # so the kept violation list depends on draws being merged in order.
-    def scan():
-        r = submodcheck.consistency_scan("supcon", n=6, draws=12, seed=3,
-                                         config=COSINE)
-        return repr((r.violation_count, r.compared, r.skipped, r.min_margin,
-                     r.violations))
-
-    pools = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(submodcheck, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.delenv("SCORE_KIT_THREADS", raising=False)
-    serial = scan()
-    assert pools == []
-    monkeypatch.setenv("SCORE_KIT_THREADS", "2")
-    assert scan() == serial
-    assert pools == [2]
-
-
 def test_enumeration_bound_enforced():
     b = submodcheck.draw_batch(Rng(1), submodcheck.ENUMERATION_BOUND + 1)
     with pytest.raises(GroundSetTooLarge):
@@ -261,3 +254,18 @@ def test_verdict_table_refuses_a_scan_that_compares_nothing(kwargs):
     # nothing; either way a "consistent" verdict would rest on no evidence.
     with pytest.raises(ValidationError):
         submodcheck.verdict_table(["fl", "supcon"], **kwargs)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(tolerance):
+    # NaN would pass every margin (margin < -nan is always false) and a
+    # negative tolerance would flag exact ties as violations.
+    b = submodcheck.draw_batch(Rng(0), 5)
+    for scan in (lambda: submodcheck.verdict_table(["supcon"], tolerance=tolerance),
+                 lambda: submodcheck.exhaustive_dr_check("fl", b, RBF, tolerance),
+                 lambda: submodcheck.exhaustive_lattice_check("fl", b, RBF, tolerance),
+                 lambda: submodcheck.consistency_scan("fl", draws=2,
+                                                      tolerance=tolerance)):
+        with pytest.raises(ValidationError, match="tolerance must be finite"):
+            scan()
+

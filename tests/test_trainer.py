@@ -31,6 +31,24 @@ def test_config_validation():
         trainer.TrainConfig(eval_split=1.0)
 
 
+@pytest.mark.parametrize("setting", [
+    {"batch_size": 0}, {"batch_size": -5}, {"out_dim": 0}, {"out_dim": 1},
+    {"out_dim": -3},
+])
+def test_config_rejects_degenerate_sizes(setting):
+    with pytest.raises(ValidationError):
+        trainer.TrainConfig(**setting)
+
+
+def test_out_dim_is_used_as_given():
+    # None means the data dimension; any other value is taken as is.
+    data = small_data()
+    for out_dim, rows in ((None, data.dim), (2, 2), (7, 7)):
+        config = trainer.TrainConfig(steps=1, out_dim=out_dim, batch_size=1)
+        params, _ = trainer.train_stage1(data, config)
+        assert params.W.shape == (rows, data.dim)
+
+
 @pytest.mark.parametrize("lr", [math.nan, math.inf])
 def test_config_rejects_non_finite_learning_rate(lr):
     with pytest.raises(ValidationError):
