@@ -49,11 +49,20 @@ class GradCheckReport:
     excluded: int = 0
 
 
-def _entry_weights(obj, s, d, sets, lam, eps):
-    """(dL/dS, dL/dD, dL/dD^2) as n x n matrices, or None where unused."""
+def _zeros(workspace, name, n):
+    m = kernels.workspace_buffer(workspace, name, n)
+    m.fill(0.0)
+    return m
+
+
+def _entry_weights(obj, s, d, sets, lam, eps, workspace=None):
+    """(dL/dS, dL/dD, dL/dD^2) as n x n matrices, or None where unused.
+
+    They are built in the workspace's "ws" and "wdist" buffers when given one.
+    """
     n = s.shape[0]
-    ws = np.zeros((n, n))
-    wdist = np.zeros((n, n)) if obj.distance is not None else None
+    ws = _zeros(workspace, "ws", n)
+    wdist = _zeros(workspace, "wdist", n) if obj.distance is not None else None
     whole = obj.whole_weight(s, lam)
     for members in sets:
         a = np.asarray(members, dtype=np.intp)
@@ -62,21 +71,26 @@ def _entry_weights(obj, s, d, sets, lam, eps):
     return (ws, wdist, None) if obj.distance == "d" else (ws, None, wdist)
 
 
-def evaluation_gradient(ev: losses.Evaluation) -> np.ndarray:
-    """Analytic dL/dZ from the matrices and partition one evaluation used."""
+def evaluation_gradient(ev: losses.Evaluation,
+                        workspace: kernels.Workspace | None = None) -> np.ndarray:
+    """Analytic dL/dZ from the matrices and partition one evaluation used.
+
+    The entry weights and pullbacks are built in `workspace` when given one;
+    the evaluation's own matrices may live in it too.
+    """
     config = ev.config
     ws, wd, wd2 = _entry_weights(objectives.get(config.objective), ev.s, ev.d,
-                                 ev.sets, config.lam, config.margin)
+                                 ev.sets, config.lam, config.margin, workspace)
 
     z = ev.batch.vectors
     grad = np.zeros_like(z)
     if np.any(ws):
         grad += kernels.similarity_pullback(z, ws, config.kernel, config.bandwidth,
-                                            s=ev.s)
+                                            s=ev.s, workspace=workspace)
     if wd is not None:
-        grad += kernels.distance_pullback(z, wd, ev.d)
+        grad += kernels.distance_pullback(z, wd, ev.d, workspace)
     if wd2 is not None:
-        grad += kernels.sqdist_pullback(z, wd2)
+        grad += kernels.sqdist_pullback(z, wd2, workspace)
     return grad
 
 

@@ -9,7 +9,9 @@ array) to a symmetric n x n numpy array:
     neg-euclidean  S_ij = -D_ij                             similarity flavor of D
 
 Properties enforced here rather than assumed downstream:
-  * exact symmetry (matrices are averaged with their transpose once),
+  * exact symmetry (matrices are averaged with their transpose only when the
+    Gram product is not exactly symmetric; numpy's BLAS syrk path returns it
+    symmetric, so the average is a fallback),
   * exact unit diagonal for cosine/rbf and zero diagonal for distances,
   * cosine entries clipped to [-1, 1] against roundoff,
   * cosine refuses embeddings with norm below 1e-12 (ZeroVector).
@@ -19,6 +21,15 @@ back to embeddings and are the only gradient route the loss module uses. They
 take the forward matrix the loss was scored on rather than rebuilding it; the
 single-entry kernel_gradient form exists for spot checks against finite
 differences.
+
+Every n x n array is built in place, in a buffer that a `Workspace` holds
+when the call is given one and in a fresh array when it is not, so the two
+give the same bits from the same code. A trainer hands one workspace to
+every step and allocates no n x n array after the first. An array built on
+a workspace is valid until that workspace's next use for the same kind of
+array: kernel matrices until its next kernel build, entry weights until its
+next entry-weight build. Calls given no workspace return arrays that share
+no memory with any later call.
 """
 
 from __future__ import annotations
@@ -47,8 +58,50 @@ def _vectors(batch) -> np.ndarray:
     return np.asarray(batch, dtype=np.float64)
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+class Workspace:
+    """n x n buffers, one per name, reused by every call that is given it.
+
+    Names: "s" and "d" hold kernel results (a similarity built from squared
+    distances without a kept D lives in "d"); "gram" is scratch for the Gram
+    product, the symmetrizing average and, once the kernel is built, the
+    doubled weights of a pullback; "cos" holds the cosine pullback's
+    unclipped Gram; "mask" holds boolean masks; "ws" and "wdist" hold entry
+    weights (see `grads`). A buffer is re-allocated when n changes.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def buffer(self, name: str, n: int, dtype=np.float64) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[0] != n:
+            buf = self._buffers[name] = np.empty((n, n), dtype)
+        return buf
+
+
+def workspace_buffer(workspace: Workspace | None, name: str, n: int,
+                     dtype=np.float64) -> np.ndarray:
+    """The workspace's buffer `name`, or a fresh n x n array without one."""
+    if workspace is None:
+        return np.empty((n, n), dtype)
+    return workspace.buffer(name, n, dtype)
+
+
+def _gram(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.matmul(z, z.T, out=out)
+
+
+def _symmetric(m: np.ndarray, workspace: Workspace | None) -> np.ndarray:
+    """m, replaced in place by (m + m.T) / 2 unless it equals m.T exactly.
+
+    Uses the "mask" and "gram" buffers, so m must live in neither.
+    """
+    n = m.shape[0]
+    if not np.equal(m, m.T, out=workspace_buffer(workspace, "mask", n, bool)).all():
+        avg = np.add(m, m.T, out=workspace_buffer(workspace, "gram", n))
+        avg /= 2.0
+        m[...] = avg
+    return m
 
 
 def unit_rows(z: np.ndarray) -> np.ndarray:
@@ -60,60 +113,75 @@ def unit_rows(z: np.ndarray) -> np.ndarray:
     return z / norms[:, None]
 
 
-def cosine_similarity(batch) -> np.ndarray:
+def cosine_similarity(batch, workspace: Workspace | None = None) -> np.ndarray:
     z = _vectors(batch)
     zh = unit_rows(z)
-    s = _symmetrized(zh @ zh.T)
+    s = _symmetric(_gram(zh, workspace_buffer(workspace, "s", z.shape[0])), workspace)
     np.clip(s, -1.0, 1.0, out=s)
     np.fill_diagonal(s, 1.0)
     return s
 
 
-def squared_distances(z: np.ndarray) -> np.ndarray:
+def squared_distances(z: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+    """|z_i - z_j|^2 as |z_i|^2 + |z_j|^2 - 2 <z_i, z_j>, floored at zero."""
+    n = z.shape[0]
     sq = np.sum(z * z, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
+    twice = _gram(z, workspace_buffer(workspace, "gram", n))
+    twice *= 2.0
+    d2 = np.add(sq[:, None], sq[None, :], out=workspace_buffer(workspace, "d", n))
+    d2 -= twice
     np.maximum(d2, 0.0, out=d2)
-    d2 = _symmetrized(d2)
+    _symmetric(d2, workspace)
     np.fill_diagonal(d2, 0.0)
     return d2
 
 
-def euclidean_distance(batch) -> np.ndarray:
-    return np.sqrt(squared_distances(_vectors(batch)))
+def euclidean_distance(batch, workspace: Workspace | None = None) -> np.ndarray:
+    d2 = squared_distances(_vectors(batch), workspace)
+    return np.sqrt(d2, out=d2)
 
 
-def _rbf_entries(d2: np.ndarray, bandwidth: float) -> np.ndarray:
-    s = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
+def _rbf_entries(d2: np.ndarray, bandwidth: float, out: np.ndarray) -> np.ndarray:
+    s = np.negative(d2, out=out)
+    s /= 2.0 * bandwidth * bandwidth
+    np.exp(s, out=s)
     np.fill_diagonal(s, 1.0)
     return s
 
 
-def rbf_similarity(batch, bandwidth: float = 1.0) -> np.ndarray:
+def rbf_similarity(batch, bandwidth: float = 1.0,
+                   workspace: Workspace | None = None) -> np.ndarray:
     if not (bandwidth > 0):
         raise NonPositiveBandwidth(bandwidth)
-    return _rbf_entries(squared_distances(_vectors(batch)), bandwidth)
+    d2 = squared_distances(_vectors(batch), workspace)
+    return _rbf_entries(d2, bandwidth, out=d2)
 
 
-def similarity(batch, kind: str = "cosine", bandwidth: float = 1.0) -> np.ndarray:
+def similarity(batch, kind: str = "cosine", bandwidth: float = 1.0,
+               workspace: Workspace | None = None) -> np.ndarray:
     if kind == "cosine":
-        return cosine_similarity(batch)
+        return cosine_similarity(batch, workspace)
     if kind == "rbf":
-        return rbf_similarity(batch, bandwidth)
+        return rbf_similarity(batch, bandwidth, workspace)
     if kind == "neg-euclidean":
-        return -euclidean_distance(batch)
+        d = euclidean_distance(batch, workspace)
+        return np.negative(d, out=d)
     raise ValidationError(f"unknown kernel kind {kind!r}")
 
 
-def similarity_and_distance(batch, kind: str = "cosine", bandwidth: float = 1.0):
+def similarity_and_distance(batch, kind: str = "cosine", bandwidth: float = 1.0,
+                            workspace: Workspace | None = None):
     """(S, D), equal to `similarity` and `euclidean_distance` but with one
     squared-distance pass under rbf and neg-euclidean."""
     if kind == "rbf" and bandwidth > 0:
-        d2 = squared_distances(_vectors(batch))
-        return _rbf_entries(d2, bandwidth), np.sqrt(d2)
+        d2 = squared_distances(_vectors(batch), workspace)
+        s = workspace_buffer(workspace, "s", d2.shape[0])
+        return _rbf_entries(d2, bandwidth, out=s), np.sqrt(d2, out=d2)
     if kind == "neg-euclidean":
-        d = euclidean_distance(batch)
-        return -d, d
-    return similarity(batch, kind, bandwidth), euclidean_distance(batch)
+        d = euclidean_distance(batch, workspace)
+        return np.negative(d, out=workspace_buffer(workspace, "s", d.shape[0])), d
+    return (similarity(batch, kind, bandwidth, workspace),
+            euclidean_distance(batch, workspace))
 
 
 def kernel_gradient(batch, kind: str, i: int, j: int, bandwidth: float = 1.0):
@@ -156,58 +224,80 @@ def kernel_gradient(batch, kind: str, i: int, j: int, bandwidth: float = 1.0):
     raise ValidationError(f"unknown kernel kind {kind!r}")
 
 
-def _doubled(weights: np.ndarray) -> np.ndarray:
+def _doubled(weights: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
     # Fold both orientations of each entry weight; diagonal entries of every
     # kernel are constant in the embeddings, so they are zeroed.
-    m = weights + weights.T
+    m = workspace_buffer(workspace, "gram", weights.shape[0])
+    np.add(weights, weights.T, out=m)
     np.fill_diagonal(m, 0.0)
     return m
 
 
-def cosine_pullback(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def cosine_pullback(z: np.ndarray, weights: np.ndarray,
+                    workspace: Workspace | None = None) -> np.ndarray:
     """dL/dZ for L = sum_ij weights_ij * S_ij under the cosine kernel."""
     zh = unit_rows(z)
-    s = zh @ zh.T
-    m = _doubled(weights)
-    proj = np.sum(m * s, axis=1)
+    s = _gram(zh, workspace_buffer(workspace, "cos", z.shape[0]))
+    m = _doubled(weights, workspace)
+    proj = np.sum(np.multiply(m, s, out=s), axis=1)
     grad = m @ zh - proj[:, None] * zh
     return grad / np.linalg.norm(z, axis=1)[:, None]
 
 
 def rbf_pullback(z: np.ndarray, weights: np.ndarray, s: np.ndarray,
-                 bandwidth: float) -> np.ndarray:
+                 bandwidth: float, workspace: Workspace | None = None) -> np.ndarray:
     """dL/dZ for L = sum_ij weights_ij * S_ij, given the forward RBF matrix S."""
-    m = _doubled(weights) * s / (bandwidth * bandwidth)
+    m = _doubled(weights, workspace)
+    m *= s
+    m /= bandwidth * bandwidth
     # row i: sum_j m_ij (z_j - z_i)
     return m @ z - np.sum(m, axis=1)[:, None] * z
 
 
-def sqdist_pullback(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def sqdist_pullback(z: np.ndarray, weights: np.ndarray,
+                    workspace: Workspace | None = None) -> np.ndarray:
     """dL/dZ for L = sum_ij weights_ij * D^2_ij."""
-    m = _doubled(weights)
+    m = _doubled(weights, workspace)
     # d(D^2_ij)/dz_i = 2 (z_i - z_j)
     return 2.0 * (np.sum(m, axis=1)[:, None] * z - m @ z)
 
 
-def distance_pullback(z: np.ndarray, weights: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """dL/dZ for L = sum_ij weights_ij * D_ij, given the forward distances D."""
-    m = _doubled(weights)
+def _over_distances(z: np.ndarray, m: np.ndarray, d: np.ndarray,
+                    apart: np.ndarray) -> np.ndarray:
+    """sum_j (m_ij / d_ij) (z_i - z_j), with pairs not `apart` contributing 0.
+
+    m is overwritten, and so is the boolean mask `apart`.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.where(d > NORM_FLOOR, m / d, 0.0)
+        m /= d
+    np.copyto(m, 0.0, where=np.logical_not(apart, out=apart))
     return np.sum(m, axis=1)[:, None] * z - m @ z
 
 
+def distance_pullback(z: np.ndarray, weights: np.ndarray, d: np.ndarray,
+                      workspace: Workspace | None = None) -> np.ndarray:
+    """dL/dZ for L = sum_ij weights_ij * D_ij, given the forward distances D."""
+    apart = workspace_buffer(workspace, "mask", d.shape[0], bool)
+    np.greater(d, NORM_FLOOR, out=apart)
+    return _over_distances(z, _doubled(weights, workspace), d, apart)
+
+
 def similarity_pullback(z: np.ndarray, weights: np.ndarray, kind: str,
-                        bandwidth: float = 1.0, *, s: np.ndarray) -> np.ndarray:
+                        bandwidth: float = 1.0, *, s: np.ndarray,
+                        workspace: Workspace | None = None) -> np.ndarray:
     """dL/dZ for L = sum_ij weights_ij * S_ij, given the forward matrix S of `kind`.
 
     Cosine works from the raw Gram matrix of unit rows instead: the forward
     S is clipped to [-1, 1], and the chain rule needs the unclipped entries.
     """
     if kind == "cosine":
-        return cosine_pullback(z, weights)
+        return cosine_pullback(z, weights, workspace)
     if kind == "rbf":
-        return rbf_pullback(z, weights, s, bandwidth)
+        return rbf_pullback(z, weights, s, bandwidth, workspace)
     if kind == "neg-euclidean":
-        return distance_pullback(z, -np.asarray(weights), -s)
+        # The distance pullback of -weights against D = -S: (-m_ij) / (-S_ij)
+        # is m_ij / S_ij, and D_ij > NORM_FLOOR is S_ij < -NORM_FLOOR.
+        apart = workspace_buffer(workspace, "mask", s.shape[0], bool)
+        np.less(s, -NORM_FLOOR, out=apart)
+        return _over_distances(z, _doubled(weights, workspace), s, apart)
     raise ValidationError(f"unknown kernel kind {kind!r}")

@@ -58,15 +58,19 @@ class LossResult:
     per_class: np.ndarray
 
 
-def matrices(batch: EmbeddingBatch, config: LossConfig):
+def matrices(batch: EmbeddingBatch, config: LossConfig,
+             workspace: kernels.Workspace | None = None):
     """(similarity, distance) matrices for one batch under one config.
 
     D is built only for objectives that read it, from the same squared
-    distances as S where the kernel uses them.
+    distances as S where the kernel uses them. Both are built in
+    `workspace` when given one.
     """
     if objectives.get(config.objective).distance is None:
-        return kernels.similarity(batch, config.kernel, config.bandwidth), None
-    return kernels.similarity_and_distance(batch, config.kernel, config.bandwidth)
+        return kernels.similarity(batch, config.kernel, config.bandwidth,
+                                  workspace), None
+    return kernels.similarity_and_distance(batch, config.kernel, config.bandwidth,
+                                           workspace)
 
 
 def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray) -> None:
@@ -114,9 +118,14 @@ class Evaluation:
     result: LossResult
 
 
-def evaluate(batch: EmbeddingBatch, config: LossConfig) -> Evaluation:
-    """Build S (and D if needed), check the domain, partition, and score."""
-    s, d = matrices(batch, config)
+def evaluate(batch: EmbeddingBatch, config: LossConfig,
+             workspace: kernels.Workspace | None = None) -> Evaluation:
+    """Build S (and D if needed), check the domain, partition, and score.
+
+    With a workspace, S and D live in its buffers and are valid until its
+    next kernel build; without one they are fresh arrays.
+    """
+    s, d = matrices(batch, config, workspace)
     check_preconditions(batch, config, s)
     sets = list(partition_from_labels(batch.labels))
     obj = objectives.get(config.objective)

@@ -6,8 +6,11 @@ the unit sphere (on by default; the kernels see unit vectors either way
 under cosine, but normalization also conditions the distance-based
 terms). Each step scores the batch once and takes the analytic dL/dz
 from that same evaluation, so the kernel is built once per step. The
-gradient chains dL/dz through the normalization Jacobian and the linear
-map; no momentum, no schedule.
+kernel, the entry weights and the pullback's n x n temporaries are built
+in one `kernels.Workspace` that every step of a run reuses, so no step
+after the first allocates an n x n array (a new batch size re-allocates).
+The gradient chains dL/dz through the normalization Jacobian and the
+linear map; no momentum, no schedule.
 
 Stage 2 freezes W, computes class centroids of the embedded training
 split, and classifies the held-out split by nearest centroid. That stands
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import grads, losses
+from . import grads, kernels, losses
 from .batch import EmbeddingBatch
 from .errors import DivergedLoss, MissingClass, SetLossError, ValidationError
 from .kernels import NORM_FLOOR
@@ -157,13 +160,14 @@ def train_stage1(data: EmbeddingBatch, config: TrainConfig):
     rng = Rng(config.seed).derive(202)
     full = config.batch_size is None or config.batch_size >= data.n
 
+    work = kernels.Workspace()
     curve = []
     for step in range(config.steps + 1):
         batch = data if full else _minibatch(data, config.batch_size, rng)
         z, norms = params.embed(batch.vectors)
         embedded = EmbeddingBatch(z, batch.labels)
 
-        ev = losses.evaluate(embedded, config.loss)
+        ev = losses.evaluate(embedded, config.loss, work)
         value = ev.result.total
         if not np.isfinite(value):
             raise DivergedLoss(step, value)
@@ -171,8 +175,7 @@ def train_stage1(data: EmbeddingBatch, config: TrainConfig):
         if step == config.steps:
             break
 
-        g = grads.evaluation_gradient(ev)
-        del ev  # free S before the next step builds its own
+        g = grads.evaluation_gradient(ev, work)
         if config.normalize:
             g = (g - np.sum(g * z, axis=1, keepdims=True) * z) / norms
         params.W -= config.lr * (g.T @ batch.vectors)

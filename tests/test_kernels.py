@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setloss import kernels
 from setloss.batch import EmbeddingBatch
@@ -144,3 +146,175 @@ def test_sqdist_pullback_matches_fd():
             zm = z.copy(); zm[i, c] -= h
             fd = (value(zp) - value(zm)) / (2 * h)
             assert g[i, c] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+# ---- The allocating formulas the in-place kernels replaced ---------------
+# Each builds fresh arrays in the original operation order; the library's
+# kernels and pullbacks must reproduce them bit for bit, with or without a
+# workspace.
+
+def _old_symmetrized(m):
+    return (m + m.T) / 2.0
+
+
+def _old_squared_distances(z, gram=None):
+    gram = z @ z.T if gram is None else gram
+    sq = np.sum(z * z, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+    np.maximum(d2, 0.0, out=d2)
+    d2 = _old_symmetrized(d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def _old_cosine(z, gram=None):
+    zh = kernels.unit_rows(z)
+    s = _old_symmetrized(zh @ zh.T if gram is None else gram)
+    np.clip(s, -1.0, 1.0, out=s)
+    np.fill_diagonal(s, 1.0)
+    return s
+
+
+def _old_rbf(z, bandwidth):
+    s = np.exp(-_old_squared_distances(z) / (2.0 * bandwidth * bandwidth))
+    np.fill_diagonal(s, 1.0)
+    return s
+
+
+def _old_similarity(z, kind, bandwidth):
+    if kind == "cosine":
+        return _old_cosine(z)
+    if kind == "rbf":
+        return _old_rbf(z, bandwidth)
+    return -np.sqrt(_old_squared_distances(z))
+
+
+def _old_doubled(weights):
+    m = weights + weights.T
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def _old_distance_pullback(z, weights, d):
+    m = _old_doubled(weights)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(d > kernels.NORM_FLOOR, m / d, 0.0)
+    return np.sum(m, axis=1)[:, None] * z - m @ z
+
+
+def _old_similarity_pullback(z, weights, kind, bandwidth, s):
+    if kind == "cosine":
+        zh = kernels.unit_rows(z)
+        gram = zh @ zh.T
+        m = _old_doubled(weights)
+        proj = np.sum(m * gram, axis=1)
+        grad = m @ zh - proj[:, None] * zh
+        return grad / np.linalg.norm(z, axis=1)[:, None]
+    if kind == "rbf":
+        m = _old_doubled(weights) * s / (bandwidth * bandwidth)
+        return m @ z - np.sum(m, axis=1)[:, None] * z
+    return _old_distance_pullback(z, -weights, -s)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SHAPES = [(2, 1), (7, 3), (40, 10), (129, 4), (7, 5)]
+
+
+@pytest.mark.parametrize("kind", kernels.SIMILARITY_KINDS)
+def test_kernels_match_the_allocating_formulas_bit_for_bit(kind):
+    # One workspace across every shape: n changes re-allocate its buffers.
+    work = kernels.Workspace()
+    for n, dim in SHAPES:
+        z = Rng(n * dim).normals((n, dim)) + 0.3
+        b = EmbeddingBatch(z, np.zeros(n, dtype=int))
+        want_s = _old_similarity(z, kind, 0.7)
+        want_d = np.sqrt(_old_squared_distances(z))
+        for workspace in (None, work):
+            assert _same_bits(kernels.similarity(b, kind, 0.7, workspace), want_s)
+            s, d = kernels.similarity_and_distance(b, kind, 0.7, workspace)
+            assert _same_bits(s, want_s) and _same_bits(d, want_d)
+            assert _same_bits(kernels.euclidean_distance(b, workspace), want_d)
+            assert _same_bits(kernels.squared_distances(z, workspace),
+                              _old_squared_distances(z))
+
+
+@pytest.mark.parametrize("kind", kernels.SIMILARITY_KINDS)
+def test_pullbacks_match_the_allocating_formulas_bit_for_bit(kind):
+    work = kernels.Workspace()
+    for n, dim in SHAPES:
+        rng = Rng(n + dim)
+        z = rng.normals((n, dim)) + 0.3
+        w = rng.normals((n, n))
+        w[0, -1] = 0.0  # a zero weight, and a coincident pair below
+        z[-1] = z[0]
+        s = _old_similarity(z, kind, 0.7)
+        d = np.sqrt(_old_squared_distances(z))
+        for workspace in (None, work):
+            got = kernels.similarity_pullback(z, w, kind, 0.7, s=s, workspace=workspace)
+            assert _same_bits(got, _old_similarity_pullback(z, w, kind, 0.7, s))
+            assert _same_bits(kernels.distance_pullback(z, w, d, workspace),
+                              _old_distance_pullback(z, w, d))
+            m = _old_doubled(w)
+            want = 2.0 * (np.sum(m, axis=1)[:, None] * z - m @ z)
+            assert _same_bits(kernels.sqdist_pullback(z, w, workspace), want)
+
+
+def test_workspace_reuses_a_buffer_until_n_changes():
+    work = kernels.Workspace()
+    first = work.buffer("s", 5)
+    assert work.buffer("s", 5) is first
+    assert work.buffer("s", 6).shape == (6, 6)
+    assert work.buffer("mask", 6, bool).dtype == bool
+
+
+def _lopsided_gram(monkeypatch, i, j):
+    """Patch the Gram product so entry (i, j) sits one ulp above (j, i)."""
+    real = kernels._gram
+
+    def gram(z, out):
+        g = real(z, out)
+        g[i, j] = np.nextafter(g[i, j], np.inf)
+        return g
+
+    monkeypatch.setattr(kernels, "_gram", gram)
+    return gram
+
+
+def _check_symmetry_fallback(monkeypatch, z, workspace):
+    n, dim = z.shape
+    # Rows 0 and n - 1 lie close together, so their d^2 is small and keeps
+    # the one-ulp asymmetry of their Gram entry.
+    z[n - 1] = z[0] + 1e-3 * (np.arange(dim) + 1.0)
+    gram = _lopsided_gram(monkeypatch, 0, n - 1)
+    raw = gram(z, np.empty((n, n)))
+    sq = np.sum(z * z, axis=1)
+    d2_raw = np.maximum(sq[:, None] + sq[None, :] - 2.0 * raw, 0.0)
+    assert d2_raw[0, n - 1] != d2_raw[n - 1, 0]
+
+    d2 = kernels.squared_distances(z, workspace)
+    assert _same_bits(d2, d2.T)
+    assert _same_bits(d2, _old_squared_distances(z, raw))
+
+    zh = kernels.unit_rows(z)
+    s = kernels.cosine_similarity(EmbeddingBatch(z, np.zeros(n, dtype=int)), workspace)
+    assert _same_bits(s, s.T)
+    assert _same_bits(s, _old_cosine(z, gram(zh, np.empty((n, n)))))
+
+
+@pytest.mark.parametrize("use_workspace", [False, True])
+def test_asymmetric_gram_product_is_averaged_with_its_transpose(monkeypatch,
+                                                                 use_workspace):
+    z = Rng(5).normals((9, 4)) + 0.3
+    _check_symmetry_fallback(monkeypatch, z,
+                             kernels.Workspace() if use_workspace else None)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 40), st.integers(1, 8), st.integers(0, 2 ** 16))
+def test_asymmetric_gram_fallback_over_shapes(n, dim, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        z = Rng(seed).normals((n, dim)) + 0.3
+        _check_symmetry_fallback(monkeypatch, z, kernels.Workspace())

@@ -219,8 +219,35 @@ def test_matrices_build_squared_distances_once(name, kernel, monkeypatch):
     calls = []
     real = kernels.squared_distances
     monkeypatch.setattr(kernels, "squared_distances",
-                        lambda z: calls.append(1) or real(z))
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     s, d = losses.matrices(batch, config)
     assert len(calls) == 1
     assert np.array_equal(s, want_s)
     assert np.array_equal(d, want_d)
+
+
+@pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
+@pytest.mark.parametrize("name", ["fl", "submod-snn"])
+def test_evaluations_without_a_workspace_share_no_memory(name, kernel):
+    config = losses.LossConfig(name, kernel=kernel, bandwidth=0.7)
+    first = losses.evaluate(random_batch(seed=1), config)
+    second = losses.evaluate(random_batch(seed=2), config)
+    arrays = [m for ev in (first, second) for m in (ev.s, ev.d) if m is not None]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
+@pytest.mark.parametrize("name", ["gc-cf", "submod-snn"])
+def test_workspace_handed_a_new_n_reallocates(name, kernel):
+    config = losses.LossConfig(name, kernel=kernel, bandwidth=0.7)
+    work = kernels.Workspace()
+    for n in (10, 14, 6, 14):
+        batch = random_batch(n=n, seed=n)
+        ev = losses.evaluate(batch, config, work)
+        fresh = losses.evaluate(batch, config)
+        assert ev.s.shape == (n, n)
+        assert np.array_equal(ev.s, fresh.s)
+        assert ev.d is None or np.array_equal(ev.d, fresh.d)
+        assert ev.result.total == fresh.result.total

@@ -1,13 +1,15 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from setloss import grads, kernels, losses, synthlab, trainer
+from setloss import grads, kernels, losses, objectives, synthlab, trainer
 from setloss.batch import EmbeddingBatch
-from setloss.errors import DivergedLoss, MissingClass, ValidationError
+from setloss.errors import DivergedLoss, MissingClass, SetLossError, ValidationError
+from setloss.sampling import Rng
 
 
 def small_data(seed=0, spread=0.3):
@@ -214,9 +216,9 @@ def test_each_step_builds_the_kernel_once(monkeypatch):
     calls = []
     real = kernels.squared_distances
 
-    def counted(z):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return real(z)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "squared_distances", counted)
     tr, _ = trainer.split_batch(small_data(), 0.25, seed=0)
@@ -239,9 +241,9 @@ def test_non_finite_loss_stops_before_any_gradient(monkeypatch):
     gradients = []
     real_gradient = grads.evaluation_gradient
 
-    def gradient(ev):
+    def gradient(*args, **kwargs):
         gradients.append(1)
-        return real_gradient(ev)
+        return real_gradient(*args, **kwargs)
 
     monkeypatch.setattr(losses.backend, "total_value", total_value)
     monkeypatch.setattr(grads, "evaluation_gradient", gradient)
@@ -252,3 +254,65 @@ def test_non_finite_loss_stops_before_any_gradient(monkeypatch):
     assert math.isnan(info.value.value)
     assert len(evaluations) == bad_step + 1
     assert len(gradients) == bad_step
+
+
+def _train_or_refusal(data, config):
+    try:
+        return trainer.train_stage1(data, config)
+    except SetLossError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("batch_size", [None, 24])
+@pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
+@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+def test_workspace_training_matches_a_fresh_step_loop(name, kernel, batch_size,
+                                                      monkeypatch):
+    # Without a workspace every step builds fresh arrays from the same code.
+    tr, _ = trainer.split_batch(small_data(), 0.25, seed=0)
+    config = trainer.TrainConfig(
+        loss=losses.LossConfig(name, kernel=kernel, bandwidth=0.8),
+        lr=0.005, steps=4, batch_size=batch_size, seed=1)
+    reused = _train_or_refusal(tr, config)
+    monkeypatch.setattr(kernels, "Workspace", lambda: None)
+    fresh = _train_or_refusal(tr, config)
+    if isinstance(fresh, type):
+        assert reused is fresh
+        return
+    (params, curve), (want_params, want_curve) = reused, fresh
+    assert curve == want_curve
+    assert params.W.tobytes() == want_params.W.tobytes()
+
+
+@pytest.mark.parametrize("name, kernel", [
+    (name, kernel) for name in ("fl", "gc-cf", "supcon")
+    for kernel in kernels.SIMILARITY_KINDS
+    # supcon's log arguments are negative under neg-euclidean
+    if (name, kernel) != ("supcon", "neg-euclidean")])
+def test_training_steps_allocate_no_kernel_sized_array(name, kernel, monkeypatch):
+    # A balanced batch of 200 rows; after the first step, the workspace holds
+    # every n x n array, so no step's traced peak rises by one of them.
+    n = 200
+    data = EmbeddingBatch(2.0 + Rng(9).normals((n, 6)),
+                          np.arange(n, dtype=np.int64) % 4)
+    marks = []
+    real = losses.evaluate
+
+    def marked(*args, **kwargs):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(losses, "evaluate", marked)
+    config = trainer.TrainConfig(
+        loss=losses.LossConfig(name, kernel=kernel, bandwidth=1.5),
+        lr=0.001, steps=4, seed=0)
+    tracemalloc.start()
+    try:
+        trainer.train_stage1(data, config)
+    finally:
+        tracemalloc.stop()
+    # Step k runs from evaluation k to evaluation k + 1.
+    rises = [marks[k + 1][1] - marks[k][0] for k in range(1, len(marks) - 1)]
+    assert len(rises) == config.steps - 1
+    assert max(rises) < n * n * 8
