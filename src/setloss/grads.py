@@ -1,9 +1,11 @@
 """Analytic embedding gradients for every objective, with an FD verifier.
 
 Each objective is linear in a set of per-entry weights. Its record's weight
-rule (see `objectives`) collects dL/dS_ij, and dL/dD_ij or dL/dD^2_ij, class
-by class; this module pulls each weight matrix back to the embeddings
-through the kernel chain rules in `kernels`. Double sums keep their
+rule (see `objectives`) writes dL/dS_ij, and dL/dD_ij or dL/dD^2_ij, for the
+whole batch in one call, from the class partition as an
+`objectives.Classes`: the pairwise rules from its same-class mask, the
+others class by class. This module pulls each weight matrix back to the
+embeddings through the kernel chain rules in `kernels`. Double sums keep their
 diagonal weights, which the pullbacks discard, every kernel diagonal being
 constant.
 
@@ -49,25 +51,20 @@ class GradCheckReport:
     excluded: int = 0
 
 
-def _zeros(workspace, name, n):
-    m = kernels.workspace_buffer(workspace, name, n)
-    m.fill(0.0)
-    return m
-
-
 def _entry_weights(obj, s, d, sets, lam, eps, workspace=None):
     """(dL/dS, dL/dD, dL/dD^2) as n x n matrices, or None where unused.
 
-    They are built in the workspace's "ws" and "wdist" buffers when given one.
+    sets is the batch's class partition. The weights are built in the
+    workspace's "ws" and "wdist" buffers, and the same-class mask in its
+    "mask", when given one.
     """
     n = s.shape[0]
-    ws = _zeros(workspace, "ws", n)
-    wdist = _zeros(workspace, "wdist", n) if obj.distance is not None else None
-    whole = obj.whole_weight(s, lam)
-    for members in sets:
-        a = np.asarray(members, dtype=np.intp)
-        comp = np.setdiff1d(np.arange(n), a, assume_unique=True)
-        obj.weights(ws, wdist, s, d, a, comp, lam, eps, whole)
+    ws = kernels.workspace_buffer(workspace, "ws", n)
+    wdist = (kernels.workspace_buffer(workspace, "wdist", n)
+             if obj.distance is not None else None)
+    classes = objectives.Classes(
+        sets, kernels.workspace_buffer(workspace, "mask", n, bool))
+    obj.weights(ws, wdist, s, d, classes, lam, eps, obj.whole_weight(s, lam))
     return (ws, wdist, None) if obj.distance == "d" else (ws, None, wdist)
 
 
@@ -129,9 +126,8 @@ def _excluded_rows(batch: EmbeddingBatch, config: losses.LossConfig,
     """Rows too close to one of the objective's kinks for finite differences."""
     rows = np.zeros(batch.n, dtype=bool)
     kinks = objectives.get(config.objective).kinks
-    for a in partition_from_labels(batch.labels):
-        a = np.asarray(a)
-        comp = np.setdiff1d(np.arange(batch.n), a, assume_unique=True)
+    for a, comp in objectives.Classes(partition_from_labels(batch.labels)
+                                      ).with_complements():
         kinks(rows, s, d, a, comp, config.margin)
     return rows
 

@@ -65,8 +65,10 @@ class Workspace:
     distances without a kept D lives in "d"); "gram" is scratch for the Gram
     product, the symmetrizing average and, once the kernel is built, the
     doubled weights of a pullback; "cos" holds the cosine pullback's
-    unclipped Gram; "mask" holds boolean masks; "ws" and "wdist" hold entry
-    weights (see `grads`). A buffer is re-allocated when n changes.
+    unclipped Gram; "mask" holds boolean masks: the symmetry test's, the
+    same-class mask of the entry weights and a pullback's "apart" mask; "ws"
+    and "wdist" hold entry weights (see `grads`). A buffer is re-allocated
+    when n or the dtype asked for changes.
     """
 
     def __init__(self):
@@ -74,7 +76,7 @@ class Workspace:
 
     def buffer(self, name: str, n: int, dtype=np.float64) -> np.ndarray:
         buf = self._buffers.get(name)
-        if buf is None or buf.shape[0] != n:
+        if buf is None or buf.shape[0] != n or buf.dtype != dtype:
             buf = self._buffers[name] = np.empty((n, n), dtype)
         return buf
 
@@ -91,16 +93,28 @@ def _gram(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(z, z.T, out=out)
 
 
+# The symmetry test compares strips of this many rows with their transposes.
+_STRIP = 128
+
+
 def _symmetric(m: np.ndarray, workspace: Workspace | None) -> np.ndarray:
     """m, replaced in place by (m + m.T) / 2 unless it equals m.T exactly.
 
-    Uses the "mask" and "gram" buffers, so m must live in neither.
+    The test reads only the upper triangle against the lower: rows r0..r1 of
+    m from column r0 on against the same block of m.T, one strip at a time,
+    so the transposed reads stay _STRIP columns wide. Uses the "mask" and
+    "gram" buffers, so m must live in neither.
     """
     n = m.shape[0]
-    if not np.equal(m, m.T, out=workspace_buffer(workspace, "mask", n, bool)).all():
-        avg = np.add(m, m.T, out=workspace_buffer(workspace, "gram", n))
-        avg /= 2.0
-        m[...] = avg
+    mask = workspace_buffer(workspace, "mask", n, bool)
+    for r0 in range(0, n, _STRIP):
+        r1 = min(r0 + _STRIP, n)
+        if not np.equal(m[r0:r1, r0:], m[r0:, r0:r1].T,
+                        out=mask[:r1 - r0, r0:]).all():
+            avg = np.add(m, m.T, out=workspace_buffer(workspace, "gram", n))
+            avg /= 2.0
+            m[...] = avg
+            break
     return m
 
 
@@ -142,8 +156,8 @@ def euclidean_distance(batch, workspace: Workspace | None = None) -> np.ndarray:
 
 
 def _rbf_entries(d2: np.ndarray, bandwidth: float, out: np.ndarray) -> np.ndarray:
-    s = np.negative(d2, out=out)
-    s /= 2.0 * bandwidth * bandwidth
+    # Division is sign-symmetric, so this is -(d2) / (2 bw^2) in one pass.
+    s = np.divide(d2, -(2.0 * bandwidth * bandwidth), out=out)
     np.exp(s, out=s)
     np.fill_diagonal(s, 1.0)
     return s

@@ -41,6 +41,7 @@ order is the order of `OBJECTIVES` and of verdict and sweep rows; keep it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -108,17 +109,21 @@ def _triplet_term(s, d, mem, comp, lam, eps, whole):
     return total
 
 
-def _row_logs(s, mem):
-    """sum_{i in A} log(sum_{j in V} S_ij - 1) for each row A of mem."""
-    row = np.sum(s[mem], axis=2) - 1.0
+def _rows_less_one(s, lam):
+    """sum_{j in V} S_ij - 1 for every row i: n-pairs' and supcon's `whole`."""
+    return np.sum(s, axis=1) - 1.0
+
+
+def _row_logs(rows, mem):
+    """sum_{i in A} log(rows_i) for each row A of mem, rows from `_rows_less_one`."""
     # Rowsums at or below 1 push the log outside its domain; the scan
     # layers treat the resulting inf/nan as off-domain, not as values.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.sum(np.log(row), axis=1)
+        return np.sum(np.log(rows[mem]), axis=1)
 
 
 def _npairs_term(s, d, mem, comp, lam, eps, whole):
-    return -(_block_sum(s, mem, mem) + _row_logs(s, mem))
+    return -(_block_sum(s, mem, mem) + _row_logs(whole, mem))
 
 
 def _opl_term(s, d, mem, comp, lam, eps, whole):
@@ -147,7 +152,7 @@ def _snn_term(s, d, mem, comp, lam, eps, whole):
 
 
 def _supcon_term(s, d, mem, comp, lam, eps, whole):
-    return -_block_sum(s, mem, mem) / mem.shape[1] + _row_logs(s, mem)
+    return -_block_sum(s, mem, mem) / mem.shape[1] + _row_logs(whole, mem)
 
 
 def _submod_triplet_term(s, d, mem, comp, lam, eps, whole):
@@ -192,85 +197,110 @@ def _fl_term(s, d, mem, comp, lam, eps, whole):
     return np.sum(nearest, axis=1)
 
 
-def _triplet_weights(ws, wdist, s, d, a, comp, lam, eps, whole):
+def _triplet_weights(ws, wdist, s, d, classes, lam, eps, whole):
+    ws.fill(0.0)
+    wdist.fill(0.0)
     d2 = d * d
-    for i in a:
-        for p in a:
-            if p == i or comp.size == 0:
-                continue
-            active = d2[i, p] - d2[i, comp] + eps > 0.0
-            wdist[i, p] += float(np.sum(active))
-            wdist[i, comp] -= active.astype(float)
+    for a, comp in classes.with_complements():
+        for i in a:
+            for p in a:
+                if p == i or comp.size == 0:
+                    continue
+                active = d2[i, p] - d2[i, comp] + eps > 0.0
+                wdist[i, p] += float(np.sum(active))
+                wdist[i, comp] -= active.astype(float)
 
 
-def _npairs_weights(ws, wdist, s, d, a, comp, lam, eps, whole):
-    ws[np.ix_(a, a)] -= 1.0
-    inv_row = 1.0 / (np.sum(s[a], axis=1) - 1.0)
-    ws[a] -= inv_row[:, None]
+# The mask-built rules below write, for every entry, the value the per-class
+# accumulation into a zero matrix left there: (0.0 - x) where that
+# subtracted x, (0.0 + x) where it added x, 0.0 where it wrote nothing. Those
+# forms keep signed zeros (0.0 - 0.0 is 0.0, not -0.0).
+
+def _npairs_weights(ws, wdist, s, d, classes, lam, eps, whole):
+    inv_row = 1.0 / whole
+    ws[...] = (0.0 - inv_row)[:, None]
+    np.copyto(ws, (-1.0 - inv_row)[:, None], where=classes.same)
 
 
-def _opl_weights(ws, wdist, s, d, a, comp, lam, eps, whole):
-    ws[np.ix_(a, a)] -= 1.0
-    ws[np.ix_(a, comp)] += 1.0
+def _opl_weights(ws, wdist, s, d, classes, lam, eps, whole):
+    ws.fill(1.0)
+    np.copyto(ws, -1.0, where=classes.same)
 
 
-def _snn_weights(ws, wdist, s, d, a, comp, lam, eps, whole):
-    for i in a:
-        own = a[a != i]
-        if own.size:
-            ws[i, own] -= _softmax(s[i, own])
-        if comp.size:
-            ws[i, comp] += _softmax(s[i, comp])
+def _snn_weights(ws, wdist, s, d, classes, lam, eps, whole):
+    ws.fill(0.0)
+    for a, comp in classes.with_complements():
+        for i in a:
+            own = a[a != i]
+            if own.size:
+                ws[i, own] -= _softmax(s[i, own])
+            if comp.size:
+                ws[i, comp] += _softmax(s[i, comp])
 
 
-def _supcon_weights(ws, wdist, s, d, a, comp, lam, eps, whole):
-    ws[np.ix_(a, a)] -= 1.0 / a.size
-    inv_row = 1.0 / (np.sum(s[a], axis=1) - 1.0)
-    ws[a] += inv_row[:, None]
+def _supcon_weights(ws, wdist, s, d, classes, lam, eps, whole):
+    inv_row = 1.0 / whole
+    inv_size = 1.0 / classes.sizes
+    ws[...] = (0.0 + inv_row)[:, None]
+    np.copyto(ws, ((0.0 - inv_size[classes.labels]) + inv_row)[:, None],
+              where=classes.same)
 
 
-def _submod_triplet_weights(ws, wdist, s, d, a, comp, lam, eps, whole):
-    ws[np.ix_(a, comp)] += 2.0 * s[np.ix_(a, comp)]
-    ws[np.ix_(a, a)] -= 2.0 * s[np.ix_(a, a)]
+def _submod_triplet_weights(ws, wdist, s, d, classes, lam, eps, whole):
+    np.multiply(s, 2.0, out=ws)
+    np.negative(ws, out=ws, where=classes.same)
+    # -x + 0.0 is 0.0 - x and x + 0.0 is 0.0 + x, signed zeros included.
+    ws += 0.0
 
 
-def _submod_snn_weights(ws, wdist, s, d, a, comp, lam, eps, whole):
-    for i in a:
-        own = a[a != i]
-        if own.size:
-            wdist[i, own] += _softmax(d[i, own])
-        if comp.size:
-            ws[i, comp] += _softmax(s[i, comp])
+def _submod_snn_weights(ws, wdist, s, d, classes, lam, eps, whole):
+    ws.fill(0.0)
+    wdist.fill(0.0)
+    for a, comp in classes.with_complements():
+        for i in a:
+            own = a[a != i]
+            if own.size:
+                wdist[i, own] += _softmax(d[i, own])
+            if comp.size:
+                ws[i, comp] += _softmax(s[i, comp])
 
 
-def _submod_supcon_weights(ws, wdist, s, d, a, comp, lam, eps, whole):
-    ws[np.ix_(a, a)] -= 1.0
-    for i in a:
-        if comp.size:
-            ws[i, comp] += _softmax(s[i, comp])
+def _submod_supcon_weights(ws, wdist, s, d, classes, lam, eps, whole):
+    np.subtract(0.0, classes.same, out=ws)
+    for a, comp in classes.with_complements():
+        for i in a:
+            if comp.size:
+                ws[i, comp] += _softmax(s[i, comp])
 
 
-def _gc_sf_weights(ws, wdist, s, d, a, comp, lam, eps, whole):
-    ws[np.ix_(a, comp)] += 1.0
-    ws[np.ix_(a, a)] -= lam
+def _gc_sf_weights(ws, wdist, s, d, classes, lam, eps, whole):
+    ws.fill(1.0)
+    np.copyto(ws, 0.0 - lam, where=classes.same)
 
 
-def _gc_cf_weights(ws, wdist, s, d, a, comp, lam, eps, whole):
-    ws[np.ix_(a, comp)] += lam
+def _gc_cf_weights(ws, wdist, s, d, classes, lam, eps, whole):
+    ws.fill(0.0 + lam)
+    np.copyto(ws, 0.0, where=classes.same)
 
 
-def _logdet_sf_weights(ws, wdist, s, d, a, comp, lam, eps, whole):
-    ws[np.ix_(a, a)] += np.linalg.inv(s[np.ix_(a, a)] + lam * np.eye(a.size))
+def _logdet_weights(ws, wdist, s, d, classes, lam, eps, whole):
+    # logdet-cf's whole-batch inverse is subtracted after each class's block;
+    # logdet-sf has none.
+    ws.fill(0.0)
+    for a in classes.sets:
+        ws[np.ix_(a, a)] += np.linalg.inv(s[np.ix_(a, a)] + lam * np.eye(a.size))
+        if whole is not None:
+            ws -= whole
 
 
-def _logdet_cf_weights(ws, wdist, s, d, a, comp, lam, eps, whole):
-    _logdet_sf_weights(ws, wdist, s, d, a, comp, lam, eps, whole)
-    ws -= whole
-
-
-def _fl_weights(ws, wdist, s, d, a, comp, lam, eps, whole):
+def _fl_weights(ws, wdist, s, d, classes, lam, eps, whole):
     # Each outside row's weight goes to its first (lowest-index) max.
-    ws[comp, a[np.argmax(s[np.ix_(comp, a)], axis=1)]] += 1.0
+    ws.fill(0.0)
+    rows, cols = [], []
+    for a, comp in classes.with_complements():
+        rows.append(comp)
+        cols.append(a[np.argmax(s[np.ix_(comp, a)], axis=1)])
+    ws[np.concatenate(rows), np.concatenate(cols)] = 1.0
 
 
 def _triplet_kinks(rows, s, d, a, comp, eps):
@@ -308,17 +338,50 @@ def _lam_positive(lam):
         raise ValidationError(f"log-det objectives need lam > 0, got {lam}")
 
 
+class Classes:
+    """A batch's class partition, in the forms the weight rules read.
+
+    sets[k] lists class k's rows in ascending order, and the sets partition
+    range(n); labels[i] is row i's class and sizes[k] class k's size. same,
+    built on first use (in `buffer`, an n x n bool array, when given one),
+    says whether rows i and j share a class.
+    """
+
+    def __init__(self, sets, buffer: np.ndarray | None = None):
+        self.sets = tuple(np.asarray(a, dtype=np.intp) for a in sets)
+        self.sizes = np.array([a.size for a in self.sets])
+        self.labels = np.empty(int(np.sum(self.sizes)), dtype=np.intp)
+        for k, a in enumerate(self.sets):
+            self.labels[a] = k
+        self._buffer = buffer
+
+    @functools.cached_property
+    def same(self) -> np.ndarray:
+        # Row i of the mask is its class's row of the small class-by-row table.
+        rows = np.arange(len(self.sets))[:, None] == self.labels
+        return np.take(rows, self.labels, axis=0, out=self._buffer, mode="clip")
+
+    def with_complements(self):
+        """(A, O) for each class in order, O = V \\ A in ascending order."""
+        for k, a in enumerate(self.sets):
+            yield a, np.flatnonzero(self.labels != k)
+
+
 @dataclass(frozen=True)
 class Objective:
     """One objective's term, gradient rule, domain and claimed property.
 
     term(s, d, mem, comp, lam, eps, whole) gives one value per row of mem, a
-    stack of equal-size index sets A with complements comp. weights(ws,
-    wdist, s, d, a, comp, lam, eps, whole) adds class a's dL/dS into ws and
-    its dL/dD or dL/dD^2 into wdist; `distance` ("d" or "d2") says which,
-    and that the objective reads D at all. kinks(rows, s, d, a, comp, eps)
-    marks the rows within TIE_GAP of a nonsmooth point. whole_value and
-    whole_weight map (s, lam) to what each term or weight call shares.
+    stack of equal-size index sets A with complements comp.
+    weights(ws, wdist, s, d, classes, lam, eps, whole) takes the whole
+    batch's partition as a `Classes` and writes every entry of the n x n
+    dL/dS into ws and, when `distance` ("d" or "d2") is set, of dL/dD or
+    dL/dD^2 into wdist; `distance` also says that the objective reads D at
+    all. The buffers come in holding anything. kinks(rows, s, d, a, comp,
+    eps) marks the rows within TIE_GAP of a nonsmooth point of class a.
+    whole_value and whole_weight map (s, lam) to what every term call, or
+    the weight call, shares: the row sums less one for n-pairs and supcon,
+    log det and inverse of S + lam I for logdet-cf.
     """
 
     name: str
@@ -344,11 +407,13 @@ REGISTRY = (
     Objective("triplet", "not-submodular", _triplet_term, _triplet_weights,
               kinks=_triplet_kinks, distance="d2", min_class_size=2),
     Objective("n-pairs", "submodular", _npairs_term, _npairs_weights,
-              positive_rowsum=True),
+              positive_rowsum=True, whole_value=_rows_less_one,
+              whole_weight=_rows_less_one),
     Objective("opl", "submodular", _opl_term, _opl_weights),
     Objective("snn", "not-submodular", _snn_term, _snn_weights),
     Objective("supcon", "not-submodular", _supcon_term, _supcon_weights,
-              positive_rowsum=True),
+              positive_rowsum=True, whole_value=_rows_less_one,
+              whole_weight=_rows_less_one),
     Objective("submod-triplet", "submodular", _submod_triplet_term,
               _submod_triplet_weights),
     Objective("submod-snn", "refuted", _submod_snn_term, _submod_snn_weights,
@@ -359,9 +424,9 @@ REGISTRY = (
               single_class_ok=True, check_lam=_lam_at_least_one),
     Objective("gc-cf", "submodular", _gc_cf_term, _gc_cf_weights,
               single_class_ok=True, check_lam=_lam_at_least_one),
-    Objective("logdet-sf", "submodular", _logdet_sf_term, _logdet_sf_weights,
+    Objective("logdet-sf", "submodular", _logdet_sf_term, _logdet_weights,
               single_class_ok=True, check_lam=_lam_positive),
-    Objective("logdet-cf", "submodular", _logdet_cf_term, _logdet_cf_weights,
+    Objective("logdet-cf", "submodular", _logdet_cf_term, _logdet_weights,
               single_class_ok=True, check_lam=_lam_positive,
               whole_value=lambda s, lam: _logdet_spd(s + lam * np.eye(len(s))),
               whole_weight=lambda s, lam: np.linalg.inv(s + lam * np.eye(len(s)))),

@@ -3,18 +3,21 @@
 Everything between the two "Frozen oracle" markers is the `_entry_weights`
 rule chain `setloss.grads` ran before each objective's weight rule moved
 into its `objectives` record, copied verbatim. It is the reference the
-record rules must reproduce exactly -- every weight matrix, and None where
-an objective writes no weights of that kind -- and is not to be edited.
+record rules must reproduce exactly -- every weight matrix byte for byte,
+signed zeros included, and None where an objective writes no weights of
+that kind -- and is not to be edited.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setloss import grads, kernels, losses
 from setloss import objectives as registry
-from setloss.batch import partition_from_labels
+from setloss.batch import EmbeddingBatch, partition_from_labels
 from setloss.errors import PreconditionError
 
 # The oracle names each objective by its position in the registry, as
@@ -124,7 +127,64 @@ def _entry_weights(code, s, d, sets, lam, eps):
 # ---- Frozen oracle ends --------------------------------------------------
 
 
-BATCHES = [(12, 8, 0), (12, 8, 1), (12, 8, 2), (240, 8, 1)]
+def _class_sorted(n, dim, seed):
+    """check_batch's rows reordered so each class is one contiguous run, the
+    layout of the criterion-5 training data."""
+    b = grads.check_batch(n, dim, seed)
+    order = np.argsort(b.labels, kind="stable")
+    return EmbeddingBatch(b.vectors[order], b.labels[order])
+
+
+def _with_singleton(n, dim, seed):
+    """check_batch with one row moved into a class of its own."""
+    b = grads.check_batch(n, dim, seed)
+    labels = b.labels.copy()
+    labels[n // 2] = labels.max() + 1
+    return EmbeddingBatch(b.vectors, labels)
+
+
+BATCHES = [
+    grads.check_batch(12, 8, 0), grads.check_batch(12, 8, 1),
+    grads.check_batch(12, 8, 2), grads.check_batch(240, 8, 1),
+    _class_sorted(12, 8, 3), _class_sorted(240, 8, 4),
+    _with_singleton(12, 8, 5), _with_singleton(60, 8, 6),
+]
+
+
+def _dirty_workspace(n):
+    """A workspace whose buffers hold NaN (True for the mask), so a weight
+    rule that leaves an entry unwritten shows up."""
+    work = kernels.Workspace()
+    for name in ("ws", "wdist"):
+        work.buffer(name, n).fill(np.nan)
+    work.buffer("mask", n, bool).fill(True)
+    return work
+
+
+def _judge(name, cfg, batch):
+    """Compare both weight builds with the oracle on one batch; False if the
+    batch lies outside the objective's domain."""
+    s, d = losses.matrices(batch, cfg)
+    try:
+        losses.check_preconditions(batch, cfg, s)
+        old = _entry_weights(objectives.OBJ_CODE[name], s, d,
+                             list(partition_from_labels(batch.labels)),
+                             cfg.lam, cfg.margin)
+    except PreconditionError:
+        # Outside the objective's domain (n-pairs and supcon log
+        # arguments, log-det blocks under neg-euclidean, triplet singletons).
+        return False
+    for work in (None, _dirty_workspace(batch.n)):
+        new = grads._entry_weights(registry.get(name), s, d,
+                                   list(partition_from_labels(batch.labels)),
+                                   cfg.lam, cfg.margin, work)
+        for got, want in zip(new, old):
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    return True
 
 
 @pytest.mark.parametrize("lam", [1.0, 1.7])
@@ -132,27 +192,36 @@ BATCHES = [(12, 8, 0), (12, 8, 1), (12, 8, 2), (240, 8, 1)]
 @pytest.mark.parametrize("name", registry.OBJECTIVES)
 def test_entry_weights_match_frozen_oracle(name, kernel, lam):
     cfg = losses.LossConfig(name, lam, kernel=kernel, bandwidth=0.7)
-    code = objectives.OBJ_CODE[name]
-    judged = 0
-    for shape in BATCHES:
-        b = grads.check_batch(*shape)
-        s, d = losses.matrices(b, cfg)
-        try:
-            losses.check_preconditions(b, cfg, s)
-            old = _entry_weights(code, s, d, list(partition_from_labels(b.labels)),
-                                 cfg.lam, cfg.margin)
-        except PreconditionError:
-            # Outside the objective's domain (n-pairs and supcon log
-            # arguments, log-det blocks under neg-euclidean).
-            continue
-        new = grads._entry_weights(registry.get(name), s, d,
-                                   list(partition_from_labels(b.labels)),
-                                   cfg.lam, cfg.margin)
-        for got, want in zip(new, old):
-            if want is None:
-                assert got is None
-            else:
-                assert np.array_equal(got, want)
-        judged += 1
+    judged = sum(_judge(name, cfg, b) for b in BATCHES)
     assert judged or kernel == "neg-euclidean"
 
+
+@st.composite
+def _labelled_batches(draw):
+    """Batches with shuffled labels and uneven class sizes, singletons included."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=5))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    order = draw(st.permutations(range(labels.size)))
+    seed = draw(st.integers(0, 2 ** 16))
+    vectors = grads.check_batch(labels.size, 6, seed).vectors
+    return EmbeddingBatch(vectors, labels[np.asarray(order)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_labelled_batches(), st.sampled_from(kernels.SIMILARITY_KINDS))
+def test_entry_weights_match_oracle_under_any_label_layout(batch, kernel):
+    for name in registry.OBJECTIVES:
+        _judge(name, losses.LossConfig(name, 1.3, kernel=kernel, bandwidth=0.9),
+               batch)
+
+
+def test_entry_weights_keep_signed_zeros():
+    # Two coincident rows make S_ij = -0.0 under neg-euclidean; 0.0 + 2 S_ij
+    # is +0.0 where -(2 S_ij) would be -0.0.
+    vectors = grads.check_batch(8, 4, 0).vectors
+    vectors[5] = vectors[2]
+    batch = EmbeddingBatch(vectors, np.array([0, 1, 0, 1, 0, 1, 1, 0]))
+    cfg = losses.LossConfig("submod-triplet", kernel="neg-euclidean")
+    s, _ = losses.matrices(batch, cfg)
+    assert np.signbit(s[2, 5]) and s[2, 5] == 0.0
+    assert _judge("submod-triplet", cfg, batch)

@@ -270,6 +270,32 @@ def test_workspace_reuses_a_buffer_until_n_changes():
     assert work.buffer("mask", 6, bool).dtype == bool
 
 
+def test_workspace_reallocates_when_the_dtype_changes():
+    work = kernels.Workspace()
+    floats = work.buffer("mask", 6)
+    masks = work.buffer("mask", 6, bool)
+    assert masks.dtype == bool and masks is not floats
+    assert work.buffer("mask", 6, bool) is masks
+    assert work.buffer("mask", 6).dtype == np.float64
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 300), st.integers(0, 2 ** 16), st.data())
+def test_symmetry_test_finds_one_ulp_anywhere(n, seed, data):
+    # The test reads strips of rows against their transposes; an asymmetric
+    # pair in any strip, above or below the diagonal, must trigger the average.
+    z = Rng(seed).normals((n, 3))
+    m = z @ z.T
+    m = (m + m.T) / 2.0
+    work = kernels.Workspace()
+    assert _same_bits(kernels._symmetric(m.copy(), work), m)
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    m[i, j] = np.nextafter(m[i, j], np.inf)
+    want = (m + m.T) / 2.0
+    assert _same_bits(kernels._symmetric(m, work), want)
+
+
 def _lopsided_gram(monkeypatch, i, j):
     """Patch the Gram product so entry (i, j) sits one ulp above (j, i)."""
     real = kernels._gram
