@@ -14,6 +14,13 @@ index holds every submask pair A < B, in the order of the nested submask
 loop it replaced. `local_scan`'s holds only the pairs B = A + j, the local
 form f(A+i) + f(A+j) >= f(A+i+j) + f(A) with i = x.
 
+Tables and scans also take stacks, one leading axis of draws: `value_table`
+scores (k, n, n) kernels into (k, 2^n) tables with the same calls, and
+`_scan` judges a (k, 2^n) stack in blocks of about _SCAN_BLOCK triples,
+returning per-table tallies and the first violating table's violations.
+`tables_per_block` says how many whole tables fill one block. Each table of
+a stack keeps the bits it has alone.
+
 The batched forms keep the bits of the per-subset loops they replaced. Each
 block is gathered in the loop's order and summed as one contiguous row, so
 numpy's pairwise summation sees the same sequence; per-anchor sums run as a
@@ -53,7 +60,7 @@ def _terms(obj, s: np.ndarray, d: np.ndarray | None, mem: np.ndarray,
            comp: np.ndarray, lam: float, eps: float, whole) -> np.ndarray:
     """The record's term over mem; comp holds each row's complement."""
     if mem.shape[1] == 0:
-        return np.zeros(mem.shape[0])
+        return np.zeros(s.shape[:-2] + mem.shape[:1])
     if whole is None:
         whole = obj.whole_value(s, lam)
     return obj.term(s, d, mem, comp, lam, eps, whole)
@@ -71,9 +78,10 @@ def term_values(obj: Objective, s: np.ndarray, d: np.ndarray | None,
     """
     members = np.asarray(members, dtype=np.int64)
     count, m = members.shape
-    inside = np.zeros((count, s.shape[0]), dtype=bool)
+    n = s.shape[-1]
+    inside = np.zeros((count, n), dtype=bool)
     inside[np.arange(count)[:, None], members] = True
-    comp = np.nonzero(~inside)[1].reshape(count, s.shape[0] - m)
+    comp = np.nonzero(~inside)[1].reshape(count, n - m)
     return _terms(obj, s, d, members, comp, lam, eps, whole)
 
 
@@ -85,9 +93,11 @@ def term_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
 
 
 def total_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
-                sets, lam: float, eps: float):
-    """Sum of per-class terms; returns (total, per-class array)."""
-    whole = obj.whole_value(s, lam)
+                sets, lam: float, eps: float, whole=None):
+    """Sum of per-class terms; returns (total, per-class array). whole is the
+    record's `whole_value` of s when the caller has it."""
+    if whole is None:
+        whole = obj.whole_value(s, lam)
     per = np.array([term_value(obj, s, d, a, lam, eps, whole) for a in sets])
     return float(np.sum(per)), per
 
@@ -121,17 +131,19 @@ def value_table(obj: Objective, s: np.ndarray, d: np.ndarray | None,
                 lam: float, eps: float) -> np.ndarray:
     """Objective value for every subset of V, indexed by bitmask.
 
-    The cached index and the largest cardinality's gathered blocks grow as
-    n 2^n, so tables stay cheap up to n of about 16; the submodularity
-    checker stops at 12.
+    s and d may be (..., n, n) stacks; the tables are then (..., 2^n), one
+    per matrix, each the bits that matrix's own table has. The cached index
+    and the largest cardinality's gathered blocks grow as n 2^n per matrix,
+    so tables stay cheap up to n of about 16; the submodularity checker
+    stops at 12.
     """
-    n = s.shape[0]
+    n = s.shape[-1]
     if n > MAX_TABLE_N:
         raise ValueError(f"subset table limited to {MAX_TABLE_N} points, got {n}")
     whole = obj.whole_value(s, lam)
-    out = np.zeros(1 << n)
+    out = np.zeros(s.shape[:-2] + (1 << n,))
     for bits, members, comp in _lattice(n):
-        out[bits] = _terms(obj, s, d, members, comp, lam, eps, whole)
+        out[..., bits] = _terms(obj, s, d, members, comp, lam, eps, whole)
     return out
 
 
@@ -189,57 +201,83 @@ def _local_index(n: int):
     return _frozen(_row_sets(n), a[keep], (a | 1 << j)[keep])
 
 
+def tables_per_block(n: int) -> int:
+    """How many whole n-point tables hold about _SCAN_BLOCK of `dr_scan`'s
+    default triples: 60 at n = 6, one from n = 10 on."""
+    # Each x pairs every nonempty A with every proper supermask B on n - 1 bits.
+    w = max(n - 1, 0)
+    return max(1, _SCAN_BLOCK // max(n * (3 ** w - 2 ** (w + 1) + 1), 1))
+
+
 def _scan(table: np.ndarray, n: int, tol: float, index, max_stored: int):
     """Judge f(x|A) >= f(x|B) for each x and each pair (A, B) of `index`.
 
-    Returns (min_margin, compared, skipped, violation_count, violations)
-    where each stored violation is (A_bits, B_bits, x, gain_A, gain_B).
-    Comparisons where either gain is non-finite lie outside the objective's
-    domain; they are skipped and tallied rather than judged. Comparisons
-    are taken x by x and, for each x, in the index's order; violations are
-    stored in that order.
+    table holds 2^n values, or is a (..., 2^n) stack of tables. Returns
+    (min_margin, compared, skipped, violation_count, violations): the first
+    four per table, as plain numbers for one table and as arrays shaped like
+    the stack for a stack; violations holds the first violating table's
+    violations, at most max_stored of them, each (A_bits, B_bits, x, gain_A,
+    gain_B). Comparisons where either gain is non-finite lie outside the
+    objective's domain; they are skipped and tallied rather than judged.
+    Comparisons are taken x by x and, for each x, in the index's order;
+    violations are stored in that order.
     """
     t = np.asarray(table, dtype=np.float64)
+    stack = t.reshape(-1, t.shape[-1])
+    k = stack.shape[0]
     sets, a_low, b_low = index
     # Non-finite values only mark off-domain subsets; their gains are
     # tallied as skipped below, so nan from inf - inf is expected.
     with np.errstate(invalid="ignore"):
-        gain = t[sets | (1 << np.arange(n))[:, None]] - t[sets]
-    min_margin = math.inf
-    compared = 0
-    skipped = 0
-    count = 0
+        gain = stack[:, sets | (1 << np.arange(n))[:, None]] - stack[:, sets]
+    min_margin = np.full(k, math.inf)
+    compared = np.zeros(k, dtype=np.int64)
+    skipped = np.zeros(k, dtype=np.int64)
+    count = np.zeros(k, dtype=np.int64)
     viols = []
+    first = k  # the first table with a stored violation; k while none has
     pairs = max(a_low.size, 1)
-    step = max(1, _SCAN_BLOCK // pairs)
+    step = max(1, _SCAN_BLOCK // (pairs * k))
     for x0 in range(0, n, step):
-        g = gain[x0:x0 + step]
+        g = gain[:, x0:x0 + step]
         with np.errstate(invalid="ignore"):
-            margin = g[:, a_low] - g[:, b_low]
+            margin = g[..., a_low] - g[..., b_low]
         finite = np.isfinite(margin)
-        judged = int(np.count_nonzero(finite))
+        judged = np.count_nonzero(finite, axis=(1, 2))
         compared += judged
-        skipped += margin.size - judged
-        if judged:
-            # argmin keeps the first of equal minima, as the loop did, so a
+        skipped += margin[0].size - judged
+        if judged.any():
+            # argmin keeps the first of equal minima, as the loop did, and a
+            # later block replaces a minimum only when strictly lower, so a
             # zero minimum keeps the sign the loop met first.
-            first = np.argmin(np.where(finite, margin, math.inf))
-            if margin.flat[first] < min_margin:
-                min_margin = float(margin.flat[first])
-        bad = np.flatnonzero(finite & (margin < -tol))
-        count += bad.size
-        rows, cols = np.divmod(bad[:max(0, max_stored - len(viols))], pairs)
-        a, b = a_low[cols], b_low[cols]
-        viols.extend(zip(sets[x0 + rows, a].tolist(), sets[x0 + rows, b].tolist(),
-                         (x0 + rows).tolist(), g[rows, a].tolist(),
-                         g[rows, b].tolist()))
-    return min_margin, compared, skipped, count, viols
+            kept = np.where(finite, margin, math.inf).reshape(k, -1)
+            low = kept[np.arange(k), np.argmin(kept, axis=1)]
+            min_margin = np.where(low < min_margin, low, min_margin)
+        bad = finite & (margin < -tol)
+        count += np.count_nonzero(bad, axis=(1, 2))
+        hits = np.flatnonzero(bad.reshape(k, -1).any(axis=1)) if max_stored else []
+        if len(hits) and hits[0] <= first:
+            if hits[0] < first:
+                first, viols = int(hits[0]), []
+            rows, cols = np.divmod(
+                np.flatnonzero(bad[first])[:max_stored - len(viols)], pairs)
+            a, b = a_low[cols], b_low[cols]
+            viols.extend(zip(sets[x0 + rows, a].tolist(), sets[x0 + rows, b].tolist(),
+                             (x0 + rows).tolist(), g[first, rows, a].tolist(),
+                             g[first, rows, b].tolist()))
+    if t.ndim == 1:
+        return (float(min_margin[0]), int(compared[0]), int(skipped[0]),
+                int(count[0]), viols)
+    lead = t.shape[:-1]
+    return (min_margin.reshape(lead), compared.reshape(lead), skipped.reshape(lead),
+            count.reshape(lead), viols)
 
 
 def dr_scan(table: np.ndarray, n: int, tol: float, include_empty: bool,
             max_stored: int = 1000):
     """Scan every diminishing-returns triple x, A <= B <= V\\{x} with `_scan`:
-    for each x, B runs down the subsets of V\\{x} and A down those of B."""
+    for each x, B runs down the subsets of V\\{x} and A down those of B.
+    table may be a stack of tables (see `_scan`)."""
     return _scan(table, n, tol, _scan_index(n, include_empty), max_stored)
 
 

@@ -51,20 +51,20 @@ class GradCheckReport:
     excluded: int = 0
 
 
-def _entry_weights(obj, s, d, sets, lam, eps, workspace=None):
+def _entry_weights(obj, s, d, sets, lam, eps, workspace=None, whole=None):
     """(dL/dS, dL/dD, dL/dD^2) as n x n matrices, or None where unused.
 
-    sets is the batch's class partition. The weights are built in the
-    workspace's "ws" and "wdist" buffers, and the same-class mask in its
-    "mask", when given one.
+    sets is the batch's class partition, and whole the record's
+    `whole_value` of s when the caller has it (else None). The weights are
+    built in the workspace's "ws" and "wdist" buffers, and the same-class
+    mask in its "mask", when given one.
     """
-    n = s.shape[0]
-    ws = kernels.workspace_buffer(workspace, "ws", n)
-    wdist = (kernels.workspace_buffer(workspace, "wdist", n)
+    ws = kernels.workspace_buffer(workspace, "ws", s.shape)
+    wdist = (kernels.workspace_buffer(workspace, "wdist", s.shape)
              if obj.distance is not None else None)
     classes = objectives.Classes(
-        sets, kernels.workspace_buffer(workspace, "mask", n, bool))
-    obj.weights(ws, wdist, s, d, classes, lam, eps, obj.whole_weight(s, lam))
+        sets, kernels.workspace_buffer(workspace, "mask", s.shape, bool))
+    obj.weights(ws, wdist, s, d, classes, lam, eps, obj.whole_weight(s, lam, whole))
     return (ws, wdist, None) if obj.distance == "d" else (ws, None, wdist)
 
 
@@ -77,7 +77,8 @@ def evaluation_gradient(ev: losses.Evaluation,
     """
     config = ev.config
     ws, wd, wd2 = _entry_weights(objectives.get(config.objective), ev.s, ev.d,
-                                 ev.sets, config.lam, config.margin, workspace)
+                                 ev.sets, config.lam, config.margin, workspace,
+                                 ev.whole)
 
     z = ev.batch.vectors
     grad = np.zeros_like(z)

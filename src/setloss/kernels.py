@@ -1,7 +1,9 @@
 """Pairwise similarity and distance kernels with analytic entry gradients.
 
 All kernels map a batch of n embeddings (an EmbeddingBatch or an n x d
-array) to a symmetric n x n numpy array:
+array) to a symmetric n x n numpy array, and a (..., n, d) stack of batches
+to the (..., n, n) stack of their matrices, each the same bits as its
+batch's own:
 
     cosine         S_ij = <z_i, z_j> / (|z_i| |z_j|)        entries in [-1, 1]
     rbf            S_ij = exp(-|z_i - z_j|^2 / (2 bw^2))    entries in (0, 1]
@@ -68,7 +70,8 @@ class Workspace:
     unclipped Gram; "mask" holds boolean masks: the symmetry test's, the
     same-class mask of the entry weights and a pullback's "apart" mask; "ws"
     and "wdist" hold entry weights (see `grads`). A buffer is re-allocated
-    when n or the dtype asked for changes.
+    when n or the dtype asked for changes. Stacks of matrices are not built
+    in a workspace.
     """
 
     def __init__(self):
@@ -81,16 +84,28 @@ class Workspace:
         return buf
 
 
-def workspace_buffer(workspace: Workspace | None, name: str, n: int,
+def workspace_buffer(workspace: Workspace | None, name: str, shape: tuple,
                      dtype=np.float64) -> np.ndarray:
-    """The workspace's buffer `name`, or a fresh n x n array without one."""
+    """The workspace's n x n buffer `name`, or a fresh array of `shape`, an
+    (n, n) or (..., n, n) tuple, without one."""
     if workspace is None:
-        return np.empty((n, n), dtype)
-    return workspace.buffer(name, n, dtype)
+        return np.empty(shape, dtype)
+    return workspace.buffer(name, shape[-1], dtype)
+
+
+def _square(z: np.ndarray) -> tuple:
+    """The (..., n, n) shape of a (..., n, d) stack's matrices."""
+    return z.shape[:-1] + z.shape[-2:-1]
 
 
 def _gram(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.matmul(z, z.T, out=out)
+    return np.matmul(z, np.swapaxes(z, -1, -2), out=out)
+
+
+def _fill_diagonal(m: np.ndarray, value: float) -> None:
+    """Write `value` on the diagonal of every matrix of a (..., n, n) stack."""
+    i = np.arange(m.shape[-1])
+    m[..., i, i] = value
 
 
 # The symmetry test compares strips of this many rows with their transposes.
@@ -103,15 +118,18 @@ def _symmetric(m: np.ndarray, workspace: Workspace | None) -> np.ndarray:
     The test reads only the upper triangle against the lower: rows r0..r1 of
     m from column r0 on against the same block of m.T, one strip at a time,
     so the transposed reads stay _STRIP columns wide. Uses the "mask" and
-    "gram" buffers, so m must live in neither.
+    "gram" buffers, so m must live in neither. A stack is averaged whole
+    when any of its matrices is asymmetric: (a + a) / 2 is a, bit for bit,
+    so the symmetric ones keep their bits.
     """
-    n = m.shape[0]
-    mask = workspace_buffer(workspace, "mask", n, bool)
+    n = m.shape[-1]
+    mt = np.swapaxes(m, -1, -2)
+    mask = workspace_buffer(workspace, "mask", m.shape, bool)
     for r0 in range(0, n, _STRIP):
         r1 = min(r0 + _STRIP, n)
-        if not np.equal(m[r0:r1, r0:], m[r0:, r0:r1].T,
-                        out=mask[:r1 - r0, r0:]).all():
-            avg = np.add(m, m.T, out=workspace_buffer(workspace, "gram", n))
+        if not np.equal(m[..., r0:r1, r0:], mt[..., r0:r1, r0:],
+                        out=mask[..., :r1 - r0, r0:]).all():
+            avg = np.add(m, mt, out=workspace_buffer(workspace, "gram", m.shape))
             avg /= 2.0
             m[...] = avg
             break
@@ -119,34 +137,36 @@ def _symmetric(m: np.ndarray, workspace: Workspace | None) -> np.ndarray:
 
 
 def unit_rows(z: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; raises ZeroVector below the norm floor."""
-    norms = np.linalg.norm(z, axis=1)
+    """Rows scaled to unit norm; raises ZeroVector below the norm floor,
+    naming the row's index within its batch."""
+    norms = np.linalg.norm(z, axis=-1)
     bad = np.flatnonzero(norms < NORM_FLOOR)
     if bad.size:
-        raise ZeroVector(int(bad[0]))
-    return z / norms[:, None]
+        raise ZeroVector(int(bad[0] % norms.shape[-1]))
+    return z / norms[..., None]
 
 
 def cosine_similarity(batch, workspace: Workspace | None = None) -> np.ndarray:
     z = _vectors(batch)
     zh = unit_rows(z)
-    s = _symmetric(_gram(zh, workspace_buffer(workspace, "s", z.shape[0])), workspace)
+    s = _symmetric(_gram(zh, workspace_buffer(workspace, "s", _square(z))), workspace)
     np.clip(s, -1.0, 1.0, out=s)
-    np.fill_diagonal(s, 1.0)
+    _fill_diagonal(s, 1.0)
     return s
 
 
 def squared_distances(z: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
     """|z_i - z_j|^2 as |z_i|^2 + |z_j|^2 - 2 <z_i, z_j>, floored at zero."""
-    n = z.shape[0]
-    sq = np.sum(z * z, axis=1)
-    twice = _gram(z, workspace_buffer(workspace, "gram", n))
+    shape = _square(z)
+    sq = np.sum(z * z, axis=-1)
+    twice = _gram(z, workspace_buffer(workspace, "gram", shape))
     twice *= 2.0
-    d2 = np.add(sq[:, None], sq[None, :], out=workspace_buffer(workspace, "d", n))
+    d2 = np.add(sq[..., :, None], sq[..., None, :],
+                out=workspace_buffer(workspace, "d", shape))
     d2 -= twice
     np.maximum(d2, 0.0, out=d2)
     _symmetric(d2, workspace)
-    np.fill_diagonal(d2, 0.0)
+    _fill_diagonal(d2, 0.0)
     return d2
 
 
@@ -159,7 +179,7 @@ def _rbf_entries(d2: np.ndarray, bandwidth: float, out: np.ndarray) -> np.ndarra
     # Division is sign-symmetric, so this is -(d2) / (2 bw^2) in one pass.
     s = np.divide(d2, -(2.0 * bandwidth * bandwidth), out=out)
     np.exp(s, out=s)
-    np.fill_diagonal(s, 1.0)
+    _fill_diagonal(s, 1.0)
     return s
 
 
@@ -189,11 +209,11 @@ def similarity_and_distance(batch, kind: str = "cosine", bandwidth: float = 1.0,
     squared-distance pass under rbf and neg-euclidean."""
     if kind == "rbf" and bandwidth > 0:
         d2 = squared_distances(_vectors(batch), workspace)
-        s = workspace_buffer(workspace, "s", d2.shape[0])
+        s = workspace_buffer(workspace, "s", d2.shape)
         return _rbf_entries(d2, bandwidth, out=s), np.sqrt(d2, out=d2)
     if kind == "neg-euclidean":
         d = euclidean_distance(batch, workspace)
-        return np.negative(d, out=workspace_buffer(workspace, "s", d.shape[0])), d
+        return np.negative(d, out=workspace_buffer(workspace, "s", d.shape)), d
     return (similarity(batch, kind, bandwidth, workspace),
             euclidean_distance(batch, workspace))
 
@@ -241,9 +261,9 @@ def kernel_gradient(batch, kind: str, i: int, j: int, bandwidth: float = 1.0):
 def _doubled(weights: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
     # Fold both orientations of each entry weight; diagonal entries of every
     # kernel are constant in the embeddings, so they are zeroed.
-    m = workspace_buffer(workspace, "gram", weights.shape[0])
+    m = workspace_buffer(workspace, "gram", weights.shape)
     np.add(weights, weights.T, out=m)
-    np.fill_diagonal(m, 0.0)
+    _fill_diagonal(m, 0.0)
     return m
 
 
@@ -251,7 +271,7 @@ def cosine_pullback(z: np.ndarray, weights: np.ndarray,
                     workspace: Workspace | None = None) -> np.ndarray:
     """dL/dZ for L = sum_ij weights_ij * S_ij under the cosine kernel."""
     zh = unit_rows(z)
-    s = _gram(zh, workspace_buffer(workspace, "cos", z.shape[0]))
+    s = _gram(zh, workspace_buffer(workspace, "cos", _square(z)))
     m = _doubled(weights, workspace)
     proj = np.sum(np.multiply(m, s, out=s), axis=1)
     grad = m @ zh - proj[:, None] * zh
@@ -291,7 +311,7 @@ def _over_distances(z: np.ndarray, m: np.ndarray, d: np.ndarray,
 def distance_pullback(z: np.ndarray, weights: np.ndarray, d: np.ndarray,
                       workspace: Workspace | None = None) -> np.ndarray:
     """dL/dZ for L = sum_ij weights_ij * D_ij, given the forward distances D."""
-    apart = workspace_buffer(workspace, "mask", d.shape[0], bool)
+    apart = workspace_buffer(workspace, "mask", d.shape, bool)
     np.greater(d, NORM_FLOOR, out=apart)
     return _over_distances(z, _doubled(weights, workspace), d, apart)
 
@@ -311,7 +331,7 @@ def similarity_pullback(z: np.ndarray, weights: np.ndarray, kind: str,
     if kind == "neg-euclidean":
         # The distance pullback of -weights against D = -S: (-m_ij) / (-S_ij)
         # is m_ij / S_ij, and D_ij > NORM_FLOOR is S_ij < -NORM_FLOOR.
-        apart = workspace_buffer(workspace, "mask", s.shape[0], bool)
+        apart = workspace_buffer(workspace, "mask", s.shape, bool)
         np.less(s, -NORM_FLOOR, out=apart)
         return _over_distances(z, _doubled(weights, workspace), s, apart)
     raise ValidationError(f"unknown kernel kind {kind!r}")

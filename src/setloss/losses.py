@@ -64,7 +64,8 @@ def matrices(batch: EmbeddingBatch, config: LossConfig,
 
     D is built only for objectives that read it, from the same squared
     distances as S where the kernel uses them. Both are built in
-    `workspace` when given one.
+    `workspace` when given one. batch may also be a (..., n, d) array, a
+    stack of embeddings; the matrices are then (..., n, n) stacks.
     """
     if objectives.get(config.objective).distance is None:
         return kernels.similarity(batch, config.kernel, config.bandwidth,
@@ -73,8 +74,12 @@ def matrices(batch: EmbeddingBatch, config: LossConfig,
                                            workspace)
 
 
-def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray) -> None:
-    """Raise DegenerateBatch for batches the objective cannot score."""
+def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray,
+                        whole=None) -> None:
+    """Raise DegenerateBatch for batches the objective cannot score.
+
+    whole is the record's `whole_value` of s when the caller has it.
+    """
     obj = objectives.get(config.objective)
     if batch.num_classes < 2:
         if obj.single_class_ok:
@@ -93,7 +98,7 @@ def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray
                           f"{int(sizes.argmin())} has {int(sizes.min())} sample"
             )
     if obj.positive_rowsum:
-        row = np.sum(s, axis=1) - 1.0
+        row = obj.whole_value(s, config.lam) if whole is None else whole
         bad = np.flatnonzero(row <= 0)
         if bad.size:
             raise DegenerateBatch(
@@ -106,8 +111,9 @@ def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray
 class Evaluation:
     """One scoring of a batch, with the matrices and partition it used.
 
-    The gradient is taken from these same S, D and class sets, so a
-    training step builds its kernel once.
+    The gradient is taken from these same S, D, class sets and `whole` (the
+    record's `whole_value` of S), so a training step builds its kernel, and
+    n-pairs' and supcon's row sums, once.
     """
 
     batch: EmbeddingBatch
@@ -115,6 +121,7 @@ class Evaluation:
     s: np.ndarray
     d: np.ndarray | None
     sets: list
+    whole: object
     result: LossResult
 
 
@@ -126,11 +133,13 @@ def evaluate(batch: EmbeddingBatch, config: LossConfig,
     next kernel build; without one they are fresh arrays.
     """
     s, d = matrices(batch, config, workspace)
-    check_preconditions(batch, config, s)
-    sets = list(partition_from_labels(batch.labels))
     obj = objectives.get(config.objective)
-    total, per = backend.total_value(obj, s, d, sets, config.lam, config.margin)
-    return Evaluation(batch, config, s, d, sets,
+    whole = obj.whole_value(s, config.lam)
+    check_preconditions(batch, config, s, whole)
+    sets = list(partition_from_labels(batch.labels))
+    total, per = backend.total_value(obj, s, d, sets, config.lam, config.margin,
+                                     whole)
+    return Evaluation(batch, config, s, d, sets, whole,
                       LossResult(config.objective, total, per))
 
 

@@ -82,11 +82,21 @@ def _logdet_spd(m: np.ndarray):
     return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
+def _gather(x: np.ndarray, *index) -> np.ndarray:
+    """x[..., *index] as a C-contiguous array.
+
+    Gathered after a leading `...`, the block can come back with the index
+    axes outermost in memory, and a last-axis sum over it then runs in
+    another order than over one matrix's block. The copy (none for one
+    matrix) gives every matrix of a stack the bits it has alone.
+    """
+    return np.ascontiguousarray(x[(Ellipsis,) + index])
+
+
 def _block_sum(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sum of each row's s[rows_r x cols_r] block, read in row-major order."""
-    block = s[rows[:, :, None], cols[:, None, :]]
-    return np.sum(block.reshape(rows.shape[0], rows.shape[1] * cols.shape[1]),
-                  axis=1)
+    block = _gather(s, rows[:, :, None], cols[:, None, :])
+    return np.sum(block.reshape(block.shape[:-2] + (-1,)), axis=-1)
 
 
 def _softmax(v: np.ndarray) -> np.ndarray:
@@ -95,23 +105,29 @@ def _softmax(v: np.ndarray) -> np.ndarray:
 
 
 def _triplet_term(s, d, mem, comp, lam, eps, whole):
-    count, m = mem.shape
+    lead = d.shape[:-2] + mem.shape[:1]
     anchors = mem[:, :, None]
-    d2m = d[anchors, mem[:, None, :]] ** 2
-    d2c = d[anchors, comp[:, None, :]] ** 2
-    total = np.zeros(count)
-    for a in range(m):
-        hinge = d2m[:, a, :, None] - d2c[:, a, None, :]
+    d2m = _gather(d, anchors, mem[:, None, :]) ** 2
+    d2c = _gather(d, anchors, comp[:, None, :]) ** 2
+    total = np.zeros(lead)
+    for a in range(mem.shape[1]):
+        hinge = d2m[..., a, :, None] - d2c[..., a, None, :]
         hinge += eps
         np.maximum(hinge, 0.0, out=hinge)
-        hinge[:, a, :] = 0.0
-        total += np.sum(hinge.reshape(count, m * comp.shape[1]), axis=1)
+        hinge[..., a, :] = 0.0
+        total += np.sum(hinge.reshape(lead + (-1,)), axis=-1)
     return total
 
 
 def _rows_less_one(s, lam):
     """sum_{j in V} S_ij - 1 for every row i: n-pairs' and supcon's `whole`."""
-    return np.sum(s, axis=1) - 1.0
+    return np.sum(s, axis=-1) - 1.0
+
+
+def _shared_whole(s, lam, whole):
+    """The weight rule's `whole` is the term's: n-pairs' and supcon's row
+    sums, computed here only when the caller has none."""
+    return _rows_less_one(s, lam) if whole is None else whole
 
 
 def _row_logs(rows, mem):
@@ -119,7 +135,7 @@ def _row_logs(rows, mem):
     # Rowsums at or below 1 push the log outside its domain; the scan
     # layers treat the resulting inf/nan as off-domain, not as values.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.sum(np.log(rows[mem]), axis=1)
+        return np.sum(np.log(_gather(rows, mem)), axis=-1)
 
 
 def _npairs_term(s, d, mem, comp, lam, eps, whole):
@@ -132,22 +148,23 @@ def _opl_term(s, d, mem, comp, lam, eps, whole):
 
 def _anchor_lses(pos_from, s, mem, comp):
     """Anchor log-sum-exps over classmates (of pos_from) and over O (of s)."""
-    count, m = mem.shape
+    m = mem.shape[1]
     anchors = mem[:, :, None]
     # Row a of `others` lists every position but a, in order, so
     # own[r, a] holds anchor a's classmates in row r.
     idx = np.arange(m - 1)
     others = idx + (idx >= np.arange(m)[:, None])
     own = mem[:, others]
-    pos = _lse(pos_from[anchors, own]) if m > 1 else np.zeros((count, m))
-    return pos, _lse(s[anchors, comp[:, None, :]])
+    pos = (_lse(_gather(pos_from, anchors, own)) if m > 1
+           else np.zeros(s.shape[:-2] + mem.shape))
+    return pos, _lse(_gather(s, anchors, comp[:, None, :]))
 
 
 def _snn_term(s, d, mem, comp, lam, eps, whole):
     pos, neg = _anchor_lses(s, s, mem, comp)
-    total = np.zeros(mem.shape[0])
+    total = np.zeros(s.shape[:-2] + mem.shape[:1])
     for a in range(mem.shape[1]):
-        total += neg[:, a] - pos[:, a]
+        total += neg[..., a] - pos[..., a]
     return total
 
 
@@ -162,17 +179,17 @@ def _submod_triplet_term(s, d, mem, comp, lam, eps, whole):
 
 def _submod_snn_term(s, d, mem, comp, lam, eps, whole):
     pos, neg = _anchor_lses(d, s, mem, comp)
-    total = np.zeros(mem.shape[0])
+    total = np.zeros(s.shape[:-2] + mem.shape[:1])
     for a in range(mem.shape[1]):
-        total += pos[:, a] + neg[:, a]
+        total += pos[..., a] + neg[..., a]
     return total
 
 
 def _submod_supcon_term(s, d, mem, comp, lam, eps, whole):
     total = -_block_sum(s, mem, mem)
-    neg = _lse(s[mem[:, :, None], comp[:, None, :]])
+    neg = _lse(_gather(s, mem[:, :, None], comp[:, None, :]))
     for a in range(mem.shape[1]):
-        total += neg[:, a]
+        total += neg[..., a]
     return total
 
 
@@ -185,16 +202,19 @@ def _gc_cf_term(s, d, mem, comp, lam, eps, whole):
 
 
 def _logdet_sf_term(s, d, mem, comp, lam, eps, whole):
-    return _logdet_spd(s[mem[:, :, None], mem[:, None, :]] + lam * np.eye(mem.shape[1]))
+    return _logdet_spd(_gather(s, mem[:, :, None], mem[:, None, :])
+                       + lam * np.eye(mem.shape[1]))
 
 
 def _logdet_cf_term(s, d, mem, comp, lam, eps, whole):
-    return _logdet_sf_term(s, d, mem, comp, lam, eps, whole) - whole
+    # whole is one log det per matrix of s, subtracted from its row of terms.
+    return (_logdet_sf_term(s, d, mem, comp, lam, eps, whole)
+            - np.expand_dims(whole, -1))
 
 
 def _fl_term(s, d, mem, comp, lam, eps, whole):
-    nearest = np.max(s[comp[:, :, None], mem[:, None, :]], axis=2)
-    return np.sum(nearest, axis=1)
+    nearest = np.max(_gather(s, comp[:, :, None], mem[:, None, :]), axis=-1)
+    return np.sum(nearest, axis=-1)
 
 
 def _triplet_weights(ws, wdist, s, d, classes, lam, eps, whole):
@@ -372,16 +392,22 @@ class Objective:
     """One objective's term, gradient rule, domain and claimed property.
 
     term(s, d, mem, comp, lam, eps, whole) gives one value per row of mem, a
-    stack of equal-size index sets A with complements comp.
+    stack of equal-size index sets A with complements comp. s and d may be
+    (..., n, n) stacks of matrices, with whole computed from the same stack;
+    the terms then come back as (..., count), each matrix's row the bits
+    that matrix gives alone.
     weights(ws, wdist, s, d, classes, lam, eps, whole) takes the whole
     batch's partition as a `Classes` and writes every entry of the n x n
     dL/dS into ws and, when `distance` ("d" or "d2") is set, of dL/dD or
     dL/dD^2 into wdist; `distance` also says that the objective reads D at
     all. The buffers come in holding anything. kinks(rows, s, d, a, comp,
     eps) marks the rows within TIE_GAP of a nonsmooth point of class a.
-    whole_value and whole_weight map (s, lam) to what every term call, or
-    the weight call, shares: the row sums less one for n-pairs and supcon,
-    log det and inverse of S + lam I for logdet-cf.
+    whole_value maps (s, lam) to what every term call shares: the row sums
+    less one for n-pairs and supcon, log det of S + lam I for logdet-cf.
+    whole_weight maps (s, lam, whole), whole being whole_value's result, to
+    what the weight call shares: the same row sums, or the inverse of
+    S + lam I. A record with `positive_rowsum` has those row sums as its
+    whole_value, so a training step computes them once.
     """
 
     name: str
@@ -390,12 +416,12 @@ class Objective:
     weights: Callable
     distance: str | None = None
     single_class_ok: bool = False    # a one-class batch is scored, with a warning
-    positive_rowsum: bool = False    # needs sum_j S_ij - 1 > 0 on every row
+    positive_rowsum: bool = False    # needs whole_value, sum_j S_ij - 1, > 0
     min_class_size: int = 1
     kinks: Callable = lambda rows, s, d, a, comp, eps: None
     check_lam: Callable = lambda lam: None
     whole_value: Callable = lambda s, lam: None
-    whole_weight: Callable = lambda s, lam: None
+    whole_weight: Callable = lambda s, lam, whole: None
 
     @property
     def expected_verdict(self) -> str:
@@ -408,12 +434,12 @@ REGISTRY = (
               kinks=_triplet_kinks, distance="d2", min_class_size=2),
     Objective("n-pairs", "submodular", _npairs_term, _npairs_weights,
               positive_rowsum=True, whole_value=_rows_less_one,
-              whole_weight=_rows_less_one),
+              whole_weight=_shared_whole),
     Objective("opl", "submodular", _opl_term, _opl_weights),
     Objective("snn", "not-submodular", _snn_term, _snn_weights),
     Objective("supcon", "not-submodular", _supcon_term, _supcon_weights,
               positive_rowsum=True, whole_value=_rows_less_one,
-              whole_weight=_rows_less_one),
+              whole_weight=_shared_whole),
     Objective("submod-triplet", "submodular", _submod_triplet_term,
               _submod_triplet_weights),
     Objective("submod-snn", "refuted", _submod_snn_term, _submod_snn_weights,
@@ -428,8 +454,9 @@ REGISTRY = (
               single_class_ok=True, check_lam=_lam_positive),
     Objective("logdet-cf", "submodular", _logdet_cf_term, _logdet_weights,
               single_class_ok=True, check_lam=_lam_positive,
-              whole_value=lambda s, lam: _logdet_spd(s + lam * np.eye(len(s))),
-              whole_weight=lambda s, lam: np.linalg.inv(s + lam * np.eye(len(s)))),
+              whole_value=lambda s, lam: _logdet_spd(s + lam * np.eye(s.shape[-1])),
+              whole_weight=lambda s, lam, whole: np.linalg.inv(
+                  s + lam * np.eye(s.shape[-1]))),
     Objective("fl", "submodular", _fl_term, _fl_weights, kinks=_fl_kinks,
               single_class_ok=True),
 )

@@ -18,6 +18,8 @@ bits of the mixed counter, shifted into (0, 1] so the log is always safe.
 Component streams are decorrelated by `derive`: each fixed offset yields
 an independent child seed, so draw j of component c never collides with
 any other (component, draw) pair regardless of evaluation order.
+`derived_normals` draws the normals of a run of children at once, each row
+bit for bit the child's own.
 """
 
 from __future__ import annotations
@@ -38,6 +40,32 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _child_seeds(seed: np.uint64, offsets: np.ndarray) -> np.ndarray:
+    """The seeds of `Rng.derive(offset)` for each offset (uint64 arithmetic
+    wraps, as the mask does for Python ints)."""
+    bump = (np.asarray(offsets, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+    return _mix(seed ^ bump)
+
+
+def _stream(seeds, start: int, k: int) -> np.ndarray:
+    """Outputs start+1..start+k of each seed's counter stream, one row per
+    seed (a lone seed gives one row without the leading axis)."""
+    idx = np.arange(start + 1, start + k + 1, dtype=np.uint64)
+    return _mix(np.asarray(seeds, dtype=np.uint64)[..., None] + idx * _GOLDEN)
+
+
+def _unit(raw: np.ndarray) -> np.ndarray:
+    """The top 53 bits of raw outputs as doubles in (0, 1]."""
+    return ((raw >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray, total: int) -> np.ndarray:
+    """The first `total` normals of each row's uniform pairs (u1, u2)."""
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :total]
+
+
 class Rng:
     """Counter-based SplitMix64 stream with Box-Muller normals."""
 
@@ -47,18 +75,16 @@ class Rng:
 
     def derive(self, offset: int) -> "Rng":
         """Independent child stream for a fixed component offset."""
-        bump = (int(_GOLDEN) * (int(offset) + 1)) & _MASK
-        child = _mix(np.array([int(self._seed) ^ bump], dtype=np.uint64))
-        return Rng(int(child[0]))
+        return Rng(int(_child_seeds(self._seed, [offset])[0]))
 
     def _raw(self, k: int) -> np.ndarray:
-        idx = np.arange(self._count + 1, self._count + k + 1, dtype=np.uint64)
+        out = _stream(self._seed, self._count, k)
         self._count += k
-        return _mix(self._seed + idx * _GOLDEN)
+        return out
 
     def uniforms(self, k: int) -> np.ndarray:
         """k doubles in (0, 1]."""
-        return ((self._raw(k) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+        return _unit(self._raw(k))
 
     def normals(self, shape) -> np.ndarray:
         """Standard normals of the given shape via Box-Muller."""
@@ -66,10 +92,17 @@ class Rng:
         pairs = (total + 1) // 2
         u1 = self.uniforms(pairs)
         u2 = self.uniforms(pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:total]
-        return out.reshape(shape)
+        return _box_muller(u1, u2, total).reshape(shape)
+
+    def derived_normals(self, start: int, stop: int, shape) -> np.ndarray:
+        """`derive(i).normals(shape)` for i = start..stop-1, stacked on a
+        leading axis, bit for bit, from one call per step."""
+        total = int(np.prod(shape))
+        pairs = (total + 1) // 2
+        seeds = _child_seeds(self._seed, np.arange(start, stop))
+        u = _unit(_stream(seeds, 0, 2 * pairs))
+        return _box_muller(u[:, :pairs], u[:, pairs:], total).reshape(
+            (stop - start,) + tuple(shape))
 
     def permutation(self, k: int) -> np.ndarray:
         """Deterministic permutation of range(k) by sorting one raw draw each."""

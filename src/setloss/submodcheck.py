@@ -21,6 +21,16 @@ Conventions the scans rely on:
     an empty complement's log-sum-exp) produce non-finite gains; such
     comparisons are tallied as skipped, never judged.
 
+A multi-draw scan does not build one batch per draw. It draws a stack of
+seeded batches in one call (`draw_stack`, bit for bit the batches
+`draw_batch` gives one at a time), builds their kernels as one (k, n, n)
+stack, their value tables as one (k, 2^n) array and DR-scans them in one
+backend call, about 60 draws at a time at n = 6
+(`backend.tables_per_block`). It then totals the per-draw tallies in draw
+order and keeps the first violating draw's violations, so every result is
+the one a draw-by-draw scan gives; `exhaustive_dr_check` is the same engine
+on a stack of one.
+
 Two search flows feed the verdict table, routed by what the paper claims
 (each `objectives` record's claim), not by what has since been proved.
 Claimed-submodular objectives, "refuted" ones included, run a consistency
@@ -49,12 +59,13 @@ import numpy as np
 from . import losses, objectives
 from ._backend import backend
 from .batch import EmbeddingBatch
-from .errors import GroundSetTooLarge, ValidationError
+from .errors import GroundSetTooLarge, SetLossError, ValidationError
 from .sampling import Rng
 
 ENUMERATION_BOUND = 12
 DEFAULT_TOLERANCE = 1e-9
 DRAW_DIM = 4
+MAX_STORED = 1000  # violations a result keeps, from its first violating draw
 
 CONSISTENCY_CONFIG = losses.LossConfig(kernel="rbf", bandwidth=1.0)
 COUNTEREXAMPLE_CONFIG = losses.LossConfig(kernel="cosine")
@@ -107,22 +118,31 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
 
 
-def _table(objective: str, batch: EmbeddingBatch, config: losses.LossConfig):
-    if batch.n > ENUMERATION_BOUND:
-        raise GroundSetTooLarge(batch.n, ENUMERATION_BOUND)
+def _check_size(n: int) -> None:
+    if n > ENUMERATION_BOUND:
+        raise GroundSetTooLarge(n, ENUMERATION_BOUND)
+
+
+def _table(objective: str, batch, config: losses.LossConfig) -> np.ndarray:
+    """The value table of a batch, or the (k, 2^n) tables of a (k, n, dim)
+    stack of embeddings."""
+    z = batch.vectors if isinstance(batch, EmbeddingBatch) else batch
+    _check_size(z.shape[-2])
+    if not np.all(np.isfinite(z)):
+        raise ValidationError("vectors contain non-finite values")
     cfg = replace(config, objective=objective)
-    s, d = losses.matrices(batch, cfg)
+    s, d = losses.matrices(z, cfg)
     return backend.value_table(objectives.get(objective), s, d, cfg.lam, cfg.margin)
 
 
-def _scan_batch(objective: str, batch: EmbeddingBatch, config: losses.LossConfig,
-                scan, *args) -> LatticeCheckResult:
-    """One backend scan of the batch's table, its violations' sets still
-    as bitmasks."""
-    mm, compared, skipped, count, viols = scan(_table(objective, batch, config),
-                                               batch.n, *args)
-    return LatticeCheckResult(objective, batch.n, 1, viols, count,
-                              float(mm), compared, skipped)
+def _scan_stack(objective: str, z: np.ndarray, config: losses.LossConfig,
+                scan, *args):
+    """One backend scan of the value tables of a (k, n, dim) stack of
+    embeddings: (min_margin, compared, skipped, count) arrays over the k
+    draws, and the first violating draw's violations, their sets still as
+    bitmasks."""
+    *tallies, viols = scan(_table(objective, z, config), z.shape[-2], *args)
+    return tallies, viols
 
 
 def exhaustive_dr_check(objective: str, batch: EmbeddingBatch,
@@ -131,8 +151,9 @@ def exhaustive_dr_check(objective: str, batch: EmbeddingBatch,
                         include_empty: bool = False) -> LatticeCheckResult:
     """Scan every diminishing-returns triple of the batch's subset lattice."""
     _check_tolerance(tolerance)
-    res = _scan_batch(objective, batch, config, backend.dr_scan, tolerance, include_empty)
-    return _merge(objective, batch.n, [res])
+    tallies, viols = _scan_stack(objective, batch.vectors[None], config,
+                                 backend.dr_scan, tolerance, include_empty)
+    return _merge(objective, batch.n, [tallies], viols)
 
 
 def exhaustive_lattice_check(objective: str, batch: EmbeddingBatch,
@@ -145,45 +166,91 @@ def exhaustive_lattice_check(objective: str, batch: EmbeddingBatch,
     gain_B).
     """
     _check_tolerance(tolerance)
-    res = _scan_batch(objective, batch, config, backend.local_scan, tolerance)
-    return _merge(objective, batch.n, [res])
+    tallies, viols = _scan_stack(objective, batch.vectors[None], config,
+                                 backend.local_scan, tolerance)
+    return _merge(objective, batch.n, [tallies], viols)
+
+
+def _normalized(z: np.ndarray) -> np.ndarray:
+    z /= np.maximum(np.linalg.norm(z, axis=-1, keepdims=True), 1e-300)
+    return z
 
 
 def draw_batch(rng: Rng, n: int, dim: int = DRAW_DIM) -> EmbeddingBatch:
     """Unit-normalized Gaussian embeddings; labels are a placeholder."""
-    z = rng.normals((n, dim))
-    z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
-    return EmbeddingBatch(z, np.zeros(n, dtype=np.int64))
+    return EmbeddingBatch(_normalized(rng.normals((n, dim))),
+                          np.zeros(n, dtype=np.int64))
+
+
+def draw_stack(rng: Rng, start: int, stop: int, n: int,
+               dim: int = DRAW_DIM) -> np.ndarray:
+    """The vectors of `draw_batch(rng.derive(i), n, dim)` for i = start..stop-1,
+    stacked on a leading axis, bit for bit."""
+    return _normalized(rng.derived_normals(start, stop, (n, dim)))
 
 
 def _scan_draws(objective: str, config: losses.LossConfig, n: int,
-                draws: int, seed: int, tolerance: float, stop_early: bool):
+                draws: int, seed: int, tolerance: float,
+                stop_early: bool) -> LatticeCheckResult:
     """DR-scan `draws` seeded batches in order, or up to the first violating
-    one when stopping early."""
+    one when stopping early, and merge them.
+
+    Draws are scanned as stacks of `backend.tables_per_block(n)`; when
+    stopping early the stacks start at one draw and double, so a search that
+    stops at draw i scans fewer than 2(i + 1) draws. A stack that raises is
+    scanned again one draw at a time, as a serial scan meets its draws: the
+    first draw's error surfaces, and none from a draw after the stop.
+    """
     _check_tolerance(tolerance)
+    _check_size(n)
     rng = Rng(seed)
-    results = []
-    for i in range(draws):
-        res = _scan_batch(objective, draw_batch(rng.derive(i), n), config,
-                          backend.dr_scan, tolerance, False)
-        results.append(res)
-        if stop_early and res.violation_count:
+    cap = backend.tables_per_block(n)
+    size = 1 if stop_early else cap
+    parts, viols = [], []
+    start = single_until = 0
+    while start < draws:
+        stop = min(start + (1 if start < single_until else size), draws)
+        try:
+            tallies, found = _scan_stack(
+                objective, draw_stack(rng, start, stop, n), config, backend.dr_scan,
+                tolerance, False, 0 if viols else MAX_STORED)
+        except SetLossError:
+            if stop - start == 1:
+                raise
+            single_until = stop
+            continue
+        viols = viols or found
+        count = tallies[3]
+        if stop_early and count.any():
+            cut = int(np.argmax(count > 0)) + 1
+            parts.append([t[:cut] for t in tallies])
             break
-    return results
+        parts.append(tallies)
+        start = stop
+        if stop_early:
+            size = min(2 * size, cap)
+    return _merge(objective, n, parts, viols)
 
 
-def _merge(objective: str, n: int, per_draw) -> LatticeCheckResult:
-    """Sum the draws' tallies and decode the first violating draw's list."""
-    out = LatticeCheckResult(objective, n, len(per_draw))
-    for res in per_draw:
-        out.violation_count += res.violation_count
-        if res.violation_count and not out.violations:
-            out.violations = res.violations
-        out.min_margin = min(out.min_margin, res.min_margin)
-        out.compared += res.compared
-        out.skipped += res.skipped
+def _merge(objective: str, n: int, blocks, violations) -> LatticeCheckResult:
+    """Sum the draws' tallies and decode the first violating draw's list.
+
+    blocks holds, for each stack of draws in order, its (min_margin,
+    compared, skipped, count) arrays. The smallest min_margin is the first
+    draw's to reach it, so a zero minimum keeps the sign a draw-by-draw scan
+    met first.
+    """
+    out = LatticeCheckResult(objective, n, 0)
+    for mm, compared, skipped, count in blocks:
+        out.trials += len(count)
+        out.violation_count += int(np.sum(count))
+        low = float(mm[np.argmin(mm)])
+        if low < out.min_margin:
+            out.min_margin = low
+        out.compared += int(np.sum(compared))
+        out.skipped += int(np.sum(skipped))
     out.violations = [(_bits_to_tuple(a, n), _bits_to_tuple(b, n), x, ga, gb)
-                      for a, b, x, ga, gb in out.violations]
+                      for a, b, x, ga, gb in violations]
     return out
 
 
@@ -191,8 +258,7 @@ def consistency_scan(objective: str, n: int = 6, draws: int = 200,
                      seed: int = 0, tolerance: float = DEFAULT_TOLERANCE,
                      config: losses.LossConfig = CONSISTENCY_CONFIG) -> LatticeCheckResult:
     """Scan every draw in full, accumulating all violations."""
-    return _merge(objective, n,
-                  _scan_draws(objective, config, n, draws, seed, tolerance, False))
+    return _scan_draws(objective, config, n, draws, seed, tolerance, False)
 
 
 def counterexample_search(objective: str,
@@ -200,8 +266,7 @@ def counterexample_search(objective: str,
                           n: int = 6, max_draws: int = 1000, seed: int = 0,
                           tolerance: float = DEFAULT_TOLERANCE) -> LatticeCheckResult:
     """Stop at the first violating draw, or exhaust the budget."""
-    return _merge(objective, n,
-                  _scan_draws(objective, config, n, max_draws, seed, tolerance, True))
+    return _scan_draws(objective, config, n, max_draws, seed, tolerance, True)
 
 
 def verdict_table(names=objectives.OBJECTIVES, n: int = 6, draws: int = 200,

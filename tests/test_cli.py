@@ -160,6 +160,24 @@ def test_submodcheck_submod_snn_refuted_claim_matches(capsys):
     assert "MISMATCH" not in captured.err
 
 
+def test_submodcheck_seed0_table_matches_its_pinned_bytes(tmp_path, capsys):
+    # The fixtures hold the verdict CSV and the stderr counterexamples (each
+    # violated row's first stored violation, gains as repr) of the full
+    # seed-0 table, so a drift in the last bit of any min_margin or gain
+    # fails here, not only a changed verdict.
+    out = tmp_path / "verdicts.csv"
+    assert cli.main(["submodcheck", "--objective", "all", "--seed", "0",
+                     "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    with open(os.path.join(FIXTURES, "verdicts_seed0.csv"), "rb") as fh:
+        want_csv = fh.read()
+    with open(os.path.join(FIXTURES, "verdicts_seed0_counterexamples.txt"), "rb") as fh:
+        want_err = fh.read()
+    assert out.read_bytes() == want_csv
+    assert captured.out.encode() == want_csv
+    assert captured.err.encode() == want_err
+
+
 def test_submodcheck_n_above_bound_rejected(capsys):
     assert cli.main(["submodcheck", "--n", "20"]) == 2
     capsys.readouterr()

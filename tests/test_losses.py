@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from setloss import kernels, losses, objectives
+from setloss import grads, kernels, losses, objectives
 from setloss.batch import EmbeddingBatch
 from setloss.errors import (DegenerateBatch, LambdaBelowOne, SingleClassBatch,
                             ValidationError)
@@ -207,6 +208,39 @@ def test_npairs_rejects_nonpositive_rowsum():
     b = EmbeddingBatch(v, np.array([0, 0, 1, 1]))
     with pytest.raises(DegenerateBatch, match="log argument"):
         losses.total_loss(b, losses.LossConfig("n-pairs"))
+
+
+@pytest.mark.parametrize("name", ["n-pairs", "supcon"])
+def test_a_step_sums_the_rows_once(name, monkeypatch):
+    # The domain check, the term values and the weight rule share the one
+    # sum_j S_ij - 1 of the evaluation, with the bits of separate sums.
+    batch = random_batch(12, 6, 2)
+    config = losses.LossConfig(name, kernel="rbf", bandwidth=0.9)
+    want_total = losses.total_loss(batch, config).total
+    want_grad = grads.loss_gradient(batch, config)
+    obj = objectives.get(name)
+    calls, seen = [], []
+
+    def counting(s, lam):
+        calls.append(1)
+        return obj.whole_value(s, lam)
+
+    def weights(*args):
+        seen.append(args[-1])
+        return obj.weights(*args)
+
+    monkeypatch.setitem(objectives._BY_NAME, name, dataclasses.replace(
+        obj, whole_value=counting, weights=weights))
+    ev = losses.evaluate(batch, config, kernels.Workspace())
+    grad = grads.evaluation_gradient(ev)
+    assert len(calls) == 1 and seen[0] is ev.whole
+    assert ev.result.total == want_total
+    assert grad.tobytes() == want_grad.tobytes()
+    # The domain check reads the row sums it is given.
+    bad = ev.whole.copy()
+    bad[3] = 0.0
+    with pytest.raises(DegenerateBatch, match="at row 3"):
+        losses.check_preconditions(batch, config, ev.s, bad)
 
 
 @pytest.mark.parametrize("kernel", ["rbf", "neg-euclidean"])
