@@ -20,6 +20,9 @@ Conventions the scans rely on:
   * Subsets where a term leaves its domain (log of a nonpositive number,
     an empty complement's log-sum-exp) produce non-finite gains; such
     comparisons are tallied as skipped, never judged.
+  * A scan that would compare nothing (n < 3, or n < 2 with the empty
+    set included, or no draws) raises ValidationError: a "consistent"
+    verdict would rest on no evidence.
 
 A multi-draw scan does not build one batch per draw. It draws a stack of
 seeded batches in one call (`draw_stack`, bit for bit the batches
@@ -140,8 +143,18 @@ def _scan_stack(objective: str, z: np.ndarray, config: losses.LossConfig,
     """One backend scan of the value tables of a (k, n, dim) stack of
     embeddings: (min_margin, compared, skipped, count) arrays over the k
     draws, and the first violating draw's violations, their sets still as
-    bitmasks."""
-    *tallies, viols = scan(_table(objective, z, config), z.shape[-2], *args)
+    bitmasks.
+
+    Every draw meets the same comparisons, so a first draw that compared
+    and skipped nothing means the scan's index is empty: a verdict would
+    rest on no evidence, and the scan is refused instead.
+    """
+    n = z.shape[-2]
+    *tallies, viols = scan(_table(objective, z, config), n, *args)
+    if tallies[1][0] + tallies[2][0] == 0:
+        raise ValidationError(
+            f"no triple to compare at n = {n}: the scans need n >= 3, "
+            f"or n >= 2 for a DR scan that includes the empty set")
     return tallies, viols
 
 
@@ -203,6 +216,8 @@ def _scan_draws(objective: str, config: losses.LossConfig, n: int,
     """
     _check_tolerance(tolerance)
     _check_size(n)
+    if draws < 1:
+        raise ValidationError(f"a scan needs at least one draw, got {draws}")
     rng = Rng(seed)
     cap = backend.tables_per_block(n)
     size = 1 if stop_early else cap

@@ -12,6 +12,9 @@ stored violations -- and it is not to be edited.
 
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -283,3 +286,94 @@ def test_a_stack_keeps_the_first_violating_tables_list():
         [repr(t[i]) for t in lone] for i in range(4)]
     assert stacked[4] == lone[0][4]
     assert backend.dr_scan(tables[::-1], n, TOL, False, 50)[4] == lone[1][4]
+
+
+def _in_threads(*scans):
+    """Run each scan in its own new thread, all started together and
+    switching often; return their results in order, or raise the first
+    error."""
+    start = threading.Barrier(len(scans), timeout=60)
+    out = [None] * len(scans)
+
+    def run(i):
+        start.wait()
+        try:
+            out[i] = scans[i]()
+        except Exception as exc:  # re-raised in the calling thread
+            out[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(scans))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for res in out:
+        if isinstance(res, Exception):
+            raise res
+    return out
+
+
+def _arena_sequence():
+    # n = 6 grows a new thread's arena over three 60-draw stacks and reuses
+    # part of it for the 20-draw tail; n = 8 and n = 3 reuse smaller parts,
+    # and the two-point scan with the empty set a single pair per x.
+    out = []
+    for name, n, draws in (("submod-snn", 6, 200), ("submod-snn", 8, 9),
+                           ("supcon", 3, 50)):
+        got = submodcheck.consistency_scan(name, n, draws, seed=n, config=RBF)
+        out.append((got, _serial(name, RBF, n, draws, n, False)))
+    b = draw_batch(Rng(2), 2)
+    got = submodcheck.exhaustive_dr_check("fl", b, COSINE, TOL, include_empty=True)
+    lone = _scan_batch("fl", b, COSINE, backend.dr_scan, TOL, True)
+    out.append((got, _merge("fl", 2, [lone])))
+    got = submodcheck.consistency_scan("gc-cf", 6, 200, seed=6, config=RBF)
+    out.append((got, _serial("gc-cf", RBF, 6, 200, 6, False)))
+    return out
+
+
+def test_scans_of_changing_shapes_share_one_arena():
+    (results,) = _in_threads(_arena_sequence)
+    assert results[0][1].violations and results[3][1].compared == 2
+    for got, want in results:
+        assert _fields(got) == _fields(want), got.objective
+
+
+def test_no_stacked_result_points_into_the_arena():
+    z = submodcheck.draw_stack(Rng(4), 0, 60, 6)
+    first = backend.dr_scan(submodcheck._table("submod-snn", z, RBF), 6, TOL, False)
+    kept = repr([np.array(t).tolist() for t in first[:4]] + [first[4]])
+    assert first[3].all() and first[4]
+    backend.dr_scan(submodcheck._table("supcon", z, COSINE), 6, TOL, False)
+    backend.dr_scan(submodcheck._table("fl", z[:7, :5], RBF), 5, TOL, True)
+    assert repr([np.array(t).tolist() for t in first[:4]] + [first[4]]) == kept
+
+
+def test_two_threads_scanning_at_once_each_get_their_serial_result():
+    scans = (lambda: submodcheck.consistency_scan("submod-snn", 6, 200, seed=1),
+             lambda: submodcheck.counterexample_search("n-pairs", RBF, 8, 40, seed=2))
+    serial = [_fields(scan()) for scan in scans]
+    assert "submod-snn" in serial[0] and "'n-pairs', 8, 40, 0" in serial[1]
+    # Each thread scans three times over, so their blocks interleave.
+    both = _in_threads(*(lambda scan=scan: [_fields(scan()) for _ in range(3)]
+                         for scan in scans))
+    assert both == [[want] * 3 for want in serial]
+
+
+def test_a_warm_scan_builds_its_margins_without_new_memory():
+    # Allocating its margins per block, this scan peaked at 1.77 MB: two
+    # gathered gain blocks, their difference and its masked copy, about
+    # 0.5 MB each. In the arena it peaks at about 0.33 MB.
+    submodcheck.consistency_scan("gc-cf", n=6, draws=200)
+    tracemalloc.start()
+    try:
+        submodcheck.consistency_scan("gc-cf", n=6, draws=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -269,3 +269,32 @@ def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(tolerance):
         with pytest.raises(ValidationError, match="tolerance must be finite"):
             scan()
 
+
+
+# Each public scan refuses a call that would compare nothing: below n = 3 the
+# default scans hold no triple, and zero draws scan no table.
+NO_EVIDENCE = {
+    "consistency_scan": [lambda: submodcheck.consistency_scan("fl", n=2),
+                         lambda: submodcheck.consistency_scan("fl", n=1),
+                         lambda: submodcheck.consistency_scan("fl", draws=0)],
+    "counterexample_search": [
+        lambda: submodcheck.counterexample_search("supcon", n=2),
+        lambda: submodcheck.counterexample_search("supcon", max_draws=0)],
+    "exhaustive_dr_check": [lambda: submodcheck.exhaustive_dr_check(
+        "fl", submodcheck.draw_batch(Rng(0), 2), RBF)],
+    "exhaustive_lattice_check": [lambda: submodcheck.exhaustive_lattice_check(
+        "fl", submodcheck.draw_batch(Rng(0), 2), RBF)],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NO_EVIDENCE))
+def test_a_public_scan_refuses_to_compare_nothing(entry):
+    for scan in NO_EVIDENCE[entry]:
+        with pytest.raises(ValidationError, match="no triple|at least one draw"):
+            scan()
+
+
+def test_the_empty_set_gives_a_two_point_dr_scan_its_two_triples():
+    b = submodcheck.draw_batch(Rng(0), 2)
+    res = submodcheck.exhaustive_dr_check("fl", b, RBF, include_empty=True)
+    assert res.trials == 1 and res.compared + res.skipped == 2
