@@ -104,7 +104,8 @@ def term_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
 
 def total_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
                 sets, lam: float, eps: float, whole=None):
-    """Sum of per-class terms; returns (total, per-class array). whole is the
+    """Sum of per-class terms; returns (total, per-class array). sets is any
+    iterable of index sets, such as a `batch.ClassPartition`; whole is the
     record's `whole_value` of s when the caller has it."""
     if whole is None:
         whole = obj.whole_value(s, lam)

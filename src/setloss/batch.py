@@ -2,13 +2,17 @@
 
 A batch is the ground set V: n embeddings in R^d with integer class labels.
 Labels must cover 0..C-1 with every class nonempty, so a label array always
-induces a valid partition of V. The CSV layout is one row per embedding with
+induces a valid partition of V. `ClassPartition` is the one form of that
+partition the package passes around: the class sets A_k, which the loss
+terms sum over, with the labels, sizes, same-class mask and complements the
+gradient's weight rules read. The CSV layout is one row per embedding with
 header ``id,label,f0,...,f{d-1}``.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +81,11 @@ class EmbeddingBatch:
 
 @dataclass
 class ClassPartition:
-    """Disjoint nonempty index sets A_1..A_C whose union is range(n)."""
+    """Disjoint nonempty index sets A_1..A_C whose union is range(n).
+
+    sets[k] lists class k's rows; labels[i] is row i's class and sizes[k]
+    class k's size.
+    """
 
     sets: tuple[np.ndarray, ...]
 
@@ -85,13 +93,16 @@ class ClassPartition:
         self.sets = tuple(np.asarray(a, dtype=np.int64) for a in self.sets)
         if not self.sets:
             raise ValidationError("partition needs at least one class")
-        seen = np.concatenate(self.sets) if self.sets else np.empty(0, np.int64)
-        n = seen.size
         for k, a in enumerate(self.sets):
             if a.size == 0:
                 raise ValidationError(f"class {k} is empty")
+        seen = np.concatenate(self.sets)
+        n = seen.size
         if np.unique(seen).size != n or seen.min() != 0 or seen.max() != n - 1:
             raise ValidationError("class sets must partition range(n) disjointly")
+        self.sizes = np.array([a.size for a in self.sets])
+        self.labels = np.empty(n, dtype=np.int64)
+        self.labels[seen] = np.repeat(np.arange(len(self.sets)), self.sizes)
 
     @property
     def num_classes(self) -> int:
@@ -99,6 +110,18 @@ class ClassPartition:
 
     def __iter__(self):
         return iter(self.sets)
+
+    def same_class(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The n x n bool mask of row pairs that share a class, written into
+        `out` (and returned) when given one."""
+        # Row i of the mask is its class's row of the small class-by-row table.
+        rows = np.arange(len(self.sets))[:, None] == self.labels
+        return np.take(rows, self.labels, axis=0, out=out, mode="clip")
+
+    def with_complements(self):
+        """(A, O) for each class in order, O = V \\ A in ascending order."""
+        for k, a in enumerate(self.sets):
+            yield a, np.flatnonzero(self.labels != k)
 
 
 def partition_from_labels(labels: np.ndarray) -> ClassPartition:
@@ -140,9 +163,12 @@ def read_embedding_file(path) -> EmbeddingBatch:
                 raise ParseError(path, lineno, f"label {label} is negative")
             labels.append(label)
             try:
-                rows.append([float(x) for x in row[2:]])
+                values = [float(x) for x in row[2:]]
             except ValueError:
                 raise ParseError(path, lineno, "non-numeric feature value") from None
+            if not all(map(math.isfinite, values)):
+                raise ParseError(path, lineno, "non-finite feature value")
+            rows.append(values)
     if not rows:
         raise ParseError(path, 2, "no data rows")
     try:

@@ -2,9 +2,9 @@
 
 Each objective is linear in a set of per-entry weights. Its record's weight
 rule (see `objectives`) writes dL/dS_ij, and dL/dD_ij or dL/dD^2_ij, for the
-whole batch in one call, from the class partition as an
-`objectives.Classes`: the pairwise rules from its same-class mask, the
-others class by class. This module pulls each weight matrix back to the
+whole batch in one call, from the `batch.ClassPartition` the loss evaluation
+built: the pairwise rules from its same-class mask, the others class by
+class. This module pulls each weight matrix back to the
 embeddings through the kernel chain rules in `kernels`. Double sums keep their
 diagonal weights, which the pullbacks discard, every kernel diagonal being
 constant.
@@ -26,6 +26,10 @@ import numpy as np
 from . import kernels, losses, objectives
 from .batch import EmbeddingBatch, partition_from_labels
 from .sampling import Rng
+
+# grad_check's absolute floor: coordinates below ABS_FLOOR / tolerance are
+# judged against it rather than against their own size.
+ABS_FLOOR = 1e-7
 
 
 def check_batch(n: int, dim: int, seed: int) -> EmbeddingBatch:
@@ -51,10 +55,10 @@ class GradCheckReport:
     excluded: int = 0
 
 
-def _entry_weights(obj, s, d, sets, lam, eps, workspace=None, whole=None):
+def _entry_weights(obj, s, d, classes, lam, eps, workspace=None, whole=None):
     """(dL/dS, dL/dD, dL/dD^2) as n x n matrices, or None where unused.
 
-    sets is the batch's class partition, and whole the record's
+    classes is the batch's `ClassPartition`, and whole the record's
     `whole_value` of s when the caller has it (else None). The weights are
     built in the workspace's "ws" and "wdist" buffers, and the same-class
     mask in its "mask", when given one.
@@ -62,9 +66,9 @@ def _entry_weights(obj, s, d, sets, lam, eps, workspace=None, whole=None):
     ws = kernels.workspace_buffer(workspace, "ws", s.shape)
     wdist = (kernels.workspace_buffer(workspace, "wdist", s.shape)
              if obj.distance is not None else None)
-    classes = objectives.Classes(
-        sets, kernels.workspace_buffer(workspace, "mask", s.shape, bool))
-    obj.weights(ws, wdist, s, d, classes, lam, eps, obj.whole_weight(s, lam, whole))
+    mask = kernels.workspace_buffer(workspace, "mask", s.shape, bool)
+    obj.weights(ws, wdist, mask, s, d, classes, lam, eps,
+                obj.whole_weight(s, lam, whole))
     return (ws, wdist, None) if obj.distance == "d" else (ws, None, wdist)
 
 
@@ -77,7 +81,7 @@ def evaluation_gradient(ev: losses.Evaluation,
     """
     config = ev.config
     ws, wd, wd2 = _entry_weights(objectives.get(config.objective), ev.s, ev.d,
-                                 ev.sets, config.lam, config.margin, workspace,
+                                 ev.classes, config.lam, config.margin, workspace,
                                  ev.whole)
 
     z = ev.batch.vectors
@@ -126,19 +130,16 @@ def _excluded_rows(batch: EmbeddingBatch, config: losses.LossConfig,
                    s: np.ndarray, d: np.ndarray | None) -> np.ndarray:
     """Rows too close to one of the objective's kinks for finite differences."""
     rows = np.zeros(batch.n, dtype=bool)
-    kinks = objectives.get(config.objective).kinks
-    for a, comp in objectives.Classes(partition_from_labels(batch.labels)
-                                      ).with_complements():
-        kinks(rows, s, d, a, comp, config.margin)
+    objectives.get(config.objective).kinks(
+        rows, s, d, partition_from_labels(batch.labels), config.margin)
     return rows
 
 
 def grad_check(batch: EmbeddingBatch, config: losses.LossConfig,
-               h: float = 1e-5, tolerance: float = 1e-4,
-               abs_floor: float = 1e-7) -> GradCheckReport:
+               h: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
     """Compare analytic and FD gradients coordinate by coordinate.
 
-    A coordinate's relative error is |a - f| / max(|a|, |f|, abs_floor /
+    A coordinate's relative error is |a - f| / max(|a|, |f|, ABS_FLOOR /
     tolerance), so tiny coordinates are judged against the absolute floor
     and the pass condition stays exactly max_rel_error <= tolerance.
     """
@@ -152,7 +153,7 @@ def grad_check(batch: EmbeddingBatch, config: losses.LossConfig,
     diff = np.abs(analytic - fd)
     # Tolerance zero demands exact agreement: the absolute floor drops out
     # and any nonzero difference scores infinite.
-    floor = abs_floor / tolerance if tolerance > 0 else 0.0
+    floor = ABS_FLOOR / tolerance if tolerance > 0 else 0.0
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(diff == 0.0, 0.0, diff / scale)

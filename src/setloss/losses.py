@@ -2,8 +2,10 @@
 
 Thirteen objectives share one evaluation path: build the kernel matrices,
 check the batch against the objective's domain, split the batch into its
-class partition, evaluate one term per class, and sum. The terms, and the
-domain each objective declares, live in its `objectives` record.
+class partition, evaluate one term per class, and sum. `evaluate` builds
+that partition once, as a `batch.ClassPartition`, and keeps it in the
+`Evaluation` the gradient reads. The terms, and the domain each objective
+declares, live in its `objectives` record.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import kernels, objectives
 from ._backend import backend
-from .batch import EmbeddingBatch, partition_from_labels
+from .batch import ClassPartition, EmbeddingBatch, partition_from_labels
 from .errors import (
     DegenerateBatch,
     NonPositiveBandwidth,
@@ -111,16 +113,16 @@ def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray
 class Evaluation:
     """One scoring of a batch, with the matrices and partition it used.
 
-    The gradient is taken from these same S, D, class sets and `whole` (the
-    record's `whole_value` of S), so a training step builds its kernel, and
-    n-pairs' and supcon's row sums, once.
+    The gradient is taken from these same S, D, class partition and `whole`
+    (the record's `whole_value` of S), so a training step builds its kernel,
+    its partition, and n-pairs' and supcon's row sums once.
     """
 
     batch: EmbeddingBatch
     config: LossConfig
     s: np.ndarray
     d: np.ndarray | None
-    sets: list
+    classes: ClassPartition
     whole: object
     result: LossResult
 
@@ -136,10 +138,10 @@ def evaluate(batch: EmbeddingBatch, config: LossConfig,
     obj = objectives.get(config.objective)
     whole = obj.whole_value(s, config.lam)
     check_preconditions(batch, config, s, whole)
-    sets = list(partition_from_labels(batch.labels))
-    total, per = backend.total_value(obj, s, d, sets, config.lam, config.margin,
+    classes = partition_from_labels(batch.labels)
+    total, per = backend.total_value(obj, s, d, classes, config.lam, config.margin,
                                      whole)
-    return Evaluation(batch, config, s, d, sets, whole,
+    return Evaluation(batch, config, s, d, classes, whole,
                       LossResult(config.objective, total, per))
 
 

@@ -41,7 +41,6 @@ order is the order of `OBJECTIVES` and of verdict and sweep rows; keep it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -217,7 +216,7 @@ def _fl_term(s, d, mem, comp, lam, eps, whole):
     return np.sum(nearest, axis=-1)
 
 
-def _triplet_weights(ws, wdist, s, d, classes, lam, eps, whole):
+def _triplet_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
     ws.fill(0.0)
     wdist.fill(0.0)
     d2 = d * d
@@ -236,18 +235,18 @@ def _triplet_weights(ws, wdist, s, d, classes, lam, eps, whole):
 # subtracted x, (0.0 + x) where it added x, 0.0 where it wrote nothing. Those
 # forms keep signed zeros (0.0 - 0.0 is 0.0, not -0.0).
 
-def _npairs_weights(ws, wdist, s, d, classes, lam, eps, whole):
+def _npairs_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
     inv_row = 1.0 / whole
     ws[...] = (0.0 - inv_row)[:, None]
-    np.copyto(ws, (-1.0 - inv_row)[:, None], where=classes.same)
+    np.copyto(ws, (-1.0 - inv_row)[:, None], where=classes.same_class(mask))
 
 
-def _opl_weights(ws, wdist, s, d, classes, lam, eps, whole):
+def _opl_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
     ws.fill(1.0)
-    np.copyto(ws, -1.0, where=classes.same)
+    np.copyto(ws, -1.0, where=classes.same_class(mask))
 
 
-def _snn_weights(ws, wdist, s, d, classes, lam, eps, whole):
+def _snn_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
     ws.fill(0.0)
     for a, comp in classes.with_complements():
         for i in a:
@@ -258,22 +257,22 @@ def _snn_weights(ws, wdist, s, d, classes, lam, eps, whole):
                 ws[i, comp] += _softmax(s[i, comp])
 
 
-def _supcon_weights(ws, wdist, s, d, classes, lam, eps, whole):
+def _supcon_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
     inv_row = 1.0 / whole
     inv_size = 1.0 / classes.sizes
     ws[...] = (0.0 + inv_row)[:, None]
     np.copyto(ws, ((0.0 - inv_size[classes.labels]) + inv_row)[:, None],
-              where=classes.same)
+              where=classes.same_class(mask))
 
 
-def _submod_triplet_weights(ws, wdist, s, d, classes, lam, eps, whole):
+def _submod_triplet_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
     np.multiply(s, 2.0, out=ws)
-    np.negative(ws, out=ws, where=classes.same)
+    np.negative(ws, out=ws, where=classes.same_class(mask))
     # -x + 0.0 is 0.0 - x and x + 0.0 is 0.0 + x, signed zeros included.
     ws += 0.0
 
 
-def _submod_snn_weights(ws, wdist, s, d, classes, lam, eps, whole):
+def _submod_snn_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
     ws.fill(0.0)
     wdist.fill(0.0)
     for a, comp in classes.with_complements():
@@ -285,25 +284,25 @@ def _submod_snn_weights(ws, wdist, s, d, classes, lam, eps, whole):
                 ws[i, comp] += _softmax(s[i, comp])
 
 
-def _submod_supcon_weights(ws, wdist, s, d, classes, lam, eps, whole):
-    np.subtract(0.0, classes.same, out=ws)
+def _submod_supcon_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
+    np.subtract(0.0, classes.same_class(mask), out=ws)
     for a, comp in classes.with_complements():
         for i in a:
             if comp.size:
                 ws[i, comp] += _softmax(s[i, comp])
 
 
-def _gc_sf_weights(ws, wdist, s, d, classes, lam, eps, whole):
+def _gc_sf_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
     ws.fill(1.0)
-    np.copyto(ws, 0.0 - lam, where=classes.same)
+    np.copyto(ws, 0.0 - lam, where=classes.same_class(mask))
 
 
-def _gc_cf_weights(ws, wdist, s, d, classes, lam, eps, whole):
+def _gc_cf_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
     ws.fill(0.0 + lam)
-    np.copyto(ws, 0.0, where=classes.same)
+    np.copyto(ws, 0.0, where=classes.same_class(mask))
 
 
-def _logdet_weights(ws, wdist, s, d, classes, lam, eps, whole):
+def _logdet_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
     # logdet-cf's whole-batch inverse is subtracted after each class's block;
     # logdet-sf has none.
     ws.fill(0.0)
@@ -313,7 +312,7 @@ def _logdet_weights(ws, wdist, s, d, classes, lam, eps, whole):
             ws -= whole
 
 
-def _fl_weights(ws, wdist, s, d, classes, lam, eps, whole):
+def _fl_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
     # Each outside row's weight goes to its first (lowest-index) max.
     ws.fill(0.0)
     rows, cols = [], []
@@ -323,29 +322,31 @@ def _fl_weights(ws, wdist, s, d, classes, lam, eps, whole):
     ws[np.concatenate(rows), np.concatenate(cols)] = 1.0
 
 
-def _triplet_kinks(rows, s, d, a, comp, eps):
+def _triplet_kinks(rows, s, d, classes, eps):
     d2 = d * d
-    for i in a:
-        for p in a:
-            if p == i:
-                continue
-            near = np.abs(d2[i, p] - d2[i, comp] + eps) < TIE_GAP
-            if np.any(near):
+    for a, comp in classes.with_complements():
+        for i in a:
+            for p in a:
+                if p == i:
+                    continue
+                near = np.abs(d2[i, p] - d2[i, comp] + eps) < TIE_GAP
+                if np.any(near):
+                    rows[i] = True
+                    rows[p] = True
+                    rows[comp[near]] = True
+
+
+def _fl_kinks(rows, s, d, classes, eps):
+    for a, comp in classes.with_complements():
+        if a.size < 2:
+            continue
+        for i in comp:
+            vals = s[i, a]
+            order = np.argsort(vals)
+            if vals[order[-1]] - vals[order[-2]] < TIE_GAP:
                 rows[i] = True
-                rows[p] = True
-                rows[comp[near]] = True
-
-
-def _fl_kinks(rows, s, d, a, comp, eps):
-    if a.size < 2:
-        return
-    for i in comp:
-        vals = s[i, a]
-        order = np.argsort(vals)
-        if vals[order[-1]] - vals[order[-2]] < TIE_GAP:
-            rows[i] = True
-            rows[a[order[-1]]] = True
-            rows[a[order[-2]]] = True
+                rows[a[order[-1]]] = True
+                rows[a[order[-2]]] = True
 
 
 def _lam_at_least_one(lam):
@@ -358,35 +359,6 @@ def _lam_positive(lam):
         raise ValidationError(f"log-det objectives need lam > 0, got {lam}")
 
 
-class Classes:
-    """A batch's class partition, in the forms the weight rules read.
-
-    sets[k] lists class k's rows in ascending order, and the sets partition
-    range(n); labels[i] is row i's class and sizes[k] class k's size. same,
-    built on first use (in `buffer`, an n x n bool array, when given one),
-    says whether rows i and j share a class.
-    """
-
-    def __init__(self, sets, buffer: np.ndarray | None = None):
-        self.sets = tuple(np.asarray(a, dtype=np.intp) for a in sets)
-        self.sizes = np.array([a.size for a in self.sets])
-        self.labels = np.empty(int(np.sum(self.sizes)), dtype=np.intp)
-        for k, a in enumerate(self.sets):
-            self.labels[a] = k
-        self._buffer = buffer
-
-    @functools.cached_property
-    def same(self) -> np.ndarray:
-        # Row i of the mask is its class's row of the small class-by-row table.
-        rows = np.arange(len(self.sets))[:, None] == self.labels
-        return np.take(rows, self.labels, axis=0, out=self._buffer, mode="clip")
-
-    def with_complements(self):
-        """(A, O) for each class in order, O = V \\ A in ascending order."""
-        for k, a in enumerate(self.sets):
-            yield a, np.flatnonzero(self.labels != k)
-
-
 @dataclass(frozen=True)
 class Objective:
     """One objective's term, gradient rule, domain and claimed property.
@@ -396,12 +368,14 @@ class Objective:
     (..., n, n) stacks of matrices, with whole computed from the same stack;
     the terms then come back as (..., count), each matrix's row the bits
     that matrix gives alone.
-    weights(ws, wdist, s, d, classes, lam, eps, whole) takes the whole
-    batch's partition as a `Classes` and writes every entry of the n x n
-    dL/dS into ws and, when `distance` ("d" or "d2") is set, of dL/dD or
-    dL/dD^2 into wdist; `distance` also says that the objective reads D at
-    all. The buffers come in holding anything. kinks(rows, s, d, a, comp,
-    eps) marks the rows within TIE_GAP of a nonsmooth point of class a.
+    weights(ws, wdist, mask, s, d, classes, lam, eps, whole) takes the
+    whole batch's partition as a `batch.ClassPartition` and writes every
+    entry of the n x n dL/dS into ws and, when `distance` ("d" or "d2") is
+    set, of dL/dD or dL/dD^2 into wdist; `distance` also says that the
+    objective reads D at all. mask is an n x n bool buffer (or None) for
+    `classes.same_class`. The buffers come in holding anything.
+    kinks(rows, s, d, classes, eps) marks the rows within TIE_GAP of a
+    nonsmooth point of any class of the same partition.
     whole_value maps (s, lam) to what every term call shares: the row sums
     less one for n-pairs and supcon, log det of S + lam I for logdet-cf.
     whole_weight maps (s, lam, whole), whole being whole_value's result, to
@@ -418,7 +392,7 @@ class Objective:
     single_class_ok: bool = False    # a one-class batch is scored, with a warning
     positive_rowsum: bool = False    # needs whole_value, sum_j S_ij - 1, > 0
     min_class_size: int = 1
-    kinks: Callable = lambda rows, s, d, a, comp, eps: None
+    kinks: Callable = lambda rows, s, d, classes, eps: None
     check_lam: Callable = lambda lam: None
     whole_value: Callable = lambda s, lam: None
     whole_weight: Callable = lambda s, lam, whole: None

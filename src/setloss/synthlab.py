@@ -37,38 +37,14 @@ from .sampling import Rng
 K_RANGE = range(8)
 
 
-@dataclass
-class ClusterSpec:
-    """Fully resolved recipe for one Gaussian mixture draw."""
-
-    C: int
-    d: int
-    centroids: np.ndarray
-    spread: float
-    counts: tuple[int, ...]
-    seed: int
-
-    def __post_init__(self):
-        self.centroids = np.asarray(self.centroids, dtype=np.float64)
-        if self.centroids.shape != (self.C, self.d):
-            raise ValidationError(
-                f"centroids shape {self.centroids.shape} != ({self.C}, {self.d})"
-            )
-        if len(self.counts) != self.C:
-            raise ValidationError(f"{len(self.counts)} counts for {self.C} classes")
-        if any(c < 1 for c in self.counts):
-            raise ValidationError("every class needs at least one sample")
-        if not self.spread > 0:
-            raise ValidationError(f"spread must be positive, got {self.spread}")
-
-
-def sample_clusters(spec: ClusterSpec) -> EmbeddingBatch:
-    """Draw the mixture: class k is centroid_k + spread * N(0, I)."""
-    rng = Rng(spec.seed)
-    noise = rng.normals((sum(spec.counts), spec.d))
-    vectors = np.repeat(spec.centroids, spec.counts, axis=0) + spec.spread * noise
-    labels = np.repeat(np.arange(spec.C), spec.counts)
-    return EmbeddingBatch(vectors, labels)
+def sample_clusters(centroids: np.ndarray, spread: float, counts, seed: int
+                    ) -> EmbeddingBatch:
+    """Draw the mixture: counts[k] rows of centroids[k] + spread * N(0, I)."""
+    if not spread > 0:
+        raise ValidationError(f"spread must be positive, got {spread}")
+    noise = Rng(seed).normals((sum(counts), centroids.shape[1]))
+    vectors = np.repeat(centroids, counts, axis=0) + spread * noise
+    return EmbeddingBatch(vectors, np.repeat(np.arange(len(counts)), counts))
 
 
 def k_scale(k: int) -> float:
@@ -85,14 +61,10 @@ _CORNERS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 def make_k_dataset(k: int, points_per_cluster: int = 100,
                    spread: float = 0.3, seed: int = 0) -> EmbeddingBatch:
     """Four 2-D clusters at the corner schedule for this K."""
-    spec = ClusterSpec(
-        C=4, d=2,
-        centroids=_CORNERS * k_scale(k),
-        spread=spread,
-        counts=(points_per_cluster,) * 4,
-        seed=seed,
-    )
-    return sample_clusters(spec)
+    centroids = _CORNERS * k_scale(k)
+    if points_per_cluster < 1:
+        raise ValidationError("every class needs at least one sample")
+    return sample_clusters(centroids, spread, (points_per_cluster,) * 4, seed)
 
 
 def _longtail_counts(c: int, base: int, decay: float) -> tuple[int, ...]:
@@ -140,8 +112,7 @@ def make_imbalanced_dataset(kind: str, c: int, d: int, base_count: int,
         separation = 4.0 * spread
     centroids = np.zeros((c, d))
     centroids[np.arange(c), np.arange(c)] = separation / math.sqrt(2.0)
-    spec = ClusterSpec(c, d, centroids, spread, counts, seed)
-    return sample_clusters(spec)
+    return sample_clusters(centroids, spread, counts, seed)
 
 
 @dataclass
@@ -189,14 +160,17 @@ def k_sweep(names, kinds, ks, points_per_cluster: int = 100,
 
     Rows come out sorted by (K, objective order, kernel order) regardless
     of argument order, so repeated sweeps serialize identically. Unknown
-    objective or kernel names raise ValidationError before any work.
+    objective or kernel names raise ValidationError, and a K outside
+    `K_RANGE` BadK, before any work.
     """
     names = sorted({objectives.get(n).name for n in names},
                    key=objectives.OBJECTIVES.index)
     kinds = sorted({kernels.check_kind(k) for k in kinds},
                    key=kernels.SIMILARITY_KINDS.index)
+    for k in ks:
+        k_scale(k)
     rows = []
-    for k in sorted(set(int(k) for k in ks)):
+    for k in sorted({int(k) for k in ks}):
         batch = make_k_dataset(k, points_per_cluster, spread, seed)
         for name in names:
             for kind in kinds:

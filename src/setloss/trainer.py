@@ -137,8 +137,7 @@ def initial_params(in_dim: int, out_dim: int, seed: int,
 def _minibatch(data: EmbeddingBatch, size: int, rng: Rng) -> EmbeddingBatch:
     """Stratified draw with every class represented at least once."""
     picks = []
-    sets = list(data.partition())
-    for a in sets:
+    for a in data.partition():
         want = max(1, int(round(size * a.size / data.n)))
         order = rng.permutation(a.size)[:min(want, a.size)]
         picks.append(a[order])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setloss.batch import (EmbeddingBatch, partition_from_labels,
                            read_embedding_file, write_embedding_file)
@@ -53,6 +55,34 @@ def test_partition_covers_everything():
         assert np.all(labels[members] == k)
 
 
+@st.composite
+def _shuffled_labels(draw):
+    # Uneven class sizes, always with a singleton class, in shuffled order.
+    sizes = draw(st.lists(st.integers(1, 7), min_size=0, max_size=5)) + [1]
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    return labels[draw(st.permutations(range(labels.size)))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_shuffled_labels())
+def test_partition_forms_match_brute_force(labels):
+    n = labels.size
+    part = partition_from_labels(labels)
+    same = np.array([[labels[i] == labels[j] for j in range(n)] for i in range(n)])
+    assert part.labels.tolist() == labels.tolist()
+    assert part.sizes.tolist() == [int(np.sum(labels == k))
+                                   for k in range(labels.max() + 1)]
+    assert np.array_equal(part.same_class(), same)
+    out = ~same
+    assert part.same_class(out) is out
+    assert np.array_equal(out, same)
+    pairs = list(part.with_complements())
+    assert len(pairs) == part.num_classes
+    for k, (a, comp) in enumerate(pairs):
+        assert a.tolist() == [i for i in range(n) if labels[i] == k]
+        assert comp.tolist() == [i for i in range(n) if labels[i] != k]
+
+
 def test_file_round_trip(tmp_path):
     b = EmbeddingBatch(np.arange(12.0).reshape(4, 3), np.array([0, 1, 1, 0]),
                        ids=["w", "x", "y", "z"])
@@ -86,3 +116,13 @@ def test_parse_rejects_short_row(tmp_path):
     path.write_text("id,label,f0,f1\na,0,1.0\n")
     with pytest.raises(ParseError, match="expected 4 fields"):
         read_embedding_file(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_reports_the_line_of_a_non_finite_feature(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"id,label,f0\na,0,1.0\nb,1,2.0\nc,0,{value}\nd,1,3.0\n")
+    with pytest.raises(ParseError) as err:
+        read_embedding_file(path)
+    assert err.value.line == 4
+    assert str(err.value) == f"{path}:4: non-finite feature value"

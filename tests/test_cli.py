@@ -89,6 +89,15 @@ def test_eval_malformed_row_reports_line(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+def test_eval_non_finite_feature_reports_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("id,label,f0,f1\na,0,1.0,0.0\nb,1,0.0,1.0\nc,0,nan,1.0\n")
+    assert cli.main(["eval", "--input", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{bad}:4: non-finite feature value" in captured.err
+
+
 def test_eval_single_class_warns_but_succeeds(tmp_path, capsys):
     single = tmp_path / "single.csv"
     single.write_text("id,label,f0,f1\na,0,1.0,0.0\nb,0,0.0,1.0\n")
@@ -229,6 +238,15 @@ def test_sweep_default_grid(capsys):
     assert lines[0] == "k,objective,kernel,loss"
     # 5 K values x 2 objectives x 2 kernels
     assert len(lines) == 21
+
+
+def test_sweep_config_rejects_zero_spread(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"sweep": {"spread": 0}}')
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "spread must be positive, got 0" in captured.err
 
 
 def test_sweep_per_seed_files(tmp_path, capsys):

@@ -176,7 +176,7 @@ def _judge(name, cfg, batch):
         return False
     for work in (None, _dirty_workspace(batch.n)):
         new = grads._entry_weights(registry.get(name), s, d,
-                                   list(partition_from_labels(batch.labels)),
+                                   partition_from_labels(batch.labels),
                                    cfg.lam, cfg.margin, work)
         for got, want in zip(new, old):
             if want is None:

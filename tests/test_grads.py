@@ -150,7 +150,7 @@ def _fresh_distance_pullback(z, weights):
 def _unshared_value_and_gradient(batch, cfg):
     s, d = losses.matrices(batch, cfg)
     losses.check_preconditions(batch, cfg, s)
-    sets = list(partition_from_labels(batch.labels))
+    sets = partition_from_labels(batch.labels)
     obj = objectives.get(cfg.objective)
     total, per = backend.total_value(obj, s, d, sets, cfg.lam, cfg.margin)
     if cfg.objective == "fl":
@@ -209,7 +209,7 @@ def test_fl_tie_goes_to_lowest_index_member():
     ev = losses.evaluate(b, cfg)
     assert ev.s[1, 2] == ev.s[1, 3] > ev.s[1, 0]
     ws, _, _ = grads._entry_weights(objectives.get("fl"), ev.s, ev.d,
-                                    ev.sets, cfg.lam, cfg.margin)
+                                    ev.classes, cfg.lam, cfg.margin)
     assert np.array_equal(ws[1], [0.0, 0.0, 1.0, 0.0])
     expected = kernels.cosine_pullback(b.vectors, ws)
     assert np.array_equal(grads.loss_gradient(b, cfg), expected)

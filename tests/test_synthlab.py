@@ -145,3 +145,29 @@ def test_loss_peaks_at_maximum_overlap():
     vals = [res.value(k, "fl", "cosine") for k in range(8)]
     assert all(vals[k] < vals[k + 1] for k in range(4))
     assert all(vals[k] > vals[k + 1] for k in range(4, 7))
+
+
+def test_k_sweep_rejects_a_non_integer_k():
+    with pytest.raises(BadK):
+        synthlab.make_k_dataset(2.5)
+    with pytest.raises(BadK):
+        synthlab.k_sweep(["fl"], ["cosine"], [2.5], points_per_cluster=5)
+
+
+def test_k_sweep_checks_every_k_before_any_work(monkeypatch):
+    built = []
+    monkeypatch.setattr(synthlab, "make_k_dataset", lambda *a, **kw: built.append(a))
+    with pytest.raises(BadK):
+        synthlab.k_sweep(["fl"], ["cosine"], [0, 9])
+    assert built == []
+
+
+@pytest.mark.parametrize("spread", [0.0, float("nan")])
+def test_k_dataset_rejects_a_non_positive_spread(spread):
+    with pytest.raises(ValidationError, match="spread must be positive, got"):
+        synthlab.make_k_dataset(2, points_per_cluster=5, spread=spread)
+
+
+def test_k_dataset_rejects_empty_clusters():
+    with pytest.raises(ValidationError, match="every class needs at least one sample"):
+        synthlab.make_k_dataset(2, points_per_cluster=0)

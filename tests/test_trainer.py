@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from setloss import grads, kernels, losses, objectives, synthlab, trainer
+from setloss import batch, grads, kernels, losses, objectives, synthlab, trainer
 from setloss.batch import EmbeddingBatch
 from setloss.errors import DivergedLoss, MissingClass, SetLossError, ValidationError
 from setloss.sampling import Rng
@@ -226,6 +226,39 @@ def test_each_step_builds_the_kernel_once(monkeypatch):
     _, curve = trainer.train_stage1(tr, quick_config(steps=steps))
     assert len(curve) == steps + 1
     assert len(calls) == steps + 1
+
+
+def test_each_step_partitions_the_batch_once(monkeypatch):
+    # losses.evaluate builds one ClassPartition, and the gradient reads the
+    # evaluation's instead of building its own.
+    built = []
+    real_init = batch.ClassPartition.__post_init__
+
+    def counted_init(self):
+        built.append(self)
+        real_init(self)
+
+    monkeypatch.setattr(batch.ClassPartition, "__post_init__", counted_init)
+    per_call = {"evaluate": [], "gradient": []}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            before = len(built)
+            out = fn(*args, **kwargs)
+            per_call[key].append(len(built) - before)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(losses, "evaluate", counting("evaluate", losses.evaluate))
+    monkeypatch.setattr(grads, "evaluation_gradient",
+                        counting("gradient", grads.evaluation_gradient))
+    config = trainer.TrainConfig(
+        loss=losses.LossConfig("supcon", kernel="rbf"), lr=0.01, steps=4,
+        batch_size=None, seed=0)
+    trainer.train_stage1(small_data(), config)
+    assert per_call["evaluate"] == [1] * (config.steps + 1)
+    assert per_call["gradient"] == [0] * config.steps
+    assert len(built) == config.steps + 1
 
 
 def test_non_finite_loss_stops_before_any_gradient(monkeypatch):
