@@ -15,6 +15,7 @@ import numpy as np
 
 from setloss import objectives
 from setloss._backend import pure
+from setloss.batch import partition_from_labels
 from setloss.sampling import Rng
 
 
@@ -46,7 +47,7 @@ def main():
 
     s, d = instance(args.n)
     sb, db = instance(args.batch, seed=1)
-    sets = [np.arange(k, args.batch, 4) for k in range(4)]
+    sets = partition_from_labels(np.arange(args.batch) % 4)
 
     print(f"value_table and dr_scan n={args.n} ({1 << args.n} subsets); "
           f"total_value n={args.batch}, 4 classes; best of {args.repeat}")
@@ -55,7 +56,9 @@ def main():
         table = pure.value_table(obj, s, d, 1.0, 0.2)
         tp = best_of(args.repeat, lambda: pure.value_table(obj, s, d, 1.0, 0.2))
         sp = best_of(args.repeat, lambda: pure.dr_scan(table, args.n, 1e-9, False))
-        vp = best_of(args.repeat, lambda: pure.total_value(obj, sb, db, sets, 1.0, 0.2))
+        whole = obj.whole_value(sb, 1.0)
+        vp = best_of(args.repeat,
+                     lambda: pure.total_value(obj, sb, db, sets, 1.0, 0.2, whole))
         print(f"{obj.name:<16} {tp * 1e3:>9.2f}ms {sp * 1e3:>9.2f}ms {vp * 1e6:>9.1f}us")
 
 

@@ -2,14 +2,16 @@
 
 Each objective's formula lives in its `objectives` record, which callers
 pass in as `obj`; this module only supplies the index sets it is evaluated
-on. `term_values` evaluates a record's term over a stack of equal-size index
-sets: a (count, m) array whose rows are the subsets A. `term_value` is its
-one-row case, and `value_table` evaluates once per cardinality m = 1..n
-rather than once per subset, reading each cardinality's bitmasks, members
-and complements from an index cached per n. Both lattice scans run one
-engine, `_scan`: it takes each x's gains f(x|A) over every subset A of
-V\\{x} and judges f(x|A) >= f(x|B) over a cached index of (A, B) pairs on
-the n - 1 bits other than x; bit x is inserted for each x. `dr_scan`'s
+on. Every term call evaluates a record's term over a stack of equal-size
+index sets, a (count, m) array whose rows are the subsets A, with the
+record's `whole` passed in by the caller. `term_value` scores one subset,
+`total_value` each class of a `batch.ClassPartition` with the complements
+the partition yields, and `value_table` evaluates once per cardinality
+m = 1..n rather than once per subset, reading each cardinality's bitmasks,
+members and complements from an index cached per n. Both lattice scans
+run one engine, `_scan`: it takes each x's gains f(x|A) over every subset A
+of V\\{x} and judges f(x|A) >= f(x|B) over a cached index of (A, B) pairs
+on the n - 1 bits other than x; bit x is inserted for each x. `dr_scan`'s
 index holds every submask pair A < B, in the order of the nested submask
 loop it replaced. `local_scan`'s holds only the pairs B = A + j, the local
 form f(A+i) + f(A+j) >= f(A+i+j) + f(A) with i = x.
@@ -71,45 +73,30 @@ def _terms(obj, s: np.ndarray, d: np.ndarray | None, mem: np.ndarray,
     """The record's term over mem; comp holds each row's complement."""
     if mem.shape[1] == 0:
         return np.zeros(s.shape[:-2] + mem.shape[:1])
-    if whole is None:
-        whole = obj.whole_value(s, lam)
     return obj.term(s, d, mem, comp, lam, eps, whole)
 
 
-def term_values(obj: Objective, s: np.ndarray, d: np.ndarray | None,
-                members: np.ndarray, lam: float, eps: float,
-                whole=None) -> np.ndarray:
-    """Per-subset terms of one objective, one per row of a stack of sets.
+def term_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
+               members, lam: float, eps: float, whole) -> float:
+    """Term of one objective over one index set A of distinct indices.
 
-    members is a (count, m) array whose rows are index sets A of equal size
-    m, each of distinct indices. s is the similarity matrix, d the distance
-    matrix that records with a `distance` read. whole lets callers amortize
-    the record's `whole_value` across calls.
+    s is the similarity matrix, d the distance matrix that records with a
+    `distance` read, and whole the record's `whole_value` of s.
     """
     members = np.asarray(members, dtype=np.int64)
-    count, m = members.shape
-    n = s.shape[-1]
-    inside = np.zeros((count, n), dtype=bool)
-    inside[np.arange(count)[:, None], members] = True
-    comp = np.nonzero(~inside)[1].reshape(count, n - m)
-    return _terms(obj, s, d, members, comp, lam, eps, whole)
-
-
-def term_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
-               members: np.ndarray, lam: float, eps: float,
-               whole=None) -> float:
-    """Per-class (or per-subset) term of one objective: `term_values` of one row."""
-    return float(term_values(obj, s, d, [members], lam, eps, whole)[0])
+    inside = np.zeros(s.shape[-1], dtype=bool)
+    inside[members] = True
+    # A repeated member leaves the complement short, and the reshape raises.
+    comp = np.flatnonzero(~inside).reshape(1, s.shape[-1] - members.size)
+    return float(_terms(obj, s, d, members[None], comp, lam, eps, whole)[0])
 
 
 def total_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
-                sets, lam: float, eps: float, whole=None):
-    """Sum of per-class terms; returns (total, per-class array). sets is any
-    iterable of index sets, such as a `batch.ClassPartition`; whole is the
-    record's `whole_value` of s when the caller has it."""
-    if whole is None:
-        whole = obj.whole_value(s, lam)
-    per = np.array([term_value(obj, s, d, a, lam, eps, whole) for a in sets])
+                classes, lam: float, eps: float, whole):
+    """Sum of per-class terms over a `batch.ClassPartition`; returns (total,
+    per-class array). whole is the record's `whole_value` of s."""
+    per = np.array([float(_terms(obj, s, d, a[None], comp[None], lam, eps, whole)[0])
+                    for a, comp in classes.with_complements()])
     return float(np.sum(per)), per
 
 

@@ -51,12 +51,11 @@ class EmbeddingBatch:
             raise ValidationError("vectors contain non-finite values")
         if self.labels.min() < 0:
             raise ValidationError("labels must be nonnegative")
-        c = int(self.labels.max()) + 1
-        present = np.bincount(self.labels, minlength=c)
-        gaps = np.flatnonzero(present == 0)
-        if gaps.size:
+        gap = _first_empty_class(self.labels)
+        if gap is not None:
             raise ValidationError(
-                f"labels must cover 0..{c - 1} contiguously; class {gaps[0]} is empty"
+                f"labels must cover 0..{self.labels.max()} contiguously; "
+                f"class {gap} is empty"
             )
         if not self.ids:
             self.ids = [str(i) for i in range(n)]
@@ -124,6 +123,12 @@ class ClassPartition:
             yield a, np.flatnonzero(self.labels != k)
 
 
+def _first_empty_class(labels: np.ndarray) -> int | None:
+    """The lowest class in 0..max(labels) that no label names, if any."""
+    gaps = np.flatnonzero(np.bincount(labels) == 0)
+    return int(gaps[0]) if gaps.size else None
+
+
 def partition_from_labels(labels: np.ndarray) -> ClassPartition:
     labels = np.asarray(labels, dtype=np.int64)
     c = int(labels.max()) + 1
@@ -148,10 +153,11 @@ def read_embedding_file(path) -> EmbeddingBatch:
         if header[2:] != want:
             raise ParseError(path, 1, "feature columns must be f0..f%d" % (len(header) - 3))
         d = len(header) - 2
-        ids, labels, rows = [], [], []
+        ids, labels, rows, lines = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            lines.append(lineno)
             if len(row) != d + 2:
                 raise ParseError(path, lineno, f"expected {d + 2} fields, got {len(row)}")
             ids.append(row[0])
@@ -171,10 +177,14 @@ def read_embedding_file(path) -> EmbeddingBatch:
             rows.append(values)
     if not rows:
         raise ParseError(path, 2, "no data rows")
+    labels = np.array(labels, dtype=np.int64)
     try:
-        return EmbeddingBatch(np.array(rows), np.array(labels), ids)
+        return EmbeddingBatch(np.array(rows), labels, ids)
     except ValidationError as exc:
-        raise ParseError(path, 2, str(exc)) from exc
+        # A gap in the labels shows first at the first row labelled above it.
+        gap = _first_empty_class(labels)
+        row = 0 if gap is None else int(np.argmax(labels > gap))
+        raise ParseError(path, lines[row], str(exc)) from exc
 
 
 def write_embedding_file(path, batch: EmbeddingBatch) -> None:

@@ -206,8 +206,6 @@ def cmd_eval(args, cfg: dict) -> int:
 
 
 def cmd_gradcheck(args, cfg: dict) -> int:
-    if not args.h > 0:
-        raise ValidationError(f"--h must be positive, got {args.h}")
     if args.n < 2 or args.d < 1:
         raise ValidationError(f"need n >= 2 and d >= 1, got n={args.n}, d={args.d}")
     names = objectives.OBJECTIVES if args.objective == "all" else (args.objective,)

@@ -3,18 +3,19 @@
 Each objective is linear in a set of per-entry weights. Its record's weight
 rule (see `objectives`) writes dL/dS_ij, and dL/dD_ij or dL/dD^2_ij, for the
 whole batch in one call, from the `batch.ClassPartition` the loss evaluation
-built: the pairwise rules from its same-class mask, the others class by
-class. This module pulls each weight matrix back to the
-embeddings through the kernel chain rules in `kernels`. Double sums keep their
-diagonal weights, which the pullbacks discard, every kernel diagonal being
-constant.
+built and the record's `whole` it computed: the pairwise rules from the
+partition's same-class mask, the others class by class. This module pulls
+each weight matrix back to the embeddings through the kernel chain rules in
+`kernels`. Double sums keep their diagonal weights, which the pullbacks
+discard, every kernel diagonal being constant.
 
 Nonsmooth points are handled by fixed subgradient choices: the
 facility-location max takes the lowest-index argmax, and a triplet hinge
 sitting exactly at zero contributes zero. The checker excludes coordinates
 that a record's kink rule marks (gap or hinge argument within
 `objectives.TIE_GAP`) instead of pretending finite differences mean
-something there.
+something there; the kink rules read the evaluation's own matrices and
+partition.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, losses, objectives
-from .batch import EmbeddingBatch, partition_from_labels
+# partition_from_labels stays importable here: perfbench/tracing.py wraps it in grads.
+from .batch import EmbeddingBatch, partition_from_labels  # noqa: F401
+from .errors import ValidationError
 from .sampling import Rng
+from .submodcheck import _check_tolerance
 
 # grad_check's absolute floor: coordinates below ABS_FLOOR / tolerance are
 # judged against it rather than against their own size.
@@ -55,20 +59,18 @@ class GradCheckReport:
     excluded: int = 0
 
 
-def _entry_weights(obj, s, d, classes, lam, eps, workspace=None, whole=None):
+def _entry_weights(obj, s, d, classes, lam, eps, whole, workspace=None):
     """(dL/dS, dL/dD, dL/dD^2) as n x n matrices, or None where unused.
 
     classes is the batch's `ClassPartition`, and whole the record's
-    `whole_value` of s when the caller has it (else None). The weights are
-    built in the workspace's "ws" and "wdist" buffers, and the same-class
-    mask in its "mask", when given one.
+    `whole_value` of s. The weights are built in the workspace's "ws" and
+    "wdist" buffers, and the same-class mask in its "mask", when given one.
     """
     ws = kernels.workspace_buffer(workspace, "ws", s.shape)
     wdist = (kernels.workspace_buffer(workspace, "wdist", s.shape)
              if obj.distance is not None else None)
     mask = kernels.workspace_buffer(workspace, "mask", s.shape, bool)
-    obj.weights(ws, wdist, mask, s, d, classes, lam, eps,
-                obj.whole_weight(s, lam, whole))
+    obj.weights(ws, wdist, mask, s, d, classes, lam, eps, whole)
     return (ws, wdist, None) if obj.distance == "d" else (ws, None, wdist)
 
 
@@ -81,8 +83,8 @@ def evaluation_gradient(ev: losses.Evaluation,
     """
     config = ev.config
     ws, wd, wd2 = _entry_weights(objectives.get(config.objective), ev.s, ev.d,
-                                 ev.classes, config.lam, config.margin, workspace,
-                                 ev.whole)
+                                 ev.classes, config.lam, config.margin, ev.whole,
+                                 workspace)
 
     z = ev.batch.vectors
     grad = np.zeros_like(z)
@@ -105,8 +107,8 @@ def loss_gradient(batch: EmbeddingBatch, config: losses.LossConfig) -> np.ndarra
 def finite_difference_gradient(batch: EmbeddingBatch, config: losses.LossConfig,
                                h: float = 1e-5) -> np.ndarray:
     """Central differences of the total loss, one coordinate at a time."""
-    if not h > 0:
-        raise ValueError(f"step must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise ValidationError(f"finite-difference step h must be finite and > 0, got {h}")
     z = batch.vectors
     out = np.empty_like(z)
     work = z.copy()
@@ -126,12 +128,11 @@ def finite_difference_gradient(batch: EmbeddingBatch, config: losses.LossConfig,
     return out
 
 
-def _excluded_rows(batch: EmbeddingBatch, config: losses.LossConfig,
-                   s: np.ndarray, d: np.ndarray | None) -> np.ndarray:
+def _excluded_rows(ev: losses.Evaluation) -> np.ndarray:
     """Rows too close to one of the objective's kinks for finite differences."""
-    rows = np.zeros(batch.n, dtype=bool)
-    objectives.get(config.objective).kinks(
-        rows, s, d, partition_from_labels(batch.labels), config.margin)
+    rows = np.zeros(ev.batch.n, dtype=bool)
+    objectives.get(ev.config.objective).kinks(rows, ev.s, ev.d, ev.classes,
+                                              ev.config.margin)
     return rows
 
 
@@ -141,13 +142,15 @@ def grad_check(batch: EmbeddingBatch, config: losses.LossConfig,
 
     A coordinate's relative error is |a - f| / max(|a|, |f|, ABS_FLOOR /
     tolerance), so tiny coordinates are judged against the absolute floor
-    and the pass condition stays exactly max_rel_error <= tolerance.
+    and the pass condition stays exactly max_rel_error <= tolerance, which
+    must be finite and >= 0.
     """
+    _check_tolerance(tolerance)
     ev = losses.evaluate(batch, config)
     analytic = evaluation_gradient(ev)
     fd = finite_difference_gradient(batch, config, h)
 
-    rows = _excluded_rows(batch, config, ev.s, ev.d)
+    rows = _excluded_rows(ev)
     keep = ~rows
 
     diff = np.abs(analytic - fd)

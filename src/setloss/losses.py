@@ -3,8 +3,11 @@
 Thirteen objectives share one evaluation path: build the kernel matrices,
 check the batch against the objective's domain, split the batch into its
 class partition, evaluate one term per class, and sum. `evaluate` builds
-that partition once, as a `batch.ClassPartition`, and keeps it in the
-`Evaluation` the gradient reads. The terms, and the domain each objective
+that partition once, as a `batch.ClassPartition`, and the record's `whole`
+(its `whole_value` of S) once, and keeps both in the `Evaluation` the
+gradient and the gradient check's kink rules read. No function below it
+rebuilds either: the domain check, the totals and the weight rules take
+them as required arguments. The terms, and the domain each objective
 declares, live in its `objectives` record.
 """
 
@@ -77,10 +80,10 @@ def matrices(batch: EmbeddingBatch, config: LossConfig,
 
 
 def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray,
-                        whole=None) -> None:
+                        whole) -> None:
     """Raise DegenerateBatch for batches the objective cannot score.
 
-    whole is the record's `whole_value` of s when the caller has it.
+    whole is the record's `whole_value` of s.
     """
     obj = objectives.get(config.objective)
     if batch.num_classes < 2:
@@ -100,12 +103,11 @@ def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray
                           f"{int(sizes.argmin())} has {int(sizes.min())} sample"
             )
     if obj.positive_rowsum:
-        row = obj.whole_value(s, config.lam) if whole is None else whole
-        bad = np.flatnonzero(row <= 0)
+        bad = np.flatnonzero(whole <= 0)
         if bad.size:
             raise DegenerateBatch(
                 obj.name,
-                f"log argument sum_j S_ij - 1 = {row[bad[0]]:.6g} <= 0 at row {int(bad[0])}",
+                f"log argument sum_j S_ij - 1 = {whole[bad[0]]:.6g} <= 0 at row {int(bad[0])}",
             )
 
 

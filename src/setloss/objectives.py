@@ -123,12 +123,6 @@ def _rows_less_one(s, lam):
     return np.sum(s, axis=-1) - 1.0
 
 
-def _shared_whole(s, lam, whole):
-    """The weight rule's `whole` is the term's: n-pairs' and supcon's row
-    sums, computed here only when the caller has none."""
-    return _rows_less_one(s, lam) if whole is None else whole
-
-
 def _row_logs(rows, mem):
     """sum_{i in A} log(rows_i) for each row A of mem, rows from `_rows_less_one`."""
     # Rowsums at or below 1 push the log outside its domain; the scan
@@ -303,13 +297,14 @@ def _gc_cf_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
 
 
 def _logdet_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
-    # logdet-cf's whole-batch inverse is subtracted after each class's block;
-    # logdet-sf has none.
+    # logdet-cf's inverse of the whole S + lam I is subtracted after each
+    # class's block; logdet-sf, whose whole is None, has none.
+    inv = None if whole is None else np.linalg.inv(s + lam * np.eye(s.shape[-1]))
     ws.fill(0.0)
     for a in classes.sets:
         ws[np.ix_(a, a)] += np.linalg.inv(s[np.ix_(a, a)] + lam * np.eye(a.size))
-        if whole is not None:
-            ws -= whole
+        if inv is not None:
+            ws -= inv
 
 
 def _fl_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
@@ -376,11 +371,10 @@ class Objective:
     `classes.same_class`. The buffers come in holding anything.
     kinks(rows, s, d, classes, eps) marks the rows within TIE_GAP of a
     nonsmooth point of any class of the same partition.
-    whole_value maps (s, lam) to what every term call shares: the row sums
-    less one for n-pairs and supcon, log det of S + lam I for logdet-cf.
-    whole_weight maps (s, lam, whole), whole being whole_value's result, to
-    what the weight call shares: the same row sums, or the inverse of
-    S + lam I. A record with `positive_rowsum` has those row sums as its
+    whole_value maps (s, lam) to what every term and weight call shares:
+    the row sums less one for n-pairs and supcon, log det of S + lam I for
+    logdet-cf, None for the rest. Callers compute it once and pass it as
+    `whole`. A record with `positive_rowsum` has those row sums as its
     whole_value, so a training step computes them once.
     """
 
@@ -395,7 +389,6 @@ class Objective:
     kinks: Callable = lambda rows, s, d, classes, eps: None
     check_lam: Callable = lambda lam: None
     whole_value: Callable = lambda s, lam: None
-    whole_weight: Callable = lambda s, lam, whole: None
 
     @property
     def expected_verdict(self) -> str:
@@ -407,13 +400,11 @@ REGISTRY = (
     Objective("triplet", "not-submodular", _triplet_term, _triplet_weights,
               kinks=_triplet_kinks, distance="d2", min_class_size=2),
     Objective("n-pairs", "submodular", _npairs_term, _npairs_weights,
-              positive_rowsum=True, whole_value=_rows_less_one,
-              whole_weight=_shared_whole),
+              positive_rowsum=True, whole_value=_rows_less_one),
     Objective("opl", "submodular", _opl_term, _opl_weights),
     Objective("snn", "not-submodular", _snn_term, _snn_weights),
     Objective("supcon", "not-submodular", _supcon_term, _supcon_weights,
-              positive_rowsum=True, whole_value=_rows_less_one,
-              whole_weight=_shared_whole),
+              positive_rowsum=True, whole_value=_rows_less_one),
     Objective("submod-triplet", "submodular", _submod_triplet_term,
               _submod_triplet_weights),
     Objective("submod-snn", "refuted", _submod_snn_term, _submod_snn_weights,
@@ -428,9 +419,7 @@ REGISTRY = (
               single_class_ok=True, check_lam=_lam_positive),
     Objective("logdet-cf", "submodular", _logdet_cf_term, _logdet_weights,
               single_class_ok=True, check_lam=_lam_positive,
-              whole_value=lambda s, lam: _logdet_spd(s + lam * np.eye(s.shape[-1])),
-              whole_weight=lambda s, lam, whole: np.linalg.inv(
-                  s + lam * np.eye(s.shape[-1]))),
+              whole_value=lambda s, lam: _logdet_spd(s + lam * np.eye(s.shape[-1]))),
     Objective("fl", "submodular", _fl_term, _fl_weights, kinks=_fl_kinks,
               single_class_ok=True),
 )

@@ -116,7 +116,8 @@ def _bits_to_tuple(bits: int, n: int) -> tuple[int, ...]:
 
 
 def _check_tolerance(tolerance: float) -> None:
-    """A NaN tolerance would pass every margin, a negative one flag ties."""
+    """A NaN tolerance would pass every margin, a negative one flag ties.
+    `grads.grad_check` refuses its tolerance with this same check."""
     if not 0 <= tolerance < math.inf:
         raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
 

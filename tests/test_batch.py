@@ -103,6 +103,20 @@ def test_parse_error_carries_line_number(tmp_path):
     assert "zero" in str(err.value)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("a,0,1.0\nb,2,2.0\nc,0,3.0\n", 3),
+    # Blank lines are skipped but counted; class 2 is the first empty one.
+    ("a,0,1.0\n\nb,0,2.0\nc,3,3.0\nd,1,4.0\n", 5),
+])
+def test_parse_reports_the_line_of_a_label_gap(tmp_path, text, line):
+    # The line is the first row labelled above the first empty class.
+    path = tmp_path / "gap.csv"
+    path.write_text("id,label,f0\n" + text)
+    with pytest.raises(ParseError, match="is empty") as err:
+        read_embedding_file(path)
+    assert err.value.line == line
+
+
 def test_parse_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("sample,label,f0\na,0,1.0\n")

@@ -98,6 +98,16 @@ def test_eval_non_finite_feature_reports_its_line(tmp_path, capsys):
     assert f"{bad}:4: non-finite feature value" in captured.err
 
 
+def test_eval_label_gap_reports_the_line_above_it(tmp_path, capsys):
+    bad = tmp_path / "gap.csv"
+    bad.write_text("id,label,f0\na,0,1.0\nb,2,2.0\nc,0,3.0\n")
+    assert cli.main(["eval", "--input", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {bad}:3: labels must cover 0..2 "
+                            "contiguously; class 1 is empty\n")
+
+
 def test_eval_single_class_warns_but_succeeds(tmp_path, capsys):
     single = tmp_path / "single.csv"
     single.write_text("id,label,f0,f1\na,0,1.0,0.0\nb,0,0.0,1.0\n")
@@ -122,6 +132,22 @@ def test_gradcheck_zero_tolerance_fails(capsys):
 def test_gradcheck_rejects_nonpositive_step(capsys):
     assert cli.main(["gradcheck", "--h", "0"]) == 2
     capsys.readouterr()
+
+
+def test_gradcheck_rejects_an_infinite_step(capsys):
+    assert cli.main(["gradcheck", "--objective", "fl", "--h", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: finite-difference step h must be finite")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_gradcheck_tolerance_flag_must_be_finite_and_nonnegative(tol, capsys):
+    # NaN or inf would pass every coordinate, -1 none; --tol 0 stays legal.
+    assert cli.main(["gradcheck", "--objective", "fl", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tolerance must be finite and >= 0")
 
 
 def test_gradcheck_json_out(tmp_path, capsys):

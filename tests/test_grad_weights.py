@@ -166,7 +166,8 @@ def _judge(name, cfg, batch):
     batch lies outside the objective's domain."""
     s, d = losses.matrices(batch, cfg)
     try:
-        losses.check_preconditions(batch, cfg, s)
+        whole = registry.get(name).whole_value(s, cfg.lam)
+        losses.check_preconditions(batch, cfg, s, whole)
         old = _entry_weights(objectives.OBJ_CODE[name], s, d,
                              list(partition_from_labels(batch.labels)),
                              cfg.lam, cfg.margin)
@@ -177,7 +178,7 @@ def _judge(name, cfg, batch):
     for work in (None, _dirty_workspace(batch.n)):
         new = grads._entry_weights(registry.get(name), s, d,
                                    partition_from_labels(batch.labels),
-                                   cfg.lam, cfg.margin, work)
+                                   cfg.lam, cfg.margin, whole, work)
         for got, want in zip(new, old):
             if want is None:
                 assert got is None

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from setloss import grads, kernels, losses, objectives
 from setloss._backend import backend
-from setloss.batch import EmbeddingBatch, partition_from_labels
-from setloss.errors import PreconditionError
+from setloss.batch import ClassPartition, EmbeddingBatch, partition_from_labels
+from setloss.errors import PreconditionError, ValidationError
 
 
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
@@ -126,8 +128,38 @@ def test_gc_cf_gradient_from_kernel_gradients():
 
 def test_fd_rejects_nonpositive_step():
     b = grads.check_batch(6, 3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         grads.finite_difference_gradient(b, losses.LossConfig("fl"), h=0.0)
+
+
+@pytest.mark.parametrize("h", [-1e-5, math.inf, math.nan])
+def test_grad_check_refuses_a_step_outside_zero_to_inf(h):
+    b = grads.check_batch(6, 3, 0)
+    with pytest.raises(ValidationError, match="step h must be finite and > 0"):
+        grads.grad_check(b, losses.LossConfig("fl"), h=h)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+def test_grad_check_refuses_a_tolerance_outside_zero_to_inf(tolerance):
+    b = grads.check_batch(6, 3, 0)
+    with pytest.raises(ValidationError, match="tolerance must be finite and >= 0"):
+        grads.grad_check(b, losses.LossConfig("fl"), tolerance=tolerance)
+
+
+def test_grad_check_partitions_once_per_loss_evaluation(monkeypatch):
+    # 12 x 8 coordinates give 192 finite-difference losses and one
+    # evaluation; the kink rule reads that evaluation's partition.
+    built = []
+    real_init = ClassPartition.__post_init__
+
+    def counted_init(self):
+        built.append(self)
+        real_init(self)
+
+    monkeypatch.setattr(ClassPartition, "__post_init__", counted_init)
+    report = grads.grad_check(grads.check_batch(12, 8, 0), losses.LossConfig("fl"))
+    assert report.passed
+    assert len(built) == 2 * 12 * 8 + 1
 
 
 # The value and gradient as computed before a training step shared one
@@ -149,17 +181,19 @@ def _fresh_distance_pullback(z, weights):
 
 def _unshared_value_and_gradient(batch, cfg):
     s, d = losses.matrices(batch, cfg)
-    losses.check_preconditions(batch, cfg, s)
-    sets = partition_from_labels(batch.labels)
     obj = objectives.get(cfg.objective)
-    total, per = backend.total_value(obj, s, d, sets, cfg.lam, cfg.margin)
+    whole = obj.whole_value(s, cfg.lam)
+    losses.check_preconditions(batch, cfg, s, whole)
+    sets = partition_from_labels(batch.labels)
+    total, per = backend.total_value(obj, s, d, sets, cfg.lam, cfg.margin, whole)
     if cfg.objective == "fl":
         ws, wd, wd2 = np.zeros((batch.n, batch.n)), None, None
         for a in sets:
             for i in np.setdiff1d(np.arange(batch.n), a):
                 ws[i, a[np.argmax(s[i, a])]] += 1.0
     else:
-        ws, wd, wd2 = grads._entry_weights(obj, s, d, sets, cfg.lam, cfg.margin)
+        ws, wd, wd2 = grads._entry_weights(obj, s, d, sets, cfg.lam, cfg.margin,
+                                           whole)
     z = batch.vectors
     g = np.zeros_like(z)
     if np.any(ws):
@@ -209,7 +243,7 @@ def test_fl_tie_goes_to_lowest_index_member():
     ev = losses.evaluate(b, cfg)
     assert ev.s[1, 2] == ev.s[1, 3] > ev.s[1, 0]
     ws, _, _ = grads._entry_weights(objectives.get("fl"), ev.s, ev.d,
-                                    ev.classes, cfg.lam, cfg.margin)
+                                    ev.classes, cfg.lam, cfg.margin, ev.whole)
     assert np.array_equal(ws[1], [0.0, 0.0, 1.0, 0.0])
     expected = kernels.cosine_pullback(b.vectors, ws)
     assert np.array_equal(grads.loss_gradient(b, cfg), expected)
@@ -221,6 +255,5 @@ def test_triplet_kink_rule_marks_the_rows_of_a_hinge_at_zero():
     v = np.array([[0.0, 1.0], [1.0, 1.0], [np.sqrt(1.2), 1.0], [10.0, 1.0]])
     b = EmbeddingBatch(v, np.array([0, 0, 1, 1]))
     cfg = losses.LossConfig("triplet", margin=0.2)
-    s, d = losses.matrices(b, cfg)
-    rows = grads._excluded_rows(b, cfg, s, d)
+    rows = grads._excluded_rows(losses.evaluate(b, cfg))
     assert rows.tolist() == [True, True, True, False]

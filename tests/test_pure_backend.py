@@ -314,10 +314,11 @@ def test_total_value_matches_oracle(name, kernel):
     # unrolled sums and rows past its 128-element pairwise split.
     for batch in (grads.check_batch(12, 8, 0), grads.check_batch(240, 8, 1)):
         s, d = losses.matrices(batch, cfg)
-        sets = list(partition_from_labels(batch.labels))
-        old_total, old_per = total_value(code, s, d, sets, LAM, EPS)
+        classes = partition_from_labels(batch.labels)
+        old_total, old_per = total_value(code, s, d, classes, LAM, EPS)
         new_total, new_per = new_without_warnings(pure.total_value, obj, s, d,
-                                                  sets, LAM, EPS)
+                                                  classes, LAM, EPS,
+                                                  obj.whole_value(s, LAM))
         assert same_bits(new_per, old_per), batch.n
         assert same_bits(new_total, old_total), batch.n
 
@@ -326,7 +327,9 @@ def test_term_values_rows_match_oracle_terms():
     s, d = instance(2, 7, "cosine")
     rows = np.array([[0, 3, 5], [1, 2, 6], [4, 5, 6], [0, 1, 2]])
     for name in objectives.OBJECTIVES:
-        new = pure.term_values(objectives.get(name), s, d, rows, LAM, EPS)
+        obj = objectives.get(name)
+        new = [pure.term_value(obj, s, d, r, LAM, EPS, obj.whole_value(s, LAM))
+               for r in rows]
         old = [term_value(CODE[name], s, d, r, LAM, EPS) for r in rows]
         assert same_bits(new, old), name
 
@@ -337,9 +340,10 @@ def test_logdet_rejects_an_indefinite_block():
     with pytest.raises(NotPositiveDefinite):
         term_value(CODE["logdet-sf"], s, None, [0, 1], 0.0, EPS)
     with pytest.raises(NotPositiveDefinite):
-        pure.term_value(obj, s, None, [0, 1], 0.0, EPS)
+        pure.term_value(obj, s, None, [0, 1], 0.0, EPS, None)
     with pytest.raises(NotPositiveDefinite):
-        pure.term_values(obj, s, None, [[0, 2], [0, 1]], 0.0, EPS)
+        pure.total_value(obj, s, None, partition_from_labels([1, 1, 0]), 0.0, EPS,
+                         None)
     with pytest.raises(NotPositiveDefinite):
         pure.value_table(obj, s, None, 0.0, EPS)
 
