@@ -92,11 +92,23 @@ def term_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
 
 
 def total_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
-                classes, lam: float, eps: float, whole):
+                classes, lam: float, eps: float, whole, picks=None):
     """Sum of per-class terms over a `batch.ClassPartition`; returns (total,
-    per-class array). whole is the record's `whole_value` of s."""
-    per = np.array([float(_terms(obj, s, d, a[None], comp[None], lam, eps, whole)[0])
-                    for a, comp in classes.with_complements()])
+    per-class array). whole is the record's `whole_value` of s.
+
+    Given a list as `picks`, a record with a `picking_term` (fl) is scored
+    with it, and the list receives each class's picks in class order.
+    """
+    per = []
+    for a, comp in classes.with_complements():
+        if picks is None:
+            value = _terms(obj, s, d, a[None], comp[None], lam, eps, whole)
+        else:
+            value, pick = obj.picking_term(s, d, a[None], comp[None], lam, eps,
+                                           whole)
+            picks.append(pick[0])
+        per.append(float(value[0]))
+    per = np.array(per)
     return float(np.sum(per)), per
 
 

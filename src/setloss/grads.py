@@ -1,13 +1,17 @@
 """Analytic embedding gradients for every objective, with an FD verifier.
 
-Each objective is linear in a set of per-entry weights. Its record's weight
-rule (see `objectives`) writes dL/dS_ij, and dL/dD_ij or dL/dD^2_ij, for the
-whole batch in one call, from the `batch.ClassPartition` the loss evaluation
-built and the record's `whole` it computed: the pairwise rules from the
-partition's same-class mask, the others class by class. This module pulls
-each weight matrix back to the embeddings through the kernel chain rules in
-`kernels`. Double sums keep their diagonal weights, which the pullbacks
-discard, every kernel diagonal being constant.
+Each objective is linear in a set of per-entry weights W. Its record's
+weight rule (see `objectives`) writes, for the whole batch in one call, the
+doubled weights M = W + W.T of dL/dS_ij, and of dL/dD_ij or dL/dD^2_ij:
+every kernel is symmetric, so the pullbacks in `kernels` read each entry
+weight in both orientations at once. The rules read the
+`batch.ClassPartition` the loss evaluation built, the record's `whole` it
+computed and, for fl, the argmax its term picked. The pairwise rules write
+M from the partition's same-class mask and per-row vectors, and fl from its
+picks, with no transposed read; the loop-built rules (triplet, snn,
+submod-snn, submod-supcon) and the log-det rules build W and fold it. This
+module zeroes M's diagonal, every kernel diagonal being constant, and pulls
+M back to the embeddings through the kernel chain rules in `kernels`.
 
 Nonsmooth points are handled by fixed subgradient choices: the
 facility-location max takes the lowest-index argmax, and a triplet hinge
@@ -59,42 +63,51 @@ class GradCheckReport:
     excluded: int = 0
 
 
-def _entry_weights(obj, s, d, classes, lam, eps, whole, workspace=None):
-    """(dL/dS, dL/dD, dL/dD^2) as n x n matrices, or None where unused.
+def _entry_weights(obj, s, d, classes, lam, eps, whole, workspace=None,
+                   picks=None):
+    """Doubled (dL/dS, dL/dD, dL/dD^2): each the n x n M = W + W.T with a
+    zero diagonal, or None where unused.
 
-    classes is the batch's `ClassPartition`, and whole the record's
-    `whole_value` of s. The weights are built in the workspace's "ws" and
-    "wdist" buffers, and the same-class mask in its "mask", when given one.
+    classes is the batch's `ClassPartition`, whole the record's
+    `whole_value` of s, and picks the evaluation's `picks` (fl's). With a
+    workspace, the similarity weights are built in its "gram" buffer, the
+    distance weights in "wdist", a folding rule's W in "ws" and the
+    same-class mask in "mask".
     """
-    ws = kernels.workspace_buffer(workspace, "ws", s.shape)
-    wdist = (kernels.workspace_buffer(workspace, "wdist", s.shape)
+    m = kernels.workspace_buffer(workspace, "gram", s.shape)
+    mdist = (kernels.workspace_buffer(workspace, "wdist", s.shape)
              if obj.distance is not None else None)
+    scratch = kernels.workspace_buffer(workspace, "ws", s.shape) if obj.folds else None
     mask = kernels.workspace_buffer(workspace, "mask", s.shape, bool)
-    obj.weights(ws, wdist, mask, s, d, classes, lam, eps, whole)
-    return (ws, wdist, None) if obj.distance == "d" else (ws, None, wdist)
+    obj.weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps, whole)
+    np.fill_diagonal(m, 0.0)
+    if mdist is not None:
+        np.fill_diagonal(mdist, 0.0)
+    return (m, mdist, None) if obj.distance == "d" else (m, None, mdist)
 
 
 def evaluation_gradient(ev: losses.Evaluation,
                         workspace: kernels.Workspace | None = None) -> np.ndarray:
-    """Analytic dL/dZ from the matrices and partition one evaluation used.
+    """Analytic dL/dZ from the matrices, partition and picks one evaluation
+    used.
 
     The entry weights and pullbacks are built in `workspace` when given one;
     the evaluation's own matrices may live in it too.
     """
     config = ev.config
-    ws, wd, wd2 = _entry_weights(objectives.get(config.objective), ev.s, ev.d,
-                                 ev.classes, config.lam, config.margin, ev.whole,
-                                 workspace)
+    m, md, md2 = _entry_weights(objectives.get(config.objective), ev.s, ev.d,
+                                ev.classes, config.lam, config.margin, ev.whole,
+                                workspace, ev.picks)
 
     z = ev.batch.vectors
     grad = np.zeros_like(z)
-    if np.any(ws):
-        grad += kernels.similarity_pullback(z, ws, config.kernel, config.bandwidth,
+    if np.any(m):
+        grad += kernels.similarity_pullback(z, m, config.kernel, config.bandwidth,
                                             s=ev.s, workspace=workspace)
-    if wd is not None:
-        grad += kernels.distance_pullback(z, wd, ev.d, workspace)
-    if wd2 is not None:
-        grad += kernels.sqdist_pullback(z, wd2, workspace)
+    if md is not None:
+        grad += kernels.distance_pullback(z, md, ev.d, workspace)
+    if md2 is not None:
+        grad += kernels.sqdist_pullback(z, md2)
     return grad
 
 

@@ -19,19 +19,24 @@ Properties enforced here rather than assumed downstream:
   * cosine refuses embeddings with norm below 1e-12 (ZeroVector).
 
 The *_pullback helpers implement the chain rule from per-entry loss weights
-back to embeddings and are the only gradient route the loss module uses. They
-take the forward matrix the loss was scored on rather than rebuilding it; the
-single-entry kernel_gradient form exists for spot checks against finite
-differences.
+W back to embeddings and are the only gradient route the loss module uses.
+They take the doubled weights M = W + W.T with a zero diagonal, which the
+objectives' weight rules write directly (see `grads`), rather than folding
+W themselves; the diagonal is zero because every kernel's diagonal is
+constant in the embeddings. They take the forward matrix the loss was scored
+on rather than rebuilding it; the single-entry kernel_gradient form exists
+for spot checks against finite differences.
 
 Every n x n array is built in place, in a buffer that a `Workspace` holds
 when the call is given one and in a fresh array when it is not, so the two
-give the same bits from the same code. A trainer hands one workspace to
-every step and allocates no n x n array after the first. An array built on
-a workspace is valid until that workspace's next use for the same kind of
-array: kernel matrices until its next kernel build, entry weights until its
-next entry-weight build. Calls given no workspace return arrays that share
-no memory with any later call.
+give the same bits from the same code. The trainer keeps one workspace per
+thread across its runs, so a step allocates no n x n array unless its n
+differs from the last one its thread used. An array built on a workspace
+is valid until that workspace's next use for the same kind of array:
+kernel matrices until its next kernel build, doubled weights until its
+next entry-weight build, kernel build or pullback (the RBF and distance
+pullbacks scale M in place). Calls given no workspace return arrays that
+share no memory with any later call.
 """
 
 from __future__ import annotations
@@ -65,13 +70,18 @@ class Workspace:
 
     Names: "s" and "d" hold kernel results (a similarity built from squared
     distances without a kept D lives in "d"); "gram" is scratch for the Gram
-    product, the symmetrizing average and, once the kernel is built, the
-    doubled weights of a pullback; "cos" holds the cosine pullback's
-    unclipped Gram; "mask" holds boolean masks: the symmetry test's, the
-    same-class mask of the entry weights and a pullback's "apart" mask; "ws"
-    and "wdist" hold entry weights (see `grads`). A buffer is re-allocated
-    when n or the dtype asked for changes. Stacks of matrices are not built
-    in a workspace.
+    product and the symmetrizing average and, once the kernel is built,
+    holds the doubled similarity weights M that the pullback then scales in
+    place; "wdist" holds the doubled distance weights; "ws" holds the W that
+    a loop-built weight rule writes before folding it into "gram" or
+    "wdist"; "cos" holds the cosine pullback's unclipped Gram; "mask" holds
+    boolean masks: the symmetry test's, the same-class mask of the entry
+    weights and a pullback's "apart" mask. A buffer is re-allocated when n
+    or the dtype asked for changes, and none is ever shrunk. Each float
+    buffer takes 8 n^2 bytes (5.1 MB at n = 800) and the mask n^2: an RBF
+    training step with fl, gc-cf or supcon keeps "d", "gram" and "mask",
+    about 11 MB at n = 800, and all seven names together take 49 n^2 bytes.
+    Stacks of matrices are not built in a workspace.
     """
 
     def __init__(self):
@@ -258,40 +268,30 @@ def kernel_gradient(batch, kind: str, i: int, j: int, bandwidth: float = 1.0):
     raise ValidationError(f"unknown kernel kind {kind!r}")
 
 
-def _doubled(weights: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
-    # Fold both orientations of each entry weight; diagonal entries of every
-    # kernel are constant in the embeddings, so they are zeroed.
-    m = workspace_buffer(workspace, "gram", weights.shape)
-    np.add(weights, weights.T, out=m)
-    _fill_diagonal(m, 0.0)
-    return m
-
-
-def cosine_pullback(z: np.ndarray, weights: np.ndarray,
+def cosine_pullback(z: np.ndarray, m: np.ndarray,
                     workspace: Workspace | None = None) -> np.ndarray:
-    """dL/dZ for L = sum_ij weights_ij * S_ij under the cosine kernel."""
+    """dL/dZ for L = sum_ij W_ij S_ij under the cosine kernel, given the
+    doubled weights m = W + W.T with a zero diagonal."""
     zh = unit_rows(z)
     s = _gram(zh, workspace_buffer(workspace, "cos", _square(z)))
-    m = _doubled(weights, workspace)
     proj = np.sum(np.multiply(m, s, out=s), axis=1)
     grad = m @ zh - proj[:, None] * zh
     return grad / np.linalg.norm(z, axis=1)[:, None]
 
 
-def rbf_pullback(z: np.ndarray, weights: np.ndarray, s: np.ndarray,
-                 bandwidth: float, workspace: Workspace | None = None) -> np.ndarray:
-    """dL/dZ for L = sum_ij weights_ij * S_ij, given the forward RBF matrix S."""
-    m = _doubled(weights, workspace)
+def rbf_pullback(z: np.ndarray, m: np.ndarray, s: np.ndarray,
+                 bandwidth: float) -> np.ndarray:
+    """dL/dZ for L = sum_ij W_ij S_ij, given the forward RBF matrix S and the
+    doubled weights m = W + W.T with a zero diagonal, which are overwritten."""
     m *= s
     m /= bandwidth * bandwidth
     # row i: sum_j m_ij (z_j - z_i)
     return m @ z - np.sum(m, axis=1)[:, None] * z
 
 
-def sqdist_pullback(z: np.ndarray, weights: np.ndarray,
-                    workspace: Workspace | None = None) -> np.ndarray:
-    """dL/dZ for L = sum_ij weights_ij * D^2_ij."""
-    m = _doubled(weights, workspace)
+def sqdist_pullback(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """dL/dZ for L = sum_ij W_ij D^2_ij, given the doubled weights
+    m = W + W.T with a zero diagonal."""
     # d(D^2_ij)/dz_i = 2 (z_i - z_j)
     return 2.0 * (np.sum(m, axis=1)[:, None] * z - m @ z)
 
@@ -308,30 +308,33 @@ def _over_distances(z: np.ndarray, m: np.ndarray, d: np.ndarray,
     return np.sum(m, axis=1)[:, None] * z - m @ z
 
 
-def distance_pullback(z: np.ndarray, weights: np.ndarray, d: np.ndarray,
+def distance_pullback(z: np.ndarray, m: np.ndarray, d: np.ndarray,
                       workspace: Workspace | None = None) -> np.ndarray:
-    """dL/dZ for L = sum_ij weights_ij * D_ij, given the forward distances D."""
+    """dL/dZ for L = sum_ij W_ij D_ij, given the forward distances D and the
+    doubled weights m = W + W.T with a zero diagonal, which are overwritten."""
     apart = workspace_buffer(workspace, "mask", d.shape, bool)
     np.greater(d, NORM_FLOOR, out=apart)
-    return _over_distances(z, _doubled(weights, workspace), d, apart)
+    return _over_distances(z, m, d, apart)
 
 
-def similarity_pullback(z: np.ndarray, weights: np.ndarray, kind: str,
+def similarity_pullback(z: np.ndarray, m: np.ndarray, kind: str,
                         bandwidth: float = 1.0, *, s: np.ndarray,
                         workspace: Workspace | None = None) -> np.ndarray:
-    """dL/dZ for L = sum_ij weights_ij * S_ij, given the forward matrix S of `kind`.
+    """dL/dZ for L = sum_ij W_ij S_ij, given the forward matrix S of `kind`
+    and the doubled weights m = W + W.T with a zero diagonal.
 
-    Cosine works from the raw Gram matrix of unit rows instead: the forward
-    S is clipped to [-1, 1], and the chain rule needs the unclipped entries.
+    m is overwritten except under cosine, which works from the raw Gram
+    matrix of unit rows instead: the forward S is clipped to [-1, 1], and
+    the chain rule needs the unclipped entries.
     """
     if kind == "cosine":
-        return cosine_pullback(z, weights, workspace)
+        return cosine_pullback(z, m, workspace)
     if kind == "rbf":
-        return rbf_pullback(z, weights, s, bandwidth, workspace)
+        return rbf_pullback(z, m, s, bandwidth)
     if kind == "neg-euclidean":
-        # The distance pullback of -weights against D = -S: (-m_ij) / (-S_ij)
-        # is m_ij / S_ij, and D_ij > NORM_FLOOR is S_ij < -NORM_FLOOR.
+        # The distance pullback of -m against D = -S: (-m_ij) / (-S_ij) is
+        # m_ij / S_ij, and D_ij > NORM_FLOOR is S_ij < -NORM_FLOOR.
         apart = workspace_buffer(workspace, "mask", s.shape, bool)
         np.less(s, -NORM_FLOOR, out=apart)
-        return _over_distances(z, _doubled(weights, workspace), s, apart)
+        return _over_distances(z, m, s, apart)
     raise ValidationError(f"unknown kernel kind {kind!r}")

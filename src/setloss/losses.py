@@ -7,7 +7,9 @@ that partition once, as a `batch.ClassPartition`, and the record's `whole`
 (its `whole_value` of S) once, and keeps both in the `Evaluation` the
 gradient and the gradient check's kink rules read. No function below it
 rebuilds either: the domain check, the totals and the weight rules take
-them as required arguments. The terms, and the domain each objective
+them as required arguments. fl's term keeps, from the one gather its max
+is taken from, each outside row's argmax, and the `Evaluation` carries
+those picks to the weight rule. The terms, and the domain each objective
 declares, live in its `objectives` record.
 """
 
@@ -115,9 +117,12 @@ def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray
 class Evaluation:
     """One scoring of a batch, with the matrices and partition it used.
 
-    The gradient is taken from these same S, D, class partition and `whole`
-    (the record's `whole_value` of S), so a training step builds its kernel,
-    its partition, and n-pairs' and supcon's row sums once.
+    The gradient is taken from these same S, D, class partition, `whole`
+    (the record's `whole_value` of S) and `picks` (what a record's
+    `picking_term` chose, per class: fl's first argmax of each complement
+    row; None for the other records), so a training step builds its kernel,
+    its partition, n-pairs' and supcon's row sums and fl's gathered blocks
+    once.
     """
 
     batch: EmbeddingBatch
@@ -126,6 +131,7 @@ class Evaluation:
     d: np.ndarray | None
     classes: ClassPartition
     whole: object
+    picks: list | None
     result: LossResult
 
 
@@ -141,9 +147,10 @@ def evaluate(batch: EmbeddingBatch, config: LossConfig,
     whole = obj.whole_value(s, config.lam)
     check_preconditions(batch, config, s, whole)
     classes = partition_from_labels(batch.labels)
+    picks = None if obj.picking_term is None else []
     total, per = backend.total_value(obj, s, d, classes, config.lam, config.margin,
-                                     whole)
-    return Evaluation(batch, config, s, d, classes, whole,
+                                     whole, picks)
+    return Evaluation(batch, config, s, d, classes, whole, picks,
                       LossResult(config.objective, total, per))
 
 

@@ -98,9 +98,10 @@ def _block_sum(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.sum(block.reshape(block.shape[:-2] + (-1,)), axis=-1)
 
 
-def _softmax(v: np.ndarray) -> np.ndarray:
-    shifted = np.exp(v - np.max(v))
-    return shifted / np.sum(shifted)
+def _row_softmax(block: np.ndarray) -> np.ndarray:
+    """Softmax of each row of a 2-D block, each row the bits it has alone."""
+    shifted = np.exp(block - np.max(block, axis=1)[:, None])
+    return shifted / np.sum(shifted, axis=1)[:, None]
 
 
 def _triplet_term(s, d, mem, comp, lam, eps, whole):
@@ -139,15 +140,18 @@ def _opl_term(s, d, mem, comp, lam, eps, whole):
     return (1.0 - _block_sum(s, mem, mem)) + _block_sum(s, mem, comp)
 
 
+def _others(m: int) -> np.ndarray:
+    """(m, m - 1) positions: row a lists every position but a, in order."""
+    idx = np.arange(m - 1)
+    return idx + (idx >= np.arange(m)[:, None])
+
+
 def _anchor_lses(pos_from, s, mem, comp):
     """Anchor log-sum-exps over classmates (of pos_from) and over O (of s)."""
     m = mem.shape[1]
     anchors = mem[:, :, None]
-    # Row a of `others` lists every position but a, in order, so
     # own[r, a] holds anchor a's classmates in row r.
-    idx = np.arange(m - 1)
-    others = idx + (idx >= np.arange(m)[:, None])
-    own = mem[:, others]
+    own = mem[:, _others(m)]
     pos = (_lse(_gather(pos_from, anchors, own)) if m > 1
            else np.zeros(s.shape[:-2] + mem.shape))
     return pos, _lse(_gather(s, anchors, comp[:, None, :]))
@@ -210,9 +214,33 @@ def _fl_term(s, d, mem, comp, lam, eps, whole):
     return np.sum(nearest, axis=-1)
 
 
-def _triplet_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
-    ws.fill(0.0)
-    wdist.fill(0.0)
+def _fl_picking_term(s, d, mem, comp, lam, eps, whole):
+    """fl's term, and each complement row's first argmax in mem, from one
+    gathered block."""
+    block = _gather(s, comp[:, :, None], mem[:, None, :])
+    return np.sum(np.max(block, axis=-1), axis=-1), np.argmax(block, axis=-1)
+
+
+# Every rule writes the doubled weights M = W + W.T off the diagonal, bit
+# for bit the fold of the W that accumulating each class's weights into a
+# zero matrix gives. That W holds (0.0 - x) where the accumulation
+# subtracted x, (0.0 + x) where it added x and 0.0 where it wrote nothing;
+# those forms keep signed zeros (0.0 - 0.0 is 0.0, not -0.0).
+# `grads._entry_weights` zeroes the diagonals.
+#
+# The rules built from the same-class mask, and fl's from its picks, write
+# M directly. The others build W in `scratch` and fold it with `_fold`, the
+# one transposed read of a training step.
+
+def _fold(w, out):
+    """out = w + w.T, the doubled weights of a rule that builds W itself."""
+    np.add(w, w.T, out=out)
+
+
+def _triplet_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+                     whole):
+    m.fill(0.0)
+    scratch.fill(0.0)
     d2 = d * d
     for a, comp in classes.with_complements():
         for i in a:
@@ -220,101 +248,133 @@ def _triplet_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
                 if p == i or comp.size == 0:
                     continue
                 active = d2[i, p] - d2[i, comp] + eps > 0.0
-                wdist[i, p] += float(np.sum(active))
-                wdist[i, comp] -= active.astype(float)
+                scratch[i, p] += float(np.sum(active))
+                scratch[i, comp] -= active.astype(float)
+    _fold(scratch, mdist)
 
 
-# The mask-built rules below write, for every entry, the value the per-class
-# accumulation into a zero matrix left there: (0.0 - x) where that
-# subtracted x, (0.0 + x) where it added x, 0.0 where it wrote nothing. Those
-# forms keep signed zeros (0.0 - 0.0 is 0.0, not -0.0).
+def _outer_sums(m, u, v, same):
+    """m_ij = u_i + u_j, and v_i + v_j where `same`: the doubled weights of a
+    W whose row i holds u_i between classes and v_i within."""
+    # A row-broadcast copy and a contiguous add, with the same operands in
+    # the same order, take 0.7 ms at n = 800 where one broadcast outer add
+    # takes 1.1 ms (2-core x86 VM).
+    m[...] = u[:, None]
+    m += u
+    np.add(v[:, None], v, out=m, where=same)
 
-def _npairs_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
+
+def _npairs_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+                    whole):
     inv_row = 1.0 / whole
-    ws[...] = (0.0 - inv_row)[:, None]
-    np.copyto(ws, (-1.0 - inv_row)[:, None], where=classes.same_class(mask))
+    _outer_sums(m, 0.0 - inv_row, -1.0 - inv_row, classes.same_class(mask))
 
 
-def _opl_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
-    ws.fill(1.0)
-    np.copyto(ws, -1.0, where=classes.same_class(mask))
+def _opl_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+                 whole):
+    # W is 1 between classes and -1 within.
+    m.fill(1.0 + 1.0)
+    np.copyto(m, -1.0 + -1.0, where=classes.same_class(mask))
 
 
-def _snn_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
-    ws.fill(0.0)
+def _classmates(classes):
+    """(anchors, own) for each class of two or more: row k of own lists, in
+    order, the classmates of the anchor in row k of the (size, 1) anchors."""
+    for a in classes.sets:
+        if a.size > 1:
+            yield a[:, None], a[_others(a.size)]
+
+
+def _add_outside_softmax(w, s, classes):
+    """Add to w[i, O] the softmax of s[i, O], for every anchor i of every
+    class with a nonempty complement O."""
     for a, comp in classes.with_complements():
-        for i in a:
-            own = a[a != i]
-            if own.size:
-                ws[i, own] -= _softmax(s[i, own])
-            if comp.size:
-                ws[i, comp] += _softmax(s[i, comp])
+        if comp.size:
+            anchors = a[:, None]
+            w[anchors, comp] += _row_softmax(s[anchors, comp])
 
 
-def _supcon_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
+def _snn_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+                 whole):
+    scratch.fill(0.0)
+    for anchors, own in _classmates(classes):
+        scratch[anchors, own] -= _row_softmax(s[anchors, own])
+    _add_outside_softmax(scratch, s, classes)
+    _fold(scratch, m)
+
+
+def _supcon_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+                    whole):
     inv_row = 1.0 / whole
     inv_size = 1.0 / classes.sizes
-    ws[...] = (0.0 + inv_row)[:, None]
-    np.copyto(ws, ((0.0 - inv_size[classes.labels]) + inv_row)[:, None],
-              where=classes.same_class(mask))
+    _outer_sums(m, 0.0 + inv_row, (0.0 - inv_size[classes.labels]) + inv_row,
+                classes.same_class(mask))
 
 
-def _submod_triplet_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
-    np.multiply(s, 2.0, out=ws)
-    np.negative(ws, out=ws, where=classes.same_class(mask))
+def _submod_triplet_weights(m, mdist, scratch, mask, s, d, classes, picks, lam,
+                            eps, whole):
+    # W is symmetric, as S is, so M = W + W.
+    np.multiply(s, 2.0, out=m)
+    np.negative(m, out=m, where=classes.same_class(mask))
     # -x + 0.0 is 0.0 - x and x + 0.0 is 0.0 + x, signed zeros included.
-    ws += 0.0
+    m += 0.0
+    m += m
 
 
-def _submod_snn_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
-    ws.fill(0.0)
-    wdist.fill(0.0)
-    for a, comp in classes.with_complements():
-        for i in a:
-            own = a[a != i]
-            if own.size:
-                wdist[i, own] += _softmax(d[i, own])
-            if comp.size:
-                ws[i, comp] += _softmax(s[i, comp])
+def _submod_snn_weights(m, mdist, scratch, mask, s, d, classes, picks, lam,
+                        eps, whole):
+    scratch.fill(0.0)
+    for anchors, own in _classmates(classes):
+        scratch[anchors, own] += _row_softmax(d[anchors, own])
+    _fold(scratch, mdist)
+    scratch.fill(0.0)
+    _add_outside_softmax(scratch, s, classes)
+    _fold(scratch, m)
 
 
-def _submod_supcon_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
-    np.subtract(0.0, classes.same_class(mask), out=ws)
-    for a, comp in classes.with_complements():
-        for i in a:
-            if comp.size:
-                ws[i, comp] += _softmax(s[i, comp])
+def _submod_supcon_weights(m, mdist, scratch, mask, s, d, classes, picks, lam,
+                           eps, whole):
+    np.subtract(0.0, classes.same_class(mask), out=scratch)
+    _add_outside_softmax(scratch, s, classes)
+    _fold(scratch, m)
 
 
-def _gc_sf_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
-    ws.fill(1.0)
-    np.copyto(ws, 0.0 - lam, where=classes.same_class(mask))
+def _gc_sf_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+                   whole):
+    # W is 1 between classes and 0.0 - lam within.
+    m.fill(1.0 + 1.0)
+    np.copyto(m, (0.0 - lam) + (0.0 - lam), where=classes.same_class(mask))
 
 
-def _gc_cf_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
-    ws.fill(0.0 + lam)
-    np.copyto(ws, 0.0, where=classes.same_class(mask))
+def _gc_cf_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+                   whole):
+    # W is 0.0 + lam between classes and 0.0 within.
+    m.fill((0.0 + lam) + (0.0 + lam))
+    np.copyto(m, 0.0, where=classes.same_class(mask))
 
 
-def _logdet_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
+def _logdet_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+                    whole):
     # logdet-cf's inverse of the whole S + lam I is subtracted after each
     # class's block; logdet-sf, whose whole is None, has none.
     inv = None if whole is None else np.linalg.inv(s + lam * np.eye(s.shape[-1]))
-    ws.fill(0.0)
+    scratch.fill(0.0)
     for a in classes.sets:
-        ws[np.ix_(a, a)] += np.linalg.inv(s[np.ix_(a, a)] + lam * np.eye(a.size))
+        scratch[np.ix_(a, a)] += np.linalg.inv(s[np.ix_(a, a)] + lam * np.eye(a.size))
         if inv is not None:
-            ws -= inv
+            scratch -= inv
+    _fold(scratch, m)
 
 
-def _fl_weights(ws, wdist, mask, s, d, classes, lam, eps, whole):
-    # Each outside row's weight goes to its first (lowest-index) max.
-    ws.fill(0.0)
-    rows, cols = [], []
-    for a, comp in classes.with_complements():
-        rows.append(comp)
-        cols.append(a[np.argmax(s[np.ix_(comp, a)], axis=1)])
-    ws[np.concatenate(rows), np.concatenate(cols)] = 1.0
+def _fl_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps, whole):
+    # W is 1 from each outside row to its first (lowest-index) max in the
+    # class, which the term picked, and 0.0 elsewhere; no pair is picked
+    # twice, so M is 1 at those pairs plus 1 at the transposed pairs.
+    rows = np.concatenate([comp for _, comp in classes.with_complements()])
+    cols = np.concatenate([a[pick] for a, pick in zip(classes.sets, picks)])
+    m.fill(0.0)
+    m[rows, cols] = 1.0
+    m[cols, rows] += 1.0
 
 
 def _triplet_kinks(rows, s, d, classes, eps):
@@ -363,14 +423,24 @@ class Objective:
     (..., n, n) stacks of matrices, with whole computed from the same stack;
     the terms then come back as (..., count), each matrix's row the bits
     that matrix gives alone.
-    weights(ws, wdist, mask, s, d, classes, lam, eps, whole) takes the
-    whole batch's partition as a `batch.ClassPartition` and writes every
-    entry of the n x n dL/dS into ws and, when `distance` ("d" or "d2") is
-    set, of dL/dD or dL/dD^2 into wdist; `distance` also says that the
-    objective reads D at all. mask is an n x n bool buffer (or None) for
-    `classes.same_class`. The buffers come in holding anything.
+    weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps, whole)
+    takes the whole batch's partition as a `batch.ClassPartition` and writes
+    the doubled weights M = W + W.T of the n x n dL/dS into m and, when
+    `distance` ("d" or "d2") is set, of dL/dD or dL/dD^2 into mdist;
+    `distance` also says that the objective reads D at all. Only the
+    off-diagonal entries count: the caller zeroes the diagonals, which no
+    kernel gradient reads. mask is an n x n bool buffer (or None) for
+    `classes.same_class`. A record with `folds` builds W in the n x n
+    scratch buffer and folds it with `_fold`; the others get scratch None
+    and write M without a transposed read. picks is what `picking_term`
+    returned for each class of the same partition, in class order, and
+    None for a record without one. The buffers come in holding anything.
     kinks(rows, s, d, classes, eps) marks the rows within TIE_GAP of a
     nonsmooth point of any class of the same partition.
+    picking_term, where set (fl), is the term over one class that also
+    returns, from the same gathered block, what the weight rule reads:
+    each complement row's first argmax among the members. `losses.evaluate`
+    scores with it and keeps the picks in the `Evaluation`.
     whole_value maps (s, lam) to what every term and weight call shares:
     the row sums less one for n-pairs and supcon, log det of S + lam I for
     logdet-cf, None for the rest. Callers compute it once and pass it as
@@ -386,6 +456,8 @@ class Objective:
     single_class_ok: bool = False    # a one-class batch is scored, with a warning
     positive_rowsum: bool = False    # needs whole_value, sum_j S_ij - 1, > 0
     min_class_size: int = 1
+    folds: bool = False              # the weight rule builds W and folds it
+    picking_term: Callable | None = None
     kinks: Callable = lambda rows, s, d, classes, eps: None
     check_lam: Callable = lambda lam: None
     whole_value: Callable = lambda s, lam: None
@@ -398,30 +470,30 @@ class Objective:
 
 REGISTRY = (
     Objective("triplet", "not-submodular", _triplet_term, _triplet_weights,
-              kinks=_triplet_kinks, distance="d2", min_class_size=2),
+              kinks=_triplet_kinks, distance="d2", min_class_size=2, folds=True),
     Objective("n-pairs", "submodular", _npairs_term, _npairs_weights,
               positive_rowsum=True, whole_value=_rows_less_one),
     Objective("opl", "submodular", _opl_term, _opl_weights),
-    Objective("snn", "not-submodular", _snn_term, _snn_weights),
+    Objective("snn", "not-submodular", _snn_term, _snn_weights, folds=True),
     Objective("supcon", "not-submodular", _supcon_term, _supcon_weights,
               positive_rowsum=True, whole_value=_rows_less_one),
     Objective("submod-triplet", "submodular", _submod_triplet_term,
               _submod_triplet_weights),
     Objective("submod-snn", "refuted", _submod_snn_term, _submod_snn_weights,
-              distance="d"),
+              distance="d", folds=True),
     Objective("submod-supcon", "submodular", _submod_supcon_term,
-              _submod_supcon_weights),
+              _submod_supcon_weights, folds=True),
     Objective("gc-sf", "submodular", _gc_sf_term, _gc_sf_weights,
               single_class_ok=True, check_lam=_lam_at_least_one),
     Objective("gc-cf", "submodular", _gc_cf_term, _gc_cf_weights,
               single_class_ok=True, check_lam=_lam_at_least_one),
     Objective("logdet-sf", "submodular", _logdet_sf_term, _logdet_weights,
-              single_class_ok=True, check_lam=_lam_positive),
+              single_class_ok=True, check_lam=_lam_positive, folds=True),
     Objective("logdet-cf", "submodular", _logdet_cf_term, _logdet_weights,
-              single_class_ok=True, check_lam=_lam_positive,
+              single_class_ok=True, check_lam=_lam_positive, folds=True,
               whole_value=lambda s, lam: _logdet_spd(s + lam * np.eye(s.shape[-1]))),
     Objective("fl", "submodular", _fl_term, _fl_weights, kinks=_fl_kinks,
-              single_class_ok=True),
+              single_class_ok=True, picking_term=_fl_picking_term),
 )
 
 OBJECTIVES = tuple(obj.name for obj in REGISTRY)

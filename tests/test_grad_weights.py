@@ -5,7 +5,9 @@ rule chain `setloss.grads` ran before each objective's weight rule moved
 into its `objectives` record, copied verbatim. It is the reference the
 record rules must reproduce exactly -- every weight matrix byte for byte,
 signed zeros included, and None where an objective writes no weights of
-that kind -- and is not to be edited.
+that kind -- and is not to be edited. The rules now write the doubled
+weights W + W.T, so each is compared with the oracle's W folded the way
+the kernel pullbacks used to fold it.
 """
 
 from types import SimpleNamespace
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from setloss import grads, kernels, losses
 from setloss import objectives as registry
+from setloss._backend import backend
 from setloss.batch import EmbeddingBatch, partition_from_labels
 from setloss.errors import PreconditionError
 
@@ -155,36 +158,54 @@ def _dirty_workspace(n):
     """A workspace whose buffers hold NaN (True for the mask), so a weight
     rule that leaves an entry unwritten shows up."""
     work = kernels.Workspace()
-    for name in ("ws", "wdist"):
+    for name in ("gram", "ws", "wdist"):
         work.buffer(name, n).fill(np.nan)
     work.buffer("mask", n, bool).fill(True)
     return work
 
 
+def _old_doubled(weights):
+    """The fold the kernel pullbacks applied to W before the weight rules
+    wrote it themselves: W + W.T with a zero diagonal."""
+    m = weights + weights.T
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
 def _judge(name, cfg, batch):
     """Compare both weight builds with the oracle on one batch; False if the
-    batch lies outside the objective's domain."""
+    batch lies outside the objective's domain.
+
+    The library writes the doubled weights M = W + W.T, with a zero
+    diagonal, and no longer builds W for the mask-built rules, so each of
+    its matrices is pinned to the oracle's W folded by `_old_doubled`.
+    """
+    obj = registry.get(name)
     s, d = losses.matrices(batch, cfg)
+    classes = partition_from_labels(batch.labels)
     try:
-        whole = registry.get(name).whole_value(s, cfg.lam)
+        whole = obj.whole_value(s, cfg.lam)
         losses.check_preconditions(batch, cfg, s, whole)
-        old = _entry_weights(objectives.OBJ_CODE[name], s, d,
-                             list(partition_from_labels(batch.labels)),
+        old = _entry_weights(objectives.OBJ_CODE[name], s, d, list(classes),
                              cfg.lam, cfg.margin)
     except PreconditionError:
         # Outside the objective's domain (n-pairs and supcon log
         # arguments, log-det blocks under neg-euclidean, triplet singletons).
         return False
+    picks = None
+    if obj.picking_term is not None:
+        # fl's weight rule reads the argmax its term picked.
+        picks = []
+        backend.total_value(obj, s, d, classes, cfg.lam, cfg.margin, whole, picks)
     for work in (None, _dirty_workspace(batch.n)):
-        new = grads._entry_weights(registry.get(name), s, d,
-                                   partition_from_labels(batch.labels),
-                                   cfg.lam, cfg.margin, whole, work)
+        new = grads._entry_weights(obj, s, d, classes, cfg.lam, cfg.margin,
+                                   whole, work, picks)
         for got, want in zip(new, old):
             if want is None:
                 assert got is None
             else:
                 assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+                assert got.tobytes() == _old_doubled(want).tobytes()
     return True
 
 

@@ -164,16 +164,22 @@ def test_grad_check_partitions_once_per_loss_evaluation(monkeypatch):
 
 # The value and gradient as computed before a training step shared one
 # evaluation: fresh matrices for every pullback and a per-row argmax for fl.
+# The pullbacks take the doubled weights m = W + W.T with a zero diagonal.
 
-def _fresh_rbf_pullback(z, weights, bandwidth):
+def _doubled(weights):
+    m = weights + weights.T
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def _fresh_rbf_pullback(z, m, bandwidth):
     s = np.exp(-kernels.squared_distances(z) / (2.0 * bandwidth * bandwidth))
-    m = kernels._doubled(weights) * s / (bandwidth * bandwidth)
+    m = m * s / (bandwidth * bandwidth)
     return m @ z - np.sum(m, axis=1)[:, None] * z
 
 
-def _fresh_distance_pullback(z, weights):
+def _fresh_distance_pullback(z, m):
     d = np.sqrt(kernels.squared_distances(z))
-    m = kernels._doubled(weights)
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.where(d > kernels.NORM_FLOOR, m / d, 0.0)
     return np.sum(m, axis=1)[:, None] * z - m @ z
@@ -191,6 +197,7 @@ def _unshared_value_and_gradient(batch, cfg):
         for a in sets:
             for i in np.setdiff1d(np.arange(batch.n), a):
                 ws[i, a[np.argmax(s[i, a])]] += 1.0
+        ws = _doubled(ws)
     else:
         ws, wd, wd2 = grads._entry_weights(obj, s, d, sets, cfg.lam, cfg.margin,
                                            whole)
@@ -242,10 +249,14 @@ def test_fl_tie_goes_to_lowest_index_member():
     cfg = losses.LossConfig("fl")
     ev = losses.evaluate(b, cfg)
     assert ev.s[1, 2] == ev.s[1, 3] > ev.s[1, 0]
-    ws, _, _ = grads._entry_weights(objectives.get("fl"), ev.s, ev.d,
-                                    ev.classes, cfg.lam, cfg.margin, ev.whole)
-    assert np.array_equal(ws[1], [0.0, 0.0, 1.0, 0.0])
-    expected = kernels.cosine_pullback(b.vectors, ws)
+    assert ev.classes.sets[0][ev.picks[0]].tolist() == [2]
+    m, _, _ = grads._entry_weights(objectives.get("fl"), ev.s, ev.d,
+                                   ev.classes, cfg.lam, cfg.margin, ev.whole,
+                                   picks=ev.picks)
+    # W[1] is [0, 0, 1, 0], and column 1 of W holds the picks of rows 0, 2
+    # and 3 in class 1, which has only row 1.
+    assert np.array_equal(m[1], [1.0, 0.0, 2.0, 1.0])
+    expected = kernels.cosine_pullback(b.vectors, m)
     assert np.array_equal(grads.loss_gradient(b, cfg), expected)
 
 

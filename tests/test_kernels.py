@@ -120,7 +120,7 @@ def test_similarity_pullback_matches_fd(kind):
         return float(np.sum(w * kernels.similarity(b, kind, bw)))
 
     s = kernels.similarity(EmbeddingBatch(z, np.zeros(6, dtype=int)), kind, bw)
-    g = kernels.similarity_pullback(z, w, kind, bw, s=s)
+    g = kernels.similarity_pullback(z, _old_doubled(w), kind, bw, s=s)
     h = 1e-6
     for i in range(6):
         for c in range(3):
@@ -138,7 +138,7 @@ def test_sqdist_pullback_matches_fd():
     def value(zz):
         return float(np.sum(w * kernels.squared_distances(zz)))
 
-    g = kernels.sqdist_pullback(z, w)
+    g = kernels.sqdist_pullback(z, _old_doubled(w))
     h = 1e-6
     for i in range(5):
         for c in range(3):
@@ -252,14 +252,17 @@ def test_pullbacks_match_the_allocating_formulas_bit_for_bit(kind):
         z[-1] = z[0]
         s = _old_similarity(z, kind, 0.7)
         d = np.sqrt(_old_squared_distances(z))
+        # The pullbacks take the doubled weights, and may overwrite them.
         for workspace in (None, work):
-            got = kernels.similarity_pullback(z, w, kind, 0.7, s=s, workspace=workspace)
+            got = kernels.similarity_pullback(z, _old_doubled(w), kind, 0.7, s=s,
+                                              workspace=workspace)
             assert _same_bits(got, _old_similarity_pullback(z, w, kind, 0.7, s))
-            assert _same_bits(kernels.distance_pullback(z, w, d, workspace),
+            assert _same_bits(kernels.distance_pullback(z, _old_doubled(w), d,
+                                                        workspace),
                               _old_distance_pullback(z, w, d))
             m = _old_doubled(w)
             want = 2.0 * (np.sum(m, axis=1)[:, None] * z - m @ z)
-            assert _same_bits(kernels.sqdist_pullback(z, w, workspace), want)
+            assert _same_bits(kernels.sqdist_pullback(z, _old_doubled(w)), want)
 
 
 def test_workspace_reuses_a_buffer_until_n_changes():

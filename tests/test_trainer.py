@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -323,8 +325,10 @@ def test_workspace_training_matches_a_fresh_step_loop(name, kernel, batch_size,
     # supcon's log arguments are negative under neg-euclidean
     if (name, kernel) != ("supcon", "neg-euclidean")])
 def test_training_steps_allocate_no_kernel_sized_array(name, kernel, monkeypatch):
-    # A balanced batch of 200 rows; after the first step, the workspace holds
-    # every n x n array, so no step's traced peak rises by one of them.
+    # A balanced batch of 200 rows. After the first step, the thread's
+    # workspace holds every n x n array, so no later step's traced peak
+    # rises by one of them: not in the first run, and not at any step of a
+    # second run with the same n, step 0 included.
     n = 200
     data = EmbeddingBatch(2.0 + Rng(9).normals((n, 6)),
                           np.arange(n, dtype=np.int64) % 4)
@@ -340,12 +344,94 @@ def test_training_steps_allocate_no_kernel_sized_array(name, kernel, monkeypatch
     config = trainer.TrainConfig(
         loss=losses.LossConfig(name, kernel=kernel, bandwidth=1.5),
         lr=0.001, steps=4, seed=0)
+    rises = []
     tracemalloc.start()
     try:
-        trainer.train_stage1(data, config)
+        for _ in range(2):
+            marks.clear()
+            trainer.train_stage1(data, config)
+            marks.append(tracemalloc.get_traced_memory())
+            # Step k runs from evaluation k to evaluation k + 1, and the
+            # last evaluation to the end of the run.
+            rises.append([marks[k + 1][1] - marks[k][0]
+                          for k in range(len(marks) - 1)])
     finally:
         tracemalloc.stop()
-    # Step k runs from evaluation k to evaluation k + 1.
-    rises = [marks[k + 1][1] - marks[k][0] for k in range(1, len(marks) - 1)]
-    assert len(rises) == config.steps - 1
-    assert max(rises) < n * n * 8
+    first, second = rises
+    assert len(first) == len(second) == config.steps + 1
+    assert max(first[1:]) < n * n * 8
+    assert max(second) < n * n * 8
+
+
+def _in_threads(*runs):
+    """Run each callable in its own new thread, all started together and
+    switching often; return their results in order, or raise the first
+    error."""
+    start = threading.Barrier(len(runs), timeout=60)
+    out = [None] * len(runs)
+
+    def run(i):
+        start.wait()
+        try:
+            out[i] = runs[i]()
+        except Exception as exc:  # re-raised in the calling thread
+            out[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(runs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for res in out:
+        if isinstance(res, Exception):
+            raise res
+    return out
+
+
+def _trained(data, config):
+    params, curve = trainer.train_stage1(data, config)
+    return curve, params.W.tobytes()
+
+
+def test_threads_training_at_once_each_get_their_serial_result():
+    # Three objectives, two of them on the same rows, so one workspace
+    # shared between threads would hand two runs the same buffers.
+    data = small_data(seed=1)
+    jobs = [(data, quick_config("fl", steps=6, lr=0.005)),
+            (trainer.split_batch(small_data(seed=2), 0.25, seed=0)[0],
+             quick_config("supcon", steps=6, lr=0.005, seed=3, bw=1.5)),
+            (data, quick_config("submod-snn", steps=6, lr=0.005, seed=4))]
+    assert jobs[0][0].n != jobs[1][0].n
+    serial = [_trained(*job) for job in jobs]
+    # Each thread trains three times over, so their steps interleave.
+    both = _in_threads(*(lambda job=job: [_trained(*job) for _ in range(3)]
+                         for job in jobs))
+    assert both == [[want] * 3 for want in serial]
+
+
+def test_a_diverged_run_leaves_the_next_run_unchanged(monkeypatch):
+    data = small_data(seed=4)
+    config = quick_config("snn", steps=5)
+    # The reference trains in a new thread, on a workspace of its own.
+    (want,) = _in_threads(lambda: _trained(data, config))
+    # A run of another objective on the same rows stops at its third
+    # evaluation, with its kernel, weight and pullback buffers written.
+    evaluations = []
+    real_total = losses.backend.total_value
+
+    def total_value(*args):
+        total, per = real_total(*args)
+        evaluations.append(1)
+        return (float("nan") if len(evaluations) == 3 else total), per
+
+    monkeypatch.setattr(losses.backend, "total_value", total_value)
+    with pytest.raises(DivergedLoss):
+        trainer.train_stage1(data, quick_config("submod-snn", steps=5))
+    monkeypatch.undo()
+    assert _trained(data, config) == want
