@@ -37,12 +37,35 @@ kernel matrices until its next kernel build, doubled weights until its
 next entry-weight build, kernel build or pullback (the RBF and distance
 pullbacks scale M in place). Calls given no workspace return arrays that
 share no memory with any later call.
+
+The n x n products of a single batch, the Gram product of
+`squared_distances` and `cosine_similarity` and the m @ z of every
+pullback, run through `_product` inside `_blas.one_thread()`, with numpy's
+bundled OpenBLAS on one thread. Left threaded, OpenBLAS's second worker
+spun idle after each product, so a training step took two cores' CPU for
+one core's work: in process, the CPU that threads other than the caller
+spent per `train-imbalance` op fell from 64-79 ms to 0, with the caller's
+own CPU unchanged (2-core x86 VM). A scope lasts one product, because the
+thread count is process-global: the first scope to enter saves it and the
+last to leave restores it, so overlapping scopes in several threads never
+restore it early, and products other threads run meanwhile also take one
+thread. Products outside `kernels`, such as the trainer's embedding and
+update, keep the caller's thread count. With any
+other BLAS the scope does nothing. A one-thread product is the same call,
+but it need not have a threaded one's last bits: at n = 800 and d = 10,
+the criterion-5 size that the fixtures pin, they agree, while at n = 525
+or 1000 they differ, and a threaded Gram product's bits there also depend
+on the thread count. Inside the scope they depend on neither. At a wide
+embedding (out_dim 256 on 1067 rows) the second thread did useful work,
+and a scoped step is slower (README, Backend). Stacks of matrices, such as
+the verdict table's, are small, never threaded, and run unscoped.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import _blas
 from .batch import EmbeddingBatch
 from .errors import NonPositiveBandwidth, ValidationError, ZeroVector
 
@@ -108,8 +131,17 @@ def _square(z: np.ndarray) -> tuple:
     return z.shape[:-1] + z.shape[-2:-1]
 
 
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b, on one BLAS thread when a is a single matrix (see above);
+    stacks of matrices run unscoped."""
+    if a.ndim > 2:
+        return np.matmul(a, b, out=out)
+    with _blas.one_thread():
+        return np.matmul(a, b, out=out)
+
+
 def _gram(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.matmul(z, np.swapaxes(z, -1, -2), out=out)
+    return _product(z, np.swapaxes(z, -1, -2), out)
 
 
 def _fill_diagonal(m: np.ndarray, value: float) -> None:
@@ -171,8 +203,12 @@ def squared_distances(z: np.ndarray, workspace: Workspace | None = None) -> np.n
     sq = np.sum(z * z, axis=-1)
     twice = _gram(z, workspace_buffer(workspace, "gram", shape))
     twice *= 2.0
-    d2 = np.add(sq[..., :, None], sq[..., None, :],
-                out=workspace_buffer(workspace, "d", shape))
+    # A row-broadcast copy and a contiguous add, with the operands of one
+    # broadcast outer add in its order, take 0.6-0.7 ms at n = 800 where
+    # the broadcast add takes 0.9-1.1 ms (2-core x86 VM).
+    d2 = workspace_buffer(workspace, "d", shape)
+    d2[...] = sq[..., :, None]
+    d2 += sq[..., None, :]
     d2 -= twice
     np.maximum(d2, 0.0, out=d2)
     _symmetric(d2, workspace)
@@ -275,7 +311,7 @@ def cosine_pullback(z: np.ndarray, m: np.ndarray,
     zh = unit_rows(z)
     s = _gram(zh, workspace_buffer(workspace, "cos", _square(z)))
     proj = np.sum(np.multiply(m, s, out=s), axis=1)
-    grad = m @ zh - proj[:, None] * zh
+    grad = _product(m, zh) - proj[:, None] * zh
     return grad / np.linalg.norm(z, axis=1)[:, None]
 
 
@@ -286,14 +322,14 @@ def rbf_pullback(z: np.ndarray, m: np.ndarray, s: np.ndarray,
     m *= s
     m /= bandwidth * bandwidth
     # row i: sum_j m_ij (z_j - z_i)
-    return m @ z - np.sum(m, axis=1)[:, None] * z
+    return _product(m, z) - np.sum(m, axis=1)[:, None] * z
 
 
 def sqdist_pullback(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     """dL/dZ for L = sum_ij W_ij D^2_ij, given the doubled weights
     m = W + W.T with a zero diagonal."""
     # d(D^2_ij)/dz_i = 2 (z_i - z_j)
-    return 2.0 * (np.sum(m, axis=1)[:, None] * z - m @ z)
+    return 2.0 * (np.sum(m, axis=1)[:, None] * z - _product(m, z))
 
 
 def _over_distances(z: np.ndarray, m: np.ndarray, d: np.ndarray,
@@ -305,7 +341,7 @@ def _over_distances(z: np.ndarray, m: np.ndarray, d: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         m /= d
     np.copyto(m, 0.0, where=np.logical_not(apart, out=apart))
-    return np.sum(m, axis=1)[:, None] * z - m @ z
+    return np.sum(m, axis=1)[:, None] * z - _product(m, z)
 
 
 def distance_pullback(z: np.ndarray, m: np.ndarray, d: np.ndarray,

@@ -184,7 +184,7 @@ def train_stage1(data: EmbeddingBatch, config: TrainConfig):
     for step in range(config.steps + 1):
         batch = data if full else _minibatch(data, config.batch_size, rng)
         z, norms = params.embed(batch.vectors)
-        embedded = EmbeddingBatch(z, batch.labels)
+        embedded = EmbeddingBatch(z, batch.labels, batch.ids)
 
         ev = losses.evaluate(embedded, config.loss, work)
         value = ev.result.total

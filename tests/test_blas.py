@@ -1,0 +1,281 @@
+"""The one-BLAS-thread scope: discovery, restoring the count, and bits.
+
+The scope tests run twice: on numpy's bundled OpenBLAS, with its count set
+to 2 for the test, and on a stand-in pair that keeps the count in Python,
+so the bookkeeping is checked on every host. Where numpy has no bundled
+OpenBLAS both runs use the stand-in, and the discovery test checks that
+numpy's build config does not name one.
+"""
+
+import ctypes
+import json
+import os
+import subprocess
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from setloss import _blas, grads, kernels, losses, synthlab, trainer
+from setloss.batch import EmbeddingBatch
+from setloss.errors import DivergedLoss
+from test_trainer import _in_threads
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+class _StandIn:
+    """A thread count behind a get/set pair, as the library keeps one."""
+
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.sets.append(count)
+        self.count = count
+
+
+@pytest.fixture(params=["bundled", "stand-in"])
+def count(request, monkeypatch):
+    """The get of the library the scopes act on, its count set to 2."""
+    lib = _blas.library() if request.param == "bundled" else None
+    if lib is None:
+        stand_in = _StandIn(2)
+        lib = (stand_in.get, stand_in.set)
+        monkeypatch.setattr(_blas, "_library", lib)
+    get, put = lib
+    before = get()
+    put(2)
+    yield get
+    put(before)
+    assert _blas._depth == 0
+
+
+def test_discovery_finds_the_get_set_pair_of_a_scipy_openblas_build():
+    # The pinned numpy wheel names scipy-openblas, so there a scope must act
+    # on the library rather than pass as a silent no-op.
+    lib = _blas._find()
+    if not _blas.names_scipy_openblas():
+        assert lib is None
+        return
+    assert lib is not None
+    get, put = lib
+    before = get()
+    assert before >= 1
+    put(1)
+    assert get() == 1
+    put(before)
+    assert get() == before
+
+
+def test_importing_the_package_does_not_look_up_the_library():
+    code = ("import setloss, setloss.trainer, setloss.cli\n"
+            "from setloss import _blas\n"
+            "assert _blas._library is _blas._UNSEEN\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(_blas.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_a_scope_runs_one_thread_and_restores_the_count(count):
+    with _blas.one_thread():
+        assert count() == 1
+        with _blas.one_thread():
+            assert count() == 1
+        assert count() == 1
+    assert count() == 2
+
+
+def test_a_scope_restores_the_count_when_its_body_raises(count):
+    with pytest.raises(RuntimeError):
+        with _blas.one_thread():
+            assert count() == 1
+            raise RuntimeError("inside the scope")
+    assert count() == 2
+    with pytest.raises(ValueError):
+        kernels._product(np.ones((3, 4)), np.ones((3, 4)))
+    assert count() == 2
+
+
+@pytest.mark.parametrize("kind", ["cosine", "rbf", "neg-euclidean"])
+def test_gradient_calls_leave_the_count_as_they_found_it(count, kind):
+    batch = grads.check_batch(12, 5, seed=4)
+    for objective in ("fl", "gc-cf", "triplet"):
+        grads.loss_gradient(batch, losses.LossConfig(objective, kernel=kind))
+        assert count() == 2
+
+
+def test_a_diverged_training_run_leaves_the_count_as_it_found_it(count, monkeypatch):
+    monkeypatch.setattr(losses.backend, "total_value",
+                        lambda *args: (float("nan"), None))
+    data = synthlab.make_imbalanced_dataset("step", 3, 4, 40, 2.0, 0.3, 0,
+                                            separation=3.0)
+    with pytest.raises(DivergedLoss):
+        trainer.train_stage1(data, trainer.TrainConfig(steps=2))
+    assert count() == 2
+
+
+def test_overlapping_scopes_restore_the_count_after_the_last_leaves(count):
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+    seen = {}
+
+    def first():
+        with _blas.one_thread():
+            first_in.set()
+            assert second_in.wait(60)
+        seen["first left"] = count()
+        first_out.set()
+
+    def second():
+        assert first_in.wait(60)
+        with _blas.one_thread():
+            second_in.set()
+            assert first_out.wait(60)
+            seen["second inside"] = count()
+        seen["second left"] = count()
+
+    _in_threads(first, second)
+    assert seen == {"first left": 1, "second inside": 1, "second left": 2}
+    assert count() == 2
+
+
+def _criterion_5_rows():
+    """The criterion-5 training split: 800 rows in dimension 10."""
+    with open(os.path.join(FIXTURES, "imbalance_reference.json")) as fh:
+        config = json.load(fh)["config"]
+    ds = config["dataset"]
+    data = synthlab.make_imbalanced_dataset(
+        ds["kind"], ds["classes"], ds["dim"], ds["base_count"], ds["decay"],
+        ds["spread"], ds["seed"], ds["separation"])
+    return trainer.split_batch(data, config["train"]["eval_split"], ds["seed"])[0]
+
+
+def _trained(data, objective, kind):
+    config = trainer.TrainConfig(
+        loss=losses.LossConfig(objective, kernel=kind, bandwidth=0.6),
+        lr=0.001, steps=3, seed=2)
+    params, curve = trainer.train_stage1(data, config)
+    return curve, params.W.tobytes()
+
+
+def _bundled_or_absent():
+    """The bundled library's (get, set), or None where numpy has none."""
+    lib = _blas.library()
+    assert (lib is not None) == _blas.names_scipy_openblas()
+    return lib
+
+
+def _core():
+    """The kernel family the bundled OpenBLAS picked for this CPU at run time."""
+    lib = _blas._shared_object()
+    for suffix in ("64_", ""):
+        name = getattr(lib, f"scipy_openblas_get_corename{suffix}", None)
+        if name is not None:
+            name.restype, name.argtypes = ctypes.c_char_p, []
+            return name().decode()
+    return None
+
+
+@pytest.mark.parametrize("kind", ["rbf", "cosine"])
+@pytest.mark.parametrize("objective", ["fl", "gc-cf", "supcon"])
+def test_training_at_the_criterion_5_size_keeps_the_threaded_bits(
+        monkeypatch, objective, kind):
+    # At n = 800 and d = 10 OpenBLAS's products give the same bits on one
+    # thread as on two, which is why the criterion-5 fixture and the
+    # benchmark reference hold. That is not so at every size: at n = 525
+    # or 1000 with d = 10, m @ z on one thread differs from two threads in
+    # its last bits (see the next test). OpenBLAS promises neither, so this
+    # runs only on the kernel family it was measured with.
+    lib = _bundled_or_absent()
+    if lib is not None and _core() != "SkylakeX":
+        pytest.skip(f"one- and two-thread bits measured on SkylakeX, not {_core()}")
+    data = _criterion_5_rows()
+    if kind == "cosine":
+        # Shifted off the origin, so every cosine row sum is large enough
+        # for supcon's log.
+        data = EmbeddingBatch(data.vectors + 5.0, data.labels)
+    before = lib[0]() if lib else None
+    if lib:
+        lib[1](2)
+    entered = []
+    real_enter = _blas._enter
+    monkeypatch.setattr(_blas, "_enter",
+                        lambda lib: (entered.append(1), real_enter(lib)))
+    try:
+        scoped = _trained(data, objective, kind)
+        assert lib is None or (entered and lib[0]() == 2)
+        monkeypatch.setattr(_blas, "_library", None)
+        assert _trained(data, objective, kind) == scoped
+    finally:
+        if lib:
+            lib[1](before)
+
+
+@pytest.mark.parametrize("objective", ["fl", "gc-cf", "supcon"])
+def test_training_does_not_depend_on_the_thread_count_outside_the_scope(
+        monkeypatch, objective):
+    # 525 rows: here the threaded Gram product's bits depend on the thread
+    # count, and the threaded m @ z differs from the one-thread product.
+    data = synthlab.make_imbalanced_dataset("step", 3, 10, 300, 2.0, 0.3, 3,
+                                            separation=3.0)
+    lib = _bundled_or_absent()
+    if lib is None:
+        return
+    get, put = lib
+    before = get()
+    try:
+        runs = []
+        for outside in (2, 3):
+            put(outside)
+            runs.append(_trained(data, objective, "rbf"))
+            assert get() == outside
+        put(1)
+        monkeypatch.setattr(_blas, "_library", None)
+        runs.append(_trained(data, objective, "rbf"))
+    finally:
+        put(before)
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("kind", ["rbf", "cosine", "neg-euclidean"])
+def test_gradients_do_not_depend_on_the_thread_count_outside_the_scope(
+        monkeypatch, kind):
+    # A gradient call outside training: only the kernels' own scopes apply.
+    data = synthlab.make_imbalanced_dataset("step", 3, 10, 300, 2.0, 0.3, 3,
+                                            separation=3.0)
+    batch = EmbeddingBatch(data.vectors + 1.0, data.labels)
+    config = losses.LossConfig("gc-cf", kernel=kind)
+    lib = _bundled_or_absent()
+    if lib is None:
+        return
+    get, put = lib
+    before = get()
+    try:
+        runs = []
+        for outside in (2, 3):
+            put(outside)
+            runs.append(grads.loss_gradient(batch, config).tobytes())
+            assert get() == outside
+        put(1)
+        monkeypatch.setattr(_blas, "_library", None)
+        runs.append(grads.loss_gradient(batch, config).tobytes())
+    finally:
+        put(before)
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_stacked_kernels_never_enter_a_scope(monkeypatch):
+    entered = []
+    monkeypatch.setattr(_blas, "_enter", lambda lib: entered.append(1))
+    stack = np.random.default_rng(0).normal(size=(4, 6, 3)) + 0.5
+    for kind in ("cosine", "rbf", "neg-euclidean"):
+        kernels.similarity(stack, kind)
+    assert entered == []
+    kernels.similarity(stack[0], "rbf")
+    assert entered
