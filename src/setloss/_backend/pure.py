@@ -23,14 +23,9 @@ returning per-table tallies and the first violating table's violations.
 `tables_per_block` says how many whole tables fill one block. Each table of
 a stack keeps the bits it has alone.
 
-A block's margins are built in place, in views of a per-thread arena
-(`_arena_views`): one float64 array holding the two gathered gain blocks,
-the first of which becomes the margins, and one bool array holding the
-finite and violation masks. The arena grows to the largest block its thread
-has judged and is never shrunk, about 1.2 MB at n = 6 and 3.1 MB at n = 12,
-so successive blocks reuse pages already mapped instead of allocating
-(and faulting in) fresh half-megabyte temporaries each time. Nothing a scan
-returns points into it.
+A block's margins are built in place, in the "margin", "other", "finite"
+and "bad" buffers of the thread's `kernels.thread_workspace()` (see
+`kernels.Workspace`). Nothing a scan returns points into them.
 
 The batched forms keep the bits of the per-subset loops they replaced. Each
 block is gathered in the loop's order and summed as one contiguous row, so
@@ -57,10 +52,10 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 
 import numpy as np
 
+from .. import kernels
 from ..objectives import Objective
 
 # value_table refuses larger ground sets before it builds anything: a table
@@ -158,24 +153,8 @@ def value_table(obj: Objective, s: np.ndarray, d: np.ndarray | None,
 
 
 # A scan judges its margins in blocks of whole x rows holding about this many
-# triples: each of the arena's two float views is then about half a megabyte.
+# triples: its "margin" and "other" buffers are then about half a megabyte each.
 _SCAN_BLOCK = 1 << 16
-
-_arena = threading.local()
-
-
-def _arena_views(shape):
-    """Two float64 and two bool arrays of `shape`, views of this thread's
-    arena; their contents are left over from the last block."""
-    size = math.prod(shape)
-    if getattr(_arena, "size", -1) < size:
-        _arena.floats = np.empty(2 * size)
-        _arena.bools = np.empty(2 * size, dtype=bool)
-        _arena.size = size
-    f, b = _arena.floats, _arena.bools
-    return (f[:size].reshape(shape), f[size:2 * size].reshape(shape),
-            b[:size].reshape(shape), b[size:2 * size].reshape(shape))
-
 
 def _row_sets(n: int) -> np.ndarray:
     """Row x lists every subset of V\\{x}, ascending: bit x inserted into
@@ -262,10 +241,13 @@ def _scan(table: np.ndarray, n: int, tol: float, index, max_stored: int):
     viols = []
     first = k  # the first table with a stored violation; k while none has
     pairs = max(a_low.size, 1)
+    work = kernels.thread_workspace()
     step = max(1, _SCAN_BLOCK // (pairs * k))
     for x0 in range(0, n, step):
         g = gain[:, x0:x0 + step]
-        margin, other, finite, bad = _arena_views(g.shape[:2] + a_low.shape)
+        shape = g.shape[:2] + a_low.shape
+        margin, other = (work.buffer(name, shape) for name in ("margin", "other"))
+        finite, bad = (work.buffer(name, shape, bool) for name in ("finite", "bad"))
         # mode="clip" writes straight into out; the default "raise" buffers
         # a fresh copy first. Both indexes are in range.
         np.take(g, a_low, axis=-1, out=margin, mode="clip")

@@ -29,9 +29,8 @@ for spot checks against finite differences.
 
 Every n x n array is built in place, in a buffer that a `Workspace` holds
 when the call is given one and in a fresh array when it is not, so the two
-give the same bits from the same code. The trainer keeps one workspace per
-thread across its runs, so a step allocates no n x n array unless its n
-differs from the last one its thread used. An array built on a workspace
+give the same bits from the same code. The trainer's steps and the lattice
+scans take theirs from `thread_workspace()`. An array built on a workspace
 is valid until that workspace's next use for the same kind of array:
 kernel matrices until its next kernel build, doubled weights until its
 next entry-weight build, kernel build or pullback (the RBF and distance
@@ -63,6 +62,9 @@ the verdict table's, are small, never threaded, and run unscoped.
 
 from __future__ import annotations
 
+import math
+import threading
+
 import numpy as np
 
 from . import _blas
@@ -89,41 +91,56 @@ def _vectors(batch) -> np.ndarray:
 
 
 class Workspace:
-    """n x n buffers, one per name, reused by every call that is given it.
+    """Scratch arrays by name; `thread_workspace()` is each thread's one.
 
-    Names: "s" and "d" hold kernel results (a similarity built from squared
-    distances without a kept D lives in "d"); "gram" is scratch for the Gram
-    product and the symmetrizing average and, once the kernel is built,
-    holds the doubled similarity weights M that the pullback then scales in
-    place; "wdist" holds the doubled distance weights; "ws" holds the W that
-    a loop-built weight rule writes before folding it into "gram" or
-    "wdist"; "cos" holds the cosine pullback's unclipped Gram; "mask" holds
-    boolean masks: the symmetry test's, the same-class mask of the entry
-    weights and a pullback's "apart" mask. A buffer is re-allocated when n
-    or the dtype asked for changes, and none is ever shrunk. Each float
-    buffer takes 8 n^2 bytes (5.1 MB at n = 800) and the mask n^2: an RBF
-    training step with fl, gc-cf or supcon keeps "d", "gram" and "mask",
-    about 11 MB at n = 800, and all seven names together take 49 n^2 bytes.
-    Stacks of matrices are not built in a workspace.
+    `buffer(name, shape, dtype)` is a C-contiguous view of the first
+    prod(shape) elements of the name's flat array. The array grows to fit
+    and is never shrunk, and is made again only for another dtype, so a
+    smaller request after a larger one (n = 800 after 1000) allocates
+    nothing. Two names never share memory.
+
+    n x n names: "s" and "d" hold kernel results (a similarity built from
+    squared distances without a kept D lives in "d"); "gram" is scratch for
+    the Gram product and the symmetrizing average, then holds the doubled
+    similarity weights M that the pullback scales in place; "wdist" holds
+    the doubled distance weights; "ws" the W that a loop-built weight rule
+    folds into "gram" or "wdist"; "cos" the cosine pullback's unclipped
+    Gram; "mask" the symmetry test's, the same-class and the "apart" bool
+    masks. An RBF step with fl, gc-cf or supcon keeps "d", "gram" and
+    "mask", 17 n^2 bytes (11 MB at n = 800); all seven take 49 n^2. The
+    lattice scans add the float gain blocks "margin" and "other" and their
+    bool masks "finite" and "bad", about 1.2 MB at n = 6 and 3.1 MB at
+    n = 12. Stacks of kernel matrices are not built in a workspace.
     """
 
     def __init__(self):
         self._buffers = {}
 
-    def buffer(self, name: str, n: int, dtype=np.float64) -> np.ndarray:
+    def buffer(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
         buf = self._buffers.get(name)
-        if buf is None or buf.shape[0] != n or buf.dtype != dtype:
-            buf = self._buffers[name] = np.empty((n, n), dtype)
-        return buf
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+_per_thread = threading.local()
+
+
+def thread_workspace() -> Workspace:
+    """The calling thread's workspace, made on its first use and kept."""
+    work = getattr(_per_thread, "workspace", None)
+    if work is None:
+        work = _per_thread.workspace = Workspace()
+    return work
 
 
 def workspace_buffer(workspace: Workspace | None, name: str, shape: tuple,
                      dtype=np.float64) -> np.ndarray:
-    """The workspace's n x n buffer `name`, or a fresh array of `shape`, an
-    (n, n) or (..., n, n) tuple, without one."""
+    """The workspace's buffer `name` of `shape`, or a fresh array without one."""
     if workspace is None:
         return np.empty(shape, dtype)
-    return workspace.buffer(name, shape[-1], dtype)
+    return workspace.buffer(name, shape, dtype)
 
 
 def _square(z: np.ndarray) -> tuple:

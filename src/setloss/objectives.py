@@ -104,15 +104,24 @@ def _row_softmax(block: np.ndarray) -> np.ndarray:
     return shifted / np.sum(shifted, axis=1)[:, None]
 
 
-def _triplet_term(s, d, mem, comp, lam, eps, whole):
-    lead = d.shape[:-2] + mem.shape[:1]
+def _triplet_hinges(d, mem, comp, eps):
+    """Yield (a, h) for each anchor column a of mem: h[..., r, p, c] is
+    D^2_ip - D^2_ic + eps for the anchor i = mem[r, a], the positive
+    mem[r, p] and the negative comp[r, c]. Row p = a pairs the anchor with
+    itself, and every caller drops it."""
     anchors = mem[:, :, None]
     d2m = _gather(d, anchors, mem[:, None, :]) ** 2
     d2c = _gather(d, anchors, comp[:, None, :]) ** 2
-    total = np.zeros(lead)
     for a in range(mem.shape[1]):
         hinge = d2m[..., a, :, None] - d2c[..., a, None, :]
         hinge += eps
+        yield a, hinge
+
+
+def _triplet_term(s, d, mem, comp, lam, eps, whole):
+    lead = d.shape[:-2] + mem.shape[:1]
+    total = np.zeros(lead)
+    for a, hinge in _triplet_hinges(d, mem, comp, eps):
         np.maximum(hinge, 0.0, out=hinge)
         hinge[..., a, :] = 0.0
         total += np.sum(hinge.reshape(lead + (-1,)), axis=-1)
@@ -241,15 +250,14 @@ def _triplet_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
                      whole):
     m.fill(0.0)
     scratch.fill(0.0)
-    d2 = d * d
+    # The counts are whole numbers, so one add per entry is the per-pair
+    # loop's bits, signed zeros included (0.0 - 0 is 0.0).
     for a, comp in classes.with_complements():
-        for i in a:
-            for p in a:
-                if p == i or comp.size == 0:
-                    continue
-                active = d2[i, p] - d2[i, comp] + eps > 0.0
-                scratch[i, p] += float(np.sum(active))
-                scratch[i, comp] -= active.astype(float)
+        for k, hinge in _triplet_hinges(d, a[None], comp[None], eps):
+            active = hinge[0] > 0.0
+            active[k] = False
+            scratch[a[k], a] += np.count_nonzero(active, axis=1)
+            scratch[a[k], comp] -= np.count_nonzero(active, axis=0)
     _fold(scratch, mdist)
 
 
@@ -378,17 +386,14 @@ def _fl_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps, whole):
 
 
 def _triplet_kinks(rows, s, d, classes, eps):
-    d2 = d * d
     for a, comp in classes.with_complements():
-        for i in a:
-            for p in a:
-                if p == i:
-                    continue
-                near = np.abs(d2[i, p] - d2[i, comp] + eps) < TIE_GAP
-                if np.any(near):
-                    rows[i] = True
-                    rows[p] = True
-                    rows[comp[near]] = True
+        for k, hinge in _triplet_hinges(d, a[None], comp[None], eps):
+            near = np.abs(hinge[0]) < TIE_GAP
+            near[k] = False
+            if near.any():
+                rows[a[k]] = True
+                rows[a[near.any(axis=1)]] = True
+                rows[comp[near.any(axis=0)]] = True
 
 
 def _fl_kinks(rows, s, d, classes, eps):

@@ -7,12 +7,10 @@ under cosine, but normalization also conditions the distance-based
 terms). Each step scores the batch once and takes the analytic dL/dz
 from that same evaluation, so the kernel is built once per step. The
 kernel, the entry weights and the pullback's n x n temporaries are built
-in one `kernels.Workspace` per thread, which every step of every run in
-that thread reuses, so no step allocates an n x n array unless its batch
-size differs from the last one its thread trained on. The workspace is
-kept for the thread's lifetime (about 11 MB at n = 800 for fl, gc-cf or
-supcon under RBF), and every buffer is written before it is read, so a
-run that raised leaves nothing the next run sees.
+in `kernels.thread_workspace()`, so no step allocates an n x n array
+unless its batch is larger than any its thread has used. Every buffer is
+written before it is read, so a run that raised leaves nothing the next
+run sees.
 The gradient chains dL/dz through the normalization Jacobian and the
 linear map; no momentum, no schedule.
 
@@ -32,7 +30,6 @@ identical initial W.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -147,23 +144,13 @@ def _minibatch(data: EmbeddingBatch, size: int, rng: Rng) -> EmbeddingBatch:
         order = rng.permutation(a.size)[:min(want, a.size)]
         picks.append(a[order])
     # every class contributes, so the labels still cover 0..C-1
-    idx = np.concatenate(picks)
-    return EmbeddingBatch(data.vectors[idx], data.labels[idx])
+    return _rows(data, np.concatenate(picks))
 
 
-_per_thread = threading.local()
-
-
-def _thread_workspace() -> kernels.Workspace:
-    """The calling thread's workspace, made on its first use and kept.
-
-    It is made again whenever it is not a `kernels.Workspace`, so rebinding
-    that name (to a factory returning None, say) takes effect at once.
-    """
-    work = getattr(_per_thread, "workspace", None)
-    if type(work) is not kernels.Workspace:
-        work = _per_thread.workspace = kernels.Workspace()
-    return work
+def _rows(data: EmbeddingBatch, idx: np.ndarray) -> EmbeddingBatch:
+    """The batch of data's rows idx, with their ids."""
+    return EmbeddingBatch(data.vectors[idx], data.labels[idx],
+                          [data.ids[i] for i in idx])
 
 
 def train_stage1(data: EmbeddingBatch, config: TrainConfig):
@@ -179,7 +166,7 @@ def train_stage1(data: EmbeddingBatch, config: TrainConfig):
     rng = Rng(config.seed).derive(202)
     full = config.batch_size is None or config.batch_size >= data.n
 
-    work = _thread_workspace()
+    work = kernels.thread_workspace()
     curve = []
     for step in range(config.steps + 1):
         batch = data if full else _minibatch(data, config.batch_size, rng)
@@ -251,10 +238,8 @@ def split_batch(data: EmbeddingBatch, eval_fraction: float, seed: int):
         n_eval = min(a.size - 1, max(1, int(round(a.size * eval_fraction))))
         eval_idx.append(order[:n_eval])
         train_idx.append(order[n_eval:])
-    tr = np.sort(np.concatenate(train_idx))
-    ev = np.sort(np.concatenate(eval_idx))
-    return (EmbeddingBatch(data.vectors[tr], data.labels[tr]),
-            EmbeddingBatch(data.vectors[ev], data.labels[ev]))
+    return (_rows(data, np.sort(np.concatenate(train_idx))),
+            _rows(data, np.sort(np.concatenate(eval_idx))))
 
 
 def run_objective(data: EmbeddingBatch, config: TrainConfig) -> TrainReport:

@@ -159,8 +159,8 @@ def _dirty_workspace(n):
     rule that leaves an entry unwritten shows up."""
     work = kernels.Workspace()
     for name in ("gram", "ws", "wdist"):
-        work.buffer(name, n).fill(np.nan)
-    work.buffer("mask", n, bool).fill(True)
+        work.buffer(name, (n, n)).fill(np.nan)
+    work.buffer("mask", (n, n), bool).fill(True)
     return work
 
 

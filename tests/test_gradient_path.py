@@ -105,8 +105,8 @@ def _dirty_workspace(n):
     """A workspace whose every buffer holds NaN (True for the mask)."""
     work = kernels.Workspace()
     for name in ("s", "d", "gram", "cos", "ws", "wdist"):
-        work.buffer(name, n).fill(np.nan)
-    work.buffer("mask", n, bool).fill(True)
+        work.buffer(name, (n, n)).fill(np.nan)
+    work.buffer("mask", (n, n), bool).fill(True)
     return work
 
 

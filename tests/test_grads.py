@@ -268,3 +268,31 @@ def test_triplet_kink_rule_marks_the_rows_of_a_hinge_at_zero():
     cfg = losses.LossConfig("triplet", margin=0.2)
     rows = grads._excluded_rows(losses.evaluate(b, cfg))
     assert rows.tolist() == [True, True, True, False]
+
+
+def _per_pair_triplet_kinks(d, labels, eps):
+    """The kink rule's loop over (anchor, positive) pairs, the reference
+    `objectives._triplet_kinks` must match."""
+    rows = np.zeros(labels.size, dtype=bool)
+    d2 = d * d
+    for k in range(labels.max() + 1):
+        a, comp = np.flatnonzero(labels == k), np.flatnonzero(labels != k)
+        for i in a:
+            for p in a:
+                if p == i:
+                    continue
+                near = np.abs(d2[i, p] - d2[i, comp] + eps) < objectives.TIE_GAP
+                if np.any(near):
+                    rows[i] = rows[p] = True
+                    rows[comp[near]] = True
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_triplet_kink_rule_matches_the_per_pair_loop(seed):
+    b = grads.check_batch(60, 3, seed)
+    cfg = losses.LossConfig("triplet", margin=0.3)
+    ev = losses.evaluate(b, cfg)
+    rows = grads._excluded_rows(ev)
+    assert 0 < np.sum(rows) < b.n
+    assert rows.tolist() == _per_pair_triplet_kinks(ev.d, b.labels, 0.3).tolist()

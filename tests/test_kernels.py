@@ -225,7 +225,8 @@ SHAPES = [(2, 1), (7, 3), (40, 10), (129, 4), (7, 5)]
 
 @pytest.mark.parametrize("kind", kernels.SIMILARITY_KINDS)
 def test_kernels_match_the_allocating_formulas_bit_for_bit(kind):
-    # One workspace across every shape: n changes re-allocate its buffers.
+    # One workspace across every shape: a larger n grows its buffers, a
+    # smaller one reuses part of them.
     work = kernels.Workspace()
     for n, dim in SHAPES:
         z = Rng(n * dim).normals((n, dim)) + 0.3
@@ -266,20 +267,28 @@ def test_pullbacks_match_the_allocating_formulas_bit_for_bit(kind):
 
 
 def test_workspace_reuses_a_buffer_until_n_changes():
+    # Grow-only: a larger request makes a new array, a smaller or
+    # differently shaped one is a view of the largest.
     work = kernels.Workspace()
-    first = work.buffer("s", 5)
-    assert work.buffer("s", 5) is first
-    assert work.buffer("s", 6).shape == (6, 6)
-    assert work.buffer("mask", 6, bool).dtype == bool
+    first = work.buffer("s", (5, 5))
+    assert np.shares_memory(work.buffer("s", (5, 5)), first)
+    grown = work.buffer("s", (6, 6))
+    assert grown.shape == (6, 6) and not np.shares_memory(grown, first)
+    for shape in ((5, 5), (2, 3, 6), (36,)):
+        view = work.buffer("s", shape)
+        assert view.shape == shape and view.flags.c_contiguous
+        assert np.shares_memory(view, grown)
+    assert not np.shares_memory(work.buffer("d", (6, 6)), grown)
+    assert work.buffer("mask", (6, 6), bool).dtype == bool
 
 
 def test_workspace_reallocates_when_the_dtype_changes():
     work = kernels.Workspace()
-    floats = work.buffer("mask", 6)
-    masks = work.buffer("mask", 6, bool)
-    assert masks.dtype == bool and masks is not floats
-    assert work.buffer("mask", 6, bool) is masks
-    assert work.buffer("mask", 6).dtype == np.float64
+    floats = work.buffer("mask", (6, 6))
+    masks = work.buffer("mask", (6, 6), bool)
+    assert masks.dtype == bool and not np.shares_memory(masks, floats)
+    assert np.shares_memory(work.buffer("mask", (4, 4), bool), masks)
+    assert work.buffer("mask", (6, 6)).dtype == np.float64
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from setloss import batch, grads, kernels, losses, objectives, synthlab, trainer
+from setloss import (batch, grads, kernels, losses, objectives, submodcheck, synthlab,
+                     trainer)
 from setloss.batch import EmbeddingBatch
 from setloss.errors import DivergedLoss, MissingClass, SetLossError, ValidationError
 from setloss.sampling import Rng
@@ -213,6 +214,18 @@ def test_minibatch_covers_every_class():
     assert math.isfinite(report.accuracy)
 
 
+def test_split_and_minibatch_keep_the_picked_rows_ids():
+    data = small_data()
+    data = EmbeddingBatch(data.vectors, data.labels, [f"r{i}" for i in range(data.n)])
+    parts = trainer.split_batch(data, 0.25, seed=0)
+    parts += (trainer._minibatch(data, 12, Rng(5)),)
+    for part in parts:
+        rows = [int(i[1:]) for i in part.ids]
+        assert part.vectors.tobytes() == data.vectors[rows].tobytes()
+        assert np.array_equal(part.labels, data.labels[rows])
+    assert sorted(parts[0].ids + parts[1].ids) == sorted(data.ids)
+
+
 def test_each_step_builds_the_kernel_once(monkeypatch):
     # One loss evaluation per curve entry, and the gradient reuses it.
     calls = []
@@ -309,7 +322,7 @@ def test_workspace_training_matches_a_fresh_step_loop(name, kernel, batch_size,
         loss=losses.LossConfig(name, kernel=kernel, bandwidth=0.8),
         lr=0.005, steps=4, batch_size=batch_size, seed=1)
     reused = _train_or_refusal(tr, config)
-    monkeypatch.setattr(kernels, "Workspace", lambda: None)
+    monkeypatch.setattr(kernels, "thread_workspace", lambda: None)
     fresh = _train_or_refusal(tr, config)
     if isinstance(fresh, type):
         assert reused is fresh
@@ -435,3 +448,39 @@ def test_a_diverged_run_leaves_the_next_run_unchanged(monkeypatch):
         trainer.train_stage1(data, quick_config("submod-snn", steps=5))
     monkeypatch.undo()
     assert _trained(data, config) == want
+
+
+def test_a_scan_and_a_training_run_share_one_thread_workspace(monkeypatch):
+    # One new thread scans, trains at 200 rows and then at 150: every
+    # buffer comes from its one workspace, and the smaller run, step 0
+    # included, allocates no kernel-sized array.
+    asked = []
+    real = kernels.Workspace.buffer
+
+    def recorded(self, name, shape, dtype=np.float64):
+        asked.append((self, name))
+        return real(self, name, shape, dtype)
+
+    monkeypatch.setattr(kernels.Workspace, "buffer", recorded)
+    config = trainer.TrainConfig(
+        loss=losses.LossConfig("gc-cf", kernel="rbf", bandwidth=1.5),
+        lr=0.001, steps=3, seed=0)
+
+    def job():
+        submodcheck.consistency_scan("gc-cf", n=6, draws=60)
+        for n in (200, 150):
+            data = EmbeddingBatch(2.0 + Rng(9).normals((n, 6)),
+                                  np.arange(n, dtype=np.int64) % 4)
+            tracemalloc.start()
+            try:
+                trainer.train_stage1(data, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return kernels.thread_workspace(), peak
+
+    ((work, peak),) = _in_threads(job)
+    assert {id(w) for w, _ in asked} == {id(work)}
+    names = {name for _, name in asked}
+    assert {"margin", "other", "finite", "bad", "d", "gram", "mask"} <= names
+    assert peak < 150 * 150 * 8
