@@ -97,7 +97,10 @@ class ClassPartition:
                 raise ValidationError(f"class {k} is empty")
         seen = np.concatenate(self.sets)
         n = seen.size
-        if np.unique(seen).size != n or seen.min() != 0 or seen.max() != n - 1:
+        # Bounds first: bincount refuses negatives, and over range(n) no
+        # count above one means every row once.
+        if (seen.min() != 0 or seen.max() != n - 1
+                or np.bincount(seen, minlength=n).max() != 1):
             raise ValidationError("class sets must partition range(n) disjointly")
         self.sizes = np.array([a.size for a in self.sets])
         self.labels = np.empty(n, dtype=np.int64)

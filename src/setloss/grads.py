@@ -100,10 +100,10 @@ def evaluation_gradient(ev: losses.Evaluation,
                                 workspace, ev.picks)
 
     z = ev.batch.vectors
+    # An all-zero m pulls back to signed zeros, which the add makes +0.0.
     grad = np.zeros_like(z)
-    if np.any(m):
-        grad += kernels.similarity_pullback(z, m, config.kernel, config.bandwidth,
-                                            s=ev.s, workspace=workspace)
+    grad += kernels.similarity_pullback(z, m, config.kernel, config.bandwidth,
+                                        s=ev.s, workspace=workspace)
     if md is not None:
         grad += kernels.distance_pullback(z, md, ev.d, workspace)
     if md2 is not None:

@@ -11,9 +11,10 @@ batch's own:
     neg-euclidean  S_ij = -D_ij                             similarity flavor of D
 
 Properties enforced here rather than assumed downstream:
-  * exact symmetry (matrices are averaged with their transpose only when the
-    Gram product is not exactly symmetric; numpy's BLAS syrk path returns it
-    symmetric, so the average is a fallback),
+  * exact symmetry by construction: only the upper triangle of a Gram
+    product is read, and `_mirror_upper` copies it onto the lower one before
+    any elementwise pass; every later pass treats (i, j) and (j, i) alike,
+    and IEEE addition commutes, so the results are symmetric bit for bit,
   * exact unit diagonal for cosine/rbf and zero diagonal for distances,
   * cosine entries clipped to [-1, 1] against roundoff,
   * cosine refuses embeddings with norm below 1e-12 (ZeroVector).
@@ -39,25 +40,34 @@ share no memory with any later call.
 
 The n x n products of a single batch, the Gram product of
 `squared_distances` and `cosine_similarity` and the m @ z of every
-pullback, run through `_product` inside `_blas.one_thread()`, with numpy's
-bundled OpenBLAS on one thread. Left threaded, OpenBLAS's second worker
-spun idle after each product, so a training step took two cores' CPU for
-one core's work: in process, the CPU that threads other than the caller
-spent per `train-imbalance` op fell from 64-79 ms to 0, with the caller's
-own CPU unchanged (2-core x86 VM). A scope lasts one product, because the
-thread count is process-global: the first scope to enter saves it and the
-last to leave restores it, so overlapping scopes in several threads never
-restore it early, and products other threads run meanwhile also take one
-thread. Products outside `kernels`, such as the trainer's embedding and
-update, keep the caller's thread count. With any
-other BLAS the scope does nothing. A one-thread product is the same call,
-but it need not have a threaded one's last bits: at n = 800 and d = 10,
-the criterion-5 size that the fixtures pin, they agree, while at n = 525
-or 1000 they differ, and a threaded Gram product's bits there also depend
-on the thread count. Inside the scope they depend on neither. At a wide
-embedding (out_dim 256 on 1067 rows) the second thread did useful work,
-and a scoped step is slower (README, Backend). Stacks of matrices, such as
-the verdict table's, are small, never threaded, and run unscoped.
+pullback, run inside `_blas.one_thread()`, with numpy's bundled OpenBLAS on
+one thread. Left threaded, OpenBLAS's second worker spun idle after each
+product, so a training step took two cores' CPU for one core's work: in
+process, the CPU that threads other than the caller spent per
+`train-imbalance` op fell from 64-79 ms to 0, with the caller's own CPU
+unchanged (2-core x86 VM). A scope lasts one product, because the thread
+count is process-global: the first scope to enter saves it and the last to
+leave restores it, so overlapping scopes in several threads never restore
+it early, and products other threads run meanwhile also take one thread.
+Products outside `kernels`, such as the trainer's embedding and update,
+keep the caller's thread count. With any other BLAS the scope does nothing.
+A one-thread product is the same call, but it need not have a threaded
+one's last bits: at n = 800 and d = 10, the criterion-5 size that the
+fixtures pin, they agree, while at n = 525 or 1000 they differ, and a
+threaded Gram product's bits there also depend on the thread count. Inside
+the scope they depend on neither. At a wide embedding (out_dim 256 on 1067
+rows) the second thread did useful work, and a scoped step is slower
+(README, Backend). Stacks of matrices, such as the verdict table's, are
+small, never threaded, and run unscoped.
+
+A single batch's Gram product writes only its upper triangle, through the
+library's dsyrk (`_blas.upper_gram`): the call numpy's matmul makes for
+z @ z.T, so the triangle has numpy's bits. Where numpy would take another
+path, or with another BLAS, `_product` runs it. Either way `_mirror_upper`
+then copies the upper triangle onto the lower one, in place of numpy's
+scalar copy loop, and nothing reads what the product left below the
+diagonal. At n = 800, d = 10 the product takes about 0.4 ms against 1.3 ms
+through numpy, and the mirror about 0.6 ms (2-core x86 VM).
 """
 
 from __future__ import annotations
@@ -101,13 +111,15 @@ class Workspace:
 
     n x n names: "s" and "d" hold kernel results (a similarity built from
     squared distances without a kept D lives in "d"); "gram" is scratch for
-    the Gram product and the symmetrizing average, then holds the doubled
+    the Gram product of squared distances, then holds the doubled
     similarity weights M that the pullback scales in place; "wdist" holds
     the doubled distance weights; "ws" the W that a loop-built weight rule
     folds into "gram" or "wdist"; "cos" the cosine pullback's unclipped
-    Gram; "mask" the symmetry test's, the same-class and the "apart" bool
-    masks. An RBF step with fl, gc-cf or supcon keeps "d", "gram" and
-    "mask", 17 n^2 bytes (11 MB at n = 800); all seven take 49 n^2. The
+    Gram; "mask" the same-class and the "apart" bool masks. A Gram product
+    leaves below its diagonal whatever an earlier, larger one wrote there,
+    and the mirror overwrites it. An RBF step with fl, gc-cf or supcon
+    keeps "d", "gram" and "mask", 17 n^2 bytes (11 MB at n = 800); all
+    seven take 49 n^2. The
     lattice scans add the float gain blocks "margin" and "other" and their
     bool masks "finite" and "bad", about 1.2 MB at n = 6 and 3.1 MB at
     n = 12. Stacks of kernel matrices are not built in a workspace.
@@ -158,6 +170,10 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
 
 
 def _gram(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """z @ z.T in out, of which only the upper triangle is to be read: a
+    single batch's goes through `_blas.upper_gram` where it can."""
+    if z.ndim == 2 and _blas.upper_gram(z, out):
+        return out
     return _product(z, np.swapaxes(z, -1, -2), out)
 
 
@@ -167,31 +183,29 @@ def _fill_diagonal(m: np.ndarray, value: float) -> None:
     m[..., i, i] = value
 
 
-# The symmetry test compares strips of this many rows with their transposes.
-_STRIP = 128
+# The mirror copies the upper triangle down this many columns at a time,
+# so that every read of a transpose stays this wide.
+_BLOCK = 64
+_BELOW = np.tri(_BLOCK, k=-1, dtype=bool)
+_BELOW.flags.writeable = False
 
 
-def _symmetric(m: np.ndarray, workspace: Workspace | None) -> np.ndarray:
-    """m, replaced in place by (m + m.T) / 2 unless it equals m.T exactly.
+def _mirror_upper(m: np.ndarray) -> np.ndarray:
+    """m with each matrix's strictly lower triangle overwritten, in place, by
+    the transpose of its upper one, so that m equals its transpose exactly.
 
-    The test reads only the upper triangle against the lower: rows r0..r1 of
-    m from column r0 on against the same block of m.T, one strip at a time,
-    so the transposed reads stay _STRIP columns wide. Uses the "mask" and
-    "gram" buffers, so m must live in neither. A stack is averaged whole
-    when any of its matrices is asymmetric: (a + a) / 2 is a, bit for bit,
-    so the symmetric ones keep their bits.
+    One _BLOCK-column strip at a time: the diagonal block copies its own
+    transpose through the strictly-lower mask, and the strip below it is
+    the transpose of the rows beside it. A stack of matrices up to _BLOCK
+    wide, such as the verdict table's, takes one masked copy.
     """
     n = m.shape[-1]
-    mt = np.swapaxes(m, -1, -2)
-    mask = workspace_buffer(workspace, "mask", m.shape, bool)
-    for r0 in range(0, n, _STRIP):
-        r1 = min(r0 + _STRIP, n)
-        if not np.equal(m[..., r0:r1, r0:], mt[..., r0:r1, r0:],
-                        out=mask[..., :r1 - r0, r0:]).all():
-            avg = np.add(m, mt, out=workspace_buffer(workspace, "gram", m.shape))
-            avg /= 2.0
-            m[...] = avg
-            break
+    for c0 in range(0, n, _BLOCK):
+        c1 = min(c0 + _BLOCK, n)
+        block = m[..., c0:c1, c0:c1]
+        np.copyto(block, np.swapaxes(block, -1, -2),
+                  where=_BELOW[:c1 - c0, :c1 - c0])
+        m[..., c1:, c0:c1] = np.swapaxes(m[..., c0:c1, c1:], -1, -2)
     return m
 
 
@@ -208,7 +222,7 @@ def unit_rows(z: np.ndarray) -> np.ndarray:
 def cosine_similarity(batch, workspace: Workspace | None = None) -> np.ndarray:
     z = _vectors(batch)
     zh = unit_rows(z)
-    s = _symmetric(_gram(zh, workspace_buffer(workspace, "s", _square(z))), workspace)
+    s = _mirror_upper(_gram(zh, workspace_buffer(workspace, "s", _square(z))))
     np.clip(s, -1.0, 1.0, out=s)
     _fill_diagonal(s, 1.0)
     return s
@@ -218,7 +232,7 @@ def squared_distances(z: np.ndarray, workspace: Workspace | None = None) -> np.n
     """|z_i - z_j|^2 as |z_i|^2 + |z_j|^2 - 2 <z_i, z_j>, floored at zero."""
     shape = _square(z)
     sq = np.sum(z * z, axis=-1)
-    twice = _gram(z, workspace_buffer(workspace, "gram", shape))
+    twice = _mirror_upper(_gram(z, workspace_buffer(workspace, "gram", shape)))
     twice *= 2.0
     # A row-broadcast copy and a contiguous add, with the operands of one
     # broadcast outer add in its order, take 0.6-0.7 ms at n = 800 where
@@ -228,7 +242,6 @@ def squared_distances(z: np.ndarray, workspace: Workspace | None = None) -> np.n
     d2 += sq[..., None, :]
     d2 -= twice
     np.maximum(d2, 0.0, out=d2)
-    _symmetric(d2, workspace)
     _fill_diagonal(d2, 0.0)
     return d2
 
@@ -326,7 +339,7 @@ def cosine_pullback(z: np.ndarray, m: np.ndarray,
     """dL/dZ for L = sum_ij W_ij S_ij under the cosine kernel, given the
     doubled weights m = W + W.T with a zero diagonal."""
     zh = unit_rows(z)
-    s = _gram(zh, workspace_buffer(workspace, "cos", _square(z)))
+    s = _mirror_upper(_gram(zh, workspace_buffer(workspace, "cos", _square(z))))
     proj = np.sum(np.multiply(m, s, out=s), axis=1)
     grad = _product(m, zh) - proj[:, None] * zh
     return grad / np.linalg.norm(z, axis=1)[:, None]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setloss.batch import (EmbeddingBatch, partition_from_labels,
+from setloss.batch import (ClassPartition, EmbeddingBatch, partition_from_labels,
                            read_embedding_file, write_embedding_file)
 from setloss.errors import EmptyGroundSet, ParseError, ValidationError
 
@@ -53,6 +53,17 @@ def test_partition_covers_everything():
     assert np.array_equal(got, np.arange(6))
     for k, members in enumerate(part.sets):
         assert np.all(labels[members] == k)
+
+
+@pytest.mark.parametrize("sets", [
+    ([0, 2, 3], [2]),        # a duplicate inside range(n)
+    ([0, 1], [1]),           # a duplicate that leaves n - 1 out
+    ([1, 2], [3]),           # no 0
+    ([0, 1], [-1]),          # a negative index
+])
+def test_partition_refuses_sets_that_do_not_cover_range_n_once(sets):
+    with pytest.raises(ValidationError, match="partition range\\(n\\) disjointly"):
+        ClassPartition(tuple(np.array(a) for a in sets))
 
 
 @st.composite

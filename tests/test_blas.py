@@ -76,11 +76,65 @@ def test_discovery_finds_the_get_set_pair_of_a_scipy_openblas_build():
 def test_importing_the_package_does_not_look_up_the_library():
     code = ("import setloss, setloss.trainer, setloss.cli\n"
             "from setloss import _blas\n"
-            "assert _blas._library is _blas._UNSEEN\n")
+            "assert _blas._library is _blas._UNSEEN\n"
+            "assert _blas._dsyrk is _blas._UNSEEN\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(_blas.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _one_thread_matmul(z):
+    # numpy's own z @ z.T on one thread: threaded, its bits at some shapes
+    # (n = 511 or 1067, say) depend on the thread count (see `kernels`).
+    return kernels._product(z, z.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 63, 64, 65, 129, 257, 800, 1067])
+def test_the_direct_dsyrk_writes_numpys_upper_triangle(n):
+    # The call numpy's matmul makes for z @ z.T, so the same upper
+    # triangle; where numpy takes another path (n = 1 is a dot product,
+    # d = 1 an outer product) there is no direct call, and the Gram
+    # product is numpy's.
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    for d in (1, 2, 3, 10, 63, 64, 65, 256):
+        z = np.random.default_rng(n * 1000 + d).standard_normal((n, d))
+        want = _one_thread_matmul(z)
+        out = np.full((n, n), np.nan)
+        direct = _blas.upper_gram(z, out)
+        assert direct == (n > 1 and d > 1 and _blas.dsyrk() is not None)
+        if direct:
+            assert np.isnan(out[~upper]).all()
+            assert out[upper].tobytes() == want[upper].tobytes()
+        else:
+            assert np.isnan(out).all()
+        got = kernels._mirror_upper(kernels._gram(z, np.empty((n, n))))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_the_direct_dsyrk_leaves_arrays_it_cannot_take_to_numpy():
+    z = np.random.default_rng(3).standard_normal((40, 6))
+    want = _one_thread_matmul(z)
+    out = np.empty((40, 40))
+    for a, b in ((np.asfortranarray(z), out),            # not C-contiguous
+                 (z.astype(np.float32), out),            # not float64
+                 (z, np.empty((40, 40), np.float32)),
+                 (z, np.empty((80, 40))[::2]),           # a strided out
+                 (z, np.empty((41, 41)))):               # the wrong shape
+        assert not _blas.upper_gram(a, b)
+    shared = np.empty(40 * 40)                           # z inside out
+    shared[:240] = z.ravel()
+    assert not _blas.upper_gram(shared[:240].reshape(40, 6),
+                                shared.reshape(40, 40))
+    assert _blas.upper_gram(z, out) == (_blas.dsyrk() is not None)
+    got = kernels._mirror_upper(kernels._gram(np.asfortranarray(z), out))
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_the_direct_dsyrk_is_found_with_the_thread_count_pair():
+    # Both come from the same bundled library, so a build that has one has
+    # the other.
+    assert (_blas.dsyrk() is None) == (_blas.library() is None)
 
 
 def test_a_scope_runs_one_thread_and_restores_the_count(count):

@@ -291,68 +291,124 @@ def test_workspace_reallocates_when_the_dtype_changes():
     assert work.buffer("mask", (6, 6)).dtype == np.float64
 
 
+def _mirrored(m):
+    """m's upper triangle copied onto its lower one, in fresh memory."""
+    return np.where(np.tri(m.shape[-1], k=-1, dtype=bool),
+                    np.swapaxes(m, -1, -2), m)
+
+
+# Sizes on both sides of the mirror's column blocks.
+EDGES = st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 300])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 300), st.integers(0, 2 ** 16), st.data())
-def test_symmetry_test_finds_one_ulp_anywhere(n, seed, data):
-    # The test reads strips of rows against their transposes; an asymmetric
-    # pair in any strip, above or below the diagonal, must trigger the average.
-    z = Rng(seed).normals((n, 3))
-    m = z @ z.T
-    m = (m + m.T) / 2.0
-    work = kernels.Workspace()
-    assert _same_bits(kernels._symmetric(m.copy(), work), m)
-    i = data.draw(st.integers(0, n - 1))
-    j = data.draw(st.integers(0, n - 1))
-    m[i, j] = np.nextafter(m[i, j], np.inf)
-    want = (m + m.T) / 2.0
-    assert _same_bits(kernels._symmetric(m, work), want)
+@given(st.one_of(EDGES, st.integers(1, 300)), st.integers(0, 3),
+       st.integers(0, 2 ** 16))
+def test_the_mirror_copies_the_upper_triangle_onto_the_lower(n, stack, seed):
+    # Any matrix, or a stack of k of them, with a lower triangle that
+    # disagrees with the upper one everywhere.
+    shape = (n, n) if stack == 0 else (stack, n, n)
+    m = Rng(seed).normals(shape)
+    want = _mirrored(m)
+    got = kernels._mirror_upper(m)
+    assert got is m
+    assert _same_bits(m, want)
+    assert _same_bits(m, np.swapaxes(m, -1, -2).copy())
 
 
 def _lopsided_gram(monkeypatch, i, j):
-    """Patch the Gram product so entry (i, j) sits one ulp above (j, i)."""
+    """Patch the Gram product so entry (i, j), above the diagonal, sits one
+    ulp above (j, i), and every entry below the diagonal is NaN."""
     real = kernels._gram
 
     def gram(z, out):
         g = real(z, out)
-        g[i, j] = np.nextafter(g[i, j], np.inf)
+        g[..., i, j] = np.nextafter(g[..., i, j], np.inf)
+        np.copyto(g, np.nan, where=np.tri(g.shape[-1], k=-1, dtype=bool))
         return g
 
     monkeypatch.setattr(kernels, "_gram", gram)
     return gram
 
 
-def _check_symmetry_fallback(monkeypatch, z, workspace):
+def _check_the_mirror_under_a_lopsided_product(monkeypatch, z, workspace):
     n, dim = z.shape
     # Rows 0 and n - 1 lie close together, so their d^2 is small and keeps
-    # the one-ulp asymmetry of their Gram entry.
+    # the one-ulp change to their Gram entry.
     z[n - 1] = z[0] + 1e-3 * (np.arange(dim) + 1.0)
     gram = _lopsided_gram(monkeypatch, 0, n - 1)
-    raw = gram(z, np.empty((n, n)))
-    sq = np.sum(z * z, axis=1)
-    d2_raw = np.maximum(sq[:, None] + sq[None, :] - 2.0 * raw, 0.0)
-    assert d2_raw[0, n - 1] != d2_raw[n - 1, 0]
+    upper = _mirrored(gram(z, np.empty((n, n))))
+    assert _old_squared_distances(z, upper)[0, n - 1] != _old_squared_distances(z)[0, n - 1]
 
     d2 = kernels.squared_distances(z, workspace)
     assert _same_bits(d2, d2.T)
-    assert _same_bits(d2, _old_squared_distances(z, raw))
+    assert _same_bits(d2, _old_squared_distances(z, upper))
 
     zh = kernels.unit_rows(z)
     s = kernels.cosine_similarity(EmbeddingBatch(z, np.zeros(n, dtype=int)), workspace)
     assert _same_bits(s, s.T)
-    assert _same_bits(s, _old_cosine(z, gram(zh, np.empty((n, n)))))
+    assert _same_bits(s, _old_cosine(z, _mirrored(gram(zh, np.empty((n, n))))))
+
+    stack = np.stack([z, z[::-1]])
+    for k in (kernels.squared_distances(stack), kernels.similarity(stack)):
+        assert not np.isnan(k).any()
+        assert _same_bits(k, np.swapaxes(k, -1, -2).copy())
 
 
 @pytest.mark.parametrize("use_workspace", [False, True])
-def test_asymmetric_gram_product_is_averaged_with_its_transpose(monkeypatch,
-                                                                 use_workspace):
+def test_a_lopsided_gram_product_is_read_from_its_upper_triangle(monkeypatch,
+                                                                  use_workspace):
     z = Rng(5).normals((9, 4)) + 0.3
-    _check_symmetry_fallback(monkeypatch, z,
-                             kernels.Workspace() if use_workspace else None)
+    _check_the_mirror_under_a_lopsided_product(
+        monkeypatch, z, kernels.Workspace() if use_workspace else None)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 40), st.integers(1, 8), st.integers(0, 2 ** 16))
-def test_asymmetric_gram_fallback_over_shapes(n, dim, seed):
+def test_a_lopsided_gram_product_is_read_from_its_upper_triangle_over_shapes(
+        n, dim, seed):
     with pytest.MonkeyPatch.context() as monkeypatch:
         z = Rng(seed).normals((n, dim)) + 0.3
-        _check_symmetry_fallback(monkeypatch, z, kernels.Workspace())
+        _check_the_mirror_under_a_lopsided_product(monkeypatch, z,
+                                                   kernels.Workspace())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.one_of(EDGES, st.integers(1, 200)), st.integers(1, 12),
+       st.integers(1, 3), st.integers(0, 2 ** 16))
+def test_every_kernel_is_exactly_symmetric(n, dim, k, seed):
+    # Single batches through the direct dsyrk and the mirror's strips; a
+    # stack of k batches through matmul and the masked copy, each matrix
+    # the same bits as its batch's own.
+    z = Rng(seed).normals((k, n, dim)) + 0.3
+    work = kernels.Workspace()
+    for kind in kernels.SIMILARITY_KINDS:
+        stack = kernels.similarity(z, kind, 0.7)
+        assert _same_bits(stack, np.swapaxes(stack, -1, -2).copy())
+        for b in range(k):
+            one = kernels.similarity(z[b], kind, 0.7, work)
+            assert _same_bits(one, one.T.copy())
+            assert _same_bits(one, stack[b])
+
+
+def test_a_dirty_workspace_below_the_diagonal_is_overwritten():
+    # dsyrk writes only the upper triangle; at n = 800 after n = 1000 the
+    # grow-only buffers hold the larger product's entries, here NaN, below
+    # the diagonal, and the mirror must replace them.
+    work = kernels.Workspace()
+    rng = Rng(8)
+    z = rng.normals((1000, 10)) + 0.3
+    kernels.similarity(z, "cosine", workspace=work)
+    kernels.similarity(z, "rbf", workspace=work)
+    for name in ("s", "d", "gram", "cos"):
+        work.buffer(name, (1000, 1000))[...] = np.nan
+    z = z[:800].copy()
+    w = rng.normals((800, 800))
+    for kind in kernels.SIMILARITY_KINDS:
+        want = kernels.similarity(z, kind, 0.7)
+        assert _same_bits(kernels.similarity(z, kind, 0.7, work), want)
+        assert _same_bits(want, want.T.copy())
+    assert _same_bits(kernels.squared_distances(z, work),
+                      kernels.squared_distances(z))
+    assert _same_bits(kernels.cosine_pullback(z, _old_doubled(w), work),
+                      kernels.cosine_pullback(z, _old_doubled(w)))
