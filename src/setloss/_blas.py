@@ -1,13 +1,25 @@
-"""One BLAS thread for a scope, and a direct dsyrk, on numpy's bundled OpenBLAS.
+"""The one seam to numpy's bundled OpenBLAS: one-thread products and a
+direct dsyrk for Gram products.
 
 numpy's wheels link a private copy of OpenBLAS (scipy-openblas) that
 splits a large product across a pool of worker threads. Once a product
 is done, its workers spin for a while before they sleep, so a loop of
 n x n products every few milliseconds keeps a second core busy doing
 nothing: a `train-imbalance` op cost twice its wall time in CPU.
-`one_thread()` runs its body with the pool set to one thread. The calls
-stay the same; whether their bits match a threaded run's depends on the
-shapes (see `kernels`).
+`product(a, b)` therefore runs a single matrix's product inside
+`one_thread()`, with the pool set to one thread. Stacks of matrices, such
+as the verdict table's, are small, never threaded, and run unscoped.
+Products outside this module, such as the trainer's embedding and update,
+keep the caller's thread count. At a wide embedding (out_dim 256 on 1067
+rows) the second thread did useful work, and a one-thread step is slower
+(README, Backend).
+
+A one-thread product is the same call, but it need not have a threaded
+one's last bits. At n = 800 and d = 10, the criterion-5 size that the
+fixtures pin, they agree on the kernel they were measured with (SkylakeX,
+which OpenBLAS picks for the CPU at run time: `library().corename`). At
+n = 525 or 1000 they differ, and a threaded Gram product's bits there also
+depend on the thread count. A one-thread product's depend on neither.
 
 The thread count is process-global. The first scope to enter, in any
 thread, saves the count and sets it to 1; the last one to leave restores
@@ -15,24 +27,26 @@ the saved count, so overlapping scopes in several threads never restore
 it early. The lock is held only around that bookkeeping and the library
 calls, never across a body. Products that other threads run meanwhile,
 outside any scope, also run on one thread, so a scope is kept to one
-product (see `kernels._product`). A count that other code sets while a
-scope is open is overwritten by the restore when the last scope leaves.
+product. A count that other code sets while a scope is open is
+overwritten by the restore when the last scope leaves.
 
-`upper_gram(z, out)` writes the upper triangle of z @ z.T, diagonal
-included, through the library's `cblas_dsyrk`, on one thread. It is the
-call numpy's matmul makes for z @ z.T, so the triangle has numpy's bits;
-numpy then copies it onto the lower triangle with a scalar loop, which
-`kernels` does once itself. Where numpy would not take that path, or the
-arrays are not ones the call can read and write in place, it writes
-nothing and returns False, and the caller runs the product through numpy.
+`gram(z, out)` writes the upper triangle of z @ z.T, diagonal included,
+through the library's `cblas_dsyrk`, on one thread. It is the call numpy's
+matmul makes for z @ z.T, so the triangle has numpy's bits; numpy then
+copies it onto the lower triangle with a scalar loop, which `kernels` does
+once itself. Where numpy would not take that path, or the arrays are not
+ones the call can read and write in place, `product` runs it. Either way
+only the upper triangle is to be read. At n = 800, d = 10 the direct call
+takes about 0.4 ms against 1.3 ms through numpy (2-core x86 VM).
 
 The library is looked up on first use, never at import, so importing the
 package leaves the thread count alone. It is found only when numpy's
 build config names scipy-openblas: the shared object lives in the
 wheel's `numpy.libs/` (`numpy/.dylibs/` on macOS) and exports
-`scipy_openblas_{get,set}_num_threads64_` and `scipy_cblas_dsyrk64_`,
-without the `64_` in a build with 32-bit BLAS integers. With any other
-BLAS, or none found, a scope does nothing and `upper_gram` returns False.
+`scipy_openblas_{get,set}_num_threads64_`, `scipy_cblas_dsyrk64_` and
+`scipy_openblas_get_corename64_`, without the `64_` in a build with 32-bit
+BLAS integers. With any other BLAS, or not all four found, a scope does
+nothing and every product goes through numpy.
 """
 
 from __future__ import annotations
@@ -40,21 +54,23 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
+from collections import namedtuple
 
 import numpy as np
 
 _lock = threading.Lock()
 _depth = 0
 _saved = 0
-# The (get, set) pair once looked up, None when there is none; _UNSEEN
-# until the first scope.
+# The Library once looked up, None when there is none; _UNSEEN until first use.
 _UNSEEN = object()
 _library = _UNSEEN
-# The library's cblas_dsyrk once looked up, None when there is none;
-# _UNSEEN until the first Gram product.
-_dsyrk = _UNSEEN
 # CblasRowMajor, CblasUpper and CblasNoTrans.
 _ROW_MAJOR, _UPPER, _NO_TRANS = 101, 121, 111
+
+
+# The bundled OpenBLAS's thread-count pair and cblas_dsyrk, typed, and the
+# name of the kernel it picked for the CPU at run time.
+Library = namedtuple("Library", "get_threads set_threads dsyrk corename")
 
 
 def names_scipy_openblas() -> bool:
@@ -73,11 +89,8 @@ def _shared_object():
     root = os.path.dirname(os.path.abspath(np.__file__))
     for where in (os.path.join(os.path.dirname(root), "numpy.libs"),
                   os.path.join(root, ".dylibs")):
-        if not os.path.isdir(where):
-            continue
-        for name in sorted(os.listdir(where)):
-            if "scipy_openblas" not in name:
-                continue
+        names = os.listdir(where) if os.path.isdir(where) else ()
+        for name in sorted(name for name in names if "scipy_openblas" in name):
             try:
                 return ctypes.CDLL(os.path.join(where, name))
             except OSError:
@@ -85,23 +98,30 @@ def _shared_object():
     return None
 
 
-def _find():
-    """The bundled library's (get, set) thread-count functions, or None."""
+def _find() -> Library | None:
+    """The bundled library's four functions, all of one integer width, or None."""
+    # Without a shared object, every name is missing.
     lib = _shared_object()
-    if lib is None:
-        return None
-    for suffix in ("64_", ""):
-        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-        if get is not None and put is not None:
-            get.restype, get.argtypes = ctypes.c_int, []
-            put.restype, put.argtypes = None, [ctypes.c_int]
-            return get, put
+    for suffix, integer in (("64_", ctypes.c_int64), ("", ctypes.c_int)):
+        get, put, syrk, core = (getattr(lib, f"{name}{suffix}", None) for name in (
+            "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads",
+            "scipy_cblas_dsyrk", "scipy_openblas_get_corename"))
+        if None in (get, put, syrk, core):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
+        syrk.restype = None
+        syrk.argtypes = ([ctypes.c_int] * 3 + [integer] * 2
+                         + [ctypes.c_double, ctypes.c_void_p, integer,
+                            ctypes.c_double, ctypes.c_void_p, integer])
+        core.restype, core.argtypes = ctypes.c_char_p, []
+        return Library(get, put, syrk, core().decode())
     return None
 
 
-def library():
-    """The (get, set) pair a scope acts through, or None; found on first call."""
+def library() -> Library | None:
+    """The Library that scopes and Gram products act through, or None; found
+    on first call."""
     global _library
     if _library is _UNSEEN:
         with _lock:
@@ -110,73 +130,51 @@ def library():
     return _library
 
 
-def _find_dsyrk():
-    """The bundled library's cblas_dsyrk, typed for its integer width, or None."""
-    lib = _shared_object()
-    if lib is None:
-        return None
-    for suffix, integer in (("64_", ctypes.c_int64), ("", ctypes.c_int)):
-        syrk = getattr(lib, f"scipy_cblas_dsyrk{suffix}", None)
-        if syrk is not None:
-            syrk.restype = None
-            syrk.argtypes = ([ctypes.c_int] * 3 + [integer] * 2
-                             + [ctypes.c_double, ctypes.c_void_p, integer,
-                                ctypes.c_double, ctypes.c_void_p, integer])
-            return syrk
-    return None
-
-
-def dsyrk():
-    """The cblas_dsyrk that `upper_gram` calls, or None; found on first call."""
-    global _dsyrk
-    if _dsyrk is _UNSEEN:
-        with _lock:
-            if _dsyrk is _UNSEEN:
-                _dsyrk = _find_dsyrk()
-    return _dsyrk
-
-
-def _in_place(a: np.ndarray) -> bool:
-    return a.dtype == np.float64 and a.flags.c_contiguous and a.flags.aligned
-
-
-def upper_gram(z: np.ndarray, out: np.ndarray) -> bool:
-    """Write the upper triangle of z @ z.T into out through cblas_dsyrk, on
-    one thread, and return True; or write nothing and return False.
-
-    z is an n x d array. numpy's matmul takes its syrk path only when n and
-    d both exceed 1: at n = 1 it takes a dot product, at d = 1 an outer
-    product. out's lower triangle is left as it was.
-    """
-    n, d = z.shape
-    if (n < 2 or d < 2 or out.shape != (n, n) or not _in_place(z)
-            or not _in_place(out) or not out.flags.writeable
-            or np.may_share_memory(z, out)):
-        return False
-    syrk = dsyrk()
-    if syrk is None:
-        return False
+def product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b, on one thread when a is a single matrix; stacks run unscoped."""
+    if a.ndim > 2:
+        return np.matmul(a, b, out=out)
     with one_thread():
-        syrk(_ROW_MAJOR, _UPPER, _NO_TRANS, n, d, 1.0, z.ctypes.data, d,
-             0.0, out.ctypes.data, n)
-    return True
+        return np.matmul(a, b, out=out)
 
 
-def _enter(lib) -> None:
+def gram(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """z @ z.T in out, of which only the upper triangle is to be read.
+
+    A single n x d batch goes through cblas_dsyrk where numpy's matmul
+    would: when n and d both exceed 1 (at n = 1 it takes a dot product, at
+    d = 1 an outer product) and both arrays are aligned, C-contiguous
+    float64, out writeable and apart from z. Anything else, a stack of
+    batches included, goes through `product`.
+    """
+    n, d = z.shape[-2:]
+    if (z.ndim == 2 and n > 1 and d > 1 and out.shape == (n, n)
+            and z.dtype == out.dtype == np.float64 and out.flags.carray
+            and z.flags.c_contiguous and z.flags.aligned
+            and not np.may_share_memory(z, out)
+            and (lib := library()) is not None):
+        with one_thread():
+            lib.dsyrk(_ROW_MAJOR, _UPPER, _NO_TRANS, n, d, 1.0, z.ctypes.data,
+                      d, 0.0, out.ctypes.data, n)
+        return out
+    return product(z, np.swapaxes(z, -1, -2), out)
+
+
+def _enter(lib: Library) -> None:
     global _depth, _saved
     with _lock:
         if _depth == 0:
-            _saved = lib[0]()
-            lib[1](1)
+            _saved = lib.get_threads()
+            lib.set_threads(1)
         _depth += 1
 
 
-def _leave(lib) -> None:
+def _leave(lib: Library) -> None:
     global _depth
     with _lock:
         _depth -= 1
         if _depth == 0:
-            lib[1](_saved)
+            lib.set_threads(_saved)
 
 
 class one_thread:

@@ -35,7 +35,7 @@ class EmbeddingBatch:
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _integers(self.labels, "labels")
         if self.vectors.ndim != 2:
             raise ValidationError(f"vectors must be 2-D, got shape {self.vectors.shape}")
         n, d = self.vectors.shape
@@ -89,7 +89,7 @@ class ClassPartition:
     sets: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        self.sets = tuple(np.asarray(a, dtype=np.int64) for a in self.sets)
+        self.sets = tuple(_integers(a, "class sets") for a in self.sets)
         if not self.sets:
             raise ValidationError("partition needs at least one class")
         for k, a in enumerate(self.sets):
@@ -126,6 +126,19 @@ class ClassPartition:
             yield a, np.flatnonzero(self.labels != k)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """values as int64; ValidationError if the cast changes any of them
+    (a fraction, NaN or inf). Integer input costs a dtype check."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":
+        return values.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        cast = values.astype(np.int64)
+    if not np.array_equal(cast, values):
+        raise ValidationError(f"{what} must be integers")
+    return cast
+
+
 def _first_empty_class(labels: np.ndarray) -> int | None:
     """The lowest class in 0..max(labels) that no label names, if any."""
     gaps = np.flatnonzero(np.bincount(labels) == 0)
@@ -133,7 +146,7 @@ def _first_empty_class(labels: np.ndarray) -> int | None:
 
 
 def partition_from_labels(labels: np.ndarray) -> ClassPartition:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integers(labels, "labels")
     c = int(labels.max()) + 1
     return ClassPartition(tuple(np.flatnonzero(labels == k) for k in range(c)))
 

@@ -12,7 +12,7 @@ batch's own:
 
 Properties enforced here rather than assumed downstream:
   * exact symmetry by construction: only the upper triangle of a Gram
-    product is read, and `_mirror_upper` copies it onto the lower one before
+    product is read, and `_symmetric_gram` copies it onto the lower one before
     any elementwise pass; every later pass treats (i, j) and (j, i) alike,
     and IEEE addition commutes, so the results are symmetric bit for bit,
   * exact unit diagonal for cosine/rbf and zero diagonal for distances,
@@ -38,36 +38,19 @@ next entry-weight build, kernel build or pullback (the RBF and distance
 pullbacks scale M in place). Calls given no workspace return arrays that
 share no memory with any later call.
 
-The n x n products of a single batch, the Gram product of
-`squared_distances` and `cosine_similarity` and the m @ z of every
-pullback, run inside `_blas.one_thread()`, with numpy's bundled OpenBLAS on
-one thread. Left threaded, OpenBLAS's second worker spun idle after each
-product, so a training step took two cores' CPU for one core's work: in
-process, the CPU that threads other than the caller spent per
-`train-imbalance` op fell from 64-79 ms to 0, with the caller's own CPU
-unchanged (2-core x86 VM). A scope lasts one product, because the thread
-count is process-global: the first scope to enter saves it and the last to
-leave restores it, so overlapping scopes in several threads never restore
-it early, and products other threads run meanwhile also take one thread.
-Products outside `kernels`, such as the trainer's embedding and update,
-keep the caller's thread count. With any other BLAS the scope does nothing.
-A one-thread product is the same call, but it need not have a threaded
-one's last bits: at n = 800 and d = 10, the criterion-5 size that the
-fixtures pin, they agree, while at n = 525 or 1000 they differ, and a
-threaded Gram product's bits there also depend on the thread count. Inside
-the scope they depend on neither. At a wide embedding (out_dim 256 on 1067
-rows) the second thread did useful work, and a scoped step is slower
-(README, Backend). Stacks of matrices, such as the verdict table's, are
-small, never threaded, and run unscoped.
-
-A single batch's Gram product writes only its upper triangle, through the
-library's dsyrk (`_blas.upper_gram`): the call numpy's matmul makes for
-z @ z.T, so the triangle has numpy's bits. Where numpy would take another
-path, or with another BLAS, `_product` runs it. Either way `_mirror_upper`
-then copies the upper triangle onto the lower one, in place of numpy's
-scalar copy loop, and nothing reads what the product left below the
-diagonal. At n = 800, d = 10 the product takes about 0.4 ms against 1.3 ms
-through numpy, and the mirror about 0.6 ms (2-core x86 VM).
+The n x n products go through `_blas`, which owns how they run: the Gram
+product of `squared_distances` and `cosine_similarity` through
+`_blas.gram`, and the m @ z of every pullback through `_blas.product`. A
+single batch's products run on one OpenBLAS thread because, left
+threaded, OpenBLAS's second worker spun idle after each one, so a training
+step took two cores' CPU for one core's work. A one-thread product's last
+bits depend on the shape and on the kernel OpenBLAS picks for the CPU at
+run time: at n = 800 and d = 10, the criterion-5 size that the fixtures
+pin, they equal a threaded product's on SkylakeX, while at n = 525 or 1000
+they differ. `_blas.gram` writes only the upper triangle, and
+`_symmetric_gram` mirrors it onto the lower one in place of numpy's scalar
+copy loop, so nothing reads what the product left below the diagonal; the
+mirror takes about 0.6 ms at n = 800 (2-core x86 VM).
 """
 
 from __future__ import annotations
@@ -160,23 +143,6 @@ def _square(z: np.ndarray) -> tuple:
     return z.shape[:-1] + z.shape[-2:-1]
 
 
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b, on one BLAS thread when a is a single matrix (see above);
-    stacks of matrices run unscoped."""
-    if a.ndim > 2:
-        return np.matmul(a, b, out=out)
-    with _blas.one_thread():
-        return np.matmul(a, b, out=out)
-
-
-def _gram(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """z @ z.T in out, of which only the upper triangle is to be read: a
-    single batch's goes through `_blas.upper_gram` where it can."""
-    if z.ndim == 2 and _blas.upper_gram(z, out):
-        return out
-    return _product(z, np.swapaxes(z, -1, -2), out)
-
-
 def _fill_diagonal(m: np.ndarray, value: float) -> None:
     """Write `value` on the diagonal of every matrix of a (..., n, n) stack."""
     i = np.arange(m.shape[-1])
@@ -209,6 +175,11 @@ def _mirror_upper(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _symmetric_gram(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """z @ z.T in out, each matrix equal to its transpose bit for bit."""
+    return _mirror_upper(_blas.gram(z, out))
+
+
 def unit_rows(z: np.ndarray) -> np.ndarray:
     """Rows scaled to unit norm; raises ZeroVector below the norm floor,
     naming the row's index within its batch."""
@@ -222,7 +193,7 @@ def unit_rows(z: np.ndarray) -> np.ndarray:
 def cosine_similarity(batch, workspace: Workspace | None = None) -> np.ndarray:
     z = _vectors(batch)
     zh = unit_rows(z)
-    s = _mirror_upper(_gram(zh, workspace_buffer(workspace, "s", _square(z))))
+    s = _symmetric_gram(zh, workspace_buffer(workspace, "s", _square(z)))
     np.clip(s, -1.0, 1.0, out=s)
     _fill_diagonal(s, 1.0)
     return s
@@ -232,7 +203,7 @@ def squared_distances(z: np.ndarray, workspace: Workspace | None = None) -> np.n
     """|z_i - z_j|^2 as |z_i|^2 + |z_j|^2 - 2 <z_i, z_j>, floored at zero."""
     shape = _square(z)
     sq = np.sum(z * z, axis=-1)
-    twice = _mirror_upper(_gram(z, workspace_buffer(workspace, "gram", shape)))
+    twice = _symmetric_gram(z, workspace_buffer(workspace, "gram", shape))
     twice *= 2.0
     # A row-broadcast copy and a contiguous add, with the operands of one
     # broadcast outer add in its order, take 0.6-0.7 ms at n = 800 where
@@ -339,9 +310,9 @@ def cosine_pullback(z: np.ndarray, m: np.ndarray,
     """dL/dZ for L = sum_ij W_ij S_ij under the cosine kernel, given the
     doubled weights m = W + W.T with a zero diagonal."""
     zh = unit_rows(z)
-    s = _mirror_upper(_gram(zh, workspace_buffer(workspace, "cos", _square(z))))
+    s = _symmetric_gram(zh, workspace_buffer(workspace, "cos", _square(z)))
     proj = np.sum(np.multiply(m, s, out=s), axis=1)
-    grad = _product(m, zh) - proj[:, None] * zh
+    grad = _blas.product(m, zh) - proj[:, None] * zh
     return grad / np.linalg.norm(z, axis=1)[:, None]
 
 
@@ -352,14 +323,14 @@ def rbf_pullback(z: np.ndarray, m: np.ndarray, s: np.ndarray,
     m *= s
     m /= bandwidth * bandwidth
     # row i: sum_j m_ij (z_j - z_i)
-    return _product(m, z) - np.sum(m, axis=1)[:, None] * z
+    return _blas.product(m, z) - np.sum(m, axis=1)[:, None] * z
 
 
 def sqdist_pullback(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     """dL/dZ for L = sum_ij W_ij D^2_ij, given the doubled weights
     m = W + W.T with a zero diagonal."""
     # d(D^2_ij)/dz_i = 2 (z_i - z_j)
-    return 2.0 * (np.sum(m, axis=1)[:, None] * z - _product(m, z))
+    return 2.0 * (np.sum(m, axis=1)[:, None] * z - _blas.product(m, z))
 
 
 def _over_distances(z: np.ndarray, m: np.ndarray, d: np.ndarray,
@@ -371,7 +342,7 @@ def _over_distances(z: np.ndarray, m: np.ndarray, d: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         m /= d
     np.copyto(m, 0.0, where=np.logical_not(apart, out=apart))
-    return np.sum(m, axis=1)[:, None] * z - _product(m, z)
+    return np.sum(m, axis=1)[:, None] * z - _blas.product(m, z)
 
 
 def distance_pullback(z: np.ndarray, m: np.ndarray, d: np.ndarray,

@@ -55,6 +55,7 @@ draws.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -98,15 +99,27 @@ class LatticeCheckResult:
 
 def as_set_function(objective: str, batch: EmbeddingBatch,
                     config: losses.LossConfig):
-    """A |-> L(theta, A) with the batch fixed and classes ignored."""
+    """A |-> L(theta, A) with the batch fixed and classes ignored.
+
+    A must be a set of distinct integers in range(n); anything else raises
+    ValidationError.
+    """
     cfg = replace(config, objective=objective)
     s, d = losses.matrices(batch, cfg)
     obj = objectives.get(objective)
     whole = obj.whole_value(s, cfg.lam)
 
     def evaluate(a) -> float:
-        members = np.asarray(sorted(int(i) for i in a), dtype=np.intp)
-        return backend.term_value(obj, s, d, members, cfg.lam, cfg.margin, whole)
+        try:
+            members = sorted(map(operator.index, a))
+        except TypeError:
+            members = None
+        if (members is None or len(set(members)) < len(members)
+                or members and not 0 <= members[0] <= members[-1] < batch.n):
+            raise ValidationError(
+                f"a set of distinct integers in range({batch.n}) is needed, got {a!r}")
+        return backend.term_value(obj, s, d, np.asarray(members, dtype=np.intp),
+                                  cfg.lam, cfg.margin, whole)
 
     return evaluate
 

@@ -26,6 +26,26 @@ def test_rejects_negative_label():
         EmbeddingBatch(np.eye(2), np.array([0, -1]))
 
 
+@pytest.mark.parametrize("labels", [[0, 1.7, 0.2], [0, 1, np.nan],
+                                    [0, 1, np.inf], [0, 1, 2.0 ** 64]])
+def test_rejects_labels_that_are_not_integers(labels):
+    # The int64 cast used to truncate them: [0, 1.7, 0.2] became [0, 1, 0].
+    with pytest.raises(ValidationError, match="labels must be integers"):
+        EmbeddingBatch(np.eye(3), labels)
+    with pytest.raises(ValidationError, match="labels must be integers"):
+        partition_from_labels(labels)
+
+
+def test_integral_labels_of_any_dtype_are_taken():
+    for labels in ([0, 1, 0], [0.0, 1.0, 0.0], np.array([0, 1, 0], np.uint8),
+                   np.array([False, True, False])):
+        b = EmbeddingBatch(np.eye(3), labels)
+        assert b.labels.dtype == np.int64 and b.labels.tolist() == [0, 1, 0]
+    part = ClassPartition((np.array([0.0, 2.0]), [1]))
+    assert [a.tolist() for a in part.sets] == [[0, 2], [1]]
+    assert all(a.dtype == np.int64 for a in part.sets)
+
+
 def test_rejects_empty():
     with pytest.raises(EmptyGroundSet):
         EmbeddingBatch(np.zeros((0, 3)), np.zeros(0, dtype=int))
@@ -64,6 +84,13 @@ def test_partition_covers_everything():
 def test_partition_refuses_sets_that_do_not_cover_range_n_once(sets):
     with pytest.raises(ValidationError, match="partition range\\(n\\) disjointly"):
         ClassPartition(tuple(np.array(a) for a in sets))
+
+
+@pytest.mark.parametrize("sets", [([0, 1.5], [2]), ([0, np.nan], [1])])
+def test_partition_refuses_sets_that_are_not_integers(sets):
+    # ([0, 1.5], [2]) used to be taken as {0, 1}, {2}.
+    with pytest.raises(ValidationError, match="class sets must be integers"):
+        ClassPartition(sets)
 
 
 @st.composite

@@ -1,8 +1,10 @@
-"""The one-BLAS-thread scope: discovery, restoring the count, and bits.
+"""The seam to numpy's bundled OpenBLAS: discovery, the direct dsyrk, the
+one-thread scope restoring the count, and bits.
 
 The scope tests run twice: on numpy's bundled OpenBLAS, with its count set
-to 2 for the test, and on a stand-in pair that keeps the count in Python,
-so the bookkeeping is checked on every host. Where numpy has no bundled
+to 2 for the test, and on a stand-in `_blas.Library` that keeps the count
+in Python and runs dsyrk's product through numpy, so the bookkeeping is
+checked on every host. Where numpy has no bundled
 OpenBLAS both runs use the stand-in, and the discovery test checks that
 numpy's build config does not name one.
 """
@@ -13,6 +15,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -40,15 +43,25 @@ class _StandIn:
         self.count = count
 
 
+def _numpy_dsyrk(order, uplo, trans, n, d, alpha, z, lda, beta, out, ldc):
+    """The row-major z @ z.T that `_blas.gram` asks cblas_dsyrk for, by numpy."""
+    def view(address, rows, cols):
+        pointer = ctypes.cast(address, ctypes.POINTER(ctypes.c_double))
+        return np.ctypeslib.as_array(pointer, (rows, cols))
+
+    z = view(z, n, lda)[:, :d]
+    view(out, n, ldc)[:, :n] = alpha * (z @ z.T)
+
+
 @pytest.fixture(params=["bundled", "stand-in"])
 def count(request, monkeypatch):
     """The get of the library the scopes act on, its count set to 2."""
     lib = _blas.library() if request.param == "bundled" else None
     if lib is None:
         stand_in = _StandIn(2)
-        lib = (stand_in.get, stand_in.set)
+        lib = _blas.Library(stand_in.get, stand_in.set, _numpy_dsyrk, "StandIn")
         monkeypatch.setattr(_blas, "_library", lib)
-    get, put = lib
+    get, put = lib.get_threads, lib.set_threads
     before = get()
     put(2)
     yield get
@@ -64,7 +77,7 @@ def test_discovery_finds_the_get_set_pair_of_a_scipy_openblas_build():
         assert lib is None
         return
     assert lib is not None
-    get, put = lib
+    get, put = lib.get_threads, lib.set_threads
     before = get()
     assert before >= 1
     put(1)
@@ -76,8 +89,7 @@ def test_discovery_finds_the_get_set_pair_of_a_scipy_openblas_build():
 def test_importing_the_package_does_not_look_up_the_library():
     code = ("import setloss, setloss.trainer, setloss.cli\n"
             "from setloss import _blas\n"
-            "assert _blas._library is _blas._UNSEEN\n"
-            "assert _blas._dsyrk is _blas._UNSEEN\n")
+            "assert _blas._library is _blas._UNSEEN\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(_blas.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -87,7 +99,7 @@ def test_importing_the_package_does_not_look_up_the_library():
 def _one_thread_matmul(z):
     # numpy's own z @ z.T on one thread: threaded, its bits at some shapes
     # (n = 511 or 1067, say) depend on the thread count (see `kernels`).
-    return kernels._product(z, z.T)
+    return _blas.product(z, z.T)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 63, 64, 65, 129, 257, 800, 1067])
@@ -101,40 +113,66 @@ def test_the_direct_dsyrk_writes_numpys_upper_triangle(n):
         z = np.random.default_rng(n * 1000 + d).standard_normal((n, d))
         want = _one_thread_matmul(z)
         out = np.full((n, n), np.nan)
-        direct = _blas.upper_gram(z, out)
-        assert direct == (n > 1 and d > 1 and _blas.dsyrk() is not None)
-        if direct:
+        assert _blas.gram(z, out) is out
+        if n > 1 and d > 1 and _blas.library() is not None:
             assert np.isnan(out[~upper]).all()
             assert out[upper].tobytes() == want[upper].tobytes()
         else:
-            assert np.isnan(out).all()
-        got = kernels._mirror_upper(kernels._gram(z, np.empty((n, n))))
+            assert out.tobytes() == want.tobytes()
+        got = kernels._symmetric_gram(z, np.empty((n, n)))
         assert got.tobytes() == want.tobytes()
 
 
-def test_the_direct_dsyrk_leaves_arrays_it_cannot_take_to_numpy():
+def test_the_direct_dsyrk_leaves_arrays_it_cannot_take_to_numpy(monkeypatch):
+    lib = _blas.library()
+    calls = []
+    if lib is not None:
+        monkeypatch.setattr(_blas, "_library", lib._replace(
+            dsyrk=lambda *args: (calls.append(args), lib.dsyrk(*args))))
     z = np.random.default_rng(3).standard_normal((40, 6))
     want = _one_thread_matmul(z)
     out = np.empty((40, 40))
+    shared = np.empty(40 * 40)                           # z inside out
+    shared[:240] = z.ravel()
     for a, b in ((np.asfortranarray(z), out),            # not C-contiguous
                  (z.astype(np.float32), out),            # not float64
                  (z, np.empty((40, 40), np.float32)),
                  (z, np.empty((80, 40))[::2]),           # a strided out
-                 (z, np.empty((41, 41)))):               # the wrong shape
-        assert not _blas.upper_gram(a, b)
-    shared = np.empty(40 * 40)                           # z inside out
-    shared[:240] = z.ravel()
-    assert not _blas.upper_gram(shared[:240].reshape(40, 6),
-                                shared.reshape(40, 40))
-    assert _blas.upper_gram(z, out) == (_blas.dsyrk() is not None)
-    got = kernels._mirror_upper(kernels._gram(np.asfortranarray(z), out))
+                 (shared[:240].reshape(40, 6), shared.reshape(40, 40))):
+        # numpy's product writes both triangles.
+        assert np.allclose(_blas.gram(a, b), want, rtol=1e-6, atol=1e-6)
+    with pytest.raises(ValueError):
+        _blas.gram(z, np.empty((41, 41)))                # the wrong shape
+    assert calls == []
+    _blas.gram(z, out)
+    assert len(calls) == (lib is not None)
+    got = kernels._symmetric_gram(np.asfortranarray(z), out)
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
-def test_the_direct_dsyrk_is_found_with_the_thread_count_pair():
-    # Both come from the same bundled library, so a build that has one has
-    # the other.
-    assert (_blas.dsyrk() is None) == (_blas.library() is None)
+FUNCTIONS = ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads",
+             "scipy_cblas_dsyrk", "scipy_openblas_get_corename")
+
+
+@pytest.mark.parametrize("missing", (None,) + FUNCTIONS)
+def test_the_four_functions_are_found_together_or_not_at_all(monkeypatch,
+                                                            missing):
+    # A scope acts only on a library whose Gram products `_blas.gram` can
+    # also run, and the pinned numpy wheel's library has all four. The
+    # stand-in library exports the 32-bit names, without `64_`.
+    lib = _bundled_or_absent()
+    assert lib is None or all(lib) and isinstance(lib.corename, str)
+    fake = types.SimpleNamespace(**{name: (lambda *args: b"Fake")
+                                    for name in FUNCTIONS if name != missing})
+    monkeypatch.setattr(_blas, "_shared_object", lambda: fake)
+    found = _blas._find()
+    if missing is not None:
+        assert found is None
+        return
+    assert found == (fake.scipy_openblas_get_num_threads,
+                     fake.scipy_openblas_set_num_threads,
+                     fake.scipy_cblas_dsyrk, "Fake")
+    assert found.dsyrk.argtypes[3] is ctypes.c_int
 
 
 def test_a_scope_runs_one_thread_and_restores_the_count(count):
@@ -153,7 +191,7 @@ def test_a_scope_restores_the_count_when_its_body_raises(count):
             raise RuntimeError("inside the scope")
     assert count() == 2
     with pytest.raises(ValueError):
-        kernels._product(np.ones((3, 4)), np.ones((3, 4)))
+        _blas.product(np.ones((3, 4)), np.ones((3, 4)))
     assert count() == 2
 
 
@@ -227,13 +265,8 @@ def _bundled_or_absent():
 
 def _core():
     """The kernel family the bundled OpenBLAS picked for this CPU at run time."""
-    lib = _blas._shared_object()
-    for suffix in ("64_", ""):
-        name = getattr(lib, f"scipy_openblas_get_corename{suffix}", None)
-        if name is not None:
-            name.restype, name.argtypes = ctypes.c_char_p, []
-            return name().decode()
-    return None
+    lib = _blas.library()
+    return lib.corename if lib else None
 
 
 @pytest.mark.parametrize("kind", ["rbf", "cosine"])
@@ -254,21 +287,21 @@ def test_training_at_the_criterion_5_size_keeps_the_threaded_bits(
         # Shifted off the origin, so every cosine row sum is large enough
         # for supcon's log.
         data = EmbeddingBatch(data.vectors + 5.0, data.labels)
-    before = lib[0]() if lib else None
+    before = lib.get_threads() if lib else None
     if lib:
-        lib[1](2)
+        lib.set_threads(2)
     entered = []
     real_enter = _blas._enter
     monkeypatch.setattr(_blas, "_enter",
                         lambda lib: (entered.append(1), real_enter(lib)))
     try:
         scoped = _trained(data, objective, kind)
-        assert lib is None or (entered and lib[0]() == 2)
+        assert lib is None or (entered and lib.get_threads() == 2)
         monkeypatch.setattr(_blas, "_library", None)
         assert _trained(data, objective, kind) == scoped
     finally:
         if lib:
-            lib[1](before)
+            lib.set_threads(before)
 
 
 @pytest.mark.parametrize("objective", ["fl", "gc-cf", "supcon"])
@@ -281,7 +314,7 @@ def test_training_does_not_depend_on_the_thread_count_outside_the_scope(
     lib = _bundled_or_absent()
     if lib is None:
         return
-    get, put = lib
+    get, put = lib.get_threads, lib.set_threads
     before = get()
     try:
         runs = []
@@ -308,7 +341,7 @@ def test_gradients_do_not_depend_on_the_thread_count_outside_the_scope(
     lib = _bundled_or_absent()
     if lib is None:
         return
-    get, put = lib
+    get, put = lib.get_threads, lib.set_threads
     before = get()
     try:
         runs = []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setloss import kernels
+from setloss import _blas, kernels
 from setloss.batch import EmbeddingBatch
 from setloss.errors import NonPositiveBandwidth, ValidationError, ZeroVector
 from setloss.sampling import Rng
@@ -319,7 +319,7 @@ def test_the_mirror_copies_the_upper_triangle_onto_the_lower(n, stack, seed):
 def _lopsided_gram(monkeypatch, i, j):
     """Patch the Gram product so entry (i, j), above the diagonal, sits one
     ulp above (j, i), and every entry below the diagonal is NaN."""
-    real = kernels._gram
+    real = _blas.gram
 
     def gram(z, out):
         g = real(z, out)
@@ -327,7 +327,7 @@ def _lopsided_gram(monkeypatch, i, j):
         np.copyto(g, np.nan, where=np.tri(g.shape[-1], k=-1, dtype=bool))
         return g
 
-    monkeypatch.setattr(kernels, "_gram", gram)
+    monkeypatch.setattr(_blas, "gram", gram)
     return gram
 
 

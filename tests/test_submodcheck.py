@@ -28,6 +28,18 @@ def test_full_set_fl_is_zero():
     assert f([]) == 0.0
 
 
+@pytest.mark.parametrize("members", [[-1], {4, -1}, [4, 4], [5], [1.0],
+                                     [0, np.float64(2.0)], "ab", 3, [None]])
+def test_a_set_function_refuses_what_is_not_a_set_of_rows(members):
+    # A negative member used to wrap around (f({-1}) == f({4})), a repeated
+    # one to fail in a reshape and one past n to index out of range.
+    b = submodcheck.draw_batch(Rng(0), 5)
+    f = submodcheck.as_set_function("gc-cf", b, RBF)
+    with pytest.raises(ValidationError, match=r"distinct integers in range\(5\)"):
+        f(members)
+    assert f((np.int64(4), 1)) == f({1, 4}) == f(range(1, 5, 3))
+
+
 def test_set_function_agrees_with_total_loss_on_class_partition():
     rng = Rng(4)
     v = rng.normals((6, 4))
