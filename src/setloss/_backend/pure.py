@@ -87,14 +87,15 @@ def term_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
 
 
 def total_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
-                classes, lam: float, eps: float, whole, picks=None):
+                classes, lam: float, eps: float, whole):
     """Sum of per-class terms over a `batch.ClassPartition`; returns (total,
-    per-class array). whole is the record's `whole_value` of s.
+    per-class array, picks). whole is the record's `whole_value` of s.
 
-    Given a list as `picks`, a record with a `picking_term` (fl) is scored
-    with it, and the list receives each class's picks in class order.
+    A record with a `picking_term` (fl) is scored with it, and picks lists
+    each class's picks in class order; it is None for the other records.
     """
     per = []
+    picks = None if obj.picking_term is None else []
     for a, comp in classes.with_complements():
         if picks is None:
             value = _terms(obj, s, d, a[None], comp[None], lam, eps, whole)
@@ -104,7 +105,7 @@ def total_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
             picks.append(pick[0])
         per.append(float(value[0]))
     per = np.array(per)
-    return float(np.sum(per)), per
+    return float(np.sum(per)), per, picks
 
 
 def _frozen(*arrays):

@@ -1,8 +1,8 @@
 """Objective values over labeled batches.
 
 Thirteen objectives share one evaluation path: build the kernel matrices,
-check the batch against the objective's domain, split the batch into its
-class partition, evaluate one term per class, and sum. `evaluate` builds
+split the batch into its class partition, check it against the
+objective's domain, evaluate one term per class, and sum. `evaluate` builds
 that partition once, as a `batch.ClassPartition`, and the record's `whole`
 (its `whole_value` of S) once, and keeps both in the `Evaluation` the
 gradient and the gradient check's kink rules read. No function below it
@@ -81,14 +81,14 @@ def matrices(batch: EmbeddingBatch, config: LossConfig,
                                            workspace)
 
 
-def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray,
+def check_preconditions(config: LossConfig, classes: ClassPartition,
                         whole) -> None:
     """Raise DegenerateBatch for batches the objective cannot score.
 
-    whole is the record's `whole_value` of s.
+    classes is the batch's partition, whole the record's `whole_value` of S.
     """
     obj = objectives.get(config.objective)
-    if batch.num_classes < 2:
+    if classes.num_classes < 2:
         if obj.single_class_ok:
             warnings.warn(
                 f"{obj.name}: batch has a single class; cross-class terms are all zero",
@@ -97,13 +97,12 @@ def check_preconditions(batch: EmbeddingBatch, config: LossConfig, s: np.ndarray
             )
             return
         raise DegenerateBatch(obj.name, "needs >= 2 classes")
-    if obj.min_class_size > 1:
-        sizes = np.bincount(batch.labels)
-        if sizes.min() < obj.min_class_size:
-            raise DegenerateBatch(
-                obj.name, f"every anchor needs a positive pair; class "
-                          f"{int(sizes.argmin())} has {int(sizes.min())} sample"
-            )
+    sizes = classes.sizes
+    if sizes.min() < obj.min_class_size:
+        raise DegenerateBatch(
+            obj.name, f"every anchor needs a positive pair; class "
+                      f"{int(sizes.argmin())} has {int(sizes.min())} sample"
+        )
     if obj.positive_rowsum:
         bad = np.flatnonzero(whole <= 0)
         if bad.size:
@@ -137,7 +136,7 @@ class Evaluation:
 
 def evaluate(batch: EmbeddingBatch, config: LossConfig,
              workspace: kernels.Workspace | None = None) -> Evaluation:
-    """Build S (and D if needed), check the domain, partition, and score.
+    """Build S (and D if needed), partition, check the domain, and score.
 
     With a workspace, S and D live in its buffers and are valid until its
     next kernel build; without one they are fresh arrays.
@@ -145,11 +144,10 @@ def evaluate(batch: EmbeddingBatch, config: LossConfig,
     s, d = matrices(batch, config, workspace)
     obj = objectives.get(config.objective)
     whole = obj.whole_value(s, config.lam)
-    check_preconditions(batch, config, s, whole)
     classes = partition_from_labels(batch.labels)
-    picks = None if obj.picking_term is None else []
-    total, per = backend.total_value(obj, s, d, classes, config.lam, config.margin,
-                                     whole, picks)
+    check_preconditions(config, classes, whole)
+    total, per, picks = backend.total_value(obj, s, d, classes, config.lam,
+                                            config.margin, whole)
     return Evaluation(batch, config, s, d, classes, whole, picks,
                       LossResult(config.objective, total, per))
 

@@ -444,8 +444,9 @@ class Objective:
     nonsmooth point of any class of the same partition.
     picking_term, where set (fl), is the term over one class that also
     returns, from the same gathered block, what the weight rule reads:
-    each complement row's first argmax among the members. `losses.evaluate`
-    scores with it and keeps the picks in the `Evaluation`.
+    each complement row's first argmax among the members. `pure.total_value`
+    always scores with it, and `losses.evaluate` keeps the picks in the
+    `Evaluation`.
     whole_value maps (s, lam) to what every term and weight call shares:
     the row sums less one for n-pairs and supcon, log det of S + lam I for
     logdet-cf, None for the rest. Callers compute it once and pass it as

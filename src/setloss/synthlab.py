@@ -92,6 +92,8 @@ def make_imbalanced_dataset(kind: str, c: int, d: int, base_count: int,
     every centroid pair is exactly `separation` apart (needs C <= d).
     Separation defaults to four spreads.
     """
+    if c < 1:
+        raise ValidationError(f"need at least one class, got c={c}")
     if base_count < c:
         raise ValidationError(f"base_count {base_count} < {c} classes")
     if c > d:

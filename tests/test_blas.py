@@ -205,7 +205,7 @@ def test_gradient_calls_leave_the_count_as_they_found_it(count, kind):
 
 def test_a_diverged_training_run_leaves_the_count_as_it_found_it(count, monkeypatch):
     monkeypatch.setattr(losses.backend, "total_value",
-                        lambda *args: (float("nan"), None))
+                        lambda *args: (float("nan"), None, None))
     data = synthlab.make_imbalanced_dataset("step", 3, 4, 40, 2.0, 0.3, 0,
                                             separation=3.0)
     with pytest.raises(DivergedLoss):

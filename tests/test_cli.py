@@ -374,6 +374,17 @@ def test_train_rejects_degenerate_sizes(setting, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("c", [0, -1])
+def test_train_rejects_a_dataset_with_no_classes(c, tmp_path, capsys):
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps({"dataset": {"c": c}}))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: need at least one class")
+    assert not out.exists()
+
+
 def test_train_unwritable_out_is_io_failure(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("a file, not a directory")

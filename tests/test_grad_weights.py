@@ -185,7 +185,7 @@ def _judge(name, cfg, batch):
     classes = partition_from_labels(batch.labels)
     try:
         whole = obj.whole_value(s, cfg.lam)
-        losses.check_preconditions(batch, cfg, s, whole)
+        losses.check_preconditions(cfg, classes, whole)
         old = _entry_weights(objectives.OBJ_CODE[name], s, d, list(classes),
                              cfg.lam, cfg.margin)
     except PreconditionError:
@@ -195,8 +195,8 @@ def _judge(name, cfg, batch):
     picks = None
     if obj.picking_term is not None:
         # fl's weight rule reads the argmax its term picked.
-        picks = []
-        backend.total_value(obj, s, d, classes, cfg.lam, cfg.margin, whole, picks)
+        picks = backend.total_value(obj, s, d, classes, cfg.lam, cfg.margin,
+                                    whole)[2]
     for work in (None, _dirty_workspace(batch.n)):
         new = grads._entry_weights(obj, s, d, classes, cfg.lam, cfg.margin,
                                    whole, work, picks)

@@ -189,9 +189,9 @@ def _unshared_value_and_gradient(batch, cfg):
     s, d = losses.matrices(batch, cfg)
     obj = objectives.get(cfg.objective)
     whole = obj.whole_value(s, cfg.lam)
-    losses.check_preconditions(batch, cfg, s, whole)
     sets = partition_from_labels(batch.labels)
-    total, per = backend.total_value(obj, s, d, sets, cfg.lam, cfg.margin, whole)
+    losses.check_preconditions(cfg, sets, whole)
+    total, per, _ = backend.total_value(obj, s, d, sets, cfg.lam, cfg.margin, whole)
     if cfg.objective == "fl":
         ws, wd, wd2 = np.zeros((batch.n, batch.n)), None, None
         for a in sets:

@@ -240,7 +240,7 @@ def test_a_step_sums_the_rows_once(name, monkeypatch):
     bad = ev.whole.copy()
     bad[3] = 0.0
     with pytest.raises(DegenerateBatch, match="at row 3"):
-        losses.check_preconditions(batch, config, ev.s, bad)
+        losses.check_preconditions(config, ev.classes, bad)
 
 
 @pytest.mark.parametrize("kernel", ["rbf", "neg-euclidean"])

@@ -316,9 +316,9 @@ def test_total_value_matches_oracle(name, kernel):
         s, d = losses.matrices(batch, cfg)
         classes = partition_from_labels(batch.labels)
         old_total, old_per = total_value(code, s, d, classes, LAM, EPS)
-        new_total, new_per = new_without_warnings(pure.total_value, obj, s, d,
-                                                  classes, LAM, EPS,
-                                                  obj.whole_value(s, LAM))
+        new_total, new_per, _ = new_without_warnings(pure.total_value, obj, s, d,
+                                                     classes, LAM, EPS,
+                                                     obj.whole_value(s, LAM))
         assert same_bits(new_per, old_per), batch.n
         assert same_bits(new_total, old_total), batch.n
 

@@ -82,6 +82,12 @@ def test_imbalanced_validation():
         synthlab.make_imbalanced_dataset("step", 4, 10, 50, 0.5, 1.0, 0)
     with pytest.raises(EmptyClass):
         synthlab.make_imbalanced_dataset("longtail", 4, 10, 4, 0.01, 1.0, 0)
+    # c = 0 was a numpy broadcast error and c = -1 "negative dimensions".
+    for c in (0, -1):
+        for kind, decay_or_ratio in (("longtail", 0.5), ("step", 2.0)):
+            with pytest.raises(ValidationError, match="need at least one class"):
+                synthlab.make_imbalanced_dataset(kind, c, 10, 50, decay_or_ratio,
+                                                 1.0, 0)
 
 
 def test_sweep_grid_order_and_csv_round_trip(tmp_path):

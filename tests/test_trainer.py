@@ -282,9 +282,10 @@ def test_non_finite_loss_stops_before_any_gradient(monkeypatch):
     real_total = losses.backend.total_value
 
     def total_value(*args):
-        total, per = real_total(*args)
+        total, per, picks = real_total(*args)
         evaluations.append(1)
-        return (float("nan") if len(evaluations) == bad_step + 1 else total), per
+        return ((float("nan") if len(evaluations) == bad_step + 1 else total),
+                per, picks)
 
     gradients = []
     real_gradient = grads.evaluation_gradient
@@ -439,9 +440,9 @@ def test_a_diverged_run_leaves_the_next_run_unchanged(monkeypatch):
     real_total = losses.backend.total_value
 
     def total_value(*args):
-        total, per = real_total(*args)
+        total, per, picks = real_total(*args)
         evaluations.append(1)
-        return (float("nan") if len(evaluations) == 3 else total), per
+        return (float("nan") if len(evaluations) == 3 else total), per, picks
 
     monkeypatch.setattr(losses.backend, "total_value", total_value)
     with pytest.raises(DivergedLoss):
