@@ -63,14 +63,6 @@ from ..objectives import Objective
 MAX_TABLE_N = 24
 
 
-def _terms(obj, s: np.ndarray, d: np.ndarray | None, mem: np.ndarray,
-           comp: np.ndarray, lam: float, eps: float, whole) -> np.ndarray:
-    """The record's term over mem; comp holds each row's complement."""
-    if mem.shape[1] == 0:
-        return np.zeros(s.shape[:-2] + mem.shape[:1])
-    return obj.term(s, d, mem, comp, lam, eps, whole)
-
-
 def term_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
                members, lam: float, eps: float, whole) -> float:
     """Term of one objective over one index set A of distinct indices.
@@ -79,11 +71,13 @@ def term_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
     `distance` read, and whole the record's `whole_value` of s.
     """
     members = np.asarray(members, dtype=np.int64)
+    if members.size == 0:
+        return 0.0
     inside = np.zeros(s.shape[-1], dtype=bool)
     inside[members] = True
     # A repeated member leaves the complement short, and the reshape raises.
     comp = np.flatnonzero(~inside).reshape(1, s.shape[-1] - members.size)
-    return float(_terms(obj, s, d, members[None], comp, lam, eps, whole)[0])
+    return float(obj.term(s, d, members[None], comp, lam, eps, whole)[0])
 
 
 def total_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
@@ -98,7 +92,7 @@ def total_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
     picks = None if obj.picking_term is None else []
     for a, comp in classes.with_complements():
         if picks is None:
-            value = _terms(obj, s, d, a[None], comp[None], lam, eps, whole)
+            value = obj.term(s, d, a[None], comp[None], lam, eps, whole)
         else:
             value, pick = obj.picking_term(s, d, a[None], comp[None], lam, eps,
                                            whole)
@@ -149,7 +143,7 @@ def value_table(obj: Objective, s: np.ndarray, d: np.ndarray | None,
     whole = obj.whole_value(s, lam)
     out = np.zeros(s.shape[:-2] + (1 << n,))
     for bits, members, comp in _lattice(n):
-        out[..., bits] = _terms(obj, s, d, members, comp, lam, eps, whole)
+        out[..., bits] = obj.term(s, d, members, comp, lam, eps, whole)
     return out
 
 

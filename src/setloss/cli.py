@@ -157,19 +157,7 @@ def write_text(path, text: str) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise IOFailure(f"cannot write {path}: {exc}") from None
-
-
-class IOFailure(Exception):
-    pass
-
-
-class VerdictMismatch(Exception):
-    pass
-
-
-class GradCheckFailed(Exception):
-    pass
+        raise OSError(f"cannot write {path}: {exc}") from None
 
 
 def _comma_list(raw: str) -> list[str]:
@@ -229,7 +217,8 @@ def cmd_gradcheck(args, cfg: dict) -> int:
         payload = [asdict(r) for r in reports]
         write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if failed:
-        raise GradCheckFailed(", ".join(failed))
+        print(f"gradient check failed: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_GRADCHECK
     return EXIT_OK
 
 
@@ -261,7 +250,9 @@ def cmd_submodcheck(args, cfg: dict) -> int:
             print(f"  counterexample: A={a} B={b} x={x} gain_A={ga!r} gain_B={gb!r}",
                   file=sys.stderr)
     if mismatched:
-        raise VerdictMismatch(", ".join(r.objective for r in mismatched))
+        print(f"verdict mismatch: {', '.join(r.objective for r in mismatched)}",
+              file=sys.stderr)
+        return EXIT_VERDICT
     return EXIT_OK
 
 
@@ -301,7 +292,8 @@ def cmd_sweep(args, cfg: dict) -> int:
                         print(f"ordering violated for {name}/{kind} at seed {seed}: {vals}",
                               file=sys.stderr)
     if not all_ok:
-        raise VerdictMismatch("loss-versus-K ordering")
+        print("verdict mismatch: loss-versus-K ordering", file=sys.stderr)
+        return EXIT_VERDICT
     return EXIT_OK
 
 
@@ -322,6 +314,8 @@ def _dataset(args, section: dict, seed: int):
 def cmd_train(args, cfg: dict) -> int:
     seed = _seed(args, cfg)
     data = _dataset(args, cfg.get("dataset", {}), seed)
+    if data.num_classes < 2:
+        raise ValidationError(f"training needs >= 2 classes, got {data.num_classes}")
     settings = resolve(args, cfg.get("train", {}), CONFIG_KEYS["train"])
     names = settings.pop("objectives", TRAIN_OBJECTIVES)
     for name in names:
@@ -360,7 +354,8 @@ def cmd_train(args, cfg: dict) -> int:
         if not rep.loss_curve:
             print(f"note: {rep.objective}: {rep.note}", file=sys.stderr)
     if not succeeded:
-        raise PreconditionError("every objective failed")
+        print("precondition failed: every objective failed", file=sys.stderr)
+        return EXIT_PRECONDITION
     return EXIT_OK
 
 
@@ -434,19 +429,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, lam_grid=args.command == "train") if args.config else {}
         return args.func(args, cfg)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except GradCheckFailed as exc:
-        print(f"gradient check failed: {exc}", file=sys.stderr)
-        return EXIT_GRADCHECK
-    except VerdictMismatch as exc:
-        print(f"verdict mismatch: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
-    except (IOFailure, OSError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SetLossError as exc:

@@ -38,19 +38,11 @@ next entry-weight build, kernel build or pullback (the RBF and distance
 pullbacks scale M in place). Calls given no workspace return arrays that
 share no memory with any later call.
 
-The n x n products go through `_blas`, which owns how they run: the Gram
-product of `squared_distances` and `cosine_similarity` through
-`_blas.gram`, and the m @ z of every pullback through `_blas.product`. A
-single batch's products run on one OpenBLAS thread because, left
-threaded, OpenBLAS's second worker spun idle after each one, so a training
-step took two cores' CPU for one core's work. A one-thread product's last
-bits depend on the shape and on the kernel OpenBLAS picks for the CPU at
-run time: at n = 800 and d = 10, the criterion-5 size that the fixtures
-pin, they equal a threaded product's on SkylakeX, while at n = 525 or 1000
-they differ. `_blas.gram` writes only the upper triangle, and
-`_symmetric_gram` mirrors it onto the lower one in place of numpy's scalar
-copy loop, so nothing reads what the product left below the diagonal; the
-mirror takes about 0.6 ms at n = 800 (2-core x86 VM).
+The n x n products go through `_blas`, whose docstring says how they run
+and what that does to their last bits: the Gram product of
+`squared_distances` and `cosine_similarity` through `_blas.gram`, which
+writes only the upper triangle that `_symmetric_gram` then mirrors, and the
+m @ z of every pullback through `_blas.product`.
 """
 
 from __future__ import annotations
@@ -240,14 +232,12 @@ def rbf_similarity(batch, bandwidth: float = 1.0,
 
 def similarity(batch, kind: str = "cosine", bandwidth: float = 1.0,
                workspace: Workspace | None = None) -> np.ndarray:
-    if kind == "cosine":
+    if check_kind(kind) == "cosine":
         return cosine_similarity(batch, workspace)
     if kind == "rbf":
         return rbf_similarity(batch, bandwidth, workspace)
-    if kind == "neg-euclidean":
-        d = euclidean_distance(batch, workspace)
-        return np.negative(d, out=d)
-    raise ValidationError(f"unknown kernel kind {kind!r}")
+    d = euclidean_distance(batch, workspace)
+    return np.negative(d, out=d)
 
 
 def similarity_and_distance(batch, kind: str = "cosine", bandwidth: float = 1.0,
@@ -364,14 +354,12 @@ def similarity_pullback(z: np.ndarray, m: np.ndarray, kind: str,
     matrix of unit rows instead: the forward S is clipped to [-1, 1], and
     the chain rule needs the unclipped entries.
     """
-    if kind == "cosine":
+    if check_kind(kind) == "cosine":
         return cosine_pullback(z, m, workspace)
     if kind == "rbf":
         return rbf_pullback(z, m, s, bandwidth)
-    if kind == "neg-euclidean":
-        # The distance pullback of -m against D = -S: (-m_ij) / (-S_ij) is
-        # m_ij / S_ij, and D_ij > NORM_FLOOR is S_ij < -NORM_FLOOR.
-        apart = workspace_buffer(workspace, "mask", s.shape, bool)
-        np.less(s, -NORM_FLOOR, out=apart)
-        return _over_distances(z, m, s, apart)
-    raise ValidationError(f"unknown kernel kind {kind!r}")
+    # neg-euclidean: the distance pullback of -m against D = -S. (-m_ij) /
+    # (-S_ij) is m_ij / S_ij, and D_ij > NORM_FLOOR is S_ij < -NORM_FLOOR.
+    apart = workspace_buffer(workspace, "mask", s.shape, bool)
+    np.less(s, -NORM_FLOOR, out=apart)
+    return _over_distances(z, m, s, apart)

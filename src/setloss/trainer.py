@@ -36,7 +36,7 @@ import numpy as np
 
 from . import grads, kernels, losses
 from .batch import EmbeddingBatch
-from .errors import DivergedLoss, MissingClass, SetLossError, ValidationError
+from .errors import DegenerateBatch, DivergedLoss, MissingClass, SetLossError, ValidationError
 from .kernels import NORM_FLOOR
 from .sampling import Rng
 
@@ -160,7 +160,8 @@ def train_stage1(data: EmbeddingBatch, config: TrainConfig):
     before each update and once more after the last one.
     """
     if data.num_classes < 2:
-        raise MissingClass(1, "stage-1 training data")
+        raise DegenerateBatch(config.loss.objective,
+                              f"stage-1 training needs >= 2 classes, got {data.num_classes}")
     out_dim = data.dim if config.out_dim is None else config.out_dim
     params = initial_params(data.dim, out_dim, config.seed, config.normalize)
     rng = Rng(config.seed).derive(202)

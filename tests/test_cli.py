@@ -385,6 +385,49 @@ def test_train_rejects_a_dataset_with_no_classes(c, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_rejects_a_one_class_dataset(tmp_path, capsys):
+    # No objective can train on one class, so the command stops before any does.
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps({"dataset": {"c": 1}, "train": {"steps": 3}}))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: training needs >= 2 classes, got 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, code, last_line", [
+    (["gradcheck", "--objective", "gc-cf", "--tol", "0"], None, 4,
+     "gradient check failed: gc-cf"),
+    (["submodcheck", "--objective", "supcon", "--n", "3", "--budget", "1"], None, 5,
+     "verdict mismatch: supcon"),
+    (["sweep", "--objectives", "n-pairs", "--kernels", "rbf",
+      "--ks", "0,1,2,3,4,5,6,7", "--assert-ordering"], None, 5,
+     "verdict mismatch: loss-versus-K ordering"),
+    (["train", "--out", "{tmp}/run"],
+     {"loss": {"lam": 0.5}, "train": {"objectives": ["gc-cf"], "steps": 2}}, 3,
+     "precondition failed: every objective failed"),
+    # The OS's reason follows, naming a random temp file: matched by prefix.
+    (["eval", "--input", FOUR_POINT, "--out", "{tmp}/missing/x.json"], None, 6,
+     "i/o error: cannot write {tmp}/missing/x.json: ..."),
+])
+def test_each_failing_outcome_prints_one_line_and_its_code(argv, config, code, last_line,
+                                                           tmp_path, capsys):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert cli.main(argv) == code
+    last = capsys.readouterr().err.splitlines()[-1]
+    want = last_line.format(tmp=tmp_path)
+    if want.endswith("..."):
+        assert last.startswith(want[:-3])
+    else:
+        assert last == want
+
+
 def test_train_unwritable_out_is_io_failure(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("a file, not a directory")

@@ -73,8 +73,12 @@ def test_distance_pinned():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValidationError):
+    # The same message as LossConfig's, which lists the kinds.
+    with pytest.raises(ValidationError, match="^unknown kernel 'laplacian'; choose from "):
         kernels.similarity(_random_batch(3, 2), "laplacian")
+    with pytest.raises(ValidationError, match="^unknown kernel 'laplacian'; choose from "):
+        kernels.similarity_pullback(np.eye(3), np.zeros((3, 3)), "laplacian",
+                                    s=np.eye(3))
 
 
 def test_kernel_gradient_diagonal_is_zero():

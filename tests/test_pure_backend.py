@@ -334,6 +334,13 @@ def test_term_values_rows_match_oracle_terms():
         assert same_bits(new, old), name
 
 
+def test_term_value_of_the_empty_set_is_zero():
+    s, d = instance(2, 7, "cosine")
+    for name in objectives.OBJECTIVES:
+        obj = objectives.get(name)
+        assert pure.term_value(obj, s, d, [], LAM, EPS, obj.whole_value(s, LAM)) == 0.0
+
+
 def test_logdet_rejects_an_indefinite_block():
     s = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     obj = objectives.get("logdet-sf")

@@ -11,7 +11,7 @@ import pytest
 from setloss import (batch, grads, kernels, losses, objectives, submodcheck, synthlab,
                      trainer)
 from setloss.batch import EmbeddingBatch
-from setloss.errors import DivergedLoss, MissingClass, SetLossError, ValidationError
+from setloss.errors import DegenerateBatch, DivergedLoss, MissingClass, SetLossError, ValidationError
 from setloss.sampling import Rng
 
 
@@ -132,6 +132,13 @@ def test_split_rejects_singleton_class():
     data = EmbeddingBatch(v, np.array([0, 0, 1, 2]))
     with pytest.raises(MissingClass):
         trainer.split_batch(data, 0.25, seed=0)
+
+
+def test_stage1_rejects_a_one_class_batch():
+    data = EmbeddingBatch(np.eye(3), np.zeros(3, dtype=np.int64))
+    with pytest.raises(DegenerateBatch,
+                       match="^gc-cf: stage-1 training needs >= 2 classes, got 1$"):
+        trainer.train_stage1(data, quick_config())
 
 
 def test_centroid_assignment_is_nearest():
