@@ -39,6 +39,23 @@ ones the call can read and write in place, `product` runs it. Either way
 only the upper triangle is to be read. At n = 800, d = 10 the direct call
 takes about 0.4 ms against 1.3 ms through numpy (2-core x86 VM).
 
+`subtract_twice_gram(z, out)` subtracts 2 z @ z.T from out's upper
+triangle in one cblas_dsyrk update, with alpha = -2 and beta = 1, so that
+`kernels` builds squared distances as sq_i + sq_j - 2 G_ij in one pass
+over out instead of a Gram product and two more passes. The update keeps
+the bits of the separate steps. OpenBLAS accumulates each entry's dot
+product G_ij exactly as it does for alpha = 1 and beta = 0, skips the beta
+scaling when beta is 1, and then adds alpha G_ij to out_ij with one
+rounding. Doubling is exact (short of overflow, where both give inf), so
+each entry is round(out_ij - 2 G_ij), which is what subtracting the
+doubled product gives. That holds while the whole depth d is one panel of
+the kernel: past it (257 columns on the Haswell kernel, 385 on SkylakeX)
+the kernel adds each panel's partial sum to out in turn, and the bits
+differ. So one call takes at most _ONE_PANEL = 128 columns, half the
+shallower of those panels, for kernels not measured; wider batches, and
+arrays `gram` would not take, get the Gram product apart, doubled and
+subtracted, which is the same arithmetic.
+
 The library is looked up on first use, never at import, so importing the
 package leaves the thread count alone. It is found only when numpy's
 build config names scipy-openblas: the shared object lives in the
@@ -66,6 +83,9 @@ _UNSEEN = object()
 _library = _UNSEEN
 # CblasRowMajor, CblasUpper and CblasNoTrans.
 _ROW_MAJOR, _UPPER, _NO_TRANS = 101, 121, 111
+# The most columns that subtract_twice_gram hands to one dsyrk update (see
+# module).
+_ONE_PANEL = 128
 
 
 # The bundled OpenBLAS's thread-count pair and cblas_dsyrk, typed, and the
@@ -138,26 +158,59 @@ def product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
         return np.matmul(a, b, out=out)
 
 
-def gram(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """z @ z.T in out, of which only the upper triangle is to be read.
+def _direct(z: np.ndarray, out: np.ndarray) -> Library | None:
+    """The Library whose cblas_dsyrk takes z's Gram product into out in
+    place, or None.
 
-    A single n x d batch goes through cblas_dsyrk where numpy's matmul
-    would: when n and d both exceed 1 (at n = 1 it takes a dot product, at
-    d = 1 an outer product) and both arrays are aligned, C-contiguous
-    float64, out writeable and apart from z. Anything else, a stack of
-    batches included, goes through `product`.
+    That is where numpy's matmul would call it: a single n x d batch with n
+    and d both above 1 (at n = 1 it takes a dot product, at d = 1 an outer
+    product), both arrays aligned, C-contiguous float64, and out writeable
+    and apart from z.
     """
     n, d = z.shape[-2:]
     if (z.ndim == 2 and n > 1 and d > 1 and out.shape == (n, n)
             and z.dtype == out.dtype == np.float64 and out.flags.carray
             and z.flags.c_contiguous and z.flags.aligned
-            and not np.may_share_memory(z, out)
-            and (lib := library()) is not None):
-        with one_thread():
-            lib.dsyrk(_ROW_MAJOR, _UPPER, _NO_TRANS, n, d, 1.0, z.ctypes.data,
-                      d, 0.0, out.ctypes.data, n)
-        return out
+            and not np.may_share_memory(z, out)):
+        return library()
+    return None
+
+
+def _dsyrk(lib: Library, z: np.ndarray, alpha: float, beta: float,
+           out: np.ndarray) -> np.ndarray:
+    """out = alpha z @ z.T + beta out on out's upper triangle, on one thread."""
+    n, d = z.shape
+    with one_thread():
+        lib.dsyrk(_ROW_MAJOR, _UPPER, _NO_TRANS, n, d, alpha, z.ctypes.data,
+                  d, beta, out.ctypes.data, n)
+    return out
+
+
+def gram(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """z @ z.T in out, of which only the upper triangle is to be read.
+
+    Through cblas_dsyrk where `_direct` finds it; anything else, a stack of
+    batches included, goes through `product`.
+    """
+    if (lib := _direct(z, out)) is not None:
+        return _dsyrk(lib, z, 1.0, 0.0, out)
     return product(z, np.swapaxes(z, -1, -2), out)
+
+
+def subtract_twice_gram(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out - 2 z @ z.T in out, of which only the upper triangle is to be
+    read.
+
+    Through one cblas_dsyrk update where `_direct` finds it and z has at
+    most _ONE_PANEL columns; otherwise the Gram product is made apart,
+    doubled and subtracted, with the same bits (see module).
+    """
+    if z.shape[-1] <= _ONE_PANEL and (lib := _direct(z, out)) is not None:
+        return _dsyrk(lib, z, -2.0, 1.0, out)
+    g = product(z, np.swapaxes(z, -1, -2))
+    g *= 2.0
+    out -= g
+    return out
 
 
 def _enter(lib: Library) -> None:

@@ -83,7 +83,9 @@ class ClassPartition:
     """Disjoint nonempty index sets A_1..A_C whose union is range(n).
 
     sets[k] lists class k's rows; labels[i] is row i's class and sizes[k]
-    class k's size.
+    class k's size. spans[k] is class k's rows as a slice when every class
+    is one run of consecutive rows (`span`), as in class-sorted data, and
+    spans is None when some class is not.
     """
 
     sets: tuple[np.ndarray, ...]
@@ -105,6 +107,8 @@ class ClassPartition:
         self.sizes = np.array([a.size for a in self.sets])
         self.labels = np.empty(n, dtype=np.int64)
         self.labels[seen] = np.repeat(np.arange(len(self.sets)), self.sizes)
+        spans = tuple(map(span, self.sets))
+        self.spans = None if None in spans else spans
 
     @property
     def num_classes(self) -> int:
@@ -124,6 +128,22 @@ class ClassPartition:
         """(A, O) for each class in order, O = V \\ A in ascending order."""
         for k, a in enumerate(self.sets):
             yield a, np.flatnonzero(self.labels != k)
+
+
+def span(index: np.ndarray) -> slice | None:
+    """slice(lo, hi) when the 1-D index lists lo, lo + 1, ..., hi - 1 in
+    that order, None for any other index, the empty one included.
+
+    The one test of whether an index set is a run of rows that a slice can
+    read in place of a gather.
+    """
+    if index.ndim != 1 or index.size == 0:
+        return None
+    lo = int(index[0])
+    hi = lo + index.size
+    if int(index[-1]) != hi - 1 or not np.array_equal(index, np.arange(lo, hi)):
+        return None
+    return slice(lo, hi)
 
 
 def _integers(values, what: str) -> np.ndarray:

@@ -316,6 +316,7 @@ def cmd_train(args, cfg: dict) -> int:
     data = _dataset(args, cfg.get("dataset", {}), seed)
     if data.num_classes < 2:
         raise ValidationError(f"training needs >= 2 classes, got {data.num_classes}")
+    trainer.check_split(data)
     settings = resolve(args, cfg.get("train", {}), CONFIG_KEYS["train"])
     names = settings.pop("objectives", TRAIN_OBJECTIVES)
     for name in names:

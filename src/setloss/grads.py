@@ -7,9 +7,11 @@ every kernel is symmetric, so the pullbacks in `kernels` read each entry
 weight in both orientations at once. The rules read the
 `batch.ClassPartition` the loss evaluation built, the record's `whole` it
 computed and, for fl, the argmax its term picked. The pairwise rules write
-M from the partition's same-class mask and per-row vectors, and fl from its
-picks, with no transposed read; the loop-built rules (triplet, snn,
-submod-snn, submod-supcon) and the log-det rules build W and fold it. This
+M from per-row vectors and the partition's within-class entries (each
+class's diagonal block when every class is a run of rows, else the
+same-class mask), and fl from its picks, with no transposed read; the
+loop-built rules (triplet, snn, submod-snn, submod-supcon) and the log-det
+rules build W and fold it. This
 module zeroes M's diagonal, every kernel diagonal being constant, and pulls
 M back to the embeddings through the kernel chain rules in `kernels`.
 

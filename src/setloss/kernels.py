@@ -12,9 +12,10 @@ batch's own:
 
 Properties enforced here rather than assumed downstream:
   * exact symmetry by construction: only the upper triangle of a Gram
-    product is read, and `_symmetric_gram` copies it onto the lower one before
-    any elementwise pass; every later pass treats (i, j) and (j, i) alike,
-    and IEEE addition commutes, so the results are symmetric bit for bit,
+    product is read. Cosine's `_symmetric_gram` copies it onto the lower one
+    before any elementwise pass; squared distances are updated on the upper
+    triangle, floored and then copied down. Every later pass treats (i, j)
+    and (j, i) alike, so the results are symmetric bit for bit,
   * exact unit diagonal for cosine/rbf and zero diagonal for distances,
   * cosine entries clipped to [-1, 1] against roundoff,
   * cosine refuses embeddings with norm below 1e-12 (ZeroVector).
@@ -39,10 +40,12 @@ pullbacks scale M in place). Calls given no workspace return arrays that
 share no memory with any later call.
 
 The n x n products go through `_blas`, whose docstring says how they run
-and what that does to their last bits: the Gram product of
-`squared_distances` and `cosine_similarity` through `_blas.gram`, which
-writes only the upper triangle that `_symmetric_gram` then mirrors, and the
-m @ z of every pullback through `_blas.product`.
+and what that does to their last bits: `squared_distances` fills "d" with
+|z_i|^2 + |z_j|^2 and subtracts 2 z @ z.T from its upper triangle in one
+`_blas.subtract_twice_gram` update, with the bits of the separate steps;
+`cosine_similarity` takes its Gram product from `_blas.gram`, which writes
+only the upper triangle that `_symmetric_gram` then mirrors; and the m @ z
+of every pullback runs through `_blas.product`.
 """
 
 from __future__ import annotations
@@ -85,19 +88,20 @@ class Workspace:
     nothing. Two names never share memory.
 
     n x n names: "s" and "d" hold kernel results (a similarity built from
-    squared distances without a kept D lives in "d"); "gram" is scratch for
-    the Gram product of squared distances, then holds the doubled
-    similarity weights M that the pullback scales in place; "wdist" holds
-    the doubled distance weights; "ws" the W that a loop-built weight rule
-    folds into "gram" or "wdist"; "cos" the cosine pullback's unclipped
-    Gram; "mask" the same-class and the "apart" bool masks. A Gram product
-    leaves below its diagonal whatever an earlier, larger one wrote there,
-    and the mirror overwrites it. An RBF step with fl, gc-cf or supcon
-    keeps "d", "gram" and "mask", 17 n^2 bytes (11 MB at n = 800); all
-    seven take 49 n^2. The
-    lattice scans add the float gain blocks "margin" and "other" and their
-    bool masks "finite" and "bad", about 1.2 MB at n = 6 and 3.1 MB at
-    n = 12. Stacks of kernel matrices are not built in a workspace.
+    squared distances without a kept D lives in "d"; the squared distances
+    themselves are built in "d" by one Gram update); "gram" holds the
+    doubled similarity weights M that the pullback scales in place;
+    "wdist" the doubled distance weights; "ws" the W that a loop-built
+    weight rule folds into "gram" or "wdist"; "cos" the cosine pullback's
+    unclipped Gram; "mask" the same-class and the "apart" bool masks. A
+    Gram product or update leaves below its diagonal whatever an earlier,
+    larger one wrote there, and the mirror overwrites it. An RBF step with
+    fl, gc-cf or supcon writes "d" and "gram", 16 n^2 bytes (10 MB at
+    n = 800), and "mask" as well, n^2 more, when a class is not one run of
+    rows; all seven take 49 n^2. The lattice scans add the float gain
+    blocks "margin" and "other" and their bool masks "finite" and "bad",
+    about 1.2 MB at n = 6 and 3.1 MB at n = 12. Stacks of kernel matrices
+    are not built in a workspace.
     """
 
     def __init__(self):
@@ -193,18 +197,16 @@ def cosine_similarity(batch, workspace: Workspace | None = None) -> np.ndarray:
 
 def squared_distances(z: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
     """|z_i - z_j|^2 as |z_i|^2 + |z_j|^2 - 2 <z_i, z_j>, floored at zero."""
-    shape = _square(z)
     sq = np.sum(z * z, axis=-1)
-    twice = _symmetric_gram(z, workspace_buffer(workspace, "gram", shape))
-    twice *= 2.0
     # A row-broadcast copy and a contiguous add, with the operands of one
     # broadcast outer add in its order, take 0.6-0.7 ms at n = 800 where
     # the broadcast add takes 0.9-1.1 ms (2-core x86 VM).
-    d2 = workspace_buffer(workspace, "d", shape)
+    d2 = workspace_buffer(workspace, "d", _square(z))
     d2[...] = sq[..., :, None]
     d2 += sq[..., None, :]
-    d2 -= twice
+    _blas.subtract_twice_gram(z, d2)
     np.maximum(d2, 0.0, out=d2)
+    _mirror_upper(d2)
     _fill_diagonal(d2, 0.0)
     return d2
 

@@ -47,6 +47,7 @@ from typing import Callable
 
 import numpy as np
 
+from .batch import span
 from .errors import LambdaBelowOne, NotPositiveDefinite, ValidationError
 
 # Gradient checks exclude coordinates whose fl argmax gap or triplet hinge
@@ -92,9 +93,30 @@ def _gather(x: np.ndarray, *index) -> np.ndarray:
     return np.ascontiguousarray(x[(Ellipsis,) + index])
 
 
+def _block(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each row r's x[..., rows_r x cols_r] block, C-contiguous, stacked as
+    `_gather` stacks them.
+
+    One index set on one matrix is read through a slice where its rows or
+    its columns are a run (`batch.span`), as a class of class-sorted data
+    is, with one copy in `_gather`'s element order. A gather with two index
+    arrays looks up both for every entry; the slice copies whole stretches.
+    Other sets, and stacks of matrices, go through `_gather`.
+    """
+    if x.ndim == 2 and rows.shape[0] == 1:
+        r, c = span(rows[0]), span(cols[0])
+        if r is not None and c is not None:
+            return np.ascontiguousarray(x[r, c])[None]
+        if r is not None:
+            return np.take(x[r], cols[0], axis=1)[None]
+        if c is not None:
+            return np.take(x[:, c], rows[0], axis=0)[None]
+    return _gather(x, rows[:, :, None], cols[:, None, :])
+
+
 def _block_sum(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sum of each row's s[rows_r x cols_r] block, read in row-major order."""
-    block = _gather(s, rows[:, :, None], cols[:, None, :])
+    block = _block(s, rows, cols)
     return np.sum(block.reshape(block.shape[:-2] + (-1,)), axis=-1)
 
 
@@ -109,9 +131,8 @@ def _triplet_hinges(d, mem, comp, eps):
     D^2_ip - D^2_ic + eps for the anchor i = mem[r, a], the positive
     mem[r, p] and the negative comp[r, c]. Row p = a pairs the anchor with
     itself, and every caller drops it."""
-    anchors = mem[:, :, None]
-    d2m = _gather(d, anchors, mem[:, None, :]) ** 2
-    d2c = _gather(d, anchors, comp[:, None, :]) ** 2
+    d2m = _block(d, mem, mem) ** 2
+    d2c = _block(d, mem, comp) ** 2
     for a in range(mem.shape[1]):
         hinge = d2m[..., a, :, None] - d2c[..., a, None, :]
         hinge += eps
@@ -163,7 +184,7 @@ def _anchor_lses(pos_from, s, mem, comp):
     own = mem[:, _others(m)]
     pos = (_lse(_gather(pos_from, anchors, own)) if m > 1
            else np.zeros(s.shape[:-2] + mem.shape))
-    return pos, _lse(_gather(s, anchors, comp[:, None, :]))
+    return pos, _lse(_block(s, mem, comp))
 
 
 def _snn_term(s, d, mem, comp, lam, eps, whole):
@@ -193,7 +214,7 @@ def _submod_snn_term(s, d, mem, comp, lam, eps, whole):
 
 def _submod_supcon_term(s, d, mem, comp, lam, eps, whole):
     total = -_block_sum(s, mem, mem)
-    neg = _lse(_gather(s, mem[:, :, None], comp[:, None, :]))
+    neg = _lse(_block(s, mem, comp))
     for a in range(mem.shape[1]):
         total += neg[..., a]
     return total
@@ -208,8 +229,7 @@ def _gc_cf_term(s, d, mem, comp, lam, eps, whole):
 
 
 def _logdet_sf_term(s, d, mem, comp, lam, eps, whole):
-    return _logdet_spd(_gather(s, mem[:, :, None], mem[:, None, :])
-                       + lam * np.eye(mem.shape[1]))
+    return _logdet_spd(_block(s, mem, mem) + lam * np.eye(mem.shape[1]))
 
 
 def _logdet_cf_term(s, d, mem, comp, lam, eps, whole):
@@ -219,14 +239,14 @@ def _logdet_cf_term(s, d, mem, comp, lam, eps, whole):
 
 
 def _fl_term(s, d, mem, comp, lam, eps, whole):
-    nearest = np.max(_gather(s, comp[:, :, None], mem[:, None, :]), axis=-1)
+    nearest = np.max(_block(s, comp, mem), axis=-1)
     return np.sum(nearest, axis=-1)
 
 
 def _fl_picking_term(s, d, mem, comp, lam, eps, whole):
     """fl's term, and each complement row's first argmax in mem, from one
     gathered block."""
-    block = _gather(s, comp[:, :, None], mem[:, None, :])
+    block = _block(s, comp, mem)
     return np.sum(np.max(block, axis=-1), axis=-1), np.argmax(block, axis=-1)
 
 
@@ -237,9 +257,9 @@ def _fl_picking_term(s, d, mem, comp, lam, eps, whole):
 # those forms keep signed zeros (0.0 - 0.0 is 0.0, not -0.0).
 # `grads._entry_weights` zeroes the diagonals.
 #
-# The rules built from the same-class mask, and fl's from its picks, write
-# M directly. The others build W in `scratch` and fold it with `_fold`, the
-# one transposed read of a training step.
+# The rules built from the within-class entries, and fl's from its picks,
+# write M directly. The others build W in `scratch` and fold it with
+# `_fold`, the one transposed read of a training step.
 
 def _fold(w, out):
     """out = w + w.T, the doubled weights of a rule that builds W itself."""
@@ -261,28 +281,46 @@ def _triplet_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
     _fold(scratch, mdist)
 
 
-def _outer_sums(m, u, v, same):
-    """m_ij = u_i + u_j, and v_i + v_j where `same`: the doubled weights of a
-    W whose row i holds u_i between classes and v_i within."""
+def _within(m, classes, mask):
+    """Yield (out, where, rows) that cover m's within-class entries: out is
+    m[rows, rows] and where the entries of out to write.
+
+    When every class is a run of rows (`classes.spans`), that is each
+    class's diagonal block, whole (where True), so no pass reads a mask.
+    Otherwise it is all of m once, where the same-class mask, which is
+    written into the bool buffer mask, is true.
+    """
+    if classes.spans is None:
+        yield m, classes.same_class(mask), slice(None)
+        return
+    for rows in classes.spans:
+        yield m[rows, rows], True, rows
+
+
+def _outer_sums(m, u, v, classes, mask):
+    """m_ij = u_i + u_j between classes and v_i + v_j within: the doubled
+    weights of a W whose row i holds u_i between classes and v_i within."""
     # A row-broadcast copy and a contiguous add, with the same operands in
     # the same order, take 0.7 ms at n = 800 where one broadcast outer add
     # takes 1.1 ms (2-core x86 VM).
     m[...] = u[:, None]
     m += u
-    np.add(v[:, None], v, out=m, where=same)
+    for out, where, rows in _within(m, classes, mask):
+        np.add(v[rows, None], v[rows], out=out, where=where)
 
 
 def _npairs_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
                     whole):
     inv_row = 1.0 / whole
-    _outer_sums(m, 0.0 - inv_row, -1.0 - inv_row, classes.same_class(mask))
+    _outer_sums(m, 0.0 - inv_row, -1.0 - inv_row, classes, mask)
 
 
 def _opl_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
                  whole):
     # W is 1 between classes and -1 within.
     m.fill(1.0 + 1.0)
-    np.copyto(m, -1.0 + -1.0, where=classes.same_class(mask))
+    for out, where, _ in _within(m, classes, mask):
+        np.copyto(out, -1.0 + -1.0, where=where)
 
 
 def _classmates(classes):
@@ -316,14 +354,15 @@ def _supcon_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
     inv_row = 1.0 / whole
     inv_size = 1.0 / classes.sizes
     _outer_sums(m, 0.0 + inv_row, (0.0 - inv_size[classes.labels]) + inv_row,
-                classes.same_class(mask))
+                classes, mask)
 
 
 def _submod_triplet_weights(m, mdist, scratch, mask, s, d, classes, picks, lam,
                             eps, whole):
     # W is symmetric, as S is, so M = W + W.
     np.multiply(s, 2.0, out=m)
-    np.negative(m, out=m, where=classes.same_class(mask))
+    for out, where, _ in _within(m, classes, mask):
+        np.negative(out, out=out, where=where)
     # -x + 0.0 is 0.0 - x and x + 0.0 is 0.0 + x, signed zeros included.
     m += 0.0
     m += m
@@ -342,7 +381,10 @@ def _submod_snn_weights(m, mdist, scratch, mask, s, d, classes, picks, lam,
 
 def _submod_supcon_weights(m, mdist, scratch, mask, s, d, classes, picks, lam,
                            eps, whole):
-    np.subtract(0.0, classes.same_class(mask), out=scratch)
+    # W is 0.0 - 1 within classes and 0.0 - 0 between, before the softmax.
+    scratch.fill(0.0)
+    for out, where, _ in _within(scratch, classes, mask):
+        np.copyto(out, -1.0, where=where)
     _add_outside_softmax(scratch, s, classes)
     _fold(scratch, m)
 
@@ -351,14 +393,16 @@ def _gc_sf_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
                    whole):
     # W is 1 between classes and 0.0 - lam within.
     m.fill(1.0 + 1.0)
-    np.copyto(m, (0.0 - lam) + (0.0 - lam), where=classes.same_class(mask))
+    for out, where, _ in _within(m, classes, mask):
+        np.copyto(out, (0.0 - lam) + (0.0 - lam), where=where)
 
 
 def _gc_cf_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
                    whole):
     # W is 0.0 + lam between classes and 0.0 within.
     m.fill((0.0 + lam) + (0.0 + lam))
-    np.copyto(m, 0.0, where=classes.same_class(mask))
+    for out, where, _ in _within(m, classes, mask):
+        np.copyto(out, 0.0, where=where)
 
 
 def _logdet_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
@@ -435,9 +479,10 @@ class Objective:
     `distance` also says that the objective reads D at all. Only the
     off-diagonal entries count: the caller zeroes the diagonals, which no
     kernel gradient reads. mask is an n x n bool buffer (or None) for
-    `classes.same_class`. A record with `folds` builds W in the n x n
-    scratch buffer and folds it with `_fold`; the others get scratch None
-    and write M without a transposed read. picks is what `picking_term`
+    `classes.same_class`, which a rule reads only when some class is not a
+    run of rows. A record with `folds` builds W in the n x n scratch
+    buffer and folds it with `_fold`; the others get scratch None and
+    write M without a transposed read. picks is what `picking_term`
     returned for each class of the same partition, in class order, and
     None for a record without one. The buffers come in holding anything.
     kinks(rows, s, d, classes, eps) marks the rows within TIE_GAP of a

@@ -226,12 +226,19 @@ def evaluate_stage2(params: ExtractorParams, train_data: EmbeddingBatch,
                        confusion, intra, inter)
 
 
-def split_batch(data: EmbeddingBatch, eval_fraction: float, seed: int):
-    """Stratified (train, eval) split; every class lands in both."""
+def check_split(data: EmbeddingBatch) -> None:
+    """Raise ValidationError unless every class has the two samples that a
+    stratified split needs, one for each side."""
     sizes = np.bincount(data.labels)
     if sizes.min() < 2:
-        raise MissingClass(int(sizes.argmin()),
-                           "both splits (class has a single sample)")
+        raise ValidationError(f"class {int(sizes.argmin())} has 1 sample; "
+                              f"a stratified split needs >= 2")
+
+
+def split_batch(data: EmbeddingBatch, eval_fraction: float, seed: int):
+    """Stratified (train, eval) split; every class lands in both, with its
+    rows in their order in data."""
+    check_split(data)
     rng = Rng(seed).derive(303)
     train_idx, eval_idx = [], []
     for a in data.partition():

@@ -44,13 +44,16 @@ class _StandIn:
 
 
 def _numpy_dsyrk(order, uplo, trans, n, d, alpha, z, lda, beta, out, ldc):
-    """The row-major z @ z.T that `_blas.gram` asks cblas_dsyrk for, by numpy."""
+    """The row-major alpha z @ z.T + beta out that `_blas.gram` and
+    `_blas.subtract_twice_gram` ask cblas_dsyrk for, by numpy; with beta 0,
+    out is not read."""
     def view(address, rows, cols):
         pointer = ctypes.cast(address, ctypes.POINTER(ctypes.c_double))
         return np.ctypeslib.as_array(pointer, (rows, cols))
 
     z = view(z, n, lda)[:, :d]
-    view(out, n, ldc)[:, :n] = alpha * (z @ z.T)
+    c = view(out, n, ldc)[:, :n]
+    c[...] = alpha * (z @ z.T) + (beta * c if beta else 0.0)
 
 
 @pytest.fixture(params=["bundled", "stand-in"])
@@ -148,6 +151,46 @@ def test_the_direct_dsyrk_leaves_arrays_it_cannot_take_to_numpy(monkeypatch):
     assert len(calls) == (lib is not None)
     got = kernels._symmetric_gram(np.asfortranarray(z), out)
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65, 129, 800])
+def test_the_direct_update_subtracts_twice_numpys_gram_product(n):
+    # One dsyrk update with alpha = -2 and beta = 1 rounds each entry once,
+    # as subtracting the doubled product does. Past _ONE_PANEL columns, and
+    # where there is no direct call, the product is made apart.
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    for d in (1, 2, 10, 64, _blas._ONE_PANEL, _blas._ONE_PANEL + 1, 256, 400):
+        rng = np.random.default_rng(n * 1000 + d)
+        z = rng.standard_normal((n, d))
+        start = rng.standard_normal((n, n)) + d
+        want = start - 2.0 * _one_thread_matmul(z)
+        out = start.copy()
+        np.copyto(out, np.nan, where=~upper)
+        assert _blas.subtract_twice_gram(z, out) is out
+        assert out[upper].tobytes() == want[upper].tobytes()
+
+
+def test_the_direct_update_leaves_arrays_it_cannot_take_to_numpy(monkeypatch):
+    lib = _blas.library()
+    calls = []
+    if lib is not None:
+        monkeypatch.setattr(_blas, "_library", lib._replace(
+            dsyrk=lambda *args: (calls.append(args), lib.dsyrk(*args))))
+    z = np.random.default_rng(4).standard_normal((40, 6))
+    start = np.random.default_rng(5).standard_normal((40, 40))
+    want = start - 2.0 * _one_thread_matmul(z)
+    for a in (np.asfortranarray(z),                      # not C-contiguous
+              np.ascontiguousarray(np.tile(z, 30)[:, :_blas._ONE_PANEL + 1]),  # wide
+              np.stack([z, z])):                         # a stack
+        out = np.broadcast_to(start, a.shape[:-1] + (40,)).copy()
+        _blas.subtract_twice_gram(a, out)
+        if a.shape[-1] == z.shape[-1]:
+            assert out.tobytes() == np.broadcast_to(want, out.shape).tobytes()
+    assert calls == []
+    out = start.copy()
+    _blas.subtract_twice_gram(z, out)
+    assert len(calls) == (lib is not None)
+    assert np.triu(out).tobytes() == np.triu(want).tobytes()
 
 
 FUNCTIONS = ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads",

@@ -397,6 +397,22 @@ def test_train_rejects_a_one_class_dataset(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_rejects_a_dataset_with_a_one_sample_class(tmp_path, capsys):
+    # Class 2 has one sample, which no stratified split can put on both
+    # sides, so the command stops before any objective trains.
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps({
+        "dataset": {"kind": "step", "c": 3, "d": 4, "base_count": 3, "ratio": 3.0},
+        "train": {"steps": 1}}))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: class 2 has 1 sample; "
+                            "a stratified split needs >= 2\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, config, code, last_line", [
     (["gradcheck", "--objective", "gc-cf", "--tol", "0"], None, 4,
      "gradient check failed: gc-cf"),

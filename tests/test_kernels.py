@@ -270,6 +270,25 @@ def test_pullbacks_match_the_allocating_formulas_bit_for_bit(kind):
             assert _same_bits(kernels.sqdist_pullback(z, _old_doubled(w)), want)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 200), st.integers(1, 12), st.sampled_from(["C", "F"]),
+       st.integers(0, 3), st.integers(0, 2 ** 16))
+def test_squared_distances_match_the_allocating_formula_over_shapes(
+        n, dim, order, k, seed):
+    # The one dsyrk update for C-ordered single batches with n and d above
+    # 1; numpy's product, scaled and added, for Fortran-ordered z, d = 1,
+    # n = 1 and stacks of k batches. The allocating formula takes its
+    # product on one thread, as the kernels do.
+    shape = (n, dim) if k == 0 else (k, n, dim)
+    z = np.asarray(Rng(seed).normals(shape) + 0.3, order=order)
+    with _blas.one_thread():
+        want = [_old_squared_distances(one) for one in z.reshape(-1, n, dim)]
+    want = np.reshape(want, z.shape[:-1] + (n,))
+    assert _same_bits(kernels.squared_distances(z), want)
+    if k == 0:
+        assert _same_bits(kernels.squared_distances(z, kernels.Workspace()), want)
+
+
 def test_workspace_reuses_a_buffer_until_n_changes():
     # Grow-only: a larger request makes a new array, a smaller or
     # differently shaped one is a view of the largest.
@@ -320,33 +339,36 @@ def test_the_mirror_copies_the_upper_triangle_onto_the_lower(n, stack, seed):
     assert _same_bits(m, np.swapaxes(m, -1, -2).copy())
 
 
-def _lopsided_gram(monkeypatch, i, j):
-    """Patch the Gram product so entry (i, j), above the diagonal, sits one
-    ulp above (j, i), and every entry below the diagonal is NaN."""
-    real = _blas.gram
+def _lopsided(monkeypatch, i, j):
+    """Patch both Gram seams, the product for cosine and the update for
+    squared distances, so that each leaves entry (i, j), above the
+    diagonal, one ulp above what it wrote there, and NaN at every entry
+    below the diagonal. Returns the patched product."""
+    def lopsided(out):
+        out[..., i, j] = np.nextafter(out[..., i, j], np.inf)
+        np.copyto(out, np.nan, where=np.tri(out.shape[-1], k=-1, dtype=bool))
+        return out
 
-    def gram(z, out):
-        g = real(z, out)
-        g[..., i, j] = np.nextafter(g[..., i, j], np.inf)
-        np.copyto(g, np.nan, where=np.tri(g.shape[-1], k=-1, dtype=bool))
-        return g
-
-    monkeypatch.setattr(_blas, "gram", gram)
-    return gram
+    real_gram, real_update = _blas.gram, _blas.subtract_twice_gram
+    monkeypatch.setattr(_blas, "gram", lambda z, out: lopsided(real_gram(z, out)))
+    monkeypatch.setattr(_blas, "subtract_twice_gram",
+                        lambda z, out: lopsided(real_update(z, out)))
+    return _blas.gram
 
 
 def _check_the_mirror_under_a_lopsided_product(monkeypatch, z, workspace):
     n, dim = z.shape
-    # Rows 0 and n - 1 lie close together, so their d^2 is small and keeps
-    # the one-ulp change to their Gram entry.
+    # Rows 0 and n - 1 lie close together, so their d^2 is small, positive
+    # and keeps the one-ulp change to its entry.
     z[n - 1] = z[0] + 1e-3 * (np.arange(dim) + 1.0)
-    gram = _lopsided_gram(monkeypatch, 0, n - 1)
-    upper = _mirrored(gram(z, np.empty((n, n))))
-    assert _old_squared_distances(z, upper)[0, n - 1] != _old_squared_distances(z)[0, n - 1]
+    want = kernels.squared_distances(z)
+    want[0, n - 1] = want[n - 1, 0] = np.nextafter(want[0, n - 1], np.inf)
+    gram = _lopsided(monkeypatch, 0, n - 1)
 
+    # The nudged entry above the diagonal shows on both sides of it, and
+    # the NaN below it shows nowhere.
     d2 = kernels.squared_distances(z, workspace)
-    assert _same_bits(d2, d2.T)
-    assert _same_bits(d2, _old_squared_distances(z, upper))
+    assert _same_bits(d2, want)
 
     zh = kernels.unit_rows(z)
     s = kernels.cosine_similarity(EmbeddingBatch(z, np.zeros(n, dtype=int)), workspace)

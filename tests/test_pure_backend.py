@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setloss import grads, losses, objectives, submodcheck
+from setloss import grads, kernels, losses, objectives, submodcheck
 from setloss._backend import pure
-from setloss.batch import partition_from_labels
+from setloss.batch import EmbeddingBatch, partition_from_labels
 from setloss.errors import NotPositiveDefinite
 from setloss.sampling import Rng
 
@@ -321,6 +321,78 @@ def test_total_value_matches_oracle(name, kernel):
                                                      obj.whole_value(s, LAM))
         assert same_bits(new_per, old_per), batch.n
         assert same_bits(new_total, old_total), batch.n
+
+
+def _class_runs(n, dim, seed, split=False):
+    """check_batch's rows sorted by class, so that every class is one run of
+    rows, as in the training data. With split, two rows of classes 1 and 2
+    trade places, so that only class 0 is still a run."""
+    b = grads.check_batch(n, dim, seed)
+    order = np.argsort(b.labels, kind="stable")
+    labels = b.labels[order]
+    if split:
+        one, two = np.flatnonzero(labels == 1)[1], np.flatnonzero(labels == 2)[1]
+        labels[[one, two]] = labels[[two, one]]
+    return EmbeddingBatch(b.vectors[order], labels)
+
+
+RUN_BATCHES = [_class_runs(12, 8, 0), _class_runs(240, 8, 1),
+               _class_runs(12, 8, 2, split=True), _class_runs(240, 8, 3, split=True)]
+
+
+@pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
+@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+def test_total_value_matches_oracle_on_classes_that_are_runs(name, kernel):
+    # A class that is a run of rows is read through slices; the others, in
+    # the split batches, through gathers.
+    code, obj = CODE[name], objectives.get(name)
+    cfg = losses.LossConfig("triplet", kernel=kernel, bandwidth=0.8)
+    # Negated distances need a large lam before a log-det block is
+    # positive definite.
+    lam = 1e4 if kernel == "neg-euclidean" else LAM
+    for batch in RUN_BATCHES:
+        s, d = losses.matrices(batch, cfg)
+        classes = partition_from_labels(batch.labels)
+        assert (classes.spans is None) == (batch.labels[1:] < batch.labels[:-1]).any()
+        old_total, old_per = total_value(code, s, d, classes, lam, EPS)
+        new_total, new_per, _ = new_without_warnings(pure.total_value, obj, s, d,
+                                                     classes, lam, EPS,
+                                                     obj.whole_value(s, lam))
+        assert same_bits(new_per, old_per), batch.n
+        assert same_bits(new_total, old_total), batch.n
+
+
+def _index_set(draw, n, size, kind):
+    """A (size,) index set into range(n): a run, the run reversed, or any
+    distinct rows in any order."""
+    if kind == "run":
+        lo = draw(st.integers(0, n - size))
+        return np.arange(lo, lo + size)
+    if kind == "reversed":
+        lo = draw(st.integers(0, n - size))
+        return np.arange(lo, lo + size)[::-1].copy()
+    return np.array(draw(st.permutations(range(n)))[:size], dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_block_through_slices_is_the_gathered_block(data):
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(0, 2))
+    count = 1 if k == 0 else data.draw(st.integers(1, 3))
+    shape = (n, n) if k == 0 else (k, n, n)
+    x = Rng(data.draw(st.integers(0, 2 ** 16))).normals(shape)
+    stacks = []
+    for _ in range(2):
+        size = data.draw(st.integers(0, n))
+        kind = data.draw(st.sampled_from(["run", "reversed", "any"]))
+        stacks.append(np.stack([_index_set(data.draw, n, size, kind)
+                                for _ in range(count)]))
+    rows, cols = stacks
+    got = objectives._block(x, rows, cols)
+    want = objectives._gather(x, rows[:, :, None], cols[:, None, :])
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_term_values_rows_match_oracle_terms():

@@ -11,7 +11,7 @@ import pytest
 from setloss import (batch, grads, kernels, losses, objectives, submodcheck, synthlab,
                      trainer)
 from setloss.batch import EmbeddingBatch
-from setloss.errors import DegenerateBatch, DivergedLoss, MissingClass, SetLossError, ValidationError
+from setloss.errors import DegenerateBatch, DivergedLoss, SetLossError, ValidationError
 from setloss.sampling import Rng
 
 
@@ -130,8 +130,19 @@ def test_split_is_stratified_and_disjoint():
 def test_split_rejects_singleton_class():
     v = np.vstack([np.eye(3), [[0.5, 0.5, 0.0]]])
     data = EmbeddingBatch(v, np.array([0, 0, 1, 2]))
-    with pytest.raises(MissingClass):
+    with pytest.raises(ValidationError):
         trainer.split_batch(data, 0.25, seed=0)
+
+
+def test_a_one_sample_class_is_refused_before_training(monkeypatch):
+    # Classes 1 and 2 have one sample each; the first is named.
+    data = EmbeddingBatch(np.vstack([np.eye(3), [[0.5, 0.5, 0.0]]]),
+                          np.array([0, 0, 1, 2]))
+    monkeypatch.setattr(trainer, "train_stage1",
+                        lambda *args: pytest.fail("training started"))
+    with pytest.raises(ValidationError,
+                       match="^class 1 has 1 sample; a stratified split needs >= 2$"):
+        trainer.run_objective(data, quick_config())
 
 
 def test_stage1_rejects_a_one_class_batch():
