@@ -4,8 +4,8 @@ A batch is the ground set V: n embeddings in R^d with integer class labels.
 Labels must cover 0..C-1 with every class nonempty, so a label array always
 induces a valid partition of V. `ClassPartition` is the one form of that
 partition the package passes around: the class sets A_k, which the loss
-terms sum over, with the labels, sizes, same-class mask and complements the
-gradient's weight rules read. The CSV layout is one row per embedding with
+terms sum over, with the labels, sizes and complements the gradient's
+weight rules read. The CSV layout is one row per embedding with
 header ``id,label,f0,...,f{d-1}``.
 """
 
@@ -83,9 +83,7 @@ class ClassPartition:
     """Disjoint nonempty index sets A_1..A_C whose union is range(n).
 
     sets[k] lists class k's rows; labels[i] is row i's class and sizes[k]
-    class k's size. spans[k] is class k's rows as a slice when every class
-    is one run of consecutive rows (`span`), as in class-sorted data, and
-    spans is None when some class is not.
+    class k's size.
     """
 
     sets: tuple[np.ndarray, ...]
@@ -107,8 +105,6 @@ class ClassPartition:
         self.sizes = np.array([a.size for a in self.sets])
         self.labels = np.empty(n, dtype=np.int64)
         self.labels[seen] = np.repeat(np.arange(len(self.sets)), self.sizes)
-        spans = tuple(map(span, self.sets))
-        self.spans = None if None in spans else spans
 
     @property
     def num_classes(self) -> int:
@@ -116,13 +112,6 @@ class ClassPartition:
 
     def __iter__(self):
         return iter(self.sets)
-
-    def same_class(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The n x n bool mask of row pairs that share a class, written into
-        `out` (and returned) when given one."""
-        # Row i of the mask is its class's row of the small class-by-row table.
-        rows = np.arange(len(self.sets))[:, None] == self.labels
-        return np.take(rows, self.labels, axis=0, out=out, mode="clip")
 
     def with_complements(self):
         """(A, O) for each class in order, O = V \\ A in ascending order."""
@@ -222,13 +211,3 @@ def read_embedding_file(path) -> EmbeddingBatch:
         row = 0 if gap is None else int(np.argmax(labels > gap))
         raise ParseError(path, lines[row], str(exc)) from exc
 
-
-def write_embedding_file(path, batch: EmbeddingBatch) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"] + ["f%d" % i for i in range(batch.dim)])
-        for i in range(batch.n):
-            writer.writerow(
-                [batch.ids[i], int(batch.labels[i])]
-                + [repr(float(x)) for x in batch.vectors[i]]
-            )

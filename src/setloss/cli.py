@@ -13,7 +13,7 @@ Exit codes, stable and script-friendly:
     3  an objective's precondition failed on otherwise valid input
     4  gradient check ran and failed
     5  submodularity verdict differs from the claimed property
-    6  output could not be written
+    6  a file could not be read or written
 
 A JSON config file can stand in for flags via ``--config``; sections are
 ``dataset``, ``loss``, ``train``, ``sweep``, ``check``, plus a top-level

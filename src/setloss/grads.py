@@ -7,11 +7,10 @@ every kernel is symmetric, so the pullbacks in `kernels` read each entry
 weight in both orientations at once. The rules read the
 `batch.ClassPartition` the loss evaluation built, the record's `whole` it
 computed and, for fl, the argmax its term picked. The pairwise rules write
-M from per-row vectors and the partition's within-class entries (each
-class's diagonal block when every class is a run of rows, else the
-same-class mask), and fl from its picks, with no transposed read; the
-loop-built rules (triplet, snn, submod-snn, submod-supcon) and the log-det
-rules build W and fold it. This
+M from per-row vectors and each class's diagonal block (a view where the
+class is a run of rows, else a gathered copy written back), and fl from its
+picks, with no transposed read; the loop-built rules (triplet, snn,
+submod-snn, submod-supcon) and the log-det rules build W and fold it. This
 module zeroes M's diagonal, every kernel diagonal being constant, and pulls
 M back to the embeddings through the kernel chain rules in `kernels`.
 
@@ -73,15 +72,14 @@ def _entry_weights(obj, s, d, classes, lam, eps, whole, workspace=None,
     classes is the batch's `ClassPartition`, whole the record's
     `whole_value` of s, and picks the evaluation's `picks` (fl's). With a
     workspace, the similarity weights are built in its "gram" buffer, the
-    distance weights in "wdist", a folding rule's W in "ws" and the
-    same-class mask in "mask".
+    distance weights in "wdist" and a folding rule's W in "ws", which the
+    other rules leave untouched.
     """
     m = kernels.workspace_buffer(workspace, "gram", s.shape)
     mdist = (kernels.workspace_buffer(workspace, "wdist", s.shape)
              if obj.distance is not None else None)
-    scratch = kernels.workspace_buffer(workspace, "ws", s.shape) if obj.folds else None
-    mask = kernels.workspace_buffer(workspace, "mask", s.shape, bool)
-    obj.weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps, whole)
+    scratch = kernels.workspace_buffer(workspace, "ws", s.shape)
+    obj.weights(m, mdist, scratch, s, d, classes, picks, lam, eps, whole)
     np.fill_diagonal(m, 0.0)
     if mdist is not None:
         np.fill_diagonal(mdist, 0.0)

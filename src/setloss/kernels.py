@@ -91,17 +91,17 @@ class Workspace:
     squared distances without a kept D lives in "d"; the squared distances
     themselves are built in "d" by one Gram update); "gram" holds the
     doubled similarity weights M that the pullback scales in place;
-    "wdist" the doubled distance weights; "ws" the W that a loop-built
-    weight rule folds into "gram" or "wdist"; "cos" the cosine pullback's
-    unclipped Gram; "mask" the same-class and the "apart" bool masks. A
-    Gram product or update leaves below its diagonal whatever an earlier,
+    "wdist" the doubled distance weights; "ws" the W that a loop-built or
+    log-det weight rule builds and adds to its transpose in "gram" or
+    "wdist"; "cos" the cosine pullback's unclipped Gram; "mask" the
+    "apart" bool mask of the distance and neg-euclidean pullbacks. A Gram
+    product or update leaves below its diagonal whatever an earlier,
     larger one wrote there, and the mirror overwrites it. An RBF step with
     fl, gc-cf or supcon writes "d" and "gram", 16 n^2 bytes (10 MB at
-    n = 800), and "mask" as well, n^2 more, when a class is not one run of
-    rows; all seven take 49 n^2. The lattice scans add the float gain
-    blocks "margin" and "other" and their bool masks "finite" and "bad",
-    about 1.2 MB at n = 6 and 3.1 MB at n = 12. Stacks of kernel matrices
-    are not built in a workspace.
+    n = 800), and asks for "ws" without writing it; all seven take 49 n^2.
+    The lattice scans add the float gain blocks "margin" and "other" and
+    their bool masks "finite" and "bad", about 1.2 MB at n = 6 and 3.1 MB
+    at n = 12. Stacks of kernel matrices are not built in a workspace.
     """
 
     def __init__(self):

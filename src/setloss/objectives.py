@@ -257,16 +257,17 @@ def _fl_picking_term(s, d, mem, comp, lam, eps, whole):
 # those forms keep signed zeros (0.0 - 0.0 is 0.0, not -0.0).
 # `grads._entry_weights` zeroes the diagonals.
 #
-# The rules built from the within-class entries, and fl's from its picks,
-# write M directly. The others build W in `scratch` and fold it with
-# `_fold`, the one transposed read of a training step.
+# The rules built from per-row vectors and each class's diagonal block
+# (`_within`), and fl's from its picks, write M directly. The others build
+# W in `scratch` and fold it with `_fold`, the one transposed read of a
+# training step.
 
 def _fold(w, out):
     """out = w + w.T, the doubled weights of a rule that builds W itself."""
     np.add(w, w.T, out=out)
 
 
-def _triplet_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+def _triplet_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
                      whole):
     m.fill(0.0)
     scratch.fill(0.0)
@@ -281,23 +282,27 @@ def _triplet_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
     _fold(scratch, mdist)
 
 
-def _within(m, classes, mask):
-    """Yield (out, where, rows) that cover m's within-class entries: out is
-    m[rows, rows] and where the entries of out to write.
+def _within(m, classes, write):
+    """Call write(block, rows) on each class's diagonal block of m, where
+    block is m[rows x rows] and rows the class's rows.
 
-    When every class is a run of rows (`classes.spans`), that is each
-    class's diagonal block, whole (where True), so no pass reads a mask.
-    Otherwise it is all of m once, where the same-class mask, which is
-    written into the bool buffer mask, is true.
+    classes is a `batch.ClassPartition` or any sequence of its class sets.
+    A class that is a run of rows (`span`), as in class-sorted data, gives
+    a view of m and rows as a slice. Any other class gives an `np.ix_`
+    gathered copy, written back to m after write returns, and its index.
     """
-    if classes.spans is None:
-        yield m, classes.same_class(mask), slice(None)
-        return
-    for rows in classes.spans:
-        yield m[rows, rows], True, rows
+    for a in classes:
+        rows = span(a)
+        if rows is not None:
+            write(m[rows, rows], rows)
+            continue
+        index = np.ix_(a, a)
+        block = m[index]
+        write(block, a)
+        m[index] = block
 
 
-def _outer_sums(m, u, v, classes, mask):
+def _outer_sums(m, u, v, classes):
     """m_ij = u_i + u_j between classes and v_i + v_j within: the doubled
     weights of a W whose row i holds u_i between classes and v_i within."""
     # A row-broadcast copy and a contiguous add, with the same operands in
@@ -305,22 +310,20 @@ def _outer_sums(m, u, v, classes, mask):
     # takes 1.1 ms (2-core x86 VM).
     m[...] = u[:, None]
     m += u
-    for out, where, rows in _within(m, classes, mask):
-        np.add(v[rows, None], v[rows], out=out, where=where)
+    _within(m, classes, lambda out, rows: np.add(v[rows, None], v[rows], out=out))
 
 
-def _npairs_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+def _npairs_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
                     whole):
     inv_row = 1.0 / whole
-    _outer_sums(m, 0.0 - inv_row, -1.0 - inv_row, classes, mask)
+    _outer_sums(m, 0.0 - inv_row, -1.0 - inv_row, classes)
 
 
-def _opl_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+def _opl_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
                  whole):
     # W is 1 between classes and -1 within.
     m.fill(1.0 + 1.0)
-    for out, where, _ in _within(m, classes, mask):
-        np.copyto(out, -1.0 + -1.0, where=where)
+    _within(m, classes, lambda out, _: out.fill(-1.0 + -1.0))
 
 
 def _classmates(classes):
@@ -340,7 +343,7 @@ def _add_outside_softmax(w, s, classes):
             w[anchors, comp] += _row_softmax(s[anchors, comp])
 
 
-def _snn_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+def _snn_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
                  whole):
     scratch.fill(0.0)
     for anchors, own in _classmates(classes):
@@ -349,26 +352,25 @@ def _snn_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
     _fold(scratch, m)
 
 
-def _supcon_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+def _supcon_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
                     whole):
     inv_row = 1.0 / whole
     inv_size = 1.0 / classes.sizes
     _outer_sums(m, 0.0 + inv_row, (0.0 - inv_size[classes.labels]) + inv_row,
-                classes, mask)
+                classes)
 
 
-def _submod_triplet_weights(m, mdist, scratch, mask, s, d, classes, picks, lam,
+def _submod_triplet_weights(m, mdist, scratch, s, d, classes, picks, lam,
                             eps, whole):
     # W is symmetric, as S is, so M = W + W.
     np.multiply(s, 2.0, out=m)
-    for out, where, _ in _within(m, classes, mask):
-        np.negative(out, out=out, where=where)
+    _within(m, classes, lambda out, _: np.negative(out, out=out))
     # -x + 0.0 is 0.0 - x and x + 0.0 is 0.0 + x, signed zeros included.
     m += 0.0
     m += m
 
 
-def _submod_snn_weights(m, mdist, scratch, mask, s, d, classes, picks, lam,
+def _submod_snn_weights(m, mdist, scratch, s, d, classes, picks, lam,
                         eps, whole):
     scratch.fill(0.0)
     for anchors, own in _classmates(classes):
@@ -379,46 +381,45 @@ def _submod_snn_weights(m, mdist, scratch, mask, s, d, classes, picks, lam,
     _fold(scratch, m)
 
 
-def _submod_supcon_weights(m, mdist, scratch, mask, s, d, classes, picks, lam,
+def _submod_supcon_weights(m, mdist, scratch, s, d, classes, picks, lam,
                            eps, whole):
     # W is 0.0 - 1 within classes and 0.0 - 0 between, before the softmax.
     scratch.fill(0.0)
-    for out, where, _ in _within(scratch, classes, mask):
-        np.copyto(out, -1.0, where=where)
+    _within(scratch, classes, lambda out, _: out.fill(-1.0))
     _add_outside_softmax(scratch, s, classes)
     _fold(scratch, m)
 
 
-def _gc_sf_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+def _gc_sf_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
                    whole):
     # W is 1 between classes and 0.0 - lam within.
     m.fill(1.0 + 1.0)
-    for out, where, _ in _within(m, classes, mask):
-        np.copyto(out, (0.0 - lam) + (0.0 - lam), where=where)
+    _within(m, classes, lambda out, _: out.fill((0.0 - lam) + (0.0 - lam)))
 
 
-def _gc_cf_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+def _gc_cf_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
                    whole):
     # W is 0.0 + lam between classes and 0.0 within.
     m.fill((0.0 + lam) + (0.0 + lam))
-    for out, where, _ in _within(m, classes, mask):
-        np.copyto(out, 0.0, where=where)
+    _within(m, classes, lambda out, _: out.fill(0.0))
 
 
-def _logdet_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps,
+def _logdet_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
                     whole):
     # logdet-cf's inverse of the whole S + lam I is subtracted after each
-    # class's block; logdet-sf, whose whole is None, has none.
+    # class's block is written back, so each class goes through `_within`
+    # alone; logdet-sf, whose whole is None, has none.
     inv = None if whole is None else np.linalg.inv(s + lam * np.eye(s.shape[-1]))
     scratch.fill(0.0)
-    for a in classes.sets:
-        scratch[np.ix_(a, a)] += np.linalg.inv(s[np.ix_(a, a)] + lam * np.eye(a.size))
+    for a in classes:
+        block_inv = np.linalg.inv(_block(s, a[None], a[None])[0] + lam * np.eye(a.size))
+        _within(scratch, (a,), lambda out, _: np.add(out, block_inv, out=out))
         if inv is not None:
             scratch -= inv
     _fold(scratch, m)
 
 
-def _fl_weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps, whole):
+def _fl_weights(m, mdist, scratch, s, d, classes, picks, lam, eps, whole):
     # W is 1 from each outside row to its first (lowest-index) max in the
     # class, which the term picked, and 0.0 elsewhere; no pair is picked
     # twice, so M is 1 at those pairs plus 1 at the transposed pairs.
@@ -472,19 +473,19 @@ class Objective:
     (..., n, n) stacks of matrices, with whole computed from the same stack;
     the terms then come back as (..., count), each matrix's row the bits
     that matrix gives alone.
-    weights(m, mdist, scratch, mask, s, d, classes, picks, lam, eps, whole)
+    weights(m, mdist, scratch, s, d, classes, picks, lam, eps, whole)
     takes the whole batch's partition as a `batch.ClassPartition` and writes
     the doubled weights M = W + W.T of the n x n dL/dS into m and, when
     `distance` ("d" or "d2") is set, of dL/dD or dL/dD^2 into mdist;
     `distance` also says that the objective reads D at all. Only the
     off-diagonal entries count: the caller zeroes the diagonals, which no
-    kernel gradient reads. mask is an n x n bool buffer (or None) for
-    `classes.same_class`, which a rule reads only when some class is not a
-    run of rows. A record with `folds` builds W in the n x n scratch
-    buffer and folds it with `_fold`; the others get scratch None and
-    write M without a transposed read. picks is what `picking_term`
-    returned for each class of the same partition, in class order, and
-    None for a record without one. The buffers come in holding anything.
+    kernel gradient reads. scratch is an n x n buffer in which the
+    loop-built and log-det rules build W and fold it with `_fold`; the
+    others leave it untouched and write M without a transposed read. A
+    rule that writes a function of each class's diagonal block does so
+    through `_within`. picks is what `picking_term` returned for each class
+    of the same partition, in class order, and None for a record without
+    one. The buffers come in holding anything.
     kinks(rows, s, d, classes, eps) marks the rows within TIE_GAP of a
     nonsmooth point of any class of the same partition.
     picking_term, where set (fl), is the term over one class that also
@@ -507,7 +508,6 @@ class Objective:
     single_class_ok: bool = False    # a one-class batch is scored, with a warning
     positive_rowsum: bool = False    # needs whole_value, sum_j S_ij - 1, > 0
     min_class_size: int = 1
-    folds: bool = False              # the weight rule builds W and folds it
     picking_term: Callable | None = None
     kinks: Callable = lambda rows, s, d, classes, eps: None
     check_lam: Callable = lambda lam: None
@@ -521,27 +521,27 @@ class Objective:
 
 REGISTRY = (
     Objective("triplet", "not-submodular", _triplet_term, _triplet_weights,
-              kinks=_triplet_kinks, distance="d2", min_class_size=2, folds=True),
+              kinks=_triplet_kinks, distance="d2", min_class_size=2),
     Objective("n-pairs", "submodular", _npairs_term, _npairs_weights,
               positive_rowsum=True, whole_value=_rows_less_one),
     Objective("opl", "submodular", _opl_term, _opl_weights),
-    Objective("snn", "not-submodular", _snn_term, _snn_weights, folds=True),
+    Objective("snn", "not-submodular", _snn_term, _snn_weights),
     Objective("supcon", "not-submodular", _supcon_term, _supcon_weights,
               positive_rowsum=True, whole_value=_rows_less_one),
     Objective("submod-triplet", "submodular", _submod_triplet_term,
               _submod_triplet_weights),
     Objective("submod-snn", "refuted", _submod_snn_term, _submod_snn_weights,
-              distance="d", folds=True),
+              distance="d"),
     Objective("submod-supcon", "submodular", _submod_supcon_term,
-              _submod_supcon_weights, folds=True),
+              _submod_supcon_weights),
     Objective("gc-sf", "submodular", _gc_sf_term, _gc_sf_weights,
               single_class_ok=True, check_lam=_lam_at_least_one),
     Objective("gc-cf", "submodular", _gc_cf_term, _gc_cf_weights,
               single_class_ok=True, check_lam=_lam_at_least_one),
     Objective("logdet-sf", "submodular", _logdet_sf_term, _logdet_weights,
-              single_class_ok=True, check_lam=_lam_positive, folds=True),
+              single_class_ok=True, check_lam=_lam_positive),
     Objective("logdet-cf", "submodular", _logdet_cf_term, _logdet_weights,
-              single_class_ok=True, check_lam=_lam_positive, folds=True,
+              single_class_ok=True, check_lam=_lam_positive,
               whole_value=lambda s, lam: _logdet_spd(s + lam * np.eye(s.shape[-1]))),
     Objective("fl", "submodular", _fl_term, _fl_weights, kinks=_fl_kinks,
               single_class_ok=True, picking_term=_fl_picking_term),

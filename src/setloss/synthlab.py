@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels, losses, objectives
 from .batch import EmbeddingBatch
-from .errors import BadK, EmptyClass, ParseError, ValidationError
+from .errors import BadK, EmptyClass, ValidationError
 from .sampling import Rng
 
 K_RANGE = range(8)
@@ -136,23 +136,6 @@ class SweepResult:
 
 
 SWEEP_HEADER = "k,objective,kernel,loss"
-
-
-def read_sweep_csv(path) -> SweepResult:
-    rows = []
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != SWEEP_HEADER:
-            raise ParseError(path, 1, f"expected header {SWEEP_HEADER!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 4:
-                raise ParseError(path, lineno, f"expected 4 fields, got {len(parts)}")
-            try:
-                rows.append((int(parts[0]), parts[1], parts[2], float(parts[3])))
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from None
-    return SweepResult(rows)
 
 
 def k_sweep(names, kinds, ks, points_per_cluster: int = 100,

@@ -138,6 +138,17 @@ def _class_sorted(n, dim, seed):
     return EmbeddingBatch(b.vectors[order], b.labels[order])
 
 
+def _mixed_runs(n, dim, seed):
+    """_class_sorted with two rows of classes 1 and 2 traded, so class 0 is
+    still a run of rows and classes 1 and 2 are not: one matrix holds both
+    blocks written in place and blocks written back."""
+    b = _class_sorted(n, dim, seed)
+    labels = b.labels.copy()
+    one, two = np.flatnonzero(labels == 1)[1], np.flatnonzero(labels == 2)[1]
+    labels[[one, two]] = labels[[two, one]]
+    return EmbeddingBatch(b.vectors, labels)
+
+
 def _with_singleton(n, dim, seed):
     """check_batch with one row moved into a class of its own."""
     b = grads.check_batch(n, dim, seed)
@@ -151,6 +162,7 @@ BATCHES = [
     grads.check_batch(12, 8, 2), grads.check_batch(240, 8, 1),
     _class_sorted(12, 8, 3), _class_sorted(240, 8, 4),
     _with_singleton(12, 8, 5), _with_singleton(60, 8, 6),
+    _mixed_runs(12, 8, 7), _mixed_runs(240, 8, 8),
 ]
 
 

@@ -181,7 +181,6 @@ def test_only_the_loop_built_and_log_det_rules_fold(name, monkeypatch):
     cfg = losses.LossConfig(name, kernel="rbf", bandwidth=0.9)
     ev = losses.evaluate(grads.check_batch(12, 5, 0), cfg, kernels.Workspace())
     grads.evaluation_gradient(ev)
-    assert objectives.get(name).folds == (name in FOLDING)
     assert bool(folds) == (name in FOLDING)
     # submod-snn folds its similarity and its distance weights.
     assert len(folds) == (2 if name == "submod-snn" else int(name in FOLDING))

@@ -6,13 +6,21 @@ differ by one log det(S_V + lam I) per class. Batches outside an objective's
 domain must be refused the same way before and after the transformation.
 A scoring never returns inf or nan: it either refuses the batch or gives a
 finite total, finite per-class terms and a finite gradient.
+
+Two symmetries of the kernels hold to a tolerance on any host. RBF and
+neg-euclidean read only differences z_i - z_j, so a translation leaves the
+loss unchanged and the gradient's rows sum to zero. Cosine reads only each
+row's direction, so for an objective that reads no distances a positive
+scaling leaves the loss unchanged and each gradient row is orthogonal to
+its embedding. Each residual is held to SYMMETRY_TOL, relative to the
+largest gradient entry or to max(|L|, 1).
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from setloss import grads, kernels, losses, objectives
@@ -21,6 +29,7 @@ from setloss.errors import PreconditionError, SetLossError
 from setloss.sampling import Rng
 
 EXAMPLES = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+SYMMETRY_TOL = 1e-12
 
 
 def _batches(min_n=4, max_n=15):
@@ -125,3 +134,58 @@ def test_scoring_refuses_or_returns_finite_values(name, batch, kernel,
     assert math.isfinite(ev.result.total)
     assert np.all(np.isfinite(ev.result.per_class))
     assert np.all(np.isfinite(grad))
+
+
+def _loss_and_gradient(batch, cfg):
+    """(total loss, gradient); a draw outside the domain is rejected."""
+    try:
+        ev = losses.evaluate(batch, cfg)
+        return ev.result.total, grads.evaluation_gradient(ev)
+    except SetLossError:
+        assume(False)
+
+
+@st.composite
+def _moved_batches(draw, low, high):
+    """A `_batches` draw and a vector of its dimension, each entry in
+    [low, high]."""
+    batch = draw(_batches())
+    step = draw(st.lists(st.floats(low, high), min_size=batch.dim,
+                         max_size=batch.dim))
+    return batch, np.array(step)
+
+
+def _same_loss(moved, loss):
+    assert abs(moved - loss) <= SYMMETRY_TOL * max(abs(loss), 1.0)
+
+
+@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+@EXAMPLES
+@given(_moved_batches(-1.0, 1.0), st.sampled_from(("rbf", "neg-euclidean")))
+def test_translation_keeps_the_loss_and_gradient_rows_sum_to_zero(name, drawn,
+                                                                  kernel):
+    batch, shift = drawn
+    cfg = _config(name, kernel)
+    loss, grad = _loss_and_gradient(batch, cfg)
+    moved, _ = _loss_and_gradient(
+        EmbeddingBatch(batch.vectors + shift, batch.labels), cfg)
+    residual = np.max(np.abs(np.sum(grad, axis=0)))
+    assert residual <= SYMMETRY_TOL * np.max(np.abs(grad))
+    _same_loss(moved, loss)
+
+
+@pytest.mark.parametrize("name", [obj.name for obj in objectives.REGISTRY
+                                  if obj.distance is None])
+@EXAMPLES
+@given(_batches(), st.floats(0.5, 2.5))
+def test_cosine_scaling_keeps_the_loss_and_gradient_rows_are_orthogonal(
+        name, batch, c):
+    cfg = _config(name, "cosine")
+    loss, grad = _loss_and_gradient(batch, cfg)
+    scaled, _ = _loss_and_gradient(EmbeddingBatch(c * batch.vectors, batch.labels),
+                                   cfg)
+    # Each row's gradient component along its own embedding's direction.
+    z = batch.vectors
+    along = np.sum(grad * z, axis=1) / np.linalg.norm(z, axis=1)
+    assert np.max(np.abs(along)) <= SYMMETRY_TOL * np.max(np.abs(grad))
+    _same_loss(scaled, loss)

@@ -155,14 +155,18 @@ def test_sqdist_pullback_matches_fd():
 # ---- The allocating formulas the in-place kernels replaced ---------------
 # Each builds fresh arrays in the original operation order; the library's
 # kernels and pullbacks must reproduce them bit for bit, with or without a
-# workspace.
+# workspace. Their Gram products run on one thread, as the kernels' products
+# for a single batch do: from about n = 210 a threaded z @ z.T has other last
+# bits.
 
 def _old_symmetrized(m):
     return (m + m.T) / 2.0
 
 
 def _old_squared_distances(z, gram=None):
-    gram = z @ z.T if gram is None else gram
+    if gram is None:
+        with _blas.one_thread():
+            gram = z @ z.T
     sq = np.sum(z * z, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     np.maximum(d2, 0.0, out=d2)
@@ -173,7 +177,10 @@ def _old_squared_distances(z, gram=None):
 
 def _old_cosine(z, gram=None):
     zh = kernels.unit_rows(z)
-    s = _old_symmetrized(zh @ zh.T if gram is None else gram)
+    if gram is None:
+        with _blas.one_thread():
+            gram = zh @ zh.T
+    s = _old_symmetrized(gram)
     np.clip(s, -1.0, 1.0, out=s)
     np.fill_diagonal(s, 1.0)
     return s

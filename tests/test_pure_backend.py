@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from setloss import grads, kernels, losses, objectives, submodcheck
 from setloss._backend import pure
-from setloss.batch import EmbeddingBatch, partition_from_labels
+from setloss.batch import EmbeddingBatch, partition_from_labels, span
 from setloss.errors import NotPositiveDefinite
 from setloss.sampling import Rng
 
@@ -353,7 +353,8 @@ def test_total_value_matches_oracle_on_classes_that_are_runs(name, kernel):
     for batch in RUN_BATCHES:
         s, d = losses.matrices(batch, cfg)
         classes = partition_from_labels(batch.labels)
-        assert (classes.spans is None) == (batch.labels[1:] < batch.labels[:-1]).any()
+        runs = [span(a) is not None for a in classes.sets]
+        assert all(runs) == (batch.labels[1:] >= batch.labels[:-1]).all()
         old_total, old_per = total_value(code, s, d, classes, lam, EPS)
         new_total, new_per, _ = new_without_warnings(pure.total_value, obj, s, d,
                                                      classes, lam, EPS,

@@ -501,5 +501,5 @@ def test_a_scan_and_a_training_run_share_one_thread_workspace(monkeypatch):
     ((work, peak),) = _in_threads(job)
     assert {id(w) for w, _ in asked} == {id(work)}
     names = {name for _, name in asked}
-    assert {"margin", "other", "finite", "bad", "d", "gram", "mask"} <= names
+    assert {"margin", "other", "finite", "bad", "d", "gram", "ws"} <= names
     assert peak < 150 * 150 * 8
