@@ -146,13 +146,12 @@ def _loss_and_gradient(batch, cfg):
 
 
 @st.composite
-def _moved_batches(draw, low, high):
-    """A `_batches` draw and a vector of its dimension, each entry in
-    [low, high]."""
+def _shifted_batches(draw):
+    """A `_batches` draw and a shift of its dimension in [-1, 1]^d."""
     batch = draw(_batches())
-    step = draw(st.lists(st.floats(low, high), min_size=batch.dim,
-                         max_size=batch.dim))
-    return batch, np.array(step)
+    shift = draw(st.lists(st.floats(-1.0, 1.0), min_size=batch.dim,
+                          max_size=batch.dim))
+    return batch, np.array(shift)
 
 
 def _same_loss(moved, loss):
@@ -161,7 +160,7 @@ def _same_loss(moved, loss):
 
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
 @EXAMPLES
-@given(_moved_batches(-1.0, 1.0), st.sampled_from(("rbf", "neg-euclidean")))
+@given(_shifted_batches(), st.sampled_from(("rbf", "neg-euclidean")))
 def test_translation_keeps_the_loss_and_gradient_rows_sum_to_zero(name, drawn,
                                                                   kernel):
     batch, shift = drawn
