@@ -5,15 +5,16 @@ Labels must cover 0..C-1 with every class nonempty, so a label array always
 induces a valid partition of V. `ClassPartition` is the one form of that
 partition the package passes around: the class sets A_k, which the loss
 terms sum over, with the labels, sizes and complements the gradient's
-weight rules read. The CSV layout is one row per embedding with
-header ``id,label,f0,...,f{d-1}``.
+weight rules read. Rows are known by their position alone. The CSV layout
+is one row per embedding with header ``id,label,f0,...,f{d-1}``; the id
+column is checked for its place in the header and otherwise not read.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +27,10 @@ class EmbeddingBatch:
 
     vectors : (n, d) float64
     labels  : (n,) int64, values covering 0..C-1 with no empty class
-    ids     : n opaque sample identifiers (row order)
     """
 
     vectors: np.ndarray
     labels: np.ndarray
-    ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -57,10 +56,6 @@ class EmbeddingBatch:
                 f"labels must cover 0..{self.labels.max()} contiguously; "
                 f"class {gap} is empty"
             )
-        if not self.ids:
-            self.ids = [str(i) for i in range(n)]
-        elif len(self.ids) != n:
-            raise ValidationError(f"{len(self.ids)} ids for {n} embeddings")
 
     @property
     def n(self) -> int:
@@ -161,7 +156,7 @@ def partition_from_labels(labels: np.ndarray) -> ClassPartition:
 
 
 def read_embedding_file(path) -> EmbeddingBatch:
-    """Parse an ``id,label,f0,...`` CSV into a batch.
+    """Parse an ``id,label,f0,...`` CSV into a batch; the ids are not kept.
 
     Raises ParseError with the 1-based line number of the first bad record.
     """
@@ -178,14 +173,13 @@ def read_embedding_file(path) -> EmbeddingBatch:
         if header[2:] != want:
             raise ParseError(path, 1, "feature columns must be f0..f%d" % (len(header) - 3))
         d = len(header) - 2
-        ids, labels, rows, lines = [], [], [], []
+        labels, rows, lines = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             lines.append(lineno)
             if len(row) != d + 2:
                 raise ParseError(path, lineno, f"expected {d + 2} fields, got {len(row)}")
-            ids.append(row[0])
             try:
                 label = int(row[1])
             except ValueError:
@@ -204,7 +198,7 @@ def read_embedding_file(path) -> EmbeddingBatch:
         raise ParseError(path, 2, "no data rows")
     labels = np.array(labels, dtype=np.int64)
     try:
-        return EmbeddingBatch(np.array(rows), labels, ids)
+        return EmbeddingBatch(np.array(rows), labels)
     except ValidationError as exc:
         # A gap in the labels shows first at the first row labelled above it.
         gap = _first_empty_class(labels)

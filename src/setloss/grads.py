@@ -14,6 +14,14 @@ submod-snn, submod-supcon) and the log-det rules build W and fold it. This
 module zeroes M's diagonal, every kernel diagonal being constant, and pulls
 M back to the embeddings through the kernel chain rules in `kernels`.
 
+Under rbf the chain rule reads M only as M o S, so the rules write that
+product instead, a strip of rows at a time, each entry one rounding of
+M_ij x S_ij: the bits of M scaled by S afterwards. Where the evaluation's
+S lives in the workspace the gradient is built in, as in a training step,
+the product is written over S, and the step holds one n x n array: its
+kernel. Otherwise S is left as the evaluation built it, for the gradient
+check's kink rules to read.
+
 Nonsmooth points are handled by fixed subgradient choices: the
 facility-location max takes the lowest-index argmax, and a triplet hinge
 sitting exactly at zero contributes zero. The checker excludes coordinates
@@ -65,21 +73,26 @@ class GradCheckReport:
 
 
 def _entry_weights(obj, s, d, classes, lam, eps, whole, workspace=None,
-                   picks=None):
+                   picks=None, base=None):
     """Doubled (dL/dS, dL/dD, dL/dD^2): each the n x n M = W + W.T with a
     zero diagonal, or None where unused.
 
     classes is the batch's `ClassPartition`, whole the record's
-    `whole_value` of s, and picks the evaluation's `picks` (fl's). With a
-    workspace, the similarity weights are built in its "gram" buffer, the
-    distance weights in "wdist" and a folding rule's W in "ws", which the
-    other rules leave untouched.
+    `whole_value` of s, and picks the evaluation's `picks` (fl's). Given a
+    symmetric n x n base, the similarity weights come back as M o base
+    (`objectives.Scaled`), written over base itself where it lives in
+    `workspace`. Otherwise they are built in the workspace's "gram" buffer,
+    the distance weights in "wdist" and a folding rule's W in "ws", which
+    the other rules never ask for.
     """
-    m = kernels.workspace_buffer(workspace, "gram", s.shape)
+    own = base is not None and workspace is not None and workspace.holds(base)
+    m = base if own else kernels.workspace_buffer(workspace, "gram", s.shape)
     mdist = (kernels.workspace_buffer(workspace, "wdist", s.shape)
              if obj.distance is not None else None)
-    scratch = kernels.workspace_buffer(workspace, "ws", s.shape)
-    obj.weights(m, mdist, scratch, s, d, classes, picks, lam, eps, whole)
+    obj.weights(objectives.Scaled(m, base),
+                None if mdist is None else objectives.Scaled(mdist),
+                lambda: kernels.workspace_buffer(workspace, "ws", s.shape),
+                s, d, classes, picks, lam, eps, whole)
     np.fill_diagonal(m, 0.0)
     if mdist is not None:
         np.fill_diagonal(mdist, 0.0)
@@ -92,12 +105,16 @@ def evaluation_gradient(ev: losses.Evaluation,
     used.
 
     The entry weights and pullbacks are built in `workspace` when given one;
-    the evaluation's own matrices may live in it too.
+    the evaluation's own matrices may live in it too. The RBF pullback
+    reads the similarity weights only as M o S, so under rbf the weight
+    rule writes M o S over ev.s where ev.s lives in `workspace`, which
+    then holds M o S / bw^2, and leaves ev.s intact otherwise.
     """
     config = ev.config
+    base = ev.s if config.kernel == "rbf" else None
     m, md, md2 = _entry_weights(objectives.get(config.objective), ev.s, ev.d,
                                 ev.classes, config.lam, config.margin, ev.whole,
-                                workspace, ev.picks)
+                                workspace, ev.picks, base)
 
     z = ev.batch.vectors
     # An all-zero m pulls back to signed zeros, which the add makes +0.0.
@@ -129,13 +146,9 @@ def finite_difference_gradient(batch: EmbeddingBatch, config: losses.LossConfig,
         for j in range(z.shape[1]):
             orig = work[i, j]
             work[i, j] = orig + h
-            up = losses.total_loss(
-                EmbeddingBatch(work, batch.labels, batch.ids), config
-            ).total
+            up = losses.total_loss(EmbeddingBatch(work, batch.labels), config).total
             work[i, j] = orig - h
-            down = losses.total_loss(
-                EmbeddingBatch(work, batch.labels, batch.ids), config
-            ).total
+            down = losses.total_loss(EmbeddingBatch(work, batch.labels), config).total
             work[i, j] = orig
             out[i, j] = (up - down) / (2.0 * h)
     return out

@@ -25,27 +25,32 @@ W back to embeddings and are the only gradient route the loss module uses.
 They take the doubled weights M = W + W.T with a zero diagonal, which the
 objectives' weight rules write directly (see `grads`), rather than folding
 W themselves; the diagonal is zero because every kernel's diagonal is
-constant in the embeddings. They take the forward matrix the loss was scored
-on rather than rebuilding it; the single-entry kernel_gradient form exists
-for spot checks against finite differences.
+constant in the embeddings. The RBF chain rule reads M only as M o S, so
+it takes that product, which the weight rules write over S itself. The
+others take the forward matrix the loss was scored on rather than
+rebuilding it; the single-entry kernel_gradient form exists for spot
+checks against finite differences.
 
 Every n x n array is built in place, in a buffer that a `Workspace` holds
 when the call is given one and in a fresh array when it is not, so the two
 give the same bits from the same code. The trainer's steps and the lattice
 scans take theirs from `thread_workspace()`. An array built on a workspace
 is valid until that workspace's next use for the same kind of array:
-kernel matrices until its next kernel build, doubled weights until its
+kernel matrices until its next kernel build, or until an RBF gradient is
+taken from them (`grads.evaluation_gradient`), doubled weights until its
 next entry-weight build, kernel build or pullback (the RBF and distance
 pullbacks scale M in place). Calls given no workspace return arrays that
 share no memory with any later call.
 
-The n x n products go through `_blas`, whose docstring says how they run
-and what that does to their last bits: `squared_distances` fills "d" with
+The products go through `_blas`, whose docstring says how they run and
+what that does to their last bits: `squared_distances` fills "d" with
 |z_i|^2 + |z_j|^2 and subtracts 2 z @ z.T from its upper triangle in one
 `_blas.subtract_twice_gram` update, with the bits of the separate steps;
 `cosine_similarity` takes its Gram product from `_blas.gram`, which writes
 only the upper triangle that `_symmetric_gram` then mirrors; and the m @ z
-of every pullback runs through `_blas.product`.
+of every pullback runs through `_blas.product`. All of them run on one
+thread, stacks of batches included, so each matrix of a stack has the bits
+its batch has alone.
 """
 
 from __future__ import annotations
@@ -90,18 +95,21 @@ class Workspace:
     n x n names: "s" and "d" hold kernel results (a similarity built from
     squared distances without a kept D lives in "d"; the squared distances
     themselves are built in "d" by one Gram update); "gram" holds the
-    doubled similarity weights M that the pullback scales in place;
-    "wdist" the doubled distance weights; "ws" the W that a loop-built or
-    log-det weight rule builds and adds to its transpose in "gram" or
-    "wdist"; "cos" the cosine pullback's unclipped Gram; "mask" the
-    "apart" bool mask of the distance and neg-euclidean pullbacks. A Gram
-    product or update leaves below its diagonal whatever an earlier,
-    larger one wrote there, and the mirror overwrites it. An RBF step with
-    fl, gc-cf or supcon writes "d" and "gram", 16 n^2 bytes (10 MB at
-    n = 800), and asks for "ws" without writing it; all seven take 49 n^2.
-    The lattice scans add the float gain blocks "margin" and "other" and
-    their bool masks "finite" and "bad", about 1.2 MB at n = 6 and 3.1 MB
-    at n = 12. Stacks of kernel matrices are not built in a workspace.
+    doubled similarity weights M under cosine and neg-euclidean, which the
+    pullbacks scale in place; "wdist" the doubled distance weights; "ws"
+    the W that a loop-built or log-det weight rule builds and adds to its
+    transpose in "gram" or "wdist"; "cos" the cosine pullback's unclipped
+    Gram; "mask" the "apart" bool mask of the distance and neg-euclidean
+    pullbacks. A Gram product or update leaves below its diagonal whatever
+    an earlier, larger one wrote there, and the mirror overwrites it.
+    Under rbf the weight rules write M o S over the kernel S, so an S
+    built here is valid until the next kernel build or until an RBF
+    gradient is taken from it. An RBF step with fl, gc-cf or supcon writes
+    "d" only, 8 n^2 bytes (5.1 MB at n = 800); all seven n x n names take
+    49 n^2. The lattice scans add the float gain blocks "margin" and
+    "other" and their bool masks "finite" and "bad", about 1.2 MB at n = 6
+    and 3.1 MB at n = 12. Stacks of kernel matrices are not built in a
+    workspace.
     """
 
     def __init__(self):
@@ -113,6 +121,10 @@ class Workspace:
         if buf is None or buf.size < size or buf.dtype != dtype:
             buf = self._buffers[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
+
+    def holds(self, array: np.ndarray) -> bool:
+        """Whether array may be a view of one of the workspace's buffers."""
+        return any(np.may_share_memory(array, buf) for buf in self._buffers.values())
 
 
 _per_thread = threading.local()
@@ -308,14 +320,13 @@ def cosine_pullback(z: np.ndarray, m: np.ndarray,
     return grad / np.linalg.norm(z, axis=1)[:, None]
 
 
-def rbf_pullback(z: np.ndarray, m: np.ndarray, s: np.ndarray,
-                 bandwidth: float) -> np.ndarray:
-    """dL/dZ for L = sum_ij W_ij S_ij, given the forward RBF matrix S and the
-    doubled weights m = W + W.T with a zero diagonal, which are overwritten."""
-    m *= s
-    m /= bandwidth * bandwidth
-    # row i: sum_j m_ij (z_j - z_i)
-    return _blas.product(m, z) - np.sum(m, axis=1)[:, None] * z
+def rbf_pullback(z: np.ndarray, ms: np.ndarray, bandwidth: float) -> np.ndarray:
+    """dL/dZ for L = sum_ij W_ij S_ij, given ms = M o S, the doubled
+    weights M = W + W.T with a zero diagonal times the forward RBF matrix S
+    entry by entry, which is overwritten."""
+    ms /= bandwidth * bandwidth
+    # row i: sum_j ms_ij (z_j - z_i)
+    return _blas.product(ms, z) - np.sum(ms, axis=1)[:, None] * z
 
 
 def sqdist_pullback(z: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -350,16 +361,17 @@ def similarity_pullback(z: np.ndarray, m: np.ndarray, kind: str,
                         bandwidth: float = 1.0, *, s: np.ndarray,
                         workspace: Workspace | None = None) -> np.ndarray:
     """dL/dZ for L = sum_ij W_ij S_ij, given the forward matrix S of `kind`
-    and the doubled weights m = W + W.T with a zero diagonal.
+    and the doubled weights M = W + W.T with a zero diagonal: m is M, and
+    under rbf M o S, which is all the RBF chain rule reads of M.
 
     m is overwritten except under cosine, which works from the raw Gram
     matrix of unit rows instead: the forward S is clipped to [-1, 1], and
-    the chain rule needs the unclipped entries.
+    the chain rule needs the unclipped entries. Only neg-euclidean reads s.
     """
     if check_kind(kind) == "cosine":
         return cosine_pullback(z, m, workspace)
     if kind == "rbf":
-        return rbf_pullback(z, m, s, bandwidth)
+        return rbf_pullback(z, m, bandwidth)
     # neg-euclidean: the distance pullback of -m against D = -S. (-m_ij) /
     # (-S_ij) is m_ij / S_ij, and D_ij > NORM_FLOOR is S_ij < -NORM_FLOOR.
     apart = workspace_buffer(workspace, "mask", s.shape, bool)

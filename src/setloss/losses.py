@@ -121,7 +121,9 @@ class Evaluation:
     `picking_term` chose, per class: fl's first argmax of each complement
     row; None for the other records), so a training step builds its kernel,
     its partition, n-pairs' and supcon's row sums and fl's gathered blocks
-    once.
+    once. An S built in a workspace is valid until that workspace's next
+    kernel build, or until an RBF gradient is taken from the evaluation in
+    the same workspace, which writes M o S over it (`grads`).
     """
 
     batch: EmbeddingBatch
@@ -139,7 +141,8 @@ def evaluate(batch: EmbeddingBatch, config: LossConfig,
     """Build S (and D if needed), partition, check the domain, and score.
 
     With a workspace, S and D live in its buffers and are valid until its
-    next kernel build; without one they are fresh arrays.
+    next kernel build, S only until an RBF gradient is taken from it in that
+    workspace; without one they are fresh arrays.
     """
     s, d = matrices(batch, config, workspace)
     obj = objectives.get(config.objective)

@@ -257,73 +257,131 @@ def _fl_picking_term(s, d, mem, comp, lam, eps, whole):
 # those forms keep signed zeros (0.0 - 0.0 is 0.0, not -0.0).
 # `grads._entry_weights` zeroes the diagonals.
 #
-# The rules built from per-row vectors and each class's diagonal block
-# (`_within`), and fl's from its picks, write M directly. The others build
-# W in `scratch` and fold it with `_fold`, the one transposed read of a
-# training step.
+# A rule writes M through a `Scaled`, which holds M itself or, under rbf,
+# M o S, the one form of M that the RBF pullback reads, in place of S
+# where S lives in a workspace. Either way a rule gives `Scaled.rows` a
+# writer of M's rows; the rules built from per-row vectors and each class's
+# diagonal block (`_within`), and fl's from its picks, write them without a
+# transposed read. The others build W in the buffer `scratch()` returns and
+# fold it with `_fold`, the one transposed read of a training step.
+
+# Rows of M that `Scaled.rows` writes at a time under a base: at n = 800 a
+# strip is 0.4 MB, where all of M would be 5.1 MB.
+_STRIP = 64
+
+
+@dataclass(frozen=True)
+class Scaled:
+    """Where a weight rule writes its doubled weights M: m receives M where
+    base is None, and M o base otherwise, each entry one rounding of
+    M_ij x base_ij. base is a symmetric n x n array and may be m itself.
+    """
+
+    m: np.ndarray
+    base: np.ndarray | None = None
+
+    def rows(self, write) -> None:
+        """Fill m from write(t, lo), which writes M's rows lo to
+        lo + len(t) into t: all of them into m at once without a base, and
+        under one a strip at a time, each multiplied by its rows of base
+        before the next strip is written. A writer that reads an n x n
+        array reads only its rows lo to lo + len(t), so base and m may be
+        the array it reads."""
+        m, base = self.m, self.base
+        if base is None:
+            write(m, 0)
+            return
+        n = m.shape[0]
+        t = np.empty((min(_STRIP, n), m.shape[1]))
+        for lo in range(0, n, _STRIP):
+            hi = min(lo + _STRIP, n)
+            strip = t[:hi - lo]
+            write(strip, lo)
+            np.multiply(base[lo:hi], strip, out=m[lo:hi])
+
 
 def _fold(w, out):
-    """out = w + w.T, the doubled weights of a rule that builds W itself."""
-    np.add(w, w.T, out=out)
+    """M = w + w.T into the `Scaled` out: the doubled weights of a rule that
+    builds W itself."""
+    out.rows(lambda t, lo: np.add(w[lo:lo + len(t)], w[:, lo:lo + len(t)].T, out=t))
 
 
-def _triplet_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
+def _within(m, classes, write, lo=0):
+    """Call write(block, rows, cols) on the part of each class's diagonal
+    block that m holds, where m is rows lo to lo + len(m) of an n x n
+    matrix: block is m's part of [rows x cols], cols the class's rows and
+    rows those of them that m holds.
+
+    classes is a `batch.ClassPartition` or any sequence of its class sets.
+    A class that is a run of rows (`span`), as in class-sorted data, gives
+    a view of m, with rows and cols as slices. Any other class gives an
+    `np.ix_` gathered copy, written back to m after write returns, and its
+    index.
+    """
+    hi = lo + m.shape[0]
+    for a in classes:
+        cols = span(a)
+        if cols is not None:
+            top, bottom = max(cols.start, lo), min(cols.stop, hi)
+            if top < bottom:
+                write(m[top - lo:bottom - lo, cols], slice(top, bottom), cols)
+            continue
+        rows = a[(a >= lo) & (a < hi)]
+        if rows.size:
+            index = np.ix_(rows - lo, a)
+            block = m[index]
+            write(block, rows, a)
+            m[index] = block
+
+
+def _outer_sums(out, u, v, classes):
+    """M_ij = u_i + u_j between classes and v_i + v_j within, into the
+    `Scaled` out: the doubled weights of a W whose row i holds u_i between
+    classes and v_i within."""
+    def write(t, lo):
+        # A row-broadcast copy and a contiguous add, with the same operands
+        # in the same order, take 0.7 ms at n = 800 where one broadcast
+        # outer add takes 1.1 ms (2-core x86 VM).
+        t[...] = u[lo:lo + len(t), None]
+        t += u
+        _within(t, classes, lambda block, rows, cols: np.add(v[rows, None], v[cols],
+                                                             out=block), lo)
+    out.rows(write)
+
+
+def _constants(out, classes, between, within):
+    """M for a W that is `between` between classes and `within` within."""
+    def write(t, lo):
+        t.fill(between + between)
+        _within(t, classes, lambda block, *_: block.fill(within + within), lo)
+    out.rows(write)
+
+
+def _triplet_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
                      whole):
-    m.fill(0.0)
-    scratch.fill(0.0)
+    out.rows(lambda t, lo: t.fill(0.0))
+    w = scratch()
+    w.fill(0.0)
     # The counts are whole numbers, so one add per entry is the per-pair
     # loop's bits, signed zeros included (0.0 - 0 is 0.0).
     for a, comp in classes.with_complements():
         for k, hinge in _triplet_hinges(d, a[None], comp[None], eps):
             active = hinge[0] > 0.0
             active[k] = False
-            scratch[a[k], a] += np.count_nonzero(active, axis=1)
-            scratch[a[k], comp] -= np.count_nonzero(active, axis=0)
-    _fold(scratch, mdist)
+            w[a[k], a] += np.count_nonzero(active, axis=1)
+            w[a[k], comp] -= np.count_nonzero(active, axis=0)
+    _fold(w, dout)
 
 
-def _within(m, classes, write):
-    """Call write(block, rows) on each class's diagonal block of m, where
-    block is m[rows x rows] and rows the class's rows.
-
-    classes is a `batch.ClassPartition` or any sequence of its class sets.
-    A class that is a run of rows (`span`), as in class-sorted data, gives
-    a view of m and rows as a slice. Any other class gives an `np.ix_`
-    gathered copy, written back to m after write returns, and its index.
-    """
-    for a in classes:
-        rows = span(a)
-        if rows is not None:
-            write(m[rows, rows], rows)
-            continue
-        index = np.ix_(a, a)
-        block = m[index]
-        write(block, a)
-        m[index] = block
-
-
-def _outer_sums(m, u, v, classes):
-    """m_ij = u_i + u_j between classes and v_i + v_j within: the doubled
-    weights of a W whose row i holds u_i between classes and v_i within."""
-    # A row-broadcast copy and a contiguous add, with the same operands in
-    # the same order, take 0.7 ms at n = 800 where one broadcast outer add
-    # takes 1.1 ms (2-core x86 VM).
-    m[...] = u[:, None]
-    m += u
-    _within(m, classes, lambda out, rows: np.add(v[rows, None], v[rows], out=out))
-
-
-def _npairs_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
+def _npairs_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
                     whole):
     inv_row = 1.0 / whole
-    _outer_sums(m, 0.0 - inv_row, -1.0 - inv_row, classes)
+    _outer_sums(out, 0.0 - inv_row, -1.0 - inv_row, classes)
 
 
-def _opl_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
+def _opl_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
                  whole):
-    # W is 1 between classes and -1 within.
-    m.fill(1.0 + 1.0)
-    _within(m, classes, lambda out, _: out.fill(-1.0 + -1.0))
+    _constants(out, classes, 1.0, -1.0)
 
 
 def _classmates(classes):
@@ -343,91 +401,98 @@ def _add_outside_softmax(w, s, classes):
             w[anchors, comp] += _row_softmax(s[anchors, comp])
 
 
-def _snn_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
+def _snn_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
                  whole):
-    scratch.fill(0.0)
+    w = scratch()
+    w.fill(0.0)
     for anchors, own in _classmates(classes):
-        scratch[anchors, own] -= _row_softmax(s[anchors, own])
-    _add_outside_softmax(scratch, s, classes)
-    _fold(scratch, m)
+        w[anchors, own] -= _row_softmax(s[anchors, own])
+    _add_outside_softmax(w, s, classes)
+    _fold(w, out)
 
 
-def _supcon_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
+def _supcon_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
                     whole):
     inv_row = 1.0 / whole
     inv_size = 1.0 / classes.sizes
-    _outer_sums(m, 0.0 + inv_row, (0.0 - inv_size[classes.labels]) + inv_row,
+    _outer_sums(out, 0.0 + inv_row, (0.0 - inv_size[classes.labels]) + inv_row,
                 classes)
 
 
-def _submod_triplet_weights(m, mdist, scratch, s, d, classes, picks, lam,
+def _submod_triplet_weights(out, dout, scratch, s, d, classes, picks, lam,
                             eps, whole):
     # W is symmetric, as S is, so M = W + W.
-    np.multiply(s, 2.0, out=m)
-    _within(m, classes, lambda out, _: np.negative(out, out=out))
-    # -x + 0.0 is 0.0 - x and x + 0.0 is 0.0 + x, signed zeros included.
-    m += 0.0
-    m += m
+    def write(t, lo):
+        np.multiply(s[lo:lo + len(t)], 2.0, out=t)
+        _within(t, classes, lambda block, *_: np.negative(block, out=block), lo)
+        # -x + 0.0 is 0.0 - x and x + 0.0 is 0.0 + x, signed zeros included.
+        t += 0.0
+        t += t
+    out.rows(write)
 
 
-def _submod_snn_weights(m, mdist, scratch, s, d, classes, picks, lam,
+def _submod_snn_weights(out, dout, scratch, s, d, classes, picks, lam,
                         eps, whole):
-    scratch.fill(0.0)
+    w = scratch()
+    w.fill(0.0)
     for anchors, own in _classmates(classes):
-        scratch[anchors, own] += _row_softmax(d[anchors, own])
-    _fold(scratch, mdist)
-    scratch.fill(0.0)
-    _add_outside_softmax(scratch, s, classes)
-    _fold(scratch, m)
+        w[anchors, own] += _row_softmax(d[anchors, own])
+    _fold(w, dout)
+    w.fill(0.0)
+    _add_outside_softmax(w, s, classes)
+    _fold(w, out)
 
 
-def _submod_supcon_weights(m, mdist, scratch, s, d, classes, picks, lam,
+def _submod_supcon_weights(out, dout, scratch, s, d, classes, picks, lam,
                            eps, whole):
     # W is 0.0 - 1 within classes and 0.0 - 0 between, before the softmax.
-    scratch.fill(0.0)
-    _within(scratch, classes, lambda out, _: out.fill(-1.0))
-    _add_outside_softmax(scratch, s, classes)
-    _fold(scratch, m)
+    w = scratch()
+    w.fill(0.0)
+    _within(w, classes, lambda block, *_: block.fill(-1.0))
+    _add_outside_softmax(w, s, classes)
+    _fold(w, out)
 
 
-def _gc_sf_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
+def _gc_sf_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
                    whole):
-    # W is 1 between classes and 0.0 - lam within.
-    m.fill(1.0 + 1.0)
-    _within(m, classes, lambda out, _: out.fill((0.0 - lam) + (0.0 - lam)))
+    _constants(out, classes, 1.0, 0.0 - lam)
 
 
-def _gc_cf_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
+def _gc_cf_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
                    whole):
-    # W is 0.0 + lam between classes and 0.0 within.
-    m.fill((0.0 + lam) + (0.0 + lam))
-    _within(m, classes, lambda out, _: out.fill(0.0))
+    _constants(out, classes, 0.0 + lam, 0.0)
 
 
-def _logdet_weights(m, mdist, scratch, s, d, classes, picks, lam, eps,
+def _logdet_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
                     whole):
     # logdet-cf's inverse of the whole S + lam I is subtracted after each
     # class's block is written back, so each class goes through `_within`
     # alone; logdet-sf, whose whole is None, has none.
     inv = None if whole is None else np.linalg.inv(s + lam * np.eye(s.shape[-1]))
-    scratch.fill(0.0)
+    w = scratch()
+    w.fill(0.0)
     for a in classes:
         block_inv = np.linalg.inv(_block(s, a[None], a[None])[0] + lam * np.eye(a.size))
-        _within(scratch, (a,), lambda out, _: np.add(out, block_inv, out=out))
+        _within(w, (a,), lambda block, *_: np.add(block, block_inv, out=block))
         if inv is not None:
-            scratch -= inv
-    _fold(scratch, m)
+            w -= inv
+    _fold(w, out)
 
 
-def _fl_weights(m, mdist, scratch, s, d, classes, picks, lam, eps, whole):
+def _fl_weights(out, dout, scratch, s, d, classes, picks, lam, eps, whole):
     # W is 1 from each outside row to its first (lowest-index) max in the
     # class, which the term picked, and 0.0 elsewhere; no pair is picked
     # twice, so M is 1 at those pairs plus 1 at the transposed pairs.
     rows = np.concatenate([comp for _, comp in classes.with_complements()])
     cols = np.concatenate([a[pick] for a, pick in zip(classes.sets, picks)])
-    m.fill(0.0)
-    m[rows, cols] = 1.0
-    m[cols, rows] += 1.0
+
+    def write(t, lo):
+        t.fill(0.0)
+        here = (rows >= lo) & (rows < lo + len(t))
+        t[rows[here] - lo, cols[here]] = 1.0
+        here = (cols >= lo) & (cols < lo + len(t))
+        t[cols[here] - lo, rows[here]] += 1.0
+    out.rows(write)
 
 
 def _triplet_kinks(rows, s, d, classes, eps):
@@ -473,19 +538,19 @@ class Objective:
     (..., n, n) stacks of matrices, with whole computed from the same stack;
     the terms then come back as (..., count), each matrix's row the bits
     that matrix gives alone.
-    weights(m, mdist, scratch, s, d, classes, picks, lam, eps, whole)
-    takes the whole batch's partition as a `batch.ClassPartition` and writes
-    the doubled weights M = W + W.T of the n x n dL/dS into m and, when
-    `distance` ("d" or "d2") is set, of dL/dD or dL/dD^2 into mdist;
-    `distance` also says that the objective reads D at all. Only the
-    off-diagonal entries count: the caller zeroes the diagonals, which no
-    kernel gradient reads. scratch is an n x n buffer in which the
+    weights(out, dout, scratch, s, d, classes, picks, lam, eps, whole)
+    takes the whole batch's partition as a `batch.ClassPartition` and
+    writes the doubled weights M = W + W.T of the n x n dL/dS through the
+    `Scaled` out and, when `distance` ("d" or "d2") is set, of dL/dD or
+    dL/dD^2 through dout; `distance` also says that the objective reads D
+    at all. out's array may be s itself. Only the off-diagonal entries
+    count: the caller zeroes the diagonals, which no kernel gradient reads.
+    scratch() returns an n x n buffer, holding anything, in which the
     loop-built and log-det rules build W and fold it with `_fold`; the
-    others leave it untouched and write M without a transposed read. A
-    rule that writes a function of each class's diagonal block does so
-    through `_within`. picks is what `picking_term` returned for each class
-    of the same partition, in class order, and None for a record without
-    one. The buffers come in holding anything.
+    others never ask for it and write M without a transposed read. A rule
+    that writes a function of each class's diagonal block does so through
+    `_within`. picks is what `picking_term` returned for each class of the
+    same partition, in class order, and None for a record without one.
     kinks(rows, s, d, classes, eps) marks the rows within TIE_GAP of a
     nonsmooth point of any class of the same partition.
     picking_term, where set (fl), is the term over one class that also

@@ -148,9 +148,8 @@ def _minibatch(data: EmbeddingBatch, size: int, rng: Rng) -> EmbeddingBatch:
 
 
 def _rows(data: EmbeddingBatch, idx: np.ndarray) -> EmbeddingBatch:
-    """The batch of data's rows idx, with their ids."""
-    return EmbeddingBatch(data.vectors[idx], data.labels[idx],
-                          [data.ids[i] for i in idx])
+    """The batch of data's rows idx."""
+    return EmbeddingBatch(data.vectors[idx], data.labels[idx])
 
 
 def train_stage1(data: EmbeddingBatch, config: TrainConfig):
@@ -172,7 +171,7 @@ def train_stage1(data: EmbeddingBatch, config: TrainConfig):
     for step in range(config.steps + 1):
         batch = data if full else _minibatch(data, config.batch_size, rng)
         z, norms = params.embed(batch.vectors)
-        embedded = EmbeddingBatch(z, batch.labels, batch.ids)
+        embedded = EmbeddingBatch(z, batch.labels)
 
         ev = losses.evaluate(embedded, config.loss, work)
         value = ev.result.total

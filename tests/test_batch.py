@@ -13,7 +13,6 @@ def test_basic_construction():
     assert b.n == 3
     assert b.dim == 3
     assert b.num_classes == 2
-    assert b.ids == ["0", "1", "2"]
 
 
 def test_rejects_label_gap():
@@ -61,8 +60,6 @@ def test_rejects_nonfinite():
 def test_rejects_shape_mismatch():
     with pytest.raises(ValidationError):
         EmbeddingBatch(np.eye(3), np.array([0, 1]))
-    with pytest.raises(ValidationError):
-        EmbeddingBatch(np.eye(2), np.array([0, 1]), ids=["only-one"])
 
 
 def test_partition_covers_everything():

@@ -400,12 +400,15 @@ def test_gradients_do_not_depend_on_the_thread_count_outside_the_scope(
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_stacked_kernels_never_enter_a_scope(monkeypatch):
-    entered = []
-    monkeypatch.setattr(_blas, "_enter", lambda lib: entered.append(1))
-    stack = np.random.default_rng(0).normal(size=(4, 6, 3)) + 0.5
-    for kind in ("cosine", "rbf", "neg-euclidean"):
-        kernels.similarity(stack, kind)
-    assert entered == []
-    kernels.similarity(stack[0], "rbf")
-    assert entered
+@pytest.mark.parametrize("shape", [(1, 191, 12), (2, 250, 12), (3, 525, 10),
+                                   (2, 800, 10)])
+def test_stacked_kernels_match_each_batch_alone(shape):
+    # A threaded product of a stack split these stacks' rows across threads
+    # other than a batch's own one-thread product, and their last bits
+    # differed. Every product now runs on one thread.
+    stack = np.random.default_rng(sum(shape)).normal(size=shape) + 0.5
+    squared = kernels.squared_distances(stack)
+    cosine = kernels.cosine_similarity(stack)
+    for b in range(shape[0]):
+        assert squared[b].tobytes() == kernels.squared_distances(stack[b]).tobytes()
+        assert cosine[b].tobytes() == kernels.cosine_similarity(stack[b]).tobytes()

@@ -184,3 +184,18 @@ def test_only_the_loop_built_and_log_det_rules_fold(name, monkeypatch):
     assert bool(folds) == (name in FOLDING)
     # submod-snn folds its similarity and its distance weights.
     assert len(folds) == (2 if name == "submod-snn" else int(name in FOLDING))
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["class-runs", "shuffled"])
+def test_rbf_gradients_over_several_row_strips_match_the_frozen_path(shuffled):
+    # An RBF weight rule writes M o S 64 rows at a time: 150 rows are three
+    # strips, with class runs that cross strip edges or, shuffled, every
+    # class in every strip.
+    labels = np.repeat(np.arange(3), [70, 50, 30])
+    if shuffled:
+        labels = labels[np.random.default_rng(1).permutation(labels.size)]
+    batch = EmbeddingBatch(grads.check_batch(150, 5, 7).vectors, labels)
+    judged = [name for name in objectives.OBJECTIVES
+              if _judge(batch, losses.LossConfig(name, 1.3, kernel="rbf",
+                                                 bandwidth=0.9))]
+    assert {"fl", "gc-cf", "supcon", "submod-triplet", "snn"} <= set(judged)

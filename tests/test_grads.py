@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from setloss import grads, kernels, losses, objectives
 from setloss._backend import backend
 from setloss.batch import ClassPartition, EmbeddingBatch, partition_from_labels
 from setloss.errors import PreconditionError, ValidationError
+from setloss.sampling import Rng
 
 
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
@@ -296,3 +298,47 @@ def test_triplet_kink_rule_matches_the_per_pair_loop(seed):
     rows = grads._excluded_rows(ev)
     assert 0 < np.sum(rows) < b.n
     assert rows.tolist() == _per_pair_triplet_kinks(ev.d, b.labels, 0.3).tolist()
+
+
+@pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
+@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+def test_a_gradient_without_a_workspace_leaves_the_evaluation_intact(name, kernel):
+    # Under rbf the weight rule scales a copy of S, so the kink rules of
+    # grad_check still read the S and D the loss was scored on.
+    cfg = losses.LossConfig(name, kernel=kernel, bandwidth=0.7)
+    for seed in range(3):
+        try:
+            ev = losses.evaluate(grads.check_batch(12, 8, seed), cfg)
+        except PreconditionError:
+            continue
+        s = ev.s.tobytes()
+        d = None if ev.d is None else ev.d.tobytes()
+        grads.evaluation_gradient(ev)
+        assert ev.s.tobytes() == s
+        assert (None if ev.d is None else ev.d.tobytes()) == d
+
+
+@pytest.mark.parametrize("layout", ["runs", "round-robin"])
+@pytest.mark.parametrize("name", ["fl", "gc-cf", "supcon"])
+def test_an_rbf_step_holds_one_kernel_sized_array(name, layout):
+    # The weight rule scales the kernel in the workspace in place, and the
+    # pullback reads it there: with a new workspace, the one n x n array a
+    # step allocates is its kernel. Writing M to an array of its own, the
+    # step peaked above 3 n^2 doubles.
+    n = 400
+    labels = np.arange(n, dtype=np.int64) % 4
+    if layout == "runs":
+        labels = np.sort(labels)
+    batch = EmbeddingBatch(2.0 + Rng(9).normals((n, 6)), labels)
+    cfg = losses.LossConfig(name, kernel="rbf", bandwidth=1.5)
+    want = grads.loss_gradient(batch, cfg)
+    work = kernels.Workspace()
+    tracemalloc.start()
+    try:
+        ev = losses.evaluate(batch, cfg, work)
+        got = grads.evaluation_gradient(ev, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 1.5 * 8 * n * n

@@ -124,7 +124,7 @@ def test_similarity_pullback_matches_fd(kind):
         return float(np.sum(w * kernels.similarity(b, kind, bw)))
 
     s = kernels.similarity(EmbeddingBatch(z, np.zeros(6, dtype=int)), kind, bw)
-    g = kernels.similarity_pullback(z, _old_doubled(w), kind, bw, s=s)
+    g = kernels.similarity_pullback(z, _pulled_weights(w, kind, s), kind, bw, s=s)
     h = 1e-6
     for i in range(6):
         for c in range(3):
@@ -206,6 +206,15 @@ def _old_doubled(weights):
     return m
 
 
+def _pulled_weights(weights, kind, s):
+    """What `similarity_pullback` takes: the doubled weights M, and under
+    rbf M o S."""
+    m = _old_doubled(weights)
+    if kind == "rbf":
+        m *= s
+    return m
+
+
 def _old_distance_pullback(z, weights, d):
     m = _old_doubled(weights)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -264,10 +273,11 @@ def test_pullbacks_match_the_allocating_formulas_bit_for_bit(kind):
         z[-1] = z[0]
         s = _old_similarity(z, kind, 0.7)
         d = np.sqrt(_old_squared_distances(z))
-        # The pullbacks take the doubled weights, and may overwrite them.
+        # The pullbacks take the doubled weights (times S under rbf), and
+        # may overwrite them.
         for workspace in (None, work):
-            got = kernels.similarity_pullback(z, _old_doubled(w), kind, 0.7, s=s,
-                                              workspace=workspace)
+            got = kernels.similarity_pullback(z, _pulled_weights(w, kind, s), kind,
+                                              0.7, s=s, workspace=workspace)
             assert _same_bits(got, _old_similarity_pullback(z, w, kind, 0.7, s))
             assert _same_bits(kernels.distance_pullback(z, _old_doubled(w), d,
                                                         workspace),
