@@ -8,17 +8,15 @@ record's `whole` passed in by the caller. `term_value` scores one subset,
 `total_value` each class of a `batch.ClassPartition` with the complements
 the partition yields, and `value_table` evaluates once per cardinality
 m = 1..n rather than once per subset, reading each cardinality's bitmasks,
-members and complements from an index cached per n. Both lattice scans
-run one engine, `_scan`: it takes each x's gains f(x|A) over every subset A
-of V\\{x} and judges f(x|A) >= f(x|B) over a cached index of (A, B) pairs
-on the n - 1 bits other than x; bit x is inserted for each x. `dr_scan`'s
-index holds every submask pair A < B, in the order of the nested submask
-loop it replaced. `local_scan`'s holds only the pairs B = A + j, the local
-form f(A+i) + f(A+j) >= f(A+i+j) + f(A) with i = x.
+members and complements from an index cached per n. The lattice scan,
+`dr_scan`, takes each x's gains f(x|A) over every subset A of V\\{x} and
+judges f(x|A) >= f(x|B) over a cached index of every submask pair A < B
+on the n - 1 bits other than x, in the order of the nested submask loop
+it replaced; bit x is inserted for each x.
 
 Tables and scans also take stacks, one leading axis of draws: `value_table`
 scores (k, n, n) kernels into (k, 2^n) tables with the same calls, and
-`_scan` judges a (k, 2^n) stack in blocks of about _SCAN_BLOCK triples,
+`dr_scan` judges a (k, 2^n) stack in blocks of about _SCAN_BLOCK triples,
 returning per-table tallies and the first violating table's violations.
 `tables_per_block` says how many whole tables fill one block. Each table of
 a stack keeps the bits it has alone.
@@ -43,9 +41,8 @@ Conventions:
     genuinely diverges at the top of the lattice;
   * log-sum-exp uses max-shift stabilization;
   * graph-cut style double sums over a class include the diagonal;
-  * both lattice scans leave out comparisons with A empty (the DR scan
-    unless asked, the local scan always), so they judge the same lattice:
-    every chain from a nonempty A up to B stays nonempty.
+  * the lattice scan leaves out comparisons with A empty unless asked:
+    every chain it judges from a nonempty A up to B stays nonempty.
 """
 
 from __future__ import annotations
@@ -188,18 +185,6 @@ def _scan_index(n: int, include_empty: bool):
     return _frozen(_row_sets(n), aa[keep], bb[keep])
 
 
-@functools.lru_cache(maxsize=8)
-def _local_index(n: int):
-    """(sets, a_low, b_low): what `local_scan` compares, the (n-1)-bit mask
-    pairs (A, A | bit j) with A nonempty and j not in A, A ascending and
-    then j ascending."""
-    w = max(n - 1, 0)
-    a = np.repeat(np.arange(1 << w), w)
-    j = np.tile(np.arange(w), 1 << w)
-    keep = (a != 0) & ((a >> j) & 1 == 0)
-    return _frozen(_row_sets(n), a[keep], (a | 1 << j)[keep])
-
-
 def tables_per_block(n: int) -> int:
     """How many whole n-point tables hold about _SCAN_BLOCK of `dr_scan`'s
     default triples: 60 at n = 6, one from n = 10 on."""
@@ -208,8 +193,11 @@ def tables_per_block(n: int) -> int:
     return max(1, _SCAN_BLOCK // max(n * (3 ** w - 2 ** (w + 1) + 1), 1))
 
 
-def _scan(table: np.ndarray, n: int, tol: float, index, max_stored: int):
-    """Judge f(x|A) >= f(x|B) for each x and each pair (A, B) of `index`.
+def dr_scan(table: np.ndarray, n: int, tol: float, include_empty: bool,
+            max_stored: int = 1000):
+    """Judge every diminishing-returns triple f(x|A) >= f(x|B), A < B <=
+    V\\{x}, over `_scan_index(n, include_empty)`: for each x, B runs down
+    the subsets of V\\{x} and A down those of B.
 
     table holds 2^n values, or is a (..., 2^n) stack of tables. Returns
     (min_margin, compared, skipped, violation_count, violations): the first
@@ -224,7 +212,7 @@ def _scan(table: np.ndarray, n: int, tol: float, index, max_stored: int):
     t = np.asarray(table, dtype=np.float64)
     stack = t.reshape(-1, t.shape[-1])
     k = stack.shape[0]
-    sets, a_low, b_low = index
+    sets, a_low, b_low = _scan_index(n, include_empty)
     # Non-finite values only mark off-domain subsets; their gains are
     # tallied as skipped below, so nan from inf - inf is expected.
     with np.errstate(invalid="ignore"):
@@ -281,21 +269,3 @@ def _scan(table: np.ndarray, n: int, tol: float, index, max_stored: int):
     return (min_margin.reshape(lead), compared.reshape(lead), skipped.reshape(lead),
             count.reshape(lead), viols)
 
-
-def dr_scan(table: np.ndarray, n: int, tol: float, include_empty: bool,
-            max_stored: int = 1000):
-    """Scan every diminishing-returns triple x, A <= B <= V\\{x} with `_scan`:
-    for each x, B runs down the subsets of V\\{x} and A down those of B.
-    table may be a stack of tables (see `_scan`)."""
-    return _scan(table, n, tol, _scan_index(n, include_empty), max_stored)
-
-
-def local_scan(table: np.ndarray, n: int, tol: float, max_stored: int = 1000):
-    """Scan f(A+i) + f(A+j) >= f(A+i+j) + f(A), A nonempty, i != j outside A.
-
-    Each comparison is the DR triple x = i, B = A + j, judged by `_scan`.
-    A function is submodular exactly when all of them hold (Schrijver,
-    Combinatorial Optimization, 2003), so this gives `dr_scan`'s default
-    verdict from n(n-1)(2^(n-2) - 1) comparisons, each pair {i, j} twice.
-    """
-    return _scan(table, n, tol, _local_index(n), max_stored)

@@ -110,7 +110,7 @@ def _block(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         if r is not None:
             return np.take(x[r], cols[0], axis=1)[None]
         if c is not None:
-            return np.take(x[:, c], rows[0], axis=0)[None]
+            return x[rows[0], c][None]
     return _gather(x, rows[:, :, None], cols[:, None, :])
 
 

@@ -2,21 +2,15 @@
 
 Every objective becomes a set function by evaluating its per-class term on
 an arbitrary subset A of the batch, with the batch's labels ignored and
-f(empty) = 0. Two exhaustive scans over the subset lattice then judge it,
-both on the backend's one scan engine: the diminishing-returns form checks
-f(x|A) >= f(x|B) for all A <= B <= V \\ {x}, and the local form checks
-f(A+i) + f(A+j) >= f(A+i+j) + f(A) for all i != j outside A, which is the
-triple x = i, B = A + j. Both leave out the comparisons with A empty, so
-they judge the same lattice and agree in verdict for any finite-valued set
-function; both are run in tests as a cross-check.
+f(empty) = 0. One exhaustive scan over the subset lattice then judges it
+in the diminishing-returns form, f(x|A) >= f(x|B) for all A <= B <= V \\ {x}.
 
-Conventions the scans rely on:
-  * Comparisons with A empty are left out: by default in the DR scan,
-    always in the local one. The formulas give the empty set no boundary
-    semantics, and several objectives that are well-behaved everywhere
-    else fail a naive f(empty) = 0 reading (the facility-location loss
-    among them); `include_empty` restores those triples to the DR scan
-    for auditing.
+Conventions the scan relies on:
+  * Comparisons with A empty are left out by default. The formulas give
+    the empty set no boundary semantics, and several objectives that are
+    well-behaved everywhere else fail a naive f(empty) = 0 reading (the
+    facility-location loss among them); `include_empty` restores those
+    triples for auditing.
   * Subsets where a term leaves its domain (log of a nonpositive number,
     an empty complement's log-sum-exp) produce non-finite gains; such
     comparisons are tallied as skipped, never judged.
@@ -153,8 +147,8 @@ def _table(objective: str, batch, config: losses.LossConfig) -> np.ndarray:
 
 
 def _scan_stack(objective: str, z: np.ndarray, config: losses.LossConfig,
-                scan, *args):
-    """One backend scan of the value tables of a (k, n, dim) stack of
+                tolerance: float, include_empty: bool, max_stored: int = MAX_STORED):
+    """One `backend.dr_scan` of the value tables of a (k, n, dim) stack of
     embeddings: (min_margin, compared, skipped, count) arrays over the k
     draws, and the first violating draw's violations, their sets still as
     bitmasks.
@@ -164,11 +158,12 @@ def _scan_stack(objective: str, z: np.ndarray, config: losses.LossConfig,
     rest on no evidence, and the scan is refused instead.
     """
     n = z.shape[-2]
-    *tallies, viols = scan(_table(objective, z, config), n, *args)
+    *tallies, viols = backend.dr_scan(_table(objective, z, config), n, tolerance,
+                                      include_empty, max_stored)
     if tallies[1][0] + tallies[2][0] == 0:
         raise ValidationError(
-            f"no triple to compare at n = {n}: the scans need n >= 3, "
-            f"or n >= 2 for a DR scan that includes the empty set")
+            f"no triple to compare at n = {n}: the scan needs n >= 3, "
+            f"or n >= 2 when it includes the empty set")
     return tallies, viols
 
 
@@ -179,22 +174,7 @@ def exhaustive_dr_check(objective: str, batch: EmbeddingBatch,
     """Scan every diminishing-returns triple of the batch's subset lattice."""
     _check_tolerance(tolerance)
     tallies, viols = _scan_stack(objective, batch.vectors[None], config,
-                                 backend.dr_scan, tolerance, include_empty)
-    return _merge(objective, batch.n, [tallies], viols)
-
-
-def exhaustive_lattice_check(objective: str, batch: EmbeddingBatch,
-                             config: losses.LossConfig,
-                             tolerance: float = DEFAULT_TOLERANCE) -> LatticeCheckResult:
-    """Scan the local form f(A+i) + f(A+j) >= f(A+i+j) + f(A) instead.
-
-    Same verdict as the default DR scan, from n(n-1)(2^(n-2) - 1) ordered
-    comparisons; violations take the DR shape (A, B = A + j, x = i, gain_A,
-    gain_B).
-    """
-    _check_tolerance(tolerance)
-    tallies, viols = _scan_stack(objective, batch.vectors[None], config,
-                                 backend.local_scan, tolerance)
+                                 tolerance, include_empty)
     return _merge(objective, batch.n, [tallies], viols)
 
 
@@ -241,7 +221,7 @@ def _scan_draws(objective: str, config: losses.LossConfig, n: int,
         stop = min(start + (1 if start < single_until else size), draws)
         try:
             tallies, found = _scan_stack(
-                objective, draw_stack(rng, start, stop, n), config, backend.dr_scan,
+                objective, draw_stack(rng, start, stop, n), config,
                 tolerance, False, 0 if viols else MAX_STORED)
         except SetLossError:
             if stop - start == 1:

@@ -9,6 +9,7 @@ min_margin and stored violations -- and is not to be edited.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -396,6 +397,26 @@ def test_a_block_through_slices_is_the_gathered_block(data):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def test_a_block_with_only_its_columns_a_run_copies_no_column_strip():
+    # A middle class of four 100-row runs: its complement is not a run, and
+    # the block reads the class's columns at the complement's rows. Copying
+    # the whole n x |A| column strip first would add 320 KB to the block's
+    # 240 KB.
+    n = 400
+    s = Rng(0).normals((n, n))
+    a = np.arange(100, 200)
+    comp = np.setdiff1d(np.arange(n), a)
+    objectives._block(s, comp[None], a[None])
+    tracemalloc.start()
+    try:
+        block = objectives._block(s, comp[None], a[None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.nbytes == 8 * 300 * 100
+    assert peak < 1.2 * block.nbytes
+
+
 def test_term_values_rows_match_oracle_terms():
     s, d = instance(2, 7, "cosine")
     rows = np.array([[0, 3, 5], [1, 2, 6], [4, 5, 6], [0, 1, 2]])
@@ -449,50 +470,9 @@ def test_max_stored_caps_the_violation_list():
             assert len(capped[4]) == 2
             assert capped[4] == full[4][:2]
             assert capped[4] == dr_scan(table, 6, 1e-9, False)[4][:2]
-            local = pure.local_scan(table, 6, 1e-9)
-            assert local[3] > 2
-            # A nonempty, B = A plus one point, x outside B
-            assert all(a and (b & a) == a and bin(b ^ a).count("1") == 1
-                       and not b >> x & 1 for a, b, x, _, _ in local[4])
-            capped = pure.local_scan(table, 6, 1e-9, 2)
-            assert capped[:4] == local[:4]
-            assert capped[4] == local[4][:2]
             break
     else:
         pytest.fail("no violating instance found in 50 seeds")
-
-
-def _local_triples(n):
-    """Brute force: (i, A, A+j) for nonempty A and i != j outside A, taken
-    i first, then A ascending, then j ascending."""
-    return [(i, a, a | 1 << j)
-            for i in range(n)
-            for a in range(1, 1 << n) if not a >> i & 1
-            for j in range(n) if j != i and not a >> j & 1]
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_local_scan_matches_brute_force_enumeration(n):
-    triples = _local_triples(n)
-    assert len(triples) == n * (n - 1) * (2 ** (n - 2) - 1)
-    sets, a_low, b_low = pure._local_index(n)
-    assert [(x, sets[x, a], sets[x, b]) for x in range(n)
-            for a, b in zip(a_low.tolist(), b_low.tolist())] == triples
-
-    rng = np.random.default_rng(n)
-    table = rng.normal(size=1 << n)
-    table[:4] = [0.0, math.inf, table[2], math.nan]  # {0} and {0, 1} off-domain
-    t = table.tolist()
-    margins, viols = [], []
-    for x, a, b in triples:
-        ga, gb = t[a | 1 << x] - t[a], t[b | 1 << x] - t[b]
-        margins.append(ga - gb)
-        if math.isfinite(ga - gb) and ga - gb < 0.0:
-            viols.append((a, b, x, ga, gb))
-    finite = [m for m in margins if math.isfinite(m)]
-    assert 0 < len(finite) < len(margins)
-    want = (min(finite), len(finite), len(margins) - len(finite), len(viols), viols)
-    assert new_without_warnings(pure.local_scan, table, n, 0.0) == want
 
 
 def _remap(bits, perm):

@@ -68,9 +68,8 @@ def test_identity_kernel_makes_gc_modular():
     cf = submodcheck.exhaustive_dr_check("gc-cf", b, COSINE)
     assert cf.violation_count == 0
     # A zero tolerance is allowed, and judges those exact ties as holding.
-    for check in (submodcheck.exhaustive_dr_check, submodcheck.exhaustive_lattice_check):
-        res = check("gc-sf", b, COSINE, 0.0)
-        assert (res.violation_count, res.min_margin) == (0, 0.0)
+    res = submodcheck.exhaustive_dr_check("gc-sf", b, COSINE, 0.0)
+    assert (res.violation_count, res.min_margin) == (0, 0.0)
 
 
 def test_fl_submodular_on_random_kernels():
@@ -156,50 +155,13 @@ def test_claimed_nonsubmodular_violations_found(name):
     assert res.trials <= 1000
 
 
-def test_dr_and_pairwise_lattice_forms_agree():
-    judged = violated = 0
-    for name in objectives.OBJECTIVES:
-        for cfg in (COSINE, RBF):
-            for n in (4, 5):
-                # Ordered (i, j) and nonempty A outside both.
-                local = n * (n - 1) * (2 ** (n - 2) - 1)
-                for seed in range(3):
-                    b = submodcheck.draw_batch(Rng(seed).derive(n), n)
-                    if not np.all(np.isfinite(submodcheck._table(name, b, cfg))):
-                        continue
-                    dr = submodcheck.exhaustive_dr_check(name, b, cfg)
-                    lat = submodcheck.exhaustive_lattice_check(name, b, cfg)
-                    where = (name, cfg.kernel, n, seed)
-                    assert (dr.violation_count > 0) == (lat.violation_count > 0), where
-                    assert lat.compared + lat.skipped == local, where
-                    judged += 1
-                    violated += dr.violation_count > 0
-    assert judged >= 100 and violated >= 30
-
-    # Every violation of this draw is a DR triple with A = empty. Neither
-    # scan judges those, so both find none.
+def test_logdet_cf_violations_of_this_draw_all_take_an_empty_a():
+    # Every violation of this draw is a DR triple with A = empty, which the
+    # default scan leaves out.
     b = submodcheck.draw_batch(Rng(0).derive(4), 4)
     assert submodcheck.exhaustive_dr_check("logdet-cf", b, RBF).violation_count == 0
     assert submodcheck.exhaustive_dr_check(
         "logdet-cf", b, RBF, include_empty=True).violation_count == 28
-    lat = submodcheck.exhaustive_lattice_check("logdet-cf", b, RBF)
-    assert (lat.violation_count, lat.compared, lat.skipped) == (0, 36, 0)
-
-
-def test_local_violations_take_the_dr_shape():
-    # The first supcon draw that violates under cosine; the local scan finds
-    # it too, and each kept violation is a DR triple with B = A + j.
-    res = submodcheck.counterexample_search("supcon")
-    b = submodcheck.draw_batch(Rng(0).derive(res.trials - 1), 6)
-    lat = submodcheck.exhaustive_lattice_check("supcon", b, COSINE)
-    assert lat.violation_count and lat.violations
-    f = submodcheck.as_set_function("supcon", b, COSINE)
-    for a, bset, x, gain_a, gain_b in lat.violations[:5]:
-        assert a and set(a) < set(bset) and len(bset) == len(a) + 1
-        assert x not in bset
-        assert f(list(a) + [x]) - f(list(a)) == pytest.approx(gain_a, rel=1e-12)
-        assert f(list(bset) + [x]) - f(list(bset)) == pytest.approx(gain_b, rel=1e-12)
-        assert gain_a - gain_b < -submodcheck.DEFAULT_TOLERANCE
 
 
 def test_include_empty_expands_the_scan():
@@ -275,7 +237,6 @@ def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(tolerance):
     b = submodcheck.draw_batch(Rng(0), 5)
     for scan in (lambda: submodcheck.verdict_table(["supcon"], tolerance=tolerance),
                  lambda: submodcheck.exhaustive_dr_check("fl", b, RBF, tolerance),
-                 lambda: submodcheck.exhaustive_lattice_check("fl", b, RBF, tolerance),
                  lambda: submodcheck.consistency_scan("fl", draws=2,
                                                       tolerance=tolerance)):
         with pytest.raises(ValidationError, match="tolerance must be finite"):
@@ -293,8 +254,6 @@ NO_EVIDENCE = {
         lambda: submodcheck.counterexample_search("supcon", n=2),
         lambda: submodcheck.counterexample_search("supcon", max_draws=0)],
     "exhaustive_dr_check": [lambda: submodcheck.exhaustive_dr_check(
-        "fl", submodcheck.draw_batch(Rng(0), 2), RBF)],
-    "exhaustive_lattice_check": [lambda: submodcheck.exhaustive_lattice_check(
         "fl", submodcheck.draw_batch(Rng(0), 2), RBF)],
 }
 
