@@ -150,7 +150,12 @@ def _first_empty_class(labels: np.ndarray) -> int | None:
 
 
 def partition_from_labels(labels: np.ndarray) -> ClassPartition:
+    """The class sets of labels, which must cover 0..C-1 as a batch's do."""
     labels = _integers(labels, "labels")
+    if labels.size == 0:
+        raise EmptyGroundSet()
+    if labels.min() < 0:
+        raise ValidationError("labels must be nonnegative")
     c = int(labels.max()) + 1
     return ClassPartition(tuple(np.flatnonzero(labels == k) for k in range(c)))
 

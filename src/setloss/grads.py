@@ -10,17 +10,18 @@ computed and, for fl, the argmax its term picked. The pairwise rules write
 M from per-row vectors and each class's diagonal block (a view where the
 class is a run of rows, else a gathered copy written back), and fl from its
 picks, with no transposed read; the loop-built rules (triplet, snn,
-submod-snn, submod-supcon) and the log-det rules build W and fold it. This
-module zeroes M's diagonal, every kernel diagonal being constant, and pulls
-M back to the embeddings through the kernel chain rules in `kernels`.
+submod-snn, submod-supcon) and the log-det rules build W and fold it.
+`objectives.Scaled` zeroes M's diagonal, every kernel diagonal being
+constant, and this module pulls M back to the embeddings through the
+kernel chain rules in `kernels`.
 
 Under rbf the chain rule reads M only as M o S, so the rules write that
 product instead, a strip of rows at a time, each entry one rounding of
-M_ij x S_ij: the bits of M scaled by S afterwards. Where the evaluation's
-S lives in the workspace the gradient is built in, as in a training step,
-the product is written over S, and the step holds one n x n array: its
-kernel. Otherwise S is left as the evaluation built it, for the gradient
-check's kink rules to read.
+M_ij x S_ij: the bits of M scaled by S afterwards. The product has one
+destination, the S the rule is handed. Given a workspace, the gradient
+hands it the evaluation's own S, and a training step holds one n x n
+array: its kernel. Given none, it hands it a copy, and the evaluation's S
+is left as it was built, for the gradient check's kink rules to read.
 
 Nonsmooth points are handled by fixed subgradient choices: the
 facility-location max takes the lowest-index argmax, and a triplet hinge
@@ -80,22 +81,18 @@ def _entry_weights(obj, s, d, classes, lam, eps, whole, workspace=None,
     classes is the batch's `ClassPartition`, whole the record's
     `whole_value` of s, and picks the evaluation's `picks` (fl's). Given a
     symmetric n x n base, the similarity weights come back as M o base
-    (`objectives.Scaled`), written over base itself where it lives in
-    `workspace`. Otherwise they are built in the workspace's "gram" buffer,
-    the distance weights in "wdist" and a folding rule's W in "ws", which
-    the other rules never ask for.
+    (`objectives.Scaled`), written over base itself. Otherwise they are
+    built in the workspace's "gram" buffer. The distance weights are built
+    in "wdist" and a folding rule's W in "ws", which the other rules never
+    ask for.
     """
-    own = base is not None and workspace is not None and workspace.holds(base)
-    m = base if own else kernels.workspace_buffer(workspace, "gram", s.shape)
+    m = kernels.workspace_buffer(workspace, "gram", s.shape) if base is None else base
     mdist = (kernels.workspace_buffer(workspace, "wdist", s.shape)
              if obj.distance is not None else None)
-    obj.weights(objectives.Scaled(m, base),
+    obj.weights(objectives.Scaled(m, base is not None),
                 None if mdist is None else objectives.Scaled(mdist),
                 lambda: kernels.workspace_buffer(workspace, "ws", s.shape),
                 s, d, classes, picks, lam, eps, whole)
-    np.fill_diagonal(m, 0.0)
-    if mdist is not None:
-        np.fill_diagonal(mdist, 0.0)
     return (m, mdist, None) if obj.distance == "d" else (m, None, mdist)
 
 
@@ -107,11 +104,13 @@ def evaluation_gradient(ev: losses.Evaluation,
     The entry weights and pullbacks are built in `workspace` when given one;
     the evaluation's own matrices may live in it too. The RBF pullback
     reads the similarity weights only as M o S, so under rbf the weight
-    rule writes M o S over ev.s where ev.s lives in `workspace`, which
-    then holds M o S / bw^2, and leaves ev.s intact otherwise.
+    rule writes M o S over the S it is handed: ev.s itself when given a
+    workspace, wherever ev.s lives, which then holds M o S / bw^2, and a
+    copy of ev.s when not, which leaves ev.s intact.
     """
     config = ev.config
-    base = ev.s if config.kernel == "rbf" else None
+    base = None if config.kernel != "rbf" else (
+        ev.s if workspace is not None else ev.s.copy())
     m, md, md2 = _entry_weights(objectives.get(config.objective), ev.s, ev.d,
                                 ev.classes, config.lam, config.margin, ev.whole,
                                 workspace, ev.picks, base)

@@ -26,7 +26,8 @@ They take the doubled weights M = W + W.T with a zero diagonal, which the
 objectives' weight rules write directly (see `grads`), rather than folding
 W themselves; the diagonal is zero because every kernel's diagonal is
 constant in the embeddings. The RBF chain rule reads M only as M o S, so
-it takes that product, which the weight rules write over S itself. The
+it takes that product, which the weight rules write over the S they are
+handed: the evaluation's own given a workspace, a copy given none. The
 others take the forward matrix the loss was scored on rather than
 rebuilding it; the single-entry kernel_gradient form exists for spot
 checks against finite differences.
@@ -36,11 +37,12 @@ when the call is given one and in a fresh array when it is not, so the two
 give the same bits from the same code. The trainer's steps and the lattice
 scans take theirs from `thread_workspace()`. An array built on a workspace
 is valid until that workspace's next use for the same kind of array:
-kernel matrices until its next kernel build, or until an RBF gradient is
-taken from them (`grads.evaluation_gradient`), doubled weights until its
+kernel matrices until its next kernel build, doubled weights until its
 next entry-weight build, kernel build or pullback (the RBF and distance
-pullbacks scale M in place). Calls given no workspace return arrays that
-share no memory with any later call.
+pullbacks scale M in place). An RBF S, wherever it lives, is also spent
+when a gradient is taken from it with a workspace
+(`grads.evaluation_gradient`), which writes M o S over it. Calls given no
+workspace return arrays that share no memory with any later call.
 
 The products go through `_blas`, whose docstring says how they run and
 what that does to their last bits: `squared_distances` fills "d" with
@@ -102,9 +104,10 @@ class Workspace:
     Gram; "mask" the "apart" bool mask of the distance and neg-euclidean
     pullbacks. A Gram product or update leaves below its diagonal whatever
     an earlier, larger one wrote there, and the mirror overwrites it.
-    Under rbf the weight rules write M o S over the kernel S, so an S
-    built here is valid until the next kernel build or until an RBF
-    gradient is taken from it. An RBF step with fl, gc-cf or supcon writes
+    Under rbf the weight rules never use "gram": a gradient taken with a
+    workspace writes M o S over the evaluation's own S, so an S built here
+    is valid until the next kernel build or until an RBF gradient is taken
+    from it with a workspace. An RBF step with fl, gc-cf or supcon writes
     "d" only, 8 n^2 bytes (5.1 MB at n = 800); all seven n x n names take
     49 n^2. The lattice scans add the float gain blocks "margin" and
     "other" and their bool masks "finite" and "bad", about 1.2 MB at n = 6
@@ -121,10 +124,6 @@ class Workspace:
         if buf is None or buf.size < size or buf.dtype != dtype:
             buf = self._buffers[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
-
-    def holds(self, array: np.ndarray) -> bool:
-        """Whether array may be a view of one of the workspace's buffers."""
-        return any(np.may_share_memory(array, buf) for buf in self._buffers.values())
 
 
 _per_thread = threading.local()

@@ -122,8 +122,9 @@ class Evaluation:
     row; None for the other records), so a training step builds its kernel,
     its partition, n-pairs' and supcon's row sums and fl's gathered blocks
     once. An S built in a workspace is valid until that workspace's next
-    kernel build, or until an RBF gradient is taken from the evaluation in
-    the same workspace, which writes M o S over it (`grads`).
+    kernel build. Under rbf, a gradient taken from the evaluation with any
+    workspace writes M o S over S, wherever S was built; a gradient taken
+    without one writes over a copy and leaves S intact (`grads`).
     """
 
     batch: EmbeddingBatch
@@ -141,8 +142,9 @@ def evaluate(batch: EmbeddingBatch, config: LossConfig,
     """Build S (and D if needed), partition, check the domain, and score.
 
     With a workspace, S and D live in its buffers and are valid until its
-    next kernel build, S only until an RBF gradient is taken from it in that
-    workspace; without one they are fresh arrays.
+    next kernel build; without one they are fresh arrays. Either way an RBF
+    S is valid only until a gradient is taken from it with a workspace,
+    which writes M o S over it (`Evaluation`).
     """
     s, d = matrices(batch, config, workspace)
     obj = objectives.get(config.objective)

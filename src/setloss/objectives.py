@@ -255,49 +255,52 @@ def _fl_picking_term(s, d, mem, comp, lam, eps, whole):
 # zero matrix gives. That W holds (0.0 - x) where the accumulation
 # subtracted x, (0.0 + x) where it added x and 0.0 where it wrote nothing;
 # those forms keep signed zeros (0.0 - 0.0 is 0.0, not -0.0).
-# `grads._entry_weights` zeroes the diagonals.
+# `Scaled.rows` zeroes the diagonals.
 #
 # A rule writes M through a `Scaled`, which holds M itself or, under rbf,
-# M o S, the one form of M that the RBF pullback reads, in place of S
-# where S lives in a workspace. Either way a rule gives `Scaled.rows` a
-# writer of M's rows; the rules built from per-row vectors and each class's
-# diagonal block (`_within`), and fl's from its picks, write them without a
-# transposed read. The others build W in the buffer `scratch()` returns and
-# fold it with `_fold`, the one transposed read of a training step.
+# M o S, the one form of M that the RBF pullback reads, written over the S
+# the rule is handed (`grads._entry_weights`). Either way a rule gives
+# `Scaled.rows` a writer of M's rows; the rules built from per-row vectors
+# and each class's diagonal block (`_within`), and fl's from its picks,
+# write them without a transposed read. The others build W in the buffer
+# `scratch()` returns and fold it with `_fold`, the one transposed read of
+# a training step.
 
-# Rows of M that `Scaled.rows` writes at a time under a base: at n = 800 a
-# strip is 0.4 MB, where all of M would be 5.1 MB.
+# Rows of M that `Scaled.rows` writes at a time over S: at n = 800 a strip
+# is 0.4 MB, where all of M would be 5.1 MB.
 _STRIP = 64
 
 
 @dataclass(frozen=True)
 class Scaled:
-    """Where a weight rule writes its doubled weights M: m receives M where
-    base is None, and M o base otherwise, each entry one rounding of
-    M_ij x base_ij. base is a symmetric n x n array and may be m itself.
+    """Where a weight rule writes its doubled weights M, with a zero
+    diagonal: m receives M, or, where scaled is set (under rbf), M o m, each
+    entry one rounding of M_ij x m_ij. A scaled m holds the symmetric n x n
+    S on entry, and may be the very s the rule reads.
     """
 
     m: np.ndarray
-    base: np.ndarray | None = None
+    scaled: bool = False
 
     def rows(self, write) -> None:
         """Fill m from write(t, lo), which writes M's rows lo to
-        lo + len(t) into t: all of them into m at once without a base, and
-        under one a strip at a time, each multiplied by its rows of base
-        before the next strip is written. A writer that reads an n x n
-        array reads only its rows lo to lo + len(t), so base and m may be
-        the array it reads."""
-        m, base = self.m, self.base
-        if base is None:
+        lo + len(t) into t, and zero m's diagonal. Unscaled, all rows go
+        into m at once; scaled, a strip at a time, each multiplied into its
+        rows of m before the next strip is written. A writer that reads an
+        n x n array reads only its rows lo to lo + len(t), so it may read m.
+        No kernel gradient reads the diagonal, every kernel diagonal being
+        constant."""
+        m = self.m
+        if self.scaled:
+            t = np.empty((min(_STRIP, len(m)), len(m)))
+            for lo in range(0, len(m), _STRIP):
+                rows = m[lo:lo + _STRIP]
+                strip = t[:len(rows)]
+                write(strip, lo)
+                rows *= strip
+        else:
             write(m, 0)
-            return
-        n = m.shape[0]
-        t = np.empty((min(_STRIP, n), m.shape[1]))
-        for lo in range(0, n, _STRIP):
-            hi = min(lo + _STRIP, n)
-            strip = t[:hi - lo]
-            write(strip, lo)
-            np.multiply(base[lo:hi], strip, out=m[lo:hi])
+        np.fill_diagonal(m, 0.0)
 
 
 def _fold(w, out):
@@ -543,8 +546,9 @@ class Objective:
     writes the doubled weights M = W + W.T of the n x n dL/dS through the
     `Scaled` out and, when `distance` ("d" or "d2") is set, of dL/dD or
     dL/dD^2 through dout; `distance` also says that the objective reads D
-    at all. out's array may be s itself. Only the off-diagonal entries
-    count: the caller zeroes the diagonals, which no kernel gradient reads.
+    at all. A scaled out's array holds S on entry, and may be s itself.
+    Only the off-diagonal entries count: `Scaled.rows` zeroes the
+    diagonals, which no kernel gradient reads.
     scratch() returns an n x n buffer, holding anything, in which the
     loop-built and log-det rules build W and fold it with `_fold`; the
     others never ask for it and write M without a transposed read. A rule

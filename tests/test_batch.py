@@ -72,6 +72,19 @@ def test_partition_covers_everything():
         assert np.all(labels[members] == k)
 
 
+@pytest.mark.parametrize("labels,error,match", [
+    (np.zeros(0, dtype=int), EmptyGroundSet, "ground set is empty"),
+    ([0, -1], ValidationError, "labels must be nonnegative"),
+])
+def test_partition_from_labels_refuses_what_a_batch_refuses(labels, error, match):
+    # It used to raise numpy's zero-size reduction error on no labels, and
+    # to take [0, -1] as a one-row partition.
+    with pytest.raises(error, match=match):
+        partition_from_labels(labels)
+    with pytest.raises(error, match=match):
+        EmbeddingBatch(np.ones((len(labels), 3)), labels)
+
+
 @pytest.mark.parametrize("sets", [
     ([0, 2, 3], [2]),        # a duplicate inside range(n)
     ([0, 1], [1]),           # a duplicate that leaves n - 1 out

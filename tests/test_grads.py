@@ -318,6 +318,36 @@ def test_a_gradient_without_a_workspace_leaves_the_evaluation_intact(name, kerne
         assert (None if ev.d is None else ev.d.tobytes()) == d
 
 
+@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+def test_an_rbf_gradient_writes_over_the_s_it_is_handed(name):
+    # Given a workspace, the gradient writes M o S over the evaluation's S
+    # wherever it was built, here in a fresh array, and leaves there what a
+    # training step leaves in its workspace's S: M o S / bw^2. Given none,
+    # it writes over a copy. Either way the gradient has the same bits.
+    cfg = losses.LossConfig(name, kernel="rbf", bandwidth=0.7)
+    for seed in range(3):
+        batch = grads.check_batch(12, 8, seed)
+        work = kernels.Workspace()
+        step = losses.evaluate(batch, cfg, work)
+        grads.evaluation_gradient(step, work)
+        ev = losses.evaluate(batch, cfg)
+        want = grads.evaluation_gradient(ev)
+        got = grads.evaluation_gradient(ev, kernels.Workspace())
+        assert ev.s.tobytes() == step.s.tobytes()
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+def test_grad_check_excludes_the_kink_rows_of_the_scored_matrices_under_rbf(name, seed):
+    # The kink rules must read the S the loss was scored on, not the M o S
+    # the RBF weight rule writes.
+    batch = grads.check_batch(12, 8, seed)
+    cfg = losses.LossConfig(name, kernel="rbf", bandwidth=0.7)
+    rows = grads._excluded_rows(losses.evaluate(batch, cfg))
+    assert grads.grad_check(batch, cfg).excluded == rows.sum() * batch.dim
+
+
 @pytest.mark.parametrize("layout", ["runs", "round-robin"])
 @pytest.mark.parametrize("name", ["fl", "gc-cf", "supcon"])
 def test_an_rbf_step_holds_one_kernel_sized_array(name, layout):
