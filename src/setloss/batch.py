@@ -150,8 +150,10 @@ def _first_empty_class(labels: np.ndarray) -> int | None:
 
 
 def partition_from_labels(labels: np.ndarray) -> ClassPartition:
-    """The class sets of labels, which must cover 0..C-1 as a batch's do."""
+    """The class sets of 1-D labels, which must cover 0..C-1 as a batch's do."""
     labels = _integers(labels, "labels")
+    if labels.ndim != 1:
+        raise ValidationError(f"labels shape {labels.shape} is not 1-D")
     if labels.size == 0:
         raise EmptyGroundSet()
     if labels.min() < 0:

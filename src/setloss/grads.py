@@ -15,13 +15,18 @@ submod-snn, submod-supcon) and the log-det rules build W and fold it.
 constant, and this module pulls M back to the embeddings through the
 kernel chain rules in `kernels`.
 
-Under rbf the chain rule reads M only as M o S, so the rules write that
-product instead, a strip of rows at a time, each entry one rounding of
-M_ij x S_ij: the bits of M scaled by S afterwards. The product has one
-destination, the S the rule is handed. Given a workspace, the gradient
-hands it the evaluation's own S, and a training step holds one n x n
-array: its kernel. Given none, it hands it a copy, and the evaluation's S
-is left as it was built, for the gradient check's kink rules to read.
+Every entry weight has one destination: the kernel matrix it pulls back
+through, S for dL/dS and D for dL/dD or dL/dD^2. The rule writes M there
+in the one form that matrix's pullback reads (`kernels.WEIGHT_FORMS`): M
+under cosine and for D^2, M o S under rbf, and M / S or M / D, zero at
+coincident points, under neg-euclidean and for D. The strip forms go a
+strip of rows at a time, each entry one rounding of M_ij x S_ij or
+M_ij / K_ij: the bits of M turned into its form afterwards. Given a
+workspace, the gradient hands the rule the evaluation's own S and D, and
+a training step writes M into no n x n array of its own (a rule that
+builds W builds it in the workspace's "ws"). Given none, it
+hands it copies, and the evaluation is left as it was built, for the
+gradient check's kink rules to read.
 
 Nonsmooth points are handled by fixed subgradient choices: the
 facility-location max takes the lowest-index argmax, and a triplet hinge
@@ -73,27 +78,25 @@ class GradCheckReport:
     excluded: int = 0
 
 
-def _entry_weights(obj, s, d, classes, lam, eps, whole, workspace=None,
-                   picks=None, base=None):
-    """Doubled (dL/dS, dL/dD, dL/dD^2): each the n x n M = W + W.T with a
-    zero diagonal, or None where unused.
+def _entry_weights(obj, kind, s, d, classes, lam, eps, whole, workspace=None,
+                   picks=None):
+    """(m, mdist): the doubled weights of dL/dS and, for a record with a
+    `distance`, of dL/dD or dL/dD^2, else None; each M = W + W.T with a
+    zero diagonal, written over the kernel matrix it belongs to, s or d, in
+    the form that matrix's pullback reads (`kernels.WEIGHT_FORMS`, keyed by
+    the kernel `kind` and by `obj.distance`).
 
     classes is the batch's `ClassPartition`, whole the record's
-    `whole_value` of s, and picks the evaluation's `picks` (fl's). Given a
-    symmetric n x n base, the similarity weights come back as M o base
-    (`objectives.Scaled`), written over base itself. Otherwise they are
-    built in the workspace's "gram" buffer. The distance weights are built
-    in "wdist" and a folding rule's W in "ws", which the other rules never
-    ask for.
+    `whole_value` of s, and picks the evaluation's `picks` (fl's). A
+    folding rule builds its W in the workspace's "ws" buffer, which the
+    other rules never ask for.
     """
-    m = kernels.workspace_buffer(workspace, "gram", s.shape) if base is None else base
-    mdist = (kernels.workspace_buffer(workspace, "wdist", s.shape)
-             if obj.distance is not None else None)
-    obj.weights(objectives.Scaled(m, base is not None),
-                None if mdist is None else objectives.Scaled(mdist),
+    forms = kernels.WEIGHT_FORMS
+    dout = None if obj.distance is None else objectives.Scaled(d, forms[obj.distance])
+    obj.weights(objectives.Scaled(s, forms[kind]), dout,
                 lambda: kernels.workspace_buffer(workspace, "ws", s.shape),
                 s, d, classes, picks, lam, eps, whole)
-    return (m, mdist, None) if obj.distance == "d" else (m, None, mdist)
+    return s, None if dout is None else d
 
 
 def evaluation_gradient(ev: losses.Evaluation,
@@ -101,29 +104,27 @@ def evaluation_gradient(ev: losses.Evaluation,
     """Analytic dL/dZ from the matrices, partition and picks one evaluation
     used.
 
-    The entry weights and pullbacks are built in `workspace` when given one;
-    the evaluation's own matrices may live in it too. The RBF pullback
-    reads the similarity weights only as M o S, so under rbf the weight
-    rule writes M o S over the S it is handed: ev.s itself when given a
-    workspace, wherever ev.s lives, which then holds M o S / bw^2, and a
-    copy of ev.s when not, which leaves ev.s intact.
+    The weights are written over the kernel matrices they belong to: ev.s
+    and ev.d themselves when given a workspace, wherever they live, which
+    are then spent, and copies of them when not, which leaves the
+    evaluation as it was scored for the gradient check's kink rules. The
+    pullbacks' own buffers come from the workspace when given one.
     """
     config = ev.config
-    base = None if config.kernel != "rbf" else (
-        ev.s if workspace is not None else ev.s.copy())
-    m, md, md2 = _entry_weights(objectives.get(config.objective), ev.s, ev.d,
-                                ev.classes, config.lam, config.margin, ev.whole,
-                                workspace, ev.picks, base)
+    obj = objectives.get(config.objective)
+    s, d = (ev.s, ev.d) if workspace is not None else (
+        ev.s.copy(), None if ev.d is None else ev.d.copy())
+    m, mdist = _entry_weights(obj, config.kernel, s, d, ev.classes, config.lam,
+                              config.margin, ev.whole, workspace, ev.picks)
 
     z = ev.batch.vectors
     # An all-zero m pulls back to signed zeros, which the add makes +0.0.
     grad = np.zeros_like(z)
     grad += kernels.similarity_pullback(z, m, config.kernel, config.bandwidth,
-                                        s=ev.s, workspace=workspace)
-    if md is not None:
-        grad += kernels.distance_pullback(z, md, ev.d, workspace)
-    if md2 is not None:
-        grad += kernels.sqdist_pullback(z, md2)
+                                        workspace=workspace)
+    if mdist is not None:
+        grad += (kernels.distance_pullback if obj.distance == "d"
+                 else kernels.sqdist_pullback)(z, mdist)
     return grad
 
 

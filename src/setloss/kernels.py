@@ -25,24 +25,26 @@ W back to embeddings and are the only gradient route the loss module uses.
 They take the doubled weights M = W + W.T with a zero diagonal, which the
 objectives' weight rules write directly (see `grads`), rather than folding
 W themselves; the diagonal is zero because every kernel's diagonal is
-constant in the embeddings. The RBF chain rule reads M only as M o S, so
-it takes that product, which the weight rules write over the S they are
-handed: the evaluation's own given a workspace, a copy given none. The
-others take the forward matrix the loss was scored on rather than
-rebuilding it; the single-entry kernel_gradient form exists for spot
-checks against finite differences.
+constant in the embeddings. Each takes M in the one form its chain rule
+reads, `WEIGHT_FORMS`: M under cosine and for D^2, M o S under rbf, and
+M / K, zero where |K_ij| <= NORM_FLOOR, for K = S under neg-euclidean and
+K = D for D. The weight rules write that form over the kernel matrix K
+itself: the evaluation's own given a workspace, a copy given none. The
+neg-euclidean and distance pullbacks are then one Laplacian,
+sum_j P_ij (z_i - z_j), and the squared-distance pullback twice it. The
+single-entry kernel_gradient form exists for spot checks against finite
+differences.
 
 Every n x n array is built in place, in a buffer that a `Workspace` holds
 when the call is given one and in a fresh array when it is not, so the two
 give the same bits from the same code. The trainer's steps and the lattice
 scans take theirs from `thread_workspace()`. An array built on a workspace
 is valid until that workspace's next use for the same kind of array:
-kernel matrices until its next kernel build, doubled weights until its
-next entry-weight build, kernel build or pullback (the RBF and distance
-pullbacks scale M in place). An RBF S, wherever it lives, is also spent
-when a gradient is taken from it with a workspace
-(`grads.evaluation_gradient`), which writes M o S over it. Calls given no
-workspace return arrays that share no memory with any later call.
+kernel matrices until its next kernel build. An S or D, wherever it
+lives, is also spent when a gradient is taken from it with a workspace
+(`grads.evaluation_gradient`), which writes the weights over it, and the
+RBF pullback divides those by bw^2 in place. Calls given no workspace
+return arrays that share no memory with any later call.
 
 The products go through `_blas`, whose docstring says how they run and
 what that does to their last bits: `squared_distances` fills "d" with
@@ -96,20 +98,16 @@ class Workspace:
 
     n x n names: "s" and "d" hold kernel results (a similarity built from
     squared distances without a kept D lives in "d"; the squared distances
-    themselves are built in "d" by one Gram update); "gram" holds the
-    doubled similarity weights M under cosine and neg-euclidean, which the
-    pullbacks scale in place; "wdist" the doubled distance weights; "ws"
+    themselves are built in "d" by one Gram update), and a gradient taken
+    with the workspace writes each entry weight over the kernel matrix it
+    pulls back through, in that matrix's `WEIGHT_FORMS` form; "ws" holds
     the W that a loop-built or log-det weight rule builds and adds to its
-    transpose in "gram" or "wdist"; "cos" the cosine pullback's unclipped
-    Gram; "mask" the "apart" bool mask of the distance and neg-euclidean
-    pullbacks. A Gram product or update leaves below its diagonal whatever
-    an earlier, larger one wrote there, and the mirror overwrites it.
-    Under rbf the weight rules never use "gram": a gradient taken with a
-    workspace writes M o S over the evaluation's own S, so an S built here
-    is valid until the next kernel build or until an RBF gradient is taken
-    from it with a workspace. An RBF step with fl, gc-cf or supcon writes
-    "d" only, 8 n^2 bytes (5.1 MB at n = 800); all seven n x n names take
-    49 n^2. The lattice scans add the float gain blocks "margin" and
+    transpose; "cos" the cosine pullback's unclipped Gram. A Gram product
+    or update leaves below its diagonal whatever an earlier, larger one
+    wrote there, and the mirror overwrites it. An fl, gc-cf or supcon step
+    writes "d" only under rbf and neg-euclidean, 8 n^2 bytes (5.1 MB at
+    n = 800), and "s" and "cos" under cosine; all four n x n names take
+    32 n^2. The lattice scans add the float gain blocks "margin" and
     "other" and their bool masks "finite" and "bad", about 1.2 MB at n = 6
     and 3.1 MB at n = 12. Stacks of kernel matrices are not built in a
     workspace.
@@ -328,51 +326,60 @@ def rbf_pullback(z: np.ndarray, ms: np.ndarray, bandwidth: float) -> np.ndarray:
     return _blas.product(ms, z) - np.sum(ms, axis=1)[:, None] * z
 
 
+def distance_pullback(z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """dL/dZ for L = sum_ij W_ij D_ij, given p, the doubled weights
+    M = W + W.T with a zero diagonal in the distance form: M_ij / D_ij
+    where |D_ij| > NORM_FLOOR and 0 elsewhere (`WEIGHT_FORMS["d"]`).
+
+    d(D_ij)/dz_i is (z_i - z_j) / D_ij, with the zero subgradient at
+    coincident points, so this is the Laplacian sum_j p_ij (z_i - z_j).
+    """
+    return np.sum(p, axis=1)[:, None] * z - _blas.product(p, z)
+
+
 def sqdist_pullback(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     """dL/dZ for L = sum_ij W_ij D^2_ij, given the doubled weights
     m = W + W.T with a zero diagonal."""
     # d(D^2_ij)/dz_i = 2 (z_i - z_j)
-    return 2.0 * (np.sum(m, axis=1)[:, None] * z - _blas.product(m, z))
-
-
-def _over_distances(z: np.ndarray, m: np.ndarray, d: np.ndarray,
-                    apart: np.ndarray) -> np.ndarray:
-    """sum_j (m_ij / d_ij) (z_i - z_j), with pairs not `apart` contributing 0.
-
-    m is overwritten, and so is the boolean mask `apart`.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m /= d
-    np.copyto(m, 0.0, where=np.logical_not(apart, out=apart))
-    return np.sum(m, axis=1)[:, None] * z - _blas.product(m, z)
-
-
-def distance_pullback(z: np.ndarray, m: np.ndarray, d: np.ndarray,
-                      workspace: Workspace | None = None) -> np.ndarray:
-    """dL/dZ for L = sum_ij W_ij D_ij, given the forward distances D and the
-    doubled weights m = W + W.T with a zero diagonal, which are overwritten."""
-    apart = workspace_buffer(workspace, "mask", d.shape, bool)
-    np.greater(d, NORM_FLOOR, out=apart)
-    return _over_distances(z, m, d, apart)
+    return 2.0 * distance_pullback(z, m)
 
 
 def similarity_pullback(z: np.ndarray, m: np.ndarray, kind: str,
-                        bandwidth: float = 1.0, *, s: np.ndarray,
+                        bandwidth: float = 1.0, *,
                         workspace: Workspace | None = None) -> np.ndarray:
-    """dL/dZ for L = sum_ij W_ij S_ij, given the forward matrix S of `kind`
-    and the doubled weights M = W + W.T with a zero diagonal: m is M, and
-    under rbf M o S, which is all the RBF chain rule reads of M.
+    """dL/dZ for L = sum_ij W_ij S_ij under `kind`, given the doubled
+    weights M = W + W.T with a zero diagonal in the kind's form
+    (`WEIGHT_FORMS`): M under cosine, M o S under rbf and M / S, zero where
+    |S_ij| <= NORM_FLOOR, under neg-euclidean.
 
-    m is overwritten except under cosine, which works from the raw Gram
-    matrix of unit rows instead: the forward S is clipped to [-1, 1], and
-    the chain rule needs the unclipped entries. Only neg-euclidean reads s.
+    m is overwritten under rbf. Cosine works from the raw Gram matrix of
+    unit rows: the forward S is clipped to [-1, 1], and the chain rule
+    needs the unclipped entries. Under neg-euclidean S = -D, so M / S is
+    the distance form of -M and pulls back as `distance_pullback`.
     """
     if check_kind(kind) == "cosine":
         return cosine_pullback(z, m, workspace)
     if kind == "rbf":
         return rbf_pullback(z, m, bandwidth)
-    # neg-euclidean: the distance pullback of -m against D = -S. (-m_ij) /
-    # (-S_ij) is m_ij / S_ij, and D_ij > NORM_FLOOR is S_ij < -NORM_FLOOR.
-    apart = workspace_buffer(workspace, "mask", s.shape, bool)
-    np.less(s, -NORM_FLOOR, out=apart)
-    return _over_distances(z, m, s, apart)
+    return distance_pullback(z, m)
+
+
+def _times(k: np.ndarray, m: np.ndarray) -> None:
+    """M o K into k: each entry one rounding of K_ij x M_ij."""
+    k *= m
+
+
+def _over(k: np.ndarray, m: np.ndarray) -> None:
+    """M / K into k where |K_ij| > NORM_FLOOR, and 0 elsewhere."""
+    apart = (k > NORM_FLOOR) | (k < -NORM_FLOOR)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(m, k, out=k)
+    np.copyto(k, 0.0, where=~apart)
+
+
+# The form of the doubled weights M that each pullback reads, keyed by
+# kernel kind and by an objective record's `distance`. form(k, m) turns rows
+# of a kernel matrix K, in k, into the form of the same rows of M, in m,
+# entry by entry, so it may go a strip of rows at a time; None is M itself.
+WEIGHT_FORMS = {"cosine": None, "rbf": _times, "neg-euclidean": _over,
+                "d": _over, "d2": None}

@@ -121,10 +121,11 @@ class Evaluation:
     `picking_term` chose, per class: fl's first argmax of each complement
     row; None for the other records), so a training step builds its kernel,
     its partition, n-pairs' and supcon's row sums and fl's gathered blocks
-    once. An S built in a workspace is valid until that workspace's next
-    kernel build. Under rbf, a gradient taken from the evaluation with any
-    workspace writes M o S over S, wherever S was built; a gradient taken
-    without one writes over a copy and leaves S intact (`grads`).
+    once. An S or D built in a workspace is valid until that workspace's
+    next kernel build. A gradient taken from the evaluation with any
+    workspace writes its entry weights over S and D, wherever they were
+    built; a gradient taken without one writes over copies and leaves them
+    intact (`grads`).
     """
 
     batch: EmbeddingBatch
@@ -142,9 +143,9 @@ def evaluate(batch: EmbeddingBatch, config: LossConfig,
     """Build S (and D if needed), partition, check the domain, and score.
 
     With a workspace, S and D live in its buffers and are valid until its
-    next kernel build; without one they are fresh arrays. Either way an RBF
-    S is valid only until a gradient is taken from it with a workspace,
-    which writes M o S over it (`Evaluation`).
+    next kernel build; without one they are fresh arrays. Either way S and
+    D are valid only until a gradient is taken from them with a workspace,
+    which writes the entry weights over them (`Evaluation`).
     """
     s, d = matrices(batch, config, workspace)
     obj = objectives.get(config.objective)

@@ -257,8 +257,8 @@ def _fl_picking_term(s, d, mem, comp, lam, eps, whole):
 # those forms keep signed zeros (0.0 - 0.0 is 0.0, not -0.0).
 # `Scaled.rows` zeroes the diagonals.
 #
-# A rule writes M through a `Scaled`, which holds M itself or, under rbf,
-# M o S, the one form of M that the RBF pullback reads, written over the S
+# A rule writes M through a `Scaled`, which holds M itself or the one form
+# of M that its kernel's pullback reads, written over the kernel matrix
 # the rule is handed (`grads._entry_weights`). Either way a rule gives
 # `Scaled.rows` a writer of M's rows; the rules built from per-row vectors
 # and each class's diagonal block (`_within`), and fl's from its picks,
@@ -266,40 +266,40 @@ def _fl_picking_term(s, d, mem, comp, lam, eps, whole):
 # `scratch()` returns and fold it with `_fold`, the one transposed read of
 # a training step.
 
-# Rows of M that `Scaled.rows` writes at a time over S: at n = 800 a strip
-# is 0.4 MB, where all of M would be 5.1 MB.
+# Rows of M that `Scaled.rows` writes at a time over a kernel matrix in a
+# form: at n = 800 a strip is 0.4 MB, where all of M would be 5.1 MB.
 _STRIP = 64
 
 
 @dataclass(frozen=True)
 class Scaled:
     """Where a weight rule writes its doubled weights M, with a zero
-    diagonal: m receives M, or, where scaled is set (under rbf), M o m, each
-    entry one rounding of M_ij x m_ij. A scaled m holds the symmetric n x n
-    S on entry, and may be the very s the rule reads.
+    diagonal: into m, as M itself with no form, or with a `form` from
+    `kernels.WEIGHT_FORMS` as that form of M over the kernel matrix K that
+    m holds on entry, which may be the very s or d the rule reads.
     """
 
     m: np.ndarray
-    scaled: bool = False
+    form: Callable | None = None
 
     def rows(self, write) -> None:
         """Fill m from write(t, lo), which writes M's rows lo to
-        lo + len(t) into t, and zero m's diagonal. Unscaled, all rows go
-        into m at once; scaled, a strip at a time, each multiplied into its
-        rows of m before the next strip is written. A writer that reads an
-        n x n array reads only its rows lo to lo + len(t), so it may read m.
-        No kernel gradient reads the diagonal, every kernel diagonal being
-        constant."""
+        lo + len(t) into t, and zero m's diagonal. With no form, all rows
+        go into m at once; with one, a strip at a time, each turned by
+        form(rows, strip) into the form over its rows of m before the next
+        strip is written. A writer that reads an n x n array reads only its
+        rows lo to lo + len(t), so it may read m. No kernel gradient reads
+        the diagonal, every kernel diagonal being constant."""
         m = self.m
-        if self.scaled:
+        if self.form is None:
+            write(m, 0)
+        else:
             t = np.empty((min(_STRIP, len(m)), len(m)))
             for lo in range(0, len(m), _STRIP):
                 rows = m[lo:lo + _STRIP]
                 strip = t[:len(rows)]
                 write(strip, lo)
-                rows *= strip
-        else:
-            write(m, 0)
+                self.form(rows, strip)
         np.fill_diagonal(m, 0.0)
 
 
@@ -546,7 +546,8 @@ class Objective:
     writes the doubled weights M = W + W.T of the n x n dL/dS through the
     `Scaled` out and, when `distance` ("d" or "d2") is set, of dL/dD or
     dL/dD^2 through dout; `distance` also says that the objective reads D
-    at all. A scaled out's array holds S on entry, and may be s itself.
+    at all. An out or dout with a form holds S or D on entry, and may be
+    s or d itself.
     Only the off-diagonal entries count: `Scaled.rows` zeroes the
     diagonals, which no kernel gradient reads.
     scratch() returns an n x n buffer, holding anything, in which the

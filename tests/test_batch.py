@@ -75,14 +75,17 @@ def test_partition_covers_everything():
 @pytest.mark.parametrize("labels,error,match", [
     (np.zeros(0, dtype=int), EmptyGroundSet, "ground set is empty"),
     ([0, -1], ValidationError, "labels must be nonnegative"),
+    ([[0, 1], [1, 0]], ValidationError, "labels shape \\(2, 2\\)"),
+    (np.int64(0), ValidationError, "labels shape \\(\\)"),
 ])
 def test_partition_from_labels_refuses_what_a_batch_refuses(labels, error, match):
-    # It used to raise numpy's zero-size reduction error on no labels, and
-    # to take [0, -1] as a one-row partition.
+    # It used to raise numpy's zero-size reduction error on no labels, to
+    # take [0, -1] as a one-row partition, and to flatten labels of any
+    # shape: [[0, 1], [1, 0]] gave [[0, 3], [1, 2]] and a 0-d 0 gave [[0]].
     with pytest.raises(error, match=match):
         partition_from_labels(labels)
     with pytest.raises(error, match=match):
-        EmbeddingBatch(np.ones((len(labels), 3)), labels)
+        EmbeddingBatch(np.ones((np.size(labels), 3)), labels)
 
 
 @pytest.mark.parametrize("sets", [

@@ -6,8 +6,11 @@ into its `objectives` record, copied verbatim. It is the reference the
 record rules must reproduce exactly -- every weight matrix byte for byte,
 signed zeros included, and None where an objective writes no weights of
 that kind -- and is not to be edited. The rules now write the doubled
-weights W + W.T, so each is compared with the oracle's W folded the way
-the kernel pullbacks used to fold it.
+weights M = W + W.T, so each M, written through a `Scaled` with no form,
+is compared with the oracle's W folded the way the kernel pullbacks used
+to fold it; `grads._entry_weights`, which writes each M over its kernel
+matrix in the form that matrix's pullback reads, is compared with that
+form of the same M.
 """
 
 from types import SimpleNamespace
@@ -166,14 +169,30 @@ BATCHES = [
 ]
 
 
-def _dirty_workspace(n):
-    """A workspace whose buffers hold NaN (True for the mask), so a weight
-    rule that leaves an entry unwritten shows up."""
-    work = kernels.Workspace()
-    for name in ("gram", "ws", "wdist"):
-        work.buffer(name, (n, n)).fill(np.nan)
-    work.buffer("mask", (n, n), bool).fill(True)
-    return work
+def doubled_weights(obj, s, d, classes, lam, eps, whole, picks=None,
+                    work=None):
+    """(M, Mdist): the record's doubled weights, written through `Scaled`s
+    with no form into NaN-filled arrays, so that an entry the rule leaves
+    unwritten shows up; Mdist None for a record without a `distance`. A
+    folding rule builds W in work's "ws", here filled with NaN first."""
+    if work is not None:
+        work.buffer("ws", s.shape).fill(np.nan)
+    m = np.full(s.shape, np.nan)
+    mdist = None if obj.distance is None else np.full(s.shape, np.nan)
+    obj.weights(registry.Scaled(m), None if mdist is None else registry.Scaled(mdist),
+                lambda: kernels.workspace_buffer(work, "ws", s.shape),
+                s, d, classes, picks, lam, eps, whole)
+    return m, mdist
+
+
+def _in_form(k, m, key):
+    """The form `kernels.WEIGHT_FORMS[key]` of M over the kernel matrix K."""
+    form = kernels.WEIGHT_FORMS[key]
+    if form is None:
+        return m
+    k = k.copy()
+    form(k, m)
+    return k
 
 
 def _old_doubled(weights):
@@ -188,9 +207,10 @@ def _judge(name, cfg, batch):
     """Compare both weight builds with the oracle on one batch; False if the
     batch lies outside the objective's domain.
 
-    The library writes the doubled weights M = W + W.T, with a zero
-    diagonal, and no longer builds W for the mask-built rules, so each of
-    its matrices is pinned to the oracle's W folded by `_old_doubled`.
+    The rules write the doubled weights M = W + W.T, with a zero diagonal
+    (only the folding rules build W), so each M is pinned to the oracle's W
+    folded by `_old_doubled`, with and without a workspace, and
+    `_entry_weights` to the kernel's form of M.
     """
     obj = registry.get(name)
     s, d = losses.matrices(batch, cfg)
@@ -209,16 +229,34 @@ def _judge(name, cfg, batch):
         # fl's weight rule reads the argmax its term picked.
         picks = backend.total_value(obj, s, d, classes, cfg.lam, cfg.margin,
                                     whole)[2]
-    for work in (None, _dirty_workspace(batch.n)):
-        new = grads._entry_weights(obj, s, d, classes, cfg.lam, cfg.margin,
-                                   whole, work, picks)
-        for got, want in zip(new, old):
+    ws, wd, wd2 = old
+    assert (wd is not None, wd2 is not None) == (obj.distance == "d",
+                                                 obj.distance == "d2")
+    for work in (None, kernels.Workspace()):
+        new = doubled_weights(obj, s, d, classes, cfg.lam, cfg.margin, whole,
+                              picks, work)
+        for got, want in zip(new, (ws, wd if obj.distance == "d" else wd2)):
             if want is None:
                 assert got is None
             else:
                 assert got.shape == want.shape
                 assert got.tobytes() == _old_doubled(want).tobytes()
+    # Each M goes over a copy of its kernel matrix, in that matrix's form.
+    formed = grads._entry_weights(obj, cfg.kernel, s.copy(),
+                                  None if d is None else d.copy(), classes,
+                                  cfg.lam, cfg.margin, whole, kernels.Workspace(),
+                                  picks)
+    for got, m, k, key in zip(formed, new, (s, d), (cfg.kernel, obj.distance)):
+        if m is None:
+            assert got is None
+        else:
+            assert got.tobytes() == _in_form(k, m, key).tobytes()
     return True
+
+
+def test_every_kernel_and_record_distance_has_one_weight_form():
+    distances = {obj.distance for obj in registry.REGISTRY} - {None}
+    assert set(kernels.WEIGHT_FORMS) == set(kernels.SIMILARITY_KINDS) | distances
 
 
 @pytest.mark.parametrize("lam", [1.0, 1.7])

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from setloss import grads, kernels, losses, objectives
 from setloss.batch import EmbeddingBatch
 from setloss.errors import PreconditionError
-from test_grad_weights import _entry_weights as _oracle_weights
+from test_grad_weights import _entry_weights as _oracle_weights, doubled_weights
 from test_grad_weights import objectives as _oracle_codes
 
 # ---- Frozen oracle -------------------------------------------------------
@@ -102,11 +102,10 @@ def _frozen_gradient(ev):
 
 
 def _dirty_workspace(n):
-    """A workspace whose every buffer holds NaN (True for the mask)."""
+    """A workspace whose every n x n buffer holds NaN."""
     work = kernels.Workspace()
-    for name in ("s", "d", "gram", "cos", "ws", "wdist"):
+    for name in ("s", "d", "cos", "ws"):
         work.buffer(name, (n, n)).fill(np.nan)
-    work.buffer("mask", (n, n), bool).fill(True)
     return work
 
 
@@ -157,8 +156,8 @@ def test_one_class_batches_have_all_zero_weights_and_gradient(name, kernel):
     assert _judge(batch, cfg)
     with pytest.warns(Warning):
         ev = losses.evaluate(batch, cfg)
-    m, _, _ = grads._entry_weights(objectives.get(name), ev.s, ev.d, ev.classes,
-                                   cfg.lam, cfg.margin, ev.whole, picks=ev.picks)
+    m, _ = doubled_weights(objectives.get(name), ev.s, ev.d, ev.classes,
+                           cfg.lam, cfg.margin, ev.whole, ev.picks)
     assert not np.any(m) and not np.any(np.signbit(m))
     g = grads.evaluation_gradient(ev)
     assert not np.any(g) and not np.any(np.signbit(g))

@@ -9,6 +9,7 @@ from setloss._backend import backend
 from setloss.batch import ClassPartition, EmbeddingBatch, partition_from_labels
 from setloss.errors import PreconditionError, ValidationError
 from setloss.sampling import Rng
+from test_grad_weights import doubled_weights
 
 
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
@@ -201,8 +202,8 @@ def _unshared_value_and_gradient(batch, cfg):
                 ws[i, a[np.argmax(s[i, a])]] += 1.0
         ws = _doubled(ws)
     else:
-        ws, wd, wd2 = grads._entry_weights(obj, s, d, sets, cfg.lam, cfg.margin,
-                                           whole)
+        ws, wdist = doubled_weights(obj, s, d, sets, cfg.lam, cfg.margin, whole)
+        wd, wd2 = (wdist, None) if obj.distance == "d" else (None, wdist)
     z = batch.vectors
     g = np.zeros_like(z)
     if np.any(ws):
@@ -252,9 +253,8 @@ def test_fl_tie_goes_to_lowest_index_member():
     ev = losses.evaluate(b, cfg)
     assert ev.s[1, 2] == ev.s[1, 3] > ev.s[1, 0]
     assert ev.classes.sets[0][ev.picks[0]].tolist() == [2]
-    m, _, _ = grads._entry_weights(objectives.get("fl"), ev.s, ev.d,
-                                   ev.classes, cfg.lam, cfg.margin, ev.whole,
-                                   picks=ev.picks)
+    m, _ = doubled_weights(objectives.get("fl"), ev.s, ev.d, ev.classes,
+                           cfg.lam, cfg.margin, ev.whole, ev.picks)
     # W[1] is [0, 0, 1, 0], and column 1 of W holds the picks of rows 0, 2
     # and 3 in class 1, which has only row 1.
     assert np.array_equal(m[1], [1.0, 0.0, 2.0, 1.0])
@@ -303,7 +303,7 @@ def test_triplet_kink_rule_matches_the_per_pair_loop(seed):
 @pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
 def test_a_gradient_without_a_workspace_leaves_the_evaluation_intact(name, kernel):
-    # Under rbf the weight rule scales a copy of S, so the kink rules of
+    # The weight rule writes over copies of S and D, so the kink rules of
     # grad_check still read the S and D the loss was scored on.
     cfg = losses.LossConfig(name, kernel=kernel, bandwidth=0.7)
     for seed in range(3):
@@ -318,22 +318,29 @@ def test_a_gradient_without_a_workspace_leaves_the_evaluation_intact(name, kerne
         assert (None if ev.d is None else ev.d.tobytes()) == d
 
 
+@pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
-def test_an_rbf_gradient_writes_over_the_s_it_is_handed(name):
-    # Given a workspace, the gradient writes M o S over the evaluation's S
-    # wherever it was built, here in a fresh array, and leaves there what a
-    # training step leaves in its workspace's S: M o S / bw^2. Given none,
-    # it writes over a copy. Either way the gradient has the same bits.
-    cfg = losses.LossConfig(name, kernel="rbf", bandwidth=0.7)
+def test_a_gradient_writes_over_the_matrices_it_is_handed(name, kernel):
+    # Given a workspace, the gradient writes its weights over the
+    # evaluation's S and D wherever they were built, here in fresh arrays,
+    # and leaves there what a training step leaves in its workspace. Given
+    # none, it writes over copies. Either way the gradient has the same
+    # bits.
+    cfg = losses.LossConfig(name, kernel=kernel, bandwidth=0.7)
     for seed in range(3):
         batch = grads.check_batch(12, 8, seed)
         work = kernels.Workspace()
-        step = losses.evaluate(batch, cfg, work)
+        try:
+            step = losses.evaluate(batch, cfg, work)
+        except PreconditionError:
+            continue
         grads.evaluation_gradient(step, work)
         ev = losses.evaluate(batch, cfg)
         want = grads.evaluation_gradient(ev)
         got = grads.evaluation_gradient(ev, kernels.Workspace())
         assert ev.s.tobytes() == step.s.tobytes()
+        assert (None if ev.d is None else ev.d.tobytes()) == (
+            None if step.d is None else step.d.tobytes())
         assert got.tobytes() == want.tobytes()
 
 
@@ -348,19 +355,28 @@ def test_grad_check_excludes_the_kink_rows_of_the_scored_matrices_under_rbf(name
     assert grads.grad_check(batch, cfg).excluded == rows.sum() * batch.dim
 
 
+# Peak traced bytes of one step with a new workspace, in units of 8 n^2.
+# The weights go over the kernel in place, and the pullback reads them
+# there: under rbf and neg-euclidean the one n x n array a step allocates
+# is its kernel, and under cosine the pullback adds its unclipped Gram.
+# Writing M to an array of its own, the cosine steps peaked at 3.1 and the
+# neg-euclidean ones at 2.2.
+STEP_PEAKS = {"rbf": 1.5, "neg-euclidean": 1.5, "cosine": 2.5}
+
+
 @pytest.mark.parametrize("layout", ["runs", "round-robin"])
-@pytest.mark.parametrize("name", ["fl", "gc-cf", "supcon"])
-def test_an_rbf_step_holds_one_kernel_sized_array(name, layout):
-    # The weight rule scales the kernel in the workspace in place, and the
-    # pullback reads it there: with a new workspace, the one n x n array a
-    # step allocates is its kernel. Writing M to an array of its own, the
-    # step peaked above 3 n^2 doubles.
+@pytest.mark.parametrize("name, kernel", [
+    (name, kernel) for name in ("fl", "gc-cf", "supcon")
+    for kernel in kernels.SIMILARITY_KINDS
+    # supcon's log arguments are negative under neg-euclidean
+    if (name, kernel) != ("supcon", "neg-euclidean")])
+def test_a_step_holds_its_kernel_and_no_weight_array(name, kernel, layout):
     n = 400
     labels = np.arange(n, dtype=np.int64) % 4
     if layout == "runs":
         labels = np.sort(labels)
     batch = EmbeddingBatch(2.0 + Rng(9).normals((n, 6)), labels)
-    cfg = losses.LossConfig(name, kernel="rbf", bandwidth=1.5)
+    cfg = losses.LossConfig(name, kernel=kernel, bandwidth=1.5)
     want = grads.loss_gradient(batch, cfg)
     work = kernels.Workspace()
     tracemalloc.start()
@@ -371,4 +387,4 @@ def test_an_rbf_step_holds_one_kernel_sized_array(name, layout):
     finally:
         tracemalloc.stop()
     assert got.tobytes() == want.tobytes()
-    assert peak < 1.5 * 8 * n * n
+    assert peak < STEP_PEAKS[kernel] * 8 * n * n

@@ -77,8 +77,7 @@ def test_unknown_kind_rejected():
     with pytest.raises(ValidationError, match="^unknown kernel 'laplacian'; choose from "):
         kernels.similarity(_random_batch(3, 2), "laplacian")
     with pytest.raises(ValidationError, match="^unknown kernel 'laplacian'; choose from "):
-        kernels.similarity_pullback(np.eye(3), np.zeros((3, 3)), "laplacian",
-                                    s=np.eye(3))
+        kernels.similarity_pullback(np.eye(3), np.zeros((3, 3)), "laplacian")
 
 
 def test_kernel_gradient_diagonal_is_zero():
@@ -124,7 +123,7 @@ def test_similarity_pullback_matches_fd(kind):
         return float(np.sum(w * kernels.similarity(b, kind, bw)))
 
     s = kernels.similarity(EmbeddingBatch(z, np.zeros(6, dtype=int)), kind, bw)
-    g = kernels.similarity_pullback(z, _pulled_weights(w, kind, s), kind, bw, s=s)
+    g = kernels.similarity_pullback(z, _pulled_weights(w, kind, s), kind, bw)
     h = 1e-6
     for i in range(6):
         for c in range(3):
@@ -206,12 +205,21 @@ def _old_doubled(weights):
     return m
 
 
+def _over(m, k):
+    """M / K where |K_ij| > NORM_FLOOR and 0 elsewhere: the form in which
+    the distance and neg-euclidean pullbacks take M."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(k) > kernels.NORM_FLOOR, m / k, 0.0)
+
+
 def _pulled_weights(weights, kind, s):
-    """What `similarity_pullback` takes: the doubled weights M, and under
-    rbf M o S."""
+    """What `similarity_pullback` takes: the doubled weights M, under rbf
+    M o S and under neg-euclidean M / S."""
     m = _old_doubled(weights)
     if kind == "rbf":
         m *= s
+    elif kind == "neg-euclidean":
+        m = _over(m, s)
     return m
 
 
@@ -273,14 +281,13 @@ def test_pullbacks_match_the_allocating_formulas_bit_for_bit(kind):
         z[-1] = z[0]
         s = _old_similarity(z, kind, 0.7)
         d = np.sqrt(_old_squared_distances(z))
-        # The pullbacks take the doubled weights (times S under rbf), and
-        # may overwrite them.
+        # The pullbacks take the doubled weights in their kernel's form,
+        # and may overwrite them.
         for workspace in (None, work):
             got = kernels.similarity_pullback(z, _pulled_weights(w, kind, s), kind,
-                                              0.7, s=s, workspace=workspace)
+                                              0.7, workspace=workspace)
             assert _same_bits(got, _old_similarity_pullback(z, w, kind, 0.7, s))
-            assert _same_bits(kernels.distance_pullback(z, _old_doubled(w), d,
-                                                        workspace),
+            assert _same_bits(kernels.distance_pullback(z, _over(_old_doubled(w), d)),
                               _old_distance_pullback(z, w, d))
             m = _old_doubled(w)
             want = 2.0 * (np.sum(m, axis=1)[:, None] * z - m @ z)
@@ -319,16 +326,16 @@ def test_workspace_reuses_a_buffer_until_n_changes():
         assert view.shape == shape and view.flags.c_contiguous
         assert np.shares_memory(view, grown)
     assert not np.shares_memory(work.buffer("d", (6, 6)), grown)
-    assert work.buffer("mask", (6, 6), bool).dtype == bool
+    assert work.buffer("bad", (6, 6), bool).dtype == bool
 
 
 def test_workspace_reallocates_when_the_dtype_changes():
     work = kernels.Workspace()
-    floats = work.buffer("mask", (6, 6))
-    masks = work.buffer("mask", (6, 6), bool)
+    floats = work.buffer("bad", (6, 6))
+    masks = work.buffer("bad", (6, 6), bool)
     assert masks.dtype == bool and not np.shares_memory(masks, floats)
-    assert np.shares_memory(work.buffer("mask", (4, 4), bool), masks)
-    assert work.buffer("mask", (6, 6)).dtype == np.float64
+    assert np.shares_memory(work.buffer("bad", (4, 4), bool), masks)
+    assert work.buffer("bad", (6, 6)).dtype == np.float64
 
 
 def _mirrored(m):
@@ -443,7 +450,7 @@ def test_a_dirty_workspace_below_the_diagonal_is_overwritten():
     z = rng.normals((1000, 10)) + 0.3
     kernels.similarity(z, "cosine", workspace=work)
     kernels.similarity(z, "rbf", workspace=work)
-    for name in ("s", "d", "gram", "cos"):
+    for name in ("s", "d", "cos"):
         work.buffer(name, (1000, 1000))[...] = np.nan
     z = z[:800].copy()
     w = rng.normals((800, 800))

@@ -473,9 +473,9 @@ def test_a_diverged_run_leaves_the_next_run_unchanged(monkeypatch):
 
 
 def test_a_scan_and_a_training_run_share_one_thread_workspace(monkeypatch):
-    # One new thread scans, trains at 200 rows and then at 150: every
-    # buffer comes from its one workspace, and the smaller run, step 0
-    # included, allocates no kernel-sized array.
+    # One new thread scans, then, under each kernel, trains at 200 rows and
+    # then at 150: every buffer comes from its one workspace, and each
+    # smaller run, step 0 included, allocates no kernel-sized array.
     asked = []
     real = kernels.Workspace.buffer
 
@@ -484,27 +484,31 @@ def test_a_scan_and_a_training_run_share_one_thread_workspace(monkeypatch):
         return real(self, name, shape, dtype)
 
     monkeypatch.setattr(kernels.Workspace, "buffer", recorded)
-    config = trainer.TrainConfig(
-        loss=losses.LossConfig("gc-cf", kernel="rbf", bandwidth=1.5),
-        lr=0.001, steps=3, seed=0)
 
     def job():
         submodcheck.consistency_scan("gc-cf", n=6, draws=60)
-        for n in (200, 150):
-            data = EmbeddingBatch(2.0 + Rng(9).normals((n, 6)),
-                                  np.arange(n, dtype=np.int64) % 4)
-            tracemalloc.start()
-            try:
-                trainer.train_stage1(data, config)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        return kernels.thread_workspace(), peak
+        peaks = []
+        for kernel in kernels.SIMILARITY_KINDS:
+            config = trainer.TrainConfig(
+                loss=losses.LossConfig("gc-cf", kernel=kernel, bandwidth=1.5),
+                lr=0.001, steps=3, seed=0)
+            for n in (200, 150):
+                data = EmbeddingBatch(2.0 + Rng(9).normals((n, 6)),
+                                      np.arange(n, dtype=np.int64) % 4)
+                tracemalloc.start()
+                try:
+                    trainer.train_stage1(data, config)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            peaks.append(peak)
+        return kernels.thread_workspace(), peaks
 
-    ((work, peak),) = _in_threads(job)
+    ((work, peaks),) = _in_threads(job)
     assert {id(w) for w, _ in asked} == {id(work)}
     names = {name for _, name in asked}
-    # An RBF gc-cf step scales its kernel in "d" by the weights in place.
-    assert {"margin", "other", "finite", "bad", "d"} <= names
-    assert not {"gram", "ws"} & names
-    assert peak < 150 * 150 * 8
+    # A gc-cf step writes its weights over its kernel: in "d" under rbf and
+    # neg-euclidean, in "s" under cosine, whose pullback adds "cos".
+    assert {"margin", "other", "finite", "bad", "d", "s", "cos"} <= names
+    assert not {"gram", "wdist", "mask", "ws"} & names
+    assert max(peaks) < 150 * 150 * 8
