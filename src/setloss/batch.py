@@ -2,12 +2,13 @@
 
 A batch is the ground set V: n embeddings in R^d with integer class labels.
 Labels must cover 0..C-1 with every class nonempty, so a label array always
-induces a valid partition of V. `ClassPartition` is the one form of that
-partition the package passes around: the class sets A_k, which the loss
-terms sum over, with the labels, sizes and complements the gradient's
-weight rules read. Rows are known by their position alone. The CSV layout
-is one row per embedding with header ``id,label,f0,...,f{d-1}``; the id
-column is checked for its place in the header and otherwise not read.
+induces a valid partition of V; `_labels` is the one check of that, which a
+batch and a partition both run. `ClassPartition` is the one form of that
+partition the package passes around, built from labels: the class sets A_k,
+which the loss terms sum over, with the labels, sizes and complements the
+gradient's weight rules read. Rows are known by their position alone. The
+CSV layout is one row per embedding with header ``id,label,f0,...,f{d-1}``;
+the id column is checked for its place in the header and otherwise not read.
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ class EmbeddingBatch:
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        self.labels = _integers(self.labels, "labels")
+        # Labels are cast first and checked last, so a batch names a
+        # non-integer label before any fault of its vectors, and a negative
+        # label or an empty class after them.
+        labels = _integers(self.labels)
         if self.vectors.ndim != 2:
             raise ValidationError(f"vectors must be 2-D, got shape {self.vectors.shape}")
         n, d = self.vectors.shape
@@ -42,20 +46,13 @@ class EmbeddingBatch:
             raise EmptyGroundSet()
         if d == 0:
             raise ValidationError("embedding dimension must be >= 1")
-        if self.labels.shape != (n,):
+        if labels.shape != (n,):
             raise ValidationError(
-                f"labels shape {self.labels.shape} does not match {n} embeddings"
+                f"labels shape {labels.shape} does not match {n} embeddings"
             )
         if not np.all(np.isfinite(self.vectors)):
             raise ValidationError("vectors contain non-finite values")
-        if self.labels.min() < 0:
-            raise ValidationError("labels must be nonnegative")
-        gap = _first_empty_class(self.labels)
-        if gap is not None:
-            raise ValidationError(
-                f"labels must cover 0..{self.labels.max()} contiguously; "
-                f"class {gap} is empty"
-            )
+        self.labels = _labels(labels)
 
     @property
     def n(self) -> int:
@@ -75,31 +72,20 @@ class EmbeddingBatch:
 
 @dataclass
 class ClassPartition:
-    """Disjoint nonempty index sets A_1..A_C whose union is range(n).
+    """The class sets A_1..A_C of a label array, built from the labels.
 
-    sets[k] lists class k's rows; labels[i] is row i's class and sizes[k]
-    class k's size.
+    labels[i] is row i's class, sets[k] lists class k's rows in ascending
+    order and sizes[k] is class k's size. Any partition of range(n) into
+    nonempty sets is written as labels: row i gets the index of its set.
     """
 
-    sets: tuple[np.ndarray, ...]
+    labels: np.ndarray
 
     def __post_init__(self):
-        self.sets = tuple(_integers(a, "class sets") for a in self.sets)
-        if not self.sets:
-            raise ValidationError("partition needs at least one class")
-        for k, a in enumerate(self.sets):
-            if a.size == 0:
-                raise ValidationError(f"class {k} is empty")
-        seen = np.concatenate(self.sets)
-        n = seen.size
-        # Bounds first: bincount refuses negatives, and over range(n) no
-        # count above one means every row once.
-        if (seen.min() != 0 or seen.max() != n - 1
-                or np.bincount(seen, minlength=n).max() != 1):
-            raise ValidationError("class sets must partition range(n) disjointly")
-        self.sizes = np.array([a.size for a in self.sets])
-        self.labels = np.empty(n, dtype=np.int64)
-        self.labels[seen] = np.repeat(np.arange(len(self.sets)), self.sizes)
+        self.labels = _labels(self.labels)
+        self.sizes = np.bincount(self.labels)
+        self.sets = tuple(np.flatnonzero(self.labels == k)
+                          for k in range(self.sizes.size))
 
     @property
     def num_classes(self) -> int:
@@ -130,7 +116,29 @@ def span(index: np.ndarray) -> slice | None:
     return slice(lo, hi)
 
 
-def _integers(values, what: str) -> np.ndarray:
+def _labels(values) -> np.ndarray:
+    """values as 1-D int64 labels that cover 0..C-1 with no empty class.
+
+    The one check of a label array: ValidationError if the labels are not
+    integers or not 1-D, are negative or leave a class empty; EmptyGroundSet
+    if there are none.
+    """
+    labels = _integers(values)
+    if labels.ndim != 1:
+        raise ValidationError(f"labels shape {labels.shape} is not 1-D")
+    if labels.size == 0:
+        raise EmptyGroundSet()
+    if labels.min() < 0:
+        raise ValidationError("labels must be nonnegative")
+    gap = _first_empty_class(labels)
+    if gap is not None:
+        raise ValidationError(
+            f"labels must cover 0..{labels.max()} contiguously; class {gap} is empty"
+        )
+    return labels
+
+
+def _integers(values) -> np.ndarray:
     """values as int64; ValidationError if the cast changes any of them
     (a fraction, NaN or inf). Integer input costs a dtype check."""
     values = np.asarray(values)
@@ -139,7 +147,7 @@ def _integers(values, what: str) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         cast = values.astype(np.int64)
     if not np.array_equal(cast, values):
-        raise ValidationError(f"{what} must be integers")
+        raise ValidationError("labels must be integers")
     return cast
 
 
@@ -150,16 +158,8 @@ def _first_empty_class(labels: np.ndarray) -> int | None:
 
 
 def partition_from_labels(labels: np.ndarray) -> ClassPartition:
-    """The class sets of 1-D labels, which must cover 0..C-1 as a batch's do."""
-    labels = _integers(labels, "labels")
-    if labels.ndim != 1:
-        raise ValidationError(f"labels shape {labels.shape} is not 1-D")
-    if labels.size == 0:
-        raise EmptyGroundSet()
-    if labels.min() < 0:
-        raise ValidationError("labels must be nonnegative")
-    c = int(labels.max()) + 1
-    return ClassPartition(tuple(np.flatnonzero(labels == k) for k in range(c)))
+    """The class partition of labels: `ClassPartition(labels)`."""
+    return ClassPartition(labels)
 
 
 def read_embedding_file(path) -> EmbeddingBatch:

@@ -27,6 +27,12 @@ inner sums exclude the anchor itself. There is no temperature parameter.
 
 Claims, which the lattice checker compares its verdict against:
   "submodular"      claimed submodular, and no proof against it is known;
+                    submod-supcon's claim provably holds whenever every
+                    off-diagonal S_ij >= 0, always so under rbf, since its
+                    second differences obey Delta_kl f(A) < -2 S_kl
+                    (sufficient, not necessary; the proof is
+                    tests/test_submodcheck.py::
+                    test_submod_supcon_second_difference_is_below_minus_twice_s);
   "not-submodular"  claimed non-submodular (the pairwise baselines);
   "refuted"         claimed submodular, but the formula as implemented is
                     disproved in closed form, so a scan must find violations.

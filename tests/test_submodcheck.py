@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setloss import losses, objectives, submodcheck
+from setloss._backend import backend
 from setloss.batch import EmbeddingBatch
 from setloss.errors import GroundSetTooLarge, ValidationError
 from setloss.sampling import Rng
 
 RBF = losses.LossConfig(kernel="rbf", bandwidth=1.0)
 COSINE = losses.LossConfig(kernel="cosine")
+NEG_EUCLIDEAN = losses.LossConfig(kernel="neg-euclidean")
 
 
 def test_expected_verdict_follows_the_claim():
@@ -146,6 +150,74 @@ def test_submod_snn_orthonormal_counterexample_closed_form(n, config):
         assert margin > 0.0
     else:
         assert margin < -submodcheck.DEFAULT_TOLERANCE
+
+
+def _supcon_second_differences(batch, config):
+    """S and, for every A and k < l outside it, (k, l, the four values
+    f(A + k + l), f(A + k), f(A + l), f(A)) of submod-supcon, all read from
+    one value table."""
+    obj = objectives.get("submod-supcon")
+    s, d = losses.matrices(batch, config)
+    f = backend.value_table(obj, s, d, config.lam, config.margin)
+    k, l = np.triu_indices(batch.n, 1)
+    a, pair = np.nonzero((np.arange(f.size)[:, None] & ((1 << k) | (1 << l))) == 0)
+    k, l = k[pair], l[pair]
+    kb, lb = 1 << k, 1 << l
+    return s, k, l, np.stack([f[a | kb | lb], f[a | kb], f[a | lb], f[a]])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(4, 7), st.sampled_from([COSINE, RBF, NEG_EUCLIDEAN]),
+       st.integers(0, 2 ** 16))
+def test_submod_supcon_second_difference_is_below_minus_twice_s(n, config, seed):
+    """submod-supcon is submodular whenever every off-diagonal S >= 0.
+
+    The term is f(A) = -sum_{i,j in A} S_ij + sum_{i in A} L_i(V \\ A), with
+    L_i(O) = log sum_{j in O} e^{S_ij}. For k != l outside A and O = V \\ A,
+
+        Delta_kl f(A) = f(A + k + l) - f(A + k) - f(A + l) + f(A)
+          = -2 S_kl
+            + sum_{i in A} [L_i(O-k-l) - L_i(O-k) - L_i(O-l) + L_i(O)]
+            + [L_k(O-k-l) - L_k(O-k)] + [L_l(O-k-l) - L_l(O-l)].
+
+    Each L_i is a concave function of a positive modular function, so it is
+    submodular (Bach 2013) and each bracket of the sum is <= 0. The last two
+    brackets drop a positive summand inside a log, so each is < 0. Hence
+    Delta_kl f(A) < -2 S_kl wherever all four values are finite (A + k + l
+    = V leaves an empty complement and f = -inf). With every S_kl >= 0,
+    every second difference is negative and f is submodular; RBF
+    similarities are always positive. The condition is sufficient, not
+    necessary.
+    """
+    batch = submodcheck.draw_batch(Rng(seed), n)
+    s, k, l, values = _supcon_second_differences(batch, config)
+    finite = np.all(np.isfinite(values), axis=0)
+    assert np.count_nonzero(~finite) == n * (n - 1) // 2
+    big, plus_k, plus_l, base = values[:, finite]
+    delta = big - plus_k - plus_l + base
+    assert np.all(delta + 2.0 * s[k[finite], l[finite]] <= 1e-9)
+
+
+def test_submod_supcon_cosine_violations_all_meet_a_negative_similarity():
+    """Every violation the cosine search finds has some l in B \\ A with
+    S_xl < 0, as the bound above requires.
+
+    Adding B \\ A = {l_1, ..., l_m} to A one point at a time gives
+    f(x|A) - f(x|B) = -sum_j Delta_{x l_j} f(A_j) > 2 sum_{l in B \\ A} S_xl,
+    so with every S_xl >= 0 there the margin is positive and no violation
+    can be stored.
+    """
+    stored = 0
+    for seed in range(20):
+        res = submodcheck.counterexample_search("submod-supcon", n=6, seed=seed)
+        assert res.verdict == "violated"
+        batch = submodcheck.draw_batch(Rng(seed).derive(res.trials - 1), 6)
+        s, _ = losses.matrices(batch, submodcheck.COUNTEREXAMPLE_CONFIG)
+        for a, b, x, _, _ in res.violations:
+            rest = sorted(set(b) - set(a))
+            assert np.any(s[x, rest] < 0.0), (seed, a, b, x)
+        stored += len(res.violations)
+    assert stored == 2709
 
 
 @pytest.mark.parametrize("name", ["triplet", "snn"])
