@@ -140,12 +140,16 @@ def _labels(values) -> np.ndarray:
 
 def _integers(values) -> np.ndarray:
     """values as int64; ValidationError if the cast changes any of them
-    (a fraction, NaN or inf). Integer input costs a dtype check."""
+    (a fraction, NaN or inf) or cannot be made (None, a word). Integer
+    input costs a dtype check."""
     values = np.asarray(values)
     if values.dtype.kind in "biu":
         return values.astype(np.int64, copy=False)
-    with np.errstate(invalid="ignore"):
-        cast = values.astype(np.int64)
+    try:
+        with np.errstate(invalid="ignore"):
+            cast = values.astype(np.int64)
+    except (TypeError, ValueError):
+        raise ValidationError("labels must be integers") from None
     if not np.array_equal(cast, values):
         raise ValidationError("labels must be integers")
     return cast

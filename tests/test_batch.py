@@ -81,12 +81,15 @@ def test_partition_covers_everything():
     ([0, 2], ValidationError,
      "^labels must cover 0..2 contiguously; class 1 is empty$"),
     ([0, 1.5], ValidationError, "^labels must be integers$"),
+    (None, ValidationError, "^labels must be integers$"),
+    (["a", "b", "c"], ValidationError, "^labels must be integers$"),
 ])
 def test_partition_from_labels_refuses_what_a_batch_refuses(labels, error, match):
     # It used to raise numpy's zero-size reduction error on no labels, to
     # take [0, -1] as a one-row partition, and to flatten labels of any
     # shape: [[0, 1], [1, 0]] gave [[0, 3], [1, 2]] and a 0-d 0 gave [[0]].
-    # A gap gave the partition's own "class 1 is empty".
+    # A gap gave the partition's own "class 1 is empty", and None or words
+    # let numpy's TypeError or ValueError out.
     with pytest.raises(error, match=match):
         partition_from_labels(labels)
     with pytest.raises(error, match=match):
