@@ -2,13 +2,15 @@
 
 A batch is the ground set V: n embeddings in R^d with integer class labels.
 Labels must cover 0..C-1 with every class nonempty, so a label array always
-induces a valid partition of V; `_labels` is the one check of that, which a
-batch and a partition both run. `ClassPartition` is the one form of that
-partition the package passes around, built from labels: the class sets A_k,
-which the loss terms sum over, with the labels, sizes and complements the
-gradient's weight rules read. Rows are known by their position alone. The
-CSV layout is one row per embedding with header ``id,label,f0,...,f{d-1}``;
-the id column is checked for its place in the header and otherwise not read.
+induces a valid partition of V; `_labels` is the one check of that, run once
+per partition. `ClassPartition` is the one form of that partition the
+package passes around, built from labels: the class sets A_k, which the
+loss terms sum over, with the labels, sizes and complements the gradient's
+weight rules read. A batch builds its partition once, as `classes`, and
+every loss, gradient and split reads that one. Rows are known by their
+position alone. The CSV layout is one row per embedding with header
+``id,label,f0,...,f{d-1}``; the id column is checked for its place in the
+header and otherwise not read.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ class EmbeddingBatch:
 
     vectors : (n, d) float64
     labels  : (n,) int64, values covering 0..C-1 with no empty class
+    classes : the `ClassPartition` of labels, built once with the batch
+
+    The batch keeps the caller's label array when it is already int64, and
+    its partition is derived from it once, so those labels must not be
+    written after the batch is built.
     """
 
     vectors: np.ndarray
@@ -52,7 +59,8 @@ class EmbeddingBatch:
             )
         if not np.all(np.isfinite(self.vectors)):
             raise ValidationError("vectors contain non-finite values")
-        self.labels = _labels(labels)
+        self.classes = partition_from_labels(labels)
+        self.labels = self.classes.labels
 
     @property
     def n(self) -> int:
@@ -64,10 +72,7 @@ class EmbeddingBatch:
 
     @property
     def num_classes(self) -> int:
-        return int(self.labels.max()) + 1
-
-    def partition(self) -> ClassPartition:
-        return partition_from_labels(self.labels)
+        return self.classes.num_classes
 
 
 @dataclass
@@ -82,8 +87,7 @@ class ClassPartition:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.labels = _labels(self.labels)
-        self.sizes = np.bincount(self.labels)
+        self.labels, self.sizes = _labels(self.labels)
         self.sets = tuple(np.flatnonzero(self.labels == k)
                           for k in range(self.sizes.size))
 
@@ -116,8 +120,9 @@ def span(index: np.ndarray) -> slice | None:
     return slice(lo, hi)
 
 
-def _labels(values) -> np.ndarray:
-    """values as 1-D int64 labels that cover 0..C-1 with no empty class.
+def _labels(values) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, sizes): values as 1-D int64 labels that cover 0..C-1 with no
+    empty class, and each class's size.
 
     The one check of a label array: ValidationError if the labels are not
     integers or not 1-D, are negative or leave a class empty; EmptyGroundSet
@@ -130,12 +135,13 @@ def _labels(values) -> np.ndarray:
         raise EmptyGroundSet()
     if labels.min() < 0:
         raise ValidationError("labels must be nonnegative")
-    gap = _first_empty_class(labels)
+    sizes = np.bincount(labels)
+    gap = _first_empty_class(sizes)
     if gap is not None:
         raise ValidationError(
-            f"labels must cover 0..{labels.max()} contiguously; class {gap} is empty"
+            f"labels must cover 0..{sizes.size - 1} contiguously; class {gap} is empty"
         )
-    return labels
+    return labels, sizes
 
 
 def _integers(values) -> np.ndarray:
@@ -155,9 +161,9 @@ def _integers(values) -> np.ndarray:
     return cast
 
 
-def _first_empty_class(labels: np.ndarray) -> int | None:
-    """The lowest class in 0..max(labels) that no label names, if any."""
-    gaps = np.flatnonzero(np.bincount(labels) == 0)
+def _first_empty_class(sizes: np.ndarray) -> int | None:
+    """The lowest class of size 0 in a `bincount` of labels, if any."""
+    gaps = np.flatnonzero(sizes == 0)
     return int(gaps[0]) if gaps.size else None
 
 
@@ -212,7 +218,7 @@ def read_embedding_file(path) -> EmbeddingBatch:
         return EmbeddingBatch(np.array(rows), labels)
     except ValidationError as exc:
         # A gap in the labels shows first at the first row labelled above it.
-        gap = _first_empty_class(labels)
+        gap = _first_empty_class(np.bincount(labels))
         row = 0 if gap is None else int(np.argmax(labels > gap))
         raise ParseError(path, lines[row], str(exc)) from exc
 

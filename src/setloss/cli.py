@@ -34,8 +34,6 @@ import sys
 import tempfile
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from . import grads, losses, objectives, submodcheck, synthlab, trainer
 from .batch import read_embedding_file
 from .errors import PreconditionError, SetLossError, ValidationError
@@ -341,7 +339,7 @@ def cmd_train(args, cfg: dict) -> int:
         reports.extend(batch_reports)
 
     os.makedirs(args.out, exist_ok=True)
-    rare = int(np.argmin(np.bincount(data.labels)))
+    rare = int(data.classes.sizes.argmin())
     for rep in reports:
         write_text(os.path.join(args.out, f"report_{rep.objective}.json"),
                    rep.to_json() + "\n")

@@ -5,6 +5,8 @@ parameters (CLI exit code 2), PreconditionError covers well-formed inputs that
 violate an operation's stated precondition (CLI exit code 3).
 """
 
+from numbers import Integral
+
 
 class SetLossError(Exception):
     """Base class for package-specific errors."""
@@ -108,3 +110,12 @@ class GroundSetTooLarge(ValidationError):
 
 class SingleClassBatch(UserWarning):
     """Warning: batch has one class; total-correlation style terms are all zero."""
+
+
+def check_integers(**counts) -> None:
+    """ValidationError naming the first of counts, by keyword, that is not an
+    int or a numpy integer. A bool is refused, as the CLI's JSON types refuse
+    it, and so is an integral float."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")

@@ -4,16 +4,16 @@ Each objective is linear in a set of per-entry weights W. Its record's
 weight rule (see `objectives`) writes, for the whole batch in one call, the
 doubled weights M = W + W.T of dL/dS_ij, and of dL/dD_ij or dL/dD^2_ij:
 every kernel is symmetric, so the pullbacks in `kernels` read each entry
-weight in both orientations at once. The rules read the
-`batch.ClassPartition` the loss evaluation built, the record's `whole` it
-computed and, for fl, the argmax its term picked. The pairwise rules write
-M from per-row vectors and each class's diagonal block (a view where the
-class is a run of rows, else a gathered copy written back), and fl from its
-picks, with no transposed read; the loop-built rules (triplet, snn,
-submod-snn, submod-supcon) and the log-det rules build W and fold it.
-`objectives.Scaled` zeroes M's diagonal, every kernel diagonal being
-constant, and this module pulls M back to the embeddings through the
-kernel chain rules in `kernels`.
+weight in both orientations at once. The rules read the batch's own
+`batch.ClassPartition` (`EmbeddingBatch.classes`, built with the batch),
+the record's `whole` the loss evaluation computed and, for fl, the argmax
+its term picked. The pairwise rules write M from per-row vectors and each
+class's diagonal block (a view where the class is a run of rows, else a
+gathered copy written back), and fl from its picks, with no transposed
+read; the loop-built rules (triplet, snn, submod-snn, submod-supcon) and
+the log-det rules build W and fold it. `objectives.Scaled` zeroes M's
+diagonal, every kernel diagonal being constant, and this module pulls M
+back to the embeddings through the kernel chain rules in `kernels`.
 
 Every entry weight has one destination: the kernel matrix it pulls back
 through, S for dL/dS and D for dL/dD or dL/dD^2. The rule writes M there
@@ -34,7 +34,7 @@ sitting exactly at zero contributes zero. The checker excludes coordinates
 that a record's kink rule marks (gap or hinge argument within
 `objectives.TIE_GAP`) instead of pretending finite differences mean
 something there; the kink rules read the evaluation's own matrices and
-partition.
+its batch's partition.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ def _entry_weights(obj, kind, s, d, classes, lam, eps, whole, workspace=None,
 
 def evaluation_gradient(ev: losses.Evaluation,
                         workspace: kernels.Workspace | None = None) -> np.ndarray:
-    """Analytic dL/dZ from the matrices, partition and picks one evaluation
-    used.
+    """Analytic dL/dZ from the matrices and picks one evaluation used, and
+    its batch's partition.
 
     The weights are written over the kernel matrices they belong to: ev.s
     and ev.d themselves when given a workspace, wherever they live, which
@@ -114,7 +114,7 @@ def evaluation_gradient(ev: losses.Evaluation,
     obj = objectives.get(config.objective)
     s, d = (ev.s, ev.d) if workspace is not None else (
         ev.s.copy(), None if ev.d is None else ev.d.copy())
-    m, mdist = _entry_weights(obj, config.kernel, s, d, ev.classes, config.lam,
+    m, mdist = _entry_weights(obj, config.kernel, s, d, ev.batch.classes, config.lam,
                               config.margin, ev.whole, workspace, ev.picks)
 
     z = ev.batch.vectors
@@ -157,7 +157,7 @@ def finite_difference_gradient(batch: EmbeddingBatch, config: losses.LossConfig,
 def _excluded_rows(ev: losses.Evaluation) -> np.ndarray:
     """Rows too close to one of the objective's kinks for finite differences."""
     rows = np.zeros(ev.batch.n, dtype=bool)
-    objectives.get(ev.config.objective).kinks(rows, ev.s, ev.d, ev.classes,
+    objectives.get(ev.config.objective).kinks(rows, ev.s, ev.d, ev.batch.classes,
                                               ev.config.margin)
     return rows
 

@@ -82,9 +82,14 @@ def check_kind(kind: str) -> str:
 
 
 def _vectors(batch) -> np.ndarray:
+    """The embeddings of a batch, or of a raw (..., n, d) array, which must
+    be finite; a batch checked its own when it was built."""
     if isinstance(batch, EmbeddingBatch):
         return batch.vectors
-    return np.asarray(batch, dtype=np.float64)
+    z = np.asarray(batch, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise ValidationError("vectors contain non-finite values")
+    return z
 
 
 class Workspace:

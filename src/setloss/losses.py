@@ -1,16 +1,17 @@
 """Objective values over labeled batches.
 
 Thirteen objectives share one evaluation path: build the kernel matrices,
-split the batch into its class partition, check it against the
-objective's domain, evaluate one term per class, and sum. `evaluate` builds
-that partition once, as a `batch.ClassPartition`, and the record's `whole`
-(its `whole_value` of S) once, and keeps both in the `Evaluation` the
-gradient and the gradient check's kink rules read. No function below it
-rebuilds either: the domain check, the totals and the weight rules take
-them as required arguments. fl's term keeps, from the one gather its max
-is taken from, each outside row's argmax, and the `Evaluation` carries
-those picks to the weight rule. The terms, and the domain each objective
-declares, live in its `objectives` record.
+check the batch's class partition against the objective's domain, evaluate
+one term per class, and sum. The partition is the batch's own
+`batch.ClassPartition`, built once with the batch, so `evaluate` builds
+none; it builds the record's `whole` (its `whole_value` of S) once and
+keeps it in the `Evaluation` the gradient and the gradient check's kink
+rules read. No function below it rebuilds the partition or `whole`: the
+domain check, the totals and the weight rules take them as required
+arguments. fl's term keeps, from the one gather its max is taken from,
+each outside row's argmax, and the `Evaluation` carries those picks to the
+weight rule. The terms, and the domain each objective declares, live in
+its `objectives` record.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import kernels, objectives
 from ._backend import backend
-from .batch import ClassPartition, EmbeddingBatch, partition_from_labels
+# partition_from_labels stays importable here: perfbench/tracing.py wraps it in losses.
+from .batch import ClassPartition, EmbeddingBatch, partition_from_labels  # noqa: F401
 from .errors import (
     DegenerateBatch,
     NonPositiveBandwidth,
@@ -114,25 +116,25 @@ def check_preconditions(config: LossConfig, classes: ClassPartition,
 
 @dataclass
 class Evaluation:
-    """One scoring of a batch, with the matrices and partition it used.
+    """One scoring of a batch, with the matrices it used.
 
-    The gradient is taken from these same S, D, class partition, `whole`
-    (the record's `whole_value` of S) and `picks` (what a record's
-    `picking_term` chose, per class: fl's first argmax of each complement
-    row; None for the other records), so a training step builds its kernel,
-    its partition, n-pairs' and supcon's row sums and fl's gathered blocks
-    once. An S or D built in a workspace is valid until that workspace's
-    next kernel build. A gradient taken from the evaluation with any
-    workspace writes its entry weights over S and D, wherever they were
-    built; a gradient taken without one writes over copies and leaves them
-    intact (`grads`).
+    The gradient is taken from these same S, D, `whole` (the record's
+    `whole_value` of S) and `picks` (what a record's `picking_term` chose,
+    per class: fl's first argmax of each complement row; None for the other
+    records), and from the class partition `batch.classes` that the batch
+    built with itself, so a training step builds its kernel, its partition,
+    n-pairs' and supcon's row sums and fl's gathered blocks once. An S or
+    D built in a workspace is valid until that workspace's next kernel
+    build. A gradient taken from the evaluation with any workspace writes
+    its entry weights over S and D, wherever they were built; a gradient
+    taken without one writes over copies and leaves them intact
+    (`grads`).
     """
 
     batch: EmbeddingBatch
     config: LossConfig
     s: np.ndarray
     d: np.ndarray | None
-    classes: ClassPartition
     whole: object
     picks: list | None
     result: LossResult
@@ -140,7 +142,8 @@ class Evaluation:
 
 def evaluate(batch: EmbeddingBatch, config: LossConfig,
              workspace: kernels.Workspace | None = None) -> Evaluation:
-    """Build S (and D if needed), partition, check the domain, and score.
+    """Build S (and D if needed), check the domain on the batch's own
+    partition, and score.
 
     With a workspace, S and D live in its buffers and are valid until its
     next kernel build; without one they are fresh arrays. Either way S and
@@ -150,11 +153,10 @@ def evaluate(batch: EmbeddingBatch, config: LossConfig,
     s, d = matrices(batch, config, workspace)
     obj = objectives.get(config.objective)
     whole = obj.whole_value(s, config.lam)
-    classes = partition_from_labels(batch.labels)
-    check_preconditions(config, classes, whole)
-    total, per, picks = backend.total_value(obj, s, d, classes, config.lam,
+    check_preconditions(config, batch.classes, whole)
+    total, per, picks = backend.total_value(obj, s, d, batch.classes, config.lam,
                                             config.margin, whole)
-    return Evaluation(batch, config, s, d, classes, whole, picks,
+    return Evaluation(batch, config, s, d, whole, picks,
                       LossResult(config.objective, total, per))
 
 

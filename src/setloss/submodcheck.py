@@ -57,7 +57,7 @@ import numpy as np
 from . import losses, objectives
 from ._backend import backend
 from .batch import EmbeddingBatch
-from .errors import GroundSetTooLarge, SetLossError, ValidationError
+from .errors import GroundSetTooLarge, SetLossError, ValidationError, check_integers
 from .sampling import Rng
 
 ENUMERATION_BOUND = 12
@@ -134,13 +134,10 @@ def _check_size(n: int) -> None:
         raise GroundSetTooLarge(n, ENUMERATION_BOUND)
 
 
-def _table(objective: str, batch, config: losses.LossConfig) -> np.ndarray:
-    """The value table of a batch, or the (k, 2^n) tables of a (k, n, dim)
-    stack of embeddings."""
-    z = batch.vectors if isinstance(batch, EmbeddingBatch) else batch
+def _table(objective: str, z: np.ndarray, config: losses.LossConfig) -> np.ndarray:
+    """The value table of (n, dim) embeddings, or the (k, 2^n) tables of a
+    (k, n, dim) stack of them."""
     _check_size(z.shape[-2])
-    if not np.all(np.isfinite(z)):
-        raise ValidationError("vectors contain non-finite values")
     cfg = replace(config, objective=objective)
     s, d = losses.matrices(z, cfg)
     return backend.value_table(objectives.get(objective), s, d, cfg.lam, cfg.margin)
@@ -209,6 +206,7 @@ def _scan_draws(objective: str, config: losses.LossConfig, n: int,
     first draw's error surfaces, and none from a draw after the stop.
     """
     _check_tolerance(tolerance)
+    check_integers(n=n, draws=draws)
     _check_size(n)
     if draws < 1:
         raise ValidationError(f"a scan needs at least one draw, got {draws}")
@@ -290,8 +288,10 @@ def verdict_table(names=objectives.OBJECTIVES, n: int = 6, draws: int = 200,
     against the record's claim. A table that could compare nothing is
     refused: below n = 3 no triple A < B with A nonempty exists, and a
     scan of zero draws judges no triple at all. The scans refuse a
-    tolerance that is NaN, infinite or negative.
+    tolerance that is NaN, infinite or negative, and counts that are not
+    integers.
     """
+    check_integers(n=n, draws=draws, max_draws=max_draws)
     if n < 3:
         raise ValidationError(f"n must be >= 3 to compare any triple, got {n}")
     if draws < 1 or max_draws < 1:

@@ -36,8 +36,8 @@ import numpy as np
 
 from . import grads, kernels, losses
 from .batch import EmbeddingBatch
-from .errors import DegenerateBatch, DivergedLoss, MissingClass, SetLossError, ValidationError
-from .kernels import NORM_FLOOR
+from .errors import (DegenerateBatch, DivergedLoss, MissingClass, SetLossError,
+                     ValidationError, check_integers)
 from .sampling import Rng
 
 STAGE2_NOTE = "stage 2 = nearest-centroid over frozen embeddings (linear-head stand-in)"
@@ -63,7 +63,7 @@ class ExtractorParams:
         y = np.asarray(x, dtype=np.float64) @ self.W.T
         if not self.normalize:
             return y, None
-        norms = np.maximum(np.linalg.norm(y, axis=1, keepdims=True), NORM_FLOOR)
+        norms = np.maximum(np.linalg.norm(y, axis=1, keepdims=True), kernels.NORM_FLOOR)
         return y / norms, norms
 
 
@@ -81,6 +81,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 <= self.lr < np.inf:
             raise ValidationError(f"learning rate must be finite and >= 0, got {self.lr}")
+        sizes = {"batch_size": self.batch_size, "out_dim": self.out_dim}
+        check_integers(steps=self.steps, **{k: v for k, v in sizes.items() if v is not None})
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
         if not 0 < self.eval_split < 1:
@@ -139,7 +141,7 @@ def initial_params(in_dim: int, out_dim: int, seed: int,
 def _minibatch(data: EmbeddingBatch, size: int, rng: Rng) -> EmbeddingBatch:
     """Stratified draw with every class represented at least once."""
     picks = []
-    for a in data.partition():
+    for a in data.classes:
         want = max(1, int(round(size * a.size / data.n)))
         order = rng.permutation(a.size)[:min(want, a.size)]
         picks.append(a[order])
@@ -188,23 +190,16 @@ def train_stage1(data: EmbeddingBatch, config: TrainConfig):
     return params, curve
 
 
-def _centroids(z: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
-    out = np.empty((c, z.shape[1]))
-    for k in range(c):
-        rows = z[labels == k]
-        if rows.shape[0] == 0:
-            raise MissingClass(k, "stage-2 train split")
-        out[k] = rows.mean(axis=0)
-    return out
-
-
 def evaluate_stage2(params: ExtractorParams, train_data: EmbeddingBatch,
                     eval_data: EmbeddingBatch,
                     objective: str = "", loss_curve=()) -> TrainReport:
-    """Nearest-centroid classification of the eval split."""
+    """Nearest-centroid classification of the eval split; MissingClass if
+    the eval split has a class the train split lacks."""
     c = max(train_data.num_classes, eval_data.num_classes)
-    centroids = _centroids(params.embed(train_data.vectors)[0],
-                           train_data.labels, c)
+    if train_data.num_classes < c:
+        raise MissingClass(train_data.num_classes, "stage-2 train split")
+    fit, _ = params.embed(train_data.vectors)
+    centroids = np.array([fit[a].mean(axis=0) for a in train_data.classes])
     z, _ = params.embed(eval_data.vectors)
     dists = np.linalg.norm(z[:, None, :] - centroids[None, :, :], axis=2)
     predicted = np.argmin(dists, axis=1)
@@ -228,7 +223,7 @@ def evaluate_stage2(params: ExtractorParams, train_data: EmbeddingBatch,
 def check_split(data: EmbeddingBatch) -> None:
     """Raise ValidationError unless every class has the two samples that a
     stratified split needs, one for each side."""
-    sizes = np.bincount(data.labels)
+    sizes = data.classes.sizes
     if sizes.min() < 2:
         raise ValidationError(f"class {int(sizes.argmin())} has 1 sample; "
                               f"a stratified split needs >= 2")
@@ -240,7 +235,7 @@ def split_batch(data: EmbeddingBatch, eval_fraction: float, seed: int):
     check_split(data)
     rng = Rng(seed).derive(303)
     train_idx, eval_idx = [], []
-    for a in data.partition():
+    for a in data.classes:
         order = a[rng.permutation(a.size)]
         n_eval = min(a.size - 1, max(1, int(round(a.size * eval_fraction))))
         eval_idx.append(order[:n_eval])

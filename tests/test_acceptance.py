@@ -91,7 +91,7 @@ def test_criterion_3_algebraic_identities():
         s, _ = losses.matrices(b, st)
         per_st = losses.total_loss(b, st).per_class
         squared = []
-        for a in b.partition():
+        for a in b.classes:
             o = np.setdiff1d(np.arange(b.n), a)
             s2 = s * s
             squared.append(s2[np.ix_(a, o)].sum() - s2[np.ix_(a, a)].sum())

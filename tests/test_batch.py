@@ -123,6 +123,27 @@ def test_partition_forms_match_brute_force(labels):
         assert comp.tolist() == [i for i in range(n) if labels[i] != k]
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_shuffled_labels(), st.booleans())
+def test_a_batch_holds_the_partition_of_its_labels(labels, class_sorted):
+    # A batch builds its one partition from its labels, equal field for
+    # field to the partition built from the same labels alone.
+    if class_sorted:
+        labels = np.sort(labels)
+    b = EmbeddingBatch(np.ones((labels.size, 2)), labels)
+    part = partition_from_labels(labels)
+    assert b.labels is b.classes.labels
+    assert b.classes.labels.tolist() == part.labels.tolist()
+    assert b.classes.labels.dtype == part.labels.dtype == np.int64
+    assert b.classes.sizes.tolist() == part.sizes.tolist()
+    assert b.classes.num_classes == part.num_classes == b.num_classes
+    assert len(b.classes.sets) == len(part.sets)
+    for mine, theirs in zip(b.classes.sets, part.sets):
+        assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
+    for (a, o), (pa, po) in zip(b.classes.with_complements(), part.with_complements()):
+        assert a.tolist() == pa.tolist() and o.tolist() == po.tolist()
+
+
 def test_parse_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,label,f0\na,0,1.0\nb,zero,2.0\n")

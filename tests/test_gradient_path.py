@@ -86,7 +86,7 @@ def _similarity_pullback(z, weights, kind, bandwidth, s):
 def _frozen_gradient(ev):
     config = ev.config
     ws, wd, wd2 = _oracle_weights(_oracle_codes.OBJ_CODE[config.objective],
-                                  ev.s, ev.d, list(ev.classes), config.lam,
+                                  ev.s, ev.d, list(ev.batch.classes), config.lam,
                                   config.margin)
     z = ev.batch.vectors
     grad = np.zeros_like(z)
@@ -156,7 +156,7 @@ def test_one_class_batches_have_all_zero_weights_and_gradient(name, kernel):
     assert _judge(batch, cfg)
     with pytest.warns(Warning):
         ev = losses.evaluate(batch, cfg)
-    m, _ = doubled_weights(objectives.get(name), ev.s, ev.d, ev.classes,
+    m, _ = doubled_weights(objectives.get(name), ev.s, ev.d, ev.batch.classes,
                            cfg.lam, cfg.margin, ev.whole, ev.picks)
     assert not np.any(m) and not np.any(np.signbit(m))
     g = grads.evaluation_gradient(ev)

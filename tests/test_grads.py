@@ -252,8 +252,8 @@ def test_fl_tie_goes_to_lowest_index_member():
     cfg = losses.LossConfig("fl")
     ev = losses.evaluate(b, cfg)
     assert ev.s[1, 2] == ev.s[1, 3] > ev.s[1, 0]
-    assert ev.classes.sets[0][ev.picks[0]].tolist() == [2]
-    m, _ = doubled_weights(objectives.get("fl"), ev.s, ev.d, ev.classes,
+    assert ev.batch.classes.sets[0][ev.picks[0]].tolist() == [2]
+    m, _ = doubled_weights(objectives.get("fl"), ev.s, ev.d, ev.batch.classes,
                            cfg.lam, cfg.margin, ev.whole, ev.picks)
     # W[1] is [0, 0, 1, 0], and column 1 of W holds the picks of rows 0, 2
     # and 3 in class 1, which has only row 1.

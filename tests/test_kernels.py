@@ -80,6 +80,38 @@ def test_unknown_kind_rejected():
         kernels.similarity_pullback(np.eye(3), np.zeros((3, 3)), "laplacian")
 
 
+KERNEL_CALLS = {
+    "cosine_similarity": kernels.cosine_similarity,
+    "rbf_similarity": kernels.rbf_similarity,
+    "euclidean_distance": kernels.euclidean_distance,
+    **{f"similarity-{kind}": lambda z, kind=kind: kernels.similarity(z, kind)
+       for kind in kernels.SIMILARITY_KINDS},
+    **{f"similarity_and_distance-{kind}":
+       lambda z, kind=kind: kernels.similarity_and_distance(z, kind)
+       for kind in kernels.SIMILARITY_KINDS},
+    "kernel_gradient": lambda z: kernels.kernel_gradient(z, "cosine", 0, 1),
+}
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", sorted(KERNEL_CALLS))
+def test_kernels_refuse_raw_vectors_that_are_not_finite(name, bad):
+    # A raw array with an inf used to give a NaN matrix and a RuntimeWarning;
+    # it now gets the error a batch of the same vectors gets.
+    z = np.array([[1.0, bad], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="^vectors contain non-finite values$"):
+        KERNEL_CALLS[name](z)
+    with pytest.raises(ValidationError, match="^vectors contain non-finite values$"):
+        EmbeddingBatch(z, [0, 1, 0])
+    if name != "kernel_gradient":
+        stack = Rng(1).normals((3, 4, 2))
+        stack[2, 1, 0] = bad
+        with pytest.raises(ValidationError, match="^vectors contain non-finite values$"):
+            KERNEL_CALLS[name](stack)
+        stack[2, 1, 0] = 0.5
+        KERNEL_CALLS[name](stack)
+
+
 def test_kernel_gradient_diagonal_is_zero():
     b = _random_batch(4, 3)
     for kind in ("cosine", "rbf", "neg-euclidean"):

@@ -316,6 +316,36 @@ def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(tolerance):
 
 
 
+# Counts that are not integers used to reach numpy's range and shape code and
+# raise its TypeError ("'float' object cannot be interpreted as an integer").
+NOT_COUNTS = {
+    "consistency_scan-draws": lambda: submodcheck.consistency_scan("gc-cf", n=5,
+                                                                   draws=2.5),
+    "consistency_scan-n": lambda: submodcheck.consistency_scan("gc-cf", n=5.0,
+                                                               draws=2),
+    "counterexample_search-max_draws": lambda: submodcheck.counterexample_search(
+        "supcon", n=5, max_draws=1.5),
+    "counterexample_search-bool": lambda: submodcheck.counterexample_search(
+        "supcon", n=5, max_draws=True),
+    "verdict_table-draws": lambda: submodcheck.verdict_table(["gc-cf"], n=5,
+                                                             draws=2.5),
+    "verdict_table-max_draws": lambda: submodcheck.verdict_table(["gc-cf"], n=5,
+                                                                 max_draws=1.5),
+    "verdict_table-n": lambda: submodcheck.verdict_table(["gc-cf"], n=5.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOT_COUNTS))
+def test_a_scan_refuses_counts_that_are_not_integers(entry):
+    with pytest.raises(ValidationError, match="must be an integer, got"):
+        NOT_COUNTS[entry]()
+
+
+def test_a_scan_takes_numpy_integer_counts():
+    res = submodcheck.consistency_scan("gc-cf", n=np.int64(5), draws=np.int32(2))
+    assert res.trials == 2 and res.n == 5
+
+
 # Each public scan refuses a call that would compare nothing: below n = 3 the
 # default scans hold no triple, and zero draws scan no table.
 NO_EVIDENCE = {

@@ -11,7 +11,8 @@ import pytest
 from setloss import (batch, grads, kernels, losses, objectives, submodcheck, synthlab,
                      trainer)
 from setloss.batch import EmbeddingBatch
-from setloss.errors import DegenerateBatch, DivergedLoss, SetLossError, ValidationError
+from setloss.errors import (DegenerateBatch, DivergedLoss, MissingClass, SetLossError,
+                            ValidationError)
 from setloss.sampling import Rng
 
 
@@ -43,6 +44,35 @@ def test_config_validation():
 def test_config_rejects_degenerate_sizes(setting):
     with pytest.raises(ValidationError):
         trainer.TrainConfig(**setting)
+
+
+@pytest.mark.parametrize("setting", [
+    {"steps": 2.5}, {"steps": 2.0}, {"steps": True}, {"steps": None},
+    {"batch_size": 20.5}, {"batch_size": True}, {"out_dim": 2.5},
+    {"out_dim": np.float64(3.0)}, {"out_dim": False},
+])
+def test_config_refuses_counts_that_are_not_integers(setting):
+    # steps=2.5 or out_dim=2.5 used to pass here and raise numpy's TypeError
+    # in training, aborting a whole comparison; batch_size=20.5 trained on a
+    # rounded size and steps=True trained one step.
+    key = next(iter(setting))
+    with pytest.raises(ValidationError, match=f"^{key} must be an integer, got "):
+        trainer.TrainConfig(**setting)
+
+
+def test_config_takes_numpy_integer_counts():
+    config = trainer.TrainConfig(steps=np.int64(2), batch_size=np.int32(30),
+                                 out_dim=np.uint8(3))
+    params, curve = trainer.train_stage1(small_data(), config)
+    assert len(curve) == 3 and params.W.shape == (3, 4)
+
+
+def test_stage2_refuses_an_eval_class_the_train_split_lacks():
+    data = small_data()
+    train = trainer._rows(data, np.flatnonzero(data.labels < 2))
+    params = trainer.initial_params(data.dim, 2, seed=0)
+    with pytest.raises(MissingClass, match="^class 2 has no samples in stage-2 train split$"):
+        trainer.evaluate_stage2(params, train, data)
 
 
 def test_out_dim_is_used_as_given():
@@ -265,8 +295,9 @@ def test_each_step_builds_the_kernel_once(monkeypatch):
 
 
 def test_each_step_partitions_the_batch_once(monkeypatch):
-    # losses.evaluate builds one ClassPartition, and the gradient reads the
-    # evaluation's instead of building its own.
+    # Each step's batch builds one ClassPartition; losses.evaluate and the
+    # gradient read the batch's own and build none.
+    data = small_data()
     built = []
     real_init = batch.ClassPartition.__post_init__
 
@@ -276,9 +307,12 @@ def test_each_step_partitions_the_batch_once(monkeypatch):
 
     monkeypatch.setattr(batch.ClassPartition, "__post_init__", counted_init)
     per_call = {"evaluate": [], "gradient": []}
+    read = []
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
+            if key == "evaluate":
+                read.append(args[0].classes)
             before = len(built)
             out = fn(*args, **kwargs)
             per_call[key].append(len(built) - before)
@@ -291,10 +325,35 @@ def test_each_step_partitions_the_batch_once(monkeypatch):
     config = trainer.TrainConfig(
         loss=losses.LossConfig("supcon", kernel="rbf"), lr=0.01, steps=4,
         batch_size=None, seed=0)
-    trainer.train_stage1(small_data(), config)
-    assert per_call["evaluate"] == [1] * (config.steps + 1)
+    trainer.train_stage1(data, config)
+    assert per_call["evaluate"] == [0] * (config.steps + 1)
     assert per_call["gradient"] == [0] * config.steps
     assert len(built) == config.steps + 1
+    assert all(part is own for part, own in zip(built, read, strict=True))
+
+
+def test_each_step_checks_and_counts_its_labels_once(monkeypatch):
+    # One label check and one bincount per step, both in the step's batch.
+    # Before the batch held its partition, evaluate checked the labels a
+    # second time and a step counted them three times.
+    data = small_data()
+    checks, counts = [], []
+    real_labels, real_bincount = batch._labels, np.bincount
+
+    def labels(*args):
+        checks.append(1)
+        return real_labels(*args)
+
+    def bincount(*args, **kwargs):
+        counts.append(1)
+        return real_bincount(*args, **kwargs)
+
+    monkeypatch.setattr(batch, "_labels", labels)
+    monkeypatch.setattr(np, "bincount", bincount)
+    steps = 3
+    _, curve = trainer.train_stage1(data, quick_config(steps=steps))
+    assert len(curve) == steps + 1
+    assert len(checks) == len(counts) == steps + 1
 
 
 def test_non_finite_loss_stops_before_any_gradient(monkeypatch):
