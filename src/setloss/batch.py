@@ -6,11 +6,12 @@ induces a valid partition of V; `_labels` is the one check of that, run once
 per partition. `ClassPartition` is the one form of that partition the
 package passes around, built from labels: the class sets A_k, which the
 loss terms sum over, with the labels, sizes and complements the gradient's
-weight rules read. A batch builds its partition once, as `classes`, and
-every loss, gradient and split reads that one. Rows are known by their
-position alone. The CSV layout is one row per embedding with header
-``id,label,f0,...,f{d-1}``; the id column is checked for its place in the
-header and otherwise not read.
+weight rules read. A batch builds its partition once, as `classes`, or
+takes the one a batch of the same rows built (a training step's embedded
+batch takes its source batch's), and every loss, gradient and split reads
+that one. Rows are known by their position alone. The CSV layout is one
+row per embedding with header ``id,label,f0,...,f{d-1}``; the id column is
+checked for its place in the header and otherwise not read.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ class EmbeddingBatch:
     labels  : (n,) int64, values covering 0..C-1 with no empty class
     classes : the `ClassPartition` of labels, built once with the batch
 
-    The batch keeps the caller's label array when it is already int64, and
+    labels may also be given as a `ClassPartition`, such as another batch's
+    `classes` for new vectors of the same rows: the batch then keeps that
+    partition and its labels, which were checked when it was built. The
+    batch keeps the caller's label array when it is already int64, and
     its partition is derived from it once, so those labels must not be
     written after the batch is built.
     """
@@ -45,7 +49,8 @@ class EmbeddingBatch:
         # Labels are cast first and checked last, so a batch names a
         # non-integer label before any fault of its vectors, and a negative
         # label or an empty class after them.
-        labels = _integers(self.labels)
+        given = self.labels if isinstance(self.labels, ClassPartition) else None
+        labels = _integers(self.labels) if given is None else given.labels
         if self.vectors.ndim != 2:
             raise ValidationError(f"vectors must be 2-D, got shape {self.vectors.shape}")
         n, d = self.vectors.shape
@@ -59,7 +64,7 @@ class EmbeddingBatch:
             )
         if not np.all(np.isfinite(self.vectors)):
             raise ValidationError("vectors contain non-finite values")
-        self.classes = partition_from_labels(labels)
+        self.classes = partition_from_labels(labels) if given is None else given
         self.labels = self.classes.labels
 
     @property

@@ -83,7 +83,9 @@ def check_kind(kind: str) -> str:
 
 def _vectors(batch) -> np.ndarray:
     """The embeddings of a batch, or of a raw (..., n, d) array, which must
-    be finite; a batch checked its own when it was built."""
+    be finite; a batch checked its own when it was built. Every kernel and
+    pullback reads its embeddings through this check, and none checks the
+    n x n weights it is given."""
     if isinstance(batch, EmbeddingBatch):
         return batch.vectors
     z = np.asarray(batch, dtype=np.float64)
@@ -112,9 +114,10 @@ class Workspace:
     wrote there, and the mirror overwrites it. An fl, gc-cf or supcon step
     writes "d" only under rbf and neg-euclidean, 8 n^2 bytes (5.1 MB at
     n = 800), and "s" and "cos" under cosine; all four n x n names take
-    32 n^2. The lattice scans add the float gain blocks "margin" and
-    "other" and their bool masks "finite" and "bad", about 1.2 MB at n = 6
-    and 3.1 MB at n = 12. Stacks of kernel matrices are not built in a
+    32 n^2. The lattice scans add "gain", every gain of a scan's stack of
+    tables, the float margin chunks "margin" and "other", and their bool
+    mask "bad": 0.94 MB for a 200-table scan at n = 6, and at most 1.5 MB
+    from n = 8 to 12. Stacks of kernel matrices are not built in a
     workspace.
     """
 
@@ -209,8 +212,9 @@ def cosine_similarity(batch, workspace: Workspace | None = None) -> np.ndarray:
     return s
 
 
-def squared_distances(z: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+def squared_distances(batch, workspace: Workspace | None = None) -> np.ndarray:
     """|z_i - z_j|^2 as |z_i|^2 + |z_j|^2 - 2 <z_i, z_j>, floored at zero."""
+    z = _vectors(batch)
     sq = np.sum(z * z, axis=-1)
     # A row-broadcast copy and a contiguous add, with the operands of one
     # broadcast outer add in its order, take 0.6-0.7 ms at n = 800 where
@@ -226,7 +230,7 @@ def squared_distances(z: np.ndarray, workspace: Workspace | None = None) -> np.n
 
 
 def euclidean_distance(batch, workspace: Workspace | None = None) -> np.ndarray:
-    d2 = squared_distances(_vectors(batch), workspace)
+    d2 = squared_distances(batch, workspace)
     return np.sqrt(d2, out=d2)
 
 
@@ -242,7 +246,7 @@ def rbf_similarity(batch, bandwidth: float = 1.0,
                    workspace: Workspace | None = None) -> np.ndarray:
     if not (bandwidth > 0):
         raise NonPositiveBandwidth(bandwidth)
-    d2 = squared_distances(_vectors(batch), workspace)
+    d2 = squared_distances(batch, workspace)
     return _rbf_entries(d2, bandwidth, out=d2)
 
 
@@ -261,7 +265,7 @@ def similarity_and_distance(batch, kind: str = "cosine", bandwidth: float = 1.0,
     """(S, D), equal to `similarity` and `euclidean_distance` but with one
     squared-distance pass under rbf and neg-euclidean."""
     if kind == "rbf" and bandwidth > 0:
-        d2 = squared_distances(_vectors(batch), workspace)
+        d2 = squared_distances(batch, workspace)
         s = workspace_buffer(workspace, "s", d2.shape)
         return _rbf_entries(d2, bandwidth, out=s), np.sqrt(d2, out=d2)
     if kind == "neg-euclidean":
@@ -315,6 +319,7 @@ def cosine_pullback(z: np.ndarray, m: np.ndarray,
                     workspace: Workspace | None = None) -> np.ndarray:
     """dL/dZ for L = sum_ij W_ij S_ij under the cosine kernel, given the
     doubled weights m = W + W.T with a zero diagonal."""
+    z = _vectors(z)
     zh = unit_rows(z)
     s = _symmetric_gram(zh, workspace_buffer(workspace, "cos", _square(z)))
     proj = np.sum(np.multiply(m, s, out=s), axis=1)
@@ -326,6 +331,7 @@ def rbf_pullback(z: np.ndarray, ms: np.ndarray, bandwidth: float) -> np.ndarray:
     """dL/dZ for L = sum_ij W_ij S_ij, given ms = M o S, the doubled
     weights M = W + W.T with a zero diagonal times the forward RBF matrix S
     entry by entry, which is overwritten."""
+    z = _vectors(z)
     ms /= bandwidth * bandwidth
     # row i: sum_j ms_ij (z_j - z_i)
     return _blas.product(ms, z) - np.sum(ms, axis=1)[:, None] * z
@@ -339,6 +345,7 @@ def distance_pullback(z: np.ndarray, p: np.ndarray) -> np.ndarray:
     d(D_ij)/dz_i is (z_i - z_j) / D_ij, with the zero subgradient at
     coincident points, so this is the Laplacian sum_j p_ij (z_i - z_j).
     """
+    z = _vectors(z)
     return np.sum(p, axis=1)[:, None] * z - _blas.product(p, z)
 
 

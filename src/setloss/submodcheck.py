@@ -20,10 +20,12 @@ Conventions the scan relies on:
 
 A multi-draw scan does not build one batch per draw. It draws a stack of
 seeded batches in one call (`draw_stack`, bit for bit the batches
-`draw_batch` gives one at a time), builds their kernels as one (k, n, n)
-stack, their value tables as one (k, 2^n) array and DR-scans them in one
-backend call, about 60 draws at a time at n = 6
-(`backend.tables_per_block`). It then totals the per-draw tallies in draw
+`draw_batch` gives one at a time) and builds their kernels as one
+(k, n, n) stack and their value tables as one (k, 2^n) array, about 60
+draws at a time at n = 6 (`backend.tables_per_block`). A full scan
+DR-scans the tables of up to `backend.tables_per_scan(n)` draws, all 200
+of a verdict row at n = 6, in one backend call; a search that stops early
+scans each stack as it comes. It then totals the per-draw tallies in draw
 order and keeps the first violating draw's violations, so every result is
 the one a draw-by-draw scan gives; `exhaustive_dr_check` is the same engine
 on a stack of one.
@@ -143,20 +145,17 @@ def _table(objective: str, z: np.ndarray, config: losses.LossConfig) -> np.ndarr
     return backend.value_table(objectives.get(objective), s, d, cfg.lam, cfg.margin)
 
 
-def _scan_stack(objective: str, z: np.ndarray, config: losses.LossConfig,
-                tolerance: float, include_empty: bool, max_stored: int = MAX_STORED):
-    """One `backend.dr_scan` of the value tables of a (k, n, dim) stack of
-    embeddings: (min_margin, compared, skipped, count) arrays over the k
-    draws, and the first violating draw's violations, their sets still as
-    bitmasks.
+def _scan_stack(tables: np.ndarray, n: int, tolerance: float, include_empty: bool,
+                max_stored: int = MAX_STORED):
+    """One `backend.dr_scan` of a (k, 2^n) stack of value tables:
+    (min_margin, compared, skipped, count) arrays over the k draws, and the
+    first violating draw's violations, their sets still as bitmasks.
 
     Every draw meets the same comparisons, so a first draw that compared
     and skipped nothing means the scan's index is empty: a verdict would
     rest on no evidence, and the scan is refused instead.
     """
-    n = z.shape[-2]
-    *tallies, viols = backend.dr_scan(_table(objective, z, config), n, tolerance,
-                                      include_empty, max_stored)
+    *tallies, viols = backend.dr_scan(tables, n, tolerance, include_empty, max_stored)
     if tallies[1][0] + tallies[2][0] == 0:
         raise ValidationError(
             f"no triple to compare at n = {n}: the scan needs n >= 3, "
@@ -170,8 +169,8 @@ def exhaustive_dr_check(objective: str, batch: EmbeddingBatch,
                         include_empty: bool = False) -> LatticeCheckResult:
     """Scan every diminishing-returns triple of the batch's subset lattice."""
     _check_tolerance(tolerance)
-    tallies, viols = _scan_stack(objective, batch.vectors[None], config,
-                                 tolerance, include_empty)
+    tallies, viols = _scan_stack(_table(objective, batch.vectors[None], config),
+                                 batch.n, tolerance, include_empty)
     return _merge(objective, batch.n, [tallies], viols)
 
 
@@ -194,38 +193,47 @@ def draw_stack(rng: Rng, start: int, stop: int, n: int,
 
 
 def _scan_draws(objective: str, config: losses.LossConfig, n: int,
-                draws: int, seed: int, tolerance: float,
-                stop_early: bool) -> LatticeCheckResult:
+                draws: int, seed: int, tolerance: float, stop_early: bool,
+                count_name: str = "draws") -> LatticeCheckResult:
     """DR-scan `draws` seeded batches in order, or up to the first violating
-    one when stopping early, and merge them.
+    one when stopping early, and merge them. count_name is the caller's name
+    for draws, which its errors give.
 
-    Draws are scanned as stacks of `backend.tables_per_block(n)`; when
-    stopping early the stacks start at one draw and double, so a search that
-    stops at draw i scans fewer than 2(i + 1) draws. A stack that raises is
-    scanned again one draw at a time, as a serial scan meets its draws: the
-    first draw's error surfaces, and none from a draw after the stop.
+    Draws are drawn and tabulated as stacks of `backend.tables_per_block(n)`.
+    A full scan then judges the tables of up to `backend.tables_per_scan(n)`
+    draws in one `backend.dr_scan` call, all 200 of a verdict row at n = 6.
+    When stopping early each stack is judged as it is tabulated, and the
+    stacks start at one draw and double, so a search that stops at draw i
+    tabulates fewer than 2(i + 1) draws. A stack that raises is tabulated
+    again one draw at a time, as a serial scan meets its draws: the first
+    draw's error surfaces, and none from a draw after the stop.
     """
     _check_tolerance(tolerance)
-    check_integers(n=n, draws=draws)
+    check_integers(n=n, **{count_name: draws})
     _check_size(n)
     if draws < 1:
-        raise ValidationError(f"a scan needs at least one draw, got {draws}")
+        raise ValidationError(f"a scan needs at least one draw, got {count_name} = {draws}")
     rng = Rng(seed)
     cap = backend.tables_per_block(n)
     size = 1 if stop_early else cap
-    parts, viols = [], []
+    per_scan = 0 if stop_early else backend.tables_per_scan(n)
+    parts, viols, tables = [], [], []
     start = single_until = 0
     while start < draws:
         stop = min(start + (1 if start < single_until else size), draws)
         try:
-            tallies, found = _scan_stack(
-                objective, draw_stack(rng, start, stop, n), config,
-                tolerance, False, 0 if viols else MAX_STORED)
+            tables.append(_table(objective, draw_stack(rng, start, stop, n), config))
         except SetLossError:
             if stop - start == 1:
                 raise
             single_until = stop
             continue
+        start = stop
+        if start < draws and sum(map(len, tables)) + cap <= per_scan:
+            continue
+        tallies, found = _scan_stack(np.concatenate(tables), n, tolerance, False,
+                                     0 if viols else MAX_STORED)
+        tables = []
         viols = viols or found
         count = tallies[3]
         if stop_early and count.any():
@@ -233,7 +241,6 @@ def _scan_draws(objective: str, config: losses.LossConfig, n: int,
             parts.append([t[:cut] for t in tallies])
             break
         parts.append(tallies)
-        start = stop
         if stop_early:
             size = min(2 * size, cap)
     return _merge(objective, n, parts, viols)
@@ -273,7 +280,8 @@ def counterexample_search(objective: str,
                           n: int = 6, max_draws: int = 1000, seed: int = 0,
                           tolerance: float = DEFAULT_TOLERANCE) -> LatticeCheckResult:
     """Stop at the first violating draw, or exhaust the budget."""
-    return _scan_draws(objective, config, n, max_draws, seed, tolerance, True)
+    return _scan_draws(objective, config, n, max_draws, seed, tolerance, True,
+                       "max_draws")
 
 
 def verdict_table(names=objectives.OBJECTIVES, n: int = 6, draws: int = 200,

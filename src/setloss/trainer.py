@@ -6,6 +6,8 @@ the unit sphere (on by default; the kernels see unit vectors either way
 under cosine, but normalization also conditions the distance-based
 terms). Each step scores the batch once and takes the analytic dL/dz
 from that same evaluation, so the kernel is built once per step. The
+step's embedded batch takes its source batch's `classes`, so a full-batch
+run checks and partitions its labels once, not once per step. The
 kernel, the entry weights and the pullback's n x n temporaries are built
 in `kernels.thread_workspace()`, so no step allocates an n x n array
 unless its batch is larger than any its thread has used. Every buffer is
@@ -173,7 +175,7 @@ def train_stage1(data: EmbeddingBatch, config: TrainConfig):
     for step in range(config.steps + 1):
         batch = data if full else _minibatch(data, config.batch_size, rng)
         z, norms = params.embed(batch.vectors)
-        embedded = EmbeddingBatch(z, batch.labels)
+        embedded = EmbeddingBatch(z, batch.classes)
 
         ev = losses.evaluate(embedded, config.loss, work)
         value = ev.result.total

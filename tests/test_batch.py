@@ -190,3 +190,13 @@ def test_parse_reports_the_line_of_a_non_finite_feature(tmp_path, value):
         read_embedding_file(path)
     assert err.value.line == 4
     assert str(err.value) == f"{path}:4: non-finite feature value"
+
+
+def test_a_batch_given_a_partition_keeps_it():
+    # A training step's embedded batch takes its data's partition, so its
+    # labels are not checked or counted again.
+    data = EmbeddingBatch(np.eye(4), [0, 1, 0, 1])
+    moved = EmbeddingBatch(2.0 * np.eye(4), data.classes)
+    assert moved.classes is data.classes and moved.labels is data.labels
+    with pytest.raises(ValidationError, match=r"^labels shape \(4,\) does not match 3 "):
+        EmbeddingBatch(np.eye(3), data.classes)

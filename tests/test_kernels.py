@@ -81,6 +81,7 @@ def test_unknown_kind_rejected():
 
 
 KERNEL_CALLS = {
+    "squared_distances": kernels.squared_distances,
     "cosine_similarity": kernels.cosine_similarity,
     "rbf_similarity": kernels.rbf_similarity,
     "euclidean_distance": kernels.euclidean_distance,
@@ -110,6 +111,32 @@ def test_kernels_refuse_raw_vectors_that_are_not_finite(name, bad):
             KERNEL_CALLS[name](stack)
         stack[2, 1, 0] = 0.5
         KERNEL_CALLS[name](stack)
+
+
+PULLBACKS = {
+    **{f"similarity_pullback-{kind}":
+       lambda z, m, kind=kind: kernels.similarity_pullback(z, m, kind)
+       for kind in kernels.SIMILARITY_KINDS},
+    "cosine_pullback": kernels.cosine_pullback,
+    "rbf_pullback": lambda z, m: kernels.rbf_pullback(z, m, 1.0),
+    "distance_pullback": kernels.distance_pullback,
+    "sqdist_pullback": kernels.sqdist_pullback,
+}
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", sorted(PULLBACKS))
+def test_pullbacks_refuse_raw_vectors_that_are_not_finite(name, bad):
+    # The cosine pullback of such rows raised numpy's RuntimeWarning, and
+    # squared distances of them held NaN. Only z is checked: the weights
+    # are left as they were given.
+    z = np.array([[1.0, bad], [1.0, 0.0], [0.0, 1.0]])
+    m = 1.0 - np.eye(3)
+    with pytest.raises(ValidationError, match="^vectors contain non-finite values$"):
+        PULLBACKS[name](z, m)
+    assert np.array_equal(m, 1.0 - np.eye(3))
+    z[0, 1] = 0.5
+    assert np.all(np.isfinite(PULLBACKS[name](z, m.copy())))
 
 
 def test_kernel_gradient_diagonal_is_zero():

@@ -475,6 +475,60 @@ def test_max_stored_caps_the_violation_list():
         pytest.fail("no violating instance found in 50 seeds")
 
 
+# Entries a table may hold besides its own: off-domain ones, and finite ones
+# near the largest float, whose gains and margins overflow or sit at half of
+# it.
+OFF_DOMAIN = (math.inf, -math.inf, math.nan)
+HUGE = (1.7e308, -1.7e308, 8.98846567431158e307, -8.98846567431158e307)
+
+
+@st.composite
+def table_stacks(draw):
+    """(n, distinct tables, order): a stack is the distinct tables taken in
+    that order, 1 to 250 of them, so each needs the loop oracle only once."""
+    n = draw(st.sampled_from((6, 7, 8, 5, 4, 3, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ones = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    distinct = []
+    for _ in range(draw(st.integers(1, 3))):
+        form = draw(st.sampled_from(("noise", "ties", "zeros", "modular", "concave")))
+        if form == "noise":
+            table = rng.normal(size=1 << n)
+        elif form == "ties":
+            table = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], 1 << n)
+        elif form == "zeros":  # every margin a zero of either sign
+            table = np.where(rng.random(1 << n) < 0.5, -0.0, 0.0)
+        elif form == "modular":  # every margin +0.0
+            table = ones @ rng.integers(-2, 3, n).astype(float)
+        else:  # submodular, up to rounding
+            table = np.sqrt(ones @ rng.uniform(0.0, 2.0, n))
+        marks = draw(st.sampled_from(((), OFF_DOMAIN, OFF_DOMAIN + HUGE, HUGE)))
+        marked = draw(st.integers(1, 12)) if marks else 0
+        table[rng.integers(0, 1 << n, marked)] = rng.choice(marks or [0.0], marked)
+        distinct.append(table)
+    return n, distinct, rng.integers(0, len(distinct), draw(st.integers(1, 250)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(table_stacks(), st.booleans(), st.sampled_from((0.0, 1e-9, 0.5)),
+       st.sampled_from((0, 3, 1000)))
+def test_a_stack_scan_matches_the_oracle_on_every_table(case, include_empty, tol,
+                                                         max_stored):
+    # One call judges the whole stack in chunks: whole x rows of many
+    # tables, or runs of one row's pairs at n = 8 with many tables.
+    n, distinct, order = case
+    lone = [dr_scan(t, n, tol, include_empty, max_stored) for t in distinct]
+    assert repr(new_without_warnings(pure.dr_scan, distinct[0], n, tol,
+                                     include_empty, max_stored)) == repr(lone[0])
+    got = new_without_warnings(pure.dr_scan, np.stack(distinct)[order], n, tol,
+                               include_empty, max_stored)
+    # repr tells -0.0 from 0.0 and shows every float exactly
+    assert [[repr(v) for v in tally.tolist()] for tally in got[:4]] == [
+        [repr(lone[i][f]) for i in order] for f in range(4)]
+    violating = [i for i in order if lone[i][3]]
+    assert got[4] == (lone[violating[0]][4] if violating else [])
+
+
 def _remap(bits, perm):
     """The original bitmask of permuted-point bitmask `bits`."""
     out = 0

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -318,27 +319,43 @@ def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(tolerance):
 
 # Counts that are not integers used to reach numpy's range and shape code and
 # raise its TypeError ("'float' object cannot be interpreted as an integer").
-NOT_COUNTS = {
-    "consistency_scan-draws": lambda: submodcheck.consistency_scan("gc-cf", n=5,
-                                                                   draws=2.5),
-    "consistency_scan-n": lambda: submodcheck.consistency_scan("gc-cf", n=5.0,
-                                                               draws=2),
-    "counterexample_search-max_draws": lambda: submodcheck.counterexample_search(
-        "supcon", n=5, max_draws=1.5),
-    "counterexample_search-bool": lambda: submodcheck.counterexample_search(
-        "supcon", n=5, max_draws=True),
-    "verdict_table-draws": lambda: submodcheck.verdict_table(["gc-cf"], n=5,
-                                                             draws=2.5),
-    "verdict_table-max_draws": lambda: submodcheck.verdict_table(["gc-cf"], n=5,
-                                                                 max_draws=1.5),
-    "verdict_table-n": lambda: submodcheck.verdict_table(["gc-cf"], n=5.5),
+# Each error, and a scan of no draws, names the argument the caller passed.
+BAD_COUNTS = {
+    "consistency_scan-draws": (
+        lambda: submodcheck.consistency_scan("gc-cf", n=5, draws=2.5),
+        "draws must be an integer, got 2.5"),
+    "consistency_scan-n": (
+        lambda: submodcheck.consistency_scan("gc-cf", n=5.0, draws=2),
+        "n must be an integer, got 5.0"),
+    "counterexample_search-max_draws": (
+        lambda: submodcheck.counterexample_search("supcon", n=5, max_draws=1.5),
+        "max_draws must be an integer, got 1.5"),
+    "counterexample_search-bool": (
+        lambda: submodcheck.counterexample_search("supcon", n=5, max_draws=True),
+        "max_draws must be an integer, got True"),
+    "verdict_table-draws": (
+        lambda: submodcheck.verdict_table(["gc-cf"], n=5, draws=2.5),
+        "draws must be an integer, got 2.5"),
+    "verdict_table-max_draws": (
+        lambda: submodcheck.verdict_table(["gc-cf"], n=5, max_draws=1.5),
+        "max_draws must be an integer, got 1.5"),
+    "verdict_table-n": (
+        lambda: submodcheck.verdict_table(["gc-cf"], n=5.5),
+        "n must be an integer, got 5.5"),
+    "consistency_scan-no-draws": (
+        lambda: submodcheck.consistency_scan("gc-cf", n=5, draws=0),
+        "a scan needs at least one draw, got draws = 0"),
+    "counterexample_search-no-draws": (
+        lambda: submodcheck.counterexample_search("supcon", n=5, max_draws=-1),
+        "a scan needs at least one draw, got max_draws = -1"),
 }
 
 
-@pytest.mark.parametrize("entry", sorted(NOT_COUNTS))
-def test_a_scan_refuses_counts_that_are_not_integers(entry):
-    with pytest.raises(ValidationError, match="must be an integer, got"):
-        NOT_COUNTS[entry]()
+@pytest.mark.parametrize("entry", sorted(BAD_COUNTS))
+def test_a_scan_refuses_counts_by_the_callers_name(entry):
+    scan, message = BAD_COUNTS[entry]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        scan()
 
 
 def test_a_scan_takes_numpy_integer_counts():

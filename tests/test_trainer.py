@@ -294,10 +294,8 @@ def test_each_step_builds_the_kernel_once(monkeypatch):
     assert len(calls) == steps + 1
 
 
-def test_each_step_partitions_the_batch_once(monkeypatch):
-    # Each step's batch builds one ClassPartition; losses.evaluate and the
-    # gradient read the batch's own and build none.
-    data = small_data()
+def _partitions_built(monkeypatch):
+    """The list every ClassPartition built from now on is appended to."""
     built = []
     real_init = batch.ClassPartition.__post_init__
 
@@ -306,6 +304,15 @@ def test_each_step_partitions_the_batch_once(monkeypatch):
         real_init(self)
 
     monkeypatch.setattr(batch.ClassPartition, "__post_init__", counted_init)
+    return built
+
+
+def test_each_step_reads_the_runs_partition(monkeypatch):
+    # A full-batch run's steps build no ClassPartition: each step's embedded
+    # batch takes the data's own, and losses.evaluate and the gradient read
+    # it and build none. Each step's batch used to build one.
+    data = small_data()
+    built = _partitions_built(monkeypatch)
     per_call = {"evaluate": [], "gradient": []}
     read = []
 
@@ -328,14 +335,38 @@ def test_each_step_partitions_the_batch_once(monkeypatch):
     trainer.train_stage1(data, config)
     assert per_call["evaluate"] == [0] * (config.steps + 1)
     assert per_call["gradient"] == [0] * config.steps
+    assert built == []
+    assert len(read) == config.steps + 1
+    assert all(part is data.classes for part in read)
+
+
+def test_a_minibatch_step_partitions_its_draw_once(monkeypatch):
+    # Each minibatch draw builds its partition, and the step's embedded
+    # batch reads that one.
+    data = small_data()
+    built = _partitions_built(monkeypatch)
+    read = []
+    real_evaluate = losses.evaluate
+
+    def evaluate(embedded, *args, **kwargs):
+        read.append(embedded.classes)
+        return real_evaluate(embedded, *args, **kwargs)
+
+    monkeypatch.setattr(losses, "evaluate", evaluate)
+    config = trainer.TrainConfig(
+        loss=losses.LossConfig("supcon", kernel="rbf"), lr=0.01, steps=4,
+        batch_size=30, seed=0)
+    trainer.train_stage1(data, config)
     assert len(built) == config.steps + 1
     assert all(part is own for part, own in zip(built, read, strict=True))
 
 
-def test_each_step_checks_and_counts_its_labels_once(monkeypatch):
-    # One label check and one bincount per step, both in the step's batch.
-    # Before the batch held its partition, evaluate checked the labels a
-    # second time and a step counted them three times.
+def test_a_full_batch_run_checks_and_counts_its_labels_once(monkeypatch):
+    # The steps run no label check and no bincount: the data checked and
+    # counted its labels when it was built. Each step's embedded batch used
+    # to check them again and count them once, and before the batch held
+    # its partition, evaluate checked them a second time and a step counted
+    # them three times.
     data = small_data()
     checks, counts = [], []
     real_labels, real_bincount = batch._labels, np.bincount
@@ -353,7 +384,7 @@ def test_each_step_checks_and_counts_its_labels_once(monkeypatch):
     steps = 3
     _, curve = trainer.train_stage1(data, quick_config(steps=steps))
     assert len(curve) == steps + 1
-    assert len(checks) == len(counts) == steps + 1
+    assert checks == counts == []
 
 
 def test_non_finite_loss_stops_before_any_gradient(monkeypatch):
@@ -566,8 +597,10 @@ def test_a_scan_and_a_training_run_share_one_thread_workspace(monkeypatch):
     ((work, peaks),) = _in_threads(job)
     assert {id(w) for w, _ in asked} == {id(work)}
     names = {name for _, name in asked}
-    # A gc-cf step writes its weights over its kernel: in "d" under rbf and
-    # neg-euclidean, in "s" under cosine, whose pullback adds "cos".
-    assert {"margin", "other", "finite", "bad", "d", "s", "cos"} <= names
-    assert not {"gram", "wdist", "mask", "ws"} & names
+    # The scan lays its gains out in "gain" and gathers their pairs into
+    # "margin" and "other"; one chunk of margins counts its finite ones in
+    # "bad". A gc-cf step writes its weights over its kernel: in "d" under
+    # rbf and neg-euclidean, in "s" under cosine, whose pullback adds "cos".
+    assert {"gain", "margin", "other", "bad", "d", "s", "cos"} <= names
+    assert not {"gram", "wdist", "mask", "ws", "finite"} & names
     assert max(peaks) < 150 * 150 * 8
