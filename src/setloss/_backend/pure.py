@@ -12,21 +12,24 @@ members and complements from an index cached per n. The lattice scan,
 `dr_scan`, takes each x's gains f(x|A) over every subset A of V\\{x} and
 judges f(x|A) >= f(x|B) over a cached index of every submask pair A < B
 on the n - 1 bits other than x, in the order of the nested submask loop
-it replaced; bit x is inserted for each x.
+it replaced; bit x is inserted for each x. It takes each table's smallest
+margin from submask minima, a fast zeta (subset-sum) transform with fmin
+in place of + (Yates 1937; Bjorklund, Husfeldt, Kaski and Koivisto,
+"Fourier meets Mobius", STOC 2007), and compares pair by pair only the
+tables that can violate.
 
 Tables and scans also take stacks, one leading axis of draws: `value_table`
 scores (k, n, n) kernels into (k, 2^n) tables with the same calls, and
 `dr_scan` judges a whole (k, 2^n) stack in one pass, with the tables
 innermost, returning per-table tallies and the first violating table's
-violations. `tables_per_block` says how many whole tables hold about
-_SCAN_BLOCK triples, the stack a caller tabulates at once, and
-`tables_per_scan` how many tables' gains fill about _SCAN_BLOCK, the stack
-a caller hands to one scan. Each table of a stack keeps the bits it has
-alone.
+violations. `tables_per_scan` says how many tables' gains fill about
+_SCAN_BLOCK, the stack a caller hands to one scan, and `tables_per_block`
+how many tables hold about _SCAN_BLOCK triples, the stack it tabulates at
+once. Each table of a stack keeps the bits it has alone.
 
-A scan's gains and margins are built in place, in the "gain", "margin",
-"other" and "bad" buffers of the thread's `kernels.thread_workspace()`
-(see `kernels.Workspace`). Nothing a scan returns points into them.
+A scan's gains, minima and margins are built in place, in the "gain",
+"low" and "near" buffers of the thread's `kernels.thread_workspace()` (see
+`kernels.Workspace`). Nothing a scan returns points into them.
 
 The batched forms keep the bits of the per-subset loops they replaced. Each
 block is gathered in the loop's order and summed as one contiguous row, so
@@ -147,9 +150,8 @@ def value_table(obj: Objective, s: np.ndarray, d: np.ndarray | None,
     return out
 
 
-# A scan judges its margins in chunks of about this many triples, whole x rows
-# where they fit, so its "margin" and "other" buffers stay about half a megabyte
-# each; `tables_per_scan` bounds the "gain" buffer of one call the same way.
+# `tables_per_scan` bounds the gains of one scan by about this many, half a
+# megabyte, and the pair scan judges its margins in chunks of about as many.
 _SCAN_BLOCK = 1 << 16
 # The margin of two finite gains no larger than this in magnitude is finite.
 _HALF_MAX = float(np.finfo(np.float64).max) / 2
@@ -165,14 +167,13 @@ def _row_sets(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _scan_index(n: int, include_empty: bool):
-    """(sets, upper, a_low, b_low): what `dr_scan` compares, in the loop's
-    order.
+    """(sets, upper, pairs): what `dr_scan` compares, in the loop's order.
 
-    sets is `_row_sets(n)` and upper is each of its sets with x added. a_low
-    and b_low index their columns with every pair (A, B) of (n-1)-bit masks
-    where A is a proper submask of B, B descending and then A descending
-    over the submasks of B; A = 0 appears only with include_empty. One index
-    of at most 3^(n-1) pairs serves every x.
+    sets is `_row_sets(n)` and upper is each of its sets with x added. pairs
+    holds a row of A and a row of B columns of sets: every pair (A, B) of
+    (n-1)-bit masks where A is a proper submask of B, B descending and then
+    A descending over the submasks of B; A = 0 appears only with
+    include_empty. One index of at most 3^(n-1) pairs serves every x.
     """
     w = max(n - 1, 0)
     b = np.arange(1 << w)[::-1]
@@ -191,12 +192,15 @@ def _scan_index(n: int, include_empty: bool):
     if not include_empty:
         keep &= aa != 0
     sets = _row_sets(n)
-    return _frozen(sets, sets | (1 << np.arange(n))[:, None], aa[keep], bb[keep])
+    return _frozen(sets, sets | (1 << np.arange(n))[:, None],
+                   np.stack([aa[keep], bb[keep]]))
 
 
 def tables_per_block(n: int) -> int:
     """How many whole n-point tables hold about _SCAN_BLOCK of `dr_scan`'s
-    default triples: 60 at n = 6, one from n = 10 on."""
+    default triples: 60 at n = 6, one from n = 10 on. Callers tabulate
+    stacks of this many at once, which bounds a stack's kernel and term
+    temporaries."""
     # Each x pairs every nonempty A with every proper supermask B on n - 1 bits.
     w = max(n - 1, 0)
     return max(1, _SCAN_BLOCK // max(n * (3 ** w - 2 ** (w + 1) + 1), 1))
@@ -209,26 +213,66 @@ def tables_per_scan(n: int) -> int:
     return max(1, _SCAN_BLOCK // max(n << max(n - 1, 0), 1))
 
 
-def _judged(finite: np.ndarray, include_empty: bool) -> np.ndarray:
+def _halves(*arrays):
+    """For each bit j of the subsets on the middle axis of (n, 2^w, k)
+    arrays, each array's views of the entries whose subsets lack j and of
+    the same subsets with j added."""
+    n, size, k = arrays[0].shape
+    for j in range(size.bit_length() - 1):
+        yield [h for a in arrays for h in a.reshape(n, -1, 2, 1 << j, k).swapaxes(0, 2)]
+
+
+def _judged(gain: np.ndarray, include_empty: bool, work) -> np.ndarray:
     """Per table, the pairs of `_scan_index` whose two gains are finite,
-    from the (n, 2^(n-1), k) finiteness of the gains.
+    from the (n, 2^(n-1), k) gains, counted in "low" and "near".
 
     Summing over subsets counts, for every B at once, the A <= B with a
-    finite gain; each finite B is then judged against all of them but
-    itself, and against A = 0 only with include_empty.
+    finite gain, A = 0 only with include_empty; each finite B is judged
+    against all of them but itself.
     """
-    n, size, k = finite.shape
-    below = finite.astype(np.int32)
-    for j in range(size.bit_length() - 1):
-        v = below.reshape(n, -1, 2, 1 << j, k)
-        v[:, :, 1] += v[:, :, 0]
-    # below[x, B] counts the finite A <= B, and below[x, -1] all of row x.
-    full = below[:, -1].astype(np.int64)
-    below *= finite
-    judged = np.sum(below, axis=(0, 1), dtype=np.int64) - np.sum(full, axis=0)
+    finite = np.isfinite(gain, out=work.buffer("near", gain.shape))
+    below = work.buffer("low", gain.shape)
+    np.copyto(below, finite)
     if not include_empty:
-        judged -= np.sum(below[:, 0] * (full - 1), axis=0)
-    return judged
+        below[:, 0] = 0
+    itself = np.sum(below, axis=(0, 1))
+    for without, added in _halves(below):
+        added += without
+    return (np.sum(np.multiply(below, finite, out=below), axis=(0, 1))
+            - itself).astype(np.int64)
+
+
+def _pair_margins(gains: np.ndarray, pairs: np.ndarray, work, overflow: bool):
+    """The margins of (n, 2^(n-1), k) gains over `_scan_index` pairs, in
+    the loop's order, in chunks of about _SCAN_BLOCK: whole x rows where
+    they fit, and runs of one row's pairs where they do not.
+
+    Yields (x0, index, margins): margins[j] holds table j's margins of rows
+    x0.. over the pairs in index, row by row. Each pair gather copies a run
+    of k values, into "near" (the A side) or "gain" (the B side); the
+    margins are then copied table by table into "gain", so that per-table
+    passes run along contiguous rows. With overflow, a margin that
+    overflowed is set to NaN, like one that meets an off-domain gain.
+    """
+    n, _, k = gains.shape
+    span = max(1, min(pairs.shape[1], _SCAN_BLOCK // k))
+    step = max(1, _SCAN_BLOCK // (span * k))
+    for x0 in range(0, n, step):
+        for p0 in range(0, pairs.shape[1], span):
+            index = pairs[:, p0:p0 + span]
+            shape = (min(step, n - x0), index.shape[1], k)
+            # mode="clip" writes straight into out; the default "raise"
+            # buffers a fresh copy first. Both indexes are in range.
+            margin, other = (np.take(gains[x0:x0 + step], side, axis=1, mode="clip",
+                                     out=work.buffer(name, shape))
+                             for side, name in zip(index, ("near", "gain")))
+            with np.errstate(over="ignore"):
+                np.subtract(margin, other, out=margin)
+            per = work.buffer("gain", (k, margin.size // k))
+            np.copyto(per, margin.reshape(-1, k).T)
+            if overflow:
+                np.copyto(per, math.nan, where=np.isinf(per))
+            yield x0, index, per
 
 
 def dr_scan(table: np.ndarray, n: int, tol: float, include_empty: bool,
@@ -247,114 +291,90 @@ def dr_scan(table: np.ndarray, n: int, tol: float, include_empty: bool,
     Comparisons are taken x by x and, for each x, in the index's order;
     violations are stored in that order.
 
-    The whole stack is judged in one pass, in chunks of about _SCAN_BLOCK
-    margins. The gains are laid out as (n, 2^(n-1), k), tables innermost,
-    in the thread's "gain" buffer, so that each pair gather copies a run of
-    k values into "margin" (the A side) or "other" (the B side). An
-    off-domain gain becomes NaN, and so does every margin it enters, which
-    the NaN-ignoring minimum and the comparison with -tol both pass over:
-    no per-triple finiteness pass is needed, and `compared` comes in closed
-    form from the finite gains (`_judged`). Only a chunk whose smallest
-    margin is below -tol is compared with -tol, in "bad", counted and
-    listed. A chunk of more margins per table than tables first copies
-    them table by table into "other", so that each per-table pass runs
-    along a contiguous row. The loop's own steps are kept for three cases:
-    a chunk with a zero minimum finds the first zero in scan order, whose
-    sign the loop kept; and a call of one chunk, where one count costs less
-    than the closed form, or with a finite gain beyond half the largest
-    float, whose margins may overflow, counts each chunk's finite margins,
-    in "bad", and sets the others to NaN.
+    The gains are laid out as (n, 2^(n-1), k), tables innermost, in the
+    thread's "gain" buffer, with NaN for an off-domain gain, which every
+    NaN-ignoring minimum passes over; `compared` comes in closed form from
+    the finite gains (`_judged`). Every table is then judged by its submask
+    minima: n - 1 `fmin` passes over the bits leave in "low" the least gain
+    over the submasks of each B (A = 0 only with include_empty) and in
+    "near" the least over its proper ones, and the least of near - gain is
+    the table's min_margin, since rounding is monotone. Only a table whose
+    minimum is below -tol, or exactly zero (the loop kept the sign of the
+    first zero it met), or that has a finite gain beyond half the largest
+    float (its margins may overflow, and the loop skipped those) is judged
+    pair by pair: its gains are gathered into "low", its margins compared in
+    chunks (`_pair_margins`), and then the first violating table's
+    violations are listed x by x.
     """
     t = np.asarray(table, dtype=np.float64)
-    stack = t.reshape(-1, t.shape[-1])
-    k = stack.shape[0]
-    sets, upper, a_low, b_low = _scan_index(n, include_empty)
-    pairs = a_low.size
+    by_set = np.ascontiguousarray(t.reshape(-1, t.shape[-1]).T)
+    k = by_set.shape[1]
+    sets, upper, pairs = _scan_index(n, include_empty)
     work = kernels.thread_workspace()
-    by_set = np.ascontiguousarray(stack.T)
     gain = np.take(by_set, upper, axis=0, out=work.buffer("gain", upper.shape + (k,)),
                    mode="clip")
-    below = np.take(by_set, sets, axis=0, out=work.buffer("other", gain.shape),
-                    mode="clip")
+    low = np.take(by_set, sets, axis=0, out=work.buffer("low", gain.shape), mode="clip")
+    near = work.buffer("near", gain.shape)
+    compared = np.full(k, n * pairs.shape[1], dtype=np.int64)
+    huge = np.zeros(k, dtype=bool)
     # Non-finite values only mark off-domain subsets, so nan from inf - inf
     # is expected, and so is an overflow between two finite values.
     with np.errstate(invalid="ignore", over="ignore"):
-        np.subtract(gain, below, out=gain)
-    # A chunk holds whole x rows where they fit, and a run of one row's
-    # pairs where they do not.
-    span = max(1, min(pairs, _SCAN_BLOCK // k))
-    step = max(1, _SCAN_BLOCK // (span * k))
-    counted = step >= n and span >= pairs
-    finite = None
-    if not -_HALF_MAX <= gain.min() <= gain.max() <= _HALF_MAX:
-        finite = np.isfinite(gain)
-        np.copyto(gain, math.nan, where=np.logical_not(finite))
-        counted = counted or not (-_HALF_MAX <= np.fmin.reduce(gain, axis=None)
-                                  and np.fmax.reduce(gain, axis=None) <= _HALF_MAX)
-    if counted:
-        compared = np.zeros(k, dtype=np.int64)
-    elif finite is None:
-        compared = np.full(k, n * pairs, dtype=np.int64)
-    else:
-        compared = _judged(finite, include_empty)
-    min_margin = np.full(k, math.inf)
+        np.subtract(gain, low, out=gain)
+        if not -_HALF_MAX <= gain.min() <= gain.max() <= _HALF_MAX:
+            np.copyto(gain, math.nan, where=~np.isfinite(gain))
+            huge = np.fmax.reduce(np.abs(gain, out=near), axis=(0, 1)) > _HALF_MAX
+            compared = _judged(gain, include_empty, work)
+        np.copyto(low, gain)
+        if not include_empty:
+            low[:, 0] = math.nan
+        near.fill(math.nan)
+        # Bit j moves the least over the submasks of B - {j} into both
+        # minima of B; every proper submask of B lacks a bit of B.
+        for low0, low1, _, near1 in _halves(low, near):
+            np.fmin(near1, low0, out=near1)
+            np.fmin(low1, low0, out=low1)
+        np.subtract(near, gain, out=near)
+    min_margin = np.fmin.reduce(near.reshape(-1, k), axis=0, initial=math.inf)
     count = np.zeros(k, dtype=np.int64)
     viols = []
-    first = k  # the first table with a stored violation; k while none has
-    for x0 in range(0, n, step):
-        x1 = min(x0 + step, n)
-        for p0 in range(0, pairs, span):
-            p1 = min(p0 + span, pairs)
-            shape = (x1 - x0, p1 - p0, k)
-            margin, other = (work.buffer(name, shape) for name in ("margin", "other"))
-            # mode="clip" writes straight into out; the default "raise"
-            # buffers a fresh copy first. Both indexes are in range.
-            np.take(gain[x0:x1], a_low[p0:p1], axis=1, out=margin, mode="clip")
-            np.take(gain[x0:x1], b_low[p0:p1], axis=1, out=other, mode="clip")
-            with np.errstate(over="ignore"):
-                np.subtract(margin, other, out=margin)
-            flat = margin.reshape(-1, k)
-            if flat.shape[0] > k:
-                # "other" is free once subtracted.
-                per = other.reshape(k, -1)
-                np.copyto(per, flat.T)
-                mask = work.buffer("bad", per.shape, bool)
-            else:
-                per = flat.T
-                mask = work.buffer("bad", flat.shape, bool).T
-            # per[j] is table j's margins in scan order; mask is laid out alike.
-            if counted:
-                judged = np.isfinite(per, out=mask)
-                compared += np.add.reduce(judged, axis=1, dtype=np.int64)
-                np.copyto(per, math.nan, where=np.logical_not(judged, out=mask))
-            # NaN where every margin of a table's chunk was skipped.
-            low = np.fmin.reduce(per, axis=1)
-            if low.all():
-                np.fmin(min_margin, low, out=min_margin)
-            else:
+    scan = np.flatnonzero((min_margin < -tol) | (min_margin == 0) | huge)
+    if scan.size:
+        gains = np.take(gain, scan, axis=2, mode="clip",
+                        out=work.buffer("low", gain.shape[:2] + scan.shape))
+        overflow = bool(huge[scan].any())
+        if overflow:
+            compared[scan] = 0
+        # A table with a zero minimum or overflowing margins takes its
+        # minimum from the pairs; the others already have theirs.
+        redo = (min_margin[scan] == 0) | huge[scan]
+        least = np.full(scan.size, math.inf)
+        for _, _, margin in _pair_margins(gains, pairs, work, overflow):
+            if overflow:
+                compared[scan] += np.add.reduce(np.isfinite(margin), axis=1)
+            if redo.any():
+                # NaN where every margin of a table's chunk was skipped.
+                here = np.fmin.reduce(margin, axis=1)
                 # The loop kept the first of equal minima and replaced a
                 # minimum only when strictly lower, so a zero minimum keeps
                 # the sign of the first zero it met.
-                zero = np.flatnonzero(low == 0)
-                low[zero] = per[zero, np.argmax(per[zero] == 0, axis=1)]
-                min_margin = np.where(low < min_margin, low, min_margin)
-            if not np.fmin.reduce(low) < -tol:
-                continue
-            bad = np.less(per, -tol, out=mask)
-            count += np.add.reduce(bad, axis=1, dtype=np.int64)
-            hits = np.flatnonzero(low < -tol) if max_stored else ()
-            if len(hits) and hits[0] <= first:
-                if hits[0] < first:
-                    first, viols = int(hits[0]), []
-                rows, cols = np.divmod(
-                    np.flatnonzero(bad[first])[:max_stored - len(viols)], p1 - p0)
-                x, a, b = x0 + rows, a_low[p0 + cols], b_low[p0 + cols]
+                zero = np.flatnonzero(here == 0)
+                here[zero] = margin[zero, np.argmax(margin[zero] == 0, axis=1)]
+                least = np.where(here < least, here, least)
+            count[scan] += np.add.reduce(margin < -tol, axis=1)
+        min_margin[scan[redo]] = least[redo]
+        first = np.flatnonzero(count[scan])
+        if first.size and max_stored:
+            one = np.take(gains, first[:1], axis=2)
+            for x0, index, margin in _pair_margins(one, pairs, work, overflow):
+                found = np.flatnonzero(margin[0] < -tol)[:max_stored - len(viols)]
+                rows, cols = np.divmod(found, index.shape[1])
+                x, (a, b) = x0 + rows, index[:, cols]
                 viols.extend(zip(sets[x, a].tolist(), sets[x, b].tolist(), x.tolist(),
-                                 gain[x, a, first].tolist(), gain[x, b, first].tolist()))
-    skipped = n * pairs - compared
+                                 one[x, a, 0].tolist(), one[x, b, 0].tolist()))
+                if len(viols) == max_stored:
+                    break
+    tallies = (min_margin, compared, n * pairs.shape[1] - compared, count)
     if t.ndim == 1:
-        return (float(min_margin[0]), int(compared[0]), int(skipped[0]),
-                int(count[0]), viols)
-    lead = t.shape[:-1]
-    return (min_margin.reshape(lead), compared.reshape(lead), skipped.reshape(lead),
-            count.reshape(lead), viols)
+        return (float(min_margin[0]), *(int(v[0]) for v in tallies[1:]), viols)
+    return (*(v.reshape(t.shape[:-1]) for v in tallies), viols)

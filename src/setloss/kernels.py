@@ -115,10 +115,11 @@ class Workspace:
     writes "d" only under rbf and neg-euclidean, 8 n^2 bytes (5.1 MB at
     n = 800), and "s" and "cos" under cosine; all four n x n names take
     32 n^2. The lattice scans add "gain", every gain of a scan's stack of
-    tables, the float margin chunks "margin" and "other", and their bool
-    mask "bad": 0.94 MB for a 200-table scan at n = 6, and at most 1.5 MB
-    from n = 8 to 12. Stacks of kernel matrices are not built in a
-    workspace.
+    tables, and "low" and "near", its submask minima; the pair scan of the
+    tables that can violate reuses all three for their gains and margin
+    chunks. They take 0.92 MB for a 200-table scan at n = 6, and at most
+    1.6 MB for a full stack of `tables_per_scan` tables at any n. Stacks of
+    kernel matrices are not built in a workspace.
     """
 
     def __init__(self):

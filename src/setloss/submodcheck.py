@@ -15,20 +15,20 @@ Conventions the scan relies on:
     an empty complement's log-sum-exp) produce non-finite gains; such
     comparisons are tallied as skipped, never judged.
   * A scan that would compare nothing (n < 3, or n < 2 with the empty
-    set included, or no draws) raises ValidationError: a "consistent"
-    verdict would rest on no evidence.
+    set included, or no draws) raises ValidationError before anything is
+    drawn: a "consistent" verdict would rest on no evidence.
 
 A multi-draw scan does not build one batch per draw. It draws a stack of
 seeded batches in one call (`draw_stack`, bit for bit the batches
 `draw_batch` gives one at a time) and builds their kernels as one
 (k, n, n) stack and their value tables as one (k, 2^n) array, about 60
-draws at a time at n = 6 (`backend.tables_per_block`). A full scan
-DR-scans the tables of up to `backend.tables_per_scan(n)` draws, all 200
-of a verdict row at n = 6, in one backend call; a search that stops early
-scans each stack as it comes. It then totals the per-draw tallies in draw
-order and keeps the first violating draw's violations, so every result is
-the one a draw-by-draw scan gives; `exhaustive_dr_check` is the same engine
-on a stack of one.
+draws at a time at n = 6 (`backend.tables_per_block`), and DR-scans the
+whole stack in one backend call: up to `backend.tables_per_scan(n)` draws,
+all 200 of a verdict row at n = 6; a search that stops early starts with
+one draw and doubles its stacks. It then totals the per-draw tallies
+in draw order and keeps the first violating draw's violations, so every
+result is the one a draw-by-draw scan gives; `exhaustive_dr_check` is the
+same engine on a stack of one.
 
 Two search flows feed the verdict table, routed by what the paper claims
 (each `objectives` record's claim), not by what has since been proved.
@@ -137,30 +137,27 @@ def _check_size(n: int) -> None:
 
 
 def _table(objective: str, z: np.ndarray, config: losses.LossConfig) -> np.ndarray:
-    """The value table of (n, dim) embeddings, or the (k, 2^n) tables of a
-    (k, n, dim) stack of them."""
-    _check_size(z.shape[-2])
+    """The (k, 2^n) value tables of a (k, n, dim) stack of embeddings,
+    tabulated `backend.tables_per_block(n)` draws at a time, which bounds
+    the kernels' and the terms' temporaries. Its callers refuse a stack
+    past ENUMERATION_BOUND first."""
     cfg = replace(config, objective=objective)
-    s, d = losses.matrices(z, cfg)
-    return backend.value_table(objectives.get(objective), s, d, cfg.lam, cfg.margin)
+    step = backend.tables_per_block(z.shape[-2])
+    return np.concatenate([
+        backend.value_table(objectives.get(objective), *losses.matrices(z[i:i + step], cfg),
+                            cfg.lam, cfg.margin)
+        for i in range(0, len(z), step)])
 
 
-def _scan_stack(tables: np.ndarray, n: int, tolerance: float, include_empty: bool,
-                max_stored: int = MAX_STORED):
-    """One `backend.dr_scan` of a (k, 2^n) stack of value tables:
-    (min_margin, compared, skipped, count) arrays over the k draws, and the
-    first violating draw's violations, their sets still as bitmasks.
-
-    Every draw meets the same comparisons, so a first draw that compared
-    and skipped nothing means the scan's index is empty: a verdict would
-    rest on no evidence, and the scan is refused instead.
-    """
-    *tallies, viols = backend.dr_scan(tables, n, tolerance, include_empty, max_stored)
-    if tallies[1][0] + tallies[2][0] == 0:
+def _check_index(n: int, include_empty: bool) -> None:
+    """A scan with no triple to compare would rest a verdict on no
+    evidence; it is refused before anything is drawn or tabulated. Every
+    triple needs x outside B and A a proper subset of B, with A nonempty
+    unless the empty set is included."""
+    if n < (2 if include_empty else 3):
         raise ValidationError(
             f"no triple to compare at n = {n}: the scan needs n >= 3, "
             f"or n >= 2 when it includes the empty set")
-    return tallies, viols
 
 
 def exhaustive_dr_check(objective: str, batch: EmbeddingBatch,
@@ -169,8 +166,10 @@ def exhaustive_dr_check(objective: str, batch: EmbeddingBatch,
                         include_empty: bool = False) -> LatticeCheckResult:
     """Scan every diminishing-returns triple of the batch's subset lattice."""
     _check_tolerance(tolerance)
-    tallies, viols = _scan_stack(_table(objective, batch.vectors[None], config),
-                                 batch.n, tolerance, include_empty)
+    _check_size(batch.n)
+    _check_index(batch.n, include_empty)
+    *tallies, viols = backend.dr_scan(_table(objective, batch.vectors[None], config),
+                                      batch.n, tolerance, include_empty, MAX_STORED)
     return _merge(objective, batch.n, [tallies], viols)
 
 
@@ -199,50 +198,45 @@ def _scan_draws(objective: str, config: losses.LossConfig, n: int,
     one when stopping early, and merge them. count_name is the caller's name
     for draws, which its errors give.
 
-    Draws are drawn and tabulated as stacks of `backend.tables_per_block(n)`.
-    A full scan then judges the tables of up to `backend.tables_per_scan(n)`
-    draws in one `backend.dr_scan` call, all 200 of a verdict row at n = 6.
-    When stopping early each stack is judged as it is tabulated, and the
-    stacks start at one draw and double, so a search that stops at draw i
-    tabulates fewer than 2(i + 1) draws. A stack that raises is tabulated
-    again one draw at a time, as a serial scan meets its draws: the first
-    draw's error surfaces, and none from a draw after the stop.
+    Draws are drawn, tabulated (`_table`) and judged as stacks, each in one
+    `backend.dr_scan` call: stacks of `backend.tables_per_scan(n)` draws, 341
+    at n = 6 (so all 200 of a verdict row) and two at n = 12, or, when
+    stopping early, stacks that start at one draw and double up to that
+    size, so a search that stops at draw i tabulates fewer than 2(i + 1)
+    draws. A stack that raises is tabulated again one draw at a time, as a
+    serial scan meets its draws: the first draw's error surfaces, and none
+    from a draw after the stop.
     """
     _check_tolerance(tolerance)
     check_integers(n=n, **{count_name: draws})
     _check_size(n)
     if draws < 1:
         raise ValidationError(f"a scan needs at least one draw, got {count_name} = {draws}")
+    _check_index(n, False)
     rng = Rng(seed)
-    cap = backend.tables_per_block(n)
+    cap = backend.tables_per_scan(n)
     size = 1 if stop_early else cap
-    per_scan = 0 if stop_early else backend.tables_per_scan(n)
-    parts, viols, tables = [], [], []
+    parts, viols = [], []
     start = single_until = 0
     while start < draws:
         stop = min(start + (1 if start < single_until else size), draws)
         try:
-            tables.append(_table(objective, draw_stack(rng, start, stop, n), config))
+            tables = _table(objective, draw_stack(rng, start, stop, n), config)
         except SetLossError:
             if stop - start == 1:
                 raise
             single_until = stop
             continue
         start = stop
-        if start < draws and sum(map(len, tables)) + cap <= per_scan:
-            continue
-        tallies, found = _scan_stack(np.concatenate(tables), n, tolerance, False,
-                                     0 if viols else MAX_STORED)
-        tables = []
+        *tallies, found = backend.dr_scan(tables, n, tolerance, False,
+                                          0 if viols else MAX_STORED)
         viols = viols or found
-        count = tallies[3]
-        if stop_early and count.any():
-            cut = int(np.argmax(count > 0)) + 1
+        if stop_early and tallies[3].any():
+            cut = int(np.argmax(tallies[3] > 0)) + 1
             parts.append([t[:cut] for t in tallies])
             break
         parts.append(tallies)
-        if stop_early:
-            size = min(2 * size, cap)
+        size = min(2 * size, cap)
     return _merge(objective, n, parts, viols)
 
 

@@ -296,6 +296,71 @@ def test_dr_scan_matches_oracle_across_blocks():
             assert repr(new) == repr(old), (name, max_stored)
 
 
+def _loop_pairs(n, include_empty):
+    """The frozen loop's (A, B) pairs on the n - 1 bits other than x, in its
+    order: B down the subsets, A down the proper submasks of B."""
+    rest = (1 << (n - 1)) - 1
+    pairs = []
+    b = rest
+    while True:
+        a = b
+        while True:
+            if a != b and (include_empty or a != 0):
+                pairs.append((a, b))
+            if a == 0:
+                break
+            a = (a - 1) & b
+        if b == 0:
+            break
+        b = (b - 1) & rest
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
+def whole_row_scan(table, n, tol, include_empty, max_stored=1000):
+    """`dr_scan`'s results from every x's margins at once: g[a] - g[b] over
+    the loop's pairs, with non-finite margins skipped. np.argmin returns the
+    first of equal minima, as the loop kept it."""
+    a_low, b_low = _loop_pairs(n, include_empty)
+    low = np.arange(1 << (n - 1))
+    min_margin, compared, skipped, count, viols = math.inf, 0, 0, 0, []
+    for x in range(n):
+        sets = (low >> x << (x + 1)) | (low & ((1 << x) - 1))
+        with np.errstate(invalid="ignore", over="ignore"):
+            g = table[sets | (1 << x)] - table[sets]
+            margin = g[a_low] - g[b_low]
+        finite = np.isfinite(margin)
+        compared += int(np.sum(finite))
+        skipped += int(np.sum(~finite))
+        judged = np.where(finite, margin, math.inf)
+        if judged.size and judged[np.argmin(judged)] < min_margin:
+            min_margin = float(judged[np.argmin(judged)])
+        bad = np.flatnonzero(finite & (margin < -tol))
+        count += bad.size
+        viols += [(int(sets[a_low[i]]), int(sets[b_low[i]]), x, float(g[a_low[i]]),
+                   float(g[b_low[i]])) for i in bad[:max_stored - len(viols)]]
+    return min_margin, compared, skipped, count, viols
+
+
+@pytest.mark.parametrize("n", (6, 9, 10, 11, 12))
+def test_dr_scan_matches_a_whole_row_oracle_past_the_loop(n):
+    # From n = 9 on the frozen loop is too slow; at n = 6 it vouches for the
+    # whole-row oracle. Each table is judged alone and in a stack of the two.
+    for name in objectives.OBJECTIVES:
+        for kernel in KERNELS:
+            tables = [pure.value_table(objectives.get(name), *instance(seed, n, kernel),
+                                       LAM, EPS) for seed in (0, 1)]
+            lone = [whole_row_scan(t, n, 1e-9, False) for t in tables]
+            if n == 6:
+                assert repr(lone) == repr([dr_scan(t, n, 1e-9, False) for t in tables])
+            for t, old in zip(tables, lone):
+                new = new_without_warnings(pure.dr_scan, t, n, 1e-9, False)
+                assert repr(new) == repr(old), (name, kernel)
+            got = new_without_warnings(pure.dr_scan, np.stack(tables), n, 1e-9, False)
+            assert [[repr(v) for v in tally.tolist()] for tally in got[:4]] == [
+                [repr(old[f]) for old in lone] for f in range(4)], (name, kernel)
+            assert got[4] == next((old[4] for old in lone if old[3]), [])
+
+
 def test_dr_scan_keeps_the_sign_of_the_first_zero_minimum():
     # With the empty set included, n = 2 has two triples; both margins are
     # zero here, one of them -0.0, and the loop keeps whichever came first.

@@ -151,14 +151,16 @@ def test_stacked_value_tables_equal_per_draw_tables(name, config):
             assert _same_bits(tables[k], lone), (n, k)
 
 
-# n = 4 scans in one stack, n = 6 crosses two stack boundaries (60 draws a
-# stack) and n = 8 eleven (4 a stack).
-SCANS = [(4, 200), (6, 130), (8, 45)]
+# n = 4 and 6 scan in one stack (2048 and 341 draws a stack), n = 8 crosses
+# one stack boundary (64 draws a stack) and n = 10 one (12 a stack). Every
+# n but 4 tabulates its stacks in several blocks (60 draws a block at n = 6).
+SCANS = [(4, 200), (6, 130), (8, 70), (10, 15)]
 
 
 @pytest.mark.parametrize("config", [COSINE, RBF], ids=["cosine", "rbf"])
 @pytest.mark.parametrize("n,draws", SCANS)
 def test_consistency_scans_match_the_per_draw_loop(n, draws, config):
+    assert (backend.tables_per_scan(n) < draws) == (n >= 8)
     assert backend.tables_per_block(n) < draws or n == 4
     for name in objectives.OBJECTIVES:
         got = submodcheck.consistency_scan(name, n, draws, seed=n, config=config)
@@ -368,7 +370,7 @@ def test_two_threads_scanning_at_once_each_get_their_serial_result():
 def test_a_warm_scan_builds_its_margins_without_new_memory():
     # Allocating its margins per block, this scan peaked at 1.77 MB: two
     # gathered gain blocks, their difference and its masked copy, about
-    # 0.5 MB each. In the arena it peaks at about 0.33 MB.
+    # 0.5 MB each. In the arena it peaks at about 0.4 MB.
     submodcheck.consistency_scan("gc-cf", n=6, draws=200)
     tracemalloc.start()
     try:

@@ -278,6 +278,23 @@ def test_enumeration_bound_enforced():
         submodcheck.exhaustive_dr_check("fl", b, RBF)
 
 
+@pytest.mark.parametrize("include_empty", [False, True])
+def test_a_batch_past_the_bound_is_refused_before_any_index_is_built(
+        monkeypatch, include_empty):
+    # The scan index of n points holds 3^(n-1) pairs; at n = 30 building it
+    # would exhaust memory long before the size check could refuse the batch.
+    def unreached(*args):
+        raise AssertionError("a batch past the bound reached the backend")
+
+    for name in ("_scan_index", "dr_scan", "value_table"):
+        monkeypatch.setattr(submodcheck.backend, name, unreached)
+    b = submodcheck.draw_batch(Rng(1), 30)
+    with pytest.raises(GroundSetTooLarge):
+        submodcheck.exhaustive_dr_check("fl", b, RBF, include_empty=include_empty)
+    with pytest.raises(GroundSetTooLarge):
+        submodcheck.consistency_scan("fl", n=30, draws=2)
+
+
 def test_verdict_table_and_csv_round_trip():
     results = submodcheck.verdict_table(["fl", "supcon"], draws=20, max_draws=50)
     by_name = {r.objective: r for r in results}
@@ -368,9 +385,13 @@ def test_a_scan_takes_numpy_integer_counts():
 NO_EVIDENCE = {
     "consistency_scan": [lambda: submodcheck.consistency_scan("fl", n=2),
                          lambda: submodcheck.consistency_scan("fl", n=1),
+                         lambda: submodcheck.consistency_scan("fl", n=0),
+                         lambda: submodcheck.consistency_scan("fl", n=-1),
                          lambda: submodcheck.consistency_scan("fl", draws=0)],
     "counterexample_search": [
         lambda: submodcheck.counterexample_search("supcon", n=2),
+        lambda: submodcheck.counterexample_search("supcon", n=0),
+        lambda: submodcheck.counterexample_search("supcon", n=-1),
         lambda: submodcheck.counterexample_search("supcon", max_draws=0)],
     "exhaustive_dr_check": [lambda: submodcheck.exhaustive_dr_check(
         "fl", submodcheck.draw_batch(Rng(0), 2), RBF)],
@@ -381,6 +402,19 @@ NO_EVIDENCE = {
 def test_a_public_scan_refuses_to_compare_nothing(entry):
     for scan in NO_EVIDENCE[entry]:
         with pytest.raises(ValidationError, match="no triple|at least one draw"):
+            scan()
+
+
+def test_a_scan_with_no_triple_draws_and_tabulates_nothing(monkeypatch):
+    def unreached(*args):
+        raise AssertionError("a scan with no triple drew or tabulated")
+
+    monkeypatch.setattr(submodcheck, "draw_stack", unreached)
+    monkeypatch.setattr(submodcheck, "_table", unreached)
+    for scan in (lambda: submodcheck.consistency_scan("fl", n=2),
+                 lambda: submodcheck.counterexample_search("supcon", n=2),
+                 NO_EVIDENCE["exhaustive_dr_check"][0]):
+        with pytest.raises(ValidationError, match="no triple to compare at n = 2"):
             scan()
 
 

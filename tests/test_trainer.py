@@ -597,10 +597,10 @@ def test_a_scan_and_a_training_run_share_one_thread_workspace(monkeypatch):
     ((work, peaks),) = _in_threads(job)
     assert {id(w) for w, _ in asked} == {id(work)}
     names = {name for _, name in asked}
-    # The scan lays its gains out in "gain" and gathers their pairs into
-    # "margin" and "other"; one chunk of margins counts its finite ones in
-    # "bad". A gc-cf step writes its weights over its kernel: in "d" under
-    # rbf and neg-euclidean, in "s" under cosine, whose pullback adds "cos".
-    assert {"gain", "margin", "other", "bad", "d", "s", "cos"} <= names
-    assert not {"gram", "wdist", "mask", "ws", "finite"} & names
+    # The scan lays its gains out in "gain" and takes their submask minima
+    # in "low" and "near"; none of its tables has a margin to pair-scan. A
+    # gc-cf step writes its weights over its kernel: in "d" under rbf and
+    # neg-euclidean, in "s" under cosine, whose pullback adds "cos".
+    assert {"gain", "low", "near", "d", "s", "cos"} <= names
+    assert not {"gram", "wdist", "mask", "ws", "finite", "margin", "other", "bad"} & names
     assert max(peaks) < 150 * 150 * 8
