@@ -70,16 +70,17 @@ def term_value(obj: Objective, s: np.ndarray, d: np.ndarray | None,
                members, lam: float, eps: float, whole) -> float:
     """Term of one objective over one index set A of distinct indices.
 
-    s is the similarity matrix, d the distance matrix that records with a
-    `distance` read, and whole the record's `whole_value` of s.
+    s and d are the similarity and distance matrices, each None unless the
+    record `reads` it, and whole the record's `whole_value` of s.
     """
     members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         return 0.0
-    inside = np.zeros(s.shape[-1], dtype=bool)
+    n = (d if s is None else s).shape[-1]
+    inside = np.zeros(n, dtype=bool)
     inside[members] = True
     # A repeated member leaves the complement short, and the reshape raises.
-    comp = np.flatnonzero(~inside).reshape(1, s.shape[-1] - members.size)
+    comp = np.flatnonzero(~inside).reshape(1, n - members.size)
     return float(obj.term(s, d, members[None], comp, lam, eps, whole)[0])
 
 
@@ -134,17 +135,18 @@ def value_table(obj: Objective, s: np.ndarray, d: np.ndarray | None,
                 lam: float, eps: float) -> np.ndarray:
     """Objective value for every subset of V, indexed by bitmask.
 
-    s and d may be (..., n, n) stacks; the tables are then (..., 2^n), one
-    per matrix, each the bits that matrix's own table has. The cached index
-    and the largest cardinality's gathered blocks grow as n 2^n per matrix,
-    so tables stay cheap up to n of about 16; the submodularity checker
-    stops at 12.
+    s and d are each None unless the record `reads` it, and may be
+    (..., n, n) stacks; the tables are then (..., 2^n), one per matrix,
+    each the bits that matrix's own table has. The cached index and the
+    largest cardinality's gathered blocks grow as n 2^n per matrix, so
+    tables stay cheap up to n of about 16; the submodularity checker stops
+    at 12.
     """
-    n = s.shape[-1]
+    *lead, n = (d if s is None else s).shape[:-1]
     if n > MAX_TABLE_N:
         raise ValueError(f"subset table limited to {MAX_TABLE_N} points, got {n}")
     whole = obj.whole_value(s, lam)
-    out = np.zeros(s.shape[:-2] + (1 << n,))
+    out = np.zeros((*lead, 1 << n))
     for bits, members, comp in _lattice(n):
         out[..., bits] = obj.term(s, d, members, comp, lam, eps, whole)
     return out
@@ -321,7 +323,9 @@ def dr_scan(table: np.ndarray, n: int, tol: float, include_empty: bool,
     # is expected, and so is an overflow between two finite values.
     with np.errstate(invalid="ignore", over="ignore"):
         np.subtract(gain, low, out=gain)
-        if not -_HALF_MAX <= gain.min() <= gain.max() <= _HALF_MAX:
+        # Zero lies inside the range, so initial=0.0 moves no bound; it
+        # gives n = 0, which has no gains, a minimum and a maximum.
+        if not -_HALF_MAX <= gain.min(initial=0.0) <= gain.max(initial=0.0) <= _HALF_MAX:
             np.copyto(gain, math.nan, where=~np.isfinite(gain))
             huge = np.fmax.reduce(np.abs(gain, out=near), axis=(0, 1)) > _HALF_MAX
             compared = _judged(gain, include_empty, work)

@@ -2,31 +2,35 @@
 
 Each objective is linear in a set of per-entry weights W. Its record's
 weight rule (see `objectives`) writes, for the whole batch in one call, the
-doubled weights M = W + W.T of dL/dS_ij, and of dL/dD_ij or dL/dD^2_ij:
-every kernel is symmetric, so the pullbacks in `kernels` read each entry
-weight in both orientations at once. The rules read the batch's own
-`batch.ClassPartition` (`EmbeddingBatch.classes`, built with the batch),
-the record's `whole` the loss evaluation computed and, for fl, the argmax
-its term picked. The pairwise rules write M from per-row vectors and each
-class's diagonal block (a view where the class is a run of rows, else a
-gathered copy written back), and fl from its picks, with no transposed
-read; the loop-built rules (triplet, snn, submod-snn, submod-supcon) and
-the log-det rules build W and fold it. `objectives.Scaled` zeroes M's
-diagonal, every kernel diagonal being constant, and this module pulls M
-back to the embeddings through the kernel chain rules in `kernels`.
+doubled weights M = W + W.T of dL/dS_ij and of dL/dD_ij or dL/dD^2_ij,
+each only for a matrix the record `reads`: every kernel is symmetric, so
+the pullbacks in `kernels` read each entry weight in both orientations at
+once. The rules read the batch's own `batch.ClassPartition`
+(`EmbeddingBatch.classes`, built with the batch), the record's `whole` the
+loss evaluation computed and, for fl, the argmax its term picked. The
+pairwise rules write M from per-row vectors and each class's diagonal
+block (a view where the class is a run of rows, else a gathered copy
+written back), and fl from its picks, with no transposed read; the
+loop-built rules (triplet, snn, submod-snn, submod-supcon) and the log-det
+rules build W and fold it. `objectives.Scaled` zeroes M's diagonal, every
+kernel diagonal being constant, and this module pulls M back to the
+embeddings through the kernel chain rules in `kernels`.
 
 Every entry weight has one destination: the kernel matrix it pulls back
 through, S for dL/dS and D for dL/dD or dL/dD^2. The rule writes M there
 in the one form that matrix's pullback reads (`kernels.WEIGHT_FORMS`): M
 under cosine and for D^2, M o S under rbf, and M / S or M / D, zero at
-coincident points, under neg-euclidean and for D. The strip forms go a
+coincident points, under neg-euclidean and for D. The gradient pulls back
+through each matrix the evaluation built, and through no other: a D^2
+weight as twice the distance pullback, and a record that reads no S
+(triplet) through no similarity pullback at all. The strip forms go a
 strip of rows at a time, each entry one rounding of M_ij x S_ij or
 M_ij / K_ij: the bits of M turned into its form afterwards. Given a
 workspace, the gradient hands the rule the evaluation's own S and D, and
 a training step writes M into no n x n array of its own (a rule that
-builds W builds it in the workspace's "ws"). Given none, it
-hands it copies, and the evaluation is left as it was built, for the
-gradient check's kink rules to read.
+builds W builds it in the workspace's "ws"). Given none, it hands it
+copies, and the evaluation is left as it was built, for the gradient
+check's kink rules to read.
 
 Nonsmooth points are handled by fixed subgradient choices: the
 facility-location max takes the lowest-index argmax, and a triplet hinge
@@ -80,23 +84,26 @@ class GradCheckReport:
 
 def _entry_weights(obj, kind, s, d, classes, lam, eps, whole, workspace=None,
                    picks=None):
-    """(m, mdist): the doubled weights of dL/dS and, for a record with a
-    `distance`, of dL/dD or dL/dD^2, else None; each M = W + W.T with a
-    zero diagonal, written over the kernel matrix it belongs to, s or d, in
-    the form that matrix's pullback reads (`kernels.WEIGHT_FORMS`, keyed by
-    the kernel `kind` and by `obj.distance`).
+    """Write over s and d, each where it is given (not None), the doubled
+    weights M = W + W.T, with a zero diagonal, of dL/dS and of dL/dD or
+    dL/dD^2, in the form that matrix's pullback reads
+    (`kernels.WEIGHT_FORMS`, keyed by the kernel `kind` and by the
+    distance the record `reads`).
 
     classes is the batch's `ClassPartition`, whole the record's
     `whole_value` of s, and picks the evaluation's `picks` (fl's). A
-    folding rule builds its W in the workspace's "ws" buffer, which the
-    other rules never ask for.
+    folding rule builds its W in the workspace's "ws" buffer, zeroed
+    first, which the other rules never ask for.
     """
-    forms = kernels.WEIGHT_FORMS
-    dout = None if obj.distance is None else objectives.Scaled(d, forms[obj.distance])
-    obj.weights(objectives.Scaled(s, forms[kind]), dout,
-                lambda: kernels.workspace_buffer(workspace, "ws", s.shape),
-                s, d, classes, picks, lam, eps, whole)
-    return s, None if dout is None else d
+    shape = (s if d is None else d).shape
+    out, dout = (None if k is None else objectives.Scaled(k, kernels.WEIGHT_FORMS[key])
+                 for k, key in ((s, kind), (d, obj.reads[-1])))
+
+    def scratch():
+        w = kernels.workspace_buffer(workspace, "ws", shape)
+        w.fill(0.0)
+        return w
+    obj.weights(out, dout, scratch, s, d, classes, picks, lam, eps, whole)
 
 
 def evaluation_gradient(ev: losses.Evaluation,
@@ -113,18 +120,19 @@ def evaluation_gradient(ev: losses.Evaluation,
     config = ev.config
     obj = objectives.get(config.objective)
     s, d = (ev.s, ev.d) if workspace is not None else (
-        ev.s.copy(), None if ev.d is None else ev.d.copy())
-    m, mdist = _entry_weights(obj, config.kernel, s, d, ev.batch.classes, config.lam,
-                              config.margin, ev.whole, workspace, ev.picks)
+        None if k is None else k.copy() for k in (ev.s, ev.d))
+    _entry_weights(obj, config.kernel, s, d, ev.batch.classes, config.lam,
+                   config.margin, ev.whole, workspace, ev.picks)
 
     z = ev.batch.vectors
-    # An all-zero m pulls back to signed zeros, which the add makes +0.0.
+    # An all-zero M pulls back to signed zeros, which the add makes +0.0.
     grad = np.zeros_like(z)
-    grad += kernels.similarity_pullback(z, m, config.kernel, config.bandwidth,
-                                        workspace=workspace)
-    if mdist is not None:
-        grad += (kernels.distance_pullback if obj.distance == "d"
-                 else kernels.sqdist_pullback)(z, mdist)
+    if s is not None:
+        grad += kernels.similarity_pullback(z, s, config.kernel, config.bandwidth,
+                                            workspace=workspace)
+    if d is not None:
+        # d(D^2_ij)/dz_i = 2 (z_i - z_j), twice the distance Laplacian.
+        grad += (2.0 if obj.reads[-1] == "d2" else 1.0) * kernels.distance_pullback(z, d)
     return grad
 
 
@@ -136,7 +144,10 @@ def loss_gradient(batch: EmbeddingBatch, config: losses.LossConfig) -> np.ndarra
 
 def finite_difference_gradient(batch: EmbeddingBatch, config: losses.LossConfig,
                                h: float = 1e-5) -> np.ndarray:
-    """Central differences of the total loss, one coordinate at a time."""
+    """Central differences of the total loss, one coordinate at a time.
+
+    Every shifted batch is built from the batch's own class partition, so
+    no shift checks or partitions the labels again."""
     if not 0 < h < np.inf:
         raise ValidationError(f"finite-difference step h must be finite and > 0, got {h}")
     z = batch.vectors
@@ -146,9 +157,9 @@ def finite_difference_gradient(batch: EmbeddingBatch, config: losses.LossConfig,
         for j in range(z.shape[1]):
             orig = work[i, j]
             work[i, j] = orig + h
-            up = losses.total_loss(EmbeddingBatch(work, batch.labels), config).total
+            up = losses.total_loss(EmbeddingBatch(work, batch.classes), config).total
             work[i, j] = orig - h
-            down = losses.total_loss(EmbeddingBatch(work, batch.labels), config).total
+            down = losses.total_loss(EmbeddingBatch(work, batch.classes), config).total
             work[i, j] = orig
             out[i, j] = (up - down) / (2.0 * h)
     return out

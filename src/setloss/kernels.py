@@ -31,9 +31,9 @@ M / K, zero where |K_ij| <= NORM_FLOOR, for K = S under neg-euclidean and
 K = D for D. The weight rules write that form over the kernel matrix K
 itself: the evaluation's own given a workspace, a copy given none. The
 neg-euclidean and distance pullbacks are then one Laplacian,
-sum_j P_ij (z_i - z_j), and the squared-distance pullback twice it. The
-single-entry kernel_gradient form exists for spot checks against finite
-differences.
+sum_j P_ij (z_i - z_j), and a D^2 weight pulls back as twice it
+(`grads.evaluation_gradient`). The single-entry kernel_gradient form
+exists for spot checks against finite differences.
 
 Every n x n array is built in place, in a buffer that a `Workspace` holds
 when the call is given one and in a fresh array when it is not, so the two
@@ -111,9 +111,11 @@ class Workspace:
     the W that a loop-built or log-det weight rule builds and adds to its
     transpose; "cos" the cosine pullback's unclipped Gram. A Gram product
     or update leaves below its diagonal whatever an earlier, larger one
-    wrote there, and the mirror overwrites it. An fl, gc-cf or supcon step
-    writes "d" only under rbf and neg-euclidean, 8 n^2 bytes (5.1 MB at
-    n = 800), and "s" and "cos" under cosine; all four n x n names take
+    wrote there, and the mirror overwrites it. A step builds only the
+    matrices its record reads (`objectives.Objective.reads`). An fl, gc-cf
+    or supcon step writes "d" only under rbf and neg-euclidean, 8 n^2 bytes
+    (5.1 MB at n = 800), and "s" and "cos" under cosine; a triplet step
+    writes only "d" and "ws" under every kernel; all four n x n names take
     32 n^2. The lattice scans add "gain", every gain of a scan's stack of
     tables, and "low" and "near", its submask minima; the pair scan of the
     tables that can violate reuses all three for their gains and margin
@@ -350,13 +352,6 @@ def distance_pullback(z: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.sum(p, axis=1)[:, None] * z - _blas.product(p, z)
 
 
-def sqdist_pullback(z: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """dL/dZ for L = sum_ij W_ij D^2_ij, given the doubled weights
-    m = W + W.T with a zero diagonal."""
-    # d(D^2_ij)/dz_i = 2 (z_i - z_j)
-    return 2.0 * distance_pullback(z, m)
-
-
 def similarity_pullback(z: np.ndarray, m: np.ndarray, kind: str,
                         bandwidth: float = 1.0, *,
                         workspace: Workspace | None = None) -> np.ndarray:
@@ -391,8 +386,9 @@ def _over(k: np.ndarray, m: np.ndarray) -> None:
 
 
 # The form of the doubled weights M that each pullback reads, keyed by
-# kernel kind and by an objective record's `distance`. form(k, m) turns rows
-# of a kernel matrix K, in k, into the form of the same rows of M, in m,
-# entry by entry, so it may go a strip of rows at a time; None is M itself.
+# kernel kind and by the distance an objective record `reads`. form(k, m)
+# turns rows of a kernel matrix K, in k, into the form of the same rows of
+# M, in m, entry by entry, so it may go a strip of rows at a time; None is
+# M itself.
 WEIGHT_FORMS = {"cosine": None, "rbf": _times, "neg-euclidean": _over,
                 "d": _over, "d2": None}

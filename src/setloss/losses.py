@@ -1,17 +1,17 @@
 """Objective values over labeled batches.
 
-Thirteen objectives share one evaluation path: build the kernel matrices,
-check the batch's class partition against the objective's domain, evaluate
-one term per class, and sum. The partition is the batch's own
-`batch.ClassPartition`, built once with the batch, so `evaluate` builds
-none; it builds the record's `whole` (its `whole_value` of S) once and
-keeps it in the `Evaluation` the gradient and the gradient check's kink
-rules read. No function below it rebuilds the partition or `whole`: the
-domain check, the totals and the weight rules take them as required
-arguments. fl's term keeps, from the one gather its max is taken from,
-each outside row's argmax, and the `Evaluation` carries those picks to the
-weight rule. The terms, and the domain each objective declares, live in
-its `objectives` record.
+Thirteen objectives share one evaluation path: build the kernel matrices
+the objective's record reads, check the batch's class partition against
+the objective's domain, evaluate one term per class, and sum. The
+partition is the batch's own `batch.ClassPartition`, built once with the
+batch, so `evaluate` builds none; it builds the record's `whole` (its
+`whole_value` of S) once and keeps it in the `Evaluation` the gradient and
+the gradient check's kink rules read. No function below it rebuilds the
+partition or `whole`: the domain check, the totals and the weight rules
+take them as required arguments. fl's term keeps, from the one gather its
+max is taken from, each outside row's argmax, and the `Evaluation` carries
+those picks to the weight rule. The terms, and the domain each objective
+declares, live in its `objectives` record.
 """
 
 from __future__ import annotations
@@ -71,12 +71,16 @@ def matrices(batch: EmbeddingBatch, config: LossConfig,
              workspace: kernels.Workspace | None = None):
     """(similarity, distance) matrices for one batch under one config.
 
-    D is built only for objectives that read it, from the same squared
-    distances as S where the kernel uses them. Both are built in
-    `workspace` when given one. batch may also be a (..., n, d) array, a
-    stack of embeddings; the matrices are then (..., n, n) stacks.
+    Each is built only if the objective's record `reads` it, and is None
+    otherwise: S for "s", D for "d" or "d2". Where both are built, D comes
+    from the same squared distances as S if the kernel uses them. Both are
+    built in `workspace` when given one. batch may also be a (..., n, d)
+    array, a stack of embeddings; the matrices are then (..., n, n) stacks.
     """
-    if objectives.get(config.objective).distance is None:
+    reads = objectives.get(config.objective).reads
+    if "s" not in reads:
+        return None, kernels.euclidean_distance(batch, workspace)
+    if len(reads) == 1:
         return kernels.similarity(batch, config.kernel, config.bandwidth,
                                   workspace), None
     return kernels.similarity_and_distance(batch, config.kernel, config.bandwidth,
@@ -118,22 +122,22 @@ def check_preconditions(config: LossConfig, classes: ClassPartition,
 class Evaluation:
     """One scoring of a batch, with the matrices it used.
 
-    The gradient is taken from these same S, D, `whole` (the record's
-    `whole_value` of S) and `picks` (what a record's `picking_term` chose,
-    per class: fl's first argmax of each complement row; None for the other
-    records), and from the class partition `batch.classes` that the batch
-    built with itself, so a training step builds its kernel, its partition,
-    n-pairs' and supcon's row sums and fl's gathered blocks once. An S or
-    D built in a workspace is valid until that workspace's next kernel
-    build. A gradient taken from the evaluation with any workspace writes
-    its entry weights over S and D, wherever they were built; a gradient
-    taken without one writes over copies and leaves them intact
-    (`grads`).
+    The gradient is taken from these same S and D, each None unless the
+    record reads it, `whole` (the record's `whole_value` of S) and `picks`
+    (what a record's `picking_term` chose, per class: fl's first argmax of
+    each complement row; None for the other records), and from the class
+    partition `batch.classes` that the batch built with itself, so a
+    training step builds its kernel, its partition, n-pairs' and supcon's
+    row sums and fl's gathered blocks once. An S or D built in a workspace
+    is valid until that workspace's next kernel build. A gradient taken
+    from the evaluation with any workspace writes its entry weights over S
+    and D, wherever they were built; a gradient taken without one writes
+    over copies and leaves them intact (`grads`).
     """
 
     batch: EmbeddingBatch
     config: LossConfig
-    s: np.ndarray
+    s: np.ndarray | None
     d: np.ndarray | None
     whole: object
     picks: list | None
@@ -142,8 +146,8 @@ class Evaluation:
 
 def evaluate(batch: EmbeddingBatch, config: LossConfig,
              workspace: kernels.Workspace | None = None) -> Evaluation:
-    """Build S (and D if needed), check the domain on the batch's own
-    partition, and score.
+    """Build the matrices the record reads (`matrices`), check the domain
+    on the batch's own partition, and score.
 
     With a workspace, S and D live in its buffers and are valid until its
     next kernel build; without one they are fresh arrays. Either way S and

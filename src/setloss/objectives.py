@@ -368,9 +368,7 @@ def _constants(out, classes, between, within):
 
 def _triplet_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
                      whole):
-    out.rows(lambda t, lo: t.fill(0.0))
     w = scratch()
-    w.fill(0.0)
     # The counts are whole numbers, so one add per entry is the per-pair
     # loop's bits, signed zeros included (0.0 - 0 is 0.0).
     for a, comp in classes.with_complements():
@@ -413,7 +411,6 @@ def _add_outside_softmax(w, s, classes):
 def _snn_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
                  whole):
     w = scratch()
-    w.fill(0.0)
     for anchors, own in _classmates(classes):
         w[anchors, own] -= _row_softmax(s[anchors, own])
     _add_outside_softmax(w, s, classes)
@@ -443,7 +440,6 @@ def _submod_triplet_weights(out, dout, scratch, s, d, classes, picks, lam,
 def _submod_snn_weights(out, dout, scratch, s, d, classes, picks, lam,
                         eps, whole):
     w = scratch()
-    w.fill(0.0)
     for anchors, own in _classmates(classes):
         w[anchors, own] += _row_softmax(d[anchors, own])
     _fold(w, dout)
@@ -456,7 +452,6 @@ def _submod_supcon_weights(out, dout, scratch, s, d, classes, picks, lam,
                            eps, whole):
     # W is 0.0 - 1 within classes and 0.0 - 0 between, before the softmax.
     w = scratch()
-    w.fill(0.0)
     _within(w, classes, lambda block, *_: block.fill(-1.0))
     _add_outside_softmax(w, s, classes)
     _fold(w, out)
@@ -479,7 +474,6 @@ def _logdet_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
     # alone; logdet-sf, whose whole is None, has none.
     inv = None if whole is None else np.linalg.inv(s + lam * np.eye(s.shape[-1]))
     w = scratch()
-    w.fill(0.0)
     for a in classes:
         block_inv = np.linalg.inv(_block(s, a[None], a[None])[0] + lam * np.eye(a.size))
         _within(w, (a,), lambda block, *_: np.add(block, block_inv, out=block))
@@ -547,21 +541,25 @@ class Objective:
     (..., n, n) stacks of matrices, with whole computed from the same stack;
     the terms then come back as (..., count), each matrix's row the bits
     that matrix gives alone.
+    reads names the matrices that the term, the weight rule and the kink
+    rule read: "s" for S, and then "d" or "d2" for D read as D or as D^2 (D
+    is built either way, and a D^2 reader squares it). Only those are built
+    (`losses.matrices`) and handed to them; the others are None. triplet
+    reads only ("d2",), submod-snn ("s", "d"), every other record ("s",).
     weights(out, dout, scratch, s, d, classes, picks, lam, eps, whole)
     takes the whole batch's partition as a `batch.ClassPartition` and
     writes the doubled weights M = W + W.T of the n x n dL/dS through the
-    `Scaled` out and, when `distance` ("d" or "d2") is set, of dL/dD or
-    dL/dD^2 through dout; `distance` also says that the objective reads D
-    at all. An out or dout with a form holds S or D on entry, and may be
-    s or d itself.
+    `Scaled` out, and of dL/dD or dL/dD^2 through dout; each is None for a
+    matrix the record does not read. An out or dout with a form holds S or
+    D on entry, and may be s or d itself.
     Only the off-diagonal entries count: `Scaled.rows` zeroes the
     diagonals, which no kernel gradient reads.
-    scratch() returns an n x n buffer, holding anything, in which the
-    loop-built and log-det rules build W and fold it with `_fold`; the
-    others never ask for it and write M without a transposed read. A rule
-    that writes a function of each class's diagonal block does so through
-    `_within`. picks is what `picking_term` returned for each class of the
-    same partition, in class order, and None for a record without one.
+    scratch() returns an n x n buffer of zeros, in which the loop-built and
+    log-det rules build W and fold it with `_fold`; the others never ask
+    for it and write M without a transposed read. A rule that writes a
+    function of each class's diagonal block does so through `_within`.
+    picks is what `picking_term` returned for each class of the same
+    partition, in class order, and None for a record without one.
     kinks(rows, s, d, classes, eps) marks the rows within TIE_GAP of a
     nonsmooth point of any class of the same partition.
     picking_term, where set (fl), is the term over one class that also
@@ -580,7 +578,7 @@ class Objective:
     claim: str
     term: Callable
     weights: Callable
-    distance: str | None = None
+    reads: tuple = ("s",)
     single_class_ok: bool = False    # a one-class batch is scored, with a warning
     positive_rowsum: bool = False    # needs whole_value, sum_j S_ij - 1, > 0
     min_class_size: int = 1
@@ -597,7 +595,7 @@ class Objective:
 
 REGISTRY = (
     Objective("triplet", "not-submodular", _triplet_term, _triplet_weights,
-              kinks=_triplet_kinks, distance="d2", min_class_size=2),
+              kinks=_triplet_kinks, reads=("d2",), min_class_size=2),
     Objective("n-pairs", "submodular", _npairs_term, _npairs_weights,
               positive_rowsum=True, whole_value=_rows_less_one),
     Objective("opl", "submodular", _opl_term, _opl_weights),
@@ -607,7 +605,7 @@ REGISTRY = (
     Objective("submod-triplet", "submodular", _submod_triplet_term,
               _submod_triplet_weights),
     Objective("submod-snn", "refuted", _submod_snn_term, _submod_snn_weights,
-              distance="d"),
+              reads=("s", "d")),
     Objective("submod-supcon", "submodular", _submod_supcon_term,
               _submod_supcon_weights),
     Objective("gc-sf", "submodular", _gc_sf_term, _gc_sf_weights,

@@ -173,15 +173,18 @@ def doubled_weights(obj, s, d, classes, lam, eps, whole, picks=None,
                     work=None):
     """(M, Mdist): the record's doubled weights, written through `Scaled`s
     with no form into NaN-filled arrays, so that an entry the rule leaves
-    unwritten shows up; Mdist None for a record without a `distance`. A
-    folding rule builds W in work's "ws", here filled with NaN first."""
-    if work is not None:
-        work.buffer("ws", s.shape).fill(np.nan)
-    m = np.full(s.shape, np.nan)
-    mdist = None if obj.distance is None else np.full(s.shape, np.nan)
-    obj.weights(registry.Scaled(m), None if mdist is None else registry.Scaled(mdist),
-                lambda: kernels.workspace_buffer(work, "ws", s.shape),
-                s, d, classes, picks, lam, eps, whole)
+    unwritten shows up; each None where s or d is, for a matrix the record
+    does not read. A folding rule builds W in work's "ws", zeroed for it as
+    `grads._entry_weights` zeroes it."""
+    shape = (s if d is None else d).shape
+
+    def scratch():
+        w = kernels.workspace_buffer(work, "ws", shape)
+        w.fill(0.0)
+        return w
+    m, mdist = (None if k is None else np.full(shape, np.nan) for k in (s, d))
+    obj.weights(*(None if k is None else registry.Scaled(k) for k in (m, mdist)),
+                scratch, s, d, classes, picks, lam, eps, whole)
     return m, mdist
 
 
@@ -213,12 +216,18 @@ def _judge(name, cfg, batch):
     `_entry_weights` to the kernel's form of M.
     """
     obj = registry.get(name)
+    # The oracle reads S for every record; the library builds S and D only
+    # for a record that reads them, and None for the others.
+    every = kernels.similarity(batch, cfg.kernel, cfg.bandwidth)
     s, d = losses.matrices(batch, cfg)
+    assert (s is not None, d is not None) == ("s" in obj.reads, obj.reads[-1] != "s")
+    if s is not None:
+        assert s.tobytes() == every.tobytes()
     classes = partition_from_labels(batch.labels)
     try:
         whole = obj.whole_value(s, cfg.lam)
         losses.check_preconditions(cfg, classes, whole)
-        old = _entry_weights(objectives.OBJ_CODE[name], s, d, list(classes),
+        old = _entry_weights(objectives.OBJ_CODE[name], every, d, list(classes),
                              cfg.lam, cfg.margin)
     except PreconditionError:
         # Outside the objective's domain (n-pairs and supcon log
@@ -230,23 +239,26 @@ def _judge(name, cfg, batch):
         picks = backend.total_value(obj, s, d, classes, cfg.lam, cfg.margin,
                                     whole)[2]
     ws, wd, wd2 = old
-    assert (wd is not None, wd2 is not None) == (obj.distance == "d",
-                                                 obj.distance == "d2")
-    for work in (None, kernels.Workspace()):
+    assert (wd is not None, wd2 is not None) == ("d" in obj.reads, "d2" in obj.reads)
+    if s is None:
+        # A record that reads no S writes no S weight: the oracle's is +0.0.
+        assert ws.tobytes() == np.zeros_like(ws).tobytes()
+        ws = None
+    for work in (None, _dirty_workspace(batch.n)):
         new = doubled_weights(obj, s, d, classes, cfg.lam, cfg.margin, whole,
                               picks, work)
-        for got, want in zip(new, (ws, wd if obj.distance == "d" else wd2)):
+        for got, want in zip(new, (ws, wd if "d" in obj.reads else wd2)):
             if want is None:
                 assert got is None
             else:
                 assert got.shape == want.shape
                 assert got.tobytes() == _old_doubled(want).tobytes()
-    # Each M goes over a copy of its kernel matrix, in that matrix's form.
-    formed = grads._entry_weights(obj, cfg.kernel, s.copy(),
-                                  None if d is None else d.copy(), classes,
-                                  cfg.lam, cfg.margin, whole, kernels.Workspace(),
-                                  picks)
-    for got, m, k, key in zip(formed, new, (s, d), (cfg.kernel, obj.distance)):
+    # Each M goes over a copy of its kernel matrix, in that matrix's form,
+    # with W built in a "ws" that held NaN.
+    formed = [None if k is None else k.copy() for k in (s, d)]
+    grads._entry_weights(obj, cfg.kernel, *formed, classes, cfg.lam, cfg.margin,
+                         whole, _dirty_workspace(batch.n), picks)
+    for got, m, k, key in zip(formed, new, (s, d), (cfg.kernel, obj.reads[-1])):
         if m is None:
             assert got is None
         else:
@@ -254,8 +266,21 @@ def _judge(name, cfg, batch):
     return True
 
 
+def _dirty_workspace(n):
+    """A workspace whose every n x n buffer holds NaN, so that code that
+    reads a buffer before writing it, such as a scratch W left unzeroed,
+    shows up."""
+    work = kernels.Workspace()
+    for name in ("s", "d", "cos", "ws"):
+        work.buffer(name, (n, n)).fill(np.nan)
+    return work
+
+
 def test_every_kernel_and_record_distance_has_one_weight_form():
-    distances = {obj.distance for obj in registry.REGISTRY} - {None}
+    # A record reads S, one form of D, or S and then one form of D.
+    for obj in registry.REGISTRY:
+        assert obj.reads in {("s",), ("d",), ("d2",), ("s", "d"), ("s", "d2")}
+    distances = {key for obj in registry.REGISTRY for key in obj.reads} - {"s"}
     assert set(kernels.WEIGHT_FORMS) == set(kernels.SIMILARITY_KINDS) | distances
 
 

@@ -9,6 +9,7 @@ a fresh array). W comes from the frozen weight oracle of
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 from setloss import grads, kernels, losses, objectives
 from setloss.batch import EmbeddingBatch
 from setloss.errors import PreconditionError
-from test_grad_weights import _entry_weights as _oracle_weights, doubled_weights
+from test_grad_weights import _dirty_workspace, doubled_weights
+from test_grad_weights import _entry_weights as _oracle_weights
 from test_grad_weights import objectives as _oracle_codes
 
 # ---- Frozen oracle -------------------------------------------------------
@@ -101,12 +103,14 @@ def _frozen_gradient(ev):
 # ---- Frozen oracle ends --------------------------------------------------
 
 
-def _dirty_workspace(n):
-    """A workspace whose every n x n buffer holds NaN."""
-    work = kernels.Workspace()
-    for name in ("s", "d", "cos", "ws"):
-        work.buffer(name, (n, n)).fill(np.nan)
-    return work
+def _oracle_evaluation(ev):
+    """ev with S built directly where the record reads none: the frozen
+    path read S for every record, and its all-zero S weight for a record
+    that reads no S pulled back through nothing."""
+    if ev.s is not None:
+        return ev
+    config = ev.config
+    return replace(ev, s=kernels.similarity(ev.batch, config.kernel, config.bandwidth))
 
 
 def _judge(batch, cfg):
@@ -118,7 +122,7 @@ def _judge(batch, cfg):
             ev = losses.evaluate(batch, cfg)
         except PreconditionError:
             return False
-        want = _frozen_gradient(ev).tobytes()
+        want = _frozen_gradient(_oracle_evaluation(ev)).tobytes()
         assert grads.evaluation_gradient(ev).tobytes() == want
         work = _dirty_workspace(batch.n)
         ev = losses.evaluate(batch, cfg, work)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from setloss import batch as batch_module
 from setloss import grads, kernels, losses, objectives
 from setloss._backend import backend
 from setloss.batch import ClassPartition, EmbeddingBatch, partition_from_labels
@@ -149,9 +150,11 @@ def test_grad_check_refuses_a_tolerance_outside_zero_to_inf(tolerance):
         grads.grad_check(b, losses.LossConfig("fl"), tolerance=tolerance)
 
 
-def test_grad_check_partitions_once_per_loss_evaluation(monkeypatch):
+def test_grad_check_partitions_its_labels_once(monkeypatch):
     # 12 x 8 coordinates give 192 finite-difference losses and one
-    # evaluation; the kink rule reads that evaluation's partition.
+    # evaluation. The check batch builds the one partition: every shifted
+    # batch and the kink rule read it. Each shifted batch used to build its
+    # own, 2 x 12 x 8 + 1 in all.
     built = []
     real_init = ClassPartition.__post_init__
 
@@ -162,7 +165,29 @@ def test_grad_check_partitions_once_per_loss_evaluation(monkeypatch):
     monkeypatch.setattr(ClassPartition, "__post_init__", counted_init)
     report = grads.grad_check(grads.check_batch(12, 8, 0), losses.LossConfig("fl"))
     assert report.passed
-    assert len(built) == 2 * 12 * 8 + 1
+    assert len(built) == 1
+
+
+def test_a_finite_difference_gradient_checks_and_counts_no_labels(monkeypatch):
+    # The batch checked and counted its labels when it was built; the 192
+    # shifted batches of a 12 x 8 gradient reuse its partition.
+    b = grads.check_batch(12, 8, 0)
+    checks, counts = [], []
+    real_labels, real_bincount = batch_module._labels, np.bincount
+
+    def labels(*args):
+        checks.append(1)
+        return real_labels(*args)
+
+    def bincount(*args, **kwargs):
+        counts.append(1)
+        return real_bincount(*args, **kwargs)
+
+    monkeypatch.setattr(batch_module, "_labels", labels)
+    monkeypatch.setattr(np, "bincount", bincount)
+    fd = grads.finite_difference_gradient(b, losses.LossConfig("supcon", kernel="rbf"))
+    assert fd.shape == (12, 8) and np.all(np.isfinite(fd))
+    assert checks == counts == []
 
 
 # The value and gradient as computed before a training step shared one
@@ -203,10 +228,10 @@ def _unshared_value_and_gradient(batch, cfg):
         ws = _doubled(ws)
     else:
         ws, wdist = doubled_weights(obj, s, d, sets, cfg.lam, cfg.margin, whole)
-        wd, wd2 = (wdist, None) if obj.distance == "d" else (None, wdist)
+        wd, wd2 = (wdist, None) if "d" in obj.reads else (None, wdist)
     z = batch.vectors
     g = np.zeros_like(z)
-    if np.any(ws):
+    if ws is not None and np.any(ws):
         if cfg.kernel == "cosine":
             g += kernels.cosine_pullback(z, ws)
         elif cfg.kernel == "rbf":
@@ -216,7 +241,7 @@ def _unshared_value_and_gradient(batch, cfg):
     if wd is not None:
         g += _fresh_distance_pullback(z, wd)
     if wd2 is not None:
-        g += kernels.sqdist_pullback(z, wd2)
+        g += 2.0 * kernels.distance_pullback(z, wd2)
     return total, per, g
 
 
@@ -311,11 +336,9 @@ def test_a_gradient_without_a_workspace_leaves_the_evaluation_intact(name, kerne
             ev = losses.evaluate(grads.check_batch(12, 8, seed), cfg)
         except PreconditionError:
             continue
-        s = ev.s.tobytes()
-        d = None if ev.d is None else ev.d.tobytes()
+        before = [_bits(ev.s), _bits(ev.d)]
         grads.evaluation_gradient(ev)
-        assert ev.s.tobytes() == s
-        assert (None if ev.d is None else ev.d.tobytes()) == d
+        assert [_bits(ev.s), _bits(ev.d)] == before
 
 
 @pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
@@ -338,10 +361,13 @@ def test_a_gradient_writes_over_the_matrices_it_is_handed(name, kernel):
         ev = losses.evaluate(batch, cfg)
         want = grads.evaluation_gradient(ev)
         got = grads.evaluation_gradient(ev, kernels.Workspace())
-        assert ev.s.tobytes() == step.s.tobytes()
-        assert (None if ev.d is None else ev.d.tobytes()) == (
-            None if step.d is None else step.d.tobytes())
+        assert [_bits(ev.s), _bits(ev.d)] == [_bits(step.s), _bits(step.d)]
         assert got.tobytes() == want.tobytes()
+
+
+def _bits(m):
+    """m's bytes, or None for a matrix the record does not read."""
+    return None if m is None else m.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -388,3 +414,30 @@ def test_a_step_holds_its_kernel_and_no_weight_array(name, kernel, layout):
         tracemalloc.stop()
     assert got.tobytes() == want.tobytes()
     assert peak < STEP_PEAKS[kernel] * 8 * n * n
+
+
+@pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
+def test_a_triplet_step_builds_and_pulls_back_no_similarity(kernel, monkeypatch):
+    # triplet reads only D^2: its step builds D in "d" and W in "ws", and
+    # no S, so no "s", no "cos" Gram and no exp pass. It used to build S,
+    # write an all-zero weight over it and pull that back, and peaked at
+    # 4.1 x 8 n^2 under cosine and 3.8 under rbf and neg-euclidean; it now
+    # peaks at 2.8 under each (2-core x86 VM).
+    n = 400
+    batch = EmbeddingBatch(2.0 + Rng(9).normals((n, 6)), np.arange(n) % 4)
+    cfg = losses.LossConfig("triplet", kernel=kernel, bandwidth=1.5)
+    want = grads.loss_gradient(batch, cfg)
+    for name in ("similarity", "similarity_and_distance", "similarity_pullback",
+                 "_rbf_entries", "unit_rows"):
+        monkeypatch.setattr(kernels, name, None)
+    work = kernels.Workspace()
+    tracemalloc.start()
+    try:
+        ev = losses.evaluate(batch, cfg, work)
+        got = grads.evaluation_gradient(ev, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert ev.s is None and sorted(work._buffers) == ["d", "ws"]
+    assert peak < 3 * 8 * n * n

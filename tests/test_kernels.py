@@ -120,7 +120,6 @@ PULLBACKS = {
     "cosine_pullback": kernels.cosine_pullback,
     "rbf_pullback": lambda z, m: kernels.rbf_pullback(z, m, 1.0),
     "distance_pullback": kernels.distance_pullback,
-    "sqdist_pullback": kernels.sqdist_pullback,
 }
 
 
@@ -192,7 +191,7 @@ def test_similarity_pullback_matches_fd(kind):
             assert g[i, c] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
-def test_sqdist_pullback_matches_fd():
+def test_twice_the_distance_pullback_matches_fd_of_squared_distances():
     rng = Rng(4)
     z = rng.normals((5, 3))
     w = rng.normals((5, 5))
@@ -200,7 +199,8 @@ def test_sqdist_pullback_matches_fd():
     def value(zz):
         return float(np.sum(w * kernels.squared_distances(zz)))
 
-    g = kernels.sqdist_pullback(z, _old_doubled(w))
+    # A D^2 weight M pulls back as twice the distance pullback of M itself.
+    g = 2.0 * kernels.distance_pullback(z, _old_doubled(w))
     h = 1e-6
     for i in range(5):
         for c in range(3):
@@ -350,7 +350,8 @@ def test_pullbacks_match_the_allocating_formulas_bit_for_bit(kind):
                               _old_distance_pullback(z, w, d))
             m = _old_doubled(w)
             want = 2.0 * (np.sum(m, axis=1)[:, None] * z - m @ z)
-            assert _same_bits(kernels.sqdist_pullback(z, _old_doubled(w)), want)
+            assert _same_bits(2.0 * kernels.distance_pullback(z, _old_doubled(w)),
+                              want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

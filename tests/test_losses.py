@@ -256,8 +256,30 @@ def test_matrices_build_squared_distances_once(name, kernel, monkeypatch):
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     s, d = losses.matrices(batch, config)
     assert len(calls) == 1
-    assert np.array_equal(s, want_s)
+    if "s" in objectives.get(name).reads:
+        assert np.array_equal(s, want_s)
+    else:
+        assert s is None
     assert np.array_equal(d, want_d)
+
+
+@pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
+@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+def test_matrices_build_exactly_the_matrices_the_record_reads(name, kernel):
+    # None for each matrix the record does not read, and the kernels' own
+    # bits for each it does, with and without a workspace.
+    batch = random_batch()
+    reads = objectives.get(name).reads
+    config = losses.LossConfig(name, kernel=kernel, bandwidth=0.7)
+    want_s = kernels.similarity(batch, kernel, 0.7).tobytes()
+    want_d = kernels.euclidean_distance(batch).tobytes()
+    for work in (None, kernels.Workspace()):
+        s, d = losses.matrices(batch, config, work)
+        assert (s is None, d is None) == ("s" not in reads, reads == ("s",))
+        assert s is None or s.tobytes() == want_s
+        assert d is None or d.tobytes() == want_d
+    if name == "triplet":
+        assert s is None and d is not None
 
 
 @pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)

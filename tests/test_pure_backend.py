@@ -237,10 +237,12 @@ CODE = {name: i for i, name in enumerate(objectives.OBJECTIVES)}
 
 
 def instance(seed, n, kernel):
-    b = submodcheck.draw_batch(Rng(seed), n)
-    # "triplet" forces the distance matrix, which other codes simply ignore
-    cfg = losses.LossConfig("triplet", kernel=kernel, bandwidth=0.8)
-    return losses.matrices(b, cfg)
+    return both(submodcheck.draw_batch(Rng(seed), n), kernel)
+
+
+def both(batch, kernel):
+    """S and D, built directly: each objective reads the ones it needs."""
+    return kernels.similarity(batch, kernel, 0.8), kernels.euclidean_distance(batch)
 
 
 def same_bits(new, old):
@@ -361,6 +363,24 @@ def test_dr_scan_matches_a_whole_row_oracle_past_the_loop(n):
             assert got[4] == next((old[4] for old in lone if old[3]), [])
 
 
+@pytest.mark.parametrize("include_empty", [False, True])
+def test_dr_scan_of_an_empty_ground_set_compares_nothing(include_empty):
+    # n = 0 has one subset and no triple, so it scans as n = 1 does, alone
+    # and per table of a stack. Its empty gains used to raise numpy's bare
+    # "zero-size array to reduction operation minimum".
+    for n in (0, 1):
+        table = np.arange(1 << n, dtype=np.float64)
+        want = dr_scan(table, n, 1e-9, include_empty)
+        assert want == (math.inf, 0, 0, 0, [])
+        assert repr(pure.dr_scan(table, n, 1e-9, include_empty)) == repr(want)
+        stack = np.broadcast_to(table, (2, 3, 1 << n))
+        *tallies, viols = pure.dr_scan(stack, n, 1e-9, include_empty)
+        assert [(v.shape, v.tolist()) for v in tallies] == [
+            ((2, 3), [[w] * 3] * 2) for w in want[:4]]
+        assert [v.dtype for v in tallies[1:]] == [np.int64] * 3
+        assert viols == []
+
+
 def test_dr_scan_keeps_the_sign_of_the_first_zero_minimum():
     # With the empty set included, n = 2 has two triples; both margins are
     # zero here, one of them -0.0, and the loop keeps whichever came first.
@@ -375,11 +395,10 @@ def test_dr_scan_keeps_the_sign_of_the_first_zero_minimum():
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
 def test_total_value_matches_oracle(name, kernel):
     code, obj = CODE[name], objectives.get(name)
-    cfg = losses.LossConfig("triplet", kernel=kernel, bandwidth=0.8)
     # 240 rows gives 80-member classes: blocks past numpy's 8-element
     # unrolled sums and rows past its 128-element pairwise split.
     for batch in (grads.check_batch(12, 8, 0), grads.check_batch(240, 8, 1)):
-        s, d = losses.matrices(batch, cfg)
+        s, d = both(batch, kernel)
         classes = partition_from_labels(batch.labels)
         old_total, old_per = total_value(code, s, d, classes, LAM, EPS)
         new_total, new_per, _ = new_without_warnings(pure.total_value, obj, s, d,
@@ -412,12 +431,11 @@ def test_total_value_matches_oracle_on_classes_that_are_runs(name, kernel):
     # A class that is a run of rows is read through slices; the others, in
     # the split batches, through gathers.
     code, obj = CODE[name], objectives.get(name)
-    cfg = losses.LossConfig("triplet", kernel=kernel, bandwidth=0.8)
     # Negated distances need a large lam before a log-det block is
     # positive definite.
     lam = 1e4 if kernel == "neg-euclidean" else LAM
     for batch in RUN_BATCHES:
-        s, d = losses.matrices(batch, cfg)
+        s, d = both(batch, kernel)
         classes = partition_from_labels(batch.labels)
         runs = [span(a) is not None for a in classes.sets]
         assert all(runs) == (batch.labels[1:] >= batch.labels[:-1]).all()
