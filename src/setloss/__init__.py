@@ -4,7 +4,6 @@ from .batch import ClassPartition, EmbeddingBatch, partition_from_labels
 from .kernels import (
     cosine_similarity,
     euclidean_distance,
-    kernel_gradient,
     rbf_similarity,
     similarity,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "OBJECTIVES",
     "cosine_similarity",
     "euclidean_distance",
-    "kernel_gradient",
     "partition_from_labels",
     "rbf_similarity",
     "similarity",

@@ -5,6 +5,7 @@ parameters (CLI exit code 2), PreconditionError covers well-formed inputs that
 violate an operation's stated precondition (CLI exit code 3).
 """
 
+import math
 from numbers import Integral
 
 
@@ -119,3 +120,11 @@ def check_integers(**counts) -> None:
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_tolerance(tolerance: float) -> None:
+    """ValidationError unless tolerance is finite and >= 0: a NaN tolerance
+    would pass every margin, a negative one flag ties. The lattice scans and
+    `grads.grad_check` refuse theirs with this check."""
+    if not 0 <= tolerance < math.inf:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")

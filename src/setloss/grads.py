@@ -50,9 +50,8 @@ import numpy as np
 from . import kernels, losses, objectives
 # partition_from_labels stays importable here: perfbench/tracing.py wraps it in grads.
 from .batch import EmbeddingBatch, partition_from_labels  # noqa: F401
-from .errors import ValidationError
+from .errors import ValidationError, check_tolerance
 from .sampling import Rng
-from .submodcheck import _check_tolerance
 
 # grad_check's absolute floor: coordinates below ABS_FLOOR / tolerance are
 # judged against it rather than against their own size.
@@ -182,7 +181,7 @@ def grad_check(batch: EmbeddingBatch, config: losses.LossConfig,
     and the pass condition stays exactly max_rel_error <= tolerance, which
     must be finite and >= 0.
     """
-    _check_tolerance(tolerance)
+    check_tolerance(tolerance)
     ev = losses.evaluate(batch, config)
     analytic = evaluation_gradient(ev)
     fd = finite_difference_gradient(batch, config, h)

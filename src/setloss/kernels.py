@@ -1,4 +1,4 @@
-"""Pairwise similarity and distance kernels with analytic entry gradients.
+"""Pairwise similarity and distance kernels and their analytic pullbacks.
 
 All kernels map a batch of n embeddings (an EmbeddingBatch or an n x d
 array) to a symmetric n x n numpy array, and a (..., n, d) stack of batches
@@ -32,8 +32,7 @@ K = D for D. The weight rules write that form over the kernel matrix K
 itself: the evaluation's own given a workspace, a copy given none. The
 neg-euclidean and distance pullbacks are then one Laplacian,
 sum_j P_ij (z_i - z_j), and a D^2 weight pulls back as twice it
-(`grads.evaluation_gradient`). The single-entry kernel_gradient form
-exists for spot checks against finite differences.
+(`grads.evaluation_gradient`).
 
 Every n x n array is built in place, in a buffer that a `Workspace` holds
 when the call is given one and in a fresh array when it is not, so the two
@@ -97,11 +96,10 @@ def _vectors(batch) -> np.ndarray:
 class Workspace:
     """Scratch arrays by name; `thread_workspace()` is each thread's one.
 
-    `buffer(name, shape, dtype)` is a C-contiguous view of the first
+    `buffer(name, shape)` is a C-contiguous float64 view of the first
     prod(shape) elements of the name's flat array. The array grows to fit
-    and is never shrunk, and is made again only for another dtype, so a
-    smaller request after a larger one (n = 800 after 1000) allocates
-    nothing. Two names never share memory.
+    and is never shrunk, so a smaller request after a larger one (n = 800
+    after 1000) allocates nothing. Two names never share memory.
 
     n x n names: "s" and "d" hold kernel results (a similarity built from
     squared distances without a kept D lives in "d"; the squared distances
@@ -127,11 +125,11 @@ class Workspace:
     def __init__(self):
         self._buffers = {}
 
-    def buffer(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    def buffer(self, name: str, shape: tuple) -> np.ndarray:
         size = math.prod(shape)
         buf = self._buffers.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self._buffers[name] = np.empty(size, dtype)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
 
@@ -146,12 +144,11 @@ def thread_workspace() -> Workspace:
     return work
 
 
-def workspace_buffer(workspace: Workspace | None, name: str, shape: tuple,
-                     dtype=np.float64) -> np.ndarray:
+def workspace_buffer(workspace: Workspace | None, name: str, shape: tuple) -> np.ndarray:
     """The workspace's buffer `name` of `shape`, or a fresh array without one."""
     if workspace is None:
-        return np.empty(shape, dtype)
-    return workspace.buffer(name, shape, dtype)
+        return np.empty(shape)
+    return workspace.buffer(name, shape)
 
 
 def _square(z: np.ndarray) -> tuple:
@@ -276,46 +273,6 @@ def similarity_and_distance(batch, kind: str = "cosine", bandwidth: float = 1.0,
         return np.negative(d, out=workspace_buffer(workspace, "s", d.shape)), d
     return (similarity(batch, kind, bandwidth, workspace),
             euclidean_distance(batch, workspace))
-
-
-def kernel_gradient(batch, kind: str, i: int, j: int, bandwidth: float = 1.0):
-    """(dK_ij/dz_i, dK_ij/dz_j) for one matrix entry.
-
-    Diagonal entries are constants for every kind, so i == j returns zeros.
-    For "euclidean" at coincident points the derivative does not exist; the
-    zero subgradient is returned.
-    """
-    z = _vectors(batch)
-    d = z.shape[1]
-    if i == j:
-        return np.zeros(d), np.zeros(d)
-    if kind == "cosine":
-        ni = np.linalg.norm(z[i])
-        nj = np.linalg.norm(z[j])
-        if ni < NORM_FLOOR:
-            raise ZeroVector(i)
-        if nj < NORM_FLOOR:
-            raise ZeroVector(j)
-        zi, zj = z[i] / ni, z[j] / nj
-        s = float(zi @ zj)
-        return (zj - s * zi) / ni, (zi - s * zj) / nj
-    if kind == "rbf":
-        if not (bandwidth > 0):
-            raise NonPositiveBandwidth(bandwidth)
-        diff = z[i] - z[j]
-        s = np.exp(-float(diff @ diff) / (2.0 * bandwidth * bandwidth))
-        g = -s / (bandwidth * bandwidth) * diff
-        return g, -g
-    if kind in ("euclidean", "neg-euclidean"):
-        diff = z[i] - z[j]
-        dist = np.linalg.norm(diff)
-        if dist < NORM_FLOOR:
-            return np.zeros(d), np.zeros(d)
-        g = diff / dist
-        if kind == "neg-euclidean":
-            g = -g
-        return g, -g
-    raise ValidationError(f"unknown kernel kind {kind!r}")
 
 
 def cosine_pullback(z: np.ndarray, m: np.ndarray,

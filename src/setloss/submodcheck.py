@@ -50,7 +50,6 @@ draws.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -59,7 +58,8 @@ import numpy as np
 from . import losses, objectives
 from ._backend import backend
 from .batch import EmbeddingBatch
-from .errors import GroundSetTooLarge, SetLossError, ValidationError, check_integers
+from .errors import (GroundSetTooLarge, SetLossError, ValidationError, check_integers,
+                     check_tolerance)
 from .sampling import Rng
 
 ENUMERATION_BOUND = 12
@@ -124,13 +124,6 @@ def _bits_to_tuple(bits: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if bits >> i & 1)
 
 
-def _check_tolerance(tolerance: float) -> None:
-    """A NaN tolerance would pass every margin, a negative one flag ties.
-    `grads.grad_check` refuses its tolerance with this same check."""
-    if not 0 <= tolerance < math.inf:
-        raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
-
-
 def _check_size(n: int) -> None:
     if n > ENUMERATION_BOUND:
         raise GroundSetTooLarge(n, ENUMERATION_BOUND)
@@ -165,7 +158,7 @@ def exhaustive_dr_check(objective: str, batch: EmbeddingBatch,
                         tolerance: float = DEFAULT_TOLERANCE,
                         include_empty: bool = False) -> LatticeCheckResult:
     """Scan every diminishing-returns triple of the batch's subset lattice."""
-    _check_tolerance(tolerance)
+    check_tolerance(tolerance)
     _check_size(batch.n)
     _check_index(batch.n, include_empty)
     *tallies, viols = backend.dr_scan(_table(objective, batch.vectors[None], config),
@@ -178,17 +171,18 @@ def _normalized(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def draw_batch(rng: Rng, n: int, dim: int = DRAW_DIM) -> EmbeddingBatch:
-    """Unit-normalized Gaussian embeddings; labels are a placeholder."""
-    return EmbeddingBatch(_normalized(rng.normals((n, dim))),
+def draw_batch(rng: Rng, n: int) -> EmbeddingBatch:
+    """n unit-normalized Gaussian embeddings of DRAW_DIM coordinates; labels
+    are a placeholder."""
+    return EmbeddingBatch(_normalized(rng.normals((n, DRAW_DIM))),
                           np.zeros(n, dtype=np.int64))
 
 
-def draw_stack(rng: Rng, start: int, stop: int, n: int,
-               dim: int = DRAW_DIM) -> np.ndarray:
-    """The vectors of `draw_batch(rng.derive(i), n, dim)` for i = start..stop-1,
-    stacked on a leading axis, bit for bit."""
-    return _normalized(rng.derived_normals(start, stop, (n, dim)))
+def draw_stack(rng: Rng, start: int, stop: int, n: int) -> np.ndarray:
+    """The vectors of `draw_batch(rng.derive(i), n)` for i = start..stop-1,
+    stacked on a leading axis, bit for bit: a (stop - start, n, DRAW_DIM)
+    array."""
+    return _normalized(rng.derived_normals(start, stop, (n, DRAW_DIM)))
 
 
 def _scan_draws(objective: str, config: losses.LossConfig, n: int,
@@ -207,7 +201,7 @@ def _scan_draws(objective: str, config: losses.LossConfig, n: int,
     serial scan meets its draws: the first draw's error surfaces, and none
     from a draw after the stop.
     """
-    _check_tolerance(tolerance)
+    check_tolerance(tolerance)
     check_integers(n=n, **{count_name: draws})
     _check_size(n)
     if draws < 1:

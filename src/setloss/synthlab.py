@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels, losses, objectives
 from .batch import EmbeddingBatch
-from .errors import BadK, EmptyClass, ValidationError
+from .errors import BadK, EmptyClass, ValidationError, check_integers
 from .sampling import Rng
 
 K_RANGE = range(8)
@@ -48,7 +48,7 @@ def sample_clusters(centroids: np.ndarray, spread: float, counts, seed: int
 
 
 def k_scale(k: int) -> float:
-    if not isinstance(k, (int, np.integer)) or k not in K_RANGE:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in K_RANGE:
         raise BadK(k)
     if k <= 4:
         return 1.0 - k / 5.0
@@ -62,6 +62,7 @@ def make_k_dataset(k: int, points_per_cluster: int = 100,
                    spread: float = 0.3, seed: int = 0) -> EmbeddingBatch:
     """Four 2-D clusters at the corner schedule for this K."""
     centroids = _CORNERS * k_scale(k)
+    check_integers(points_per_cluster=points_per_cluster)
     if points_per_cluster < 1:
         raise ValidationError("every class needs at least one sample")
     return sample_clusters(centroids, spread, (points_per_cluster,) * 4, seed)
@@ -92,6 +93,7 @@ def make_imbalanced_dataset(kind: str, c: int, d: int, base_count: int,
     every centroid pair is exactly `separation` apart (needs C <= d).
     Separation defaults to four spreads.
     """
+    check_integers(c=c, d=d, base_count=base_count)
     if c < 1:
         raise ValidationError(f"need at least one class, got c={c}")
     if base_count < c:

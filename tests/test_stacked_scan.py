@@ -26,14 +26,14 @@ from hypothesis import strategies as st
 from setloss import kernels, losses, objectives, submodcheck
 from setloss._backend import backend
 from setloss.batch import EmbeddingBatch
-from setloss.errors import GroundSetTooLarge, NotPositiveDefinite, ValidationError, ZeroVector
+from setloss.errors import (GroundSetTooLarge, NotPositiveDefinite, ValidationError, ZeroVector,
+                            check_tolerance)
 from setloss.sampling import Rng
 from setloss.submodcheck import (
     DRAW_DIM,
     ENUMERATION_BOUND,
     LatticeCheckResult,
     _bits_to_tuple,
-    _check_tolerance,
 )
 
 # ---- Frozen oracle -------------------------------------------------------
@@ -68,7 +68,7 @@ def _scan_draws(objective: str, config: losses.LossConfig, n: int,
                 draws: int, seed: int, tolerance: float, stop_early: bool):
     """DR-scan `draws` seeded batches in order, or up to the first violating
     one when stopping early."""
-    _check_tolerance(tolerance)
+    check_tolerance(tolerance)
     rng = Rng(seed)
     results = []
     for i in range(draws):

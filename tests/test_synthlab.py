@@ -32,7 +32,7 @@ def test_k_scale_schedule():
     assert all(gaps[k] < gaps[k + 1] for k in range(4, 7))
 
 
-@pytest.mark.parametrize("bad", [-1, 8, 3.5, "2"])
+@pytest.mark.parametrize("bad", [-1, 8, 3.5, "2", True, False])
 def test_bad_k_rejected(bad):
     with pytest.raises(BadK):
         synthlab.k_scale(bad)
@@ -157,6 +157,28 @@ def test_k_sweep_checks_every_k_before_any_work(monkeypatch):
 def test_k_dataset_rejects_a_non_positive_spread(spread):
     with pytest.raises(ValidationError, match="spread must be positive, got"):
         synthlab.make_k_dataset(2, points_per_cluster=5, spread=spread)
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, True])
+def test_k_dataset_refuses_a_count_that_is_not_an_integer(count):
+    # 2.5 reached np.repeat and raised its TypeError; True was taken as 1.
+    with pytest.raises(ValidationError,
+                       match=f"^points_per_cluster must be an integer, got {count!r}$"):
+        synthlab.make_k_dataset(1, points_per_cluster=count)
+
+
+@pytest.mark.parametrize("name,args", [
+    ("c", ("longtail", 2.0, 10, 600, 0.1, 1.0, 0)),
+    ("d", ("longtail", 2, 10.0, 600, 0.1, 1.0, 0)),
+    ("base_count", ("longtail", 4, 10, 600.5, 0.1, 1.0, 0)),
+    ("base_count", ("step", 4, 10, True, 1.0, 1.0, 0)),
+])
+def test_imbalanced_dataset_refuses_counts_that_are_not_integers(name, args):
+    # c = 2.0 and d = 10.0 raised numpy's TypeError; base_count = 600.5 was
+    # taken, with class sizes (600, 279, 129, 60) against 600's (600, 278,
+    # 129, 60).
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        synthlab.make_imbalanced_dataset(*args)
 
 
 def test_k_dataset_rejects_empty_clusters():

@@ -569,9 +569,9 @@ def test_a_scan_and_a_training_run_share_one_thread_workspace(monkeypatch):
     asked = []
     real = kernels.Workspace.buffer
 
-    def recorded(self, name, shape, dtype=np.float64):
+    def recorded(self, name, shape):
         asked.append((self, name))
-        return real(self, name, shape, dtype)
+        return real(self, name, shape)
 
     monkeypatch.setattr(kernels.Workspace, "buffer", recorded)
 
