@@ -198,11 +198,12 @@ def cmd_gradcheck(args, cfg: dict) -> int:
     seed = _seed(args, cfg)
     loss = resolve(args, cfg.get("loss", {}), LOSS_PARAMS)
 
+    # grad_check only reads the batch, so every objective checks this one.
+    batch = grads.check_batch(args.n, args.d, seed)
     reports = []
     failed = []
     for name in names:
         config = losses.LossConfig(name, **loss)
-        batch = grads.check_batch(args.n, args.d, seed)
         report = grads.grad_check(batch, config, args.h, args.tol)
         reports.append(report)
         line = (f"{'PASS' if report.passed else 'FAIL'} {name}: "

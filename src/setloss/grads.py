@@ -25,12 +25,13 @@ through each matrix the evaluation built, and through no other: a D^2
 weight as twice the distance pullback, and a record that reads no S
 (triplet) through no similarity pullback at all. The strip forms go a
 strip of rows at a time, each entry one rounding of M_ij x S_ij or
-M_ij / K_ij: the bits of M turned into its form afterwards. Given a
-workspace, the gradient hands the rule the evaluation's own S and D, and
-a training step writes M into no n x n array of its own (a rule that
-builds W builds it in the workspace's "ws"). Given none, it hands it
-copies, and the evaluation is left as it was built, for the gradient
-check's kink rules to read.
+M_ij / K_ij: the bits of M turned into its form afterwards. The gradient
+hands the rule the evaluation's own S and D, wherever the evaluation
+built them, and so spends the evaluation: one evaluation gives one
+gradient. Its temporaries belong to the calling thread: a rule that
+builds W builds it in `kernels.thread_workspace()`'s "ws", and the cosine
+pullback its Gram in the same workspace's "cos", so a step writes M into
+no n x n array of its own.
 
 Nonsmooth points are handled by fixed subgradient choices: the
 facility-location max takes the lowest-index argmax, and a triplet hinge
@@ -81,8 +82,7 @@ class GradCheckReport:
     excluded: int = 0
 
 
-def _entry_weights(obj, kind, s, d, classes, lam, eps, whole, workspace=None,
-                   picks=None):
+def _entry_weights(obj, kind, s, d, classes, lam, eps, whole, picks=None):
     """Write over s and d, each where it is given (not None), the doubled
     weights M = W + W.T, with a zero diagonal, of dL/dS and of dL/dD or
     dL/dD^2, in the form that matrix's pullback reads
@@ -91,7 +91,7 @@ def _entry_weights(obj, kind, s, d, classes, lam, eps, whole, workspace=None,
 
     classes is the batch's `ClassPartition`, whole the record's
     `whole_value` of s, and picks the evaluation's `picks` (fl's). A
-    folding rule builds its W in the workspace's "ws" buffer, zeroed
+    folding rule builds its W in the calling thread's "ws" buffer, zeroed
     first, which the other rules never ask for.
     """
     shape = (s if d is None else d).shape
@@ -99,36 +99,33 @@ def _entry_weights(obj, kind, s, d, classes, lam, eps, whole, workspace=None,
                  for k, key in ((s, kind), (d, obj.reads[-1])))
 
     def scratch():
-        w = kernels.workspace_buffer(workspace, "ws", shape)
+        w = kernels.thread_workspace().buffer("ws", shape)
         w.fill(0.0)
         return w
     obj.weights(out, dout, scratch, s, d, classes, picks, lam, eps, whole)
 
 
-def evaluation_gradient(ev: losses.Evaluation,
-                        workspace: kernels.Workspace | None = None) -> np.ndarray:
+def evaluation_gradient(ev: losses.Evaluation) -> np.ndarray:
     """Analytic dL/dZ from the matrices and picks one evaluation used, and
     its batch's partition.
 
-    The weights are written over the kernel matrices they belong to: ev.s
-    and ev.d themselves when given a workspace, wherever they live, which
-    are then spent, and copies of them when not, which leaves the
-    evaluation as it was scored for the gradient check's kink rules. The
-    pullbacks' own buffers come from the workspace when given one.
+    The weights are written over the kernel matrices they belong to, ev.s
+    and ev.d themselves, wherever they live, which are then spent: an
+    evaluation gives one gradient. Read anything else from S or D (the
+    gradient check's kink rows) before taking it. The temporaries come
+    from the calling thread's workspace.
     """
     config = ev.config
     obj = objectives.get(config.objective)
-    s, d = (ev.s, ev.d) if workspace is not None else (
-        None if k is None else k.copy() for k in (ev.s, ev.d))
+    s, d = ev.s, ev.d
     _entry_weights(obj, config.kernel, s, d, ev.batch.classes, config.lam,
-                   config.margin, ev.whole, workspace, ev.picks)
+                   config.margin, ev.whole, ev.picks)
 
     z = ev.batch.vectors
     # An all-zero M pulls back to signed zeros, which the add makes +0.0.
     grad = np.zeros_like(z)
     if s is not None:
-        grad += kernels.similarity_pullback(z, s, config.kernel, config.bandwidth,
-                                            workspace=workspace)
+        grad += kernels.similarity_pullback(z, s, config.kernel, config.bandwidth)
     if d is not None:
         # d(D^2_ij)/dz_i = 2 (z_i - z_j), twice the distance Laplacian.
         grad += (2.0 if obj.reads[-1] == "d2" else 1.0) * kernels.distance_pullback(z, d)
@@ -183,11 +180,12 @@ def grad_check(batch: EmbeddingBatch, config: losses.LossConfig,
     """
     check_tolerance(tolerance)
     ev = losses.evaluate(batch, config)
-    analytic = evaluation_gradient(ev)
-    fd = finite_difference_gradient(batch, config, h)
-
+    # The kink rows read the S and D the loss was scored on, which the
+    # gradient then spends.
     rows = _excluded_rows(ev)
     keep = ~rows
+    analytic = evaluation_gradient(ev)
+    fd = finite_difference_gradient(batch, config, h)
 
     diff = np.abs(analytic - fd)
     # Tolerance zero demands exact agreement: the absolute floor drops out

@@ -29,21 +29,24 @@ constant in the embeddings. Each takes M in the one form its chain rule
 reads, `WEIGHT_FORMS`: M under cosine and for D^2, M o S under rbf, and
 M / K, zero where |K_ij| <= NORM_FLOOR, for K = S under neg-euclidean and
 K = D for D. The weight rules write that form over the kernel matrix K
-itself: the evaluation's own given a workspace, a copy given none. The
-neg-euclidean and distance pullbacks are then one Laplacian,
-sum_j P_ij (z_i - z_j), and a D^2 weight pulls back as twice it
-(`grads.evaluation_gradient`).
+itself, the evaluation's own. The neg-euclidean and distance pullbacks
+are then one Laplacian, sum_j P_ij (z_i - z_j), and a D^2 weight pulls
+back as twice it (`grads.evaluation_gradient`).
 
-Every n x n array is built in place, in a buffer that a `Workspace` holds
-when the call is given one and in a fresh array when it is not, so the two
-give the same bits from the same code. The trainer's steps and the lattice
-scans take theirs from `thread_workspace()`. An array built on a workspace
-is valid until that workspace's next use for the same kind of array:
-kernel matrices until its next kernel build. An S or D, wherever it
-lives, is also spent when a gradient is taken from it with a workspace
-(`grads.evaluation_gradient`), which writes the weights over it, and the
-RBF pullback divides those by bw^2 in place. Calls given no workspace
-return arrays that share no memory with any later call.
+Every n x n array is built in place, under one rule. An array that a
+call returns lives where its caller says: a kernel function given a
+`Workspace` builds it in that workspace's buffer, and given none in a
+fresh array, so the two give the same bits from the same code. An array
+that a call fills and drops belongs to the calling thread: it is a buffer
+of `thread_workspace()`, as the cosine pullback's Gram, the weight rules'
+W and the lattice scans' gains are. The trainer's steps build their
+kernels in `thread_workspace()` too. An array built on a workspace is
+valid until that workspace's next use for the same kind of array: kernel
+matrices until its next kernel build. An S or D, wherever it lives, is
+also spent when a gradient is taken from it (`grads.evaluation_gradient`),
+which writes the weights over it, and the RBF pullback divides those by
+bw^2 in place. Kernel functions given no workspace return arrays that
+share no memory with any later call.
 
 The products go through `_blas`, whose docstring says how they run and
 what that does to their last bits: `squared_distances` fills "d" with
@@ -104,10 +107,13 @@ class Workspace:
     n x n names: "s" and "d" hold kernel results (a similarity built from
     squared distances without a kept D lives in "d"; the squared distances
     themselves are built in "d" by one Gram update), and a gradient taken
-    with the workspace writes each entry weight over the kernel matrix it
-    pulls back through, in that matrix's `WEIGHT_FORMS` form; "ws" holds
-    the W that a loop-built or log-det weight rule builds and adds to its
-    transpose; "cos" the cosine pullback's unclipped Gram. A Gram product
+    from them writes each entry weight over the kernel matrix it pulls
+    back through, in that matrix's `WEIGHT_FORMS` form. "ws" and "cos" are
+    scratch, and only a thread's own workspace holds them: "ws" the W that
+    a loop-built or log-det weight rule builds and adds to its transpose,
+    "cos" the cosine pullback's unclipped Gram. A thread keeps them after
+    any gradient it takes, `grads.loss_gradient` included, as it keeps the
+    scans' buffers: reused by its next call, never handed out. A Gram product
     or update leaves below its diagonal whatever an earlier, larger one
     wrote there, and the mirror overwrites it. A step builds only the
     matrices its record reads (`objectives.Objective.reads`). An fl, gc-cf
@@ -275,13 +281,13 @@ def similarity_and_distance(batch, kind: str = "cosine", bandwidth: float = 1.0,
             euclidean_distance(batch, workspace))
 
 
-def cosine_pullback(z: np.ndarray, m: np.ndarray,
-                    workspace: Workspace | None = None) -> np.ndarray:
+def cosine_pullback(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     """dL/dZ for L = sum_ij W_ij S_ij under the cosine kernel, given the
-    doubled weights m = W + W.T with a zero diagonal."""
+    doubled weights m = W + W.T with a zero diagonal. The unclipped Gram
+    is built in the calling thread's "cos" buffer."""
     z = _vectors(z)
     zh = unit_rows(z)
-    s = _symmetric_gram(zh, workspace_buffer(workspace, "cos", _square(z)))
+    s = _symmetric_gram(zh, thread_workspace().buffer("cos", _square(z)))
     proj = np.sum(np.multiply(m, s, out=s), axis=1)
     grad = _blas.product(m, zh) - proj[:, None] * zh
     return grad / np.linalg.norm(z, axis=1)[:, None]
@@ -310,8 +316,7 @@ def distance_pullback(z: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def similarity_pullback(z: np.ndarray, m: np.ndarray, kind: str,
-                        bandwidth: float = 1.0, *,
-                        workspace: Workspace | None = None) -> np.ndarray:
+                        bandwidth: float = 1.0) -> np.ndarray:
     """dL/dZ for L = sum_ij W_ij S_ij under `kind`, given the doubled
     weights M = W + W.T with a zero diagonal in the kind's form
     (`WEIGHT_FORMS`): M under cosine, M o S under rbf and M / S, zero where
@@ -323,7 +328,7 @@ def similarity_pullback(z: np.ndarray, m: np.ndarray, kind: str,
     the distance form of -M and pulls back as `distance_pullback`.
     """
     if check_kind(kind) == "cosine":
-        return cosine_pullback(z, m, workspace)
+        return cosine_pullback(z, m)
     if kind == "rbf":
         return rbf_pullback(z, m, bandwidth)
     return distance_pullback(z, m)

@@ -130,9 +130,8 @@ class Evaluation:
     training step builds its kernel, its partition, n-pairs' and supcon's
     row sums and fl's gathered blocks once. An S or D built in a workspace
     is valid until that workspace's next kernel build. A gradient taken
-    from the evaluation with any workspace writes its entry weights over S
-    and D, wherever they were built; a gradient taken without one writes
-    over copies and leaves them intact (`grads`).
+    from the evaluation writes its entry weights over S and D, wherever
+    they were built, so an evaluation gives one gradient (`grads`).
     """
 
     batch: EmbeddingBatch
@@ -149,10 +148,11 @@ def evaluate(batch: EmbeddingBatch, config: LossConfig,
     """Build the matrices the record reads (`matrices`), check the domain
     on the batch's own partition, and score.
 
-    With a workspace, S and D live in its buffers and are valid until its
-    next kernel build; without one they are fresh arrays. Either way S and
-    D are valid only until a gradient is taken from them with a workspace,
-    which writes the entry weights over them (`Evaluation`).
+    The workspace is the one place a caller puts S and D: with one, they
+    live in its buffers and are valid until its next kernel build; without
+    one they are fresh arrays. Either way they are valid only until a
+    gradient is taken from them, which writes the entry weights over them
+    (`Evaluation`).
     """
     s, d = matrices(batch, config, workspace)
     obj = objectives.get(config.objective)

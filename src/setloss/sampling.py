@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_integers
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MASK = (1 << 64) - 1
 
@@ -67,9 +69,12 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray, total: int) -> np.ndarray:
 
 
 class Rng:
-    """Counter-based SplitMix64 stream with Box-Muller normals."""
+    """Counter-based SplitMix64 stream with Box-Muller normals. The seed
+    must be an int or a numpy integer (ValidationError otherwise: a float
+    or bool would be truncated to another seed's stream)."""
 
     def __init__(self, seed: int):
+        check_integers(seed=seed)
         self._seed = np.uint64(int(seed) & _MASK)
         self._count = 0
 

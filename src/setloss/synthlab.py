@@ -39,9 +39,14 @@ K_RANGE = range(8)
 
 def sample_clusters(centroids: np.ndarray, spread: float, counts, seed: int
                     ) -> EmbeddingBatch:
-    """Draw the mixture: counts[k] rows of centroids[k] + spread * N(0, I)."""
+    """Draw the mixture: counts[k] rows of centroids[k] + spread * N(0, I),
+    one integer count >= 0 per centroid."""
     if not spread > 0:
         raise ValidationError(f"spread must be positive, got {spread}")
+    check_integers(**{f"counts[{k}]": count for k, count in enumerate(counts)})
+    if len(counts) != len(centroids) or min(counts, default=0) < 0:
+        raise ValidationError(f"need one count >= 0 per centroid ({len(centroids)}), "
+                              f"got {tuple(counts)}")
     noise = Rng(seed).normals((sum(counts), centroids.shape[1]))
     vectors = np.repeat(centroids, counts, axis=0) + spread * noise
     return EmbeddingBatch(vectors, np.repeat(np.arange(len(counts)), counts))

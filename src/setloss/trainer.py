@@ -84,7 +84,8 @@ class TrainConfig:
         if not 0 <= self.lr < np.inf:
             raise ValidationError(f"learning rate must be finite and >= 0, got {self.lr}")
         sizes = {"batch_size": self.batch_size, "out_dim": self.out_dim}
-        check_integers(steps=self.steps, **{k: v for k, v in sizes.items() if v is not None})
+        check_integers(steps=self.steps, seed=self.seed,
+                       **{k: v for k, v in sizes.items() if v is not None})
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
         if not 0 < self.eval_split < 1:
@@ -185,7 +186,7 @@ def train_stage1(data: EmbeddingBatch, config: TrainConfig):
         if step == config.steps:
             break
 
-        g = grads.evaluation_gradient(ev, work)
+        g = grads.evaluation_gradient(ev)
         if config.normalize:
             g = (g - np.sum(g * z, axis=1, keepdims=True) * z) / norms
         params.W -= config.lr * (g.T @ batch.vectors)

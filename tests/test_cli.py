@@ -124,6 +124,22 @@ def test_gradcheck_all_objectives_pass(capsys):
     assert all(line.startswith("PASS") for line in out)
 
 
+def test_gradcheck_builds_its_batch_once(monkeypatch, capsys):
+    # grad_check only reads the batch, so every objective checks the one
+    # batch, unchanged; it used to be built again for each of the 13.
+    built, checked = [], []
+    real_batch, real_check = grads.check_batch, grads.grad_check
+    monkeypatch.setattr(grads, "check_batch",
+                        lambda *a: built.append(a) or real_batch(*a))
+    monkeypatch.setattr(grads, "grad_check", lambda batch, *a: checked.append(
+        (batch, batch.vectors.tobytes())) or real_check(batch, *a))
+    assert cli.main(["gradcheck", "--objective", "all"]) == 0
+    assert len(built) == 1 and len(checked) == 13
+    assert all(batch is checked[0][0] and bits == checked[0][1]
+               for batch, bits in checked)
+    capsys.readouterr()
+
+
 def test_gradcheck_zero_tolerance_fails(capsys):
     assert cli.main(["gradcheck", "--objective", "gc-cf", "--tol", "0"]) == 4
     assert capsys.readouterr().out.startswith("FAIL")

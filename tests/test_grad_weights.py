@@ -256,8 +256,9 @@ def _judge(name, cfg, batch):
     # Each M goes over a copy of its kernel matrix, in that matrix's form,
     # with W built in a "ws" that held NaN.
     formed = [None if k is None else k.copy() for k in (s, d)]
+    _dirty_workspace(batch.n)
     grads._entry_weights(obj, cfg.kernel, *formed, classes, cfg.lam, cfg.margin,
-                         whole, _dirty_workspace(batch.n), picks)
+                         whole, picks)
     for got, m, k, key in zip(formed, new, (s, d), (cfg.kernel, obj.reads[-1])):
         if m is None:
             assert got is None
@@ -267,12 +268,15 @@ def _judge(name, cfg, batch):
 
 
 def _dirty_workspace(n):
-    """A workspace whose every n x n buffer holds NaN, so that code that
+    """A workspace whose every n x n buffer holds NaN, and the calling
+    thread's scratch "cos" and "ws" filled with NaN too, so that code that
     reads a buffer before writing it, such as a scratch W left unzeroed,
     shows up."""
     work = kernels.Workspace()
     for name in ("s", "d", "cos", "ws"):
         work.buffer(name, (n, n)).fill(np.nan)
+    for name in ("cos", "ws"):
+        kernels.thread_workspace().buffer(name, (n, n)).fill(np.nan)
     return work
 
 

@@ -114,8 +114,10 @@ def _oracle_evaluation(ev):
 
 
 def _judge(batch, cfg):
-    """Compare the gradient, with and without a workspace, with the frozen
-    path; False if the batch lies outside the objective's domain."""
+    """Compare the gradient, from matrices built with and without a
+    workspace, with the frozen path; False if the batch lies outside the
+    objective's domain. Each takes its scratch from a thread workspace
+    that held NaN."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -123,10 +125,10 @@ def _judge(batch, cfg):
         except PreconditionError:
             return False
         want = _frozen_gradient(_oracle_evaluation(ev)).tobytes()
+        _dirty_workspace(batch.n)
         assert grads.evaluation_gradient(ev).tobytes() == want
-        work = _dirty_workspace(batch.n)
-        ev = losses.evaluate(batch, cfg, work)
-        assert grads.evaluation_gradient(ev, work).tobytes() == want
+        ev = losses.evaluate(batch, cfg, _dirty_workspace(batch.n))
+        assert grads.evaluation_gradient(ev).tobytes() == want
     return True
 
 

@@ -11,6 +11,7 @@ from setloss.batch import ClassPartition, EmbeddingBatch, partition_from_labels
 from setloss.errors import PreconditionError, ValidationError
 from setloss.sampling import Rng
 from test_grad_weights import doubled_weights
+from test_trainer import _in_threads
 
 
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
@@ -334,42 +335,50 @@ def test_triplet_kink_rule_matches_the_per_pair_loop(seed):
 
 @pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
-def test_a_gradient_without_a_workspace_leaves_the_evaluation_intact(name, kernel):
-    # The weight rule writes over copies of S and D, so the kink rules of
-    # grad_check still read the S and D the loss was scored on.
-    cfg = losses.LossConfig(name, kernel=kernel, bandwidth=0.7)
-    for seed in range(3):
-        try:
-            ev = losses.evaluate(grads.check_batch(12, 8, seed), cfg)
-        except PreconditionError:
-            continue
-        before = [_bits(ev.s), _bits(ev.d)]
-        grads.evaluation_gradient(ev)
-        assert [_bits(ev.s), _bits(ev.d)] == before
-
-
-@pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
-@pytest.mark.parametrize("name", objectives.OBJECTIVES)
 def test_a_gradient_writes_over_the_matrices_it_is_handed(name, kernel):
-    # Given a workspace, the gradient writes its weights over the
-    # evaluation's S and D wherever they were built, here in fresh arrays,
-    # and leaves there what a training step leaves in its workspace. Given
-    # none, it writes over copies. Either way the gradient has the same
-    # bits.
+    # The gradient writes its weights over the evaluation's S and D
+    # wherever they were built, here in fresh arrays, and leaves there what
+    # a training step leaves in its workspace, with the same gradient bits.
     cfg = losses.LossConfig(name, kernel=kernel, bandwidth=0.7)
     for seed in range(3):
         batch = grads.check_batch(12, 8, seed)
-        work = kernels.Workspace()
         try:
-            step = losses.evaluate(batch, cfg, work)
+            step = losses.evaluate(batch, cfg, kernels.Workspace())
         except PreconditionError:
             continue
-        grads.evaluation_gradient(step, work)
+        want = grads.evaluation_gradient(step)
         ev = losses.evaluate(batch, cfg)
-        want = grads.evaluation_gradient(ev)
-        got = grads.evaluation_gradient(ev, kernels.Workspace())
+        scored = [_bits(ev.s), _bits(ev.d)]
+        got = grads.evaluation_gradient(ev)
         assert [_bits(ev.s), _bits(ev.d)] == [_bits(step.s), _bits(step.d)]
+        assert [_bits(ev.s), _bits(ev.d)] != scored
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
+def test_threads_taking_gradients_at_once_each_get_their_serial_bits(kernel):
+    # Every objective, two batch sizes, so that the threads' "ws" and "cos"
+    # scratch would collide if they shared one workspace; three threads,
+    # more than the cores of a 2-core host, each in its own order.
+    jobs = [(grads.check_batch(n, 6, seed), losses.LossConfig(name, kernel=kernel,
+                                                              bandwidth=0.7))
+            for n, seed in ((40, 1), (24, 2)) for name in objectives.OBJECTIVES]
+
+    def gradients(order):
+        out = {}
+        for k in order:
+            batch, cfg = jobs[k]
+            try:
+                out[k] = grads.loss_gradient(batch, cfg).tobytes()
+            except PreconditionError as exc:
+                out[k] = type(exc)
+        return out
+
+    forward = range(len(jobs))
+    serial = gradients(forward)
+    orders = (forward, forward[::-1], [*forward[1::2], *forward[::2]])
+    assert _in_threads(*(lambda order=order: gradients(order) for order in orders)) \
+        == [serial] * 3
 
 
 def _bits(m):
@@ -388,7 +397,40 @@ def test_grad_check_excludes_the_kink_rows_of_the_scored_matrices_under_rbf(name
     assert grads.grad_check(batch, cfg).excluded == rows.sum() * batch.dim
 
 
-# Peak traced bytes of one step with a new workspace, in units of 8 n^2.
+@pytest.mark.parametrize("kernel", ["cosine", "neg-euclidean"])
+@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+def test_grad_check_excludes_the_kink_rows_of_the_scored_matrices(name, kernel):
+    # The gradient writes its weights over S and D under every kernel, so
+    # grad_check must take the kink rows before it takes the gradient.
+    cfg = losses.LossConfig(name, kernel=kernel, bandwidth=0.7)
+    for seed in range(6):
+        batch = grads.check_batch(12, 8, seed)
+        try:
+            rows = grads._excluded_rows(losses.evaluate(batch, cfg))
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                grads.grad_check(batch, cfg)
+            continue
+        assert grads.grad_check(batch, cfg).excluded == rows.sum() * batch.dim
+
+
+def _traced_step(batch, cfg):
+    """(gradient, peak traced bytes, evaluation, workspace, the thread's
+    workspace) of one step that builds its kernel in a new workspace. Run
+    in a new thread, so that the gradient's scratch, in the thread's
+    workspace, is new and traced too."""
+    work = kernels.Workspace()
+    tracemalloc.start()
+    try:
+        ev = losses.evaluate(batch, cfg, work)
+        got = grads.evaluation_gradient(ev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return got, peak, ev, work, kernels.thread_workspace()
+
+
+# Peak traced bytes of one step with new workspaces, in units of 8 n^2.
 # The weights go over the kernel in place, and the pullback reads them
 # there: under rbf and neg-euclidean the one n x n array a step allocates
 # is its kernel, and under cosine the pullback adds its unclipped Gram.
@@ -411,25 +453,18 @@ def test_a_step_holds_its_kernel_and_no_weight_array(name, kernel, layout):
     batch = EmbeddingBatch(2.0 + Rng(9).normals((n, 6)), labels)
     cfg = losses.LossConfig(name, kernel=kernel, bandwidth=1.5)
     want = grads.loss_gradient(batch, cfg)
-    work = kernels.Workspace()
-    tracemalloc.start()
-    try:
-        ev = losses.evaluate(batch, cfg, work)
-        got = grads.evaluation_gradient(ev, work)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ((got, peak, *_),) = _in_threads(lambda: _traced_step(batch, cfg))
     assert got.tobytes() == want.tobytes()
     assert peak < STEP_PEAKS[kernel] * 8 * n * n
 
 
 @pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
 def test_a_triplet_step_builds_and_pulls_back_no_similarity(kernel, monkeypatch):
-    # triplet reads only D^2: its step builds D in "d" and W in "ws", and
-    # no S, so no "s", no "cos" Gram and no exp pass. It used to build S,
-    # write an all-zero weight over it and pull that back, and peaked at
-    # 4.1 x 8 n^2 under cosine and 3.8 under rbf and neg-euclidean; it now
-    # peaks at 2.8 under each (2-core x86 VM).
+    # triplet reads only D^2: its step builds D in the caller's "d" and W
+    # in the thread's "ws", and no S, so no "s", no "cos" Gram and no exp
+    # pass. It used to build S, write an all-zero weight over it and pull
+    # that back, and peaked at 4.1 x 8 n^2 under cosine and 3.8 under rbf
+    # and neg-euclidean; it now peaks at 2.8 under each (2-core x86 VM).
     n = 400
     batch = EmbeddingBatch(2.0 + Rng(9).normals((n, 6)), np.arange(n) % 4)
     cfg = losses.LossConfig("triplet", kernel=kernel, bandwidth=1.5)
@@ -437,14 +472,8 @@ def test_a_triplet_step_builds_and_pulls_back_no_similarity(kernel, monkeypatch)
     for name in ("similarity", "similarity_and_distance", "similarity_pullback",
                  "_rbf_entries", "unit_rows"):
         monkeypatch.setattr(kernels, name, None)
-    work = kernels.Workspace()
-    tracemalloc.start()
-    try:
-        ev = losses.evaluate(batch, cfg, work)
-        got = grads.evaluation_gradient(ev, work)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ((got, peak, ev, work, scratch),) = _in_threads(lambda: _traced_step(batch, cfg))
     assert got.tobytes() == want.tobytes()
-    assert ev.s is None and sorted(work._buffers) == ["d", "ws"]
+    assert ev.s is None and sorted(work._buffers) == ["d"]
+    assert sorted(scratch._buffers) == ["ws"]
     assert peak < 3 * 8 * n * n

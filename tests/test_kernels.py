@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,7 +300,8 @@ def test_kernels_match_the_allocating_formulas_bit_for_bit(kind):
 
 @pytest.mark.parametrize("kind", kernels.SIMILARITY_KINDS)
 def test_pullbacks_match_the_allocating_formulas_bit_for_bit(kind):
-    work = kernels.Workspace()
+    # The cosine pullback's Gram reuses the thread's "cos" across every
+    # shape, grown by a larger n and partly reused by a smaller one.
     for n, dim in SHAPES:
         rng = Rng(n + dim)
         z = rng.normals((n, dim)) + 0.3
@@ -309,16 +312,13 @@ def test_pullbacks_match_the_allocating_formulas_bit_for_bit(kind):
         d = np.sqrt(_old_squared_distances(z))
         # The pullbacks take the doubled weights in their kernel's form,
         # and may overwrite them.
-        for workspace in (None, work):
-            got = kernels.similarity_pullback(z, _pulled_weights(w, kind, s), kind,
-                                              0.7, workspace=workspace)
-            assert _same_bits(got, _old_similarity_pullback(z, w, kind, 0.7, s))
-            assert _same_bits(kernels.distance_pullback(z, _over(_old_doubled(w), d)),
-                              _old_distance_pullback(z, w, d))
-            m = _old_doubled(w)
-            want = 2.0 * (np.sum(m, axis=1)[:, None] * z - m @ z)
-            assert _same_bits(2.0 * kernels.distance_pullback(z, _old_doubled(w)),
-                              want)
+        got = kernels.similarity_pullback(z, _pulled_weights(w, kind, s), kind, 0.7)
+        assert _same_bits(got, _old_similarity_pullback(z, w, kind, 0.7, s))
+        assert _same_bits(kernels.distance_pullback(z, _over(_old_doubled(w), d)),
+                          _old_distance_pullback(z, w, d))
+        m = _old_doubled(w)
+        want = 2.0 * (np.sum(m, axis=1)[:, None] * z - m @ z)
+        assert _same_bits(2.0 * kernels.distance_pullback(z, _old_doubled(w)), want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -468,15 +468,19 @@ def test_a_dirty_workspace_below_the_diagonal_is_overwritten():
     z = rng.normals((1000, 10)) + 0.3
     kernels.similarity(z, "cosine", workspace=work)
     kernels.similarity(z, "rbf", workspace=work)
-    for name in ("s", "d", "cos"):
-        work.buffer(name, (1000, 1000))[...] = np.nan
-    z = z[:800].copy()
     w = rng.normals((800, 800))
+    # The reference pullback runs in a new thread, on a "cos" of its own.
+    with ThreadPoolExecutor(1) as pool:
+        want_pullback = pool.submit(kernels.cosine_pullback, z[:800],
+                                    _old_doubled(w)).result()
+    for name in ("s", "d"):
+        work.buffer(name, (1000, 1000))[...] = np.nan
+    kernels.thread_workspace().buffer("cos", (1000, 1000))[...] = np.nan
+    z = z[:800].copy()
     for kind in kernels.SIMILARITY_KINDS:
         want = kernels.similarity(z, kind, 0.7)
         assert _same_bits(kernels.similarity(z, kind, 0.7, work), want)
         assert _same_bits(want, want.T.copy())
     assert _same_bits(kernels.squared_distances(z, work),
                       kernels.squared_distances(z))
-    assert _same_bits(kernels.cosine_pullback(z, _old_doubled(w), work),
-                      kernels.cosine_pullback(z, _old_doubled(w)))
+    assert _same_bits(kernels.cosine_pullback(z, _old_doubled(w)), want_pullback)

@@ -359,6 +359,9 @@ BAD_COUNTS = {
     "verdict_table-n": (
         lambda: submodcheck.verdict_table(["gc-cf"], n=5.5),
         "n must be an integer, got 5.5"),
+    "consistency_scan-seed": (
+        lambda: submodcheck.consistency_scan("gc-cf", n=4, draws=2, seed=0.7),
+        "seed must be an integer, got 0.7"),
     "consistency_scan-no-draws": (
         lambda: submodcheck.consistency_scan("gc-cf", n=5, draws=0),
         "a scan needs at least one draw, got draws = 0"),

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from setloss import losses, synthlab
+from setloss import grads, losses, synthlab
 from setloss.errors import BadK, EmptyClass, ValidationError
+from setloss.sampling import Rng
 
 
 def test_longtail_counts_worked_example():
@@ -179,6 +182,45 @@ def test_imbalanced_dataset_refuses_counts_that_are_not_integers(name, args):
     # 129, 60).
     with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
         synthlab.make_imbalanced_dataset(*args)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(1.0), "1", None])
+def test_a_seed_that_is_not_an_integer_is_refused(seed):
+    # 1.5, True and 1.0 were truncated to seed 1: make_k_dataset returned
+    # seed 1's vectors, bit for bit.
+    message = f"^{re.escape(f'seed must be an integer, got {seed!r}')}$"
+    for draw in (lambda: Rng(seed), lambda: grads.check_batch(6, 2, seed),
+                 lambda: synthlab.make_k_dataset(1, points_per_cluster=3, seed=seed),
+                 lambda: synthlab.make_imbalanced_dataset("step", 2, 2, 4, 1.0, 0.3, seed)):
+        with pytest.raises(ValidationError, match=message):
+            draw()
+
+
+def test_a_numpy_integer_seed_draws_the_int_seeds_stream():
+    for seed in (np.int64(7), np.uint64(7), np.int8(7)):
+        assert np.array_equal(Rng(seed).normals(5), Rng(7).normals(5))
+
+
+@pytest.mark.parametrize("counts, message", [
+    ((2.5, 3), "^counts\\[0\\] must be an integer, got 2.5$"),
+    ((2, np.float64(3.0)), "^counts\\[1\\] must be an integer, got "),
+    ((True, 3), "^counts\\[0\\] must be an integer, got True$"),
+    ((-1, 3), "^need one count >= 0 per centroid \\(2\\), got \\(-1, 3\\)$"),
+    ((2,), "^need one count >= 0 per centroid \\(2\\), got \\(2,\\)$"),
+    ((2, 3, 4), "^need one count >= 0 per centroid \\(2\\), got \\(2, 3, 4\\)$"),
+], ids=["float", "numpy-float", "bool", "negative", "too-few", "too-many"])
+def test_sample_clusters_refuses_bad_counts(counts, message):
+    # 2.5 raised numpy's TypeError, -1 and (2,) numpy's ValueError, and True
+    # was taken as a count of 1.
+    with pytest.raises(ValidationError, match=message):
+        synthlab.sample_clusters(np.zeros((2, 2)), 0.3, counts, 0)
+
+
+def test_sample_clusters_takes_numpy_integer_counts():
+    got = synthlab.sample_clusters(np.eye(2), 0.3, np.array([2, 3]), 0)
+    want = synthlab.sample_clusters(np.eye(2), 0.3, (2, 3), 0)
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert got.labels.tolist() == [0, 0, 1, 1, 1]
 
 
 def test_k_dataset_rejects_empty_clusters():

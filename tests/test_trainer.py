@@ -49,12 +49,14 @@ def test_config_rejects_degenerate_sizes(setting):
 @pytest.mark.parametrize("setting", [
     {"steps": 2.5}, {"steps": 2.0}, {"steps": True}, {"steps": None},
     {"batch_size": 20.5}, {"batch_size": True}, {"out_dim": 2.5},
-    {"out_dim": np.float64(3.0)}, {"out_dim": False},
+    {"out_dim": np.float64(3.0)}, {"out_dim": False}, {"seed": 1.5},
+    {"seed": True}, {"seed": np.float64(1.0)},
 ])
 def test_config_refuses_counts_that_are_not_integers(setting):
     # steps=2.5 or out_dim=2.5 used to pass here and raise numpy's TypeError
     # in training, aborting a whole comparison; batch_size=20.5 trained on a
-    # rounded size and steps=True trained one step.
+    # rounded size and steps=True trained one step. seed=1.5, True and 1.0
+    # trained on seed 1's split and initial W.
     key = next(iter(setting))
     with pytest.raises(ValidationError, match=f"^{key} must be an integer, got "):
         trainer.TrainConfig(**setting)
@@ -428,13 +430,15 @@ def _train_or_refusal(data, config):
 @pytest.mark.parametrize("name", objectives.OBJECTIVES)
 def test_workspace_training_matches_a_fresh_step_loop(name, kernel, batch_size,
                                                       monkeypatch):
-    # Without a workspace every step builds fresh arrays from the same code.
+    # The fresh run takes every buffer, kernel and scratch alike, as a new
+    # array filled with NaN, so that a read before a write shows up too.
     tr, _ = trainer.split_batch(small_data(), 0.25, seed=0)
     config = trainer.TrainConfig(
         loss=losses.LossConfig(name, kernel=kernel, bandwidth=0.8),
         lr=0.005, steps=4, batch_size=batch_size, seed=1)
     reused = _train_or_refusal(tr, config)
-    monkeypatch.setattr(kernels, "thread_workspace", lambda: None)
+    monkeypatch.setattr(kernels.Workspace, "buffer",
+                        lambda self, name, shape: np.full(shape, np.nan))
     fresh = _train_or_refusal(tr, config)
     if isinstance(fresh, type):
         assert reused is fresh
