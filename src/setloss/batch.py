@@ -45,12 +45,15 @@ class EmbeddingBatch:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
         # Labels are cast first and checked last, so a batch names a
         # non-integer label before any fault of its vectors, and a negative
         # label or an empty class after them.
         given = self.labels if isinstance(self.labels, ClassPartition) else None
         labels = _integers(self.labels) if given is None else given.labels
+        try:
+            self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValidationError("vectors must be an array of real numbers") from None
         if self.vectors.ndim != 2:
             raise ValidationError(f"vectors must be 2-D, got shape {self.vectors.shape}")
         n, d = self.vectors.shape

@@ -192,8 +192,6 @@ def cmd_eval(args, cfg: dict) -> int:
 
 
 def cmd_gradcheck(args, cfg: dict) -> int:
-    if args.n < 2 or args.d < 1:
-        raise ValidationError(f"need n >= 2 and d >= 1, got n={args.n}, d={args.d}")
     names = objectives.OBJECTIVES if args.objective == "all" else (args.objective,)
     seed = _seed(args, cfg)
     loss = resolve(args, cfg.get("loss", {}), LOSS_PARAMS)

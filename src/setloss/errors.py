@@ -6,7 +6,7 @@ violate an operation's stated precondition (CLI exit code 3).
 """
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class SetLossError(Exception):
@@ -120,6 +120,21 @@ def check_integers(**counts) -> None:
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_finite(**values) -> None:
+    """ValidationError naming the first of values, by keyword, that is not a
+    finite real number: an int, a float or a numpy number of either kind,
+    not NaN, infinite or an int past the largest float. A bool is refused, as
+    `check_integers` refuses it."""
+    for name, value in values.items():
+        try:
+            finite = (isinstance(value, Real) and not isinstance(value, bool)
+                      and math.isfinite(value))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 def check_tolerance(tolerance: float) -> None:

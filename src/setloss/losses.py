@@ -30,6 +30,7 @@ from .errors import (
     NonPositiveBandwidth,
     SingleClassBatch,
     ValidationError,
+    check_finite,
 )
 
 
@@ -50,9 +51,7 @@ class LossConfig:
     def __post_init__(self):
         obj = objectives.get(self.objective)
         kernels.check_kind(self.kernel)
-        for key in ("lam", "margin", "bandwidth"):
-            if not np.isfinite(getattr(self, key)):
-                raise ValidationError(f"{key} must be finite, got {getattr(self, key)}")
+        check_finite(lam=self.lam, margin=self.margin, bandwidth=self.bandwidth)
         if self.kernel == "rbf" and not (self.bandwidth > 0):
             raise NonPositiveBandwidth(self.bandwidth)
         if self.margin < 0:

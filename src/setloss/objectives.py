@@ -25,6 +25,19 @@ Double sums over a class run over all ordered pairs including i = j; the
 "- 1" inside the n-pairs and supcon logarithms is a literal scalar; snn-style
 inner sums exclude the anchor itself. There is no temperature parameter.
 
+Eight records come from two term families, each record's coefficients
+stated once in its `REGISTRY` entry, from which one factory writes both the
+term and the weight rule:
+  `_pairwise`    (c - w sum_{A x A} K) + b sum_{A x O} K, K = S or S o S:
+                 n-pairs (w = 1, with its row logs), opl (c = b = w = 1),
+                 submod-triplet (b = w = 1 on S o S), gc-sf (b = 1, w = lam)
+                 and gc-cf (b = lam, w = 0). Its second differences are
+                 Delta_kl f(A) = -2 (b + w) K_kl;
+  `_anchor_lse`  -w sum_{A x A} S + per anchor the log-sum-exp over O, plus
+                 or minus one over its classmates: snn (minus, over S),
+                 submod-snn (plus, over D) and submod-supcon (none, w = 1).
+triplet, supcon, the log-det pair and fl have terms and rules of their own.
+
 Claims, which the lattice checker compares its verdict against:
   "submodular"      claimed submodular, and no proof against it is known;
                     submod-supcon's claim provably holds whenever every
@@ -168,70 +181,14 @@ def _row_logs(rows, mem):
         return np.sum(np.log(_gather(rows, mem)), axis=-1)
 
 
-def _npairs_term(s, d, mem, comp, lam, eps, whole):
-    return -(_block_sum(s, mem, mem) + _row_logs(whole, mem))
-
-
-def _opl_term(s, d, mem, comp, lam, eps, whole):
-    return (1.0 - _block_sum(s, mem, mem)) + _block_sum(s, mem, comp)
-
-
 def _others(m: int) -> np.ndarray:
     """(m, m - 1) positions: row a lists every position but a, in order."""
     idx = np.arange(m - 1)
     return idx + (idx >= np.arange(m)[:, None])
 
 
-def _anchor_lses(pos_from, s, mem, comp):
-    """Anchor log-sum-exps over classmates (of pos_from) and over O (of s)."""
-    m = mem.shape[1]
-    anchors = mem[:, :, None]
-    # own[r, a] holds anchor a's classmates in row r.
-    own = mem[:, _others(m)]
-    pos = (_lse(_gather(pos_from, anchors, own)) if m > 1
-           else np.zeros(s.shape[:-2] + mem.shape))
-    return pos, _lse(_block(s, mem, comp))
-
-
-def _snn_term(s, d, mem, comp, lam, eps, whole):
-    pos, neg = _anchor_lses(s, s, mem, comp)
-    total = np.zeros(s.shape[:-2] + mem.shape[:1])
-    for a in range(mem.shape[1]):
-        total += neg[..., a] - pos[..., a]
-    return total
-
-
 def _supcon_term(s, d, mem, comp, lam, eps, whole):
     return -_block_sum(s, mem, mem) / mem.shape[1] + _row_logs(whole, mem)
-
-
-def _submod_triplet_term(s, d, mem, comp, lam, eps, whole):
-    s2 = s * s
-    return _block_sum(s2, mem, comp) - _block_sum(s2, mem, mem)
-
-
-def _submod_snn_term(s, d, mem, comp, lam, eps, whole):
-    pos, neg = _anchor_lses(d, s, mem, comp)
-    total = np.zeros(s.shape[:-2] + mem.shape[:1])
-    for a in range(mem.shape[1]):
-        total += pos[..., a] + neg[..., a]
-    return total
-
-
-def _submod_supcon_term(s, d, mem, comp, lam, eps, whole):
-    total = -_block_sum(s, mem, mem)
-    neg = _lse(_block(s, mem, comp))
-    for a in range(mem.shape[1]):
-        total += neg[..., a]
-    return total
-
-
-def _gc_sf_term(s, d, mem, comp, lam, eps, whole):
-    return _block_sum(s, mem, comp) - lam * _block_sum(s, mem, mem)
-
-
-def _gc_cf_term(s, d, mem, comp, lam, eps, whole):
-    return lam * _block_sum(s, mem, comp)
 
 
 def _logdet_sf_term(s, d, mem, comp, lam, eps, whole):
@@ -358,14 +315,6 @@ def _outer_sums(out, u, v, classes):
     out.rows(write)
 
 
-def _constants(out, classes, between, within):
-    """M for a W that is `between` between classes and `within` within."""
-    def write(t, lo):
-        t.fill(between + between)
-        _within(t, classes, lambda block, *_: block.fill(within + within), lo)
-    out.rows(write)
-
-
 def _triplet_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
                      whole):
     w = scratch()
@@ -378,17 +327,6 @@ def _triplet_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
             w[a[k], a] += np.count_nonzero(active, axis=1)
             w[a[k], comp] -= np.count_nonzero(active, axis=0)
     _fold(w, dout)
-
-
-def _npairs_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
-                    whole):
-    inv_row = 1.0 / whole
-    _outer_sums(out, 0.0 - inv_row, -1.0 - inv_row, classes)
-
-
-def _opl_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
-                 whole):
-    _constants(out, classes, 1.0, -1.0)
 
 
 def _classmates(classes):
@@ -408,63 +346,12 @@ def _add_outside_softmax(w, s, classes):
             w[anchors, comp] += _row_softmax(s[anchors, comp])
 
 
-def _snn_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
-                 whole):
-    w = scratch()
-    for anchors, own in _classmates(classes):
-        w[anchors, own] -= _row_softmax(s[anchors, own])
-    _add_outside_softmax(w, s, classes)
-    _fold(w, out)
-
-
 def _supcon_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
                     whole):
     inv_row = 1.0 / whole
     inv_size = 1.0 / classes.sizes
     _outer_sums(out, 0.0 + inv_row, (0.0 - inv_size[classes.labels]) + inv_row,
                 classes)
-
-
-def _submod_triplet_weights(out, dout, scratch, s, d, classes, picks, lam,
-                            eps, whole):
-    # W is symmetric, as S is, so M = W + W.
-    def write(t, lo):
-        np.multiply(s[lo:lo + len(t)], 2.0, out=t)
-        _within(t, classes, lambda block, *_: np.negative(block, out=block), lo)
-        # -x + 0.0 is 0.0 - x and x + 0.0 is 0.0 + x, signed zeros included.
-        t += 0.0
-        t += t
-    out.rows(write)
-
-
-def _submod_snn_weights(out, dout, scratch, s, d, classes, picks, lam,
-                        eps, whole):
-    w = scratch()
-    for anchors, own in _classmates(classes):
-        w[anchors, own] += _row_softmax(d[anchors, own])
-    _fold(w, dout)
-    w.fill(0.0)
-    _add_outside_softmax(w, s, classes)
-    _fold(w, out)
-
-
-def _submod_supcon_weights(out, dout, scratch, s, d, classes, picks, lam,
-                           eps, whole):
-    # W is 0.0 - 1 within classes and 0.0 - 0 between, before the softmax.
-    w = scratch()
-    _within(w, classes, lambda block, *_: block.fill(-1.0))
-    _add_outside_softmax(w, s, classes)
-    _fold(w, out)
-
-
-def _gc_sf_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
-                   whole):
-    _constants(out, classes, 1.0, 0.0 - lam)
-
-
-def _gc_cf_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
-                   whole):
-    _constants(out, classes, 0.0 + lam, 0.0)
 
 
 def _logdet_weights(out, dout, scratch, s, d, classes, picks, lam, eps,
@@ -496,6 +383,125 @@ def _fl_weights(out, dout, scratch, s, d, classes, picks, lam, eps, whole):
         here = (cols >= lo) & (cols < lo + len(t))
         t[cols[here] - lo, rows[here]] += 1.0
     out.rows(write)
+
+
+# The two term families. Each factory returns a record's (term, weights)
+# pair, both written from the one statement of its coefficients that the
+# record's `REGISTRY` entry makes. A coefficient is a number or _LAM, the
+# config's lam.
+_LAM = "lam"
+
+
+def _coefficient(c, lam, x=1.0):
+    """c x, with x itself where c is 1, so that no pass multiplies by 1."""
+    return x if c == 1.0 else (lam if c == _LAM else c) * x
+
+
+def _pairwise(between, within, const=0.0, squared=False, logs=False):
+    """(term, weights) of the pairwise family: per class A with complement O,
+
+        f(A) = (const - within sum_{i,j in A} K_ij) + between sum_{i in A, j in O} K_ij
+
+    with K = S, or S o S when squared. With logs, n-pairs' modular part
+    sum_{i in A} log(whole_i) joins the within sum inside its bracket, as
+    -(AA + R). A sum whose coefficient is the number 0 is not computed, and
+    const is taken only with both sums, as opl's (1 - AA) + AO; with one,
+    each record's own expression is kept pass for pass.
+    For k != l outside A, Delta_kl f(A) = -2 (between + within) K_kl
+    whatever the signs of K, the modular parts cancelling.
+
+    W is (0.0 + between) between classes and (0.0 - within) within; logs
+    subtracts 1 / whole_i from row i of both (`_outer_sums`). Squared, each
+    is scaled by dK/dS = 2S, which the writer reads before it writes over
+    S; that case takes between = 1, so that a between weight is 0.0 + 2S and
+    a within one 0.0 + 2S x (0.0 - within), each exact for any within.
+    """
+    assert not squared or between == 1.0, "a squared kernel takes between = 1"
+
+    def term(s, d, mem, comp, lam, eps, whole):
+        k = s * s if squared else s
+        inner = outer = None
+        if within != 0.0:
+            inner = _coefficient(within, lam, _block_sum(k, mem, mem))
+            if logs:
+                inner += _row_logs(whole, mem)
+        if between != 0.0:
+            outer = _coefficient(between, lam, _block_sum(k, mem, comp))
+        if inner is None or outer is None:
+            return outer if inner is None else -inner
+        return (const - inner) + outer if const else outer - inner
+
+    def weights(out, dout, scratch, s, d, classes, picks, lam, eps, whole):
+        up, down = 0.0 + _coefficient(between, lam), 0.0 - _coefficient(within, lam)
+        if logs:
+            inv_row = 1.0 / whole
+            _outer_sums(out, up - inv_row, down - inv_row, classes)
+            return
+
+        def write(t, lo):
+            if squared:
+                # W is symmetric, as S is, so M = W + W; x + 0.0 is 0.0 + x,
+                # signed zeros included.
+                np.multiply(s[lo:lo + len(t)], 2.0, out=t)
+                _within(t, classes, lambda block, *_: np.multiply(block, down, block), lo)
+                t += 0.0
+                t += t
+            else:
+                t.fill(up + up)
+                _within(t, classes, lambda block, *_: block.fill(down + down), lo)
+        out.rows(write)
+
+    return term, weights
+
+
+def _anchor_lse(classmates=None, sign=1.0, within=0.0):
+    """(term, weights) of the anchor log-sum-exp family: per class A with
+    complement O,
+
+        f(A) = -within sum_{i,j in A} S_ij
+               + sum_{i in A} [ log sum_{j in O} e^{S_ij}
+                                + sign log sum_{j in A\\{i}} e^{K_ij} ]
+
+    where K is S or D as classmates names it ("s" or "d"); with classmates
+    None, or in a one-member class, the classmate sum is left out (taken as
+    0; no log-sum-exp is -0.0, so adding none keeps the bits of adding 0).
+    Each anchor's terms add to the class's total in anchor order.
+
+    W is (0.0 - within) within classes, plus sign x each anchor's softmax
+    over its classmates' K, plus each anchor's softmax over its outside S.
+    A classmate softmax over D folds into dout, the rest into out.
+    """
+    combine = np.add if sign > 0 else np.subtract
+
+    def term(s, d, mem, comp, lam, eps, whole):
+        m = mem.shape[1]
+        neg = _lse(_block(s, mem, comp))
+        total = (-_coefficient(within, lam, _block_sum(s, mem, mem)) if within
+                 else np.zeros(neg.shape[:-1]))
+        pos = None
+        if classmates is not None and m > 1:
+            # Row r's anchor a has the classmates mem[r, _others(m)[a]].
+            pos = _lse(_gather(s if classmates == "s" else d, mem[:, :, None],
+                               mem[:, _others(m)]))
+        for a in range(m):
+            total += neg[..., a] if pos is None else combine(neg[..., a], pos[..., a])
+        return total
+
+    def weights(out, dout, scratch, s, d, classes, picks, lam, eps, whole):
+        w = scratch()
+        if within:
+            _within(w, classes, lambda block, *_: block.fill(0.0 - within))
+        if classmates is not None:
+            k = s if classmates == "s" else d
+            for anchors, own in _classmates(classes):
+                w[anchors, own] = combine(w[anchors, own], _row_softmax(k[anchors, own]))
+            if classmates == "d":
+                _fold(w, dout)
+                w.fill(0.0)
+        _add_outside_softmax(w, s, classes)
+        _fold(w, out)
+
+    return term, weights
 
 
 def _triplet_kinks(rows, s, d, classes, eps):
@@ -570,8 +576,9 @@ class Objective:
     whole_value maps (s, lam) to what every term and weight call shares:
     the row sums less one for n-pairs and supcon, log det of S + lam I for
     logdet-cf, None for the rest. Callers compute it once and pass it as
-    `whole`. A record with `positive_rowsum` has those row sums as its
-    whole_value, so a training step computes them once.
+    `whole`. `positive_rowsum`, which the domain check reads, holds
+    exactly for the records whose whole_value is those row sums, so a
+    training step computes them once.
     """
 
     name: str
@@ -580,12 +587,16 @@ class Objective:
     weights: Callable
     reads: tuple = ("s",)
     single_class_ok: bool = False    # a one-class batch is scored, with a warning
-    positive_rowsum: bool = False    # needs whole_value, sum_j S_ij - 1, > 0
     min_class_size: int = 1
     picking_term: Callable | None = None
     kinks: Callable = lambda rows, s, d, classes, eps: None
     check_lam: Callable = lambda lam: None
     whole_value: Callable = lambda s, lam: None
+
+    @property
+    def positive_rowsum(self) -> bool:
+        """Whether the domain needs every whole_value, sum_j S_ij - 1, > 0."""
+        return self.whole_value is _rows_less_one
 
     @property
     def expected_verdict(self) -> str:
@@ -596,21 +607,19 @@ class Objective:
 REGISTRY = (
     Objective("triplet", "not-submodular", _triplet_term, _triplet_weights,
               kinks=_triplet_kinks, reads=("d2",), min_class_size=2),
-    Objective("n-pairs", "submodular", _npairs_term, _npairs_weights,
-              positive_rowsum=True, whole_value=_rows_less_one),
-    Objective("opl", "submodular", _opl_term, _opl_weights),
-    Objective("snn", "not-submodular", _snn_term, _snn_weights),
+    Objective("n-pairs", "submodular", *_pairwise(between=0.0, within=1.0, logs=True),
+              whole_value=_rows_less_one),
+    Objective("opl", "submodular", *_pairwise(between=1.0, within=1.0, const=1.0)),
+    Objective("snn", "not-submodular", *_anchor_lse("s", sign=-1.0)),
     Objective("supcon", "not-submodular", _supcon_term, _supcon_weights,
-              positive_rowsum=True, whole_value=_rows_less_one),
-    Objective("submod-triplet", "submodular", _submod_triplet_term,
-              _submod_triplet_weights),
-    Objective("submod-snn", "refuted", _submod_snn_term, _submod_snn_weights,
-              reads=("s", "d")),
-    Objective("submod-supcon", "submodular", _submod_supcon_term,
-              _submod_supcon_weights),
-    Objective("gc-sf", "submodular", _gc_sf_term, _gc_sf_weights,
+              whole_value=_rows_less_one),
+    Objective("submod-triplet", "submodular",
+              *_pairwise(between=1.0, within=1.0, squared=True)),
+    Objective("submod-snn", "refuted", *_anchor_lse("d", sign=1.0), reads=("s", "d")),
+    Objective("submod-supcon", "submodular", *_anchor_lse(within=1.0)),
+    Objective("gc-sf", "submodular", *_pairwise(between=1.0, within=_LAM),
               single_class_ok=True, check_lam=_lam_at_least_one),
-    Objective("gc-cf", "submodular", _gc_cf_term, _gc_cf_weights,
+    Objective("gc-cf", "submodular", *_pairwise(between=_LAM, within=0.0),
               single_class_ok=True, check_lam=_lam_at_least_one),
     Objective("logdet-sf", "submodular", _logdet_sf_term, _logdet_weights,
               single_class_ok=True, check_lam=_lam_positive),

@@ -73,6 +73,25 @@ def test_partition_covers_everything():
         assert np.all(labels[members] == k)
 
 
+@pytest.mark.parametrize("vectors", [
+    [["a", "b"]] * 3, [[1.0, 2.0], [3.0], [4.0, 5.0]], [[1j, 0.0]] * 3,
+])
+def test_rejects_vectors_that_are_not_real_numbers(vectors):
+    # numpy's cast used to let its own ValueError or TypeError out.
+    with pytest.raises(ValidationError, match="^vectors must be an array of real numbers$"):
+        EmbeddingBatch(vectors, [0, 1, 1])
+    # The labels are still named first.
+    with pytest.raises(ValidationError, match="labels must be integers"):
+        EmbeddingBatch(vectors, [0, 1, 1.5])
+
+
+def test_real_vectors_keep_their_bits():
+    rows = [[0.1, -2.5], [3, 4], [1e-300, np.float32(0.3)]]
+    batch = EmbeddingBatch(rows, [0, 1, 1])
+    assert batch.vectors.dtype == np.float64
+    assert batch.vectors.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+
+
 @pytest.mark.parametrize("labels,error,match", [
     (np.zeros(0, dtype=int), EmptyGroundSet, "ground set is empty"),
     ([0, -1], ValidationError, "labels must be nonnegative"),

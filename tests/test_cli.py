@@ -140,6 +140,17 @@ def test_gradcheck_builds_its_batch_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, got", [
+    (["--n", "1"], "n=1, d=8"), (["--n", "4", "--d", "0"], "n=4, d=0"),
+])
+def test_gradcheck_refuses_a_batch_too_small(flags, got, capsys):
+    # grads.check_batch gives the error; the command keeps its text and code.
+    assert cli.main(["gradcheck", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need n >= 2 and d >= 1, got {got}\n"
+
+
 def test_gradcheck_zero_tolerance_fails(capsys):
     assert cli.main(["gradcheck", "--objective", "gc-cf", "--tol", "0"]) == 4
     assert capsys.readouterr().out.startswith("FAIL")

@@ -138,6 +138,26 @@ def test_gc_cf_gradient_from_kernel_gradients():
     assert np.allclose(got, expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("n, dim, match", [
+    (6.0, 3, "n must be an integer"), (6, 2.0, "dim must be an integer"),
+    (True, 3, "n must be an integer"), (6, True, "dim must be an integer"),
+    ("6", 3, "n must be an integer"), (1, 3, "need n >= 2 and d >= 1, got n=1, d=3"),
+    (6, 0, "need n >= 2 and d >= 1, got n=6, d=0"),
+])
+def test_check_batch_refuses_a_size_that_is_not_one(n, dim, match):
+    # Floats let numpy's TypeError out, True was a bare TypeError, and n = 1
+    # gave a one-class batch.
+    with pytest.raises(ValidationError, match=match):
+        grads.check_batch(n, dim, 0)
+
+
+def test_check_batch_takes_numpy_integers_with_the_same_bits():
+    want = grads.check_batch(12, 8, 3)
+    got = grads.check_batch(np.int64(12), np.int32(8), 3)
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+
+
 def test_fd_rejects_nonpositive_step():
     b = grads.check_batch(6, 3, 0)
     with pytest.raises(ValidationError):

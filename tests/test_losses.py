@@ -53,6 +53,36 @@ def test_config_rejects_non_finite_hyperparameters(name, key, kernel, value):
         losses.LossConfig(name, kernel=kernel, **{key: value})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lam", None), ("lam", "1"), ("lam", [1.0]), ("lam", 1j), ("margin", True),
+    ("bandwidth", False), ("margin", np.bool_(True)),
+    pytest.param("lam", 10 ** 400, id="lam-int-past-the-largest-float"),
+])
+def test_config_rejects_hyperparameters_that_are_not_real_numbers(key, value):
+    # None and "1" let numpy's TypeError out of np.isfinite, [1.0] was taken
+    # as finite, a bool passed as 0 or 1, and 10 ** 400 passed, to raise
+    # OverflowError when a term multiplied by it.
+    with pytest.raises(ValidationError, match=f"^{key} must be finite, got "):
+        losses.LossConfig(kernel="rbf", **{key: value})
+
+
+def test_config_keeps_real_hyperparameters_as_given():
+    config = losses.LossConfig("gc-sf", lam=np.float64(1.5), margin=0, bandwidth=np.int64(2),
+                               kernel="rbf")
+    assert (config.lam, config.margin, config.bandwidth) == (1.5, 0, 2)
+    assert type(config.lam) is np.float64 and type(config.margin) is int
+
+
+def test_positive_rowsum_holds_exactly_for_the_row_sum_records():
+    # A derived property, not a field: a record cannot claim the row-sum
+    # domain without the row sums as its whole_value, or the reverse.
+    assert "positive_rowsum" not in {f.name for f in dataclasses.fields(objectives.Objective)}
+    assert [obj.name for obj in objectives.REGISTRY if obj.positive_rowsum] == [
+        "n-pairs", "supcon"]
+    assert all(obj.positive_rowsum == (obj.whole_value is objectives._rows_less_one)
+               for obj in objectives.REGISTRY)
+
+
 def test_fl_four_point_hand_value():
     res = losses.total_loss(four_point_batch(), losses.LossConfig("fl"))
     assert res.per_class[0] == pytest.approx(0.6, abs=1e-12)
@@ -236,9 +266,12 @@ def test_a_step_sums_the_rows_once(name, monkeypatch):
     assert len(calls) == 1 and seen[0] is ev.whole
     assert ev.result.total == want_total
     assert grad.tobytes() == want_grad.tobytes()
-    # The domain check reads the row sums it is given.
+    # The domain check reads the row sums it is given. It is the record's
+    # own: a record whose whole_value is not `_rows_less_one`, as the
+    # counting one, has no row-sum domain (`Objective.positive_rowsum`).
     bad = ev.whole.copy()
     bad[3] = 0.0
+    monkeypatch.undo()
     with pytest.raises(DegenerateBatch, match="at row 3"):
         losses.check_preconditions(config, ev.batch.classes, bad)
 

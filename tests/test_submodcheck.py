@@ -1,10 +1,12 @@
+import csv
 import io
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from setloss import losses, objectives, submodcheck
@@ -153,15 +155,17 @@ def test_submod_snn_orthonormal_counterexample_closed_form(n, config):
         assert margin < -submodcheck.DEFAULT_TOLERANCE
 
 
-def _supcon_second_differences(batch, config):
-    """S and, for every A and k < l outside it, (k, l, the four values
-    f(A + k + l), f(A + k), f(A + l), f(A)) of submod-supcon, all read from
-    one value table."""
-    obj = objectives.get("submod-supcon")
+def _second_differences(batch, config, name="submod-supcon", nonempty=False):
+    """S and, for every A (nonempty if asked) and k < l outside it, (k, l,
+    the four values f(A + k + l), f(A + k), f(A + l), f(A)) of the named
+    objective, all read from one value table."""
+    obj = objectives.get(name)
     s, d = losses.matrices(batch, config)
     f = backend.value_table(obj, s, d, config.lam, config.margin)
     k, l = np.triu_indices(batch.n, 1)
-    a, pair = np.nonzero((np.arange(f.size)[:, None] & ((1 << k) | (1 << l))) == 0)
+    a, pair = np.nonzero((np.arange(int(nonempty), f.size)[:, None]
+                          & ((1 << k) | (1 << l))) == 0)
+    a += int(nonempty)
     k, l = k[pair], l[pair]
     kb, lb = 1 << k, 1 << l
     return s, k, l, np.stack([f[a | kb | lb], f[a | kb], f[a | lb], f[a]])
@@ -191,12 +195,79 @@ def test_submod_supcon_second_difference_is_below_minus_twice_s(n, config, seed)
     necessary.
     """
     batch = submodcheck.draw_batch(Rng(seed), n)
-    s, k, l, values = _supcon_second_differences(batch, config)
+    s, k, l, values = _second_differences(batch, config)
     finite = np.all(np.isfinite(values), axis=0)
     assert np.count_nonzero(~finite) == n * (n - 1) // 2
     big, plus_k, plus_l, base = values[:, finite]
     delta = big - plus_k - plus_l + base
     assert np.all(delta + 2.0 * s[k[finite], l[finite]] <= 1e-9)
+
+
+# The pairwise family, f(A) = (c - w sum_{A x A} K) + b sum_{A x O} K, and
+# each record's -2 (b + w), written out here: Delta_kl f(A) is minus this,
+# a function of lam, times K_kl, with K = S o S where squared is True.
+PAIRWISE = {
+    "opl": (lambda lam: 4.0, False),               # c = 1, b = w = 1
+    "n-pairs": (lambda lam: 2.0, False),           # b = 0, w = 1, row logs
+    "gc-sf": (lambda lam: 2.0 * (1.0 + lam), False),   # b = 1, w = lam
+    "gc-cf": (lambda lam: 2.0 * lam, False),       # b = lam, w = 0
+    "submod-triplet": (lambda lam: 4.0, True),     # b = w = 1 on S o S
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PAIRWISE)), st.sampled_from([1.0, 1.7]),
+       st.integers(5, 8), st.sampled_from(["cosine", "rbf"]), st.integers(0, 2 ** 16))
+def test_pairwise_second_differences_are_minus_twice_b_plus_w_times_k(name, lam, n,
+                                                                      kernel, seed):
+    """Delta_kl f(A) = -2 (b + w) K_kl for every A and k != l outside it.
+
+    With O = V \\ A, sum_{A x O} K = sum_{i in A} sum_{j in V} K_ij
+    - sum_{A x A} K: a modular part less the within sum. Adding k and l to A
+    adds K_kl + K_lk = 2 K_kl to the within sum beyond what adding each
+    alone adds, and nothing to a modular part (n-pairs' row logs included).
+    So the second difference is -2 w K_kl - 2 b K_kl, whatever the signs of
+    K, and f is submodular exactly when every off-diagonal K_kl >= 0 (Bach
+    2013). Cosine draws take negative similarities, which the identity
+    covers as well; n-pairs is compared where its four values are finite,
+    its row logs being undefined where a row sums to 1 or less. A is
+    nonempty: the value tables take f(empty) = 0, not opl's c = 1, and the
+    DR scan leaves the empty A out by default.
+    """
+    config = losses.LossConfig(name, lam=lam, kernel=kernel, bandwidth=1.0)
+    batch = submodcheck.draw_batch(Rng(seed), n)
+    s, k, l, values = _second_differences(batch, config, name, nonempty=True)
+    assume(kernel == "rbf" or np.any(s[k, l] < 0.0))
+    finite = np.all(np.isfinite(values), axis=0)
+    assume(finite.any())
+    coefficient, squared = PAIRWISE[name]
+    kernel_kl = s[k, l] ** 2 if squared else s[k, l]
+    big, plus_k, plus_l, base = values[:, finite]
+    delta = big - plus_k - plus_l + base
+    want = -coefficient(lam) * kernel_kl[finite]
+    # Relative to the largest of the four values, each a sum of up to n^2
+    # entries, whose roundings the difference carries.
+    scale = np.maximum(np.max(np.abs(values[:, finite]), axis=0), 1.0)
+    assert np.all(np.abs(delta - want) <= 1e-13 * scale)
+
+
+def test_pairwise_min_margins_in_the_seed0_fixture_are_coefficient_times_smallest_k():
+    """The seed-0 verdict rows of the pairwise family are 2 (b + w) m, with
+    m the smallest off-diagonal K over the 200 rbf draws at n = 6.
+
+    A triple's margin f(x|A) - f(x|B) is minus the sum of Delta_xl over
+    the l of B \\ A added one at a time, 2 (b + w) sum_{l in B \\ A} K_xl,
+    so the smallest margin takes one l, the pair of smallest K. At lam = 1
+    that is 4m, 2m, 4m, 2m and 4m^2.
+    """
+    z = submodcheck.draw_stack(Rng(0), 0, 200, 6)
+    s, _ = losses.matrices(z, submodcheck.CONSISTENCY_CONFIG)
+    m = np.min(s[:, ~np.eye(6, dtype=bool)])
+    assert m == 0.13640119677843934
+    with open(Path(__file__).parent / "fixtures" / "verdicts_seed0.csv") as fh:
+        margins = {row["objective"]: float(row["min_margin"]) for row in csv.DictReader(fh)}
+    for name, (coefficient, squared) in PAIRWISE.items():
+        assert abs(margins[name] - coefficient(1.0) * (m * m if squared else m)) <= 4e-15
 
 
 def test_submod_supcon_cosine_violations_all_meet_a_negative_similarity():
