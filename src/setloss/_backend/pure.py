@@ -34,13 +34,24 @@ A scan's gains, minima and margins are built in place, in the "gain",
 The batched forms keep the bits of the per-subset loops they replaced. Each
 block is gathered in the loop's order and summed as one contiguous row, so
 numpy's pairwise summation sees the same sequence; per-anchor sums run as a
-column loop from the same starting value; log-sum-exp takes its logarithm
-with math.log, element by element, because np.log can differ from it in the
-last place. tests/test_pure_backend.py keeps those loops as a frozen oracle
-and pins the tables, scan results and totals to them bit for bit.
+column loop from the same starting value; a row maximum is exact, so it
+keeps its bits whichever way it is taken. tests/test_pure_backend.py keeps
+those loops as a frozen oracle and pins the tables, scan results and totals
+to them bit for bit.
+
+Log policy: log-sum-exp takes its logarithm with np.log. Its np.exp already
+picks SIMD code by host, so no choice of log made the log-sum-exp tables
+host-independent, and a Python-level math.log per (anchor, subset) was half
+of a table's cost. With AVX-512, np.log differs from math.log in the last
+place on 0.05% of sums in [1, 21]; without it, they agree bit for bit. The
+oracle takes a scalar np.log, which gives the array's bits on any one host,
+so it still judges the tables bit for bit.
 
 Conventions:
-  * the empty set evaluates to 0 for every objective;
+  * the empty set evaluates to 0 for every objective, although opl's formula
+    (1 - sum_{A x A} S) + sum_{A x O} S gives it 1: opl's table is the
+    formula less 1 at the empty set alone, so a scan with the empty set
+    included misses opl's violations at A = empty for -1/4 < S_xl < 0;
   * an empty log-sum-exp over an anchor's own class (singleton set under
     self-exclusion) contributes 0 -- the term is dropped;
   * an empty log-sum-exp over the complement (A = V) yields -inf: the value

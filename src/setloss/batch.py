@@ -50,10 +50,15 @@ class EmbeddingBatch:
         # label or an empty class after them.
         given = self.labels if isinstance(self.labels, ClassPartition) else None
         labels = _integers(self.labels) if given is None else given.labels
+        # A bool, string or object array is not taken as numbers, although
+        # numpy would cast it.
         try:
-            self.vectors = np.asarray(self.vectors, dtype=np.float64)
+            vectors = np.asarray(self.vectors)
         except (TypeError, ValueError):
-            raise ValidationError("vectors must be an array of real numbers") from None
+            vectors = None
+        if vectors is None or vectors.dtype.kind not in "fiu":
+            raise ValidationError("vectors must be an array of real numbers")
+        self.vectors = vectors.astype(np.float64, copy=False)
         if self.vectors.ndim != 2:
             raise ValidationError(f"vectors must be 2-D, got shape {self.vectors.shape}")
         n, d = self.vectors.shape

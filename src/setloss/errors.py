@@ -122,18 +122,22 @@ def check_integers(**counts) -> None:
             raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def finite_real(value) -> bool:
+    """Whether value is a finite real number: an int, a float or a numpy
+    number of either kind, not NaN, infinite or an int past the largest
+    float. A bool is not, as `check_integers` refuses it."""
+    try:
+        return (isinstance(value, Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
 def check_finite(**values) -> None:
     """ValidationError naming the first of values, by keyword, that is not a
-    finite real number: an int, a float or a numpy number of either kind,
-    not NaN, infinite or an int past the largest float. A bool is refused, as
-    `check_integers` refuses it."""
+    `finite_real`."""
     for name, value in values.items():
-        try:
-            finite = (isinstance(value, Real) and not isinstance(value, bool)
-                      and math.isfinite(value))
-        except OverflowError:
-            finite = False
-        if not finite:
+        if not finite_real(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
 
 

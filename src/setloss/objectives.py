@@ -73,16 +73,39 @@ from .errors import LambdaBelowOne, NotPositiveDefinite, ValidationError
 # argument lies within this of a kink.
 TIE_GAP = 1e-3
 
-_math_log = np.frompyfunc(math.log, 1, 1)
+# Rows of at most this many entries take their maximum as a column loop of
+# np.maximum, one call per column over every row at once, where np.max's
+# reduce pays about 90 ns a row. On the log-sum-exp and fl blocks of value
+# tables (rows of at most n - 1 <= 11 entries) the loop takes 8-12x less
+# time for a stack of 60 draws at n = 6 or one draw at n = 12, and about as
+# long for one draw at n = 6; on training blocks of 200 x 600 or 600 x 200
+# entries it is 7-26x slower (2-core x86 VM).
+_SHORT_ROW = 16
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """np.max(x, axis=-1), bit for bit.
+
+    A maximum is exact, so the column loop can differ from np.max's reduce
+    only in which of tied zeros (0.0 or -0.0) or NaNs it returns; a block
+    with a zero or NaN maximum, which kernel blocks almost never have, is
+    handed to np.max whole.
+    """
+    if not 0 < x.shape[-1] <= _SHORT_ROW:
+        return np.max(x, axis=-1)
+    top = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(top, x[..., j], out=top)
+    return top if np.all(np.abs(top) > 0) else np.max(x, axis=-1)
 
 
 def _lse(x: np.ndarray) -> np.ndarray:
     """Stabilized log(sum(exp(x))) over the last axis; -inf where it is empty."""
     if x.shape[-1] == 0:
         return np.full(x.shape[:-1], -math.inf)
-    top = np.max(x, axis=-1)
+    top = _row_max(x)
     total = np.sum(np.exp(x - top[..., None]), axis=-1)
-    return top + _math_log(total).astype(float)
+    return top + np.log(total)
 
 
 def _logdet_spd(m: np.ndarray):
@@ -202,8 +225,7 @@ def _logdet_cf_term(s, d, mem, comp, lam, eps, whole):
 
 
 def _fl_term(s, d, mem, comp, lam, eps, whole):
-    nearest = np.max(_block(s, comp, mem), axis=-1)
-    return np.sum(nearest, axis=-1)
+    return np.sum(_row_max(_block(s, comp, mem)), axis=-1)
 
 
 def _fl_picking_term(s, d, mem, comp, lam, eps, whole):

@@ -50,6 +50,7 @@ draws.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -122,6 +123,13 @@ def as_set_function(objective: str, batch: EmbeddingBatch,
 
 def _bits_to_tuple(bits: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if bits >> i & 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _subsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every n-bit mask's members, indexed by the mask: a stored violation's
+    sets are decoded by lookup."""
+    return tuple(_bits_to_tuple(bits, n) for bits in range(1 << n))
 
 
 def _check_size(n: int) -> None:
@@ -251,8 +259,8 @@ def _merge(objective: str, n: int, blocks, violations) -> LatticeCheckResult:
             out.min_margin = low
         out.compared += int(np.sum(compared))
         out.skipped += int(np.sum(skipped))
-    out.violations = [(_bits_to_tuple(a, n), _bits_to_tuple(b, n), x, ga, gb)
-                      for a, b, x, ga, gb in violations]
+    sets = _subsets(n) if violations else ()
+    out.violations = [(sets[a], sets[b], x, ga, gb) for a, b, x, ga, gb in violations]
     return out
 
 

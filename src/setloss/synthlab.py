@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels, losses, objectives
 from .batch import EmbeddingBatch
-from .errors import BadK, EmptyClass, ValidationError, check_integers
+from .errors import BadK, EmptyClass, ValidationError, check_integers, finite_real
 from .sampling import Rng
 
 K_RANGE = range(8)
@@ -41,8 +41,8 @@ def sample_clusters(centroids: np.ndarray, spread: float, counts, seed: int
                     ) -> EmbeddingBatch:
     """Draw the mixture: counts[k] rows of centroids[k] + spread * N(0, I),
     one integer count >= 0 per centroid."""
-    if not spread > 0:
-        raise ValidationError(f"spread must be positive, got {spread}")
+    if not (finite_real(spread) and spread > 0):
+        raise ValidationError(f"spread must be positive, got {spread!r} (a finite number > 0)")
     check_integers(**{f"counts[{k}]": count for k, count in enumerate(counts)})
     if len(counts) != len(centroids) or min(counts, default=0) < 0:
         raise ValidationError(f"need one count >= 0 per centroid ({len(centroids)}), "

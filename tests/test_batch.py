@@ -85,6 +85,25 @@ def test_rejects_vectors_that_are_not_real_numbers(vectors):
         EmbeddingBatch(vectors, [0, 1, 1.5])
 
 
+@pytest.mark.parametrize("vectors", [
+    [[True, False], [False, True], [True, True]], [["1", "2"]] * 3,
+    np.ones((3, 2), dtype=object),
+])
+def test_rejects_vectors_that_numpy_would_cast_to_numbers(vectors):
+    # Bools became 1.0 and 0.0, and numeric strings their values.
+    with pytest.raises(ValidationError, match="^vectors must be an array of real numbers$"):
+        EmbeddingBatch(vectors, [0, 1, 1])
+
+
+def test_keeps_float_vectors_and_casts_integer_ones():
+    v = np.eye(3)
+    assert EmbeddingBatch(v, [0, 1, 1]).vectors is v
+    for ints in (np.arange(6, dtype=np.int32).reshape(3, 2), [[0, 1], [2, 3], [4, 5]]):
+        got = EmbeddingBatch(ints, [0, 1, 1]).vectors
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.arange(6.0).reshape(3, 2))
+
+
 def test_real_vectors_keep_their_bits():
     rows = [[0.1, -2.5], [3, 4], [1e-300, np.float32(0.3)]]
     batch = EmbeddingBatch(rows, [0, 1, 1])

@@ -171,6 +171,24 @@ def test_grad_check_refuses_a_step_outside_zero_to_inf(h):
         grads.grad_check(b, losses.LossConfig("fl"), h=h)
 
 
+@pytest.mark.parametrize("h", [True, "1e-5", None, -1e-5, math.inf])
+def test_grad_check_refuses_a_bad_step_before_it_evaluates(h, monkeypatch):
+    # True ran with h = 1; a string or None raised a bare TypeError, and
+    # every bad step was refused only after the loss had been evaluated.
+    b = grads.check_batch(6, 3, 0)
+
+    def unreached(*args):
+        raise AssertionError("a bad step reached the loss")
+
+    monkeypatch.setattr(losses, "evaluate", unreached)
+    monkeypatch.setattr(losses, "total_loss", unreached)
+    with pytest.raises(ValidationError,
+                       match=f"^finite-difference step h must be finite and > 0, got {h!r}$"):
+        grads.grad_check(b, losses.LossConfig("fl"), h=h)
+    with pytest.raises(ValidationError, match="step h must be finite and > 0"):
+        grads.finite_difference_gradient(b, losses.LossConfig("fl"), h=h)
+
+
 @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
 def test_grad_check_refuses_a_tolerance_outside_zero_to_inf(tolerance):
     b = grads.check_batch(6, 3, 0)

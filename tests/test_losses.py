@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from setloss import grads, kernels, losses, objectives
 from setloss.batch import EmbeddingBatch
@@ -212,6 +215,50 @@ def test_snn_lse_stability_large_scale():
     b = EmbeddingBatch(v, np.array([0, 0, 1]))
     res = losses.total_loss(b, losses.LossConfig("submod-snn", kernel="cosine"))
     assert math.isfinite(res.total)
+
+
+_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def _row_blocks(draw):
+    """Stacks of rows of 1 to four past the short-row crossover entries, on
+    one to three leading axes, drawn from finite values alone or mixed with
+    signed zeros, infinities and NaN, or from signed zeros and values below
+    them, whose rows mostly have tied zero maxima."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    shape += (draw(st.integers(1, objectives._SHORT_ROW + 4)),)
+    finite = st.floats(-4.0, 4.0)
+    entries = draw(st.sampled_from([finite, finite | st.sampled_from(_SPECIAL),
+                                    st.sampled_from(_SPECIAL),
+                                    st.sampled_from((0.0, -0.0, -1.0, -math.inf))]))
+    return draw(hnp.arrays(np.float64, shape, elements=entries, fill=st.nothing()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_row_blocks())
+# Tied zeros: on an AVX-512 x86 host, np.max's reduce returns 0.0 here and a
+# column loop of np.maximum returns -0.0.
+@example(np.array([[-1.0, 0.0, 0.0, 0.0, 0.0, -0.0, -0.0, -0.0, -math.inf]]))
+def test_row_max_and_lse_keep_np_max_bits(x):
+    assert objectives._row_max(x).tobytes() == np.max(x, axis=-1).tobytes()
+    with np.errstate(invalid="ignore"):
+        got = objectives._lse(x)
+        top = np.max(x, axis=-1)
+        total = np.sum(np.exp(x - top[..., None]), axis=-1)
+    # The same log-sum-exp with numpy's maximum, and the log it took before
+    # (math.log, element by element): the first with the same bits, the
+    # second with -inf and NaN in the same places and within 1e-15 elsewhere
+    # (the log of at most 20 is below 3.1, where an ulp is 4.4e-16).
+    assert got.tobytes() == (top + np.log(total)).tobytes()
+    before = top + np.frompyfunc(math.log, 1, 1)(total).astype(float)
+    assert np.array_equal(np.isneginf(got), np.isneginf(before))
+    assert np.array_equal(np.isnan(got), np.isnan(before))
+    assert np.allclose(got, before, rtol=0.0, atol=1e-15, equal_nan=True)
+
+
+def test_lse_of_an_empty_row_is_minus_inf():
+    assert np.array_equal(objectives._lse(np.zeros((2, 3, 0))), np.full((2, 3), -math.inf))
 
 
 def test_single_class_warns_for_cf_objectives():

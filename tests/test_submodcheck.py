@@ -343,6 +343,14 @@ def test_multi_draw_scan_decodes_only_the_kept_violations(monkeypatch):
     assert len(calls) <= 2 * len(res.violations)
 
 
+def test_violations_decode_through_one_cached_index_per_n():
+    for n in range(9):
+        sets = submodcheck._subsets(n)
+        assert sets is submodcheck._subsets(n)
+        assert sets == tuple(tuple(i for i in range(n) if bits >> i & 1)
+                             for bits in range(1 << n))
+
+
 def test_enumeration_bound_enforced():
     b = submodcheck.draw_batch(Rng(1), submodcheck.ENUMERATION_BOUND + 1)
     with pytest.raises(GroundSetTooLarge):

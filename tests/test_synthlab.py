@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -160,6 +161,15 @@ def test_k_sweep_checks_every_k_before_any_work(monkeypatch):
 def test_k_dataset_rejects_a_non_positive_spread(spread):
     with pytest.raises(ValidationError, match="spread must be positive, got"):
         synthlab.make_k_dataset(2, points_per_cluster=5, spread=spread)
+
+
+@pytest.mark.parametrize("spread", [True, "0.3", None, math.inf, -0.3])
+def test_sample_clusters_refuses_a_spread_that_is_not_a_finite_positive_number(spread):
+    # True was taken as 1, "0.3" raised a bare TypeError, and inf passed
+    # and was blamed on the vectors.
+    with pytest.raises(ValidationError, match=re.escape(
+            f"spread must be positive, got {spread!r} (a finite number > 0)")):
+        synthlab.sample_clusters(np.zeros((2, 2)), spread, (2, 3), 0)
 
 
 @pytest.mark.parametrize("count", [2.5, 3.0, True])

@@ -3,7 +3,8 @@
 
     PYTHONPATH=src python3 tools/bits_digest.py
 
-Takes no flags. Each line is `<sha256>  <family>`:
+Takes no flags. Each line is `<sha256>  <family>` (or
+`<sha256>  tables/<objective>`):
 
     verdicts     the verdict CSV of `submodcheck.verdict_table` for seeds
                  0-39, the CLI's counterexample line for each violated row,
@@ -20,7 +21,9 @@ Takes no flags. Each line is `<sha256>  <family>`:
     tables       the bytes of `backend.value_table` for every objective
                  under every kernel, at lam 1 and 1.7, over a stack of 16
                  seed-0 draws at n = 6 (`submodcheck.draw_stack`), NaN and
-                 signed zeros included.
+                 signed zeros included; a `tables/<objective>` line after it
+                 hashes that objective's part alone, so a change shows which
+                 records' tables moved.
 
 Floats are hashed by their bytes or their repr, so a last-bit change moves
 its family's line. The run takes about 6 s on a 2-core x86 VM.
@@ -76,21 +79,31 @@ def _gradients(h) -> None:
                             h.update(f"{type(exc).__name__}: {exc}".encode())
 
 
-def _tables(h) -> None:
+def _tables(h) -> dict:
+    """Feed h, and return each objective's digest of its own part."""
     z = submodcheck.draw_stack(Rng(0), 0, 16, 6)
+    parts = {}
     for name in objectives.OBJECTIVES:
+        part = hashlib.sha256()
+
+        def both(data: bytes) -> None:
+            h.update(data)
+            part.update(data)
+
         for kind in kernels.SIMILARITY_KINDS:
             for lam in (1.0, 1.7):
                 config = losses.LossConfig(name, lam=lam, kernel=kind)
-                h.update(f"{name} {kind} {lam!r}\n".encode())
+                both(f"{name} {kind} {lam!r}\n".encode())
                 with np.errstate(all="ignore"):
                     try:
                         s, d = losses.matrices(z, config)
                         table = backend.value_table(objectives.get(name), s, d,
                                                     lam, config.margin)
-                        h.update(table.tobytes())
+                        both(table.tobytes())
                     except SetLossError as exc:
-                        h.update(f"{type(exc).__name__}: {exc}".encode())
+                        both(f"{type(exc).__name__}: {exc}".encode())
+        parts[name] = part.hexdigest()
+    return parts
 
 
 FAMILIES = (("verdicts", _verdicts), ("consistency", _consistency),
@@ -100,8 +113,10 @@ FAMILIES = (("verdicts", _verdicts), ("consistency", _consistency),
 def main() -> int:
     for family, feed in FAMILIES:
         h = hashlib.sha256()
-        feed(h)
+        parts = feed(h) or {}
         print(f"{h.hexdigest()}  {family}", flush=True)
+        for name, digest in parts.items():
+            print(f"{digest}  {family}/{name}", flush=True)
     return 0
 
 
