@@ -158,18 +158,19 @@ def _labels(values) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integers(values) -> np.ndarray:
-    """values as int64; ValidationError if the cast changes any of them
+    """values as int64; ValidationError if they are bools, as
+    `errors.is_integer` refuses a bool, or if the cast changes any of them
     (a fraction, NaN or inf) or cannot be made (None, a word). Integer
     input costs a dtype check."""
     values = np.asarray(values)
-    if values.dtype.kind in "biu":
+    if values.dtype.kind in "iu":
         return values.astype(np.int64, copy=False)
     try:
         with np.errstate(invalid="ignore"):
             cast = values.astype(np.int64)
     except (TypeError, ValueError):
-        raise ValidationError("labels must be integers") from None
-    if not np.array_equal(cast, values):
+        cast = None
+    if cast is None or values.dtype.kind == "b" or not np.array_equal(cast, values):
         raise ValidationError("labels must be integers")
     return cast
 

@@ -1,11 +1,20 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, and the checks
+of its public numbers.
 
 Two families matter to callers: ValidationError covers malformed inputs and
 parameters (CLI exit code 2), PreconditionError covers well-formed inputs that
 violate an operation's stated precondition (CLI exit code 3).
+
+This module is the one place that decides what a public number is. A real
+parameter takes an int, a float or a numpy scalar of either kind, never a
+bool, and only a finite one inside its range: `check_real` refuses anything
+else with a ValidationError that names the parameter. An integer parameter
+takes an int or a numpy integer, never a bool or a float (`is_integer`,
+`check_integers`).
 """
 
 import math
+import operator
 from numbers import Integral, Real
 
 
@@ -42,9 +51,11 @@ class ZeroVector(PreconditionError):
 
 
 class NonPositiveBandwidth(ValidationError):
+    """An RBF bandwidth that `check_real` refuses; its message is that check's."""
+
     def __init__(self, bandwidth):
         self.bandwidth = bandwidth
-        super().__init__(f"RBF bandwidth must be positive, got {bandwidth!r}")
+        super().__init__(f"bandwidth must be finite and > 0, got {bandwidth!r}")
 
 
 class NotPositiveDefinite(PreconditionError):
@@ -113,37 +124,46 @@ class SingleClassBatch(UserWarning):
     """Warning: batch has one class; total-correlation style terms are all zero."""
 
 
+def is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer. A bool is not, as the
+    CLI's JSON types refuse it, and neither is an integral float."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_integers(**counts) -> None:
-    """ValidationError naming the first of counts, by keyword, that is not an
-    int or a numpy integer. A bool is refused, as the CLI's JSON types refuse
-    it, and so is an integral float."""
+    """ValidationError naming the first of counts, by keyword, that is not
+    `is_integer`."""
     for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, Integral):
+        if not is_integer(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
-def finite_real(value) -> bool:
-    """Whether value is a finite real number: an int, a float or a numpy
-    number of either kind, not NaN, infinite or an int past the largest
-    float. A bool is not, as `check_integers` refuses it."""
+# Each end of a range: whether a value lies on its inside, and its sign.
+_INSIDE = {"(": operator.gt, "[": operator.ge, ")": operator.lt, "]": operator.le}
+_SIGN = {"(": ">", "[": ">=", ")": "<", "]": "<="}
+
+
+def check_real(name: str, value, *, above=None, at_least=None, below=None,
+               at_most=None) -> None:
+    """ValidationError "<name> must be finite and <range>, got <repr>"
+    unless value is a finite real number in the range the bounds give:
+    above and below are open ends, at_least and at_most closed ones. With
+    no bound the range is every finite real, and the message says only
+    "must be finite". NaN, an infinity, a bool, a non-number and an int
+    past the largest float are refused whatever the range."""
+    ends = [(word, bound) for word, bound in
+            (("(", above), ("[", at_least), (")", below), ("]", at_most)) if bound is not None]
     try:
-        return (isinstance(value, Real) and not isinstance(value, bool)
-                and math.isfinite(value))
+        ok = (isinstance(value, Real) and not isinstance(value, bool)
+              and math.isfinite(value) and all(_INSIDE[word](value, bound)
+                                               for word, bound in ends))
     except OverflowError:
-        return False
+        ok = False
+    if not ok:
+        if len(ends) == 2:
+            (low, a), (high, b) = ends
+            words = f" and in {low}{a}, {b}{high}"
+        else:
+            words = "".join(f" and {_SIGN[word]} {bound}" for word, bound in ends)
+        raise ValidationError(f"{name} must be finite{words}, got {value!r}")
 
-
-def check_finite(**values) -> None:
-    """ValidationError naming the first of values, by keyword, that is not a
-    `finite_real`."""
-    for name, value in values.items():
-        if not finite_real(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
-
-
-def check_tolerance(tolerance: float) -> None:
-    """ValidationError unless tolerance is finite and >= 0: a NaN tolerance
-    would pass every margin, a negative one flag ties. The lattice scans and
-    `grads.grad_check` refuse theirs with this check."""
-    if not 0 <= tolerance < math.inf:
-        raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")

@@ -51,7 +51,7 @@ import numpy as np
 from . import kernels, losses, objectives
 # partition_from_labels stays importable here: perfbench/tracing.py wraps it in grads.
 from .batch import EmbeddingBatch, partition_from_labels  # noqa: F401
-from .errors import ValidationError, check_integers, check_tolerance, finite_real
+from .errors import ValidationError, check_integers, check_real
 from .sampling import Rng
 
 # grad_check's absolute floor: coordinates below ABS_FLOOR / tolerance are
@@ -142,18 +142,13 @@ def loss_gradient(batch: EmbeddingBatch, config: losses.LossConfig) -> np.ndarra
     return evaluation_gradient(losses.evaluate(batch, config))
 
 
-def _check_step(h) -> None:
-    if not (finite_real(h) and h > 0):
-        raise ValidationError(f"finite-difference step h must be finite and > 0, got {h!r}")
-
-
 def finite_difference_gradient(batch: EmbeddingBatch, config: losses.LossConfig,
                                h: float = 1e-5) -> np.ndarray:
     """Central differences of the total loss, one coordinate at a time.
 
     Every shifted batch is built from the batch's own class partition, so
     no shift checks or partitions the labels again."""
-    _check_step(h)
+    check_real("finite-difference step h", h, above=0)
     z = batch.vectors
     out = np.empty_like(z)
     work = z.copy()
@@ -187,8 +182,8 @@ def grad_check(batch: EmbeddingBatch, config: losses.LossConfig,
     must be finite and >= 0. The step h must be finite and > 0; both are
     checked before the loss is evaluated.
     """
-    check_tolerance(tolerance)
-    _check_step(h)
+    check_real("tolerance", tolerance, at_least=0)
+    check_real("finite-difference step h", h, above=0)
     ev = losses.evaluate(batch, config)
     # The kink rows read the S and D the loss was scored on, which the
     # gradient then spends.

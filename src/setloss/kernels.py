@@ -68,7 +68,7 @@ import numpy as np
 
 from . import _blas
 from .batch import EmbeddingBatch
-from .errors import NonPositiveBandwidth, ValidationError, ZeroVector
+from .errors import NonPositiveBandwidth, ValidationError, ZeroVector, check_real
 
 NORM_FLOOR = 1e-12
 
@@ -81,6 +81,15 @@ def check_kind(kind: str) -> str:
         raise ValidationError(
             f"unknown kernel {kind!r}; choose from {', '.join(SIMILARITY_KINDS)}")
     return kind
+
+
+def check_bandwidth(bandwidth) -> None:
+    """NonPositiveBandwidth unless bandwidth is a finite real > 0, as an RBF
+    kernel needs (`errors.check_real`)."""
+    try:
+        check_real("bandwidth", bandwidth, above=0)
+    except ValidationError:
+        raise NonPositiveBandwidth(bandwidth) from None
 
 
 def _vectors(batch) -> np.ndarray:
@@ -250,8 +259,7 @@ def _rbf_entries(d2: np.ndarray, bandwidth: float, out: np.ndarray) -> np.ndarra
 
 def rbf_similarity(batch, bandwidth: float = 1.0,
                    workspace: Workspace | None = None) -> np.ndarray:
-    if not (bandwidth > 0):
-        raise NonPositiveBandwidth(bandwidth)
+    check_bandwidth(bandwidth)
     d2 = squared_distances(batch, workspace)
     return _rbf_entries(d2, bandwidth, out=d2)
 

@@ -25,13 +25,7 @@ from . import kernels, objectives
 from ._backend import backend
 # partition_from_labels stays importable here: perfbench/tracing.py wraps it in losses.
 from .batch import ClassPartition, EmbeddingBatch, partition_from_labels  # noqa: F401
-from .errors import (
-    DegenerateBatch,
-    NonPositiveBandwidth,
-    SingleClassBatch,
-    ValidationError,
-    check_finite,
-)
+from .errors import DegenerateBatch, SingleClassBatch, check_real
 
 
 @dataclass
@@ -51,11 +45,13 @@ class LossConfig:
     def __post_init__(self):
         obj = objectives.get(self.objective)
         kernels.check_kind(self.kernel)
-        check_finite(lam=self.lam, margin=self.margin, bandwidth=self.bandwidth)
-        if self.kernel == "rbf" and not (self.bandwidth > 0):
-            raise NonPositiveBandwidth(self.bandwidth)
-        if self.margin < 0:
-            raise ValidationError(f"margin must be >= 0, got {self.margin}")
+        check_real("lam", self.lam)
+        check_real("margin", self.margin, at_least=0)
+        # Every kernel refuses a bandwidth that is not a finite real; RBF's
+        # must also be > 0 (NonPositiveBandwidth).
+        check_real("bandwidth", self.bandwidth)
+        if self.kernel == "rbf":
+            kernels.check_bandwidth(self.bandwidth)
         obj.check_lam(self.lam)
 
 

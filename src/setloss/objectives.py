@@ -67,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .batch import span
-from .errors import LambdaBelowOne, NotPositiveDefinite, ValidationError
+from .errors import LambdaBelowOne, NotPositiveDefinite, ValidationError, check_real
 
 # Gradient checks exclude coordinates whose fl argmax gap or triplet hinge
 # argument lies within this of a kink.
@@ -556,8 +556,7 @@ def _lam_at_least_one(lam):
 
 
 def _lam_positive(lam):
-    if not (lam > 0):
-        raise ValidationError(f"log-det objectives need lam > 0, got {lam}")
+    check_real("lam", lam, above=0)
 
 
 @dataclass(frozen=True)

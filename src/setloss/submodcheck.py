@@ -60,7 +60,7 @@ from . import losses, objectives
 from ._backend import backend
 from .batch import EmbeddingBatch
 from .errors import (GroundSetTooLarge, SetLossError, ValidationError, check_integers,
-                     check_tolerance)
+                     check_real)
 from .sampling import Rng
 
 ENUMERATION_BOUND = 12
@@ -166,7 +166,7 @@ def exhaustive_dr_check(objective: str, batch: EmbeddingBatch,
                         tolerance: float = DEFAULT_TOLERANCE,
                         include_empty: bool = False) -> LatticeCheckResult:
     """Scan every diminishing-returns triple of the batch's subset lattice."""
-    check_tolerance(tolerance)
+    check_real("tolerance", tolerance, at_least=0)
     _check_size(batch.n)
     _check_index(batch.n, include_empty)
     *tallies, viols = backend.dr_scan(_table(objective, batch.vectors[None], config),
@@ -209,7 +209,7 @@ def _scan_draws(objective: str, config: losses.LossConfig, n: int,
     serial scan meets its draws: the first draw's error surfaces, and none
     from a draw after the stop.
     """
-    check_tolerance(tolerance)
+    check_real("tolerance", tolerance, at_least=0)
     check_integers(n=n, **{count_name: draws})
     _check_size(n)
     if draws < 1:

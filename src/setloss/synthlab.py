@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels, losses, objectives
 from .batch import EmbeddingBatch
-from .errors import BadK, EmptyClass, ValidationError, check_integers, finite_real
+from .errors import BadK, EmptyClass, ValidationError, check_integers, check_real, is_integer
 from .sampling import Rng
 
 K_RANGE = range(8)
@@ -41,8 +41,7 @@ def sample_clusters(centroids: np.ndarray, spread: float, counts, seed: int
                     ) -> EmbeddingBatch:
     """Draw the mixture: counts[k] rows of centroids[k] + spread * N(0, I),
     one integer count >= 0 per centroid."""
-    if not (finite_real(spread) and spread > 0):
-        raise ValidationError(f"spread must be positive, got {spread!r} (a finite number > 0)")
+    check_real("spread", spread, above=0)
     check_integers(**{f"counts[{k}]": count for k, count in enumerate(counts)})
     if len(counts) != len(centroids) or min(counts, default=0) < 0:
         raise ValidationError(f"need one count >= 0 per centroid ({len(centroids)}), "
@@ -53,7 +52,7 @@ def sample_clusters(centroids: np.ndarray, spread: float, counts, seed: int
 
 
 def k_scale(k: int) -> float:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in K_RANGE:
+    if not is_integer(k) or k not in K_RANGE:
         raise BadK(k)
     if k <= 4:
         return 1.0 - k / 5.0
@@ -74,16 +73,14 @@ def make_k_dataset(k: int, points_per_cluster: int = 100,
 
 
 def _longtail_counts(c: int, base: int, decay: float) -> tuple[int, ...]:
-    if not 0 < decay <= 1:
-        raise ValidationError(f"decay must lie in (0, 1], got {decay}")
+    check_real("decay", decay, above=0, at_most=1)
     counts = tuple(int(round(base * decay ** (k / (c - 1)))) for k in range(c)) \
         if c > 1 else (base,)
     return counts
 
 
 def _step_counts(c: int, base: int, ratio: float) -> tuple[int, ...]:
-    if ratio < 1:
-        raise ValidationError(f"step ratio must be >= 1, got {ratio}")
+    check_real("ratio", ratio, at_least=1)
     head = (c + 1) // 2
     low = int(round(base / ratio))
     return (base,) * head + (low,) * (c - head)
@@ -117,8 +114,11 @@ def make_imbalanced_dataset(kind: str, c: int, d: int, base_count: int,
         if count < 1:
             raise EmptyClass(label, count)
 
+    check_real("spread", spread, above=0)
     if separation is None:
         separation = 4.0 * spread
+    else:
+        check_real("separation", separation)
     centroids = np.zeros((c, d))
     centroids[np.arange(c), np.arange(c)] = separation / math.sqrt(2.0)
     return sample_clusters(centroids, spread, counts, seed)

@@ -39,7 +39,7 @@ import numpy as np
 from . import grads, kernels, losses
 from .batch import EmbeddingBatch
 from .errors import (DegenerateBatch, DivergedLoss, MissingClass, SetLossError,
-                     ValidationError, check_integers)
+                     ValidationError, check_integers, check_real)
 from .sampling import Rng
 
 STAGE2_NOTE = "stage 2 = nearest-centroid over frozen embeddings (linear-head stand-in)"
@@ -81,17 +81,13 @@ class TrainConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if not 0 <= self.lr < np.inf:
-            raise ValidationError(f"learning rate must be finite and >= 0, got {self.lr}")
+        check_real("lr", self.lr, at_least=0)
         sizes = {"batch_size": self.batch_size, "out_dim": self.out_dim}
         check_integers(steps=self.steps, seed=self.seed,
                        **{k: v for k, v in sizes.items() if v is not None})
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
-        if not 0 < self.eval_split < 1:
-            raise ValidationError(
-                f"eval split must lie in (0, 1), got {self.eval_split}"
-            )
+        check_real("eval_split", self.eval_split, above=0, below=1)
         if self.batch_size is not None and self.batch_size < 1:
             raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
         if self.out_dim is not None and self.out_dim < 2:

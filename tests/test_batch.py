@@ -26,9 +26,12 @@ def test_rejects_negative_label():
 
 
 @pytest.mark.parametrize("labels", [[0, 1.7, 0.2], [0, 1, np.nan],
-                                    [0, 1, np.inf], [0, 1, 2.0 ** 64]])
+                                    [0, 1, np.inf], [0, 1, 2.0 ** 64],
+                                    np.array([True, False, True]), [False, True, False]])
 def test_rejects_labels_that_are_not_integers(labels):
     # The int64 cast used to truncate them: [0, 1.7, 0.2] became [0, 1, 0].
+    # Bools were cast to 1 and 0, so [True, False, True] built a two-class
+    # batch, although a bool is refused wherever an integer is asked for.
     with pytest.raises(ValidationError, match="labels must be integers"):
         EmbeddingBatch(np.eye(3), labels)
     with pytest.raises(ValidationError, match="labels must be integers"):
@@ -36,8 +39,7 @@ def test_rejects_labels_that_are_not_integers(labels):
 
 
 def test_integral_labels_of_any_dtype_are_taken():
-    for labels in ([0, 1, 0], [0.0, 1.0, 0.0], np.array([0, 1, 0], np.uint8),
-                   np.array([False, True, False])):
+    for labels in ([0, 1, 0], [0.0, 1.0, 0.0], np.array([0, 1, 0], np.uint8)):
         b = EmbeddingBatch(np.eye(3), labels)
         assert b.labels.dtype == np.int64 and b.labels.tolist() == [0, 1, 0]
         part = ClassPartition(labels)

@@ -299,7 +299,7 @@ def test_sweep_config_rejects_zero_spread(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "spread must be positive, got 0" in captured.err
+    assert "spread must be finite and > 0, got 0" in captured.err
 
 
 def test_sweep_per_seed_files(tmp_path, capsys):

@@ -65,7 +65,9 @@ def test_config_rejects_hyperparameters_that_are_not_real_numbers(key, value):
     # None and "1" let numpy's TypeError out of np.isfinite, [1.0] was taken
     # as finite, a bool passed as 0 or 1, and 10 ** 400 passed, to raise
     # OverflowError when a term multiplied by it.
-    with pytest.raises(ValidationError, match=f"^{key} must be finite, got "):
+    # margin's message names its range too.
+    head = f"{key} must be finite" + (" and >= 0" if key == "margin" else "")
+    with pytest.raises(ValidationError, match=f"^{head}, got "):
         losses.LossConfig(kernel="rbf", **{key: value})
 
 

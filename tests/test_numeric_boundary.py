@@ -1,0 +1,165 @@
+"""Every numeric parameter of the public callables refuses what is not a
+number with the package's own error.
+
+One property feeds each parameter, in place of a valid value, None, a
+numeric string, True, NaN, +inf, -inf and 10**400, and numpy's bool and
+float scalars. A real parameter must refuse every one of them with a
+`SetLossError`. An integer parameter must refuse all but 10**400, which is
+a valid int: given that, the call raises a `SetLossError` or returns. A bare
+TypeError, ValueError or OverflowError out of numpy or Python fails. A
+parameter whose default is None takes None.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from setloss import grads, kernels, losses, submodcheck, synthlab, trainer
+from setloss.errors import SetLossError
+from setloss.sampling import Rng
+
+HUGE = 10 ** 400
+BAD = (None, "1", True, math.nan, math.inf, -math.inf, HUGE,
+       np.bool_(True), np.float64(math.nan))
+
+BATCH = grads.check_batch(4, 2, 0)
+DRAW = submodcheck.draw_batch(Rng(0), 3)
+Z = np.eye(3)
+FL = losses.LossConfig("fl")
+
+# "callable.parameter" -> the call with v in that parameter and small valid
+# values in the rest.
+REAL = {
+    "LossConfig.lam": lambda v: losses.LossConfig("fl", lam=v),
+    "LossConfig.margin": lambda v: losses.LossConfig("triplet", margin=v),
+    "LossConfig.bandwidth": lambda v: losses.LossConfig("fl", kernel="rbf", bandwidth=v),
+    "TrainConfig.lr": lambda v: trainer.TrainConfig(lr=v),
+    "TrainConfig.eval_split": lambda v: trainer.TrainConfig(eval_split=v),
+    "grad_check.h": lambda v: grads.grad_check(BATCH, FL, h=v),
+    "grad_check.tolerance": lambda v: grads.grad_check(BATCH, FL, tolerance=v),
+    "finite_difference_gradient.h": lambda v: grads.finite_difference_gradient(BATCH, FL, v),
+    "exhaustive_dr_check.tolerance":
+        lambda v: submodcheck.exhaustive_dr_check("fl", DRAW, FL, v),
+    "consistency_scan.tolerance":
+        lambda v: submodcheck.consistency_scan("fl", 3, 1, tolerance=v),
+    "counterexample_search.tolerance":
+        lambda v: submodcheck.counterexample_search("fl", n=3, max_draws=1, tolerance=v),
+    "verdict_table.tolerance": lambda v: submodcheck.verdict_table(["fl"], 3, 1, 1, tolerance=v),
+    "sample_clusters.spread": lambda v: synthlab.sample_clusters(np.eye(2), v, (2, 2), 0),
+    "make_k_dataset.spread": lambda v: synthlab.make_k_dataset(0, 2, v),
+    "make_imbalanced_dataset.decay":
+        lambda v: synthlab.make_imbalanced_dataset("longtail", 2, 2, 4, v, 1.0, 0),
+    "make_imbalanced_dataset.ratio":
+        lambda v: synthlab.make_imbalanced_dataset("step", 2, 2, 4, v, 1.0, 0),
+    "make_imbalanced_dataset.spread":
+        lambda v: synthlab.make_imbalanced_dataset("step", 2, 2, 4, 1.0, v, 0),
+    "make_imbalanced_dataset.separation":
+        lambda v: synthlab.make_imbalanced_dataset("step", 2, 2, 4, 1.0, 1.0, 0, v),
+    "k_sweep.spread": lambda v: synthlab.k_sweep(["fl"], ["cosine"], [0], 2, spread=v),
+    "k_sweep.lam": lambda v: synthlab.k_sweep(["fl"], ["cosine"], [0], 2, lam=v),
+    "k_sweep.margin": lambda v: synthlab.k_sweep(["fl"], ["cosine"], [0], 2, margin=v),
+    "k_sweep.bandwidth": lambda v: synthlab.k_sweep(["fl"], ["rbf"], [0], 2, bandwidth=v),
+    "rbf_similarity.bandwidth": lambda v: kernels.rbf_similarity(Z, v),
+    "similarity.bandwidth": lambda v: kernels.similarity(Z, "rbf", v),
+}
+
+INTEGER = {
+    "TrainConfig.steps": lambda v: trainer.TrainConfig(steps=v),
+    "TrainConfig.batch_size": lambda v: trainer.TrainConfig(batch_size=v),
+    "TrainConfig.seed": lambda v: trainer.TrainConfig(seed=v),
+    "TrainConfig.out_dim": lambda v: trainer.TrainConfig(out_dim=v),
+    "check_batch.n": lambda v: grads.check_batch(v, 2, 0),
+    "check_batch.dim": lambda v: grads.check_batch(4, v, 0),
+    "check_batch.seed": lambda v: grads.check_batch(4, 2, v),
+    "consistency_scan.n": lambda v: submodcheck.consistency_scan("fl", v, 1),
+    "consistency_scan.draws": lambda v: submodcheck.consistency_scan("fl", 3, v),
+    "consistency_scan.seed": lambda v: submodcheck.consistency_scan("fl", 3, 1, v),
+    "counterexample_search.n": lambda v: submodcheck.counterexample_search("fl", n=v, max_draws=1),
+    "counterexample_search.max_draws":
+        lambda v: submodcheck.counterexample_search("fl", n=3, max_draws=v),
+    "counterexample_search.seed":
+        lambda v: submodcheck.counterexample_search("fl", n=3, max_draws=1, seed=v),
+    "verdict_table.n": lambda v: submodcheck.verdict_table(["fl"], v, 1, 1),
+    "verdict_table.draws": lambda v: submodcheck.verdict_table(["fl"], 3, v, 1),
+    "verdict_table.max_draws": lambda v: submodcheck.verdict_table(["fl"], 3, 1, v),
+    "verdict_table.seed": lambda v: submodcheck.verdict_table(["fl"], 3, 1, 1, v),
+    "sample_clusters.counts": lambda v: synthlab.sample_clusters(np.eye(2), 1.0, (2, v), 0),
+    "sample_clusters.seed": lambda v: synthlab.sample_clusters(np.eye(2), 1.0, (2, 2), v),
+    "k_scale.k": synthlab.k_scale,
+    "make_k_dataset.k": lambda v: synthlab.make_k_dataset(v, 2),
+    "make_k_dataset.points_per_cluster": lambda v: synthlab.make_k_dataset(0, v),
+    "make_k_dataset.seed": lambda v: synthlab.make_k_dataset(0, 2, seed=v),
+    "make_imbalanced_dataset.c":
+        lambda v: synthlab.make_imbalanced_dataset("step", v, 2, 4, 1.0, 1.0, 0),
+    "make_imbalanced_dataset.d":
+        lambda v: synthlab.make_imbalanced_dataset("step", 2, v, 4, 1.0, 1.0, 0),
+    "make_imbalanced_dataset.base_count":
+        lambda v: synthlab.make_imbalanced_dataset("step", 2, 2, v, 1.0, 1.0, 0),
+    "make_imbalanced_dataset.seed":
+        lambda v: synthlab.make_imbalanced_dataset("step", 2, 2, 4, 1.0, 1.0, v),
+    "k_sweep.ks": lambda v: synthlab.k_sweep(["fl"], ["cosine"], [v], 2),
+    "k_sweep.points_per_cluster": lambda v: synthlab.k_sweep(["fl"], ["cosine"], [0], v),
+    "k_sweep.seed": lambda v: synthlab.k_sweep(["fl"], ["cosine"], [0], 2, seed=v),
+    "Rng.seed": Rng,
+}
+
+# Parameters whose default is None, which they take.
+NONE_IS_DEFAULT = {"TrainConfig.batch_size", "TrainConfig.out_dim",
+                   "make_imbalanced_dataset.separation"}
+
+# What the property does not feed, each with its reason.
+LEFT_OUT = {
+    # 10**400 is a valid integer here, and the call would try to do that
+    # much work or allocate that much memory; integer sizes have no upper
+    # bound to check them against.
+    "check_batch.n=10**400": "a batch of that many rows",
+    "check_batch.dim=10**400": "a batch of that many columns",
+    "consistency_scan.draws=10**400": "a scan of that many draws",
+    "counterexample_search.max_draws=10**400": "fl never violates, so it scans them all",
+    "verdict_table.draws=10**400": "a scan of that many draws",
+    "sample_clusters.counts=10**400": "a class of that many rows",
+    "make_k_dataset.points_per_cluster=10**400": "classes of that many rows",
+    "make_imbalanced_dataset.d=10**400": "centroids of that many columns",
+    "make_imbalanced_dataset.base_count=10**400": "classes of that many rows",
+    "k_sweep.points_per_cluster=10**400": "classes of that many rows",
+    # Parameters that are not numbers.
+    "LossConfig.objective, LossConfig.kernel, similarity.kind": "names, checked against the choices",
+    "TrainConfig.normalize, exhaustive_dr_check.include_empty": "flags",
+    "TrainConfig.loss, grad_check.batch, grad_check.config": "objects built and checked on their own",
+    "sample_clusters.centroids": "an array, checked as the batch's vectors",
+    "verdict_table.names, k_sweep.names, k_sweep.kinds": "lists of names",
+    # Callables outside the listed public surface.
+    "Rng.derive, uniforms, normals, derived_normals, permutation":
+        "draw sizes the package computes; a check would sit in the scans' loops",
+    "trainer.split_batch, trainer.initial_params":
+        "run_objective passes them a checked TrainConfig's numbers",
+}
+
+
+def _skipped(name: str, value) -> bool:
+    return value is HUGE and f"{name}=10**400" in LEFT_OUT
+
+
+@pytest.mark.parametrize("name", sorted(REAL) + sorted(INTEGER))
+@settings(max_examples=4 * len(BAD), deadline=None, derandomize=True, database=None)
+@given(value=st.sampled_from(BAD))
+def test_a_numeric_parameter_refuses_what_is_not_a_number(name, value):
+    assume(not _skipped(name, value))
+    call = REAL.get(name) or INTEGER[name]
+    try:
+        call(value)
+    except SetLossError:
+        return
+    # A valid int or a default may be taken; nothing else may.
+    assert ((name in INTEGER and value is HUGE)
+            or (name in NONE_IS_DEFAULT and value is None)), f"{name} took {value!r}"
+
+
+def test_every_value_left_out_belongs_to_an_integer_parameter():
+    huge = [key.split("=")[0] for key in LEFT_OUT if key.endswith("=10**400")]
+    assert [name for name in huge if name not in INTEGER] == []
+    assert NONE_IS_DEFAULT <= set(REAL) | set(INTEGER)
+    assert not set(REAL) & set(INTEGER)

@@ -27,7 +27,7 @@ from setloss import kernels, losses, objectives, submodcheck
 from setloss._backend import backend
 from setloss.batch import EmbeddingBatch
 from setloss.errors import (GroundSetTooLarge, NotPositiveDefinite, ValidationError, ZeroVector,
-                            check_tolerance)
+                            check_real)
 from setloss.sampling import Rng
 from setloss.submodcheck import (
     DRAW_DIM,
@@ -68,7 +68,7 @@ def _scan_draws(objective: str, config: losses.LossConfig, n: int,
                 draws: int, seed: int, tolerance: float, stop_early: bool):
     """DR-scan `draws` seeded batches in order, or up to the first violating
     one when stopping early."""
-    check_tolerance(tolerance)
+    check_real("tolerance", tolerance, at_least=0)
     rng = Rng(seed)
     results = []
     for i in range(draws):

@@ -159,7 +159,7 @@ def test_k_sweep_checks_every_k_before_any_work(monkeypatch):
 
 @pytest.mark.parametrize("spread", [0.0, float("nan")])
 def test_k_dataset_rejects_a_non_positive_spread(spread):
-    with pytest.raises(ValidationError, match="spread must be positive, got"):
+    with pytest.raises(ValidationError, match="spread must be finite and > 0, got"):
         synthlab.make_k_dataset(2, points_per_cluster=5, spread=spread)
 
 
@@ -168,7 +168,7 @@ def test_sample_clusters_refuses_a_spread_that_is_not_a_finite_positive_number(s
     # True was taken as 1, "0.3" raised a bare TypeError, and inf passed
     # and was blamed on the vectors.
     with pytest.raises(ValidationError, match=re.escape(
-            f"spread must be positive, got {spread!r} (a finite number > 0)")):
+            f"spread must be finite and > 0, got {spread!r}")):
         synthlab.sample_clusters(np.zeros((2, 2)), spread, (2, 3), 0)
 
 
