@@ -23,9 +23,8 @@ scores (k, n, n) kernels into (k, 2^n) tables with the same calls, and
 `dr_scan` judges a whole (k, 2^n) stack in one pass, with the tables
 innermost, returning per-table tallies and the first violating table's
 violations. `tables_per_scan` says how many tables' gains fill about
-_SCAN_BLOCK, the stack a caller hands to one scan, and `tables_per_block`
-how many tables hold about _SCAN_BLOCK triples, the stack it tabulates at
-once. Each table of a stack keeps the bits it has alone.
+_SCAN_BLOCK: the stack a caller draws, tabulates and scans at once. Each
+table of a stack keeps the bits it has alone.
 
 A scan's gains, minima and margins are built in place, in the "gain",
 "low" and "near" buffers of the thread's `kernels.thread_workspace()` (see
@@ -207,16 +206,6 @@ def _scan_index(n: int, include_empty: bool):
     sets = _row_sets(n)
     return _frozen(sets, sets | (1 << np.arange(n))[:, None],
                    np.stack([aa[keep], bb[keep]]))
-
-
-def tables_per_block(n: int) -> int:
-    """How many whole n-point tables hold about _SCAN_BLOCK of `dr_scan`'s
-    default triples: 60 at n = 6, one from n = 10 on. Callers tabulate
-    stacks of this many at once, which bounds a stack's kernel and term
-    temporaries."""
-    # Each x pairs every nonempty A with every proper supermask B on n - 1 bits.
-    w = max(n - 1, 0)
-    return max(1, _SCAN_BLOCK // max(n * (3 ** w - 2 ** (w + 1) + 1), 1))
 
 
 def tables_per_scan(n: int) -> int:

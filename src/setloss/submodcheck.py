@@ -20,12 +20,12 @@ Conventions the scan relies on:
 
 A multi-draw scan does not build one batch per draw. It draws a stack of
 seeded batches in one call (`draw_stack`, bit for bit the batches
-`draw_batch` gives one at a time) and builds their kernels as one
-(k, n, n) stack and their value tables as one (k, 2^n) array, about 60
-draws at a time at n = 6 (`backend.tables_per_block`), and DR-scans the
-whole stack in one backend call: up to `backend.tables_per_scan(n)` draws,
-all 200 of a verdict row at n = 6; a search that stops early starts with
-one draw and doubles its stacks. It then totals the per-draw tallies
+`draw_batch` gives one at a time), builds their kernels as one (k, n, n)
+stack and their value tables as one (k, 2^n) array in one
+`backend.value_table` call, and DR-scans the stack in one backend call.
+Every stack holds up to `backend.tables_per_scan(n)` draws, all 200 of a
+verdict row at n = 6; a search that stops early starts with one draw and
+doubles its stacks up to that size. It then totals the per-draw tallies
 in draw order and keeps the first violating draw's violations, so every
 result is the one a draw-by-draw scan gives; `exhaustive_dr_check` is the
 same engine on a stack of one.
@@ -51,7 +51,6 @@ draws.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,7 +59,7 @@ from . import losses, objectives
 from ._backend import backend
 from .batch import EmbeddingBatch
 from .errors import (GroundSetTooLarge, SetLossError, ValidationError, check_integers,
-                     check_real)
+                     check_real, is_integer)
 from .sampling import Rng
 
 ENUMERATION_BOUND = 12
@@ -108,9 +107,10 @@ def as_set_function(objective: str, batch: EmbeddingBatch,
 
     def evaluate(a) -> float:
         try:
-            members = sorted(map(operator.index, a))
+            rows = list(a)
         except TypeError:
-            members = None
+            rows = [None]
+        members = sorted(map(int, rows)) if all(map(is_integer, rows)) else None
         if (members is None or len(set(members)) < len(members)
                 or members and not 0 <= members[0] <= members[-1] < batch.n):
             raise ValidationError(
@@ -138,16 +138,12 @@ def _check_size(n: int) -> None:
 
 
 def _table(objective: str, z: np.ndarray, config: losses.LossConfig) -> np.ndarray:
-    """The (k, 2^n) value tables of a (k, n, dim) stack of embeddings,
-    tabulated `backend.tables_per_block(n)` draws at a time, which bounds
-    the kernels' and the terms' temporaries. Its callers refuse a stack
-    past ENUMERATION_BOUND first."""
+    """The (k, 2^n) value tables of a (k, n, dim) stack of embeddings, in
+    one `backend.value_table` call. Its callers refuse a stack past
+    ENUMERATION_BOUND first."""
     cfg = replace(config, objective=objective)
-    step = backend.tables_per_block(z.shape[-2])
-    return np.concatenate([
-        backend.value_table(objectives.get(objective), *losses.matrices(z[i:i + step], cfg),
-                            cfg.lam, cfg.margin)
-        for i in range(0, len(z), step)])
+    return backend.value_table(objectives.get(objective), *losses.matrices(z, cfg),
+                               cfg.lam, cfg.margin)
 
 
 def _check_index(n: int, include_empty: bool) -> None:
@@ -200,14 +196,14 @@ def _scan_draws(objective: str, config: losses.LossConfig, n: int,
     one when stopping early, and merge them. count_name is the caller's name
     for draws, which its errors give.
 
-    Draws are drawn, tabulated (`_table`) and judged as stacks, each in one
-    `backend.dr_scan` call: stacks of `backend.tables_per_scan(n)` draws, 341
-    at n = 6 (so all 200 of a verdict row) and two at n = 12, or, when
-    stopping early, stacks that start at one draw and double up to that
-    size, so a search that stops at draw i tabulates fewer than 2(i + 1)
-    draws. A stack that raises is tabulated again one draw at a time, as a
-    serial scan meets its draws: the first draw's error surfaces, and none
-    from a draw after the stop.
+    Draws are drawn, tabulated and judged as stacks, each in one `_table`
+    and one `backend.dr_scan` call: stacks of `backend.tables_per_scan(n)`
+    draws, 341 at n = 6 (so all 200 of a verdict row) and two at n = 12,
+    or, when stopping early, stacks that start at one draw and double up
+    to that size, so a search that stops at draw i tabulates fewer than
+    2(i + 1) draws. A stack that raises is tabulated again one draw at a
+    time, as a serial scan meets its draws: the first draw's error
+    surfaces, and none from a draw after the stop.
     """
     check_real("tolerance", tolerance, at_least=0)
     check_integers(n=n, **{count_name: draws})

@@ -128,6 +128,9 @@ def initial_params(in_dim: int, out_dim: int, seed: int,
     random projection. Falls back to scaled Gaussian when out_dim
     exceeds in_dim and no such isometry exists.
     """
+    check_integers(in_dim=in_dim, out_dim=out_dim)
+    if in_dim < 1 or out_dim < 2:
+        raise ValidationError(f"need in_dim >= 1 and out_dim >= 2, got {in_dim} and {out_dim}")
     rng = Rng(seed).derive(101)
     g = rng.normals((out_dim, in_dim))
     if out_dim > in_dim:
@@ -231,6 +234,7 @@ def check_split(data: EmbeddingBatch) -> None:
 def split_batch(data: EmbeddingBatch, eval_fraction: float, seed: int):
     """Stratified (train, eval) split; every class lands in both, with its
     rows in their order in data."""
+    check_real("eval_fraction", eval_fraction, above=0, below=1)
     check_split(data)
     rng = Rng(seed).derive(303)
     train_idx, eval_idx = [], []

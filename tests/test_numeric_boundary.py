@@ -38,6 +38,7 @@ REAL = {
     "LossConfig.bandwidth": lambda v: losses.LossConfig("fl", kernel="rbf", bandwidth=v),
     "TrainConfig.lr": lambda v: trainer.TrainConfig(lr=v),
     "TrainConfig.eval_split": lambda v: trainer.TrainConfig(eval_split=v),
+    "split_batch.eval_fraction": lambda v: trainer.split_batch(BATCH, v, 0),
     "grad_check.h": lambda v: grads.grad_check(BATCH, FL, h=v),
     "grad_check.tolerance": lambda v: grads.grad_check(BATCH, FL, tolerance=v),
     "finite_difference_gradient.h": lambda v: grads.finite_difference_gradient(BATCH, FL, v),
@@ -71,6 +72,10 @@ INTEGER = {
     "TrainConfig.batch_size": lambda v: trainer.TrainConfig(batch_size=v),
     "TrainConfig.seed": lambda v: trainer.TrainConfig(seed=v),
     "TrainConfig.out_dim": lambda v: trainer.TrainConfig(out_dim=v),
+    "split_batch.seed": lambda v: trainer.split_batch(BATCH, 0.25, v),
+    "initial_params.in_dim": lambda v: trainer.initial_params(v, 2, 0),
+    "initial_params.out_dim": lambda v: trainer.initial_params(3, v, 0),
+    "initial_params.seed": lambda v: trainer.initial_params(3, 2, v),
     "check_batch.n": lambda v: grads.check_batch(v, 2, 0),
     "check_batch.dim": lambda v: grads.check_batch(4, v, 0),
     "check_batch.seed": lambda v: grads.check_batch(4, 2, v),
@@ -117,6 +122,8 @@ LEFT_OUT = {
     # bound to check them against.
     "check_batch.n=10**400": "a batch of that many rows",
     "check_batch.dim=10**400": "a batch of that many columns",
+    "initial_params.in_dim=10**400": "a W of that many columns",
+    "initial_params.out_dim=10**400": "a W of that many rows",
     "consistency_scan.draws=10**400": "a scan of that many draws",
     "counterexample_search.max_draws=10**400": "fl never violates, so it scans them all",
     "verdict_table.draws=10**400": "a scan of that many draws",
@@ -127,15 +134,15 @@ LEFT_OUT = {
     "k_sweep.points_per_cluster=10**400": "classes of that many rows",
     # Parameters that are not numbers.
     "LossConfig.objective, LossConfig.kernel, similarity.kind": "names, checked against the choices",
-    "TrainConfig.normalize, exhaustive_dr_check.include_empty": "flags",
-    "TrainConfig.loss, grad_check.batch, grad_check.config": "objects built and checked on their own",
+    "TrainConfig.normalize, exhaustive_dr_check.include_empty, initial_params.normalize":
+        "flags",
+    "TrainConfig.loss, grad_check.batch, grad_check.config, split_batch.data":
+        "objects built and checked on their own",
     "sample_clusters.centroids": "an array, checked as the batch's vectors",
     "verdict_table.names, k_sweep.names, k_sweep.kinds": "lists of names",
     # Callables outside the listed public surface.
     "Rng.derive, uniforms, normals, derived_normals, permutation":
         "draw sizes the package computes; a check would sit in the scans' loops",
-    "trainer.split_batch, trainer.initial_params":
-        "run_objective passes them a checked TrainConfig's numbers",
 }
 
 

@@ -152,8 +152,8 @@ def test_stacked_value_tables_equal_per_draw_tables(name, config):
 
 
 # n = 4 and 6 scan in one stack (2048 and 341 draws a stack), n = 8 crosses
-# one stack boundary (64 draws a stack) and n = 10 one (12 a stack). Every
-# n but 4 tabulates its stacks in several blocks (60 draws a block at n = 6).
+# one stack boundary (64 draws a stack) and n = 10 one (12 a stack). Each
+# stack is tabulated whole, in one value_table call.
 SCANS = [(4, 200), (6, 130), (8, 70), (10, 15)]
 
 
@@ -161,10 +161,29 @@ SCANS = [(4, 200), (6, 130), (8, 70), (10, 15)]
 @pytest.mark.parametrize("n,draws", SCANS)
 def test_consistency_scans_match_the_per_draw_loop(n, draws, config):
     assert (backend.tables_per_scan(n) < draws) == (n >= 8)
-    assert backend.tables_per_block(n) < draws or n == 4
     for name in objectives.OBJECTIVES:
         got = submodcheck.consistency_scan(name, n, draws, seed=n, config=config)
         assert _fields(got) == _fields(_serial(name, config, n, draws, n, False)), name
+
+
+def test_each_stack_is_tabulated_in_one_call(monkeypatch):
+    # A 200-draw scan at n = 6 is one stack (341 draws a stack), and a
+    # search that never violates tabulates each doubling stack whole, the
+    # ones past 60 draws included.
+    sizes = []
+    tabulate = backend.value_table
+
+    def counting(obj, s, d, *args):
+        sizes.append(len(d if s is None else s))
+        return tabulate(obj, s, d, *args)
+
+    monkeypatch.setattr(backend, "value_table", counting)
+    submodcheck.consistency_scan("fl", 6, 200)
+    assert sizes == [200]
+    sizes.clear()
+    res = submodcheck.counterexample_search("fl", n=6, max_draws=200)
+    assert (res.trials, res.violation_count) == (200, 0)
+    assert sizes == [1, 2, 4, 8, 16, 32, 64, 73]
 
 
 @pytest.mark.parametrize("config", [COSINE, RBF], ids=["cosine", "rbf"])
@@ -322,9 +341,9 @@ def _in_threads(*scans):
 
 
 def _arena_sequence():
-    # n = 6 grows a new thread's arena over three 60-draw stacks and reuses
-    # part of it for the 20-draw tail; n = 8 and n = 3 reuse smaller parts,
-    # and the two-point scan with the empty set a single pair per x.
+    # n = 6 grows a new thread's arena to one 200-draw stack; n = 8 and
+    # n = 3 reuse smaller parts of it, and the two-point scan with the empty
+    # set a single pair per x.
     out = []
     for name, n, draws in (("submod-snn", 6, 200), ("submod-snn", 8, 9),
                            ("supcon", 3, 50)):

@@ -36,10 +36,12 @@ def test_full_set_fl_is_zero():
 
 
 @pytest.mark.parametrize("members", [[-1], {4, -1}, [4, 4], [5], [1.0],
-                                     [0, np.float64(2.0)], "ab", 3, [None]])
+                                     [0, np.float64(2.0)], "ab", 3, [None],
+                                     [True, 2]])
 def test_a_set_function_refuses_what_is_not_a_set_of_rows(members):
     # A negative member used to wrap around (f({-1}) == f({4})), a repeated
-    # one to fail in a reshape and one past n to index out of range.
+    # one to fail in a reshape, one past n to index out of range and True to
+    # score as row 1.
     b = submodcheck.draw_batch(Rng(0), 5)
     f = submodcheck.as_set_function("gc-cf", b, RBF)
     with pytest.raises(ValidationError, match=r"distinct integers in range\(5\)"):

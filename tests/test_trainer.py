@@ -99,6 +99,12 @@ def test_orthogonal_init_is_an_isometry():
     assert wide.W.shape == (6, 4)
 
 
+@pytest.mark.parametrize("in_dim, out_dim", [(0, 2), (3, 1), (-1, 2)])
+def test_init_refuses_dims_out_of_range(in_dim, out_dim):
+    with pytest.raises(ValidationError, match=r"^need in_dim >= 1 and out_dim >= 2, got "):
+        trainer.initial_params(in_dim, out_dim, seed=0)
+
+
 def test_zero_learning_rate_freezes_the_loss():
     data = small_data()
     report = trainer.run_objective(data, quick_config(lr=0.0, steps=10))
@@ -164,6 +170,13 @@ def test_split_rejects_singleton_class():
     data = EmbeddingBatch(v, np.array([0, 0, 1, 2]))
     with pytest.raises(ValidationError):
         trainer.split_batch(data, 0.25, seed=0)
+
+
+@pytest.mark.parametrize("fraction", [0, 1, 1.5, -0.25])
+def test_split_refuses_a_fraction_outside_the_unit_interval(fraction):
+    with pytest.raises(ValidationError,
+                       match=r"^eval_fraction must be finite and in \(0, 1\), got "):
+        trainer.split_batch(small_data(), fraction, seed=0)
 
 
 def test_a_one_sample_class_is_refused_before_training(monkeypatch):

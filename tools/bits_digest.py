@@ -12,6 +12,11 @@ Takes no flags. Each line is `<sha256>  <family>` (or
                  violations;
     consistency  every field of `submodcheck.consistency_scan` for every
                  objective at n = 3..8 (seed 0, 200 draws);
+    consistency-large
+                 every field of `submodcheck.consistency_scan` for every
+                 objective at n = 9, 10, 11 and 12 (60, 30, 12 and 6 draws,
+                 seed n) under `CONSISTENCY_CONFIG` and then under
+                 `COUNTEREXAMPLE_CONFIG`;
     gradients    the total, the per-class values and the gradient bytes of
                  `losses.evaluate` and `grads.evaluation_gradient` for every
                  objective under every kernel, on `grads.check_batch(n, 8,
@@ -26,7 +31,7 @@ Takes no flags. Each line is `<sha256>  <family>` (or
                  records' tables moved.
 
 Floats are hashed by their bytes or their repr, so a last-bit change moves
-its family's line. The run takes about 6 s on a 2-core x86 VM.
+its family's line. The run takes about 8 s on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -60,6 +65,14 @@ def _consistency(h) -> None:
     for name in objectives.OBJECTIVES:
         for n in range(3, 9):
             h.update(repr(astuple(submodcheck.consistency_scan(name, n))).encode())
+
+
+def _consistency_large(h) -> None:
+    for config in (submodcheck.CONSISTENCY_CONFIG, submodcheck.COUNTEREXAMPLE_CONFIG):
+        for name in objectives.OBJECTIVES:
+            for n, draws in ((9, 60), (10, 30), (11, 12), (12, 6)):
+                res = submodcheck.consistency_scan(name, n, draws, seed=n, config=config)
+                h.update(repr(astuple(res)).encode())
 
 
 def _gradients(h) -> None:
@@ -107,7 +120,8 @@ def _tables(h) -> dict:
 
 
 FAMILIES = (("verdicts", _verdicts), ("consistency", _consistency),
-            ("gradients", _gradients), ("tables", _tables))
+            ("consistency-large", _consistency_large), ("gradients", _gradients),
+            ("tables", _tables))
 
 
 def main() -> int:
