@@ -4,7 +4,8 @@ One executable named ``setloss``. Every command is deterministic given its
 flags and seed: outputs carry no timestamps, floats are serialized with
 repr, JSON keys are sorted, and files are written atomically (temp file
 plus rename) so a rerun either reproduces a byte-identical file or fails
-before touching it.
+before touching it. A rewritten file keeps its mode, and a new one gets the
+mode `open` would give it.
 
 Exit codes, stable and script-friendly:
 
@@ -143,13 +144,23 @@ def resolve(args, values: dict, keys) -> dict:
 
 
 def write_text(path, text: str) -> None:
-    """Atomic write: the target never holds a partial file."""
+    """Atomic write: the target never holds a partial file. The temporary
+    file `mkstemp` makes is 0600, so it first takes the mode of the file it
+    replaces, or, where there is none, the mode `open` gives a new file
+    under the process umask."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
+        try:
+            mode = os.stat(path).st_mode & 0o7777
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".setloss-")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
+            os.chmod(tmp, mode)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -327,6 +338,13 @@ def cmd_train(args, cfg: dict) -> int:
     lams = [base.loss.lam] if grid is None else grid
     if not lams:
         raise ValidationError("loss.lam grid is empty")
+    # Each value names its rows and report files, so two values must not
+    # share a label, or the second run's reports would overwrite the first's.
+    for i, lam in enumerate(lams):
+        same = [v for v in lams[:i] if f"{v:g}" == f"{lam:g}"]
+        if same:
+            raise ValidationError(f"loss.lam grid values {same[0]!r} and {lam!r} "
+                                  f"share the row label lam={lam:g}")
 
     reports = []
     for lam in lams:
@@ -368,14 +386,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int, default=None)
 
+    def loss_flags(p):
+        p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
+        p.add_argument("--margin", type=float, default=None)
+        p.add_argument("--kernel", default=None)
+        p.add_argument("--bandwidth", type=float, default=None)
+
     p = sub.add_parser("eval", help="score one embedding CSV")
     common(p)
+    loss_flags(p)
     p.add_argument("--input", required=True)
     p.add_argument("--objective", default=None)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--margin", type=float, default=None)
-    p.add_argument("--kernel", default=None)
-    p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
@@ -386,10 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--kernel", default=None)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--margin", type=float, default=None)
-    p.add_argument("--bandwidth", type=float, default=None)
+    loss_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -9,12 +9,16 @@ This module is the one place that decides what a public number is. A real
 parameter takes an int, a float or a numpy scalar of either kind, never a
 bool, and only a finite one inside its range: `check_real` refuses anything
 else with a ValidationError that names the parameter. An integer parameter
-takes an int or a numpy integer, never a bool or a float (`is_integer`,
-`check_integers`).
+takes an int or a numpy integer, never a bool or a float (`is_integer`).
+A size or a count must also lie between its least value and `sys.maxsize`,
+the largest index numpy takes: `check_count` refuses anything else with a
+ValidationError that names the parameter and its range. A seed is an
+integer of any size (`check_integers`), as `Rng` takes it mod 2^64.
 """
 
 import math
 import operator
+import sys
 from numbers import Integral, Real
 
 
@@ -130,12 +134,21 @@ def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def check_integers(**counts) -> None:
-    """ValidationError naming the first of counts, by keyword, that is not
-    `is_integer`."""
-    for name, value in counts.items():
+def check_integers(**values) -> None:
+    """ValidationError naming the first of values, by keyword, that is not
+    `is_integer`. A size or a count takes `check_count` instead."""
+    for name, value in values.items():
         if not is_integer(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_count(name: str, value, at_least: int = 0) -> None:
+    """ValidationError "<name> must be an integer in [<at_least>,
+    <sys.maxsize>], got <repr>" unless value is `is_integer` and lies in
+    that range."""
+    if not (is_integer(value) and at_least <= value <= sys.maxsize):
+        raise ValidationError(
+            f"{name} must be an integer in [{at_least}, {sys.maxsize}], got {value!r}")
 
 
 # Each end of a range: whether a value lies on its inside, and its sign.

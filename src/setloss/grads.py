@@ -51,7 +51,7 @@ import numpy as np
 from . import kernels, losses, objectives
 # partition_from_labels stays importable here: perfbench/tracing.py wraps it in grads.
 from .batch import EmbeddingBatch, partition_from_labels  # noqa: F401
-from .errors import ValidationError, check_integers, check_real
+from .errors import check_count, check_real
 from .sampling import Rng
 
 # grad_check's absolute floor: coordinates below ABS_FLOOR / tolerance are
@@ -64,11 +64,11 @@ def check_batch(n: int, dim: int, seed: int) -> EmbeddingBatch:
 
     The positive mean shift keeps cosine row sums above one, so the
     log-ratio objectives stay inside their domain on every draw. n and dim
-    must be integers, n >= 2 and dim >= 1 (ValidationError).
+    must be integers, n >= 2 and dim >= 1, no larger than sys.maxsize
+    (`errors.check_count`).
     """
-    check_integers(n=n, dim=dim)
-    if n < 2 or dim < 1:
-        raise ValidationError(f"need n >= 2 and d >= 1, got n={n}, d={dim}")
+    check_count("n", n, 2)
+    check_count("dim", dim, 1)
     rng = Rng(seed)
     classes = 3 if n >= 6 else 2
     vectors = 1.0 + 0.6 * rng.normals((n, dim))

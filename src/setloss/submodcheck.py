@@ -58,7 +58,7 @@ import numpy as np
 from . import losses, objectives
 from ._backend import backend
 from .batch import EmbeddingBatch
-from .errors import (GroundSetTooLarge, SetLossError, ValidationError, check_integers,
+from .errors import (GroundSetTooLarge, SetLossError, ValidationError, check_count,
                      check_real, is_integer)
 from .sampling import Rng
 
@@ -132,11 +132,6 @@ def _subsets(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_bits_to_tuple(bits, n) for bits in range(1 << n))
 
 
-def _check_size(n: int) -> None:
-    if n > ENUMERATION_BOUND:
-        raise GroundSetTooLarge(n, ENUMERATION_BOUND)
-
-
 def _table(objective: str, z: np.ndarray, config: losses.LossConfig) -> np.ndarray:
     """The (k, 2^n) value tables of a (k, n, dim) stack of embeddings, in
     one `backend.value_table` call. Its callers refuse a stack past
@@ -147,14 +142,15 @@ def _table(objective: str, z: np.ndarray, config: losses.LossConfig) -> np.ndarr
 
 
 def _check_index(n: int, include_empty: bool) -> None:
-    """A scan with no triple to compare would rest a verdict on no
-    evidence; it is refused before anything is drawn or tabulated. Every
-    triple needs x outside B and A a proper subset of B, with A nonempty
-    unless the empty set is included."""
-    if n < (2 if include_empty else 3):
-        raise ValidationError(
-            f"no triple to compare at n = {n}: the scan needs n >= 3, "
-            f"or n >= 2 when it includes the empty set")
+    """The one check of a scan's n, made before anything is drawn or
+    tabulated. A scan with no triple to compare would rest a verdict on no
+    evidence: every triple needs x outside B and A a proper subset of B,
+    with A nonempty unless the empty set is included, so n >= 3, or n >= 2
+    with the empty set. Past ENUMERATION_BOUND the lattice is too large to
+    enumerate (GroundSetTooLarge)."""
+    check_count("n", n, 2 if include_empty else 3)
+    if n > ENUMERATION_BOUND:
+        raise GroundSetTooLarge(n, ENUMERATION_BOUND)
 
 
 def exhaustive_dr_check(objective: str, batch: EmbeddingBatch,
@@ -163,7 +159,6 @@ def exhaustive_dr_check(objective: str, batch: EmbeddingBatch,
                         include_empty: bool = False) -> LatticeCheckResult:
     """Scan every diminishing-returns triple of the batch's subset lattice."""
     check_real("tolerance", tolerance, at_least=0)
-    _check_size(batch.n)
     _check_index(batch.n, include_empty)
     *tallies, viols = backend.dr_scan(_table(objective, batch.vectors[None], config),
                                       batch.n, tolerance, include_empty, MAX_STORED)
@@ -206,11 +201,8 @@ def _scan_draws(objective: str, config: losses.LossConfig, n: int,
     surfaces, and none from a draw after the stop.
     """
     check_real("tolerance", tolerance, at_least=0)
-    check_integers(n=n, **{count_name: draws})
-    _check_size(n)
-    if draws < 1:
-        raise ValidationError(f"a scan needs at least one draw, got {count_name} = {draws}")
     _check_index(n, False)
+    check_count(count_name, draws, 1)
     rng = Rng(seed)
     cap = backend.tables_per_scan(n)
     size = 1 if stop_early else cap
@@ -288,16 +280,12 @@ def verdict_table(names=objectives.OBJECTIVES, n: int = 6, draws: int = 200,
     against the record's claim. A table that could compare nothing is
     refused: below n = 3 no triple A < B with A nonempty exists, and a
     scan of zero draws judges no triple at all. The scans refuse a
-    tolerance that is NaN, infinite or negative, and counts that are not
-    integers.
+    tolerance that is NaN, infinite or negative, and n, draws and max_draws
+    unless each is an integer in its range (`errors.check_count`).
     """
-    check_integers(n=n, draws=draws, max_draws=max_draws)
-    if n < 3:
-        raise ValidationError(f"n must be >= 3 to compare any triple, got {n}")
-    if draws < 1 or max_draws < 1:
-        raise ValidationError(
-            f"draws (--trials) and max_draws (--budget) must be >= 1, "
-            f"got {draws} and {max_draws}")
+    _check_index(n, False)
+    check_count("draws", draws, 1)
+    check_count("max_draws", max_draws, 1)
     out = []
     for name in names:
         if objectives.get(name).claim != "not-submodular":

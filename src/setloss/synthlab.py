@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels, losses, objectives
 from .batch import EmbeddingBatch
-from .errors import BadK, EmptyClass, ValidationError, check_integers, check_real, is_integer
+from .errors import BadK, EmptyClass, ValidationError, check_count, check_real, is_integer
 from .sampling import Rng
 
 K_RANGE = range(8)
@@ -42,9 +42,10 @@ def sample_clusters(centroids: np.ndarray, spread: float, counts, seed: int
     """Draw the mixture: counts[k] rows of centroids[k] + spread * N(0, I),
     one integer count >= 0 per centroid."""
     check_real("spread", spread, above=0)
-    check_integers(**{f"counts[{k}]": count for k, count in enumerate(counts)})
-    if len(counts) != len(centroids) or min(counts, default=0) < 0:
-        raise ValidationError(f"need one count >= 0 per centroid ({len(centroids)}), "
+    for k, count in enumerate(counts):
+        check_count(f"counts[{k}]", count)
+    if len(counts) != len(centroids):
+        raise ValidationError(f"need one count per centroid ({len(centroids)}), "
                               f"got {tuple(counts)}")
     noise = Rng(seed).normals((sum(counts), centroids.shape[1]))
     vectors = np.repeat(centroids, counts, axis=0) + spread * noise
@@ -66,9 +67,7 @@ def make_k_dataset(k: int, points_per_cluster: int = 100,
                    spread: float = 0.3, seed: int = 0) -> EmbeddingBatch:
     """Four 2-D clusters at the corner schedule for this K."""
     centroids = _CORNERS * k_scale(k)
-    check_integers(points_per_cluster=points_per_cluster)
-    if points_per_cluster < 1:
-        raise ValidationError("every class needs at least one sample")
+    check_count("points_per_cluster", points_per_cluster, 1)
     return sample_clusters(centroids, spread, (points_per_cluster,) * 4, seed)
 
 
@@ -95,11 +94,9 @@ def make_imbalanced_dataset(kind: str, c: int, d: int, base_count: int,
     every centroid pair is exactly `separation` apart (needs C <= d).
     Separation defaults to four spreads.
     """
-    check_integers(c=c, d=d, base_count=base_count)
-    if c < 1:
-        raise ValidationError(f"need at least one class, got c={c}")
-    if base_count < c:
-        raise ValidationError(f"base_count {base_count} < {c} classes")
+    check_count("c", c, 1)
+    check_count("d", d)
+    check_count("base_count", base_count, c)
     if c > d:
         raise ValidationError(
             f"axis-aligned centroids need C <= d, got C={c}, d={d}"

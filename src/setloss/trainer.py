@@ -39,7 +39,7 @@ import numpy as np
 from . import grads, kernels, losses
 from .batch import EmbeddingBatch
 from .errors import (DegenerateBatch, DivergedLoss, MissingClass, SetLossError,
-                     ValidationError, check_integers, check_real)
+                     ValidationError, check_count, check_integers, check_real)
 from .sampling import Rng
 
 STAGE2_NOTE = "stage 2 = nearest-centroid over frozen embeddings (linear-head stand-in)"
@@ -82,16 +82,13 @@ class TrainConfig:
 
     def __post_init__(self):
         check_real("lr", self.lr, at_least=0)
-        sizes = {"batch_size": self.batch_size, "out_dim": self.out_dim}
-        check_integers(steps=self.steps, seed=self.seed,
-                       **{k: v for k, v in sizes.items() if v is not None})
-        if self.steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {self.steps}")
+        check_count("steps", self.steps, 1)
+        check_integers(seed=self.seed)
         check_real("eval_split", self.eval_split, above=0, below=1)
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.out_dim is not None and self.out_dim < 2:
-            raise ValidationError(f"out_dim must be >= 2, got {self.out_dim}")
+        if self.batch_size is not None:
+            check_count("batch_size", self.batch_size, 1)
+        if self.out_dim is not None:
+            check_count("out_dim", self.out_dim, 2)
 
 
 @dataclass
@@ -128,9 +125,8 @@ def initial_params(in_dim: int, out_dim: int, seed: int,
     random projection. Falls back to scaled Gaussian when out_dim
     exceeds in_dim and no such isometry exists.
     """
-    check_integers(in_dim=in_dim, out_dim=out_dim)
-    if in_dim < 1 or out_dim < 2:
-        raise ValidationError(f"need in_dim >= 1 and out_dim >= 2, got {in_dim} and {out_dim}")
+    check_count("in_dim", in_dim, 1)
+    check_count("out_dim", out_dim, 2)
     rng = Rng(seed).derive(101)
     g = rng.normals((out_dim, in_dim))
     if out_dim > in_dim:

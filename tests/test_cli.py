@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import stat
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +79,31 @@ def test_eval_rerun_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_eval_writes_a_new_file_with_the_mode_open_gives(tmp_path, umask_022, capsys):
+    # The temporary file's 0600 was renamed into place.
+    out = tmp_path / "new.json"
+    assert cli.main(["eval", "--input", FOUR_POINT, "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+    capsys.readouterr()
+
+
+def test_eval_rewrites_a_file_and_keeps_its_mode(tmp_path, umask_022, capsys):
+    out = tmp_path / "kept.json"
+    out.write_text("old")
+    out.chmod(0o664)
+    assert cli.main(["eval", "--input", FOUR_POINT, "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o664
+    assert out.read_text() != "old"
+    capsys.readouterr()
+
+
 def test_eval_missing_input_is_io_failure(capsys):
     assert cli.main(["eval", "--input", "/nonexistent/file.csv"]) == 6
     assert capsys.readouterr().err
@@ -141,14 +168,15 @@ def test_gradcheck_builds_its_batch_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("flags, got", [
-    (["--n", "1"], "n=1, d=8"), (["--n", "4", "--d", "0"], "n=4, d=0"),
+    (["--n", "1"], f"n must be an integer in [2, {sys.maxsize}], got 1"),
+    (["--n", "4", "--d", "0"], f"dim must be an integer in [1, {sys.maxsize}], got 0"),
 ])
 def test_gradcheck_refuses_a_batch_too_small(flags, got, capsys):
     # grads.check_batch gives the error; the command keeps its text and code.
     assert cli.main(["gradcheck", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: need n >= 2 and d >= 1, got {got}\n"
+    assert captured.err == f"error: {got}\n"
 
 
 def test_gradcheck_zero_tolerance_fails(capsys):
@@ -175,6 +203,18 @@ def test_gradcheck_tolerance_flag_must_be_finite_and_nonnegative(tol, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: tolerance must be finite and >= 0")
+
+
+def test_gradcheck_takes_lambda_as_eval_does(tmp_path, capsys):
+    # --lambda was an unrecognized argument of gradcheck.
+    outputs = []
+    for flag in ("--lam", "--lambda"):
+        out = tmp_path / f"{flag[2:]}.json"
+        assert cli.main(["gradcheck", "--objective", "gc-cf", flag, "2",
+                         "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr(), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])[0]["objective"] == "gc-cf"
 
 
 def test_gradcheck_json_out(tmp_path, capsys):
@@ -382,6 +422,21 @@ def test_train_lambda_grid_keeps_failure_rows(tmp_path, capsys):
     assert "gc-cf@lam=0.5" in captured.err
 
 
+def test_train_refuses_a_lambda_grid_whose_labels_collide(tmp_path, monkeypatch, capsys):
+    # Both values were labelled gc-cf@lam=1, and the second run's report
+    # overwrote the first's.
+    monkeypatch.setattr(trainer, "compare_objectives", lambda *a: pytest.fail("trained"))
+    out = tmp_path / "grid"
+    code = cli.main(["train", "--config", str(train_config(tmp_path, [0.5, 1.0, 1.0000001])),
+                     "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: loss.lam grid values 1.0 and 1.0000001 share "
+                            "the row label lam=1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting", [
     {"batch_size": 0}, {"batch_size": -5}, {"out_dim": 0}, {"out_dim": 1},
     {"out_dim": -3},
@@ -408,7 +463,7 @@ def test_train_rejects_a_dataset_with_no_classes(c, tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: need at least one class")
+    assert captured.err == f"error: c must be an integer in [1, {sys.maxsize}], got {c}\n"
     assert not out.exists()
 
 

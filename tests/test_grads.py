@@ -11,6 +11,7 @@ from setloss.batch import ClassPartition, EmbeddingBatch, partition_from_labels
 from setloss.errors import PreconditionError, ValidationError
 from setloss.sampling import Rng
 from test_grad_weights import doubled_weights
+from test_numeric_boundary import refused_count
 from test_trainer import _in_threads
 
 
@@ -138,16 +139,15 @@ def test_gc_cf_gradient_from_kernel_gradients():
     assert np.allclose(got, expected, atol=1e-10)
 
 
-@pytest.mark.parametrize("n, dim, match", [
-    (6.0, 3, "n must be an integer"), (6, 2.0, "dim must be an integer"),
-    (True, 3, "n must be an integer"), (6, True, "dim must be an integer"),
-    ("6", 3, "n must be an integer"), (1, 3, "need n >= 2 and d >= 1, got n=1, d=3"),
-    (6, 0, "need n >= 2 and d >= 1, got n=6, d=0"),
+@pytest.mark.parametrize("n, dim, name, least, bad", [
+    (6.0, 3, "n", 2, 6.0), (6, 2.0, "dim", 1, 2.0), (True, 3, "n", 2, True),
+    (6, True, "dim", 1, True), ("6", 3, "n", 2, "6"), (1, 3, "n", 2, 1),
+    (6, 0, "dim", 1, 0),
 ])
-def test_check_batch_refuses_a_size_that_is_not_one(n, dim, match):
+def test_check_batch_refuses_a_size_that_is_not_one(n, dim, name, least, bad):
     # Floats let numpy's TypeError out, True was a bare TypeError, and n = 1
     # gave a one-class batch.
-    with pytest.raises(ValidationError, match=match):
+    with pytest.raises(ValidationError, match=refused_count(name, least, bad)):
         grads.check_batch(n, dim, 0)
 
 

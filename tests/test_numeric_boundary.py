@@ -4,22 +4,34 @@ number with the package's own error.
 One property feeds each parameter, in place of a valid value, None, a
 numeric string, True, NaN, +inf, -inf and 10**400, and numpy's bool and
 float scalars. A real parameter must refuse every one of them with a
-`SetLossError`. An integer parameter must refuse all but 10**400, which is
-a valid int: given that, the call raises a `SetLossError` or returns. A bare
-TypeError, ValueError or OverflowError out of numpy or Python fails. A
-parameter whose default is None takes None.
+`SetLossError`, and so must a size or a count, which is bounded by
+`sys.maxsize`. A seed must refuse all but 10**400, which is a valid seed:
+given that, the call raises a `SetLossError` or returns. A bare TypeError,
+ValueError or OverflowError out of numpy or Python fails. A parameter whose
+default is None takes None. A second test feeds each size or count one
+below its least value and 10**400, and expects `errors.check_count`'s
+message.
 """
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setloss import grads, kernels, losses, submodcheck, synthlab, trainer
 from setloss.errors import SetLossError
 from setloss.sampling import Rng
+
+
+def refused_count(name: str, least: int, value) -> str:
+    """The anchored pattern of `errors.check_count`'s refusal."""
+    return "^" + re.escape(
+        f"{name} must be an integer in [{least}, {sys.maxsize}], got {value!r}") + "$"
+
 
 HUGE = 10 ** 400
 BAD = (None, "1", True, math.nan, math.inf, -math.inf, HUGE,
@@ -117,21 +129,6 @@ NONE_IS_DEFAULT = {"TrainConfig.batch_size", "TrainConfig.out_dim",
 
 # What the property does not feed, each with its reason.
 LEFT_OUT = {
-    # 10**400 is a valid integer here, and the call would try to do that
-    # much work or allocate that much memory; integer sizes have no upper
-    # bound to check them against.
-    "check_batch.n=10**400": "a batch of that many rows",
-    "check_batch.dim=10**400": "a batch of that many columns",
-    "initial_params.in_dim=10**400": "a W of that many columns",
-    "initial_params.out_dim=10**400": "a W of that many rows",
-    "consistency_scan.draws=10**400": "a scan of that many draws",
-    "counterexample_search.max_draws=10**400": "fl never violates, so it scans them all",
-    "verdict_table.draws=10**400": "a scan of that many draws",
-    "sample_clusters.counts=10**400": "a class of that many rows",
-    "make_k_dataset.points_per_cluster=10**400": "classes of that many rows",
-    "make_imbalanced_dataset.d=10**400": "centroids of that many columns",
-    "make_imbalanced_dataset.base_count=10**400": "classes of that many rows",
-    "k_sweep.points_per_cluster=10**400": "classes of that many rows",
     # Parameters that are not numbers.
     "LossConfig.objective, LossConfig.kernel, similarity.kind": "names, checked against the choices",
     "TrainConfig.normalize, exhaustive_dr_check.include_empty, initial_params.normalize":
@@ -146,27 +143,58 @@ LEFT_OUT = {
 }
 
 
-def _skipped(name: str, value) -> bool:
-    return value is HUGE and f"{name}=10**400" in LEFT_OUT
-
-
 @pytest.mark.parametrize("name", sorted(REAL) + sorted(INTEGER))
 @settings(max_examples=4 * len(BAD), deadline=None, derandomize=True, database=None)
 @given(value=st.sampled_from(BAD))
 def test_a_numeric_parameter_refuses_what_is_not_a_number(name, value):
-    assume(not _skipped(name, value))
     call = REAL.get(name) or INTEGER[name]
     try:
         call(value)
     except SetLossError:
         return
-    # A valid int or a default may be taken; nothing else may.
-    assert ((name in INTEGER and value is HUGE)
+    # A seed of any size or a default may be taken; nothing else may.
+    assert ((name.endswith(".seed") and value is HUGE)
             or (name in NONE_IS_DEFAULT and value is None)), f"{name} took {value!r}"
 
 
-def test_every_value_left_out_belongs_to_an_integer_parameter():
-    huge = [key.split("=")[0] for key in LEFT_OUT if key.endswith("=10**400")]
-    assert [name for name in huge if name not in INTEGER] == []
+# Each size or count: the name its refusal gives, and its least value.
+COUNTS = {
+    "TrainConfig.steps": ("steps", 1),
+    "TrainConfig.batch_size": ("batch_size", 1),
+    "TrainConfig.out_dim": ("out_dim", 2),
+    "initial_params.in_dim": ("in_dim", 1),
+    "initial_params.out_dim": ("out_dim", 2),
+    "check_batch.n": ("n", 2),
+    "check_batch.dim": ("dim", 1),
+    "consistency_scan.n": ("n", 3),
+    "consistency_scan.draws": ("draws", 1),
+    "counterexample_search.n": ("n", 3),
+    "counterexample_search.max_draws": ("max_draws", 1),
+    "verdict_table.n": ("n", 3),
+    "verdict_table.draws": ("draws", 1),
+    "verdict_table.max_draws": ("max_draws", 1),
+    "sample_clusters.counts": ("counts[1]", 0),
+    "make_k_dataset.points_per_cluster": ("points_per_cluster", 1),
+    "make_imbalanced_dataset.c": ("c", 1),
+    "make_imbalanced_dataset.d": ("d", 0),
+    "make_imbalanced_dataset.base_count": ("base_count", 2),
+    "k_sweep.points_per_cluster": ("points_per_cluster", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_a_size_or_count_refuses_what_lies_outside_its_range(name):
+    key, least = COUNTS[name]
+    for value in (least - 1, HUGE):
+        with pytest.raises(SetLossError, match=refused_count(key, least, value)):
+            INTEGER[name](value)
+
+
+def test_the_parameter_tables_agree():
     assert NONE_IS_DEFAULT <= set(REAL) | set(INTEGER)
     assert not set(REAL) & set(INTEGER)
+    # Every integer parameter is a size or count, a seed or a K.
+    assert sorted(name for name in set(INTEGER) - set(COUNTS)
+                  if not name.endswith(".seed")) == ["k_scale.k", "k_sweep.ks",
+                                                     "make_k_dataset.k"]
+    assert set(COUNTS) <= set(INTEGER)

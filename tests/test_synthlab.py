@@ -7,6 +7,7 @@ import pytest
 from setloss import grads, losses, synthlab
 from setloss.errors import BadK, EmptyClass, ValidationError
 from setloss.sampling import Rng
+from test_numeric_boundary import refused_count
 
 
 def test_longtail_counts_worked_example():
@@ -74,9 +75,10 @@ def test_imbalanced_centroids_are_equidistant():
 
 
 def test_imbalanced_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="^axis-aligned centroids need C <= d, got C=5, d=4$"):
         synthlab.make_imbalanced_dataset("longtail", 5, 4, 50, 0.5, 1.0, 0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=refused_count("base_count", 4, 2)):
         synthlab.make_imbalanced_dataset("longtail", 4, 10, 2, 0.5, 1.0, 0)
     with pytest.raises(ValidationError):
         synthlab.make_imbalanced_dataset("pareto", 4, 10, 50, 0.5, 1.0, 0)
@@ -89,7 +91,7 @@ def test_imbalanced_validation():
     # c = 0 was a numpy broadcast error and c = -1 "negative dimensions".
     for c in (0, -1):
         for kind, decay_or_ratio in (("longtail", 0.5), ("step", 2.0)):
-            with pytest.raises(ValidationError, match="need at least one class"):
+            with pytest.raises(ValidationError, match=refused_count("c", 1, c)):
                 synthlab.make_imbalanced_dataset(kind, c, 10, 50, decay_or_ratio,
                                                  1.0, 0)
 
@@ -175,22 +177,21 @@ def test_sample_clusters_refuses_a_spread_that_is_not_a_finite_positive_number(s
 @pytest.mark.parametrize("count", [2.5, 3.0, True])
 def test_k_dataset_refuses_a_count_that_is_not_an_integer(count):
     # 2.5 reached np.repeat and raised its TypeError; True was taken as 1.
-    with pytest.raises(ValidationError,
-                       match=f"^points_per_cluster must be an integer, got {count!r}$"):
+    with pytest.raises(ValidationError, match=refused_count("points_per_cluster", 1, count)):
         synthlab.make_k_dataset(1, points_per_cluster=count)
 
 
-@pytest.mark.parametrize("name,args", [
-    ("c", ("longtail", 2.0, 10, 600, 0.1, 1.0, 0)),
-    ("d", ("longtail", 2, 10.0, 600, 0.1, 1.0, 0)),
-    ("base_count", ("longtail", 4, 10, 600.5, 0.1, 1.0, 0)),
-    ("base_count", ("step", 4, 10, True, 1.0, 1.0, 0)),
+@pytest.mark.parametrize("name,least,bad,args", [
+    ("c", 1, 2.0, ("longtail", 2.0, 10, 600, 0.1, 1.0, 0)),
+    ("d", 0, 10.0, ("longtail", 2, 10.0, 600, 0.1, 1.0, 0)),
+    ("base_count", 4, 600.5, ("longtail", 4, 10, 600.5, 0.1, 1.0, 0)),
+    ("base_count", 4, True, ("step", 4, 10, True, 1.0, 1.0, 0)),
 ])
-def test_imbalanced_dataset_refuses_counts_that_are_not_integers(name, args):
+def test_imbalanced_dataset_refuses_counts_that_are_not_integers(name, least, bad, args):
     # c = 2.0 and d = 10.0 raised numpy's TypeError; base_count = 600.5 was
     # taken, with class sizes (600, 279, 129, 60) against 600's (600, 278,
     # 129, 60).
-    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+    with pytest.raises(ValidationError, match=refused_count(name, least, bad)):
         synthlab.make_imbalanced_dataset(*args)
 
 
@@ -212,12 +213,12 @@ def test_a_numpy_integer_seed_draws_the_int_seeds_stream():
 
 
 @pytest.mark.parametrize("counts, message", [
-    ((2.5, 3), "^counts\\[0\\] must be an integer, got 2.5$"),
-    ((2, np.float64(3.0)), "^counts\\[1\\] must be an integer, got "),
-    ((True, 3), "^counts\\[0\\] must be an integer, got True$"),
-    ((-1, 3), "^need one count >= 0 per centroid \\(2\\), got \\(-1, 3\\)$"),
-    ((2,), "^need one count >= 0 per centroid \\(2\\), got \\(2,\\)$"),
-    ((2, 3, 4), "^need one count >= 0 per centroid \\(2\\), got \\(2, 3, 4\\)$"),
+    ((2.5, 3), refused_count("counts[0]", 0, 2.5)),
+    ((2, np.float64(3.0)), refused_count("counts[1]", 0, np.float64(3.0))),
+    ((True, 3), refused_count("counts[0]", 0, True)),
+    ((-1, 3), refused_count("counts[0]", 0, -1)),
+    ((2,), "^need one count per centroid \\(2\\), got \\(2,\\)$"),
+    ((2, 3, 4), "^need one count per centroid \\(2\\), got \\(2, 3, 4\\)$"),
 ], ids=["float", "numpy-float", "bool", "negative", "too-few", "too-many"])
 def test_sample_clusters_refuses_bad_counts(counts, message):
     # 2.5 raised numpy's TypeError, -1 and (2,) numpy's ValueError, and True
@@ -234,5 +235,5 @@ def test_sample_clusters_takes_numpy_integer_counts():
 
 
 def test_k_dataset_rejects_empty_clusters():
-    with pytest.raises(ValidationError, match="every class needs at least one sample"):
+    with pytest.raises(ValidationError, match=refused_count("points_per_cluster", 1, 0)):
         synthlab.make_k_dataset(2, points_per_cluster=0)

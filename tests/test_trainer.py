@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -14,6 +15,7 @@ from setloss.batch import EmbeddingBatch
 from setloss.errors import (DegenerateBatch, DivergedLoss, MissingClass, SetLossError,
                             ValidationError)
 from setloss.sampling import Rng
+from test_numeric_boundary import refused_count
 
 
 def small_data(seed=0, spread=0.3):
@@ -57,8 +59,11 @@ def test_config_refuses_counts_that_are_not_integers(setting):
     # in training, aborting a whole comparison; batch_size=20.5 trained on a
     # rounded size and steps=True trained one step. seed=1.5, True and 1.0
     # trained on seed 1's split and initial W.
-    key = next(iter(setting))
-    with pytest.raises(ValidationError, match=f"^{key} must be an integer, got "):
+    (key, value), = setting.items()
+    least = {"steps": 1, "batch_size": 1, "out_dim": 2}.get(key)
+    pattern = (f"^seed must be an integer, got {re.escape(repr(value))}$" if least is None
+               else refused_count(key, least, value))
+    with pytest.raises(ValidationError, match=pattern):
         trainer.TrainConfig(**setting)
 
 
@@ -99,9 +104,11 @@ def test_orthogonal_init_is_an_isometry():
     assert wide.W.shape == (6, 4)
 
 
-@pytest.mark.parametrize("in_dim, out_dim", [(0, 2), (3, 1), (-1, 2)])
-def test_init_refuses_dims_out_of_range(in_dim, out_dim):
-    with pytest.raises(ValidationError, match=r"^need in_dim >= 1 and out_dim >= 2, got "):
+@pytest.mark.parametrize("in_dim, out_dim, refused", [
+    (0, 2, ("in_dim", 1, 0)), (3, 1, ("out_dim", 2, 1)), (-1, 2, ("in_dim", 1, -1)),
+])
+def test_init_refuses_dims_out_of_range(in_dim, out_dim, refused):
+    with pytest.raises(ValidationError, match=refused_count(*refused)):
         trainer.initial_params(in_dim, out_dim, seed=0)
 
 
