@@ -31,12 +31,16 @@ A scan's gains, minima and margins are built in place, in the "gain",
 `kernels.Workspace`). Nothing a scan returns points into them.
 
 The batched forms keep the bits of the per-subset loops they replaced. Each
-block is gathered in the loop's order and summed as one contiguous row, so
-numpy's pairwise summation sees the same sequence; per-anchor sums run as a
-column loop from the same starting value; a row maximum is exact, so it
-keeps its bits whichever way it is taken. tests/test_pure_backend.py keeps
-those loops as a frozen oracle and pins the tables, scan results and totals
-to them bit for bit.
+block is gathered in the loop's order, by one np.take into a C-contiguous
+array, and summed as one row, so numpy's pairwise summation sees the same
+sequence. A row of fewer than 8 entries, which numpy adds one entry at a
+time from +0.0, is summed by a column loop in that order
+(`objectives._row_sum`), and a longer one by np.sum itself; per-anchor sums
+run as a column loop from the same starting value; a row maximum is exact,
+so it keeps its bits whichever way it is taken. tests/test_pure_backend.py
+keeps those loops as a frozen oracle and pins the tables, scan results and
+totals to them bit for bit, and pins each short-row helper to the numpy
+reduce it stands for.
 
 Log policy: log-sum-exp takes its logarithm with np.log. Its np.exp already
 picks SIMD code by host, so no choice of log made the log-sum-exp tables

@@ -73,14 +73,19 @@ from .errors import LambdaBelowOne, NotPositiveDefinite, ValidationError, check_
 # argument lies within this of a kink.
 TIE_GAP = 1e-3
 
-# Rows of at most this many entries take their maximum as a column loop of
-# np.maximum, one call per column over every row at once, where np.max's
-# reduce pays about 90 ns a row. On the log-sum-exp and fl blocks of value
-# tables (rows of at most n - 1 <= 11 entries) the loop takes 8-12x less
-# time for a stack of 60 draws at n = 6 or one draw at n = 12, and about as
-# long for one draw at n = 6; on training blocks of 200 x 600 or 600 x 200
-# entries it is 7-26x slower (2-core x86 VM).
+# Short rows are reduced by a column loop, one numpy call per column over
+# every row at once, where a ufunc reduce pays about 90 ns a row; the
+# log-sum-exp and fl blocks of value tables have rows of at most
+# n - 1 <= 11 entries. A maximum takes the loop for rows of at most
+# _SHORT_ROW entries: for a stack of 60 draws at n = 6 or one draw at
+# n = 12 it takes 8-12x less time than np.max, and about as long for one
+# draw at n = 6; on training blocks of 200 x 600 or 600 x 200 entries it is
+# 7-26x slower (2-core x86 VM). A sum takes it for rows of fewer than
+# _SHORT_SUM entries, which numpy adds one entry at a time from +0.0; from
+# 8 entries on, numpy adds into eight partial sums and combines them
+# pairwise, and longer rows are left to its reduce.
 _SHORT_ROW = 16
+_SHORT_SUM = 8
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
@@ -99,12 +104,40 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return top if np.all(np.abs(top) > 0) else np.max(x, axis=-1)
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """np.sum(x, axis=-1), bit for bit.
+
+    A row of 1 to 7 entries is summed as a column loop in numpy's order,
+    from 0.0 + its first entry, so that a row of -0.0 sums to 0.0 as it does
+    in numpy; longer and empty rows go to np.sum.
+    """
+    if not 0 < x.shape[-1] < _SHORT_SUM:
+        return np.sum(x, axis=-1)
+    total = 0.0 + x[..., 0]
+    for j in range(1, x.shape[-1]):
+        total += x[..., j]
+    return total
+
+
 def _lse(x: np.ndarray) -> np.ndarray:
-    """Stabilized log(sum(exp(x))) over the last axis; -inf where it is empty."""
+    """Stabilized log(sum(exp(x))) over the last axis; -inf where it is empty.
+
+    Short rows are summed as `_row_sum` sums them, each column's exponential
+    taken inside the loop; an exponential is never -0.0, so the sum starts
+    from the first column's. One exponential over the whole block would
+    first pay a broadcast subtraction over short rows: the snn tables of a
+    200-draw stack at n = 6 took 2.1-2.6 ms that way against 1.2-1.6 ms
+    (2-core x86 VM).
+    """
     if x.shape[-1] == 0:
         return np.full(x.shape[:-1], -math.inf)
     top = _row_max(x)
-    total = np.sum(np.exp(x - top[..., None]), axis=-1)
+    if x.shape[-1] < _SHORT_SUM:
+        total = np.exp(x[..., 0] - top)
+        for j in range(1, x.shape[-1]):
+            total += np.exp(x[..., j] - top)
+    else:
+        total = np.sum(np.exp(x - top[..., None]), axis=-1)
     return top + np.log(total)
 
 
@@ -121,18 +154,24 @@ def _logdet_spd(m: np.ndarray):
         raise NotPositiveDefinite(
             f"{m.shape[-1]}x{m.shape[-1]} regularized block is not positive definite"
         ) from None
-    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return 2.0 * _row_sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)))
 
 
 def _gather(x: np.ndarray, *index) -> np.ndarray:
-    """x[..., *index] as a C-contiguous array.
+    """x[..., *index] as a C-contiguous array, by one np.take.
 
-    Gathered after a leading `...`, the block can come back with the index
-    axes outermost in memory, and a last-axis sum over it then runs in
-    another order than over one matrix's block. The copy (none for one
-    matrix) gives every matrix of a stack the bits it has alone.
+    One index takes along the last axis; two take along the last two as one
+    flat axis, at rows * n + cols. np.take writes C order, so each matrix of
+    a stack gets its block's elements in the order one matrix's block has,
+    and a last-axis sum over it that block's bits. x must be C-contiguous
+    in its last two axes, as every caller's kernels are: otherwise the
+    flattening reshape copies the whole stack.
     """
-    return np.ascontiguousarray(x[(Ellipsis,) + index])
+    if len(index) == 1:
+        return np.take(x, index[0], axis=-1)
+    rows, cols = index
+    flat = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+    return np.take(flat, rows * x.shape[-1] + cols, axis=-1)
 
 
 def _block(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -159,7 +198,7 @@ def _block(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _block_sum(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sum of each row's s[rows_r x cols_r] block, read in row-major order."""
     block = _block(s, rows, cols)
-    return np.sum(block.reshape(block.shape[:-2] + (-1,)), axis=-1)
+    return _row_sum(block.reshape(block.shape[:-2] + (-1,)))
 
 
 def _row_softmax(block: np.ndarray) -> np.ndarray:
@@ -201,7 +240,7 @@ def _row_logs(rows, mem):
     # Rowsums at or below 1 push the log outside its domain; the scan
     # layers treat the resulting inf/nan as off-domain, not as values.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.sum(np.log(_gather(rows, mem)), axis=-1)
+        return _row_sum(np.log(_gather(rows, mem)))
 
 
 def _others(m: int) -> np.ndarray:
@@ -225,7 +264,7 @@ def _logdet_cf_term(s, d, mem, comp, lam, eps, whole):
 
 
 def _fl_term(s, d, mem, comp, lam, eps, whole):
-    return np.sum(_row_max(_block(s, comp, mem)), axis=-1)
+    return _row_sum(_row_max(_block(s, comp, mem)))
 
 
 def _fl_picking_term(s, d, mem, comp, lam, eps, whole):

@@ -24,9 +24,11 @@ bit for bit the child's own.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import check_integers
+from .errors import check_count, check_integers
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MASK = (1 << 64) - 1
@@ -61,6 +63,16 @@ def _unit(raw: np.ndarray) -> np.ndarray:
     return ((raw >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
 
 
+def _entries(shape) -> int:
+    """The number of entries of an array of this shape (a length or a tuple
+    of them), taken over Python ints, where np.prod wraps; ValidationError
+    past sys.maxsize."""
+    dims = tuple(int(k) for k in (shape if np.iterable(shape) else (shape,)))
+    total = math.prod(dims)
+    check_count(f"the entry count of a draw of shape {dims}", total)
+    return total
+
+
 def _box_muller(u1: np.ndarray, u2: np.ndarray, total: int) -> np.ndarray:
     """The first `total` normals of each row's uniform pairs (u1, u2)."""
     r = np.sqrt(-2.0 * np.log(u1))
@@ -93,7 +105,7 @@ class Rng:
 
     def normals(self, shape) -> np.ndarray:
         """Standard normals of the given shape via Box-Muller."""
-        total = int(np.prod(shape))
+        total = _entries(shape)
         pairs = (total + 1) // 2
         u1 = self.uniforms(pairs)
         u2 = self.uniforms(pairs)
@@ -102,7 +114,7 @@ class Rng:
     def derived_normals(self, start: int, stop: int, shape) -> np.ndarray:
         """`derive(i).normals(shape)` for i = start..stop-1, stacked on a
         leading axis, bit for bit, from one call per step."""
-        total = int(np.prod(shape))
+        total = _entries(shape)
         pairs = (total + 1) // 2
         seeds = _child_seeds(self._seed, np.arange(start, stop))
         u = _unit(_stream(seeds, 0, 2 * pairs))

@@ -157,7 +157,7 @@ def test_criterion_5_imbalance_robustness():
     # recalls are counts and count-derived, so they are bit-stable. The two
     # geometry metrics, intra-class variance and inter-class separation, are
     # neither: they match exactly only on the host the fixture was written
-    # on (OpenBLAS SkylakeX kernel, numpy's AVX-512 loops; ROADMAP item 4).
+    # on (OpenBLAS SkylakeX kernel, numpy's AVX-512 loops; ROADMAP item 6).
     # The loss value is summed by the computation core
     # (`backend.total_value`), so it gets an ulp-level allowance.
     for name, rep in reports.items():

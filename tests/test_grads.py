@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -149,6 +150,13 @@ def test_check_batch_refuses_a_size_that_is_not_one(n, dim, name, least, bad):
     # gave a one-class batch.
     with pytest.raises(ValidationError, match=refused_count(name, least, bad)):
         grads.check_batch(n, dim, 0)
+
+
+def test_check_batch_refuses_a_draw_of_more_than_sys_maxsize_entries():
+    # n * dim wrapped under np.prod, and numpy's reshape refused the draw.
+    name = f"the entry count of a draw of shape {(sys.maxsize, 2)}"
+    with pytest.raises(ValidationError, match=refused_count(name, 0, 2 * sys.maxsize)):
+        grads.check_batch(sys.maxsize, 2, 0)
 
 
 def test_check_batch_takes_numpy_integers_with_the_same_bits():

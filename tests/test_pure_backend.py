@@ -19,8 +19,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from setloss import grads, kernels, losses, objectives, submodcheck
 from setloss._backend import pure
@@ -503,6 +504,86 @@ def test_a_block_with_only_its_columns_a_run_copies_no_column_strip():
         tracemalloc.stop()
     assert block.nbytes == 8 * 300 * 100
     assert peak < 1.2 * block.nbytes
+
+
+# Signed zeros, infinities, NaN and values whose sum overflows.
+_EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.7e308, -1.7e308)
+
+
+@st.composite
+def _summed_rows(draw):
+    """Rows of 0 to 20 entries on 0 to 3 leading axes, C-contiguous,
+    transposed (every axis reversed) or sliced (every other entry of rows
+    twice as long), drawn from finite values, from finite values mixed with
+    `_EDGES`, or from signed zeros alone."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    shape += (draw(st.integers(0, 20)),)
+    finite = st.floats(-1e3, 1e3)
+    entries = draw(st.sampled_from([finite, finite | st.sampled_from(_EDGES),
+                                    st.sampled_from((0.0, -0.0))]))
+    layout = draw(st.sampled_from(["c", "transposed", "sliced"]))
+    if layout == "transposed":
+        shape = shape[::-1]
+    elif layout == "sliced":
+        shape = shape[:-1] + (2 * shape[-1],)
+    x = draw(hnp.arrays(np.float64, shape, elements=entries, fill=st.nothing()))
+    return {"c": x, "transposed": x.T, "sliced": x[..., ::2]}[layout]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_summed_rows())
+# Summed from x[..., 0] alone, a row of -0.0 would give -0.0 where np.sum
+# gives 0.0.
+@example(np.full((2, 3), -0.0))
+def test_row_sum_keeps_np_sum_bits(x):
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = objectives._row_sum(x), np.sum(x, axis=-1)
+    assert np.shape(got) == want.shape
+    assert np.asarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_row_sum_and_lse_keep_np_sum_bits_on_rows_that_round(k):
+    # Normals of scales from 1e-4 to 1e4 round at almost every add, so a sum
+    # in another order than numpy's shows in the last bits; most of
+    # hypothesis's floats add exactly in any order.
+    x = Rng(k).normals((500, k)) * np.exp(3.0 * Rng(k + 100).normals((500, k)))
+    for view in (x, np.asfortranarray(x), x[:, ::-1]):
+        assert objectives._row_sum(view).tobytes() == np.sum(view, axis=-1).tobytes()
+        top = np.max(view, axis=-1)
+        lse = top + np.log(np.sum(np.exp(view - top[:, None]), axis=-1))
+        assert objectives._lse(view).tobytes() == lse.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_gather_is_the_indexed_block_in_c_order(data):
+    # One index takes from the last axis of a vector or a stack of them, two
+    # from the last two of a matrix, square or not, or a stack of them, every
+    # index shape broadcast as numpy's indexing broadcasts it.
+    sides = tuple(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)))
+    lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+    x = Rng(data.draw(st.integers(0, 2 ** 16))).normals(lead + sides)
+    shapes = data.draw(hnp.mutually_broadcastable_shapes(
+        num_shapes=len(sides), min_dims=1, max_dims=3, max_side=4))
+    index = tuple(data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, side - 1)))
+                  for shape, side in zip(shapes.input_shapes, sides))
+    got = objectives._gather(x, *index)
+    want = np.ascontiguousarray(x[(Ellipsis,) + index])
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", kernels.SIMILARITY_KINDS)
+@pytest.mark.parametrize("name", objectives.OBJECTIVES)
+def test_matrices_of_a_stack_are_c_contiguous(name, kernel):
+    # `objectives._gather` flattens a stack's last two axes by reshape,
+    # which copies the whole stack unless it is C-contiguous.
+    z = submodcheck.draw_stack(Rng(0), 0, 3, 5)
+    config = losses.LossConfig(name, kernel=kernel)
+    for workspace in (None, kernels.Workspace()):
+        built = [m for m in losses.matrices(z, config, workspace) if m is not None]
+        assert built and all(m.flags.c_contiguous for m in built)
 
 
 def test_term_values_rows_match_oracle_terms():

@@ -112,6 +112,14 @@ def test_init_refuses_dims_out_of_range(in_dim, out_dim, refused):
         trainer.initial_params(in_dim, out_dim, seed=0)
 
 
+def test_init_refuses_a_draw_of_more_than_sys_maxsize_entries():
+    # out_dim * in_dim wrapped under np.prod, and numpy's reshape refused
+    # the draw.
+    name = f"the entry count of a draw of shape {(2, sys.maxsize)}"
+    with pytest.raises(ValidationError, match=refused_count(name, 0, 2 * sys.maxsize)):
+        trainer.initial_params(sys.maxsize, 2, seed=0)
+
+
 def test_zero_learning_rate_freezes_the_loss():
     data = small_data()
     report = trainer.run_objective(data, quick_config(lr=0.0, steps=10))

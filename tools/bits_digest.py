@@ -31,7 +31,11 @@ Takes no flags. Each line is `<sha256>  <family>` (or
                  records' tables moved.
 
 Floats are hashed by their bytes or their repr, so a last-bit change moves
-its family's line. The run takes about 8 s on a 2-core x86 VM.
+its family's line. The run takes about 8 s on a 2-core x86 VM. To compare
+with a saved run, diff the two outputs; diff prints the lines that differ
+and exits 1 if any does:
+
+    diff <(PYTHONPATH=src python3 tools/bits_digest.py) saved.txt
 """
 
 from __future__ import annotations
